@@ -16,13 +16,16 @@ use lsdf_metadata::{
 };
 use lsdf_workloads::microscopy::HtmGenerator;
 
-/// End-to-end range queries ask "since time T" about the most recent
-/// this-many items, the recency skew DataBrowser users show. (An open
-/// range over half of a 48k-item catalog streams 24k ids per query; it
-/// then is nine tenths of query time, and being DRAM-bound it moved
-/// with the neighbours' load by 10% between identical runs. The
-/// whole-catalog form is the per-layer `metadata.query_and_range_us`.)
-pub const RANGE_QUERY_WINDOW: usize = 4_096;
+/// End-to-end fetches, and range queries ("since time T"), go to the
+/// most recent this-many items, the recency skew DataBrowser users
+/// show. Over the whole 48k-item catalog both are DRAM-bound and moved
+/// with the host's memory state, not the code: grouped fetches read
+/// 661k to 775k per second across four sweeps of identical code, and an
+/// open range over half the catalog (24k ids per query, nine tenths of
+/// query time) moved `query_ops_per_s` by 10% between identical runs.
+/// The whole-catalog forms are the per-layer `adal.get_cold_ns_per_item`
+/// and `metadata.query_and_range_us`.
+pub const RECENT_WINDOW: usize = 4_096;
 /// The operator's background sweep runs after every this many batches.
 pub const SWEEP_EVERY: usize = 16;
 
@@ -51,7 +54,11 @@ pub enum Backend {
     Dfs,
 }
 
-/// One workload's shape. Sizes are chosen so a repetition takes 2–3 s
+/// Length of the run the repetition counts below are sized for; a run
+/// of another `--seconds` gets them in proportion.
+pub const NOMINAL_SECONDS: f64 = 24.0;
+
+/// One workload's shape. Sizes are chosen so a repetition takes 1–2 s
 /// on the 2-vCPU build host.
 #[derive(Clone, Debug)]
 pub struct Spec {
@@ -79,10 +86,21 @@ pub struct Spec {
     pub gets_per_segment: usize,
     pub query_segments: usize,
     pub queries_per_segment: usize,
-    /// `crash_restart` calls per repetition, each one segment.
+    /// Recovery segments per repetition, and `crash_restart` calls in
+    /// each: a restart that replays a few hundred records takes well
+    /// under a millisecond, too short to time alone.
     pub recoveries: usize,
-    /// Batches the per-layer run replays into each layer's twin.
+    pub restarts_per_segment: usize,
+    /// Repetitions of the end-to-end script in a run of
+    /// [`NOMINAL_SECONDS`]. Fixed here, not fitted to the time left: the
+    /// estimator is a minimum over repetitions, so its value depends on
+    /// their number, and a slower host or a slower change under test
+    /// must not get fewer.
+    pub reps: usize,
+    /// Batches the per-layer run replays into each layer's twin, and
+    /// its passes in a run of [`NOMINAL_SECONDS`].
     pub ladder_batches: usize,
+    pub ladder_passes: usize,
     /// DFS block size (the DFS is built for every workload; only
     /// `Backend::Dfs` stores items on it).
     pub dfs_block: u64,
@@ -106,8 +124,11 @@ impl Spec {
             gets_per_segment: 2_500,
             query_segments: 40,
             queries_per_segment: 200,
-            recoveries: 2,
+            recoveries: 4,
+            restarts_per_segment: 1,
+            reps: 10,
             ladder_batches: 40,
+            ladder_passes: 11,
             dfs_block: 1 << 20,
         };
         Some(match name {
@@ -119,8 +140,11 @@ impl Spec {
                 items: 264,
                 item_bytes: (1 << 20) + 16,
                 batch: 12,
-                recoveries: 8,
+                recoveries: 4,
+                restarts_per_segment: 8,
+                reps: 16,
                 ladder_batches: 8,
+                ladder_passes: 8,
                 ..daq
             },
             "daq_events" => daq,
@@ -135,20 +159,29 @@ impl Spec {
                 group: 6,
                 get_segments: 22,
                 gets_per_segment: 12,
-                recoveries: 8,
+                recoveries: 4,
+                restarts_per_segment: 16,
+                reps: 16,
                 ladder_batches: 8,
+                ladder_passes: 8,
                 ..daq
             },
             "browse_during_ingest" => Spec {
                 name: "browse_during_ingest",
                 items: 28_800,
                 preload_batches: 40,
-                concurrent_batches: Some(2),
-                // Every reader segment runs both; their sum is sized
-                // to end before the writer's two batches do.
-                get_segments: 30,
-                query_segments: 30,
+                // One batch per segment, so every batch starts with the
+                // reader's segment and meets the same contention. Every
+                // reader segment runs both kinds of read; their sum is
+                // sized to last about as long as the writer's batch.
+                concurrent_batches: Some(1),
+                get_segments: 60,
+                gets_per_segment: 1_250,
+                query_segments: 60,
+                queries_per_segment: 100,
+                reps: 9,
                 ladder_batches: 20,
+                ladder_passes: 17,
                 ..daq
             },
             _ => return None,
@@ -169,7 +202,10 @@ impl Spec {
         self.query_segments = 2;
         self.queries_per_segment = 50;
         self.recoveries = 1;
+        self.restarts_per_segment = self.restarts_per_segment.min(2);
+        self.reps = 2;
         self.ladder_batches = 3;
+        self.ladder_passes = 2;
         self.dfs_block = 1024;
         self
     }
@@ -317,9 +353,10 @@ impl Inputs {
         };
         let readable_groups = readable_items / spec.group;
         assert!(readable_groups > 0, "nothing to read");
+        let recent_groups = (RECENT_WINDOW / spec.group).clamp(1, readable_groups);
         let gets = plan_gets(
             &groups,
-            0..readable_groups,
+            readable_groups - recent_groups..readable_groups,
             spec.get_segments * spec.gets_per_segment,
             &mut rng,
         );
@@ -327,7 +364,7 @@ impl Inputs {
             &spec,
             &groups,
             0..readable_groups,
-            RANGE_QUERY_WINDOW / spec.group,
+            recent_groups,
             spec.query_segments * spec.queries_per_segment,
             &mut rng,
         );

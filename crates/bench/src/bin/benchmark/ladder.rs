@@ -34,7 +34,7 @@ use lsdf_storage::{payload_deep_copies, payload_digests_computed, sha256, Object
 
 use crate::estimator::{composite, composite_total, percentile, Sample, Timer};
 use crate::inputs::{
-    plan_gets, plan_queries, Backend, Inputs, Query, Rng, RANGE_QUERY_WINDOW, SWEEP_EVERY,
+    plan_gets, plan_queries, Backend, Inputs, Query, Rng, RECENT_WINDOW, SWEEP_EVERY,
 };
 use crate::report::{Metric, Outcome};
 use crate::script::{
@@ -246,7 +246,7 @@ impl<'a> Ladder<'a> {
             spec,
             &inputs.groups,
             groups,
-            RANGE_QUERY_WINDOW / spec.group,
+            RECENT_WINDOW / spec.group,
             READ_SEGMENTS * spec.queries_per_segment.min(200),
             &mut rng,
         );
@@ -985,7 +985,7 @@ impl<'a> Ladder<'a> {
     }
 
     fn total_ns(&self, rung: &str) -> f64 {
-        composite_total(&self.series[rung])
+        composite_total(&self.series[rung], 0)
     }
 
     /// The metrics, in `PER_LAYER` order.
@@ -1001,7 +1001,7 @@ impl<'a> Ladder<'a> {
 
         let whole = per_item("core.ingest_batch");
         let ladder_sum: f64 = LADDER_RUNGS.iter().map(|r| per_item(r)).sum();
-        let batch_ms: Vec<f64> = composite(&self.series["core.ingest_batch"])
+        let batch_ms: Vec<f64> = composite(&self.series["core.ingest_batch"], 0)
             .iter()
             .map(|ns| ns / 1e6)
             .collect();
@@ -1084,10 +1084,9 @@ impl<'a> Ladder<'a> {
     }
 }
 
-/// Runs the per-layer passes for about `seconds` (five at least, or
-/// exactly `fixed`) and returns the per-layer metrics with the spans
-/// recorded on the way.
-pub fn run(inputs: &Inputs, seconds: f64, fixed: Option<usize>) -> (Outcome, SpanLog) {
+/// Runs `passes` per-layer passes and returns the per-layer metrics
+/// with the spans recorded on the way.
+pub fn run(inputs: &Inputs, passes: usize) -> (Outcome, SpanLog) {
     let mut ladder = Ladder::new(inputs);
     let twins = ladder.read_twins();
     let oracle = inputs.items[ladder.dfs_plan().0]
@@ -1098,7 +1097,7 @@ pub fn run(inputs: &Inputs, seconds: f64, fixed: Option<usize>) -> (Outcome, Spa
             }
             acc
         });
-    let passes = crate::repeat(seconds, 5, fixed, |_, _| {
+    for _ in 0..passes {
         ladder.core_rungs();
         ladder.storage_rungs();
         ladder.adal_rungs("adal.put", "adal.get", false);
@@ -1109,7 +1108,7 @@ pub fn run(inputs: &Inputs, seconds: f64, fixed: Option<usize>) -> (Outcome, Spa
         ladder.dfs_rungs(&oracle);
         ladder.read_rungs(&twins);
         ladder.pass += 1;
-    });
+    }
 
     let mut info = vec![format!(
         "{passes} passes over the first {} batches ({} items, {} B each); read twins hold all {} items",
@@ -1146,7 +1145,7 @@ mod tests {
     fn ladder_reconciles_by_construction_and_counts_repeat() {
         let _alone = crate::hold_process_counters();
         let inputs = Inputs::generate(Spec::named("daq_events").unwrap().smoke(), 3);
-        let (out, spans) = run(&inputs, 1.0, Some(2));
+        let (out, spans) = run(&inputs, 2);
         assert!(spans.len() > 0);
         assert!(out.correct(), "{:?} {:?}", out.tally, out.broken);
         let v = |name: &str| out.value(name).unwrap();

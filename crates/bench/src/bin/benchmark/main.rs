@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! benchmark --workload <name> --seed <u64> --seconds <s> --trace <0|1> [--reps N] [--smoke]
-//! benchmark --selfcheck [--seconds <s>]
+//! benchmark --selfcheck [--seed <u64>] [--seconds <s>] [--reps N] [--smoke]
 //! ```
 //!
 //! `--trace 0` measures the nine end-to-end metrics with the
@@ -23,10 +23,9 @@ mod script;
 mod spans;
 
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
 
 use estimator::Timer;
-use inputs::{Inputs, Spec, WORKLOADS};
+use inputs::{Inputs, Spec, NOMINAL_SECONDS, WORKLOADS};
 use report::{Outcome, END_TO_END};
 use script::Tally;
 
@@ -61,7 +60,7 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         workload: None,
         seed: 1,
-        seconds: 20.0,
+        seconds: NOMINAL_SECONDS,
         trace: false,
         reps: None,
         smoke: false,
@@ -110,52 +109,24 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
     Ok(args)
 }
 
-/// Repeats `body` until `seconds` have been spent, at least `floor`
-/// times, or exactly `fixed` times. `body` learns whether it is the
-/// first or last round.
-fn repeat(
-    seconds: f64,
-    floor: usize,
-    fixed: Option<usize>,
-    mut body: impl FnMut(bool, bool),
-) -> usize {
-    let started = Instant::now();
-    let budget = Duration::from_secs_f64(seconds);
-    let mut done = 0;
-    loop {
-        let last = match fixed {
-            Some(n) => done + 1 >= n,
-            // Room for this round but not for another after it.
-            None => {
-                let per_round = started
-                    .elapsed()
-                    .checked_div(done as u32)
-                    .unwrap_or_default();
-                done + 1 >= floor && started.elapsed() + per_round * 2 > budget
-            }
-        };
-        body(done == 0, last);
-        done += 1;
-        if last {
-            return done;
-        }
-    }
+/// Rounds in a run of `seconds` when a run of [`NOMINAL_SECONDS`] makes
+/// `nominal`: in proportion, and two at least, or the minimum has
+/// nothing to discard. A function of the arguments alone, never of the
+/// time a round took: how long the run lasts is an outcome.
+fn rounds(nominal: usize, seconds: f64) -> usize {
+    ((nominal as f64 * seconds / NOMINAL_SECONDS).round() as usize).max(2)
 }
 
-/// The untraced run: repetitions of the end-to-end script.
-fn run_end_to_end(inputs: &Inputs, seconds: f64, reps: Option<usize>) -> Outcome {
+/// The untraced run: `reps` repetitions of the end-to-end script.
+fn run_end_to_end(inputs: &Inputs, reps: usize) -> Outcome {
     let mut timer = Timer::new();
     let mut tally = Tally::default();
-    let mut done = Vec::new();
-    // Two repetitions at least, or the minimum has nothing to discard.
-    repeat(seconds, 2, reps, |first, last| {
-        done.push(script::run_rep(
-            inputs,
-            first || last,
-            &mut timer,
-            &mut tally,
-        ));
-    });
+    let done: Vec<_> = (0..reps)
+        .map(|r| {
+            let full_check = r == 0 || r + 1 == reps;
+            script::run_rep(inputs, full_check, &mut timer, &mut tally)
+        })
+        .collect();
     let mut outcome = report::end_to_end(inputs, &done, tally);
     outcome.info.push(format!(
         "host: {} of {} segments in turbo mode, mean clock {:.3} x nominal, {} CPUs",
@@ -173,9 +144,15 @@ fn run_workload(args: &Args, name: &str) -> Result<Outcome, String> {
         format!("unknown workload {name}; one of {}", names.join(", "))
     })?;
     let spec = if args.smoke { spec.smoke() } else { spec };
+    let nominal = if args.trace {
+        spec.ladder_passes
+    } else {
+        spec.reps
+    };
+    let rounds = args.reps.unwrap_or_else(|| rounds(nominal, args.seconds));
     let inputs = Inputs::generate(spec, args.seed);
     Ok(if args.trace {
-        let (mut outcome, spans) = ladder::run(&inputs, args.seconds, args.reps);
+        let (mut outcome, spans) = ladder::run(&inputs, rounds);
         let dir = std::path::Path::new(TRACE_DIR);
         let file = dir.join(format!("trace-{name}.json"));
         match std::fs::create_dir_all(dir)
@@ -192,23 +169,33 @@ fn run_workload(args: &Args, name: &str) -> Result<Outcome, String> {
         }
         outcome
     } else {
-        run_end_to_end(&inputs, args.seconds, args.reps)
+        run_end_to_end(&inputs, rounds)
     })
 }
 
-/// Runs every workload twice, each run in its own process, and fails
-/// when an end-to-end metric of the second run is worse than the
-/// first's by more than its bound.
+/// How far apart two readings of one metric are, as a share of the
+/// smaller. Not a number when either reading is not.
+fn apart(a: f64, b: f64) -> f64 {
+    (a - b).abs() / a.min(b)
+}
+
+/// Runs every workload twice with the same arguments, each run in its
+/// own process, and fails when the two readings of an end-to-end metric
+/// lie further apart than its bound, in either direction, or either is
+/// not a finite number.
 fn selfcheck(args: &Args) -> Result<bool, String> {
     let exe = std::env::current_exe().map_err(|e| e.to_string())?;
     let mut ok = true;
     for (name, _) in WORKLOADS {
         let mut runs = Vec::new();
-        for seed in [args.seed, args.seed + 1] {
+        for run in 1..=2 {
             let mut cmd = std::process::Command::new(&exe);
             cmd.args(["--workload", name, "--trace", "0"])
-                .args(["--seed", &seed.to_string()])
+                .args(["--seed", &args.seed.to_string()])
                 .args(["--seconds", &args.seconds.to_string()]);
+            if let Some(reps) = args.reps {
+                cmd.args(["--reps", &reps.to_string()]);
+            }
             if args.smoke {
                 cmd.arg("--smoke");
             }
@@ -217,7 +204,7 @@ fn selfcheck(args: &Args) -> Result<bool, String> {
             let parsed = stdout.lines().last().and_then(report::parse_json_line);
             let (correct, metrics) = parsed.ok_or(format!("{name}: no result line"))?;
             if !out.status.success() || !correct {
-                println!("{name} seed {seed}: run failed or incorrect");
+                println!("{name} run {run}: failed or incorrect");
                 ok = false;
             }
             runs.push(metrics);
@@ -227,18 +214,18 @@ fn selfcheck(args: &Args) -> Result<bool, String> {
             let (Some(a), Some(b)) = (find(&runs[0]), find(&runs[1])) else {
                 return Err(format!("{name}: {} missing", def.name));
             };
-            let worse = if def.higher_is_better {
-                (a - b) / a
-            } else {
-                (b - a) / a
-            };
-            let verdict = if worse > def.bound { "OUTSIDE" } else { "ok" };
-            ok &= worse <= def.bound;
+            let apart = apart(a, b);
+            // Written so that a distance that is not a number is outside.
+            let inside = apart <= def.bound;
+            ok &= inside;
             println!(
-                "{name:<22} {:<22} {a:>14.6} {b:>14.6} {:>+7.2}% (bound {:.1}%) {verdict}",
+                "{name:<22} {:<22} {a:>14.6} {b:>14.6} {} ({} is better) {:>6.2}% apart (bound {:.1}%) {}",
                 def.name,
-                100.0 * worse,
-                100.0 * def.bound
+                def.unit,
+                if def.higher_is_better { "higher" } else { "lower" },
+                100.0 * apart,
+                100.0 * def.bound,
+                if inside { "ok" } else { "OUTSIDE" }
             );
         }
     }
@@ -311,7 +298,7 @@ mod tests {
                 let args = smoke_args(trace);
                 let outcome = if trace {
                     let inputs = Inputs::generate(Spec::named(name).unwrap().smoke(), args.seed);
-                    ladder::run(&inputs, args.seconds, args.reps).0
+                    ladder::run(&inputs, 2).0
                 } else {
                     run_workload(&args, name).unwrap()
                 };
@@ -397,13 +384,21 @@ mod tests {
     }
 
     #[test]
-    fn repeat_honours_floor_and_fixed_counts() {
-        let mut calls = Vec::new();
-        assert_eq!(
-            repeat(0.0, 3, None, |first, last| calls.push((first, last))),
-            3
-        );
-        assert_eq!(calls, vec![(true, false), (false, false), (false, true)]);
-        assert_eq!(repeat(1000.0, 2, Some(1), |_, _| ()), 1);
+    fn apart_is_symmetric_and_not_a_number_is_outside() {
+        assert_eq!(apart(100.0, 140.0), apart(140.0, 100.0));
+        assert!((apart(100.0, 140.0) - 0.4).abs() < 1e-12);
+        let bound = 0.1;
+        assert!(apart(100.0, 105.0) <= bound);
+        for (a, b) in [(f64::NAN, 1.0), (1.0, f64::NAN), (f64::INFINITY, 1.0)] {
+            let inside = apart(a, b) <= bound;
+            assert!(!inside, "{a} against {b}");
+        }
+    }
+
+    #[test]
+    fn rounds_follow_the_arguments_alone() {
+        assert_eq!(rounds(16, NOMINAL_SECONDS), 16);
+        assert_eq!(rounds(9, NOMINAL_SECONDS / 2.0), 5);
+        assert_eq!(rounds(10, 1.0), 2);
     }
 }

@@ -3,9 +3,9 @@
 
 use std::fmt::Write as _;
 
-use crate::estimator::{composite, composite_total, percentile, quartiles, Sample};
+use crate::estimator::{composite, composite_total, percentile, quartiles, Sample, CONTENDED_SKIP};
 use crate::inputs::Inputs;
-use crate::script::{Rep, Tally, PHASES};
+use crate::script::{setups_per_rep, Rep, Tally, PHASES};
 
 pub struct MetricDef {
     pub name: &'static str,
@@ -31,16 +31,18 @@ const fn e2e(
 }
 
 /// What a user of the facility sees. Must agree with `BENCHMARK.json`
-/// (a test checks it).
+/// (a test checks it). A timing's bound is the smallest of 10, 12, 15
+/// and 18% that is at least three times the metric's widest spread on
+/// the build host (README.md tables them); set-up gets the largest.
 pub const END_TO_END: [MetricDef; 9] = [
-    e2e("setup_s", "s", false, 0.25),
+    e2e("setup_s", "s", false, 0.18),
     e2e("peak_rss_mb", "MB", false, 0.05),
-    e2e("ingest_mb_per_s", "MB/s", true, 0.25),
-    e2e("ingest_items_per_s", "1/s", true, 0.25),
-    e2e("ingest_batch_p50_ms", "ms", false, 0.25),
-    e2e("get_ops_per_s", "1/s", true, 0.25),
-    e2e("query_ops_per_s", "1/s", true, 0.25),
-    e2e("recovery_s", "s", false, 0.25),
+    e2e("ingest_mb_per_s", "MB/s", true, 0.12),
+    e2e("ingest_items_per_s", "1/s", true, 0.12),
+    e2e("ingest_batch_p50_ms", "ms", false, 0.15),
+    e2e("get_ops_per_s", "1/s", true, 0.12),
+    e2e("query_ops_per_s", "1/s", true, 0.18),
+    e2e("recovery_s", "s", false, 0.15),
     e2e("space_amplification", "ratio", false, 0.005),
 ];
 
@@ -146,7 +148,7 @@ fn phase<'a>(reps: &'a [Rep], pick: impl Fn(&'a Rep) -> &'a Vec<Sample>) -> Vec<
 
 /// "Under load": median and quartiles of the per-repetition raw
 /// wall-clock totals of a phase. Information, not gated.
-fn under_load(name: &str, series: &[Vec<Sample>]) -> String {
+fn under_load(name: &str, series: &[Vec<Sample>], skip: usize) -> String {
     let totals: Vec<f64> = series
         .iter()
         .map(|r| r.iter().map(|s| s.raw_ns).sum::<f64>() / 1e6)
@@ -154,7 +156,7 @@ fn under_load(name: &str, series: &[Vec<Sample>]) -> String {
     let (q1, q2, q3) = quartiles(&totals);
     format!(
         "{name}: composite {:.3} ms; per-repetition wall under load median {q2:.3} ms (quartiles {q1:.3}–{q3:.3})",
-        composite_total(series) / 1e6
+        composite_total(series, skip) / 1e6
     )
 }
 
@@ -171,25 +173,36 @@ pub fn end_to_end(inputs: &Inputs, reps: &[Rep], tally: Tally) -> Outcome {
     let recoveries = phase(reps, |r| &r.recoveries);
 
     let timed = spec.total_items() - spec.items..spec.total_items();
-    let ingest_s = (composite_total(&batches) + composite_total(&sweeps)) / 1e9;
-    let batch_ms: Vec<f64> = composite(&batches).iter().map(|ns| ns / 1e6).collect();
+    // Ingest and reads of the concurrent workload ran against each
+    // other; its set-up and restarts, like everything else, ran alone.
+    let skip = match spec.concurrent_batches {
+        Some(_) => CONTENDED_SKIP,
+        None => 0,
+    };
+    let ingest_s = (composite_total(&batches, skip) + composite_total(&sweeps, skip)) / 1e9;
+    let batch_ms: Vec<f64> = composite(&batches, skip)
+        .iter()
+        .map(|ns| ns / 1e6)
+        .collect();
     let p50 = percentile(&batch_ms, 50.0).unwrap_or_else(|| {
         info.push("ingest_batch_p50_ms: fewer than ten samples beyond the median".to_string());
         quartiles(&batch_ms).1
     });
+    let restarts = spec.recoveries * spec.restarts_per_segment;
     let amp = reps[0].space_amplification;
     if reps.iter().any(|r| r.space_amplification != amp) {
         broken.push("space_amplification differs between repetitions".to_string());
     }
     let values = [
-        composite_total(&setup) / setup[0].len() as f64 / 1e9,
+        composite_total(&setup, 0) / setups_per_rep(spec) as f64 / 1e9,
         vm_hwm_mb(),
         inputs.payload_bytes(timed) as f64 / 1e6 / ingest_s,
         spec.items as f64 / ingest_s,
         p50,
-        (spec.get_segments * spec.gets_per_segment) as f64 / (composite_total(&gets) / 1e9),
-        (spec.query_segments * spec.queries_per_segment) as f64 / (composite_total(&queries) / 1e9),
-        composite_total(&recoveries) / spec.recoveries as f64 / 1e9,
+        (spec.get_segments * spec.gets_per_segment) as f64 / (composite_total(&gets, skip) / 1e9),
+        (spec.query_segments * spec.queries_per_segment) as f64
+            / (composite_total(&queries, skip) / 1e9),
+        composite_total(&recoveries, 0) / restarts as f64 / 1e9,
         amp,
     ];
     let metrics = END_TO_END
@@ -210,18 +223,18 @@ pub fn end_to_end(inputs: &Inputs, reps: &[Rep], tally: Tally) -> Outcome {
         spec.batch,
         spec.get_segments * spec.gets_per_segment,
         spec.query_segments * spec.queries_per_segment,
-        spec.recoveries,
+        restarts,
     ));
     info.push(format!("bench.generate_s {:.3}", inputs.generate_s));
-    for (name, series) in [
-        ("set-up", &setup),
-        ("ingest batches", &batches),
-        ("reconciler sweeps", &sweeps),
-        ("gets", &gets),
-        ("queries", &queries),
-        ("recovery", &recoveries),
+    for (name, series, skip) in [
+        ("set-up", &setup, 0),
+        ("ingest batches", &batches, skip),
+        ("reconciler sweeps", &sweeps, skip),
+        ("gets", &gets, skip),
+        ("queries", &queries, skip),
+        ("recovery", &recoveries, 0),
     ] {
-        info.push(under_load(name, series));
+        info.push(under_load(name, series, skip));
     }
     Outcome {
         metrics,

@@ -7,6 +7,7 @@
 //! in-process library with no server queue, so there is no arrival
 //! rate to sweep.
 
+use std::hint::black_box;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
@@ -22,8 +23,11 @@ use lsdf_storage::sha256;
 use crate::estimator::{Gate, Sample, Timer};
 use crate::inputs::{Backend, Inputs, Query, Rng, Spec, SWEEP_EVERY};
 
-/// Facility builds timed per repetition when set-up is only the build.
-const SETUP_BUILDS: usize = 16;
+/// When set-up is only `Facility::build` (~40 µs) it is timed in this
+/// many segments per repetition, each of this many builds: a segment
+/// shorter than the clock probe beside it cannot be normalised by it.
+const SETUP_SEGMENTS: usize = 8;
+const BUILDS_PER_SEGMENT: usize = 32;
 /// Catalog checksums compared with an independent SHA-256 per check.
 const CHECKSUM_SAMPLE: usize = 64;
 /// The concurrent reader interleaves its queries and fetches in this
@@ -274,38 +278,49 @@ fn space_amplification(f: &Facility, inputs: &Inputs) -> f64 {
     (stored + durable) as f64 / inputs.payload_bytes(0..inputs.items.len()) as f64
 }
 
+/// Set-ups a repetition times: `setup_s` is its set-up time over this.
+pub fn setups_per_rep(spec: &Spec) -> usize {
+    if spec.preload_batches == 0 {
+        SETUP_SEGMENTS * BUILDS_PER_SEGMENT
+    } else {
+        1
+    }
+}
+
 /// Builds the facility and, for a workload with preload, ingests it.
-/// Set-up that is only the build is repeated, one segment per build, so
-/// a sub-millisecond time still gets several samples per repetition.
 fn set_up(inputs: &Inputs, timer: &mut Timer, rep: &mut Rep, tally: &mut Tally) -> Facility {
     let spec = &inputs.spec;
     if spec.preload_batches == 0 {
-        for _ in 1..SETUP_BUILDS {
-            let (f, sample) = timer.segment(|| build_facility(spec, FacilityOpts::default()));
+        for _ in 0..SETUP_SEGMENTS {
+            let ((), sample) = timer.segment(|| {
+                for _ in 0..BUILDS_PER_SEGMENT {
+                    drop(black_box(build_facility(spec, FacilityOpts::default())));
+                }
+            });
             rep.setup.push(sample);
-            drop(f);
         }
-        let (f, sample) = timer.segment(|| build_facility(spec, FacilityOpts::default()));
-        rep.setup.push(sample);
-        return f;
+        return build_facility(spec, FacilityOpts::default());
     }
-    let prepared: Vec<Vec<IngestItem>> = (0..spec.preload_batches)
-        .map(|gb| batch_items(inputs, gb))
-        .collect();
-    let (f, sample) = timer.segment(|| {
-        let f = build_facility(spec, FacilityOpts::default());
-        let session = f.session(spec.project).expect("project exists");
-        for (gb, items) in prepared.into_iter().enumerate() {
-            let n = items.len() as u64;
+    // The build is one segment and every preload batch (with the sweep
+    // that may follow it) another: a sum of per-segment minima steadies
+    // where the minimum of whole set-ups does not.
+    let (f, sample) = timer.segment(|| build_facility(spec, FacilityOpts::default()));
+    rep.setup.push(sample);
+    let session = f.session(spec.project).expect("project exists");
+    for gb in 0..spec.preload_batches {
+        let items = batch_items(inputs, gb);
+        let n = items.len() as u64;
+        let (report, sample) = timer.segment(|| {
             let report = session.ingest_batch(items, IngestPolicy::default());
-            tally.add(INGEST, n, n - report.registered);
             if (gb + 1) % SWEEP_EVERY == 0 {
                 f.run_durability_reconciler();
             }
-        }
-        f
-    });
-    rep.setup.push(sample);
+            report
+        });
+        rep.setup.push(sample);
+        tally.add(INGEST, n, n - report.registered);
+    }
+    drop(session);
     f
 }
 
@@ -415,11 +430,18 @@ pub fn run_rep(inputs: &Inputs, full_check: bool, timer: &mut Timer, tally: &mut
 
     let store = f.store(spec.project).expect("project exists");
     let before = (store.catalog_digest(), f.dfs().namespace_digest());
-    for k in 0..spec.recoveries {
-        let (_, sample) = timer.segment(|| f.crash_restart(inputs.seed.wrapping_add(k as u64)));
+    let restarts = spec.restarts_per_segment as u64;
+    for k in 0..spec.recoveries as u64 {
+        let ((), sample) = timer.segment(|| {
+            for j in 0..restarts {
+                black_box(f.crash_restart(inputs.seed.wrapping_add(k * restarts + j)));
+            }
+        });
         rep.recoveries.push(sample);
+        // The digests cannot tell which restart of a segment lost
+        // something, so a wrong end state fails them all.
         let after = (store.catalog_digest(), f.dfs().namespace_digest());
-        tally.add(RECOVERY, 1, u64::from(after != before));
+        tally.add(RECOVERY, restarts, restarts * u64::from(after != before));
     }
     if full_check {
         check_readback(&f, inputs, 0..inputs.items.len(), tally);
