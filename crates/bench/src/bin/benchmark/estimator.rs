@@ -10,10 +10,14 @@
 //!
 //! * a phase is cut into segments that do identical work in every
 //!   repetition;
+//! * a segment's time is its wall time, or the CPU time the process
+//!   used meanwhile if that is less: a thread the host kept off its CPU
+//!   (a neighbour's turn, the hypervisor's steal) used none, and on a
+//!   bad hour that is half of all wall time;
 //! * a clock probe runs before and after each segment, and the
-//!   segment's wall time is scaled by `clock / NOMINAL_CLOCK` (the
-//!   larger of the two readings, so a segment that straddles a mode
-//!   change is reported slower, never faster);
+//!   segment's time is scaled by `clock / NOMINAL_CLOCK` (the larger of
+//!   the two readings, so a segment that straddles a mode change is
+//!   reported slower, never faster);
 //! * the phase's time is `Σᵢ minᵣ t[r][i]`: work the program does at
 //!   the same place in every repetition survives the minimum,
 //!   interference that differs between repetitions does not. (Where two
@@ -59,10 +63,48 @@ pub fn clock_probe() -> f64 {
     (0..3).map(|_| probe_once()).fold(0.0, f64::max)
 }
 
-/// Scales a raw wall time to the nominal clock using the larger probe
+/// Scales a raw time to the nominal clock using the larger probe
 /// reading.
 pub fn normalise(raw_ns: f64, clock_before: f64, clock_after: f64) -> f64 {
     raw_ns * clock_before.max(clock_after) / NOMINAL_CLOCK
+}
+
+/// CPU time this process has used so far, all threads, in nanoseconds;
+/// `None` where there is no such clock. The time a vCPU was descheduled
+/// by the hypervisor is not in it (the guest kernel takes steal out of
+/// task run time), nor the time a thread waited for a CPU.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+fn process_cpu_ns() -> Option<f64> {
+    #[repr(C)]
+    struct Timespec {
+        sec: i64,
+        nsec: i64,
+    }
+    extern "C" {
+        fn clock_gettime(clock: i32, time: *mut Timespec) -> i32;
+    }
+    const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+    let mut time = Timespec { sec: 0, nsec: 0 };
+    // SAFETY: `clock_gettime` is the C library's, which std links; it
+    // writes one `struct timespec` (two 64-bit integers on 64-bit
+    // Linux) through the pointer, which is to a live local of that
+    // layout, and keeps nothing.
+    let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut time) };
+    (rc == 0).then_some(time.sec as f64 * 1e9 + time.nsec as f64)
+}
+
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+fn process_cpu_ns() -> Option<f64> {
+    None
+}
+
+/// What a segment that took `wall_ns` and in which the process used
+/// `cpu_ns` of CPU counts for. A single thread that never blocks uses
+/// as much CPU as wall time passes unless the host takes the CPU away,
+/// so the smaller is the time the work took; with two threads at work
+/// the process uses more CPU than wall time and the wall time stands.
+pub fn undisturbed(wall_ns: f64, cpu_ns: Option<f64>) -> f64 {
+    cpu_ns.map_or(wall_ns, |cpu| cpu.min(wall_ns))
 }
 
 /// One timed segment.
@@ -70,7 +112,7 @@ pub fn normalise(raw_ns: f64, clock_before: f64, clock_after: f64) -> f64 {
 pub struct Sample {
     /// Wall time as measured.
     pub raw_ns: f64,
-    /// Wall time at the nominal clock.
+    /// Time at the nominal clock, without what the host took.
     pub norm_ns: f64,
     /// The segment's clock reading was in the turbo mode.
     pub turbo: bool,
@@ -78,7 +120,8 @@ pub struct Sample {
 
 impl Sample {
     /// A part of this segment that took `raw_ns` by its own stopwatch:
-    /// the segment's clock reading applies to all of its parts.
+    /// the segment's clock reading, and the share of it the host took,
+    /// apply to all of its parts.
     pub fn part(&self, raw_ns: f64) -> Sample {
         Sample {
             raw_ns,
@@ -170,9 +213,11 @@ impl Timer {
             }
             None => self.before(),
         };
+        let cpu = process_cpu_ns();
         let t = Instant::now();
         let out = f();
         let raw_ns = t.elapsed().as_nanos() as f64;
+        let cpu_ns = cpu.zip(process_cpu_ns()).map(|(from, to)| to - from);
         let after = clock_probe();
         self.last = Some((Instant::now(), after));
         let clock = before.max(after);
@@ -182,7 +227,7 @@ impl Timer {
         self.probe_sum += clock;
         let sample = Sample {
             raw_ns,
-            norm_ns: normalise(raw_ns, before, after),
+            norm_ns: normalise(undisturbed(raw_ns, cpu_ns), before, after),
             turbo,
         };
         (out, sample)
@@ -214,7 +259,9 @@ pub const CONTENDED_SKIP: usize = 2;
 
 /// For every segment index `i`, the smallest of `t[r][i]` over the
 /// repetitions `r` after discarding the `skip` smallest (`skip` 0: the
-/// minimum). Every repetition must have run the same segments.
+/// minimum), and never more than a quarter of them: a run cut short to
+/// three repetitions must not report its slowest. Every repetition must
+/// have run the same segments.
 pub fn composite_of(reps: &[Vec<f64>], skip: usize) -> Vec<f64> {
     let Some(first) = reps.first() else {
         return Vec::new();
@@ -227,7 +274,7 @@ pub fn composite_of(reps: &[Vec<f64>], skip: usize) -> Vec<f64> {
         .map(|i| {
             let mut readings: Vec<f64> = reps.iter().map(|r| r[i]).collect();
             readings.sort_by(f64::total_cmp);
-            readings[skip.min(readings.len() - 1)]
+            readings[skip.min(readings.len() / 4)]
         })
         .collect()
 }
@@ -366,6 +413,33 @@ mod tests {
             (skipping / planted - 1.0).abs() < 0.05,
             "composite {skipping} vs planted {planted}"
         );
+    }
+
+    #[test]
+    fn time_the_host_took_is_not_the_works() {
+        // Kept off the CPU for half the segment: the CPU time counts.
+        assert_eq!(undisturbed(2_000.0, Some(1_000.0)), 1_000.0);
+        // Two threads at work, or no CPU clock: the wall time stands.
+        assert_eq!(undisturbed(2_000.0, Some(3_900.0)), 2_000.0);
+        assert_eq!(undisturbed(2_000.0, None), 2_000.0);
+        // Where there is a CPU clock, it runs.
+        if let Some(from) = process_cpu_ns() {
+            let t = Instant::now();
+            while t.elapsed().as_millis() < 20 {
+                black_box(probe_once());
+            }
+            let used = process_cpu_ns().unwrap() - from;
+            assert!(used > 0.0, "the CPU clock stood still");
+        }
+    }
+
+    #[test]
+    fn skipping_never_discards_more_than_a_quarter() {
+        let reps = |n: usize| -> Vec<Vec<f64>> { (1..=n).map(|r| vec![r as f64]).collect() };
+        assert_eq!(composite_of(&reps(9), CONTENDED_SKIP), [3.0]);
+        assert_eq!(composite_of(&reps(5), CONTENDED_SKIP), [2.0]);
+        assert_eq!(composite_of(&reps(3), CONTENDED_SKIP), [1.0]);
+        assert_eq!(composite_of(&reps(1), CONTENDED_SKIP), [1.0]);
     }
 
     #[test]

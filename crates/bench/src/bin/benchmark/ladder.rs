@@ -1084,9 +1084,10 @@ impl<'a> Ladder<'a> {
     }
 }
 
-/// Runs `passes` per-layer passes and returns the per-layer metrics
-/// with the spans recorded on the way.
-pub fn run(inputs: &Inputs, passes: usize) -> (Outcome, SpanLog) {
+/// Runs `passes` per-layer passes, fewer if `go_on` says so after one
+/// of them, and returns the per-layer metrics with the spans recorded on
+/// the way.
+pub fn run(inputs: &Inputs, passes: usize, mut go_on: impl FnMut() -> bool) -> (Outcome, SpanLog) {
     let mut ladder = Ladder::new(inputs);
     let twins = ladder.read_twins();
     let oracle = inputs.items[ladder.dfs_plan().0]
@@ -1108,10 +1109,14 @@ pub fn run(inputs: &Inputs, passes: usize) -> (Outcome, SpanLog) {
         ladder.dfs_rungs(&oracle);
         ladder.read_rungs(&twins);
         ladder.pass += 1;
+        if !go_on() {
+            break;
+        }
     }
 
     let mut info = vec![format!(
-        "{passes} passes over the first {} batches ({} items, {} B each); read twins hold all {} items",
+        "{} of {passes} passes over the first {} batches ({} items, {} B each); read twins hold all {} items",
+        ladder.pass,
         ladder.batches.len(),
         ladder.items.len(),
         inputs.spec.item_bytes,
@@ -1145,7 +1150,7 @@ mod tests {
     fn ladder_reconciles_by_construction_and_counts_repeat() {
         let _alone = crate::hold_process_counters();
         let inputs = Inputs::generate(Spec::named("daq_events").unwrap().smoke(), 3);
-        let (out, spans) = run(&inputs, 2);
+        let (out, spans) = run(&inputs, 2, || true);
         assert!(spans.len() > 0);
         assert!(out.correct(), "{:?} {:?}", out.tally, out.broken);
         let v = |name: &str| out.value(name).unwrap();

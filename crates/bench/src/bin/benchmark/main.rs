@@ -5,6 +5,9 @@
 //! benchmark --selfcheck [--seed <u64>] [--seconds <s>] [--reps N] [--smoke]
 //! ```
 //!
+//! `--seconds` is how long the process may run: it fixes the number of
+//! repetitions, and a run the host has slowed stops short of that number
+//! rather than outlast it ([`Budget`]).
 //! `--trace 0` measures the nine end-to-end metrics with the
 //! benchmark's spans and the facility's tracer both off; `--trace 1`
 //! replays the same inputs into one private instance of each layer and
@@ -23,6 +26,7 @@ mod script;
 mod spans;
 
 use std::process::ExitCode;
+use std::time::Instant;
 
 use estimator::Timer;
 use inputs::{Inputs, Spec, NOMINAL_SECONDS, WORKLOADS};
@@ -112,22 +116,70 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
 /// Rounds in a run of `seconds` when a run of [`NOMINAL_SECONDS`] makes
 /// `nominal`: in proportion, and two at least, or the minimum has
 /// nothing to discard. A function of the arguments alone, never of the
-/// time a round took: how long the run lasts is an outcome.
+/// time a round took; only [`Budget`] cuts it short.
 fn rounds(nominal: usize, seconds: f64) -> usize {
     ((nominal as f64 * seconds / NOMINAL_SECONDS).round() as usize).max(2)
 }
 
-/// The untraced run: `reps` repetitions of the end-to-end script.
-fn run_end_to_end(inputs: &Inputs, reps: usize) -> Outcome {
+/// A round is slower than the slowest so far by at most this factor, as
+/// far as [`Budget`] plans.
+const ROUND_HEADROOM: f64 = 1.25;
+
+/// The time a run may take: `--seconds` from the start of the process,
+/// input generation and checks included. The round count is fixed by the
+/// arguments, and on the build host all of them fit with a fifth of the
+/// time to spare. On a host that others have slowed (this one has been
+/// seen to run the same binary six times slower for minutes on end) they
+/// do not, and whoever started the run stops it at its own limit and
+/// gets nothing: so the first round always runs, and another starts only
+/// when one [`ROUND_HEADROOM`] times as slow as the slowest so far would
+/// still end in time.
+struct Budget {
+    started: Instant,
+    seconds: f64,
+    round_began: Instant,
+    slowest_round_s: f64,
+}
+
+impl Budget {
+    fn new(started: Instant, seconds: f64) -> Self {
+        Budget {
+            started,
+            seconds,
+            round_began: Instant::now(),
+            slowest_round_s: 0.0,
+        }
+    }
+
+    /// Call after each round: is there time for another?
+    fn room_for_another(&mut self) -> bool {
+        let round_s = self.round_began.elapsed().as_secs_f64();
+        self.slowest_round_s = self.slowest_round_s.max(round_s);
+        self.round_began = Instant::now();
+        self.started.elapsed().as_secs_f64() + ROUND_HEADROOM * self.slowest_round_s <= self.seconds
+    }
+}
+
+/// The untraced run: `reps` repetitions of the end-to-end script, fewer
+/// if `go_on` says so after one of them.
+fn run_end_to_end(inputs: &Inputs, reps: usize, mut go_on: impl FnMut() -> bool) -> Outcome {
     let mut timer = Timer::new();
     let mut tally = Tally::default();
-    let done: Vec<_> = (0..reps)
-        .map(|r| {
-            let full_check = r == 0 || r + 1 == reps;
-            script::run_rep(inputs, full_check, &mut timer, &mut tally)
-        })
-        .collect();
+    let mut done = Vec::with_capacity(reps);
+    for r in 0..reps {
+        let full_check = r == 0 || r + 1 == reps;
+        done.push(script::run_rep(inputs, full_check, &mut timer, &mut tally));
+        if !go_on() {
+            break;
+        }
+    }
     let mut outcome = report::end_to_end(inputs, &done, tally);
+    if done.len() < reps {
+        outcome.info.push(format!(
+            "stopped after {} of {reps} repetitions: the host left no time for more",
+            done.len()
+        ));
+    }
     outcome.info.push(format!(
         "host: {} of {} segments in turbo mode, mean clock {:.3} x nominal, {} CPUs",
         timer.turbo_segments,
@@ -138,7 +190,7 @@ fn run_end_to_end(inputs: &Inputs, reps: usize) -> Outcome {
     outcome
 }
 
-fn run_workload(args: &Args, name: &str) -> Result<Outcome, String> {
+fn run_workload(args: &Args, name: &str, started: Instant) -> Result<Outcome, String> {
     let spec = Spec::named(name).ok_or_else(|| {
         let names: Vec<&str> = WORKLOADS.iter().map(|w| w.0).collect();
         format!("unknown workload {name}; one of {}", names.join(", "))
@@ -151,8 +203,11 @@ fn run_workload(args: &Args, name: &str) -> Result<Outcome, String> {
     };
     let rounds = args.reps.unwrap_or_else(|| rounds(nominal, args.seconds));
     let inputs = Inputs::generate(spec, args.seed);
+    // `--reps N` means exactly N, however long they take.
+    let mut budget = Budget::new(started, args.seconds);
+    let go_on = || args.reps.is_some() || budget.room_for_another();
     Ok(if args.trace {
-        let (mut outcome, spans) = ladder::run(&inputs, rounds);
+        let (mut outcome, spans) = ladder::run(&inputs, rounds, go_on);
         let dir = std::path::Path::new(TRACE_DIR);
         let file = dir.join(format!("trace-{name}.json"));
         match std::fs::create_dir_all(dir)
@@ -169,7 +224,7 @@ fn run_workload(args: &Args, name: &str) -> Result<Outcome, String> {
         }
         outcome
     } else {
-        run_end_to_end(&inputs, rounds)
+        run_end_to_end(&inputs, rounds, go_on)
     })
 }
 
@@ -233,6 +288,7 @@ fn selfcheck(args: &Args) -> Result<bool, String> {
 }
 
 fn main() -> ExitCode {
+    let started = Instant::now();
     let args = match parse_args(std::env::args().skip(1)) {
         Ok(args) => args,
         Err(e) => {
@@ -254,7 +310,7 @@ fn main() -> ExitCode {
         eprintln!("benchmark: --workload <name> or --selfcheck");
         return ExitCode::from(2);
     };
-    match run_workload(&args, name) {
+    match run_workload(&args, name, started) {
         Ok(outcome) => {
             let mode = if args.trace {
                 "per-layer"
@@ -298,9 +354,9 @@ mod tests {
                 let args = smoke_args(trace);
                 let outcome = if trace {
                     let inputs = Inputs::generate(Spec::named(name).unwrap().smoke(), args.seed);
-                    ladder::run(&inputs, 2).0
+                    ladder::run(&inputs, 2, || true).0
                 } else {
-                    run_workload(&args, name).unwrap()
+                    run_workload(&args, name, Instant::now()).unwrap()
                 };
                 assert!(
                     outcome.correct(),
@@ -380,7 +436,7 @@ mod tests {
         assert!(parse("--seconds 0").is_err());
         assert!(parse("--reps 0").is_err());
         assert!(parse("--frobnicate").is_err());
-        assert!(run_workload(&smoke_args(false), "no_such_workload").is_err());
+        assert!(run_workload(&smoke_args(false), "no_such_workload", Instant::now()).is_err());
     }
 
     #[test]
@@ -397,8 +453,28 @@ mod tests {
 
     #[test]
     fn rounds_follow_the_arguments_alone() {
-        assert_eq!(rounds(16, NOMINAL_SECONDS), 16);
+        assert_eq!(rounds(15, NOMINAL_SECONDS), 15);
         assert_eq!(rounds(9, NOMINAL_SECONDS / 2.0), 5);
         assert_eq!(rounds(10, 1.0), 2);
+    }
+
+    #[test]
+    fn a_run_out_of_time_stops_after_the_round_it_is_in() {
+        let inputs = Inputs::generate(Spec::named("htm_bulk").unwrap().smoke(), 9);
+        let _alone = hold_process_counters();
+        // No time at all: the first repetition still runs, and its
+        // checks with it.
+        let mut spent = Budget::new(Instant::now(), 0.0);
+        let outcome = run_end_to_end(&inputs, 5, || spent.room_for_another());
+        assert!(outcome.correct());
+        assert!(outcome
+            .info
+            .iter()
+            .any(|l| l.starts_with("stopped after 1 of 5")));
+        // Time to spare: every repetition runs.
+        let mut ample = Budget::new(Instant::now(), 3_600.0);
+        let outcome = run_end_to_end(&inputs, 3, || ample.room_for_another());
+        assert!(outcome.info.iter().any(|l| l.starts_with("3 repetitions")));
+        assert!(!outcome.info.iter().any(|l| l.starts_with("stopped")));
     }
 }

@@ -31,18 +31,20 @@ const fn e2e(
 }
 
 /// What a user of the facility sees. Must agree with `BENCHMARK.json`
-/// (a test checks it). A timing's bound is the smallest of 10, 12, 15
-/// and 18% that is at least three times the metric's widest spread on
-/// the build host (README.md tables them); set-up gets the largest.
+/// (a test checks it). A timing's bound is the smallest of 10, 12, 15,
+/// 18, 20 and 25% that is at least two and a half times the metric's
+/// widest spread in any sweep on the build host, its bad minutes
+/// included, and three times its widest in the last two (README.md
+/// tables them); set-up gets the largest.
 pub const END_TO_END: [MetricDef; 9] = [
-    e2e("setup_s", "s", false, 0.18),
+    e2e("setup_s", "s", false, 0.25),
     e2e("peak_rss_mb", "MB", false, 0.05),
-    e2e("ingest_mb_per_s", "MB/s", true, 0.12),
-    e2e("ingest_items_per_s", "1/s", true, 0.12),
-    e2e("ingest_batch_p50_ms", "ms", false, 0.15),
-    e2e("get_ops_per_s", "1/s", true, 0.12),
+    e2e("ingest_mb_per_s", "MB/s", true, 0.18),
+    e2e("ingest_items_per_s", "1/s", true, 0.18),
+    e2e("ingest_batch_p50_ms", "ms", false, 0.25),
+    e2e("get_ops_per_s", "1/s", true, 0.2),
     e2e("query_ops_per_s", "1/s", true, 0.18),
-    e2e("recovery_s", "s", false, 0.15),
+    e2e("recovery_s", "s", false, 0.2),
     e2e("space_amplification", "ratio", false, 0.005),
 ];
 
