@@ -18,6 +18,7 @@
 //!   failover reads and journaled degraded writes.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod auth;
 mod backend;

@@ -28,6 +28,7 @@
 //! never slept.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -16,7 +16,10 @@
 //! bounds the WAL ingest tax at 1.5x, and re-runs a reduced recovery
 //! (failing when the replay rate falls below a quarter of the
 //! committed 100k-file row, or when the committed file has lost its
-//! million-file row).
+//! million-file row). The two absolute gates (E1 ops/s floor, recovery
+//! replay rate) apply only when this host hashes with the SHA-256
+//! kernel the baseline recorded (`sha256_kernel`); the ratio gates
+//! compare two runs on this host and always apply.
 //!
 //! Usage:
 //!   bench_snapshot [--quick|--full]   write the snapshot files
@@ -49,6 +52,7 @@ use lsdf_net::units::{PB, TEN_GBIT};
 use lsdf_net::{lsdf, NetSim, TransferModel};
 use lsdf_obs::{names, TelemetryConfig, TraceConfig};
 use lsdf_sim::Simulation;
+use lsdf_storage::sha256_kernel;
 use lsdf_workloads::microscopy::HtmGenerator;
 
 // Serial first: the committed file's first ops_per_s entry is the
@@ -166,6 +170,7 @@ fn e1_json(mode: &str, runs: &[E1Run]) -> String {
     out.push_str("  \"experiment\": \"E1\",\n");
     out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
     out.push_str(&format!("  \"cores\": {cores},\n"));
+    out.push_str(&format!("  \"sha256_kernel\": \"{}\",\n", sha256_kernel()));
     out.push_str("  \"runs\": [\n");
     for (i, r) in runs.iter().enumerate() {
         out.push_str(&format!(
@@ -355,6 +360,7 @@ fn recovery_json(mode: &str, runs: &[RecoveryRun]) -> String {
     out.push_str("  \"experiment\": \"recovery\",\n");
     out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
     out.push_str(&format!("  \"cores\": {},\n", detected_cores()));
+    out.push_str(&format!("  \"sha256_kernel\": \"{}\",\n", sha256_kernel()));
     out.push_str("  \"runs\": [\n");
     for (i, r) in runs.iter().enumerate() {
         let per_record_ns = if r.replayed > 0 {
@@ -567,11 +573,12 @@ fn check_trace_overhead() -> Result<(), String> {
 
 /// The telemetry-tax bound CI enforces: the batched E1 workload with a
 /// per-batch TSDB scrape must keep at least 1/1.2 of the scrape-free
-/// throughput (telemetry overhead < 1.2x). Best-of-two per side damps
-/// wall-clock noise on the short smoke batch.
+/// throughput (telemetry overhead < 1.2x). Best of ten per side: with
+/// the hardware hash the whole batch takes ~1.4 ms, a scrape's ~18 us is
+/// ~1.14x of it, and best-of-two scattered 1.09x-1.32x around that.
 fn check_telemetry_overhead() -> Result<(), String> {
     let best = |interval: u64| {
-        (0..2)
+        (0..10)
             .map(|_| {
                 telemetry_run("probe", TelemetryConfig::default().interval_ns(interval), 10, 64)
                     .ops_per_s
@@ -618,6 +625,29 @@ fn check_wal_overhead() -> Result<(), String> {
     Ok(())
 }
 
+/// Whether `--check` may hold this host to the absolute figures in
+/// `baseline`: only when both hash with the same SHA-256 kernel, since
+/// the hardware kernel is several times the portable one and every
+/// ingest and recovery figure carries it. Prints which way it went.
+fn absolute_floor_applies(what: &str, baseline: &str) -> bool {
+    let needle = "\"sha256_kernel\": \"";
+    let recorded = baseline
+        .find(needle)
+        .and_then(|at| baseline[at + needle.len()..].split('"').next())
+        .unwrap_or("an unrecorded kernel");
+    let here = sha256_kernel();
+    let same = recorded == here;
+    if same {
+        println!("bench-smoke: {what}: baseline and host both hash with {here}, absolute floor applied");
+    } else {
+        println!(
+            "bench-smoke: {what}: baseline recorded with {recorded}, host runs {here}, \
+             absolute floor skipped (ratio gates still apply)"
+        );
+    }
+    same
+}
+
 /// Parses the first float after `needle` in `text`.
 fn parse_field(text: &str, needle: &str) -> Result<f64, String> {
     let at = text
@@ -655,7 +685,7 @@ fn check_recovery_baseline(root: &Path) -> Result<(), String> {
          {committed_ns:.0} ns/record)",
         r.recover_ms
     );
-    if current_ns > committed_ns * 4.0 {
+    if absolute_floor_applies("recovery replay rate", &baseline) && current_ns > committed_ns * 4.0 {
         return Err(format!(
             "recovery replay regressed more than 4x: {current_ns:.0} ns/record vs \
              committed {committed_ns:.0}"
@@ -701,7 +731,9 @@ fn check_against_baseline(root: &Path) -> Result<(), String> {
         "bench-smoke: serial ingest {:.1} ops/s (best of 3) vs committed {:.1} ops/s",
         current.ops_per_s, base_serial
     );
-    if current.ops_per_s < base_serial / 2.0 {
+    if absolute_floor_applies("serial ingest ops/s", &baseline)
+        && current.ops_per_s < base_serial / 2.0
+    {
         return Err(format!(
             "ingest throughput regressed more than 2x: {:.1} ops/s < {:.1}/2 ops/s",
             current.ops_per_s, base_serial

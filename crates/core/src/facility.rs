@@ -17,7 +17,7 @@ use lsdf_obs::{
     SpanProfile, TelemetryConfig, TelemetryStore, TraceConfig, TraceCtx, Tracer,
 };
 use lsdf_pool::WorkerPool;
-use lsdf_storage::{Hsm, MigrationPolicy, ObjectStore};
+use lsdf_storage::{sha256_kernel, Hsm, MigrationPolicy, ObjectStore};
 
 use crate::error::FacilityError;
 use crate::ingest::IngestObs;
@@ -515,21 +515,26 @@ impl Facility {
     /// Renders the operator console: per-tenant accounts with
     /// ops/latency sparklines, lane queue depths, breaker states,
     /// WAL/checkpoint lag, active alerts, the slowest-operations span
-    /// profile (when tracing is on), and the telemetry store's
-    /// self-accounting. Byte-identical at any worker count for a given
-    /// seed.
+    /// profile (when tracing is on), the telemetry store's
+    /// self-accounting, and the SHA-256 kernel this host checksums
+    /// with. Byte-identical at any worker count for a given seed.
     pub fn operator_report(&self) -> String {
         let health = self.facility_health();
         let profile = self
             .tracer
             .as_ref()
             .map(|t| SpanProfile::from_traces(&t.traces()));
-        facility_status(&ConsoleInputs {
+        let mut report = facility_status(&ConsoleInputs {
             registry: &self.obs,
             telemetry: Some(&self.telemetry),
             health: &health,
             profile: profile.as_ref(),
-        })
+        });
+        report.push_str(&format!(
+            "\n-- checksums --\nsha256 kernel: {}\n",
+            sha256_kernel()
+        ));
+        report
     }
 
     /// The collapsed-stack (flamegraph) export of every retained trace,
@@ -798,6 +803,9 @@ mod tests {
             reg.counter_value(names::HSM_PUTS_TOTAL, &[("store", "katrin-disk")]),
             1
         );
+        // The operator console names the checksum kernel this host runs.
+        let kernel_line = format!("sha256 kernel: {}\n", sha256_kernel());
+        assert!(f.operator_report().ends_with(&kernel_line));
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //!   slide-14 outlook item), chaining into trigger-driven workflows.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod browser;
 pub mod campaign;

@@ -14,6 +14,7 @@
 //! data-locality behaviour (experiments E4/E12) is faithful.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod cluster;
 mod datanode;

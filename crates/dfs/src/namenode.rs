@@ -1638,6 +1638,9 @@ mod tests {
         fs.delete("/exp/b").unwrap();
         fs.write("/exp/d", &data(120), None).unwrap();
         let digest = fs.namespace_digest();
+        // Pinned across hosts, kernels and PRs (see the catalog's twin
+        // in lsdf-metadata).
+        assert_eq!(digest, "59aeba0f99f41bbc5daefa6bab8ba917836e8596b58f989dbeae12ddb7ab5d22");
         let files_before: Vec<FileMeta> = fs.list("/");
 
         fs.crash(99);

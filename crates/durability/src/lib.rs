@@ -23,6 +23,7 @@
 //! bit-identical at any worker count.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod checkpoint;
 pub mod codec;

@@ -15,6 +15,7 @@
 //!   findability measured through [`ProjectStore::query`] (experiment E14).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod events;
 pub mod export;

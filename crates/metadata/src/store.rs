@@ -480,8 +480,7 @@ impl ProjectStore {
     }
 
     fn snapshot(&self) -> Vec<u8> {
-        let records = self.state.read().records.clone();
-        MetaSnapshot { records }.encode()
+        MetaSnapshot::encode(&self.state.read().records)
     }
 
     /// SHA-256 over the canonical catalog snapshot: two stores with the
@@ -889,6 +888,10 @@ mod tests {
         store.tag(DatasetId(2), "raw").unwrap();
         store.untag(DatasetId(2), "raw").unwrap();
         let digest = store.catalog_digest();
+        // Pinned across hosts, kernels and PRs: a hash kernel that is
+        // self-consistent but wrong, or a snapshot-encoding change,
+        // moves this literal.
+        assert_eq!(digest, "a9106ca617a2e198a1ffd29482a7cfaac8a8dff0a75ebfe4bf7693a020ed3c8b");
         let all_before = store.all();
 
         store.crash(99);

@@ -266,10 +266,12 @@ pub(crate) struct MetaSnapshot {
 }
 
 impl MetaSnapshot {
-    pub(crate) fn encode(&self) -> Vec<u8> {
+    /// Encodes borrowed records, so the store can snapshot under its
+    /// read guard without cloning the catalog first.
+    pub(crate) fn encode(records: &[DatasetRecord]) -> Vec<u8> {
         let mut e = Enc::new();
-        e.u64(self.records.len() as u64);
-        for r in &self.records {
+        e.u64(records.len() as u64);
+        for r in records {
             enc_record(&mut e, r);
         }
         e.finish()
@@ -348,9 +350,9 @@ mod tests {
                 tags: ["raw".to_string()].into_iter().collect(),
             }],
         };
-        let bytes = snap.encode();
+        let bytes = MetaSnapshot::encode(&snap.records);
         assert_eq!(MetaSnapshot::decode(&bytes), Some(snap));
-        let reencoded = MetaSnapshot::decode(&bytes).map(|s| s.encode());
+        let reencoded = MetaSnapshot::decode(&bytes).map(|s| MetaSnapshot::encode(&s.records));
         assert_eq!(reencoded.as_deref(), Some(&bytes[..]));
     }
 

@@ -25,6 +25,8 @@
 //! without `'static` bounds and guarantees worker panics propagate to
 //! the caller instead of being swallowed.
 
+#![forbid(unsafe_code)]
+
 use lsdf_sync::{ranks, OrderedMutex};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;

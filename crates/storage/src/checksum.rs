@@ -11,6 +11,15 @@
 pub struct Digest(pub [u8; 32]);
 
 impl Digest {
+    /// The digest a final SHA-256 state spells: its words, big-endian.
+    fn from_state(state: [u32; 8]) -> Digest {
+        let mut out = [0u8; 32];
+        for (o, w) in out.chunks_exact_mut(4).zip(state) {
+            o.copy_from_slice(&w.to_be_bytes());
+        }
+        Digest(out)
+    }
+
     /// Hex rendering of the digest.
     pub fn to_hex(&self) -> String {
         const HEX: &[u8; 16] = b"0123456789abcdef";
@@ -60,6 +69,10 @@ const K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
+const H0: [u32; 8] = [
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
+];
+
 /// Incremental SHA-256 hasher (FIPS 180-4).
 #[derive(Clone)]
 pub struct Sha256 {
@@ -79,10 +92,7 @@ impl Sha256 {
     /// A fresh hasher.
     pub fn new() -> Self {
         Sha256 {
-            state: [
-                0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-                0x5be0cd19,
-            ],
+            state: H0,
             buf: [0; 64],
             buf_len: 0,
             total_len: 0,
@@ -97,69 +107,73 @@ impl Sha256 {
             // lint: allow(no_panic) -- FIPS 180-4 caps messages below 2^64 bits; wrapping here would silently corrupt digests
             .expect("SHA-256 input exceeds 2^64 bits");
         if self.buf_len > 0 {
-            let need = 64 - self.buf_len;
-            let take = need.min(data.len());
+            let take = (64 - self.buf_len).min(data.len());
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return;
             }
+            compress(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            data = rest;
+        // Whole blocks are hashed where they lie; only the tail is buffered.
+        let (blocks, tail) = data.split_at(data.len() & !63);
+        if !blocks.is_empty() {
+            compress(&mut self.state, blocks);
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
     /// Finishes and returns the digest.
     pub fn finalize(mut self) -> Digest {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        self.update_padding(&[0x80]);
-        while self.buf_len != 56 {
-            self.update_padding(&[0]);
-        }
-        self.update_padding(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
-        let mut out = [0u8; 32];
-        for (i, w) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
-        }
-        Digest(out)
+        // Padding: 0x80, zeros, 8-byte big-endian bit length, filling one
+        // block when the tail leaves room for the nine bytes and two
+        // when it does not.
+        let mut pad = [0u8; 128];
+        pad[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
+        pad[self.buf_len] = 0x80;
+        let end = if self.buf_len < 56 { 64 } else { 128 };
+        pad[end - 8..end].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        compress(&mut self.state, &pad[..end]);
+        Digest::from_state(self.state)
     }
+}
 
-    /// update() without length accounting, for padding bytes.
-    fn update_padding(&mut self, data: &[u8]) {
-        for &b in data {
-            self.buf[self.buf_len] = b;
-            self.buf_len += 1;
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-        }
+/// Folds `blocks` (a whole number of 64-byte blocks) into `state` with
+/// the SHA-NI kernel when the CPU reports the extension, else with the
+/// portable kernel. The CPU is the only input to the choice.
+fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+    // Both callers pass whole blocks by construction; a stray tail would
+    // be silently left out of the digest.
+    assert_eq!(blocks.len() % 64, 0, "compress takes whole 64-byte blocks");
+    #[cfg(target_arch = "x86_64")]
+    if x86::compress(state, blocks) {
+        return;
     }
+    compress_portable(state, blocks);
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+/// Which compress kernel [`sha256`] runs on this host: `"x86-sha"`
+/// (x86-64 SHA extensions) or `"portable"` (scalar FIPS 180-4 rounds).
+/// Benchmark baselines record it so absolute throughput is compared
+/// only between hosts running the same kernel.
+pub fn sha256_kernel() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if x86::detected() {
+        return "x86-sha";
+    }
+    "portable"
+}
+
+/// The scalar FIPS 180-4 rounds: the kernel for every CPU without SHA
+/// extensions and the reference the hardware kernel is tested against.
+fn compress_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[i * 4],
-                block[i * 4 + 1],
-                block[i * 4 + 2],
-                block[i * 4 + 3],
-            ]);
+        for (wi, b) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *wi = u32::from_be_bytes([b[0], b[1], b[2], b[3]]);
         }
         for i in 16..64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
@@ -169,7 +183,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -190,8 +204,139 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        for (s, v) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
             *s = s.wrapping_add(v);
+        }
+    }
+}
+
+/// The x86-64 SHA-NI kernel: the crate's only `unsafe`. Everything
+/// unsafe needs — that the CPU has the instructions, that every load is
+/// in bounds — is established inside this module.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod x86 {
+    use core::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128, _mm_set_epi32,
+        _mm_set_epi64x, _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32,
+        _mm_shuffle_epi32, _mm_shuffle_epi8, _mm_storeu_si128,
+    };
+
+    use super::K;
+
+    /// True when the CPU reports every extension the kernel is compiled
+    /// with. std caches the CPUID probe, so this is a load and a mask.
+    pub(super) fn detected() -> bool {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse2")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Folds `blocks` into `state` and returns `true`, or returns
+    /// `false` with `state` untouched when the CPU lacks the extensions.
+    pub(super) fn compress(state: &mut [u32; 8], blocks: &[u8]) -> bool {
+        if !detected() {
+            return false;
+        }
+        // SAFETY: `detected()` just confirmed sha, sse2, ssse3 and
+        // sse4.1, the features `compress_sha_ni` is compiled with.
+        unsafe { compress_sha_ni(state, blocks) };
+        true
+    }
+
+    /// Four rounds: `$w` holds W[4i..4i+4], `$i` is the quad index.
+    macro_rules! rounds4 {
+        ($abef:ident, $cdgh:ident, $w:expr, $i:expr) => {{
+            let k = _mm_set_epi32(
+                K[4 * $i + 3] as i32,
+                K[4 * $i + 2] as i32,
+                K[4 * $i + 1] as i32,
+                K[4 * $i] as i32,
+            );
+            let wk = _mm_add_epi32($w, k);
+            $cdgh = _mm_sha256rnds2_epu32($cdgh, $abef, wk);
+            $abef = _mm_sha256rnds2_epu32($abef, $cdgh, _mm_shuffle_epi32(wk, 0x0E));
+        }};
+    }
+
+    /// Message schedule for the next quad, then its four rounds:
+    /// `$w4` becomes W[4i..4i+4] from the previous four quads.
+    macro_rules! schedule_rounds4 {
+        ($abef:ident, $cdgh:ident, $w0:ident, $w1:ident, $w2:ident, $w3:ident, $w4:ident, $i:expr) => {{
+            let t = _mm_add_epi32(_mm_sha256msg1_epu32($w0, $w1), _mm_alignr_epi8($w3, $w2, 4));
+            $w4 = _mm_sha256msg2_epu32(t, $w3);
+            rounds4!($abef, $cdgh, $w4, $i);
+        }};
+    }
+
+    /// Calling this is `unsafe` from code not compiled with the same
+    /// features: the CPU must support sha, sse2, ssse3 and sse4.1.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn compress_sha_ni(state: &mut [u32; 8], blocks: &[u8]) {
+        // Big-endian word load as a byte shuffle.
+        let be = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        // SAFETY: `state` is eight u32 = two 16-byte halves; `loadu`
+        // needs no alignment.
+        let (dcba, hgfe) = unsafe {
+            (
+                _mm_loadu_si128(state.as_ptr().cast()),
+                _mm_loadu_si128(state.as_ptr().add(4).cast()),
+            )
+        };
+        // The round instruction wants the state as (ABEF, CDGH).
+        let cdab = _mm_shuffle_epi32(dcba, 0xB1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+        for block in blocks.chunks_exact(64) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let p: *const __m128i = block.as_ptr().cast();
+            // SAFETY: `chunks_exact(64)` yields exactly 64 bytes, so the
+            // four 16-byte reads at p..p+4 are in bounds; `loadu` needs
+            // no alignment.
+            let (mut w0, mut w1, mut w2, mut w3) = unsafe {
+                (
+                    _mm_shuffle_epi8(_mm_loadu_si128(p), be),
+                    _mm_shuffle_epi8(_mm_loadu_si128(p.add(1)), be),
+                    _mm_shuffle_epi8(_mm_loadu_si128(p.add(2)), be),
+                    _mm_shuffle_epi8(_mm_loadu_si128(p.add(3)), be),
+                )
+            };
+            let mut w4;
+
+            rounds4!(abef, cdgh, w0, 0);
+            rounds4!(abef, cdgh, w1, 1);
+            rounds4!(abef, cdgh, w2, 2);
+            rounds4!(abef, cdgh, w3, 3);
+            schedule_rounds4!(abef, cdgh, w0, w1, w2, w3, w4, 4);
+            schedule_rounds4!(abef, cdgh, w1, w2, w3, w4, w0, 5);
+            schedule_rounds4!(abef, cdgh, w2, w3, w4, w0, w1, 6);
+            schedule_rounds4!(abef, cdgh, w3, w4, w0, w1, w2, 7);
+            schedule_rounds4!(abef, cdgh, w4, w0, w1, w2, w3, 8);
+            schedule_rounds4!(abef, cdgh, w0, w1, w2, w3, w4, 9);
+            schedule_rounds4!(abef, cdgh, w1, w2, w3, w4, w0, 10);
+            schedule_rounds4!(abef, cdgh, w2, w3, w4, w0, w1, 11);
+            schedule_rounds4!(abef, cdgh, w3, w4, w0, w1, w2, 12);
+            schedule_rounds4!(abef, cdgh, w4, w0, w1, w2, w3, 13);
+            schedule_rounds4!(abef, cdgh, w0, w1, w2, w3, w4, 14);
+            schedule_rounds4!(abef, cdgh, w1, w2, w3, w4, w0, 15);
+
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        let feba = _mm_shuffle_epi32(abef, 0x1B);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+        // SAFETY: as for the loads above: two 16-byte halves of `state`,
+        // unaligned stores.
+        unsafe {
+            _mm_storeu_si128(state.as_mut_ptr().cast(), _mm_blend_epi16(feba, dchg, 0xF0));
+            _mm_storeu_si128(
+                state.as_mut_ptr().add(4).cast(),
+                _mm_alignr_epi8(dchg, feba, 8),
+            );
         }
     }
 }
@@ -217,33 +362,77 @@ pub fn fnv1a64(data: &[u8]) -> u64 {
 mod tests {
     use super::*;
 
-    // NIST / well-known vectors.
+    type Kernel = fn(&mut [u32; 8], &[u8]);
+
+    /// Every kernel this host can run, called directly rather than
+    /// through `compress`: the portable one always, the SHA-NI one when
+    /// the CPU has it. A SHA-NI host therefore tests both.
+    fn kernels() -> Vec<(&'static str, Kernel)> {
+        let portable: (&'static str, Kernel) = ("portable", compress_portable);
+        #[cfg(target_arch = "x86_64")]
+        if x86::detected() {
+            let sha_ni: Kernel = |state, blocks| assert!(x86::compress(state, blocks));
+            return vec![portable, ("x86-sha", sha_ni)];
+        }
+        vec![portable]
+    }
+
+    /// SHA-256 of `data` by one `kernel` call over the whole padded
+    /// message; the padding here is written independently of `finalize`.
+    fn hash_with(kernel: Kernel, data: &[u8]) -> Digest {
+        let mut msg = data.to_vec();
+        msg.push(0x80);
+        while msg.len() % 64 != 56 {
+            msg.push(0);
+        }
+        msg.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        kernel(&mut state, &msg);
+        Digest::from_state(state)
+    }
+
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 131 % 251) as u8).collect()
+    }
+
+    // NIST / well-known vectors, through the dispatcher and through
+    // each kernel directly.
     #[test]
-    fn sha256_empty() {
-        assert_eq!(
-            sha256(b"").to_hex(),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
+    fn nist_vectors_on_every_kernel() {
+        let million_a = vec![b'a'; 1_000_000];
+        let vectors: [(&[u8], &str); 4] = [
+            (
+                b"",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                &million_a,
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+            ),
+        ];
+        for (msg, hex) in vectors {
+            assert_eq!(sha256(msg).to_hex(), hex, "dispatcher, {} bytes", msg.len());
+            for (name, kernel) in kernels() {
+                assert_eq!(
+                    hash_with(kernel, msg).to_hex(),
+                    hex,
+                    "{name}, {} bytes",
+                    msg.len()
+                );
+            }
+        }
     }
 
     #[test]
-    fn sha256_abc() {
-        assert_eq!(
-            sha256(b"abc").to_hex(),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-    }
-
-    #[test]
-    fn sha256_two_block_message() {
-        assert_eq!(
-            sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq").to_hex(),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
-    }
-
-    #[test]
-    fn sha256_million_a() {
+    fn sha256_million_a_in_odd_updates() {
         let mut h = Sha256::new();
         let chunk = [b'a'; 1000];
         for _ in 0..1000 {
@@ -255,9 +444,24 @@ mod tests {
         );
     }
 
+    /// Lengths 0..=300 cross every padding edge (55/56, 63/64/65,
+    /// 119/120, ...): `finalize`'s one-or-two-block padding must agree
+    /// with the test's own padding on every kernel.
+    #[test]
+    fn every_length_to_300_agrees_on_every_kernel() {
+        let data = pattern(300);
+        for len in 0..=300 {
+            let msg = &data[..len];
+            let expect = sha256(msg);
+            for (name, kernel) in kernels() {
+                assert_eq!(hash_with(kernel, msg), expect, "{name}, {len} bytes");
+            }
+        }
+    }
+
     #[test]
     fn incremental_equals_oneshot_at_odd_boundaries() {
-        let data: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
+        let data = pattern(1000);
         let whole = sha256(&data);
         for split in [1usize, 63, 64, 65, 127, 500, 999] {
             let mut h = Sha256::new();
@@ -265,6 +469,43 @@ mod tests {
             h.update(&data[split..]);
             assert_eq!(h.finalize(), whole, "split at {split}");
         }
+    }
+
+    proptest::proptest! {
+        /// Random data fed at random `update` split points: incremental
+        /// == one-shot == every kernel called directly.
+        #[test]
+        fn incremental_oneshot_and_every_kernel_agree(
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..2048),
+            cuts in proptest::collection::vec(0usize..2048, 0..8),
+        ) {
+            let whole = sha256(&data);
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(data.len())).collect();
+            cuts.sort_unstable();
+            let mut h = Sha256::new();
+            let mut prev = 0;
+            for c in cuts {
+                h.update(&data[prev..c]);
+                prev = c;
+            }
+            h.update(&data[prev..]);
+            proptest::prop_assert_eq!(h.finalize(), whole);
+            for (name, kernel) in kernels() {
+                proptest::prop_assert_eq!(hash_with(kernel, &data), whole, "{}", name);
+            }
+        }
+    }
+
+    #[test]
+    fn reported_kernel_is_the_best_this_host_can_run() {
+        // The hardware kernel, listed last, is preferred whenever it exists.
+        assert_eq!(sha256_kernel(), kernels().last().map_or("", |(k, _)| k));
+    }
+
+    #[cfg(not(target_arch = "x86_64"))]
+    #[test]
+    fn non_x86_hosts_run_the_portable_kernel() {
+        assert_eq!(sha256_kernel(), "portable");
     }
 
     #[test]

@@ -1,32 +1,13 @@
-//! Property tests: checksum correctness under chunking, object-store byte
-//! accounting, and the HSM "never loses an object" invariant.
+//! Property tests: object-store byte accounting and the HSM "never loses
+//! an object" invariant.
 
 use std::sync::Arc;
 
 use bytes::Bytes;
-use lsdf_storage::{sha256, Hsm, MigrationPolicy, ObjectStore, Sha256, Tier};
+use lsdf_storage::{Hsm, MigrationPolicy, ObjectStore, Tier};
 use proptest::prelude::*;
 
 proptest! {
-    /// Incremental hashing over arbitrary chunkings equals one-shot.
-    #[test]
-    fn sha256_chunking_invariance(
-        data in prop::collection::vec(any::<u8>(), 0..2048),
-        cuts in prop::collection::vec(0usize..2048, 0..8),
-    ) {
-        let whole = sha256(&data);
-        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(data.len())).collect();
-        cuts.sort_unstable();
-        let mut h = Sha256::new();
-        let mut prev = 0;
-        for c in cuts {
-            h.update(&data[prev..c]);
-            prev = c;
-        }
-        h.update(&data[prev..]);
-        prop_assert_eq!(h.finalize(), whole);
-    }
-
     /// used() always equals the sum of live object sizes, across an
     /// arbitrary interleaving of puts and deletes.
     #[test]
