@@ -27,7 +27,7 @@
 //! [`Adal::health`] assembles a per-project [`HealthReport`].
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
@@ -120,6 +120,21 @@ pub enum OpKind {
     List,
     /// `delete` — remove an object.
     Delete,
+}
+
+impl OpKind {
+    const COUNT: usize = 5;
+
+    /// The `op` label value of the per-op metrics.
+    fn label(self) -> &'static str {
+        match self {
+            OpKind::Put => "put",
+            OpKind::Get => "get",
+            OpKind::Stat => "stat",
+            OpKind::List => "list",
+            OpKind::Delete => "delete",
+        }
+    }
 }
 
 /// How the multi-tenant front door should treat a request, derived
@@ -392,11 +407,56 @@ impl ResilientState {
     }
 }
 
+/// A mount's per-project metric handles, resolved from the registry
+/// the first time each is used and held for the life of the mount: an
+/// operation bumps atomics instead of formatting a label set, and a
+/// project that never performed an op exports no series for it.
+struct MountMetrics {
+    project: String,
+    backend: &'static str,
+    ops: [OnceLock<Counter>; OpKind::COUNT],
+    latency: OnceLock<Histogram>,
+}
+
+impl MountMetrics {
+    fn new(project: &str, backend: &'static str) -> Arc<Self> {
+        Arc::new(MountMetrics {
+            project: project.to_string(),
+            backend,
+            ops: Default::default(),
+            latency: OnceLock::new(),
+        })
+    }
+
+    /// Per-project operation breakdown, labelled by backend kind.
+    fn op(&self, reg: &Registry, op: OpKind) {
+        self.ops[op as usize]
+            .get_or_init(|| {
+                reg.counter(
+                    names::ADAL_PROJECT_OPS_TOTAL,
+                    &[("project", &self.project), ("backend", self.backend), ("op", op.label())],
+                )
+            })
+            .inc();
+    }
+
+    /// Per-project latency view — the per-tenant histogram the admission
+    /// governor's SLO rules read to find the project breaching its p99.
+    fn op_latency(&self, reg: &Registry, dt_ns: u64) {
+        self.latency
+            .get_or_init(|| {
+                reg.histogram(names::ADAL_PROJECT_OP_LATENCY_NS, &[("project", &self.project)])
+            })
+            .record(dt_ns);
+    }
+}
+
 /// One project mount: the primary backend plus optional resilience.
 #[derive(Clone)]
 struct Mount {
     backend: Arc<dyn StorageBackend>,
     resilience: Option<Arc<ResilientState>>,
+    metrics: Arc<MountMetrics>,
 }
 
 /// A put staged by [`Adal::put_stage_traced`], carrying everything
@@ -408,8 +468,7 @@ struct Mount {
 pub struct PendingPut {
     backend: Arc<dyn StorageBackend>,
     staged: Option<StagedPut>,
-    project: String,
-    kind: &'static str,
+    metrics: Arc<MountMetrics>,
     len: u64,
     span: Span,
 }
@@ -513,6 +572,7 @@ impl Adal {
         self.mounts.write().insert(
             project.to_string(),
             Mount {
+                metrics: MountMetrics::new(project, backend.kind()),
                 backend,
                 resilience: None,
             },
@@ -556,6 +616,7 @@ impl Adal {
         self.mounts.write().insert(
             project.to_string(),
             Mount {
+                metrics: MountMetrics::new(project, primary.kind()),
                 backend: primary,
                 resilience: Some(Arc::new(state)),
             },
@@ -604,24 +665,6 @@ impl Adal {
             .cloned()
             .ok_or_else(|| AdalError::NoMount(parsed.project.clone()))?;
         Ok((mount, parsed))
-    }
-
-    /// Per-project operation breakdown, labelled by backend kind.
-    fn project_op(&self, project: &str, backend: &str, op: &str) {
-        self.obs
-            .counter(
-                names::ADAL_PROJECT_OPS_TOTAL,
-                &[("project", project), ("backend", backend), ("op", op)],
-            )
-            .inc();
-    }
-
-    /// Per-project latency view — the per-tenant histogram the admission
-    /// governor's SLO rules read to find the project breaching its p99.
-    fn project_op_latency(&self, project: &str, dt_ns: u64) {
-        self.obs
-            .histogram(names::ADAL_PROJECT_OP_LATENCY_NS, &[("project", project)])
-            .record(dt_ns);
     }
 
     /// Classifies an operation into the admission lane it should ride:
@@ -698,9 +741,9 @@ impl Adal {
         }
         self.ops.puts.inc();
         self.ops.put_bytes.record(len);
-        self.project_op(&parsed.project, mount.backend.kind(), "put");
+        mount.metrics.op(&self.obs, OpKind::Put);
         let dt = span.finish();
-        self.project_op_latency(&parsed.project, dt);
+        mount.metrics.op_latency(&self.obs, dt);
         trace.finish();
         Ok(())
     }
@@ -747,10 +790,9 @@ impl Adal {
         };
         trace.finish();
         Ok(PendingPut {
-            backend: mount.backend.clone(),
+            backend: mount.backend,
             staged,
-            project: parsed.project,
-            kind: mount.backend.kind(),
+            metrics: mount.metrics,
             len,
             span,
         })
@@ -782,7 +824,7 @@ impl Adal {
                     }
                 }
             }
-            finalize.push((p.project, p.kind, p.len, p.span));
+            finalize.push((p.metrics, p.len, p.span));
         }
         for (backend, idxs, batch) in groups {
             for (i, r) in idxs.into_iter().zip(backend.commit_staged_traced(batch)) {
@@ -792,14 +834,14 @@ impl Adal {
         outcomes
             .into_iter()
             .zip(finalize)
-            .map(|(outcome, (project, kind, len, span))| {
+            .map(|(outcome, (metrics, len, span))| {
                 match outcome.unwrap_or(Ok(())) {
                     Ok(()) => {
                         self.ops.puts.inc();
                         self.ops.put_bytes.record(len);
-                        self.project_op(&project, kind, "put");
+                        metrics.op(&self.obs, OpKind::Put);
                         let dt = span.finish();
-                        self.project_op_latency(&project, dt);
+                        metrics.op_latency(&self.obs, dt);
                         Ok(())
                     }
                     Err(e) => Err(AdalError::Backend(e)),
@@ -855,9 +897,9 @@ impl Adal {
         .into_bytes();
         self.ops.gets.inc();
         self.ops.get_bytes.record(data.len() as u64);
-        self.project_op(&parsed.project, mount.backend.kind(), "get");
+        mount.metrics.op(&self.obs, OpKind::Get);
         let dt = span.finish();
-        self.project_op_latency(&parsed.project, dt);
+        mount.metrics.op_latency(&self.obs, dt);
         trace.finish();
         Ok(data)
     }
@@ -878,9 +920,9 @@ impl Adal {
             None => mount.backend.stat_traced(&trace, &parsed.key)?,
         };
         self.ops.stats.inc();
-        self.project_op(&parsed.project, mount.backend.kind(), "stat");
+        mount.metrics.op(&self.obs, OpKind::Stat);
         let dt = span.finish();
-        self.project_op_latency(&parsed.project, dt);
+        mount.metrics.op_latency(&self.obs, dt);
         trace.finish();
         Ok(meta)
     }
@@ -905,9 +947,9 @@ impl Adal {
             None => mount.backend.list_traced(&trace, &parsed.key)?,
         };
         self.ops.lists.inc();
-        self.project_op(&parsed.project, mount.backend.kind(), "list");
+        mount.metrics.op(&self.obs, OpKind::List);
         let dt = span.finish();
-        self.project_op_latency(&parsed.project, dt);
+        mount.metrics.op_latency(&self.obs, dt);
         trace.finish();
         Ok(entries)
     }
@@ -928,7 +970,7 @@ impl Adal {
             None => mount.backend.delete_traced(&trace, &parsed.key)?,
         }
         self.ops.deletes.inc();
-        self.project_op(&parsed.project, mount.backend.kind(), "delete");
+        mount.metrics.op(&self.obs, OpKind::Delete);
         trace.finish();
         Ok(())
     }
@@ -1297,6 +1339,7 @@ impl Adal {
             Some(Mount {
                 backend,
                 resilience: Some(st),
+                ..
             }) => {
                 let trace = self.trace_root(names::ADAL_DRAIN_SPAN, project);
                 let drained = self.drain_step(&trace, &st, &backend, project);
@@ -1526,6 +1569,61 @@ mod tests {
         assert_eq!(lat.count(), 1);
         // Payload sizes recorded.
         assert_eq!(reg.histogram(names::ADAL_PUT_BYTES, &[]).sum(), 2);
+    }
+
+    #[test]
+    fn per_mount_handles_count_every_op_and_stay_lazy() {
+        let (adal, cred) = setup();
+        adal.acl.grant("garcia", "katrin", true);
+        for i in 0..5 {
+            adal.put(&cred, &format!("lsdf://zebrafish/raw/i{i}"), b("px")).unwrap();
+        }
+        let staged = (0..2)
+            .map(|i| {
+                adal.put_stage_traced(
+                    &TraceCtx::disabled(),
+                    &cred,
+                    &format!("lsdf://zebrafish/raw/s{i}"),
+                    b("px"),
+                )
+                .unwrap()
+            })
+            .collect();
+        assert!(adal.commit_staged(staged).iter().all(Result::is_ok));
+        for _ in 0..3 {
+            adal.get(&cred, "lsdf://zebrafish/raw/i0").unwrap();
+        }
+        adal.put(&cred, "lsdf://katrin/run1", b("ev")).unwrap();
+        let reg = adal.obs();
+        let ops = |project: &str, op: &str| {
+            let labels = [("project", project), ("backend", "object-store"), ("op", op)];
+            reg.counter_value(names::ADAL_PROJECT_OPS_TOTAL, &labels)
+        };
+        assert_eq!(ops("zebrafish", "put"), 7);
+        assert_eq!(ops("zebrafish", "get"), 3);
+        assert_eq!(ops("katrin", "put"), 1);
+        let latency = |project| {
+            reg.histogram(names::ADAL_PROJECT_OP_LATENCY_NS, &[("project", project)])
+                .count()
+        };
+        assert_eq!((latency("zebrafish"), latency("katrin")), (10, 1));
+        // Creation stays lazy: a project that never read exports no
+        // `op="get"` series, and no op exports one it never ran.
+        let exported: Vec<String> = reg
+            .snapshot()
+            .counters
+            .iter()
+            .filter(|(id, _)| id.name == names::ADAL_PROJECT_OPS_TOTAL)
+            .map(|(id, _)| id.to_string())
+            .collect();
+        assert_eq!(
+            exported,
+            [
+                "adal_project_ops_total{backend=object-store,op=get,project=zebrafish}",
+                "adal_project_ops_total{backend=object-store,op=put,project=katrin}",
+                "adal_project_ops_total{backend=object-store,op=put,project=zebrafish}",
+            ]
+        );
     }
 
     #[test]

@@ -130,22 +130,43 @@ impl Default for IngestPolicy {
     }
 }
 
+/// The item's metadata when it is present and schema-valid. Under
+/// enforcement a missing or invalid document is the rejection reason;
+/// without it the item goes on with no catalog entry.
+fn checked_metadata(
+    store: &ProjectStore,
+    metadata: Option<Document>,
+    policy: IngestPolicy,
+) -> Result<Option<Document>, String> {
+    let reason = match metadata {
+        Some(doc) => match store.schema().validate(&doc) {
+            Ok(()) => return Ok(Some(doc)),
+            Err(e) => e.to_string(),
+        },
+        None => "no metadata supplied".to_string(),
+    };
+    if policy.enforce_metadata {
+        Err(reason)
+    } else {
+        Ok(None)
+    }
+}
+
 /// One batch item staged through the ADAL, plus everything needed to
 /// finalize it (catalog entry, metrics, latency span) once the batched
 /// commit lands.
-struct StagedIngest {
+struct StagedIngest<'a> {
     pending: PendingPut,
-    fin: IngestFinalize,
+    fin: IngestFinalize<'a>,
 }
 
-struct IngestFinalize {
+struct IngestFinalize<'a> {
     store: Arc<ProjectStore>,
-    project: String,
-    key: String,
-    location: String,
+    pm: &'a ProjectIngestObs,
     size: u64,
-    checksum_hex: String,
-    doc: Option<Document>,
+    /// The catalog entry to register; `None` for an item stored
+    /// without metadata (enforcement off).
+    dataset: Option<NewDataset>,
     span: Span,
 }
 
@@ -196,29 +217,11 @@ impl Facility {
         let outcome = |o: Outcome| pm.outcome(o).inc();
         // Validate metadata *before* the payload lands, so enforcement
         // never leaves orphan bytes.
-        let doc = match &item.metadata {
-            Some(doc) => match store.schema().validate(doc) {
-                Ok(()) => Some(doc.clone()),
-                Err(e) => {
-                    if policy.enforce_metadata {
-                        outcome(Outcome::Rejected);
-                        return Err(FacilityError::MetadataRequired {
-                            key: item.key,
-                            reason: e.to_string(),
-                        });
-                    }
-                    None
-                }
-            },
-            None => {
-                if policy.enforce_metadata {
-                    outcome(Outcome::Rejected);
-                    return Err(FacilityError::MetadataRequired {
-                        key: item.key,
-                        reason: "no metadata supplied".to_string(),
-                    });
-                }
-                None
+        let doc = match checked_metadata(&store, item.metadata, policy) {
+            Ok(doc) => doc,
+            Err(reason) => {
+                outcome(Outcome::Rejected);
+                return Err(FacilityError::MetadataRequired { key: item.key, reason });
             }
         };
         // One SHA-256 per acked payload: the memoized digest travels
@@ -231,24 +234,29 @@ impl Facility {
             outcome(Outcome::Rejected);
             return Err(e.into());
         }
-        pm.bytes.record(size);
+        // Outcomes are counted once the catalog has answered: an item
+        // it refuses (a taken name) is rejected, not registered.
         let result = match doc {
-            Some(basic) => {
-                outcome(Outcome::Registered);
-                let id = store.insert(NewDataset {
+            Some(basic) => store
+                .insert(NewDataset {
                     name: item.key,
                     location,
                     size_bytes: size,
                     checksum_hex: digest.to_hex(),
                     basic,
-                })?;
-                Ok(Some(id))
-            }
-            None => {
-                outcome(Outcome::StoredUnregistered);
-                Ok(None)
-            }
+                })
+                .map(Some)
+                .map_err(FacilityError::from),
+            None => Ok(None),
         };
+        match &result {
+            Ok(Some(_)) => outcome(Outcome::Registered),
+            Ok(None) => outcome(Outcome::StoredUnregistered),
+            Err(_) => outcome(Outcome::Rejected),
+        }
+        if result.is_ok() {
+            pm.bytes.record(size);
+        }
         span.finish();
         result
     }
@@ -264,36 +272,18 @@ impl Facility {
         cred: &Credential,
         item: IngestItem,
         policy: IngestPolicy,
-    ) -> Result<StagedIngest, FacilityError> {
+    ) -> Result<StagedIngest<'_>, FacilityError> {
         let store = self.store(&item.project)?.clone();
         let pm = self
             .ingest_obs()
             .project(&item.project)
             .ok_or_else(|| FacilityError::UnknownProject(item.project.clone()))?;
         let span = self.obs().span(&self.ingest_obs().latency);
-        let doc = match &item.metadata {
-            Some(doc) => match store.schema().validate(doc) {
-                Ok(()) => Some(doc.clone()),
-                Err(e) => {
-                    if policy.enforce_metadata {
-                        pm.outcome(Outcome::Rejected).inc();
-                        return Err(FacilityError::MetadataRequired {
-                            key: item.key,
-                            reason: e.to_string(),
-                        });
-                    }
-                    None
-                }
-            },
-            None => {
-                if policy.enforce_metadata {
-                    pm.outcome(Outcome::Rejected).inc();
-                    return Err(FacilityError::MetadataRequired {
-                        key: item.key,
-                        reason: "no metadata supplied".to_string(),
-                    });
-                }
-                None
+        let doc = match checked_metadata(&store, item.metadata, policy) {
+            Ok(doc) => doc,
+            Err(reason) => {
+                pm.outcome(Outcome::Rejected).inc();
+                return Err(FacilityError::MetadataRequired { key: item.key, reason });
             }
         };
         // The one hash per acked payload, memoized on the shared handle.
@@ -308,85 +298,87 @@ impl Facility {
                 return Err(e.into());
             }
         };
+        let dataset = doc.map(|basic| NewDataset {
+            name: item.key,
+            location,
+            size_bytes: size,
+            checksum_hex: digest.to_hex(),
+            basic,
+        });
         Ok(StagedIngest {
             pending,
-            fin: IngestFinalize {
-                store,
-                project: item.project,
-                key: item.key,
-                location,
-                size,
-                checksum_hex: digest.to_hex(),
-                doc,
-                span,
-            },
+            fin: IngestFinalize { store, pm, size, dataset, span },
         })
     }
 
     /// Commits a batch of staged items — one ADAL batched commit (one
-    /// namenode lock, one WAL group commit for a DFS mount) — then
-    /// finalizes catalog entries and metrics serially in submission
-    /// order. An item is acked (counted in the report) only after its
-    /// commit returned Ok.
+    /// namenode lock, one WAL group commit for a DFS mount), then one
+    /// catalog commit per project store (one catalog lock, one WAL
+    /// group, one modelled fsync) — and tallies outcomes and metrics
+    /// serially in submission order from what storage and the catalog
+    /// answered. An item is acked (counted in the report) only after
+    /// both returned Ok.
+    ///
+    /// A batch item's `facility_ingest` latency is its time to that
+    /// ack: the span opened at staging finishes in the tally, after
+    /// every store's catalog commit, so on a wall clock it includes the
+    /// batch's whole commit (as it already included the whole batched
+    /// storage commit), not only the item's own catalog insert.
     fn ingest_finalize(
         &self,
-        staged: Vec<Result<StagedIngest, FacilityError>>,
+        staged: Vec<Result<StagedIngest<'_>, FacilityError>>,
     ) -> Vec<(Outcome, u64)> {
-        let mut fins: Vec<Result<IngestFinalize, ()>> = Vec::with_capacity(staged.len());
-        let mut pendings = Vec::new();
+        let mut fins: Vec<Option<IngestFinalize<'_>>> = Vec::with_capacity(staged.len());
+        let mut pendings = Vec::with_capacity(staged.len());
         for r in staged {
-            match r {
-                Ok(s) => {
-                    pendings.push(s.pending);
-                    fins.push(Ok(s.fin));
-                }
-                Err(_) => fins.push(Err(())),
-            }
+            fins.push(r.ok().map(|s| {
+                pendings.push(s.pending);
+                s.fin
+            }));
         }
         let mut commits = self.adal().commit_staged(pendings).into_iter();
-        fins.into_iter()
-            .map(|f| {
-                let Ok(fin) = f else {
-                    return (Outcome::Rejected, 0);
-                };
-                let committed = matches!(commits.next(), Some(Ok(())));
-                let pm = self.ingest_obs().project(&fin.project);
-                if !committed {
-                    if let Some(pm) = pm {
-                        pm.outcome(Outcome::Rejected).inc();
-                    }
-                    return (Outcome::Rejected, 0);
+        // Rejected until storage and the catalog have both said yes.
+        let mut outcomes = vec![(Outcome::Rejected, 0u64); fins.len()];
+        // Catalog entries grouped per store, in submission order, each
+        // with its place in the batch and its payload size.
+        type CatalogGroup = (Arc<ProjectStore>, Vec<(usize, u64)>, Vec<NewDataset>);
+        let mut groups: Vec<CatalogGroup> = Vec::new();
+        for (i, fin) in fins.iter_mut().enumerate() {
+            let Some(f) = fin else { continue };
+            if !matches!(commits.next(), Some(Ok(()))) {
+                continue;
+            }
+            let Some(dataset) = f.dataset.take() else {
+                outcomes[i] = (Outcome::StoredUnregistered, f.size);
+                continue;
+            };
+            match groups.iter_mut().find(|(s, _, _)| Arc::ptr_eq(s, &f.store)) {
+                Some((_, at, datasets)) => {
+                    at.push((i, f.size));
+                    datasets.push(dataset);
                 }
-                if let Some(pm) = pm {
-                    pm.bytes.record(fin.size);
+                None => groups.push((f.store.clone(), vec![(i, f.size)], vec![dataset])),
+            }
+        }
+        for (store, at, datasets) in groups {
+            for ((i, size), r) in at.into_iter().zip(store.insert_batch(datasets)) {
+                if r.is_ok() {
+                    outcomes[i] = (Outcome::Registered, size);
                 }
-                let out = match fin.doc {
-                    Some(basic) => {
-                        if let Some(pm) = pm {
-                            pm.outcome(Outcome::Registered).inc();
-                        }
-                        match fin.store.insert(NewDataset {
-                            name: fin.key,
-                            location: fin.location,
-                            size_bytes: fin.size,
-                            checksum_hex: fin.checksum_hex,
-                            basic,
-                        }) {
-                            Ok(_) => (Outcome::Registered, fin.size),
-                            Err(_) => (Outcome::Rejected, 0),
-                        }
-                    }
-                    None => {
-                        if let Some(pm) = pm {
-                            pm.outcome(Outcome::StoredUnregistered).inc();
-                        }
-                        (Outcome::StoredUnregistered, fin.size)
-                    }
-                };
-                fin.span.finish();
-                out
-            })
-            .collect()
+            }
+        }
+        // Counted once the catalog has answered: an item it refused (a
+        // taken name) is rejected, not registered. Items that failed
+        // staging were counted there.
+        for (fin, (outcome, size)) in fins.into_iter().zip(&outcomes) {
+            let Some(f) = fin else { continue };
+            f.pm.outcome(*outcome).inc();
+            if !matches!(outcome, Outcome::Rejected) {
+                f.pm.bytes.record(*size);
+            }
+            f.span.finish();
+        }
+        outcomes
     }
 
     /// Ingests a batch, tallying outcomes instead of failing fast.
@@ -615,6 +607,39 @@ mod tests {
         assert_eq!(bytes.count(), report.registered);
         // Ingest flowed through the shared ADAL counters too.
         assert_eq!(f.adal().counters().puts, report.registered);
+    }
+
+    #[test]
+    fn outcomes_are_counted_after_the_catalog_answers() {
+        let f = facility();
+        let admin = f.admin().clone();
+        let batch = items(1);
+        let n = batch.len() as u64;
+        let first = f.ingest_batch(&admin, batch.clone(), IngestPolicy::default());
+        assert_eq!(first.registered, n);
+        let reg = f.obs();
+        let outcome = |o: &str| {
+            let labels = [("project", "zebrafish-htm"), ("outcome", o)];
+            reg.counter_value(names::FACILITY_INGEST_TOTAL, &labels)
+        };
+        let bytes = reg.histogram(names::FACILITY_INGEST_BYTES, &[("project", "zebrafish-htm")]);
+        assert_eq!((outcome("registered"), outcome("rejected"), bytes.count()), (n, 0, n));
+        // Storage forgets the objects, the catalog does not: the same
+        // batch now passes storage and every name is refused by the
+        // catalog. The registry must say what the report says.
+        let forget = |item: &IngestItem| {
+            let path = format!("lsdf://zebrafish-htm/{}", item.key);
+            f.adal().delete(&admin, &path).unwrap();
+        };
+        batch.iter().for_each(forget);
+        let second = f.ingest_batch(&admin, batch.clone(), IngestPolicy::default());
+        assert_eq!((second.registered, second.rejected, second.bytes), (0, n, 0));
+        assert_eq!((outcome("registered"), outcome("rejected"), bytes.count()), (n, n, n));
+        // The single-item path counts the same way.
+        batch.iter().for_each(forget);
+        let r = f.ingest(&admin, batch[0].clone(), IngestPolicy::default());
+        assert!(matches!(r, Err(FacilityError::Metadata(_))), "{r:?}");
+        assert_eq!((outcome("registered"), outcome("rejected"), bytes.count()), (n, n + 1, n));
     }
 
     #[test]

@@ -85,7 +85,8 @@ impl<'a> ProjectSession<'a> {
         let items = items
             .into_iter()
             .map(|mut item| {
-                item.project = self.project.clone();
+                // Reuses the item's buffer: no allocation per item.
+                item.project.clone_from(&self.project);
                 item
             })
             .collect();

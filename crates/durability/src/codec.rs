@@ -21,6 +21,12 @@ impl Enc {
         Self::default()
     }
 
+    /// Creates an empty encoder with room for `capacity` bytes, for
+    /// callers that know (or can bound) the encoded size up front.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Self { buf: Vec::with_capacity(capacity) }
+    }
+
     /// Consumes the encoder, returning the encoded bytes.
     pub fn finish(self) -> Vec<u8> {
         self.buf

@@ -54,11 +54,11 @@ impl MemDisk {
     /// Returns the number of bytes flushed (0 means the cache was clean).
     pub fn sync(&self) -> u64 {
         let mut s = self.state.lock();
-        let n = s.staged.len() as u64;
-        if n > 0 {
-            let staged = std::mem::take(&mut s.staged);
-            s.synced.extend_from_slice(&staged);
-        }
+        let DiskState { synced, staged } = &mut *s;
+        let n = staged.len() as u64;
+        synced.extend_from_slice(staged);
+        // Cleared, not dropped: the write cache keeps its buffer.
+        staged.clear();
         n
     }
 

@@ -30,11 +30,14 @@
 //!
 //! Every frame is physically synced before the append returns (that is
 //! what "acked writes survive" means). The *cost* of syncing is charged
-//! with group-commit batching: `wal_fsyncs_total` and the modeled
-//! `wal_fsync_latency_ns` are recorded once per `group_commit` records,
-//! reflecting that a real namenode coalesces concurrent commits into one
-//! fsync. Charging by record count keeps the metrics bit-identical at
-//! any worker count.
+//! by group commit. A batch of any size — one included — handed to
+//! [`DurableLog::append_commit_batch`] is one group: one buffer, one
+//! device append, one sync, one `wal_fsyncs_total` and one modeled
+//! `wal_fsync_latency_ns`. Records appended singly through
+//! [`DurableLog::append_commit`] are charged once per `group_commit`
+//! records, reflecting that a real namenode coalesces concurrent
+//! commits into one fsync. Charging by batch and by record count keeps
+//! the metrics bit-identical at any worker count.
 
 use crate::crc::crc32;
 use crate::device::{DurableStore, MemDisk};
@@ -140,12 +143,17 @@ impl DurableLog {
         }
     }
 
-    fn frame(payload: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
+    /// Appends the frame for `payload` to `out`.
+    fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
         out.push(FRAME_MAGIC);
         out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         out.extend_from_slice(&crc32(payload).to_le_bytes());
         out.extend_from_slice(payload);
+    }
+
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
+        Self::push_frame(&mut out, payload);
         out
     }
 
@@ -169,27 +177,33 @@ impl DurableLog {
     }
 
     /// Appends a batch of records under one lock acquisition and one
-    /// sync — the group commit the batched namenode path relies on: N
-    /// file commits share a single fsync charge instead of advancing
-    /// the per-record group counter N times. The whole batch is synced
-    /// before return, so every record in it may be acked. Batch
-    /// composition is deterministic in the caller, which keeps the
-    /// fsync accounting identical at any worker count.
+    /// sync — the group commit the batched namenode and catalog paths
+    /// rely on: N commits share a single fsync charge instead of
+    /// advancing the per-record group counter N times. The segment
+    /// gets the same bytes N [`DurableLog::append_commit`]s would have
+    /// written. The whole batch is synced before return, so every
+    /// record in it may be acked. Batch composition is deterministic
+    /// in the caller, which keeps the fsync accounting identical at
+    /// any worker count.
     pub fn append_commit_batch(&self, payloads: &[Vec<u8>]) {
         if payloads.is_empty() {
             return;
         }
-        let frames: Vec<Vec<u8>> = payloads.iter().map(|p| Self::frame(p)).collect();
+        // The whole batch is framed into one contiguous buffer: one
+        // allocation, one device append, one sync.
+        let total = payloads.iter().map(|p| FRAME_HEADER_LEN + p.len()).sum();
+        let mut frames = Vec::with_capacity(total);
+        for p in payloads {
+            Self::push_frame(&mut frames, p);
+        }
         {
             let seg = self.active.lock();
-            for frame in &frames {
-                seg.dev.append(frame);
-            }
+            seg.dev.append(&frames);
             seg.dev.sync();
         }
-        for frame in &frames {
-            self.obs.appends.inc();
-            self.obs.append_bytes.record(frame.len() as u64);
+        self.obs.appends.add(payloads.len() as u64);
+        for p in payloads {
+            self.obs.append_bytes.record((FRAME_HEADER_LEN + p.len()) as u64);
         }
         self.obs.fsyncs.inc();
         self.obs.fsync_latency.record(self.cfg.fsync_ns);
@@ -379,6 +393,32 @@ mod tests {
         }
         assert_eq!(reg.counter_value(names::WAL_APPENDS_TOTAL, &[("log", "t")]), 10);
         assert_eq!(reg.counter_value(names::WAL_FSYNCS_TOTAL, &[("log", "t")]), 2);
+    }
+
+    #[test]
+    fn batch_segment_is_byte_identical_to_per_record_appends() {
+        let payloads: Vec<Vec<u8>> = [0usize, 1, 8, 9, 229, 1000]
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| (0..len).map(|j| (i * 37 + j) as u8).collect())
+            .collect();
+        let labels = [("log", "t")];
+        let (one_by_one, one_reg) = (DurableStore::new(), registry());
+        let log = DurableLog::open(one_by_one.clone(), "t", &one_reg, WalConfig::default());
+        for p in &payloads {
+            log.append_commit(p);
+        }
+        let (batched, batch_reg) = (DurableStore::new(), registry());
+        let log = DurableLog::open(batched.clone(), "t", &batch_reg, WalConfig::default());
+        log.append_commit_batch(&payloads);
+        let segment = |s: &DurableStore| s.get("t-wal-00000000").expect("segment 0").read();
+        assert_eq!(segment(&one_by_one), segment(&batched));
+        for reg in [&one_reg, &batch_reg] {
+            assert_eq!(reg.counter_value(names::WAL_APPENDS_TOTAL, &labels), 6);
+            let bytes = reg.histogram(names::WAL_APPEND_BYTES, &labels);
+            assert_eq!(bytes.count(), 6);
+            assert_eq!(bytes.sum(), segment(&batched).len() as u64);
+        }
     }
 
     #[test]

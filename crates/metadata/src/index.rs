@@ -1,21 +1,20 @@
 //! Secondary indexes over dataset basic-metadata fields.
 //!
-//! Two kinds: a hash index for equality lookups and an ordered index (over
-//! order-preserving byte keys) for ranges. Both map to posting lists of
-//! [`DatasetId`]s and are maintained incrementally on insert.
+//! One ordered map per field, over order-preserving byte keys, answers
+//! both equality and range lookups. It maps to posting lists of
+//! [`DatasetId`]s and is maintained incrementally on insert.
 
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Bound;
 
 use crate::record::DatasetId;
-use crate::value::Value;
+use crate::value::{OrderKey, Value};
 
 /// An equality + range index over one field.
 #[derive(Debug, Default)]
 pub struct FieldIndex {
-    /// value hash → ids (equality).
-    eq: HashMap<Vec<u8>, Vec<DatasetId>>,
-    /// order key → ids (ranges).
-    ord: BTreeMap<Vec<u8>, Vec<DatasetId>>,
+    /// order key → ids.
+    postings: BTreeMap<OrderKey, Vec<DatasetId>>,
     entries: u64,
 }
 
@@ -27,15 +26,13 @@ impl FieldIndex {
 
     /// Adds one posting.
     pub fn insert(&mut self, value: &Value, id: DatasetId) {
-        let key = value.order_key();
-        self.eq.entry(key.clone()).or_default().push(id);
-        self.ord.entry(key).or_default().push(id);
+        self.postings.entry(value.order_key()).or_default().push(id);
         self.entries += 1;
     }
 
     /// Ids with exactly this value.
     pub fn lookup_eq(&self, value: &Value) -> Vec<DatasetId> {
-        self.eq
+        self.postings
             .get(&value.order_key())
             .cloned()
             .unwrap_or_default()
@@ -46,17 +43,11 @@ impl FieldIndex {
     /// the indexed values for meaningful results (guaranteed by schema
     /// validation upstream).
     pub fn lookup_range(&self, lo: Option<&Value>, hi: Option<&Value>) -> Vec<DatasetId> {
-        use std::ops::Bound;
-        let lo_b = match lo {
-            Some(v) => Bound::Included(v.order_key()),
-            None => Bound::Unbounded,
-        };
-        let hi_b = match hi {
-            Some(v) => Bound::Excluded(v.order_key()),
-            None => Bound::Unbounded,
-        };
+        let (lo, hi) = (lo.map(Value::order_key), hi.map(Value::order_key));
+        let lo_b = lo.as_ref().map_or(Bound::Unbounded, Bound::Included);
+        let hi_b = hi.as_ref().map_or(Bound::Unbounded, Bound::Excluded);
         let mut out = Vec::new();
-        for ids in self.ord.range((lo_b, hi_b)).map(|(_, v)| v) {
+        for ids in self.postings.range((lo_b, hi_b)).map(|(_, v)| v) {
             out.extend_from_slice(ids);
         }
         out

@@ -35,4 +35,4 @@ pub use query::Predicate;
 pub use record::{DatasetId, DatasetRecord, ProcessingResult};
 pub use schema::{zebrafish_schema, Document, FieldDef, Schema, SchemaBuilder, SchemaError};
 pub use store::{MetaRecoveryStats, MetadataError, NewDataset, ProjectStore};
-pub use value::{FieldType, Value};
+pub use value::{FieldType, OrderKey, Value};

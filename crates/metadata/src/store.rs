@@ -2,6 +2,7 @@
 //! metadata, appended processing results, tags, secondary indexes, and an
 //! index-aware query executor with scan instrumentation.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -52,7 +53,7 @@ impl From<SchemaError> for MetadataError {
 }
 
 /// Parameters describing a new dataset at registration time.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NewDataset {
     /// Unique name (usually the storage key).
     pub name: String,
@@ -72,6 +73,98 @@ struct StoreState {
     field_indexes: HashMap<String, FieldIndex>,
     tag_index: TagIndex,
     subscribers: Vec<Subscriber>,
+}
+
+impl StoreState {
+    /// The one routine that adds a dataset: the name map, the field
+    /// and tag indexes and the record vector change together here, for
+    /// a fresh insert, a replayed WAL record and a checkpoint's records
+    /// alike. The id is the next dense insertion index, whatever `rec`
+    /// carried; a name already taken is refused and handed back.
+    fn register(&mut self, mut rec: DatasetRecord) -> Result<DatasetId, String> {
+        let id = DatasetId(self.records.len() as u64);
+        match self.by_name.entry(rec.name.clone()) {
+            Entry::Occupied(_) => return Err(rec.name),
+            Entry::Vacant(slot) => slot.insert(id),
+        };
+        rec.id = id;
+        for (field, idx) in self.field_indexes.iter_mut() {
+            if let Some(v) = rec.basic.get(field) {
+                idx.insert(v, id);
+            }
+        }
+        for t in &rec.tags {
+            self.tag_index.insert(t, id);
+        }
+        self.records.push(rec);
+        Ok(id)
+    }
+
+    /// Drops the catalog and everything derived from it; subscribers
+    /// stay.
+    fn wipe(&mut self) {
+        self.records.clear();
+        self.by_name.clear();
+        for idx in self.field_indexes.values_mut() {
+            *idx = FieldIndex::new();
+        }
+        self.tag_index = TagIndex::new();
+    }
+
+    /// Applies one replayed WAL record; `false` when its effect is
+    /// already present (idempotent skip).
+    fn apply(&mut self, rec: MetaWalRecord) -> bool {
+        match rec {
+            MetaWalRecord::Insert(new) => self.register(new.into_record()).is_ok(),
+            MetaWalRecord::Tag { id, tag } => {
+                let Some(rec) = self.records.get_mut(id.0 as usize) else {
+                    return false;
+                };
+                let added = rec.tags.insert(tag.clone());
+                if added {
+                    self.tag_index.insert(&tag, id);
+                }
+                added
+            }
+            MetaWalRecord::Untag { id, tag } => {
+                let Some(rec) = self.records.get_mut(id.0 as usize) else {
+                    return false;
+                };
+                let removed = rec.tags.remove(&tag);
+                if removed {
+                    self.tag_index.remove(&tag, id);
+                }
+                removed
+            }
+            MetaWalRecord::AppendProcessing { id, step, params, results, derived_keys, seq } => {
+                let Some(rec) = self.records.get_mut(id.0 as usize) else {
+                    return false;
+                };
+                if rec.processing.len() as u32 >= seq {
+                    return false;
+                }
+                rec.processing.push(ProcessingResult { step, params, results, derived_keys, seq });
+                true
+            }
+        }
+    }
+}
+
+impl NewDataset {
+    /// The catalog record this registration becomes; the store assigns
+    /// the id when it registers it.
+    fn into_record(self) -> DatasetRecord {
+        DatasetRecord {
+            id: DatasetId(0),
+            name: self.name,
+            location: self.location,
+            size_bytes: self.size_bytes,
+            checksum_hex: self.checksum_hex,
+            basic: self.basic,
+            processing: Vec::new(),
+            tags: Default::default(),
+        }
+    }
 }
 
 /// What one metadata-store recovery pass replayed.
@@ -166,53 +259,66 @@ impl ProjectStore {
     }
 
     /// Registers a dataset. Basic metadata is validated and becomes
-    /// write-once.
+    /// write-once. A batch of one: see [`ProjectStore::insert_batch`].
     pub fn insert(&self, new: NewDataset) -> Result<DatasetId, MetadataError> {
-        self.schema.validate(&new.basic)?;
-        let (id, subs) = {
-            let mut st = self.state.write();
-            if st.by_name.contains_key(&new.name) {
-                return Err(MetadataError::DuplicateName(new.name));
-            }
-            let id = DatasetId(st.records.len() as u64);
-            // Logged under the namespace lock so log order agrees with
-            // id-assignment order (ids are dense insertion indexes).
-            if let Some(d) = &self.durability {
-                let rec = MetaWalRecord::Insert {
-                    name: new.name.clone(),
-                    location: new.location.clone(),
-                    size_bytes: new.size_bytes,
-                    checksum_hex: new.checksum_hex.clone(),
-                    basic: new.basic.clone(),
+        // `insert_batch` answers every item it was given.
+        self.insert_batch(vec![new]).swap_remove(0)
+    }
+
+    /// Registers a batch of datasets as one catalog commit: one
+    /// acquisition of the catalog lock, one WAL group, one modelled
+    /// fsync, whatever the batch size. `results[i]` answers `batch[i]`,
+    /// and the catalog ends exactly as if the items had been inserted
+    /// one by one in order — an invalid document or a taken name
+    /// (in the catalog, or earlier in this batch) rejects that item
+    /// only, and ids stay dense over the accepted ones.
+    pub fn insert_batch(
+        &self,
+        batch: Vec<NewDataset>,
+    ) -> Vec<Result<DatasetId, MetadataError>> {
+        // Outside the lock: validate, and encode each WAL record from
+        // the registration's borrowed fields.
+        let prepared: Vec<Result<(NewDataset, Vec<u8>), MetadataError>> = batch
+            .into_iter()
+            .map(|new| {
+                self.schema.validate(&new.basic)?;
+                let payload = match &self.durability {
+                    Some(_) => MetaWalRecord::encode_insert(&new),
+                    None => Vec::new(),
                 };
-                d.log(&rec.encode());
+                Ok((new, payload))
+            })
+            .collect();
+        let mut logged = Vec::with_capacity(prepared.len());
+        let (results, subs) = {
+            let mut st = self.state.write();
+            let results: Vec<Result<DatasetId, MetadataError>> = prepared
+                .into_iter()
+                .map(|item| {
+                    let (new, payload) = item?;
+                    let id = st
+                        .register(new.into_record())
+                        .map_err(MetadataError::DuplicateName)?;
+                    logged.push(payload);
+                    Ok(id)
+                })
+                .collect();
+            // Logged under the catalog lock so log order agrees with
+            // id-assignment order (ids are dense insertion indexes).
+            // Nothing registered above is visible, or acked, before
+            // the guard drops — after the group is durable.
+            if let Some(d) = &self.durability {
+                d.log_batch(&logged);
             }
-            for (field, idx) in st.field_indexes.iter_mut() {
-                if let Some(v) = new.basic.get(field) {
-                    idx.insert(v, id);
-                }
-            }
-            st.by_name.insert(new.name.clone(), id);
-            st.records.push(DatasetRecord {
-                id,
-                name: new.name,
-                location: new.location,
-                size_bytes: new.size_bytes,
-                checksum_hex: new.checksum_hex,
-                basic: new.basic,
-                processing: Vec::new(),
-                tags: Default::default(),
-            });
-            (id, st.subscribers.clone())
+            (results, st.subscribers.clone())
         };
-        self.emit(
-            &subs,
-            &MetadataEvent::Inserted {
-                project: self.project.clone(),
-                id,
-            },
-        );
-        Ok(id)
+        if !subs.is_empty() {
+            for id in results.iter().flatten() {
+                let event = MetadataEvent::Inserted { project: self.project.clone(), id: *id };
+                self.emit(&subs, &event);
+            }
+        }
+        results
     }
 
     /// Fetches a record by id.
@@ -518,13 +624,7 @@ impl ProjectStore {
         if let Some(d) = &self.durability {
             d.crash_torn(seed);
         }
-        let mut st = self.state.write();
-        st.records.clear();
-        st.by_name.clear();
-        for idx in st.field_indexes.values_mut() {
-            *idx = FieldIndex::new();
-        }
-        st.tag_index = TagIndex::new();
+        self.state.write().wipe();
     }
 
     /// Rebuilds the catalog from the durable store: installs the latest
@@ -539,110 +639,30 @@ impl ProjectStore {
             torn_tails: recovered.torn_tails,
             ..MetaRecoveryStats::default()
         };
+        // One lock for the whole pass. Replay emits no events: the
+        // recovered catalog is a reconstruction, not new activity.
+        let mut st = self.state.write();
         if let Some(snap) = recovered.snapshot.as_deref().and_then(MetaSnapshot::decode) {
             stats.snapshot_loaded = true;
-            self.install_snapshot(snap);
+            // Every derived structure (name map, field indexes, tag
+            // index) is rebuilt from the checkpoint's records.
+            st.wipe();
+            st.records.reserve(snap.records.len());
+            for rec in snap.records {
+                // Checkpointed names are unique: none is refused.
+                let _ = st.register(rec);
+            }
         }
         for payload in &recovered.records {
-            match MetaWalRecord::decode(payload) {
-                Some(rec) => {
-                    if self.apply_record(rec) {
-                        stats.replayed += 1;
-                    } else {
-                        stats.skipped += 1;
-                    }
-                }
-                None => stats.skipped += 1,
+            if MetaWalRecord::decode(payload).is_some_and(|rec| st.apply(rec)) {
+                stats.replayed += 1;
+            } else {
+                stats.skipped += 1;
             }
         }
+        drop(st);
         d.note_skipped(stats.skipped);
         stats
-    }
-
-    /// Installs a checkpoint snapshot, rebuilding every derived
-    /// structure (name map, field indexes, tag index) from the records.
-    fn install_snapshot(&self, snap: MetaSnapshot) {
-        let mut st = self.state.write();
-        st.by_name.clear();
-        for idx in st.field_indexes.values_mut() {
-            *idx = FieldIndex::new();
-        }
-        st.tag_index = TagIndex::new();
-        st.records = snap.records;
-        let StoreState { records, by_name, field_indexes, tag_index, .. } = &mut *st;
-        for r in records.iter() {
-            by_name.insert(r.name.clone(), r.id);
-            for (field, idx) in field_indexes.iter_mut() {
-                if let Some(v) = r.basic.get(field) {
-                    idx.insert(v, r.id);
-                }
-            }
-            for t in &r.tags {
-                tag_index.insert(t, r.id);
-            }
-        }
-    }
-
-    /// Applies one replayed WAL record; `false` when its effect is
-    /// already present (idempotent skip). Replay emits no events: the
-    /// recovered catalog is a reconstruction, not new activity.
-    fn apply_record(&self, rec: MetaWalRecord) -> bool {
-        let mut st = self.state.write();
-        match rec {
-            MetaWalRecord::Insert { name, location, size_bytes, checksum_hex, basic } => {
-                if st.by_name.contains_key(&name) {
-                    return false;
-                }
-                let id = DatasetId(st.records.len() as u64);
-                for (field, idx) in st.field_indexes.iter_mut() {
-                    if let Some(v) = basic.get(field) {
-                        idx.insert(v, id);
-                    }
-                }
-                st.by_name.insert(name.clone(), id);
-                st.records.push(DatasetRecord {
-                    id,
-                    name,
-                    location,
-                    size_bytes,
-                    checksum_hex,
-                    basic,
-                    processing: Vec::new(),
-                    tags: Default::default(),
-                });
-                true
-            }
-            MetaWalRecord::Tag { id, tag } => {
-                let Some(rec) = st.records.get_mut(id.0 as usize) else {
-                    return false;
-                };
-                let added = rec.tags.insert(tag.clone());
-                if added {
-                    st.tag_index.insert(&tag, id);
-                }
-                added
-            }
-            MetaWalRecord::Untag { id, tag } => {
-                let Some(rec) = st.records.get_mut(id.0 as usize) else {
-                    return false;
-                };
-                let removed = rec.tags.remove(&tag);
-                if removed {
-                    st.tag_index.remove(&tag, id);
-                }
-                removed
-            }
-            MetaWalRecord::AppendProcessing { id, step, params, results, derived_keys, seq } => {
-                let Some(rec) = st.records.get_mut(id.0 as usize) else {
-                    return false;
-                };
-                if rec.processing.len() as u32 >= seq {
-                    return false;
-                }
-                rec.processing.push(ProcessingResult { step, params, results, derived_keys, seq });
-                true
-            }
-        }
     }
 }
 
@@ -843,6 +863,62 @@ mod tests {
         assert_eq!(hits.len(), 48);
         let (_, scanned) = store.query_stats();
         assert_eq!(scanned, 48);
+    }
+
+    #[test]
+    fn batch_events_fire_in_id_order_for_accepted_items_only() {
+        let store = ProjectStore::new(zebrafish_schema());
+        // (events seen, 1 + the last id seen)
+        let seen = Arc::new((AtomicU64::new(0), AtomicU64::new(0)));
+        {
+            let seen = seen.clone();
+            store.subscribe(Arc::new(move |ev| {
+                if let MetadataEvent::Inserted { id, .. } = ev {
+                    seen.0.fetch_add(1, Ordering::Relaxed);
+                    let after = seen.1.swap(id.0 + 1, Ordering::Relaxed);
+                    assert!(after <= id.0, "{id:?} emitted after id {}", after - 1);
+                }
+            }));
+        }
+        let results = store.insert_batch(vec![
+            new_ds("a", zf_doc(1, 1, 488.0)),
+            new_ds("bad", Document::new()),
+            new_ds("a", zf_doc(1, 2, 488.0)),
+            new_ds("b", zf_doc(1, 3, 488.0)),
+        ]);
+        assert_eq!(results[0], Ok(DatasetId(0)));
+        assert!(matches!(results[1], Err(MetadataError::Schema(_))));
+        assert_eq!(results[2], Err(MetadataError::DuplicateName("a".into())));
+        assert_eq!(results[3], Ok(DatasetId(1)), "ids stay dense over accepted items");
+        assert_eq!((seen.0.load(Ordering::Relaxed), seen.1.load(Ordering::Relaxed)), (2, 2));
+    }
+
+    #[test]
+    fn a_batch_of_any_size_is_one_group_commit() {
+        let reg = Arc::new(lsdf_obs::Registry::new());
+        let store = ProjectStore::with_durability(
+            zebrafish_schema(),
+            Some(lsdf_durability::ComponentDurability::open(
+                &lsdf_durability::DurableStore::new(),
+                "meta-zebrafish",
+                &reg,
+                &lsdf_durability::DurabilityConfig::default(),
+            )),
+        );
+        let wal = |name| reg.counter_value(name, &[("log", "meta-zebrafish")]);
+        use lsdf_obs::names::{WAL_APPENDS_TOTAL, WAL_FSYNCS_TOTAL};
+        // One insert is a batch of one: one fsync per call, where the
+        // per-record path charged one per `group_commit` (8) records.
+        for i in 0..3 {
+            store.insert(new_ds(&format!("one-{i}"), zf_doc(i, 0, 488.0))).unwrap();
+        }
+        assert_eq!((wal(WAL_APPENDS_TOTAL), wal(WAL_FSYNCS_TOTAL)), (3, 3));
+        let batch = (0..10).map(|i| new_ds(&format!("many-{i}"), zf_doc(i, 1, 488.0))).collect();
+        assert!(store.insert_batch(batch).iter().all(Result::is_ok));
+        assert_eq!((wal(WAL_APPENDS_TOTAL), wal(WAL_FSYNCS_TOTAL)), (13, 4));
+        // Nothing accepted, nothing logged, nothing synced.
+        assert!(store.insert(new_ds("one-0", zf_doc(0, 0, 488.0))).is_err());
+        assert_eq!((wal(WAL_APPENDS_TOTAL), wal(WAL_FSYNCS_TOTAL)), (13, 4));
     }
 
     fn durable_store(

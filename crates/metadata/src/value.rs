@@ -67,44 +67,85 @@ impl Value {
 
     /// An order-preserving byte key for ordered indexes. Values of
     /// different types never collide because the first byte is a type tag.
-    pub fn order_key(&self) -> Vec<u8> {
-        fn f64_key(x: f64) -> [u8; 8] {
+    pub fn order_key(&self) -> OrderKey {
+        fn f64_key(x: f64) -> u64 {
             // IEEE-754 total order trick: flip sign bit for positives,
             // all bits for negatives.
             let bits = x.to_bits();
-            let flipped = if bits >> 63 == 0 {
+            if bits >> 63 == 0 {
                 bits ^ 0x8000_0000_0000_0000
             } else {
                 !bits
-            };
-            flipped.to_be_bytes()
+            }
         }
-        fn i64_key(x: i64) -> [u8; 8] {
-            ((x as u64) ^ 0x8000_0000_0000_0000).to_be_bytes()
+        fn i64_key(x: i64) -> u64 {
+            (x as u64) ^ 0x8000_0000_0000_0000
         }
         match self {
             Value::Str(s) => {
-                let mut k = vec![0u8];
+                let mut k = Vec::with_capacity(1 + s.len());
+                k.push(0u8);
                 k.extend_from_slice(s.as_bytes());
-                k
+                OrderKey(KeyBytes::Heap(k))
             }
-            Value::Int(i) => {
-                let mut k = vec![1u8];
-                k.extend_from_slice(&i64_key(*i));
-                k
-            }
-            Value::Float(x) => {
-                let mut k = vec![2u8];
-                k.extend_from_slice(&f64_key(*x));
-                k
-            }
-            Value::Bool(b) => vec![3u8, u8::from(*b)],
-            Value::Time(t) => {
-                let mut k = vec![4u8];
-                k.extend_from_slice(&i64_key(*t));
-                k
-            }
+            Value::Int(i) => OrderKey::fixed(1, i64_key(*i)),
+            Value::Float(x) => OrderKey::fixed(2, f64_key(*x)),
+            Value::Bool(b) => OrderKey::fixed(3, u64::from(*b)),
+            Value::Time(t) => OrderKey::fixed(4, i64_key(*t)),
         }
+    }
+}
+
+/// The bytes of [`Value::order_key`]; dereferences to `[u8]` and
+/// compares as those bytes. Every key but a string's is held inline:
+/// an index probe for a numeric value allocates nothing, and an
+/// ordered index stores such keys in its own nodes.
+#[derive(Debug)]
+pub struct OrderKey(KeyBytes);
+
+#[derive(Debug)]
+enum KeyBytes {
+    Inline([u8; 9]),
+    Heap(Vec<u8>),
+}
+
+impl OrderKey {
+    /// Type tag + eight big-endian bytes of an order-preserving `u64`.
+    fn fixed(tag: u8, ordered: u64) -> Self {
+        let mut bytes = [tag; 9];
+        bytes[1..].copy_from_slice(&ordered.to_be_bytes());
+        OrderKey(KeyBytes::Inline(bytes))
+    }
+}
+
+impl std::ops::Deref for OrderKey {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match &self.0 {
+            KeyBytes::Inline(bytes) => bytes,
+            KeyBytes::Heap(k) => k,
+        }
+    }
+}
+
+impl PartialEq for OrderKey {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for OrderKey {}
+
+impl PartialOrd for OrderKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for OrderKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (**self).cmp(&**other)
     }
 }
 
@@ -177,7 +218,7 @@ mod tests {
         let xs = [-5i64, -1, 0, 1, 42, i64::MIN, i64::MAX];
         let mut sorted = xs.to_vec();
         sorted.sort_unstable();
-        let mut keys: Vec<(Vec<u8>, i64)> =
+        let mut keys: Vec<(OrderKey, i64)> =
             xs.iter().map(|&x| (Value::Int(x).order_key(), x)).collect();
         keys.sort();
         let by_key: Vec<i64> = keys.into_iter().map(|(_, x)| x).collect();
@@ -187,7 +228,7 @@ mod tests {
     #[test]
     fn order_key_preserves_float_order() {
         let xs = [-1e9f64, -1.5, -0.0, 0.0, 1e-9, 3.25, 7e8];
-        let mut keys: Vec<(Vec<u8>, f64)> = xs
+        let mut keys: Vec<(OrderKey, f64)> = xs
             .iter()
             .map(|&x| (Value::Float(x).order_key(), x))
             .collect();

@@ -19,6 +19,7 @@ use std::collections::BTreeSet;
 
 use crate::record::{DatasetId, DatasetRecord, ProcessingResult};
 use crate::schema::Document;
+use crate::store::NewDataset;
 use crate::value::Value;
 use lsdf_durability::{Dec, Enc};
 
@@ -115,13 +116,7 @@ const TAG_APPEND_PROCESSING: u8 = 4;
 pub(crate) enum MetaWalRecord {
     /// A dataset registration. The id is not logged: ids are dense
     /// insertion indexes, so log order reassigns the original id.
-    Insert {
-        name: String,
-        location: String,
-        size_bytes: u64,
-        checksum_hex: String,
-        basic: Document,
-    },
+    Insert(NewDataset),
     /// First addition of a tag to a dataset.
     Tag { id: DatasetId, tag: String },
     /// Removal of a present tag from a dataset.
@@ -137,18 +132,43 @@ pub(crate) enum MetaWalRecord {
     },
 }
 
+/// An upper bound on an insert's encoded size, so its encoder is
+/// allocated once: every string's bytes, plus an allowance per string
+/// and per field that covers whatever length prefix, tag and
+/// fixed-width value the format puts around them.
+fn insert_size_hint(new: &NewDataset) -> usize {
+    const ALLOWANCE: usize = 16;
+    let fields = new.basic.iter().map(|(k, v)| match v {
+        Value::Str(s) => ALLOWANCE + k.len() + s.len(),
+        _ => ALLOWANCE + k.len(),
+    });
+    4 * ALLOWANCE
+        + new.name.len()
+        + new.location.len()
+        + new.checksum_hex.len()
+        + fields.sum::<usize>()
+}
+
 impl MetaWalRecord {
+    /// Encodes an [`MetaWalRecord::Insert`] from the registration's
+    /// borrowed fields: the store logs a dataset without first cloning
+    /// it into a record.
+    pub(crate) fn encode_insert(new: &NewDataset) -> Vec<u8> {
+        let NewDataset { name, location, size_bytes, checksum_hex, basic } = new;
+        let mut e = Enc::with_capacity(insert_size_hint(new));
+        e.u8(TAG_INSERT);
+        e.str(name);
+        e.str(location);
+        e.u64(*size_bytes);
+        e.str(checksum_hex);
+        enc_doc(&mut e, basic);
+        e.finish()
+    }
+
     pub(crate) fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();
         match self {
-            MetaWalRecord::Insert { name, location, size_bytes, checksum_hex, basic } => {
-                e.u8(TAG_INSERT);
-                e.str(name);
-                e.str(location);
-                e.u64(*size_bytes);
-                e.str(checksum_hex);
-                enc_doc(&mut e, basic);
-            }
+            MetaWalRecord::Insert(new) => return Self::encode_insert(new),
             MetaWalRecord::Tag { id, tag } => {
                 e.u8(TAG_TAG);
                 e.u64(id.0);
@@ -177,13 +197,13 @@ impl MetaWalRecord {
     pub(crate) fn decode(bytes: &[u8]) -> Option<Self> {
         let mut d = Dec::new(bytes);
         let rec = match d.u8()? {
-            TAG_INSERT => MetaWalRecord::Insert {
+            TAG_INSERT => MetaWalRecord::Insert(NewDataset {
                 name: d.str()?,
                 location: d.str()?,
                 size_bytes: d.u64()?,
                 checksum_hex: d.str()?,
                 basic: dec_doc(&mut d)?,
-            },
+            }),
             TAG_TAG => MetaWalRecord::Tag { id: DatasetId(d.u64()?), tag: d.str()? },
             TAG_UNTAG => MetaWalRecord::Untag { id: DatasetId(d.u64()?), tag: d.str()? },
             TAG_APPEND_PROCESSING => MetaWalRecord::AppendProcessing {
@@ -307,13 +327,13 @@ mod tests {
     #[test]
     fn record_roundtrip() {
         let records = vec![
-            MetaWalRecord::Insert {
+            MetaWalRecord::Insert(NewDataset {
                 name: "img-001".into(),
                 location: "lsdf://zebrafish/raw/img-001".into(),
                 size_bytes: 4_000_000,
                 checksum_hex: "ab12".into(),
                 basic: doc(),
-            },
+            }),
             MetaWalRecord::Tag { id: DatasetId(3), tag: "needs-processing".into() },
             MetaWalRecord::Untag { id: DatasetId(3), tag: "needs-processing".into() },
             MetaWalRecord::AppendProcessing {
@@ -326,6 +346,9 @@ mod tests {
             },
         ];
         for r in records {
+            if let MetaWalRecord::Insert(new) = &r {
+                assert!(r.encode().len() <= insert_size_hint(new), "encoder never regrows");
+            }
             assert_eq!(MetaWalRecord::decode(&r.encode()), Some(r));
         }
     }

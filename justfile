@@ -70,6 +70,22 @@ report:
 bench-snapshot:
     cargo run --release -p lsdf-bench --bin bench_snapshot
 
+# The facility benchmark (BENCHMARK.json's program) at smoke size: every
+# workload once, failing unless its result line says `"correct": true`
+# with 0 failed operations (a panic leaves no result line). Timings are
+# printed, not judged: a smoke phase lasts microseconds and scatters
+# wider than bounds measured on 28 s runs, which is why this is not
+# `--selfcheck --smoke`. Measure with the BENCHMARK.json command and
+# paired runs (README "Measuring").
+bench:
+    cargo build --release --offline -p lsdf-bench --bin benchmark
+    for w in htm_bulk daq_events dfs_analysis browse_during_ingest; do \
+        line=$(target/release/benchmark --workload $w --trace 0 --smoke | tail -n 1); \
+        echo "$w $line"; \
+        echo "$line" | grep -q '^{"correct": true, "attempted": [0-9]*, "failed": 0,' \
+            || { echo "bench: $w did not read back correct with 0 failed"; exit 1; }; \
+    done
+
 # CI smoke: quick-mode ingest throughput must stay within 2x of the
 # committed BENCH_E1.json baseline, the WAL ingest tax within 1.5x, and
 # a 100k-file recovery within 4x of the committed BENCH_RECOVERY.json

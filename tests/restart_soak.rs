@@ -31,7 +31,7 @@ use lsdf_core::{BackendChoice, Facility, IngestItem, IngestPolicy, ProjectSpec, 
 use lsdf_dfs::{ClusterTopology, DfsConfig};
 use lsdf_durability::{DurabilityConfig, DurableStore};
 use lsdf_metadata::{Document, FieldType, SchemaBuilder, Value};
-use lsdf_obs::{names, Registry};
+use lsdf_obs::{names, Registry, TraceCtx};
 use lsdf_sim::SimRng;
 use lsdf_storage::sha256;
 
@@ -173,6 +173,20 @@ fn run_soak_with(seed: u64, workers: usize) -> (String, Vec<RecoveryReport>) {
         );
         f.run_durability_reconciler();
         for cp in plan.crashes_due(last_poll, now) {
+            // The crash lands between `commit_staged` and
+            // `insert_batch`: one object per project is committed to
+            // storage (through the namenode WAL for the DFS mount) and
+            // the catalog never hears of it.
+            let orphans = ["spectro", "imaging"].map(|p| format!("lsdf://{p}/orphan/{}", cp.at_ns));
+            let staged = orphans
+                .iter()
+                .map(|path| {
+                    f.adal()
+                        .put_stage_traced(&TraceCtx::disabled(), &admin, path, Bytes::from_static(b"never acked"))
+                        .expect("staging an orphan")
+                })
+                .collect();
+            assert!(f.adal().commit_staged(staged).iter().all(Result::is_ok));
             let dfs_digest = f.dfs().namespace_digest();
             let spectro_digest = f.store("spectro").unwrap().catalog_digest();
             let imaging_digest = f.store("imaging").unwrap().catalog_digest();
@@ -194,6 +208,14 @@ fn run_soak_with(seed: u64, workers: usize) -> (String, Vec<RecoveryReport>) {
                 "imaging catalog replay drifted"
             );
             verify_acked(&f, &model, &format!("after crash at {}ns", cp.at_ns));
+            // Storage kept what it committed; the catalogs (digests
+            // above) hold exactly what was acked — no half-registered
+            // entry for bytes whose ingest never completed.
+            for (project, path) in ["spectro", "imaging"].iter().zip(&orphans) {
+                assert!(f.adal().get(&admin, path).is_ok(), "{path} was committed");
+                let key = format!("orphan/{}", cp.at_ns);
+                assert!(f.store(project).unwrap().get_by_name(&key).is_none());
+            }
             reports.push(report);
         }
         last_poll = now;
@@ -221,17 +243,21 @@ fn run_soak_with(seed: u64, workers: usize) -> (String, Vec<RecoveryReport>) {
     );
     verify_acked(&f, &model, "at end of soak");
     // Batched WAL group commit: every N-file batch commit on the
-    // namenode WAL shares ONE accounted fsync. The per-record path
-    // charges one fsync per `group_commit` (default 8) records, so the
-    // batched path must beat that floor outright across the soak.
-    let appends = reg.counter_value(names::WAL_APPENDS_TOTAL, &[("log", "dfs")]);
-    let fsyncs = reg.counter_value(names::WAL_FSYNCS_TOTAL, &[("log", "dfs")]);
-    assert!(appends > 0, "namenode WAL saw no traffic");
-    assert!(
-        fsyncs > 0 && fsyncs * 8 < appends,
-        "batched commit did not amortize fsyncs: {fsyncs} fsyncs for {appends} appends          (per-record group commit would charge ~{})",
-        appends / 8
-    );
+    // namenode WAL, and every N-dataset catalog commit on a metadata
+    // WAL, shares ONE accounted fsync. The per-record path charges one
+    // fsync per `group_commit` (default 8) records, so the batched path
+    // must beat that floor outright across the soak, on every log.
+    for log in ["dfs", "meta-spectro", "meta-imaging"] {
+        let appends = reg.counter_value(names::WAL_APPENDS_TOTAL, &[("log", log)]);
+        let fsyncs = reg.counter_value(names::WAL_FSYNCS_TOTAL, &[("log", log)]);
+        assert!(appends > 0, "{log} WAL saw no traffic");
+        assert!(
+            fsyncs > 0 && fsyncs * 8 < appends,
+            "batched commit did not amortize fsyncs on {log}: {fsyncs} fsyncs for {appends} \
+             appends (per-record group commit would charge ~{})",
+            appends / 8
+        );
+    }
     (reg.to_json(), reports)
 }
 
