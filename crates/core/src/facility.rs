@@ -401,6 +401,9 @@ pub struct ComponentRecovery {
     pub component: String,
     /// A verified checkpoint was loaded as the replay base.
     pub snapshot_loaded: bool,
+    /// A checkpoint was on disk and failed verification; the component
+    /// holds what its surviving WAL segments hold.
+    pub checkpoint_rejected: bool,
     /// WAL records applied during replay.
     pub replayed: u64,
     /// WAL records skipped (effect already present).
@@ -434,9 +437,10 @@ impl RecoveryReport {
         let mut out = String::from("{\n  \"components\": [\n");
         for (i, c) in self.components.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"component\": \"{}\", \"snapshot_loaded\": {}, \"replayed\": {}, \"skipped\": {}, \"torn_tails\": {}}}{}\n",
+                "    {{\"component\": \"{}\", \"snapshot_loaded\": {}, \"checkpoint_rejected\": {}, \"replayed\": {}, \"skipped\": {}, \"torn_tails\": {}}}{}\n",
                 c.component,
                 c.snapshot_loaded,
+                c.checkpoint_rejected,
                 c.replayed,
                 c.skipped,
                 c.torn_tails,
@@ -628,6 +632,7 @@ impl Facility {
             components.push(ComponentRecovery {
                 component: "dfs".to_string(),
                 snapshot_loaded: s.snapshot_loaded,
+                checkpoint_rejected: s.checkpoint_rejected,
                 replayed: s.replayed,
                 skipped: s.skipped,
                 torn_tails: s.torn_tails,
@@ -641,6 +646,7 @@ impl Facility {
             components.push(ComponentRecovery {
                 component: format!("meta-{p}"),
                 snapshot_loaded: s.snapshot_loaded,
+                checkpoint_rejected: s.checkpoint_rejected,
                 replayed: s.replayed,
                 skipped: s.skipped,
                 torn_tails: s.torn_tails,

@@ -20,7 +20,7 @@ use crate::cluster::{ClusterTopology, DfsNodeId, Locality};
 use crate::datanode::{BlockId, DataNode, DataNodeError};
 use crate::shard::ShardedMap;
 use crate::wal::{BlockEntry, DfsSnapshot, DfsWalRecord};
-use lsdf_durability::ComponentDurability;
+use lsdf_durability::{Chunk, ComponentDurability};
 use lsdf_obs::names;
 use lsdf_storage::{sha256, Payload};
 
@@ -239,6 +239,9 @@ pub struct Dfs {
 pub struct DfsRecoveryStats {
     /// A verified checkpoint was loaded as the replay base.
     pub snapshot_loaded: bool,
+    /// A checkpoint was on disk and failed verification; the namespace
+    /// holds what the surviving WAL segments hold.
+    pub checkpoint_rejected: bool,
     /// WAL records replayed over the base.
     pub replayed: u64,
     /// Replayed records whose effect was already present.
@@ -1068,23 +1071,23 @@ impl Dfs {
     }
 
     /// Takes a checkpoint now (rotate WAL → snapshot → persist →
-    /// truncate old segments). Returns the checkpoint's content hash,
+    /// truncate old segments). Returns how many chunks were written,
     /// or `None` when the namenode is not durable.
-    pub fn checkpoint(&self) -> Option<String> {
+    ///
+    /// The namespace is always one chunk, always written: it is keyed
+    /// by path and deletes move entries, so there is no stable range to
+    /// cut it by, and no workload brings it to a checkpoint large
+    /// enough to measure one.
+    pub fn checkpoint(&self) -> Option<u64> {
         let d = self.durability.as_ref()?;
-        Some(d.checkpoint_with(|| self.snapshot().encode()))
+        d.checkpoint_with(|_| vec![Chunk::Put(self.snapshot().encode())])
     }
 
     /// Checkpoints only when the configured record threshold has been
     /// reached; returns whether one was taken.
     pub fn maybe_checkpoint(&self) -> bool {
-        match &self.durability {
-            Some(d) if d.should_checkpoint() => {
-                d.checkpoint_with(|| self.snapshot().encode());
-                true
-            }
-            _ => false,
-        }
+        let due = self.durability.as_ref().is_some_and(ComponentDurability::should_checkpoint);
+        due && self.checkpoint().is_some()
     }
 
     /// Simulates a namenode crash: every volatile structure (file table,
@@ -1110,10 +1113,12 @@ impl Dfs {
         };
         let recovered = d.recover();
         let mut stats = DfsRecoveryStats {
+            checkpoint_rejected: recovered.checkpoint_rejected,
             torn_tails: recovered.torn_tails,
             ..DfsRecoveryStats::default()
         };
-        if let Some(snap) = recovered.snapshot.as_deref().and_then(DfsSnapshot::decode) {
+        let chunk = recovered.snapshot.as_ref().and_then(|chunks| chunks.first());
+        if let Some(snap) = chunk.and_then(|bytes| DfsSnapshot::decode(bytes)) {
             stats.snapshot_loaded = true;
             self.next_block.fetch_max(snap.next_block, Ordering::Relaxed);
             for (id, size, replicas) in snap.blocks {

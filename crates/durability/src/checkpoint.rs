@@ -1,15 +1,31 @@
-//! Content-addressed checkpoints with an atomically replaced manifest.
+//! Chunked, content-addressed checkpoints behind an atomically
+//! replaced manifest.
 //!
-//! A checkpoint is a full canonical snapshot of a component's state,
-//! stored in a device named by the SHA-256 of its bytes
-//! (`<name>-ckpt-<hex>`). The manifest device (`<name>-manifest`)
-//! points at the current checkpoint hash and the WAL epoch from which
-//! replay must start; it is replaced atomically (write-temp + rename in
-//! a real filesystem, [`MemDisk::set`] here), so recovery always sees
-//! either the old pair or the new pair, never a half-written one.
-//! Content addressing gives a free integrity check: a blob whose hash
-//! does not match its name is ignored and recovery falls back to pure
-//! WAL replay from epoch 0.
+//! A checkpoint is an ordered list of chunks. Each chunk lives in a
+//! device named by the SHA-256 of its bytes (`<name>-ckpt-<hex>`); the
+//! manifest device (`<name>-manifest`) lists the chunk hashes in order,
+//! how many records the component puts in a chunk, and the WAL epoch
+//! from which replay must start:
+//!
+//! ```text
+//! u8 version = 2 | u64 wal_epoch | u64 chunk_records | u32 count | count x [u8; 32]
+//! ```
+//!
+//! A save writes only the chunks the component hands it as
+//! [`Chunk::Put`]; a [`Chunk::Keep`] carries the hash the current
+//! manifest holds at that index into the new one. The manifest is
+//! replaced atomically (write-temp + rename in a real filesystem,
+//! [`MemDisk::set`] here) after every new chunk is down, and chunks the
+//! new manifest does not name are collected after that, so a crash
+//! leaves one of three states, each of which recovers:
+//!
+//! * new chunks, old manifest — the old checkpoint, whose WAL segments
+//!   were not yet truncated; the new chunks are orphans;
+//! * new manifest, old chunks not yet collected — the new checkpoint;
+//!   the next save collects the orphans;
+//! * a chunk the manifest names is missing or fails its hash — the
+//!   checkpoint is rejected as a whole and counted, and recovery
+//!   replays whatever WAL survives from epoch 0.
 //!
 //! [`MemDisk::set`]: crate::device::MemDisk::set
 
@@ -17,32 +33,56 @@ use crate::codec::{Dec, Enc};
 use crate::device::DurableStore;
 use lsdf_obs::names;
 use lsdf_obs::{Counter, Histogram, Registry};
-use lsdf_storage::sha256;
+use lsdf_storage::{sha256, Digest};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// The durable pointer at the root of recovery.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Manifest {
-    /// Hex SHA-256 of the current checkpoint blob, if one exists.
-    pub ckpt_hex: Option<String>,
-    /// WAL segments at or above this epoch must be replayed over the
-    /// checkpoint.
-    pub wal_epoch: u64,
+/// One position of a checkpoint being saved.
+#[derive(Debug)]
+pub enum Chunk {
+    /// Unchanged since the last checkpoint: the chunk the current
+    /// manifest names at this index stays.
+    Keep,
+    /// The bytes of this index now.
+    Put(Vec<u8>),
 }
 
-const MANIFEST_VERSION: u8 = 1;
+/// What [`CheckpointStore::load`] found.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Loaded {
+    /// No manifest: the component never checkpointed.
+    Absent,
+    /// A manifest that does not decode, or names a chunk that is
+    /// missing or fails its hash. Nothing of it is used.
+    Rejected,
+    /// Every chunk verified.
+    Verified {
+        /// WAL segments at or above this epoch replay over the chunks.
+        wal_epoch: u64,
+        /// The chunks, in manifest order.
+        chunks: Vec<Vec<u8>>,
+    },
+}
+
+/// The durable pointer at the root of recovery.
+#[derive(Debug, PartialEq, Eq)]
+struct Manifest {
+    wal_epoch: u64,
+    chunk_records: u64,
+    chunks: Vec<Digest>,
+}
+
+const MANIFEST_VERSION: u8 = 2;
 
 impl Manifest {
     fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
+        let mut e = Enc::with_capacity(21 + 32 * self.chunks.len());
         e.u8(MANIFEST_VERSION);
         e.u64(self.wal_epoch);
-        match &self.ckpt_hex {
-            Some(hex) => {
-                e.u8(1);
-                e.str(hex);
-            }
-            None => e.u8(0),
+        e.u64(self.chunk_records);
+        e.u32(self.chunks.len() as u32);
+        for hash in &self.chunks {
+            e.raw(&hash.0);
         }
         e.finish()
     }
@@ -52,23 +92,24 @@ impl Manifest {
         if d.u8()? != MANIFEST_VERSION {
             return None;
         }
-        let wal_epoch = d.u64()?;
-        let ckpt_hex = match d.u8()? {
-            0 => None,
-            1 => Some(d.str()?),
-            _ => return None,
-        };
-        Some(Self { ckpt_hex, wal_epoch })
+        let (wal_epoch, chunk_records, count) = (d.u64()?, d.u64()?, d.u32()?);
+        let chunks = (0..count)
+            .map(|_| Some(Digest(d.take(32)?.try_into().ok()?)))
+            .collect::<Option<_>>()?;
+        d.at_end().then_some(Self { wal_epoch, chunk_records, chunks })
     }
 }
 
 struct CkptObs {
     taken: Counter,
     bytes: Histogram,
+    chunks_written: Counter,
+    chunks_reused: Counter,
+    rejected: Counter,
     truncated: Counter,
 }
 
-/// Saves and loads content-addressed checkpoints for one component.
+/// Saves and loads chunked checkpoints for one component.
 pub struct CheckpointStore {
     store: DurableStore,
     name: String,
@@ -82,37 +123,71 @@ impl CheckpointStore {
         let obs = CkptObs {
             taken: registry.counter(names::CKPT_TAKEN_TOTAL, labels),
             bytes: registry.histogram(names::CKPT_BYTES, labels),
+            chunks_written: registry.counter(names::CKPT_CHUNKS_WRITTEN_TOTAL, labels),
+            chunks_reused: registry.counter(names::CKPT_CHUNKS_REUSED_TOTAL, labels),
+            rejected: registry.counter(names::CKPT_REJECTED_TOTAL, labels),
             truncated: registry.counter(names::CKPT_SEGMENTS_TRUNCATED_TOTAL, labels),
         };
         Self { store, name: name.to_string(), obs }
     }
 
-    fn blob_device(&self, hex: &str) -> String {
-        format!("{}-ckpt-{hex}", self.name)
+    fn chunk_prefix(&self) -> String {
+        format!("{}-ckpt-", self.name)
     }
 
     fn manifest_device(&self) -> String {
         format!("{}-manifest", self.name)
     }
 
-    /// Writes a checkpoint blob, atomically repoints the manifest at it
-    /// (with `wal_epoch` as the replay floor), and garbage-collects
-    /// superseded blobs. Returns the new checkpoint's hex hash.
-    pub fn save(&self, snapshot: &[u8], wal_epoch: u64) -> String {
-        let hex = sha256(snapshot).to_hex();
-        self.store.open(&self.blob_device(&hex)).set(snapshot);
-        let manifest = Manifest { ckpt_hex: Some(hex.clone()), wal_epoch };
-        self.store.open(&self.manifest_device()).set(&manifest.encode());
-        // Older blobs are unreachable once the manifest points elsewhere.
-        let keep = self.blob_device(&hex);
-        for dev in self.store.names_with_prefix(&format!("{}-ckpt-", self.name)) {
-            if dev != keep {
+    /// Saves a checkpoint of `chunks.len()` chunks with `wal_epoch` as
+    /// the replay floor: hashes each [`Chunk::Put`] once and moves it
+    /// into its device, replaces the manifest, then collects the chunk
+    /// devices the new manifest does not name. Returns how many chunks
+    /// were written.
+    ///
+    /// `None` when a [`Chunk::Keep`] has nothing to keep — the current
+    /// manifest is shorter, absent, or was written with another
+    /// `chunk_records`. The manifest has not moved then; the caller
+    /// saves again with every chunk a `Put`.
+    pub fn save(&self, chunks: Vec<Chunk>, chunk_records: u64, wal_epoch: u64) -> Option<u64> {
+        let prefix = self.chunk_prefix();
+        let current = self
+            .store
+            .get(&self.manifest_device())
+            .and_then(|dev| Manifest::decode(&dev.read()))
+            .filter(|m| m.chunk_records == chunk_records)
+            .map_or_else(Vec::new, |m| m.chunks);
+        let (mut written, mut bytes) = (0u64, 0u64);
+        let mut hashes = Vec::with_capacity(chunks.len());
+        for (i, chunk) in chunks.into_iter().enumerate() {
+            hashes.push(match chunk {
+                Chunk::Keep => *current.get(i)?,
+                Chunk::Put(body) => {
+                    let hash = sha256(&body);
+                    written += 1;
+                    bytes += body.len() as u64;
+                    self.store.open(&format!("{prefix}{hash}")).set(body);
+                    hash
+                }
+            });
+        }
+        let manifest = Manifest { wal_epoch, chunk_records, chunks: hashes };
+        self.store.open(&self.manifest_device()).set(manifest.encode());
+        // Only a name this store could have written — the prefix and
+        // exactly one hex digest — is its to remove: a component called
+        // `<name>-ckpt-x` keeps its segments, manifest and chunks.
+        let live: BTreeSet<&Digest> = manifest.chunks.iter().collect();
+        for dev in self.store.names_with_prefix(&prefix) {
+            let hash = dev.strip_prefix(&prefix).and_then(Digest::from_hex);
+            if hash.is_some_and(|h| !live.contains(&h)) {
                 self.store.remove(&dev);
             }
         }
         self.obs.taken.inc();
-        self.obs.bytes.record(snapshot.len() as u64);
-        hex
+        self.obs.bytes.record(bytes);
+        self.obs.chunks_written.add(written);
+        self.obs.chunks_reused.add(manifest.chunks.len() as u64 - written);
+        Some(written)
     }
 
     /// Records how many WAL segments the caller truncated after this
@@ -121,23 +196,31 @@ impl CheckpointStore {
         self.obs.truncated.add(segments);
     }
 
-    /// Loads the manifest and, if it names a checkpoint, the verified
-    /// blob. A missing manifest yields the default (epoch 0, no blob); a
-    /// blob that is missing or fails its hash check is dropped so the
-    /// caller replays the WAL from the manifest epoch with no base state
-    /// (idempotent replay makes that safe when segments still exist).
-    pub fn load(&self) -> (Manifest, Option<Vec<u8>>) {
+    /// Loads the manifest and every chunk it names, in order. One chunk
+    /// missing or failing its hash rejects the checkpoint as a whole
+    /// (counted on `ckpt_rejected_total`): the caller replays the WAL
+    /// from epoch 0 with no base state, which idempotent replay makes
+    /// safe for whatever segments still exist.
+    pub fn load(&self) -> Loaded {
         let Some(dev) = self.store.get(&self.manifest_device()) else {
-            return (Manifest::default(), None);
+            return Loaded::Absent;
         };
-        let Some(manifest) = Manifest::decode(&dev.read()) else {
-            return (Manifest::default(), None);
-        };
-        let blob = manifest.ckpt_hex.as_ref().and_then(|hex| {
-            let bytes = self.store.get(&self.blob_device(hex))?.read();
-            (sha256(&bytes).to_hex() == *hex).then_some(bytes)
+        let prefix = self.chunk_prefix();
+        let verified = Manifest::decode(&dev.read()).and_then(|m| {
+            let chunks = m
+                .chunks
+                .iter()
+                .map(|hash| {
+                    let body = self.store.get(&format!("{prefix}{hash}"))?.read();
+                    (sha256(&body) == *hash).then_some(body)
+                })
+                .collect::<Option<_>>()?;
+            Some(Loaded::Verified { wal_epoch: m.wal_epoch, chunks })
         });
-        (manifest, blob)
+        verified.unwrap_or_else(|| {
+            self.obs.rejected.inc();
+            Loaded::Rejected
+        })
     }
 }
 
@@ -145,42 +228,108 @@ impl CheckpointStore {
 mod tests {
     use super::*;
 
-    fn registry() -> Arc<Registry> {
-        Arc::new(Registry::new())
+    fn open(store: &DurableStore) -> (CheckpointStore, Arc<Registry>) {
+        let reg = Arc::new(Registry::new());
+        (CheckpointStore::open(store.clone(), "t", &reg), reg)
+    }
+
+    fn put(bodies: &[&[u8]]) -> Vec<Chunk> {
+        bodies.iter().map(|b| Chunk::Put(b.to_vec())).collect()
+    }
+
+    fn verified(wal_epoch: u64, bodies: &[&[u8]]) -> Loaded {
+        Loaded::Verified { wal_epoch, chunks: bodies.iter().map(|b| b.to_vec()).collect() }
     }
 
     #[test]
     fn save_load_roundtrip_and_gc() {
         let store = DurableStore::new();
-        let ckpts = CheckpointStore::open(store.clone(), "t", &registry());
-        let h1 = ckpts.save(b"state-v1", 1);
-        let h2 = ckpts.save(b"state-v2", 2);
-        assert_ne!(h1, h2);
-        let (m, blob) = ckpts.load();
-        assert_eq!(m.wal_epoch, 2);
-        assert_eq!(m.ckpt_hex.as_deref(), Some(h2.as_str()));
-        assert_eq!(blob.as_deref(), Some(&b"state-v2"[..]));
-        // Superseded blob was garbage-collected.
-        assert_eq!(store.names_with_prefix("t-ckpt-").len(), 1);
+        let (ckpts, reg) = open(&store);
+        assert_eq!(ckpts.save(put(&[b"a0", b"b0", b"c0"]), 4, 1), Some(3));
+        assert_eq!(ckpts.load(), verified(1, &[b"a0", b"b0", b"c0"]));
+        // The middle chunk changed and a fourth appeared.
+        let next = vec![Chunk::Keep, Chunk::Put(b"b1".to_vec()), Chunk::Keep, Chunk::Put(b"d0".to_vec())];
+        assert_eq!(ckpts.save(next, 4, 2), Some(2));
+        assert_eq!(ckpts.load(), verified(2, &[b"a0", b"b1", b"c0", b"d0"]));
+        assert_eq!(store.names_with_prefix("t-ckpt-").len(), 4, "b0 was collected");
+        let count = |name| reg.counter_value(name, &[("log", "t")]);
+        assert_eq!(count(names::CKPT_TAKEN_TOTAL), 2);
+        assert_eq!(count(names::CKPT_CHUNKS_WRITTEN_TOTAL), 5);
+        assert_eq!(count(names::CKPT_CHUNKS_REUSED_TOTAL), 2);
+        let bytes = reg.histogram(names::CKPT_BYTES, &[("log", "t")]);
+        assert_eq!((bytes.count(), bytes.sum()), (2, 10), "bytes written, not bytes referenced");
+        // Nothing changed: nothing is written, the replay floor moves.
+        assert_eq!(ckpts.save((0..4).map(|_| Chunk::Keep).collect(), 4, 3), Some(0));
+        assert_eq!(ckpts.load(), verified(3, &[b"a0", b"b1", b"c0", b"d0"]));
+        // An empty state is a checkpoint too, distinct from none at all.
+        assert_eq!(ckpts.save(Vec::new(), 4, 4), Some(0));
+        assert_eq!(ckpts.load(), verified(4, &[]));
+        assert!(store.names_with_prefix("t-ckpt-").is_empty());
+    }
+
+    #[test]
+    fn chunks_with_equal_bytes_share_one_device() {
+        let store = DurableStore::new();
+        let (ckpts, _) = open(&store);
+        ckpts.save(put(&[b"same", b"same", b"other"]), 4, 1);
+        assert_eq!(store.names_with_prefix("t-ckpt-").len(), 2);
+        ckpts.save(vec![Chunk::Put(b"new".to_vec()), Chunk::Keep, Chunk::Keep], 4, 2);
+        assert_eq!(ckpts.load(), verified(2, &[b"new", b"same", b"other"]));
+    }
+
+    #[test]
+    fn a_keep_with_nothing_to_keep_fails_before_the_manifest_moves() {
+        let store = DurableStore::new();
+        let (ckpts, _) = open(&store);
+        assert_eq!(ckpts.save(vec![Chunk::Keep], 4, 1), None, "no manifest yet");
+        assert_eq!(ckpts.load(), Loaded::Absent);
+        ckpts.save(put(&[b"a", b"b"]), 4, 1);
+        let longer = vec![Chunk::Keep, Chunk::Keep, Chunk::Keep];
+        assert_eq!(ckpts.save(longer, 4, 2), None, "index 2 was never written");
+        let resized = vec![Chunk::Put(b"a2".to_vec()), Chunk::Keep];
+        assert_eq!(ckpts.save(resized, 8, 2), None, "chunks of 4 records are not chunks of 8");
+        assert_eq!(ckpts.load(), verified(1, &[b"a", b"b"]));
+        // The orphan `a2` goes with the next save that lands.
+        assert_eq!(store.names_with_prefix("t-ckpt-").len(), 3);
+        assert_eq!(ckpts.save(put(&[b"a", b"b"]), 8, 2), Some(2));
+        assert_eq!(store.names_with_prefix("t-ckpt-").len(), 2);
     }
 
     #[test]
     fn missing_manifest_is_epoch_zero() {
         let store = DurableStore::new();
-        let ckpts = CheckpointStore::open(store, "t", &registry());
-        let (m, blob) = ckpts.load();
-        assert_eq!(m, Manifest::default());
-        assert!(blob.is_none());
+        let (ckpts, reg) = open(&store);
+        assert_eq!(ckpts.load(), Loaded::Absent);
+        assert_eq!(reg.counter_value(names::CKPT_REJECTED_TOTAL, &[("log", "t")]), 0);
     }
 
     #[test]
-    fn corrupt_blob_is_rejected() {
+    fn one_bad_chunk_rejects_the_whole_checkpoint() {
+        let bodies: [&[u8]; 3] = [b"first", b"second", b"third"];
+        for damaged in 0..3 {
+            for remove in [false, true] {
+                let store = DurableStore::new();
+                let (ckpts, reg) = open(&store);
+                ckpts.save(put(&bodies), 4, 3);
+                let dev = format!("t-ckpt-{}", sha256(bodies[damaged]));
+                if remove {
+                    assert!(store.remove(&dev));
+                } else {
+                    store.open(&dev).set(b"tampered".to_vec());
+                }
+                assert_eq!(ckpts.load(), Loaded::Rejected, "chunk {damaged} remove={remove}");
+                assert_eq!(reg.counter_value(names::CKPT_REJECTED_TOTAL, &[("log", "t")]), 1);
+            }
+        }
+        // So does a manifest that is not one (an older version byte).
         let store = DurableStore::new();
-        let ckpts = CheckpointStore::open(store.clone(), "t", &registry());
-        let hex = ckpts.save(b"good", 3);
-        store.open(&format!("t-ckpt-{hex}")).set(b"tampered");
-        let (m, blob) = ckpts.load();
-        assert_eq!(m.wal_epoch, 3);
-        assert!(blob.is_none());
+        let (ckpts, _) = open(&store);
+        ckpts.save(put(&bodies), 4, 3);
+        let manifest = store.open("t-manifest");
+        let mut bytes = manifest.read();
+        assert_eq!(bytes.len(), 21 + 3 * 32);
+        bytes[0] = 1;
+        manifest.set(bytes);
+        assert_eq!(ckpts.load(), Loaded::Rejected);
     }
 }

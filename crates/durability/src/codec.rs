@@ -62,6 +62,11 @@ impl Enc {
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 
+    /// Appends bytes as they are, for fields of a fixed, known width.
+    pub fn raw(&mut self, v: &[u8]) {
+        self.buf.extend_from_slice(v);
+    }
+
     /// Appends a length-prefixed byte string.
     pub fn bytes(&mut self, v: &[u8]) {
         self.u32(v.len() as u32);
@@ -91,7 +96,8 @@ impl<'a> Dec<'a> {
         self.pos == self.buf.len()
     }
 
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+    /// Reads `n` bytes as they are (see [`Enc::raw`]).
+    pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         let end = self.pos.checked_add(n)?;
         if end > self.buf.len() {
             return None;

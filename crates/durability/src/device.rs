@@ -12,7 +12,7 @@
 //!
 //! A [`DurableStore`] is a flat named-device directory shared by every
 //! durable component of a facility — the namenode WAL segments, the
-//! per-project metadata WAL segments, checkpoint blobs, and manifests
+//! per-project metadata WAL segments, checkpoint chunks, and manifests
 //! all live here under distinct names, which is what lets a facility be
 //! re-opened "from disk" after a crash.
 
@@ -63,11 +63,11 @@ impl MemDisk {
     }
 
     /// Atomically replaces the entire durable image (models write-temp +
-    /// rename, the idiom used for manifests and checkpoint blobs). The
-    /// write cache is discarded.
-    pub fn set(&self, data: &[u8]) {
+    /// rename, the idiom used for manifests and checkpoint chunks). The
+    /// buffer is moved in, not copied; the write cache is discarded.
+    pub fn set(&self, data: Vec<u8>) {
         let mut s = self.state.lock();
-        s.synced = data.to_vec();
+        s.synced = data;
         s.staged.clear();
     }
 

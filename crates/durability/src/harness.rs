@@ -7,13 +7,14 @@
 //! * every acked mutation calls [`ComponentDurability::log`] with a
 //!   canonical record *before* returning to the caller;
 //! * a background reconciler polls [`ComponentDurability::should_checkpoint`]
-//!   and calls [`ComponentDurability::checkpoint_with`] with a canonical
-//!   full-state snapshot;
+//!   and calls [`ComponentDurability::checkpoint_with`] with the
+//!   canonical state as a list of chunks, of which only the ones that
+//!   changed since the last checkpoint carry bytes;
 //! * after a crash, [`ComponentDurability::recover`] hands back the
 //!   latest verified checkpoint plus the committed WAL suffix, which the
 //!   component applies idempotently.
 
-use crate::checkpoint::CheckpointStore;
+use crate::checkpoint::{CheckpointStore, Chunk, Loaded};
 use crate::device::DurableStore;
 use crate::log::{DurableLog, WalConfig};
 use lsdf_obs::names;
@@ -33,7 +34,9 @@ pub struct DurabilityConfig {
     pub fsync_ns: u64,
     /// Records per accounted fsync (see [`WalConfig::group_commit`]).
     pub group_commit: u64,
-    /// Checkpoint after this many WAL records since the last one.
+    /// Checkpoint after this many WAL records since the last one. Also
+    /// the number of records in one checkpoint chunk, so a sweep that
+    /// is due has about a chunk's worth to write.
     pub checkpoint_every: u64,
 }
 
@@ -45,8 +48,11 @@ impl Default for DurabilityConfig {
 
 /// What [`ComponentDurability::recover`] found on disk.
 pub struct Recovered {
-    /// Verified checkpoint snapshot, if any.
-    pub snapshot: Option<Vec<u8>>,
+    /// The verified checkpoint's chunks in order, if there is one.
+    pub snapshot: Option<Vec<Vec<u8>>>,
+    /// A checkpoint was on disk and failed verification: `records` is
+    /// every surviving segment from epoch 0, over no base.
+    pub checkpoint_rejected: bool,
     /// Committed WAL records to replay over the snapshot, in log order.
     pub records: Vec<Vec<u8>>,
     /// Segments that ended in a torn frame (discarded un-acked tails).
@@ -125,31 +131,50 @@ impl ComponentDurability {
         self.since_ckpt.load(Ordering::Relaxed)
     }
 
+    /// Records per checkpoint chunk: chunk `i` of what
+    /// [`ComponentDurability::checkpoint_with`] is handed covers
+    /// records `i * n .. (i + 1) * n` of the component's state.
+    pub fn chunk_records(&self) -> u64 {
+        self.checkpoint_every
+    }
+
     /// Takes a checkpoint: rotates the WAL so new records land in a
-    /// fresh segment, snapshots state via `snapshot`, persists the blob
-    /// and manifest, then truncates the superseded segments. Returns the
-    /// checkpoint's content hash.
-    pub fn checkpoint_with(&self, snapshot: impl FnOnce() -> Vec<u8>) -> String {
+    /// fresh segment, asks `snapshot(false)` for the state's chunks
+    /// (`Put` where changed since the last checkpoint, `Keep` where
+    /// not), persists the new chunks and the manifest, then truncates
+    /// the superseded segments. Returns how many chunks were written.
+    ///
+    /// A `Keep` the manifest on disk cannot honour (it was written with
+    /// another chunk size) fails the save before the manifest moves;
+    /// `snapshot(true)` then asks for every chunk as a `Put`. `None`,
+    /// with the log untruncated, only if that one holds a `Keep` too.
+    pub fn checkpoint_with(&self, snapshot: impl Fn(bool) -> Vec<Chunk>) -> Option<u64> {
         let epoch = self.log.rotate();
         self.since_ckpt.store(0, Ordering::Relaxed);
         // Mutations racing with the snapshot land in the new segment and
         // may or may not be captured by `snapshot()`; replay over the
         // checkpoint is idempotent either way.
-        let snap = snapshot();
-        let hex = self.ckpts.save(&snap, epoch);
+        let n = self.checkpoint_every;
+        let written = self
+            .ckpts
+            .save(snapshot(false), n, epoch)
+            .or_else(|| self.ckpts.save(snapshot(true), n, epoch))?;
         let truncated = self.log.truncate_below(epoch);
         self.ckpts.note_truncated(truncated);
-        hex
+        Some(written)
     }
 
     /// Reads the latest verified checkpoint and the committed WAL suffix
     /// above it. Counts the run and models replay latency on the
     /// recovery histogram.
     pub fn recover(&self) -> Recovered {
-        let (manifest, snapshot) = self.ckpts.load();
-        // If the checkpoint blob failed verification, fall back to
-        // replaying every surviving segment rather than just the suffix.
-        let from_epoch = if snapshot.is_some() { manifest.wal_epoch } else { 0 };
+        // A checkpoint that failed verification falls back to replaying
+        // every surviving segment rather than just the suffix.
+        let (from_epoch, snapshot, checkpoint_rejected) = match self.ckpts.load() {
+            Loaded::Verified { wal_epoch, chunks } => (wal_epoch, Some(chunks), false),
+            Loaded::Rejected => (0, None, true),
+            Loaded::Absent => (0, None, false),
+        };
         let replay = self.log.replay_from(from_epoch);
         self.obs.runs.inc();
         self.obs.replayed.add(replay.records.len() as u64);
@@ -157,7 +182,12 @@ impl ComponentDurability {
             .latency
             .record(RECOVERY_BASE_NS + REPLAY_NS_PER_RECORD * replay.records.len() as u64);
         self.since_ckpt.store(replay.records.len() as u64, Ordering::Relaxed);
-        Recovered { snapshot, records: replay.records, torn_tails: replay.torn_tails }
+        Recovered {
+            snapshot,
+            checkpoint_rejected,
+            records: replay.records,
+            torn_tails: replay.torn_tails,
+        }
     }
 
     /// Counts records that replay skipped because their effect was

@@ -10,8 +10,9 @@
 //!   bytes always survive; staged bytes tear);
 //! * [`DurableLog`] — an epoch-segmented, CRC-framed write-ahead log
 //!   with torn-tail-tolerant replay and group-commit cost accounting;
-//! * [`CheckpointStore`] — content-addressed full-state checkpoints
-//!   behind an atomically replaced manifest;
+//! * [`CheckpointStore`] — checkpoints as content-addressed chunks
+//!   behind an atomically replaced manifest, of which a save writes
+//!   only the chunks that changed;
 //! * [`ComponentDurability`] — the per-component bundle tying the three
 //!   together (log → checkpoint → recover);
 //! * [`Enc`] / [`Dec`] — the deterministic little-endian codec that
@@ -32,7 +33,7 @@ mod device;
 mod harness;
 mod log;
 
-pub use checkpoint::{CheckpointStore, Manifest};
+pub use checkpoint::{CheckpointStore, Chunk, Loaded};
 pub use codec::{Dec, Enc};
 pub use crc::crc32;
 pub use device::{DurableStore, MemDisk};

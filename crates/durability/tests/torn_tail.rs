@@ -70,7 +70,7 @@ fn truncation_replays_the_committed_prefix(how: Written) {
 
         // Full log recovery over a device truncated at the same offset.
         let store = DurableStore::new();
-        store.open("t-wal-00000000").set(&bytes[..cut]);
+        store.open("t-wal-00000000").set(bytes[..cut].to_vec());
         let log = DurableLog::open(
             store.clone(),
             "t",
@@ -110,4 +110,181 @@ fn corruption_never_invents_records(how: Written) {
             "{how:?} pos={pos}: parsed a non-prefix after corruption"
         );
     }
+}
+
+// --- Checkpoint crash points -----------------------------------------
+//
+// A save is three steps — new chunks down, manifest replaced, superseded
+// chunks collected — between a WAL rotation and a WAL truncation. The
+// tests below stop it after each step by composing the step's effect on
+// the `DurableStore` directly, then re-open the component "from disk".
+
+use lsdf_durability::{Chunk, ComponentDurability, DurabilityConfig, Recovered};
+use lsdf_obs::names;
+use lsdf_storage::sha256;
+
+/// A toy component: an ordered set of `u64`s, one WAL record per
+/// insertion, checkpointed as chunks of four.
+fn open(store: &DurableStore, name: &str) -> (ComponentDurability, Arc<Registry>) {
+    let reg = Arc::new(Registry::new());
+    let cfg = DurabilityConfig { checkpoint_every: 4, ..DurabilityConfig::default() };
+    (ComponentDurability::open(store, name, &reg, &cfg), reg)
+}
+
+fn log(d: &ComponentDurability, items: std::ops::Range<u64>) {
+    items.for_each(|i| d.log(&i.to_le_bytes()));
+}
+
+fn body(items: std::ops::Range<u64>) -> Vec<u8> {
+    items.flat_map(u64::to_le_bytes).collect()
+}
+
+/// Chunks of four over `0..len`: a `Put` from `first_put` on, `Keep` below.
+fn chunks(len: u64, first_put: u64) -> Vec<Chunk> {
+    (0..len.div_ceil(4))
+        .map(|c| match c >= first_put {
+            true => Chunk::Put(body(c * 4..len.min(c * 4 + 4))),
+            false => Chunk::Keep,
+        })
+        .collect()
+}
+
+/// The state a recovery yields: the checkpoint's items, then every
+/// replayed insertion not already present (replay is idempotent).
+fn state(recovered: &Recovered) -> Vec<u64> {
+    let decode = |bytes: &[u8]| -> Vec<u64> {
+        bytes.chunks_exact(8).map(|b| u64::from_le_bytes(b.try_into().unwrap())).collect()
+    };
+    let mut items: Vec<u64> = recovered.snapshot.iter().flatten().flat_map(|c| decode(c)).collect();
+    for i in recovered.records.iter().flat_map(|r| decode(r)) {
+        if !items.contains(&i) {
+            items.push(i);
+        }
+    }
+    items
+}
+
+fn chunk_device(name: &str, items: std::ops::Range<u64>) -> String {
+    format!("{name}-ckpt-{}", sha256(&body(items)))
+}
+
+#[test]
+fn crash_after_the_new_chunks_and_before_the_manifest_recovers_the_old_checkpoint() {
+    let store = DurableStore::new();
+    let (d, _) = open(&store, "t");
+    log(&d, 0..6);
+    assert_eq!(d.checkpoint_with(|_| chunks(6, 0)), Some(2));
+    log(&d, 6..11);
+    // The second checkpoint gets as far as rotating the log and writing
+    // its two new chunks (the grown tail and a third).
+    DurableLog::open(store.clone(), "t", &Arc::new(Registry::new()), WalConfig::default()).rotate();
+    store.open(&chunk_device("t", 4..8)).set(body(4..8));
+    store.open(&chunk_device("t", 8..11)).set(body(8..11));
+
+    let (reopened, reg) = open(&store, "t");
+    let recovered = reopened.recover();
+    assert!(!recovered.checkpoint_rejected);
+    assert_eq!(recovered.snapshot, Some(vec![body(0..4), body(4..6)]), "the old checkpoint");
+    assert_eq!(recovered.records.len(), 5, "its untruncated segment");
+    assert_eq!(state(&recovered), (0..11).collect::<Vec<_>>());
+    // The orphans go with the next checkpoint that lands, which writes
+    // the same two chunks again and keeps the first.
+    assert_eq!(reopened.checkpoint_with(|_| chunks(11, 1)), Some(2));
+    assert_eq!(store.names_with_prefix("t-ckpt-").len(), 3);
+    assert_eq!(reg.counter_value(names::CKPT_CHUNKS_REUSED_TOTAL, &[("log", "t")]), 1);
+    assert_eq!(state(&open(&store, "t").0.recover()), (0..11).collect::<Vec<_>>());
+}
+
+#[test]
+fn crash_after_the_manifest_and_before_collection_recovers_the_new_checkpoint() {
+    let store = DurableStore::new();
+    let (d, _) = open(&store, "t");
+    log(&d, 0..6);
+    d.checkpoint_with(|_| chunks(6, 0));
+    log(&d, 6..11);
+    let old_tail = store.get(&chunk_device("t", 4..6)).expect("first checkpoint's tail").read();
+    let old_segment = store.get("t-wal-00000001").expect("segment of 6..11").read();
+    assert_eq!(d.checkpoint_with(|_| chunks(11, 1)), Some(2));
+    // Neither the collection nor the truncation happened.
+    store.open(&chunk_device("t", 4..6)).set(old_tail);
+    store.open("t-wal-00000001").set(old_segment);
+
+    let (reopened, _) = open(&store, "t");
+    let recovered = reopened.recover();
+    assert_eq!(recovered.snapshot, Some(vec![body(0..4), body(4..8), body(8..11)]));
+    assert!(recovered.records.is_empty(), "replay starts at the new manifest's epoch");
+    assert_eq!(state(&recovered), (0..11).collect::<Vec<_>>());
+    // A checkpoint with nothing to write still collects the orphan and
+    // truncates the stale segment.
+    assert_eq!(reopened.checkpoint_with(|_| chunks(11, 3)), Some(0));
+    assert!(store.get(&chunk_device("t", 4..6)).is_none());
+    assert!(store.get("t-wal-00000001").is_none());
+}
+
+#[test]
+fn one_missing_or_corrupt_chunk_rejects_the_checkpoint_and_replays_from_epoch_zero() {
+    for (damaged, remove) in [(0..4, true), (4..8, false), (8..11, true)] {
+        let store = DurableStore::new();
+        let (d, _) = open(&store, "t");
+        log(&d, 0..11);
+        assert_eq!(d.checkpoint_with(|_| chunks(11, 0)), Some(3));
+        log(&d, 11..13);
+        let dev = chunk_device("t", damaged.clone());
+        if remove {
+            assert!(store.remove(&dev));
+        } else {
+            store.open(&dev).set(b"bit rot".to_vec());
+        }
+        let (reopened, reg) = open(&store, "t");
+        let recovered = reopened.recover();
+        assert!(recovered.checkpoint_rejected, "{damaged:?}");
+        assert_eq!(recovered.snapshot, None, "no chunk of a rejected checkpoint is used");
+        assert_eq!(reg.counter_value(names::CKPT_REJECTED_TOTAL, &[("log", "t")]), 1);
+        // Segment 0 was truncated when the checkpoint landed: what
+        // survives is what was logged since.
+        assert_eq!(state(&recovered), vec![11, 12], "{damaged:?}");
+    }
+}
+
+#[test]
+fn a_checkpoint_collects_only_its_own_chunks() {
+    // `t-ckpt-u` is a legal component name, and every device it owns
+    // starts with `t`'s chunk prefix.
+    let store = DurableStore::new();
+    let (t, _) = open(&store, "t");
+    let (u, _) = open(&store, "t-ckpt-u");
+    for d in [&t, &u] {
+        log(d, 0..10);
+        assert_eq!(d.checkpoint_with(|_| chunks(10, 0)), Some(3));
+        log(d, 10..15);
+    }
+    assert_eq!(t.checkpoint_with(|_| chunks(15, 2)), Some(2));
+    u.crash_torn(7);
+    let recovered = open(&store, "t-ckpt-u").0.recover();
+    assert!(recovered.snapshot.is_some() && !recovered.checkpoint_rejected);
+    assert_eq!(state(&recovered), (0..15).collect::<Vec<_>>());
+}
+
+#[test]
+fn a_manifest_written_with_another_chunk_size_is_rewritten_whole() {
+    let store = DurableStore::new();
+    let (d, _) = open(&store, "t");
+    log(&d, 0..10);
+    d.checkpoint_with(|_| chunks(10, 0));
+    let reg = Arc::new(Registry::new());
+    let cfg = DurabilityConfig { checkpoint_every: 5, ..DurabilityConfig::default() };
+    let resized = ComponentDurability::open(&store, "t", &reg, &cfg);
+    assert_eq!(state(&resized.recover()), (0..10).collect::<Vec<_>>());
+    // The component believes both of its chunks of five are clean; the
+    // manifest on disk holds chunks of four, so nothing can be kept.
+    let asked = std::cell::RefCell::new(Vec::new());
+    let snapshot = |whole: bool| {
+        asked.borrow_mut().push(whole);
+        [0..5, 5..10].map(|r| if whole { Chunk::Put(body(r)) } else { Chunk::Keep }).into()
+    };
+    assert_eq!(resized.checkpoint_with(snapshot), Some(2));
+    assert_eq!(*asked.borrow(), [false, true]);
+    assert_eq!(reg.counter_value(names::CKPT_TAKEN_TOTAL, &[("log", "t")]), 1);
+    assert_eq!(resized.recover().snapshot, Some(vec![body(0..5), body(5..10)]));
+    assert_eq!(store.names_with_prefix("t-ckpt-").len(), 2);
 }

@@ -4,7 +4,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use lsdf_sync::{ranks, OrderedRwLock};
 
@@ -15,7 +15,7 @@ use crate::record::{DatasetId, DatasetRecord, ProcessingResult};
 use crate::schema::{Document, Schema, SchemaError};
 use crate::value::Value;
 use crate::wal::{MetaSnapshot, MetaWalRecord};
-use lsdf_durability::ComponentDurability;
+use lsdf_durability::{Chunk, ComponentDurability};
 use lsdf_storage::sha256;
 
 /// Errors from store operations.
@@ -73,9 +73,26 @@ struct StoreState {
     field_indexes: HashMap<String, FieldIndex>,
     tag_index: TagIndex,
     subscribers: Vec<Subscriber>,
+    /// Records per checkpoint chunk: chunk `i` is records
+    /// `i * chunk_records ..`, ids being dense insertion indexes.
+    chunk_records: usize,
+    /// One flag per chunk, set when a record in it is added or changed
+    /// and cleared by the checkpoint that writes the chunk. Atomic only
+    /// so that the checkpoint can clear it under the read guard; every
+    /// access is ordered by the catalog lock.
+    dirty: Vec<AtomicBool>,
 }
 
 impl StoreState {
+    /// Marks the chunk holding `id` as changed since the last checkpoint.
+    fn touch(&mut self, id: DatasetId) {
+        match self.dirty.get_mut(id.0 as usize / self.chunk_records) {
+            Some(flag) => *flag.get_mut() = true,
+            // Ids are dense, so a chunk past the last is the next one.
+            None => self.dirty.push(AtomicBool::new(true)),
+        }
+    }
+
     /// The one routine that adds a dataset: the name map, the field
     /// and tag indexes and the record vector change together here, for
     /// a fresh insert, a replayed WAL record and a checkpoint's records
@@ -97,6 +114,7 @@ impl StoreState {
             self.tag_index.insert(t, id);
         }
         self.records.push(rec);
+        self.touch(id);
         Ok(id)
     }
 
@@ -104,6 +122,7 @@ impl StoreState {
     /// stay.
     fn wipe(&mut self) {
         self.records.clear();
+        self.dirty.clear();
         self.by_name.clear();
         for idx in self.field_indexes.values_mut() {
             *idx = FieldIndex::new();
@@ -123,6 +142,7 @@ impl StoreState {
                 let added = rec.tags.insert(tag.clone());
                 if added {
                     self.tag_index.insert(&tag, id);
+                    self.touch(id);
                 }
                 added
             }
@@ -133,6 +153,7 @@ impl StoreState {
                 let removed = rec.tags.remove(&tag);
                 if removed {
                     self.tag_index.remove(&tag, id);
+                    self.touch(id);
                 }
                 removed
             }
@@ -144,6 +165,7 @@ impl StoreState {
                     return false;
                 }
                 rec.processing.push(ProcessingResult { step, params, results, derived_keys, seq });
+                self.touch(id);
                 true
             }
         }
@@ -172,6 +194,9 @@ impl NewDataset {
 pub struct MetaRecoveryStats {
     /// A verified checkpoint was loaded as the replay base.
     pub snapshot_loaded: bool,
+    /// A checkpoint was on disk and failed verification; the catalog
+    /// holds what the surviving WAL segments hold.
+    pub checkpoint_rejected: bool,
     /// WAL records applied during replay.
     pub replayed: u64,
     /// WAL records skipped because their effect was already present.
@@ -207,6 +232,11 @@ impl ProjectStore {
             .indexed_fields()
             .map(|f| (f.to_string(), FieldIndex::new()))
             .collect();
+        // A store with no log to checkpoint is one chunk.
+        let chunk_records = durability
+            .as_ref()
+            .and_then(|d| usize::try_from(d.chunk_records()).ok())
+            .unwrap_or(usize::MAX);
         let store = ProjectStore {
             project: schema.name.clone(),
             schema,
@@ -216,6 +246,8 @@ impl ProjectStore {
                 field_indexes,
                 tag_index: TagIndex::new(),
                 subscribers: Vec::new(),
+                chunk_records,
+                dirty: Vec::new(),
             }),
             scanned: AtomicU64::new(0),
             queries: AtomicU64::new(0),
@@ -384,6 +416,7 @@ impl ProjectStore {
                 derived_keys,
                 seq,
             });
+            st.touch(id);
             (seq, st.subscribers.clone())
         };
         self.emit(
@@ -412,6 +445,7 @@ impl ProjectStore {
                     d.log(&MetaWalRecord::Tag { id, tag: tag.to_string() }.encode());
                 }
                 st.tag_index.insert(tag, id);
+                st.touch(id);
             }
             (added, st.subscribers.clone())
         };
@@ -442,6 +476,7 @@ impl ProjectStore {
                     d.log(&MetaWalRecord::Untag { id, tag: tag.to_string() }.encode());
                 }
                 st.tag_index.remove(tag, id);
+                st.touch(id);
             }
             (removed, st.subscribers.clone())
         };
@@ -585,34 +620,47 @@ impl ProjectStore {
             .map_or(0, ComponentDurability::records_since_checkpoint)
     }
 
-    fn snapshot(&self) -> Vec<u8> {
-        MetaSnapshot::encode(&self.state.read().records)
-    }
-
     /// SHA-256 over the canonical catalog snapshot: two stores with the
     /// same logical catalog produce the same digest, bit for bit.
     pub fn catalog_digest(&self) -> String {
-        sha256(&self.snapshot()).to_hex()
+        sha256(&MetaSnapshot::encode(&self.state.read().records)).to_hex()
     }
 
-    /// Takes a checkpoint now (rotate WAL → snapshot → persist →
-    /// truncate old segments). Returns the checkpoint's content hash,
-    /// or `None` on a non-durable store.
-    pub fn checkpoint(&self) -> Option<String> {
+    /// The catalog as checkpoint chunks. Only chunks changed since the
+    /// last call are encoded, or every one when `whole`; the rest are
+    /// `Keep`. Runs under the read guard and clears each flag it
+    /// honours there: mutators hold the write guard, so a change after
+    /// this encode finds the flag clear and sets it for next time.
+    fn checkpoint_chunks(&self, whole: bool) -> Vec<Chunk> {
+        let st = self.state.read();
+        debug_assert_eq!(st.dirty.len(), st.records.len().div_ceil(st.chunk_records));
+        st.records
+            .chunks(st.chunk_records)
+            .zip(&st.dirty)
+            .map(|(records, dirty)| {
+                if dirty.swap(false, Ordering::Relaxed) || whole {
+                    Chunk::Put(MetaSnapshot::encode_chunk(records))
+                } else {
+                    Chunk::Keep
+                }
+            })
+            .collect()
+    }
+
+    /// Takes a checkpoint now (rotate WAL → encode the chunks that
+    /// changed → persist them and the manifest → truncate old
+    /// segments). Returns how many chunks were written, or `None` on a
+    /// non-durable store.
+    pub fn checkpoint(&self) -> Option<u64> {
         let d = self.durability.as_ref()?;
-        Some(d.checkpoint_with(|| self.snapshot()))
+        d.checkpoint_with(|whole| self.checkpoint_chunks(whole))
     }
 
     /// Checkpoints when enough WAL records have accumulated; returns
     /// whether a checkpoint was taken.
     pub fn maybe_checkpoint(&self) -> bool {
-        match &self.durability {
-            Some(d) if d.should_checkpoint() => {
-                d.checkpoint_with(|| self.snapshot());
-                true
-            }
-            _ => false,
-        }
+        let due = self.durability.as_ref().is_some_and(ComponentDurability::should_checkpoint);
+        due && self.checkpoint().is_some()
     }
 
     /// Simulates a store crash: the in-memory catalog (records, name
@@ -636,23 +684,37 @@ impl ProjectStore {
         };
         let recovered = d.recover();
         let mut stats = MetaRecoveryStats {
+            checkpoint_rejected: recovered.checkpoint_rejected,
             torn_tails: recovered.torn_tails,
             ..MetaRecoveryStats::default()
         };
+        let base = recovered.snapshot.and_then(|chunks| {
+            let mut records = Vec::new();
+            // Each chunk's bytes are dropped as soon as it is decoded.
+            chunks
+                .into_iter()
+                .try_for_each(|chunk| MetaSnapshot::decode_chunk(&chunk, &mut records))?;
+            Some(records)
+        });
         // One lock for the whole pass. Replay emits no events: the
         // recovered catalog is a reconstruction, not new activity.
         let mut st = self.state.write();
-        if let Some(snap) = recovered.snapshot.as_deref().and_then(MetaSnapshot::decode) {
-            stats.snapshot_loaded = true;
+        stats.snapshot_loaded = base.is_some();
+        if let Some(records) = base {
             // Every derived structure (name map, field indexes, tag
             // index) is rebuilt from the checkpoint's records.
             st.wipe();
-            st.records.reserve(snap.records.len());
-            for rec in snap.records {
+            st.records.reserve(records.len());
+            st.by_name.reserve(records.len());
+            for rec in records {
                 // Checkpointed names are unique: none is refused.
                 let _ = st.register(rec);
             }
         }
+        // Clean exactly when the records in memory are the ones the
+        // manifest names; replay, below, dirties what it touches.
+        let dirty = !stats.snapshot_loaded;
+        st.dirty.iter_mut().for_each(|flag| *flag.get_mut() = dirty);
         for payload in &recovered.records {
             if MetaWalRecord::decode(payload).is_some_and(|rec| st.apply(rec)) {
                 stats.replayed += 1;
@@ -925,20 +987,135 @@ mod tests {
         store: &lsdf_durability::DurableStore,
         checkpoint_every: u64,
     ) -> ProjectStore {
+        durable_store_and_registry(store, checkpoint_every).0
+    }
+
+    fn durable_store_and_registry(
+        store: &lsdf_durability::DurableStore,
+        checkpoint_every: u64,
+    ) -> (ProjectStore, Arc<lsdf_obs::Registry>) {
         let reg = Arc::new(lsdf_obs::Registry::new());
         let cfg = lsdf_durability::DurabilityConfig {
             checkpoint_every,
             ..lsdf_durability::DurabilityConfig::default()
         };
-        ProjectStore::with_durability(
-            zebrafish_schema(),
-            Some(lsdf_durability::ComponentDurability::open(
-                store,
-                "meta-zebrafish",
-                &reg,
-                &cfg,
-            )),
-        )
+        let durability =
+            lsdf_durability::ComponentDurability::open(store, "meta-zebrafish", &reg, &cfg);
+        (ProjectStore::with_durability(zebrafish_schema(), Some(durability)), reg)
+    }
+
+    /// Inserts `img-<from>` up to `img-<to - 1>` as one batch.
+    fn insert_range(store: &ProjectStore, from: i64, to: i64) {
+        let batch = (from..to).map(|i| new_ds(&format!("img-{i:05}"), zf_doc(i, 0, 488.0))).collect();
+        assert!(store.insert_batch(batch).iter().all(Result::is_ok));
+    }
+
+    #[test]
+    fn a_checkpoint_writes_the_chunks_that_changed_and_no_others() {
+        use lsdf_obs::names::{CKPT_BYTES, CKPT_CHUNKS_REUSED_TOTAL, CKPT_CHUNKS_WRITTEN_TOTAL};
+        let disk = lsdf_durability::DurableStore::new();
+        let (store, reg) = durable_store_and_registry(&disk, 4);
+        let labels = [("log", "meta-zebrafish")];
+        let counts = || {
+            (
+                reg.counter_value(CKPT_CHUNKS_WRITTEN_TOTAL, &labels),
+                reg.counter_value(CKPT_CHUNKS_REUSED_TOTAL, &labels),
+            )
+        };
+        // Three sealed chunks of four and a tail of two.
+        insert_range(&store, 0, 14);
+        assert_eq!(store.checkpoint(), Some(4));
+        assert_eq!(counts(), (4, 0));
+        let whole = reg.histogram(CKPT_BYTES, &labels).sum();
+        // A tag on the oldest record and one appended record: that
+        // record's chunk and the tail, nothing between.
+        store.tag(DatasetId(0), "needs-processing").unwrap();
+        insert_range(&store, 14, 15);
+        assert_eq!(store.checkpoint(), Some(2));
+        assert_eq!(counts(), (6, 2));
+        let delta = reg.histogram(CKPT_BYTES, &labels).sum() - whole;
+        assert!(delta < whole * 2 / 3, "{delta} B written for 2 of 4 chunks of {whole} B");
+        // One old record changed and the tail did not: exactly its chunk.
+        store
+            .append_processing(DatasetId(5), "seg", Document::new(), Document::new(), vec![])
+            .unwrap();
+        assert_eq!(store.checkpoint(), Some(1));
+        assert_eq!(counts(), (7, 5));
+        // An untag that removes nothing and a tag already present change
+        // nothing, so nothing is written — and the log still rotates
+        // and loses its old segments.
+        store.untag(DatasetId(9), "absent").unwrap();
+        store.tag(DatasetId(0), "needs-processing").unwrap();
+        let segments = || disk.names_with_prefix("meta-zebrafish-wal-");
+        assert_eq!(segments(), ["meta-zebrafish-wal-00000003"]);
+        assert_eq!(store.checkpoint(), Some(0));
+        assert_eq!(counts(), (7, 9));
+        assert_eq!(segments(), ["meta-zebrafish-wal-00000004"]);
+        // What is on disk is the catalog: a crash right now loses nothing.
+        let (digest, all) = (store.catalog_digest(), store.all());
+        store.crash(3);
+        let stats = store.recover();
+        assert!(stats.snapshot_loaded && stats.replayed == 0);
+        assert_eq!((store.catalog_digest(), store.all()), (digest, all));
+        // Recovery starts clean: the next checkpoint writes what was
+        // touched since, not the catalog.
+        store.untag(DatasetId(0), "needs-processing").unwrap();
+        assert_eq!(store.checkpoint(), Some(1));
+    }
+
+    #[test]
+    fn checkpoint_work_follows_the_delta_not_the_catalog() {
+        const N: i64 = 8;
+        let disk = lsdf_durability::DurableStore::new();
+        let store = durable_store(&disk, N as u64);
+        insert_range(&store, 0, 10 * N);
+        assert_eq!(store.checkpoint(), Some(10));
+        let mut len = 10 * N;
+        for k in [1, N - 1, N, N + 1, 3 * N, 3 * N + 5] {
+            insert_range(&store, len, len + k);
+            len += k;
+            let written = store.checkpoint().unwrap() as i64;
+            assert!(written <= (k + N - 1) / N + 1, "{written} chunks for {k} appended records");
+            assert!(written >= (k + N - 1) / N, "{written} chunks cannot hold {k} records");
+        }
+        let digest = store.catalog_digest();
+        store.crash(1);
+        store.recover();
+        assert_eq!(store.catalog_digest(), digest);
+        assert_eq!(store.len() as i64, len);
+    }
+
+    #[test]
+    fn a_rejected_checkpoint_is_reported_and_recovery_keeps_the_surviving_log() {
+        let disk = lsdf_durability::DurableStore::new();
+        let (store, reg) = durable_store_and_registry(&disk, 2);
+        insert_range(&store, 0, 6);
+        assert_eq!(store.checkpoint(), Some(3));
+        insert_range(&store, 6, 8);
+        store.tag(DatasetId(7), "raw").unwrap();
+        // Bit rot in one of the three chunks the manifest names.
+        let chunks = disk.names_with_prefix("meta-zebrafish-ckpt-");
+        assert_eq!(chunks.len(), 3);
+        disk.open(&chunks[1]).set(b"not the chunk that was written".to_vec());
+        store.crash(17);
+        let stats = store.recover();
+        assert!(stats.checkpoint_rejected && !stats.snapshot_loaded, "{stats:?}");
+        let rejected = lsdf_obs::names::CKPT_REJECTED_TOTAL;
+        assert_eq!(reg.counter_value(rejected, &[("log", "meta-zebrafish")]), 1);
+        // The first segment went when the checkpoint landed. The two
+        // inserts logged since replay (dense ids restart at 0); the tag
+        // on id 7 finds no such record and is skipped.
+        assert_eq!((stats.replayed, stats.skipped), (2, 1));
+        let names: Vec<String> = store.all().into_iter().map(|r| r.name).collect();
+        assert_eq!(names, ["img-00006", "img-00007"]);
+        // Nothing of the rejected checkpoint is kept by reference: the
+        // next one writes the catalog it has, and recovers from it.
+        assert_eq!(store.checkpoint(), Some(1));
+        let digest = store.catalog_digest();
+        store.crash(18);
+        let stats = store.recover();
+        assert!(stats.snapshot_loaded && !stats.checkpoint_rejected);
+        assert_eq!(store.catalog_digest(), digest);
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! Every catalog mutation the store acks (dataset registration, tag,
 //! untag, appended processing result) is first committed to its
-//! [`lsdf_durability::DurableLog`]; checkpoints serialize the full
-//! record vector with the canonical [`lsdf_durability::codec`] so that
-//! replaying WAL over the latest checkpoint reconstructs a bit-identical
-//! catalog. Secondary structures (name map, field indexes, tag index)
+//! [`lsdf_durability::DurableLog`]; checkpoints serialize the record
+//! vector, in chunks of consecutive records, with the canonical
+//! [`lsdf_durability::codec`] so that replaying WAL over the latest
+//! checkpoint reconstructs a bit-identical catalog. Secondary structures (name map, field indexes, tag index)
 //! are derived state and are rebuilt from the records on install.
 //!
 //! Replay is idempotent: an `Insert` whose name is already registered,
@@ -276,14 +276,13 @@ fn dec_record(d: &mut Dec<'_>) -> Option<DatasetRecord> {
     })
 }
 
-/// Canonical full-catalog snapshot (checkpoint payload and the
-/// catalog-digest witness): the record vector in id order. Documents
-/// are `BTreeMap`s and tags are `BTreeSet`s, so the bytes are fully
-/// canonical: same logical catalog ⇒ same bytes ⇒ same SHA-256.
-#[derive(Debug, Default, PartialEq)]
-pub(crate) struct MetaSnapshot {
-    pub records: Vec<DatasetRecord>,
-}
+/// Canonical catalog snapshot: `u64 count` followed by every record
+/// in id order. Documents are `BTreeMap`s and tags are `BTreeSet`s, so
+/// the bytes are fully canonical: same logical catalog ⇒ same bytes ⇒
+/// same SHA-256. A checkpoint stores the same record bytes cut into
+/// chunks of consecutive records, so the count followed by the chunks
+/// in order is this snapshot, byte for byte.
+pub(crate) struct MetaSnapshot;
 
 impl MetaSnapshot {
     /// Encodes borrowed records, so the store can snapshot under its
@@ -291,20 +290,28 @@ impl MetaSnapshot {
     pub(crate) fn encode(records: &[DatasetRecord]) -> Vec<u8> {
         let mut e = Enc::new();
         e.u64(records.len() as u64);
+        Self::finish(e, records)
+    }
+
+    /// One checkpoint chunk: the records' bytes and nothing else.
+    pub(crate) fn encode_chunk(records: &[DatasetRecord]) -> Vec<u8> {
+        Self::finish(Enc::new(), records)
+    }
+
+    fn finish(mut e: Enc, records: &[DatasetRecord]) -> Vec<u8> {
         for r in records {
             enc_record(&mut e, r);
         }
         e.finish()
     }
 
-    pub(crate) fn decode(bytes: &[u8]) -> Option<Self> {
+    /// Appends a chunk's records to `out`; `None` on malformed bytes.
+    pub(crate) fn decode_chunk(bytes: &[u8], out: &mut Vec<DatasetRecord>) -> Option<()> {
         let mut d = Dec::new(bytes);
-        let n = d.u64()? as usize;
-        let mut records = Vec::with_capacity(n.min(65_536));
-        for _ in 0..n {
-            records.push(dec_record(&mut d)?);
+        while !d.at_end() {
+            out.push(dec_record(&mut d)?);
         }
-        d.at_end().then_some(MetaSnapshot { records })
+        Some(())
     }
 }
 
@@ -355,28 +362,35 @@ mod tests {
 
     #[test]
     fn snapshot_roundtrip_and_canonical_bytes() {
-        let snap = MetaSnapshot {
-            records: vec![DatasetRecord {
-                id: DatasetId(0),
-                name: "a".into(),
-                location: "lsdf://p/a".into(),
-                size_bytes: 9,
-                checksum_hex: String::new(),
-                basic: doc(),
-                processing: vec![ProcessingResult {
-                    step: "seg".into(),
-                    params: Document::new(),
-                    results: doc(),
-                    derived_keys: vec![],
-                    seq: 1,
-                }],
-                tags: ["raw".to_string()].into_iter().collect(),
+        let record = |id: u64| DatasetRecord {
+            id: DatasetId(id),
+            name: format!("a{id}"),
+            location: format!("lsdf://p/a{id}"),
+            size_bytes: 9,
+            checksum_hex: String::new(),
+            basic: doc(),
+            processing: vec![ProcessingResult {
+                step: "seg".into(),
+                params: Document::new(),
+                results: doc(),
+                derived_keys: vec![],
+                seq: 1,
             }],
+            tags: ["raw".to_string()].into_iter().collect(),
         };
-        let bytes = MetaSnapshot::encode(&snap.records);
-        assert_eq!(MetaSnapshot::decode(&bytes), Some(snap));
-        let reencoded = MetaSnapshot::decode(&bytes).map(|s| MetaSnapshot::encode(&s.records));
-        assert_eq!(reencoded.as_deref(), Some(&bytes[..]));
+        let records: Vec<DatasetRecord> = (0..5).map(record).collect();
+        let snapshot = MetaSnapshot::encode(&records);
+        // The count, then the chunks in order, is the snapshot: one
+        // encoder serves the digest and the checkpoint.
+        let chunks: Vec<Vec<u8>> = records.chunks(2).map(MetaSnapshot::encode_chunk).collect();
+        assert_eq!(snapshot, [5u64.to_le_bytes().to_vec(), chunks.concat()].concat());
+        let mut decoded = Vec::new();
+        for chunk in &chunks {
+            assert_eq!(MetaSnapshot::decode_chunk(chunk, &mut decoded), Some(()));
+        }
+        assert_eq!(decoded, records);
+        let cut = &chunks[0][..chunks[0].len() - 1];
+        assert_eq!(MetaSnapshot::decode_chunk(cut, &mut decoded), None);
     }
 
     #[test]

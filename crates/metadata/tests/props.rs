@@ -3,12 +3,14 @@
 
 use std::sync::Arc;
 
-use lsdf_durability::{ComponentDurability, DurabilityConfig, DurableStore};
+use lsdf_durability::{CheckpointStore, ComponentDurability, DurabilityConfig, DurableStore, Loaded};
 use lsdf_metadata::query::{eq, ge, has_tag, lt};
 use lsdf_metadata::{
-    dataset, CrossQuery, Document, Federation, FieldType, MetadataError, NewDataset, Predicate,
-    ProjectStore, SchemaBuilder, UnifiedCatalog, Value,
+    dataset, CrossQuery, DatasetId, Document, Federation, FieldType, MetadataError, NewDataset,
+    Predicate, ProjectStore, SchemaBuilder, UnifiedCatalog, Value,
 };
+use lsdf_obs::{names, Registry};
+use lsdf_storage::sha256;
 use proptest::prelude::*;
 
 fn schema(name: &str) -> lsdf_metadata::Schema {
@@ -34,17 +36,99 @@ fn doc(run: i64, energy: f64, detector: &str) -> Document {
 
 /// A durable store over its own fresh disk.
 fn durable_store() -> (ProjectStore, DurableStore) {
+    let (store, disk, _) = durable_store_every(DurabilityConfig::default().checkpoint_every);
+    (store, disk)
+}
+
+/// A durable store over its own fresh disk, `checkpoint_every` records
+/// to a checkpoint chunk, and the registry its logs count on.
+fn durable_store_every(checkpoint_every: u64) -> (ProjectStore, DurableStore, Arc<Registry>) {
     let disk = DurableStore::new();
-    let durability = ComponentDurability::open(
-        &disk,
-        "meta-t",
-        &Arc::new(lsdf_obs::Registry::new()),
-        &DurabilityConfig::default(),
-    );
-    (ProjectStore::with_durability(schema("t"), Some(durability)), disk)
+    let registry = Arc::new(Registry::new());
+    let cfg = DurabilityConfig { checkpoint_every, ..DurabilityConfig::default() };
+    let durability = ComponentDurability::open(&disk, "meta-t", &registry, &cfg);
+    (ProjectStore::with_durability(schema("t"), Some(durability)), disk, registry)
 }
 
 proptest! {
+    /// Incremental checkpoints are full ones. A durable store that
+    /// checkpoints chunk by chunk and crashes at seeded points is, after
+    /// every step, the same catalog as a twin that never checkpointed
+    /// and never crashed; and after every checkpoint the chunks the
+    /// manifest names, read back from their devices behind the record
+    /// count, are the canonical snapshot `catalog_digest` hashes. A
+    /// checkpoint writes no more chunks than were touched since the
+    /// last one.
+    #[test]
+    fn incremental_checkpoints_equal_full_snapshots(
+        ops in prop::collection::vec((0u32..7, any::<u32>(), 0usize..3), 10..80),
+    ) {
+        const N: usize = 4;
+        let (durable, disk, registry) = durable_store_every(N as u64);
+        let twin = ProjectStore::new(schema("t"));
+        let both = [&durable, &twin];
+        let tags = ["raw", "qa-passed", "archived"];
+        let preds = [eq("run", 2i64), ge("energy", 500.0), has_tag("raw")];
+        let written = || registry.counter_value(names::CKPT_CHUNKS_WRITTEN_TOTAL, &[("log", "meta-t")]);
+        // Appends records `from..from + count` to both; the new length.
+        let insert = |from: usize, count: usize| {
+            let batch: Vec<NewDataset> = (from..from + count)
+                .map(|i| dataset(&format!("r{i}"), 1, doc(i as i64 % 5, (i * 37 % 1000) as f64, "main")))
+                .collect();
+            for store in both {
+                assert!(store.insert_batch(batch.clone()).iter().all(Result::is_ok));
+            }
+            from + count
+        };
+        // At least four chunks from the start.
+        let mut len = insert(0, 3 * N + 1);
+        // Chunks touched since the last checkpoint, by any attempt.
+        let mut touched: std::collections::BTreeSet<usize> = (0..len.div_ceil(N)).collect();
+        for (step, (kind, a, t)) in ops.into_iter().enumerate() {
+            let id = DatasetId(u64::from(a) % len as u64);
+            match kind {
+                0 | 1 => {
+                    let grown = insert(len, a as usize % 6 + 1);
+                    touched.extend((len..grown).map(|i| i / N));
+                    len = grown;
+                }
+                2 => both.iter().for_each(|s| s.tag(id, tags[t]).unwrap()),
+                3 => both.iter().for_each(|s| s.untag(id, tags[t]).unwrap()),
+                4 => both.iter().for_each(|s| {
+                    s.append_processing(id, "seg", Document::new(), doc(1, 0.5, tags[t]), vec![]).unwrap();
+                }),
+                5 => {
+                    let before = written();
+                    prop_assert!(durable.checkpoint().is_some());
+                    prop_assert!(
+                        written() - before <= touched.len() as u64,
+                        "step {}: {} chunks written, touched {:?}", step, written() - before, touched
+                    );
+                    touched.clear();
+                    let loaded = CheckpointStore::open(disk.clone(), "meta-t", &Arc::new(Registry::new())).load();
+                    prop_assert!(matches!(loaded, Loaded::Verified { .. }), "step {}: {:?}", step, loaded);
+                    let Loaded::Verified { chunks, .. } = loaded else { unreachable!() };
+                    prop_assert_eq!(chunks.len(), len.div_ceil(N));
+                    let snapshot = [(len as u64).to_le_bytes().to_vec(), chunks.concat()].concat();
+                    prop_assert_eq!(sha256(&snapshot).to_hex(), twin.catalog_digest(), "step {}", step);
+                }
+                _ => {
+                    durable.crash(u64::from(a));
+                    prop_assert!(durable.is_empty());
+                    durable.recover();
+                }
+            }
+            if (2..5).contains(&kind) {
+                touched.insert(id.0 as usize / N);
+            }
+            prop_assert_eq!(durable.catalog_digest(), twin.catalog_digest(), "step {}", step);
+            prop_assert_eq!(durable.all(), twin.all(), "step {}", step);
+            for pred in &preds {
+                prop_assert_eq!(durable.query(pred), twin.query(pred), "step {} pred {:?}", step, pred);
+            }
+        }
+    }
+
     /// `insert_batch` is the sequence of `insert`s it replaces: the same
     /// list — holding a schema-invalid document mid-batch, a name the
     /// catalog already has and a name repeated within the batch, besides

@@ -164,10 +164,11 @@ pub fn facility_status(inputs: &ConsoleInputs<'_>) -> String {
         out.push_str("(no breakers registered)\n");
     }
 
-    // --- Durability: WAL appends/fsyncs + appends since last ckpt -----
+    // --- Durability: WAL appends/fsyncs, appends since last ckpt, and
+    // the chunks that checkpoint wrote / kept by reference ------------
     out.push_str(&format!(
-        "\n-- durability --\n{:<32} {:>10} {:>8} {:>6} {:>14}\n",
-        "wal", "appends", "fsyncs", "ckpts", "lag(appends)"
+        "\n-- durability --\n{:<32} {:>10} {:>8} {:>6} {:>14} {:>16}\n",
+        "wal", "appends", "fsyncs", "ckpts", "lag(appends)", "last ckpt wr/kept"
     ));
     let mut any_wal = false;
     for (id, appends) in &snap.counters {
@@ -180,38 +181,58 @@ pub fn facility_status(inputs: &ConsoleInputs<'_>) -> String {
             .iter()
             .map(|(k, v)| (k.as_str(), v.as_str()))
             .collect();
-        let fsyncs = inputs
-            .registry
-            .counter_value(names::WAL_FSYNCS_TOTAL, &label_refs);
-        let ckpts = inputs
-            .registry
-            .counter_value(names::CKPT_TAKEN_TOTAL, &label_refs);
+        let count = |name| inputs.registry.counter_value(name, &label_refs);
         // Lag per the TSDB: appends recorded after the component's last
-        // checkpoint sample. Without history (or before the first
-        // checkpoint) the whole retained delta mass counts as lag.
-        let lag = match inputs.telemetry {
+        // checkpoint sample, and the chunk counts of that sample (the
+        // scrape interval holding the last checkpoint). Without history
+        // (or before the first checkpoint) the whole retained delta
+        // mass counts as lag, and the chunk counts are lifetime totals.
+        let (lag, written, kept) = match inputs.telemetry {
             Some(ts) => {
                 let last_ckpt = ts
                     .counter_series(names::CKPT_TAKEN_TOTAL, &label_refs)
                     .last()
                     .map(|(t, _)| *t)
                     .unwrap_or(0);
-                ts.counter_window_sum(names::WAL_APPENDS_TOTAL, &label_refs, last_ckpt)
+                let since = |name, t| ts.counter_window_sum(name, &label_refs, t);
+                let at = last_ckpt.saturating_sub(1);
+                (
+                    since(names::WAL_APPENDS_TOTAL, last_ckpt),
+                    since(names::CKPT_CHUNKS_WRITTEN_TOTAL, at),
+                    since(names::CKPT_CHUNKS_REUSED_TOTAL, at),
+                )
             }
-            None => *appends,
+            None => (
+                *appends,
+                count(names::CKPT_CHUNKS_WRITTEN_TOTAL),
+                count(names::CKPT_CHUNKS_REUSED_TOTAL),
+            ),
         };
         out.push_str(&format!(
-            "{:<32} {:>10} {:>8} {:>6} {:>14}\n",
+            "{:<32} {:>10} {:>8} {:>6} {:>14} {:>16}\n",
             id.to_string(),
             appends,
-            fsyncs,
-            ckpts,
-            lag
+            count(names::WAL_FSYNCS_TOTAL),
+            count(names::CKPT_TAKEN_TOTAL),
+            lag,
+            format!("{written}/{kept}")
         ));
     }
     if !any_wal {
         out.push_str("(no write-ahead logs active)\n");
     }
+    // A component listed here came back from a crash without its
+    // checkpoint: it holds only what its surviving WAL segments held.
+    let rejected: Vec<String> = snap
+        .counters
+        .iter()
+        .filter(|(id, n)| id.name == names::CKPT_REJECTED_TOTAL && *n > 0)
+        .map(|(id, n)| format!("{id} = {n}"))
+        .collect();
+    out.push_str(&match rejected.is_empty() {
+        true => "checkpoints rejected at recovery: none\n".to_string(),
+        false => format!("checkpoints REJECTED at recovery: {}\n", rejected.join(", ")),
+    });
 
     // --- Active alerts -------------------------------------------------
     out.push_str("\n-- active alerts --\n");
@@ -300,7 +321,19 @@ mod tests {
         r.gauge(names::ADAL_BREAKER_STATE, &[("project", "zebrafish")])
             .set(1);
         r.counter(names::WAL_APPENDS_TOTAL, &[("log", "dfs")]).add(7);
+        // Two checkpoints in two scrape intervals: the line shows the
+        // last one's chunks, not the sum.
+        let ckpt = |taken: u64, written: u64, kept: u64| {
+            r.counter(names::CKPT_TAKEN_TOTAL, &[("log", "dfs")]).add(taken);
+            r.counter(names::CKPT_CHUNKS_WRITTEN_TOTAL, &[("log", "dfs")]).add(written);
+            r.counter(names::CKPT_CHUNKS_REUSED_TOTAL, &[("log", "dfs")]).add(kept);
+        };
+        ckpt(1, 5, 0);
         r.set_virtual_time_ns(MS);
+        ts.scrape(&r);
+        ckpt(1, 2, 4);
+        r.counter(names::CKPT_REJECTED_TOTAL, &[("log", "dfs")]).inc();
+        r.set_virtual_time_ns(2 * MS);
         ts.scrape(&r);
         let monitor = SloMonitor::with_defaults();
         let health = monitor.evaluate_with_history(&r, Some(&ts));
@@ -321,6 +354,8 @@ mod tests {
             "OPEN",
             "-- durability --",
             "wal_appends_total{log=dfs}",
+            " 2/4\n",
+            "checkpoints REJECTED at recovery: ckpt_rejected_total{log=dfs} = 1",
             "-- active alerts --",
             "-- slowest operations",
             "-- telemetry --",

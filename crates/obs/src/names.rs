@@ -288,8 +288,15 @@ pub const WAL_TORN_TAIL_TOTAL: &str = "wal_torn_tail_total";
 
 /// Checkpoints taken by the reconciler.
 pub const CKPT_TAKEN_TOTAL: &str = "ckpt_taken_total";
-/// Checkpoint snapshot sizes.
+/// Bytes one checkpoint wrote: the chunks it put, not the ones it kept.
 pub const CKPT_BYTES: &str = "ckpt_bytes";
+/// Checkpoint chunks written because they changed since the last one.
+pub const CKPT_CHUNKS_WRITTEN_TOTAL: &str = "ckpt_chunks_written_total";
+/// Checkpoint chunks kept by reference because they did not change.
+pub const CKPT_CHUNKS_REUSED_TOTAL: &str = "ckpt_chunks_reused_total";
+/// Recoveries that found a manifest but could not verify every chunk it
+/// names, and so replayed the surviving WAL from epoch 0 with no base.
+pub const CKPT_REJECTED_TOTAL: &str = "ckpt_rejected_total";
 /// WAL segments truncated after a checkpoint landed.
 pub const CKPT_SEGMENTS_TRUNCATED_TOTAL: &str = "ckpt_segments_truncated_total";
 
@@ -447,6 +454,9 @@ pub const ALL: &[&str] = &[
     WAL_TORN_TAIL_TOTAL,
     CKPT_TAKEN_TOTAL,
     CKPT_BYTES,
+    CKPT_CHUNKS_WRITTEN_TOTAL,
+    CKPT_CHUNKS_REUSED_TOTAL,
+    CKPT_REJECTED_TOTAL,
     CKPT_SEGMENTS_TRUNCATED_TOTAL,
     RECOVERY_RUNS_TOTAL,
     RECOVERY_REPLAYED_RECORDS_TOTAL,

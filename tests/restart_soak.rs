@@ -15,11 +15,18 @@
 //!   folds in WAL, checkpoint and recovery counters) is bit-identical
 //!   at 1, 4 and 8 ingest workers;
 //! * the crash schedule actually fired: at least three seeded crash
-//!   points land mid-ingest, each replaying a non-trivial log.
+//!   points land mid-ingest, each replaying a non-trivial log;
+//! * **checkpoints cost the delta** — every checkpoint the reconciler
+//!   takes, restarts in between or not, writes no more chunks than the
+//!   records registered since the previous one touch, plus one;
+//! * **a crash at each step of a checkpoint recovers** — new chunks
+//!   under the old manifest, the new manifest beside uncollected old
+//!   chunks, and a referenced chunk lost (rejected whole, reported, the
+//!   surviving log replayed).
 //!
-//! Set `LSDF_RESTART_REPORT=<path>` to write the concatenated
-//! [`RecoveryReport`] JSON for all crash points — CI uploads it as the
-//! recovery artifact.
+//! Set `LSDF_RESTART_REPORT=<path>` to write the [`RecoveryReport`]
+//! JSON for all crash points, and the chunks written and kept by every
+//! checkpoint — CI uploads it as the recovery artifact.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -39,6 +46,31 @@ const MS: u64 = 1_000_000;
 const BATCHES: u64 = 48;
 const ITEMS_PER_BATCH: u64 = 50;
 const SEED: u64 = 0xd15c;
+/// Records to a checkpoint, and to a checkpoint chunk.
+const CHECKPOINT_EVERY: u64 = 192;
+/// Every durable log, with the project whose catalog it carries.
+const LOGS: [(&str, Option<&str>); 3] =
+    [("dfs", None), ("meta-spectro", Some("spectro")), ("meta-imaging", Some("imaging"))];
+
+/// One checkpoint the reconciler took.
+#[derive(Debug, PartialEq)]
+struct CheckpointRow {
+    /// It ran after this batch.
+    batch: u64,
+    log: &'static str,
+    chunks_written: u64,
+    chunks_reused: u64,
+}
+
+/// `(checkpoints taken, chunks written, chunks kept)` so far on `log`.
+fn checkpoint_counts(reg: &Registry, log: &str) -> (u64, u64, u64) {
+    let count = |name| reg.counter_value(name, &[("log", log)]);
+    (
+        count(names::CKPT_TAKEN_TOTAL),
+        count(names::CKPT_CHUNKS_WRITTEN_TOTAL),
+        count(names::CKPT_CHUNKS_REUSED_TOTAL),
+    )
+}
 
 /// Two tenants so both durable component families see WAL traffic:
 /// a DFS-backed spectrometer project (namenode WAL) and an
@@ -70,7 +102,7 @@ fn facility(reg: Arc<Registry>, disk: DurableStore, workers: usize) -> Facility 
         .durability(
             disk,
             DurabilityConfig {
-                checkpoint_every: 192,
+                checkpoint_every: CHECKPOINT_EVERY,
                 ..DurabilityConfig::default()
             },
         )
@@ -134,9 +166,51 @@ fn verify_acked(f: &Facility, model: &BTreeMap<String, (String, String)>, when: 
     }
 }
 
+/// One reconciler sweep, with the delta rule checked on every
+/// checkpoint it takes: a catalog checkpoint writes no more chunks than
+/// the records registered since its log's previous one touch, plus one.
+/// `lens` carries each catalog's length at its last checkpoint.
+fn sweep(
+    f: &Facility,
+    reg: &Registry,
+    batch: u64,
+    lens: &mut BTreeMap<&'static str, u64>,
+    rows: &mut Vec<CheckpointRow>,
+) {
+    let before = LOGS.map(|(log, _)| checkpoint_counts(reg, log));
+    f.run_durability_reconciler();
+    for ((log, project), was) in LOGS.into_iter().zip(before) {
+        let now = checkpoint_counts(reg, log);
+        if now.0 == was.0 {
+            continue;
+        }
+        let (chunks_written, chunks_reused) = (now.1 - was.1, now.2 - was.2);
+        match project {
+            Some(project) => {
+                let len = f.store(project).unwrap().len() as u64;
+                let since = lens.insert(log, len).unwrap_or(0);
+                let touched = match len > since {
+                    true => (len - 1) / CHECKPOINT_EVERY - since / CHECKPOINT_EVERY + 1,
+                    false => 0,
+                };
+                assert!(
+                    chunks_written <= touched + 1,
+                    "{log} after batch {batch}: {chunks_written} chunks written for records \
+                     {since}..{len}, which touch {touched}"
+                );
+                assert_eq!(chunks_written + chunks_reused, len.div_ceil(CHECKPOINT_EVERY));
+            }
+            // Path-keyed, with deletes: one chunk, always written.
+            None => assert_eq!((chunks_written, chunks_reused), (1, 0)),
+        }
+        rows.push(CheckpointRow { batch, log, chunks_written, chunks_reused });
+    }
+}
+
 /// Runs the soak at one pool width and returns the registry JSON (the
-/// worker-invisibility witness) plus the per-crash recovery reports.
-fn run_soak_with(seed: u64, workers: usize) -> (String, Vec<RecoveryReport>) {
+/// worker-invisibility witness), the per-crash recovery reports and
+/// every checkpoint taken.
+fn run_soak_with(seed: u64, workers: usize) -> (String, Vec<RecoveryReport>, Vec<CheckpointRow>) {
     let reg = Arc::new(Registry::new());
     reg.set_virtual_time_ns(1);
     let disk = DurableStore::new();
@@ -155,6 +229,7 @@ fn run_soak_with(seed: u64, workers: usize) -> (String, Vec<RecoveryReport>) {
     // Every ACKED ingest: location → (key, payload sha256 hex).
     let mut model: BTreeMap<String, (String, String)> = BTreeMap::new();
     let mut reports = Vec::new();
+    let (mut lens, mut checkpoints) = (BTreeMap::new(), Vec::new());
     let mut last_poll = 0u64;
     for b in 0..BATCHES {
         let now = 1 + b * MS;
@@ -171,7 +246,7 @@ fn run_soak_with(seed: u64, workers: usize) -> (String, Vec<RecoveryReport>) {
             report.registered, ITEMS_PER_BATCH,
             "batch {b} did not fully register: {report:?}"
         );
-        f.run_durability_reconciler();
+        sweep(&f, &reg, b, &mut lens, &mut checkpoints);
         for cp in plan.crashes_due(last_poll, now) {
             // The crash lands between `commit_staged` and
             // `insert_batch`: one object per project is committed to
@@ -258,22 +333,30 @@ fn run_soak_with(seed: u64, workers: usize) -> (String, Vec<RecoveryReport>) {
             appends / 8
         );
     }
-    (reg.to_json(), reports)
+    // Both catalogs outgrew one chunk and checkpointed past it, so the
+    // rule above was tested where a whole rewrite would break it.
+    for (log, _) in &LOGS[1..] {
+        let reused: u64 = checkpoints.iter().filter(|c| c.log == *log).map(|c| c.chunks_reused).sum();
+        assert!(reused > 0, "{log} never kept a chunk: {checkpoints:?}");
+    }
+    (reg.to_json(), reports, checkpoints)
 }
 
 #[test]
 fn restart_soak_survives_seeded_crashes_and_is_worker_invariant() {
-    let (serial_json, serial_reports) = run_soak_with(SEED, 1);
+    let (serial_json, serial_reports, serial_checkpoints) = run_soak_with(SEED, 1);
     assert_eq!(serial_reports.len(), 4, "all four scheduled points fired");
     for workers in [4usize, 8] {
-        let (json, reports) = run_soak_with(SEED, workers);
+        let (json, reports, checkpoints) = run_soak_with(SEED, workers);
         assert_eq!(reports.len(), serial_reports.len());
+        assert_eq!(checkpoints, serial_checkpoints, "checkpoints drifted at workers={workers}");
         assert_eq!(
             serial_json, json,
             "registry JSON drifted at workers={workers}"
         );
     }
-    // CI artifact: the per-crash recovery reports from the serial run.
+    // CI artifact: the per-crash recovery reports and the per-checkpoint
+    // chunk counts from the serial run.
     // Relative paths are resolved against the workspace root (cargo
     // runs integration tests with the package dir as CWD).
     if let Ok(path) = std::env::var("LSDF_RESTART_REPORT") {
@@ -291,8 +374,22 @@ fn restart_soak_survives_seeded_crashes_and_is_worker_invariant() {
             std::fs::create_dir_all(dir)
                 .unwrap_or_else(|e| panic!("creating {}: {e}", dir.display()));
         }
-        let body: Vec<String> = serial_reports.iter().map(RecoveryReport::to_json).collect();
-        std::fs::write(&p, format!("[\n{}\n]\n", body.join(",\n")))
+        let recoveries: Vec<String> = serial_reports.iter().map(RecoveryReport::to_json).collect();
+        let checkpoints: Vec<String> = serial_checkpoints
+            .iter()
+            .map(|c| {
+                format!(
+                    "  {{\"after_batch\": {}, \"log\": \"{}\", \"chunks_written\": {}, \"chunks_reused\": {}}}",
+                    c.batch, c.log, c.chunks_written, c.chunks_reused
+                )
+            })
+            .collect();
+        let body = format!(
+            "{{\"recoveries\": [\n{}\n],\n\"checkpoints\": [\n{}\n]}}\n",
+            recoveries.join(",\n"),
+            checkpoints.join(",\n")
+        );
+        std::fs::write(&p, body)
             .unwrap_or_else(|e| panic!("writing recovery report {}: {e}", p.display()));
     }
 }
@@ -321,5 +418,145 @@ fn torn_wal_tail_never_loses_acked_writes() {
         let report = f.crash_restart(0x7e57 ^ round);
         assert!(report.total_torn_tails() >= 1, "round {round} tore no tail");
         verify_acked(&f, &model, &format!("after torn restart {round}"));
+    }
+}
+
+/// Every device's durable bytes, by name.
+fn image(disk: &DurableStore) -> BTreeMap<String, Vec<u8>> {
+    let read = |name: String| disk.get(&name).map(|dev| (name, dev.read()));
+    disk.names().into_iter().filter_map(read).collect()
+}
+
+#[test]
+fn a_crash_at_each_step_of_a_checkpoint_recovers() {
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Crash {
+        /// The new chunks are down; the manifest still names the old ones.
+        NewChunksOldManifest,
+        /// The manifest moved; old chunks and segments are still there.
+        NewManifestOldChunks,
+        /// The checkpoint landed, and later a chunk it names was lost.
+        ChunkLost,
+    }
+    for crash in [Crash::NewChunksOldManifest, Crash::NewManifestOldChunks, Crash::ChunkLost] {
+        let reg = Arc::new(Registry::new());
+        reg.set_virtual_time_ns(1);
+        let disk = DurableStore::new();
+        let f = facility(reg.clone(), disk.clone(), 1);
+        let admin = f.admin().clone();
+        let mut model: BTreeMap<String, (String, String)> = BTreeMap::new();
+        let ingest = |model: &mut BTreeMap<String, (String, String)>, b: u64| {
+            let items = batch(SEED, b);
+            for item in &items {
+                model.insert(
+                    format!("lsdf://{}/{}", item.project, item.key),
+                    (item.key.clone(), sha256(&item.data).to_hex()),
+                );
+            }
+            let report = f.ingest_batch(&admin, items, IngestPolicy::default());
+            assert_eq!(report.registered, ITEMS_PER_BATCH);
+        };
+        // 25 records a batch on every log: a first checkpoint after
+        // batch 7 (200 records, two chunks), the second due after 15.
+        for b in 0..16 {
+            ingest(&mut model, b);
+            if b < 15 {
+                f.run_durability_reconciler();
+            }
+        }
+        let taken = |log| checkpoint_counts(&reg, log);
+        assert_eq!(LOGS.map(|(log, _)| taken(log).0), [1, 1, 1], "{crash:?}");
+        // The second checkpoint of every log runs to completion; the
+        // crash state is then composed from the disk before and after.
+        let before = image(&disk);
+        assert_eq!(f.run_durability_reconciler(), 3);
+        for (log, project) in LOGS {
+            let written = taken(log).1 - if project.is_some() { 2 } else { 1 };
+            assert_eq!(written, if project.is_some() { 2 } else { 1 }, "{log}: grown tail + new tail");
+        }
+        let after = image(&disk);
+        let collected = |name: &&String| !after.contains_key(*name);
+        assert!(before.keys().filter(collected).count() >= 6, "a chunk and a segment per log");
+        match crash {
+            Crash::NewChunksOldManifest => {
+                for (name, bytes) in &before {
+                    if name.ends_with("-manifest") || !after.contains_key(name) {
+                        disk.open(name).set(bytes.clone());
+                    }
+                }
+            }
+            Crash::NewManifestOldChunks => {
+                for (name, bytes) in before.iter().filter(|(name, _)| collected(name)) {
+                    disk.open(name).set(bytes.clone());
+                }
+            }
+            Crash::ChunkLost => {
+                // Acked after the checkpoint: the surviving log suffix.
+                ingest(&mut model, 16);
+                let chunks = disk.names_with_prefix("meta-imaging-ckpt-");
+                assert_eq!(chunks.len(), 3);
+                assert!(disk.remove(&chunks[1]));
+            }
+        }
+        let digests = || {
+            [
+                f.dfs().namespace_digest(),
+                f.store("spectro").unwrap().catalog_digest(),
+                f.store("imaging").unwrap().catalog_digest(),
+            ]
+        };
+        let expected = digests();
+        let report = f.crash_restart(SEED ^ 0x05);
+        let rejected: Vec<&str> = report
+            .components
+            .iter()
+            .filter(|c| c.checkpoint_rejected)
+            .map(|c| c.component.as_str())
+            .collect();
+        let imaging = f.store("imaging").unwrap();
+        if crash == Crash::ChunkLost {
+            assert_eq!(rejected, ["meta-imaging"]);
+            assert_eq!(taken("meta-imaging").0, 2);
+            let counted = reg.counter_value(names::CKPT_REJECTED_TOTAL, &[("log", "meta-imaging")]);
+            assert_eq!(counted, 1);
+            assert!(
+                f.operator_report().contains("REJECTED at recovery: ckpt_rejected_total{log=meta-imaging} = 1"),
+                "{}",
+                f.operator_report()
+            );
+            // The other two components are whole; the imaging catalog
+            // holds exactly what its log held since the checkpoint.
+            assert_eq!(digests()[..2], expected[..2]);
+            let names: Vec<String> = imaging.all().into_iter().map(|r| r.name).collect();
+            let logged: Vec<String> = batch(SEED, 16)
+                .into_iter()
+                .filter(|item| item.project == "imaging")
+                .map(|item| item.key)
+                .collect();
+            assert_eq!(names, logged);
+            // And it checkpoints whole from there, keeping nothing of
+            // what was rejected.
+            assert_eq!(imaging.checkpoint(), Some(1));
+            assert_eq!(disk.names_with_prefix("meta-imaging-ckpt-").len(), 1);
+            continue;
+        }
+        assert!(rejected.is_empty() && report.components.iter().all(|c| c.snapshot_loaded), "{report:?}");
+        assert_eq!(digests(), expected, "{crash:?}");
+        verify_acked(&f, &model, &format!("after {crash:?}"));
+        // The log replays over the old checkpoint and not over the new.
+        let replayed = report.components.iter().map(|c| c.replayed).collect::<Vec<_>>();
+        match crash {
+            Crash::NewChunksOldManifest => assert_eq!(replayed, [200, 200, 200]),
+            _ => assert_eq!(replayed, [0, 0, 0]),
+        }
+        // The next checkpoint writes what the old manifest lacks, or
+        // nothing, and either way leaves exactly the three live chunks.
+        let expect = if crash == Crash::NewChunksOldManifest { 2 } else { 0 };
+        assert_eq!(imaging.checkpoint(), Some(expect), "{crash:?}");
+        assert_eq!(disk.names_with_prefix("meta-imaging-ckpt-").len(), 3, "{crash:?}");
+        assert_eq!(disk.names_with_prefix("meta-imaging-wal-").len(), 1, "{crash:?}");
+        ingest(&mut model, 16);
+        f.crash_restart(SEED ^ 0x06);
+        verify_acked(&f, &model, &format!("after {crash:?} and one more restart"));
     }
 }
