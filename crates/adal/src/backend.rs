@@ -142,93 +142,61 @@ impl From<HsmError> for BackendError {
 /// plain `Vec` — is fallible and returns a typed [`BackendError`], so
 /// the resilience layer can classify failures (see
 /// [`BackendError::is_transient`]) instead of guessing from sentinel
-/// values. Implementations must be `Send + Sync`: the ADAL shares one
-/// backend handle across mounts and sim callbacks.
+/// values. Every operation takes the caller's [`TraceCtx`] as a plain
+/// parameter: backends that can attribute internal work to a causal
+/// trace (DFS block placement, HSM tape staging, chaos fault injection)
+/// attach child spans/events to it, the others ignore it, and an
+/// untraced call passes [`TraceCtx::disabled`], which costs nothing.
+/// Implementations must be `Send + Sync`: the ADAL shares one backend
+/// handle across mounts and sim callbacks.
 pub trait StorageBackend: Send + Sync {
     /// Backend kind label (for reporting).
     fn kind(&self) -> &'static str;
     /// Stores `data` under `key` (write-once). The payload handle is a
     /// refcounted view — implementations must not copy the bytes on the
     /// success path, and a memoized digest travels with the handle.
-    fn put(&self, key: &str, data: Payload) -> Result<(), BackendError>;
+    fn put(&self, ctx: &TraceCtx, key: &str, data: Payload) -> Result<(), BackendError>;
     /// Fetches the payload under `key`.
-    fn get(&self, key: &str) -> Result<Payload, BackendError>;
+    fn get(&self, ctx: &TraceCtx, key: &str) -> Result<Payload, BackendError>;
     /// Metadata for `key`.
-    fn stat(&self, key: &str) -> Result<EntryMeta, BackendError>;
+    fn stat(&self, ctx: &TraceCtx, key: &str) -> Result<EntryMeta, BackendError>;
     /// Deletes `key` (lifecycle management).
-    fn delete(&self, key: &str) -> Result<(), BackendError>;
+    fn delete(&self, ctx: &TraceCtx, key: &str) -> Result<(), BackendError>;
     /// Keys under `prefix`, sorted. Backend failures surface as errors
     /// rather than being swallowed into an empty listing.
-    fn list(&self, prefix: &str) -> Result<Vec<EntryMeta>, BackendError>;
+    fn list(&self, ctx: &TraceCtx, prefix: &str) -> Result<Vec<EntryMeta>, BackendError>;
     /// True when `key` exists.
     fn exists(&self, key: &str) -> bool {
-        self.stat(key).is_ok()
+        self.stat(&TraceCtx::disabled(), key).is_ok()
     }
-
-    // --- traced variants ------------------------------------------------
-    //
-    // Backends that can attribute internal work to a causal trace (DFS
-    // block placement, HSM tape staging, chaos fault injection)
-    // override these to attach child spans/events to `ctx`. The
-    // defaults ignore the ctx and delegate, so plain backends keep
-    // working and untraced call paths (a disabled ctx) cost nothing.
-
-    /// Traced [`StorageBackend::put`].
-    fn put_traced(&self, ctx: &TraceCtx, key: &str, data: Payload) -> Result<(), BackendError> {
-        let _ = ctx;
-        self.put(key, data)
-    }
-    /// Traced [`StorageBackend::get`].
-    fn get_traced(&self, ctx: &TraceCtx, key: &str) -> Result<Payload, BackendError> {
-        let _ = ctx;
-        self.get(key)
-    }
-    /// Traced [`StorageBackend::stat`].
-    fn stat_traced(&self, ctx: &TraceCtx, key: &str) -> Result<EntryMeta, BackendError> {
-        let _ = ctx;
-        self.stat(key)
-    }
-    /// Traced [`StorageBackend::delete`].
-    fn delete_traced(&self, ctx: &TraceCtx, key: &str) -> Result<(), BackendError> {
-        let _ = ctx;
-        self.delete(key)
-    }
-    /// Traced [`StorageBackend::list`].
-    fn list_traced(&self, ctx: &TraceCtx, prefix: &str) -> Result<Vec<EntryMeta>, BackendError> {
-        let _ = ctx;
-        self.list(prefix)
-    }
-
-    // --- batched staged puts --------------------------------------------
-    //
-    // Backends whose commit step serialises on shared metadata (the DFS
-    // namenode) override these so a batch of N puts pays one metadata
-    // lock and one WAL group commit instead of N. Backends without a
-    // staged protocol just commit immediately; the defaults make
-    // `stage + commit` exactly equivalent to `put`.
 
     /// Stages a put, deferring any commit step that serialises on
-    /// shared metadata. Default: commits immediately via
-    /// [`StorageBackend::put_traced`].
-    fn stage_put_traced(
-        &self,
-        ctx: &TraceCtx,
-        key: &str,
-        data: Payload,
-    ) -> Result<StagedPut, BackendError> {
-        self.put_traced(ctx, key, data).map(|()| StagedPut::Committed)
+    /// shared metadata (the DFS namenode), so a batch of N puts pays one
+    /// metadata lock and one WAL group commit instead of N. Default for
+    /// backends without a staged protocol: commits immediately via
+    /// [`StorageBackend::put`], which makes `stage + commit` exactly
+    /// equivalent to `put`.
+    fn stage_put(&self, ctx: &TraceCtx, key: &str, data: Payload) -> Result<StagedPut, BackendError> {
+        self.put(ctx, key, data).map(|()| StagedPut::Committed)
     }
 
     /// Commits a batch of staged puts; results are in batch order. A
     /// staged put is only durable/acknowledgeable once this returns Ok
     /// for it. Default: everything was already committed at stage time.
-    fn commit_staged_traced(&self, staged: Vec<StagedPut>) -> Vec<Result<(), BackendError>> {
+    fn commit_staged(&self, staged: Vec<StagedPut>) -> Vec<Result<(), BackendError>> {
         staged.into_iter().map(|_| Ok(())).collect()
     }
 }
 
-/// A put staged by [`StorageBackend::stage_put_traced`], awaiting
-/// [`StorageBackend::commit_staged_traced`].
+/// A staged put whose backend handed back no commit result is an
+/// error, never an ack: [`StorageBackend::commit_staged`] promises one
+/// result per staged put, and an out-of-tree backend can break that.
+pub(crate) fn missing_commit_result() -> BackendError {
+    BackendError::Other("backend returned no commit result for staged put".into())
+}
+
+/// A put staged by [`StorageBackend::stage_put`], awaiting
+/// [`StorageBackend::commit_staged`].
 pub enum StagedPut {
     /// The backend has no staged protocol; the put already committed.
     Committed,
@@ -253,25 +221,25 @@ impl StorageBackend for ObjectStoreBackend {
     fn kind(&self) -> &'static str {
         "object-store"
     }
-    fn put(&self, key: &str, data: Payload) -> Result<(), BackendError> {
+    fn put(&self, _ctx: &TraceCtx, key: &str, data: Payload) -> Result<(), BackendError> {
         self.store.put(key, data)?;
         Ok(())
     }
-    fn get(&self, key: &str) -> Result<Payload, BackendError> {
+    fn get(&self, _ctx: &TraceCtx, key: &str) -> Result<Payload, BackendError> {
         Ok(self.store.get(key)?)
     }
-    fn stat(&self, key: &str) -> Result<EntryMeta, BackendError> {
+    fn stat(&self, _ctx: &TraceCtx, key: &str) -> Result<EntryMeta, BackendError> {
         let m = self.store.stat(key)?;
         Ok(EntryMeta {
             key: m.key,
             size: m.size,
         })
     }
-    fn delete(&self, key: &str) -> Result<(), BackendError> {
+    fn delete(&self, _ctx: &TraceCtx, key: &str) -> Result<(), BackendError> {
         self.store.delete(key)?;
         Ok(())
     }
-    fn list(&self, prefix: &str) -> Result<Vec<EntryMeta>, BackendError> {
+    fn list(&self, _ctx: &TraceCtx, prefix: &str) -> Result<Vec<EntryMeta>, BackendError> {
         Ok(self
             .store
             .list(prefix)
@@ -300,26 +268,25 @@ impl StorageBackend for DfsBackend {
     fn kind(&self) -> &'static str {
         "dfs"
     }
-    fn put(&self, key: &str, data: Payload) -> Result<(), BackendError> {
-        self.dfs
-            .write_payload_traced(key, &data, None, &TraceCtx::disabled())?;
+    fn put(&self, ctx: &TraceCtx, key: &str, data: Payload) -> Result<(), BackendError> {
+        self.dfs.write_payload_traced(key, &data, None, ctx)?;
         Ok(())
     }
-    fn get(&self, key: &str) -> Result<Payload, BackendError> {
-        Ok(Payload::new(self.dfs.read(key, None)?))
+    fn get(&self, ctx: &TraceCtx, key: &str) -> Result<Payload, BackendError> {
+        Ok(Payload::new(self.dfs.read_traced(key, None, ctx)?))
     }
-    fn stat(&self, key: &str) -> Result<EntryMeta, BackendError> {
+    fn stat(&self, _ctx: &TraceCtx, key: &str) -> Result<EntryMeta, BackendError> {
         let m = self.dfs.stat(key)?;
         Ok(EntryMeta {
             key: m.path,
             size: m.size,
         })
     }
-    fn delete(&self, key: &str) -> Result<(), BackendError> {
+    fn delete(&self, _ctx: &TraceCtx, key: &str) -> Result<(), BackendError> {
         self.dfs.delete(key)?;
         Ok(())
     }
-    fn list(&self, prefix: &str) -> Result<Vec<EntryMeta>, BackendError> {
+    fn list(&self, _ctx: &TraceCtx, prefix: &str) -> Result<Vec<EntryMeta>, BackendError> {
         Ok(self
             .dfs
             .list(prefix)
@@ -330,24 +297,12 @@ impl StorageBackend for DfsBackend {
             })
             .collect())
     }
-    fn put_traced(&self, ctx: &TraceCtx, key: &str, data: Payload) -> Result<(), BackendError> {
-        self.dfs.write_payload_traced(key, &data, None, ctx)?;
-        Ok(())
-    }
-    fn get_traced(&self, ctx: &TraceCtx, key: &str) -> Result<Payload, BackendError> {
-        Ok(Payload::new(self.dfs.read_traced(key, None, ctx)?))
-    }
-    fn stage_put_traced(
-        &self,
-        ctx: &TraceCtx,
-        key: &str,
-        data: Payload,
-    ) -> Result<StagedPut, BackendError> {
+    fn stage_put(&self, ctx: &TraceCtx, key: &str, data: Payload) -> Result<StagedPut, BackendError> {
         Ok(StagedPut::Dfs(
             self.dfs.stage_write_traced(key, &data, None, ctx)?,
         ))
     }
-    fn commit_staged_traced(&self, staged: Vec<StagedPut>) -> Vec<Result<(), BackendError>> {
+    fn commit_staged(&self, staged: Vec<StagedPut>) -> Vec<Result<(), BackendError>> {
         // Batch every DFS staged file into one namenode commit,
         // preserving batch order in the results.
         let mut results: Vec<Option<Result<(), BackendError>>> =
@@ -366,7 +321,10 @@ impl StorageBackend for DfsBackend {
         for (i, r) in slots.into_iter().zip(self.dfs.commit_files_batch(files)) {
             results[i] = Some(r.map(|_| ()).map_err(BackendError::from));
         }
-        results.into_iter().map(|r| r.unwrap_or(Ok(()))).collect()
+        results
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|| Err(missing_commit_result())))
+            .collect()
     }
 }
 
@@ -386,29 +344,25 @@ impl StorageBackend for HsmBackend {
     fn kind(&self) -> &'static str {
         "hsm"
     }
-    fn put(&self, key: &str, data: Payload) -> Result<(), BackendError> {
+    fn put(&self, _ctx: &TraceCtx, key: &str, data: Payload) -> Result<(), BackendError> {
         self.hsm.put(key, data)?;
         Ok(())
     }
-    fn get(&self, key: &str) -> Result<Payload, BackendError> {
-        Ok(self.hsm.get(key)?)
+    fn get(&self, ctx: &TraceCtx, key: &str) -> Result<Payload, BackendError> {
+        Ok(self.hsm.get_traced(key, ctx)?)
     }
-    fn stat(&self, key: &str) -> Result<EntryMeta, BackendError> {
-        let entries = self.hsm.catalog();
-        entries
-            .iter()
-            .find(|e| e.key == key)
-            .map(|e| EntryMeta {
-                key: e.key.clone(),
-                size: e.size,
-            })
-            .ok_or_else(|| BackendError::NotFound(key.to_string()))
+    fn stat(&self, _ctx: &TraceCtx, key: &str) -> Result<EntryMeta, BackendError> {
+        let e = self.hsm.stat(key)?;
+        Ok(EntryMeta {
+            key: e.key,
+            size: e.size,
+        })
     }
-    fn delete(&self, key: &str) -> Result<(), BackendError> {
+    fn delete(&self, _ctx: &TraceCtx, key: &str) -> Result<(), BackendError> {
         self.hsm.delete(key)?;
         Ok(())
     }
-    fn list(&self, prefix: &str) -> Result<Vec<EntryMeta>, BackendError> {
+    fn list(&self, _ctx: &TraceCtx, prefix: &str) -> Result<Vec<EntryMeta>, BackendError> {
         let mut out: Vec<EntryMeta> = self
             .hsm
             .catalog()
@@ -421,9 +375,6 @@ impl StorageBackend for HsmBackend {
             .collect();
         out.sort_by(|a, b| a.key.cmp(&b.key));
         Ok(out)
-    }
-    fn get_traced(&self, ctx: &TraceCtx, key: &str) -> Result<Payload, BackendError> {
-        Ok(self.hsm.get_traced(key, ctx)?)
     }
 }
 
@@ -460,43 +411,45 @@ mod tests {
 
     #[test]
     fn all_backends_satisfy_the_contract() {
+        let ctx = TraceCtx::disabled();
         for b in backends() {
             let kind = b.kind();
             // put / exists / get / stat
-            b.put("a/x", payload("hello")).unwrap();
+            b.put(&ctx, "a/x", payload("hello")).unwrap();
             assert!(b.exists("a/x"), "{kind}");
-            assert_eq!(b.get("a/x").unwrap(), payload("hello"), "{kind}");
-            let m = b.stat("a/x").unwrap();
+            assert_eq!(b.get(&ctx, "a/x").unwrap(), payload("hello"), "{kind}");
+            let m = b.stat(&ctx, "a/x").unwrap();
             assert_eq!(m.size, 5, "{kind}");
             // write-once
             assert!(
-                matches!(b.put("a/x", payload("v2")), Err(BackendError::AlreadyExists(_))),
+                matches!(b.put(&ctx, "a/x", payload("v2")), Err(BackendError::AlreadyExists(_))),
                 "{kind} must be write-once"
             );
             // list
-            b.put("a/y", payload("1")).unwrap();
-            b.put("b/z", payload("2")).unwrap();
+            b.put(&ctx, "a/y", payload("1")).unwrap();
+            b.put(&ctx, "b/z", payload("2")).unwrap();
             let keys: Vec<String> = b
-                .list("a/")
+                .list(&ctx, "a/")
                 .unwrap()
                 .into_iter()
                 .map(|m| m.key)
                 .collect();
             assert_eq!(keys, vec!["a/x", "a/y"], "{kind}");
             // missing keys
-            assert!(matches!(b.get("nope"), Err(BackendError::NotFound(_))), "{kind}");
+            assert!(matches!(b.get(&ctx, "nope"), Err(BackendError::NotFound(_))), "{kind}");
             assert!(!b.exists("nope"), "{kind}");
         }
     }
 
     #[test]
     fn every_backend_supports_delete() {
+        let ctx = TraceCtx::disabled();
         for b in backends() {
-            b.put("k", payload("v")).unwrap();
-            b.delete("k").unwrap();
+            b.put(&ctx, "k", payload("v")).unwrap();
+            b.delete(&ctx, "k").unwrap();
             assert!(!b.exists("k"), "{}", b.kind());
             assert!(
-                matches!(b.delete("k"), Err(BackendError::NotFound(_))),
+                matches!(b.delete(&ctx, "k"), Err(BackendError::NotFound(_))),
                 "{} double delete",
                 b.kind()
             );
@@ -507,12 +460,33 @@ mod tests {
     fn staged_puts_commit_in_one_batch_on_every_backend() {
         let ctx = TraceCtx::disabled();
         for b in backends() {
-            let s1 = b.stage_put_traced(&ctx, "s/1", payload("a")).unwrap();
-            let s2 = b.stage_put_traced(&ctx, "s/2", payload("b")).unwrap();
-            let results = b.commit_staged_traced(vec![s1, s2]);
+            let s1 = b.stage_put(&ctx, "s/1", payload("a")).unwrap();
+            let s2 = b.stage_put(&ctx, "s/2", payload("b")).unwrap();
+            let results = b.commit_staged(vec![s1, s2]);
             assert!(results.iter().all(|r| r.is_ok()), "{}", b.kind());
-            assert_eq!(b.get("s/1").unwrap(), payload("a"), "{}", b.kind());
-            assert_eq!(b.get("s/2").unwrap(), payload("b"), "{}", b.kind());
+            assert_eq!(b.get(&ctx, "s/1").unwrap(), payload("a"), "{}", b.kind());
+            assert_eq!(b.get(&ctx, "s/2").unwrap(), payload("b"), "{}", b.kind());
+        }
+        // A single put is a batch of one: on twin backends, `put` and
+        // `stage_put` + `commit_staged` leave the same state behind and
+        // refuse a taken key with the same error.
+        let batch_of_one = |b: &dyn StorageBackend, key: &str, data: Payload| {
+            let staged = b.stage_put(&ctx, key, data)?;
+            b.commit_staged(vec![staged]).pop().expect("one result per staged put")
+        };
+        for (eager, staged) in backends().into_iter().zip(backends()) {
+            let kind = eager.kind();
+            for key in ["p/1", "p/2", "q/3"] {
+                eager.put(&ctx, key, payload(key)).unwrap();
+                batch_of_one(&*staged, key, payload(key)).unwrap();
+            }
+            assert_eq!(eager.get(&ctx, "p/2"), staged.get(&ctx, "p/2"), "{kind}");
+            assert_eq!(eager.stat(&ctx, "p/2"), staged.stat(&ctx, "p/2"), "{kind}");
+            assert_eq!(eager.list(&ctx, "p/"), staged.list(&ctx, "p/"), "{kind}");
+            assert_eq!(eager.list(&ctx, "p/").unwrap().len(), 2, "{kind}");
+            let taken = eager.put(&ctx, "p/1", payload("again"));
+            assert!(matches!(taken, Err(BackendError::AlreadyExists(_))), "{kind}");
+            assert_eq!(taken, batch_of_one(&*staged, "p/1", payload("again")), "{kind}");
         }
     }
 
@@ -531,12 +505,12 @@ mod tests {
         // Both stages pass the optimistic namespace check; the batched
         // commit's re-check under the write lock catches the duplicate
         // and rolls back the loser's blocks.
-        let s1 = b.stage_put_traced(&ctx, "dup", payload("one")).unwrap();
-        let s2 = b.stage_put_traced(&ctx, "dup", payload("two")).unwrap();
-        let r = b.commit_staged_traced(vec![s1, s2]);
+        let s1 = b.stage_put(&ctx, "dup", payload("one")).unwrap();
+        let s2 = b.stage_put(&ctx, "dup", payload("two")).unwrap();
+        let r = b.commit_staged(vec![s1, s2]);
         assert!(r[0].is_ok());
         assert!(matches!(&r[1], Err(BackendError::AlreadyExists(_))));
-        assert_eq!(b.get("dup").unwrap(), payload("one"));
+        assert_eq!(b.get(&ctx, "dup").unwrap(), payload("one"));
     }
 
     #[test]

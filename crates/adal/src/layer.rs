@@ -38,7 +38,7 @@ use lsdf_sim::SimRng;
 use lsdf_storage::Payload;
 
 use crate::auth::{Access, Acl, AuthError, AuthProvider, Credential, TokenAuth};
-use crate::backend::{BackendError, EntryMeta, StagedPut, StorageBackend};
+use crate::backend::{missing_commit_result, BackendError, EntryMeta, StagedPut, StorageBackend};
 use crate::path::{LsdfPath, PathError};
 use lsdf_obs::names;
 
@@ -366,15 +366,15 @@ impl ResilientState {
         data: &Payload,
     ) -> Result<(), BackendError> {
         // lint: allow(payload_copy) -- Payload handle clone: refcount bump
-        backend.put_traced(ctx, key, data.clone())?;
+        backend.put(ctx, key, data.clone())?;
         if !self.verify_writes {
             return Ok(());
         }
-        match backend.get_traced(ctx, key) {
+        match backend.get(ctx, key) {
             Ok(back) if back.content_eq(data) => Ok(()),
             Ok(_) => {
                 self.metrics.verify_failures.inc();
-                let _ = backend.delete_traced(ctx, key);
+                let _ = backend.delete(ctx, key);
                 Err(BackendError::Integrity(format!(
                     "write verification failed for '{key}'"
                 )))
@@ -382,7 +382,7 @@ impl ResilientState {
             Err(e) => {
                 // Could not read our own write back: clean up and let the
                 // retry loop redo the transfer.
-                let _ = backend.delete_traced(ctx, key);
+                let _ = backend.delete(ctx, key);
                 if e.is_transient() {
                     Err(e)
                 } else {
@@ -397,10 +397,10 @@ impl ResilientState {
     /// Best-effort copy of a successful write onto the replica. The
     /// clone is a refcount bump sharing one payload handle (and its
     /// memoized digest) with the primary copy.
-    fn replicate(&self, key: &str, data: &Payload) {
+    fn replicate(&self, ctx: &TraceCtx, key: &str, data: &Payload) {
         if let Some(rep) = &self.replica {
             // lint: allow(payload_copy) -- Payload handle clone: refcount bump
-            if rep.put(key, data.clone()).is_err() {
+            if rep.put(ctx, key, data.clone()).is_err() {
                 self.metrics.replica_write_failures.inc();
             }
         }
@@ -687,65 +687,19 @@ impl Adal {
     /// the write is retried through transient faults, verified against
     /// torn writes, and — when the backend is down — acknowledged into
     /// the redo journal for later draining.
+    ///
+    /// A single put is a batch of one: [`Adal::put_stage_traced`] under
+    /// a new root span, then [`Adal::commit_staged`].
     pub fn put(
         &self,
         cred: &Credential,
         path: &str,
         data: impl Into<Payload>,
     ) -> Result<(), AdalError> {
-        let trace = self.trace_root(names::ADAL_PUT_SPAN, path);
-        self.put_with_trace(trace, cred, path, data.into())
-    }
-
-    /// [`Adal::put`] attached to a live parent trace (e.g. a pool task
-    /// inside a batch ingest): the operation becomes a child span of
-    /// `parent` instead of minting a new root. With a disabled parent
-    /// this behaves exactly like [`Adal::put`].
-    pub fn put_traced(
-        &self,
-        parent: &TraceCtx,
-        cred: &Credential,
-        path: &str,
-        data: impl Into<Payload>,
-    ) -> Result<(), AdalError> {
-        let trace = if parent.is_enabled() {
-            let t = parent.child(names::ADAL_PUT_SPAN);
-            t.add_field("path", path);
-            t
-        } else {
-            self.trace_root(names::ADAL_PUT_SPAN, path)
-        };
-        self.put_with_trace(trace, cred, path, data.into())
-    }
-
-    fn put_with_trace(
-        &self,
-        trace: TraceCtx,
-        cred: &Credential,
-        path: &str,
-        data: Payload,
-    ) -> Result<(), AdalError> {
-        let span = self.obs.span(&self.ops.put_latency);
-        let (mount, parsed) = self.resolve(cred, path, Access::Write)?;
-        let len = data.len() as u64;
-        match &mount.resilience {
-            Some(st) => self.resilient_put(
-                &trace,
-                st,
-                &mount.backend,
-                &parsed.project,
-                &parsed.key,
-                data,
-            )?,
-            None => mount.backend.put_traced(&trace, &parsed.key, data)?,
-        }
-        self.ops.puts.inc();
-        self.ops.put_bytes.record(len);
-        mount.metrics.op(&self.obs, OpKind::Put);
-        let dt = span.finish();
-        mount.metrics.op_latency(&self.obs, dt);
-        trace.finish();
-        Ok(())
+        let staged = self.put_stage_traced(&TraceCtx::disabled(), cred, path, data)?;
+        self.commit_staged(vec![staged])
+            .pop()
+            .unwrap_or_else(|| Err(missing_commit_result().into()))
     }
 
     /// Stages a put for a later batched commit: resolution, admission
@@ -753,6 +707,10 @@ impl Adal {
     /// pool worker); the metadata commit that serialises on shared
     /// state is deferred to [`Adal::commit_staged`]. A write staged
     /// here is **not** acknowledgeable until its commit returns Ok.
+    ///
+    /// The operation's `adal_put` span is a child of an enabled
+    /// `parent` (e.g. a pool task inside a batch ingest), else a new
+    /// root trace.
     pub fn put_stage_traced(
         &self,
         parent: &TraceCtx,
@@ -786,7 +744,7 @@ impl Adal {
                 )?;
                 None
             }
-            None => Some(mount.backend.stage_put_traced(&trace, &parsed.key, data)?),
+            None => Some(mount.backend.stage_put(&trace, &parsed.key, data)?),
         };
         trace.finish();
         Ok(PendingPut {
@@ -827,7 +785,7 @@ impl Adal {
             finalize.push((p.metrics, p.len, p.span));
         }
         for (backend, idxs, batch) in groups {
-            for (i, r) in idxs.into_iter().zip(backend.commit_staged_traced(batch)) {
+            for (i, r) in idxs.into_iter().zip(backend.commit_staged(batch)) {
                 outcomes[i] = Some(r);
             }
         }
@@ -835,7 +793,7 @@ impl Adal {
             .into_iter()
             .zip(finalize)
             .map(|(outcome, (metrics, len, span))| {
-                match outcome.unwrap_or(Ok(())) {
+                match outcome.unwrap_or_else(|| Err(missing_commit_result())) {
                     Ok(()) => {
                         self.ops.puts.inc();
                         self.ops.put_bytes.record(len);
@@ -855,33 +813,6 @@ impl Adal {
     /// retried, and an open breaker fails the read over to the replica.
     pub fn get(&self, cred: &Credential, path: &str) -> Result<Bytes, AdalError> {
         let trace = self.trace_root(names::ADAL_GET_SPAN, path);
-        self.get_with_trace(trace, cred, path)
-    }
-
-    /// [`Adal::get`] attached to a live parent trace; see
-    /// [`Adal::put_traced`] for the nesting rules.
-    pub fn get_traced(
-        &self,
-        parent: &TraceCtx,
-        cred: &Credential,
-        path: &str,
-    ) -> Result<Bytes, AdalError> {
-        let trace = if parent.is_enabled() {
-            let t = parent.child(names::ADAL_GET_SPAN);
-            t.add_field("path", path);
-            t
-        } else {
-            self.trace_root(names::ADAL_GET_SPAN, path)
-        };
-        self.get_with_trace(trace, cred, path)
-    }
-
-    fn get_with_trace(
-        &self,
-        trace: TraceCtx,
-        cred: &Credential,
-        path: &str,
-    ) -> Result<Bytes, AdalError> {
         let span = self.obs.span(&self.ops.get_latency);
         let (mount, parsed) = self.resolve(cred, path, Access::Read)?;
         let data = match &mount.resilience {
@@ -892,7 +823,7 @@ impl Adal {
                 &parsed.project,
                 &parsed.key,
             )?,
-            None => mount.backend.get_traced(&trace, &parsed.key)?,
+            None => mount.backend.get(&trace, &parsed.key)?,
         }
         .into_bytes();
         self.ops.gets.inc();
@@ -917,7 +848,7 @@ impl Adal {
                 &parsed.project,
                 &parsed.key,
             )?,
-            None => mount.backend.stat_traced(&trace, &parsed.key)?,
+            None => mount.backend.stat(&trace, &parsed.key)?,
         };
         self.ops.stats.inc();
         mount.metrics.op(&self.obs, OpKind::Stat);
@@ -944,7 +875,7 @@ impl Adal {
                 &parsed.project,
                 &parsed.key,
             )?,
-            None => mount.backend.list_traced(&trace, &parsed.key)?,
+            None => mount.backend.list(&trace, &parsed.key)?,
         };
         self.ops.lists.inc();
         mount.metrics.op(&self.obs, OpKind::List);
@@ -967,7 +898,7 @@ impl Adal {
                 &parsed.project,
                 &parsed.key,
             )?,
-            None => mount.backend.delete_traced(&trace, &parsed.key)?,
+            None => mount.backend.delete(&trace, &parsed.key)?,
         }
         self.ops.deletes.inc();
         mount.metrics.op(&self.obs, OpKind::Delete);
@@ -1020,7 +951,7 @@ impl Adal {
                     },
                     || {
                         // lint: allow(payload_copy) -- Payload handle clone: refcount bump
-                        let out = rep.put(key, data.clone());
+                        let out = rep.put(&replica_ctx, key, data.clone());
                         replica_ctx.finish();
                         out
                     },
@@ -1034,7 +965,7 @@ impl Adal {
                     // replica-side write-once check cannot observe an
                     // unacknowledged write.
                     (Err(_), Ok(())) => {
-                        let _ = rep.delete(key);
+                        let _ = rep.delete(ctx, key);
                     }
                     _ => {}
                 }
@@ -1046,7 +977,7 @@ impl Adal {
                 });
                 primary_ctx.finish();
                 if out.is_ok() {
-                    st.replicate(key, &data);
+                    st.replicate(&replica_ctx, key, &data);
                 }
                 replica_ctx.finish();
                 out
@@ -1076,9 +1007,10 @@ impl Adal {
     ) -> Result<(), BackendError> {
         // The primary cannot be asked whether the key exists, but the
         // replica holds a copy of every landed write: honour write-once
-        // as far as it can be checked.
+        // as far as it can be checked (`stat`, not `exists`: it takes
+        // the ctx, so a fault injected on this probe is traced).
         if let Some(rep) = &st.replica {
-            if rep.exists(key) {
+            if rep.stat(ctx, key).is_ok() {
                 return Err(BackendError::AlreadyExists(key.to_string()));
             }
         }
@@ -1114,7 +1046,7 @@ impl Adal {
             return Ok(data);
         }
         if st.acquire(&self.obs, ctx, project) {
-            match st.with_retries(&self.obs, ctx, project, |actx| backend.get_traced(actx, key)) {
+            match st.with_retries(&self.obs, ctx, project, |actx| backend.get(actx, key)) {
                 Ok(data) => {
                     self.drain_step(ctx, st, backend, project);
                     return Ok(data);
@@ -1123,7 +1055,7 @@ impl Adal {
                 Err(e) => return Err(e),
             }
         }
-        self.failover_read(ctx, st, project, key, |rep| rep.get(key))
+        self.failover_read(ctx, st, project, key, |rep| rep.get(ctx, key))
     }
 
     fn resilient_stat(
@@ -1141,13 +1073,13 @@ impl Adal {
             });
         }
         if st.acquire(&self.obs, ctx, project) {
-            match st.with_retries(&self.obs, ctx, project, |actx| backend.stat_traced(actx, key)) {
+            match st.with_retries(&self.obs, ctx, project, |actx| backend.stat(actx, key)) {
                 Ok(meta) => return Ok(meta),
                 Err(e) if e.is_transient() => {}
                 Err(e) => return Err(e),
             }
         }
-        self.failover_read(ctx, st, project, key, |rep| rep.stat(key))
+        self.failover_read(ctx, st, project, key, |rep| rep.stat(ctx, key))
     }
 
     fn resilient_list(
@@ -1160,16 +1092,16 @@ impl Adal {
     ) -> Result<Vec<EntryMeta>, BackendError> {
         let landed = if st.acquire(&self.obs, ctx, project) {
             match st.with_retries(&self.obs, ctx, project, |actx| {
-                backend.list_traced(actx, prefix)
+                backend.list(actx, prefix)
             }) {
                 Ok(entries) => Ok(entries),
                 Err(e) if e.is_transient() => {
-                    self.failover_read(ctx, st, project, prefix, |rep| rep.list(prefix))
+                    self.failover_read(ctx, st, project, prefix, |rep| rep.list(ctx, prefix))
                 }
                 Err(e) => Err(e),
             }
         } else {
-            self.failover_read(ctx, st, project, prefix, |rep| rep.list(prefix))
+            self.failover_read(ctx, st, project, prefix, |rep| rep.list(ctx, prefix))
         }?;
         // Merge acknowledged journal entries; the journal wins on key
         // collisions (it is the newer acknowledged state).
@@ -1206,11 +1138,11 @@ impl Adal {
             )));
         }
         st.with_retries(&self.obs, ctx, project, |actx| {
-            backend.delete_traced(actx, key)
+            backend.delete(actx, key)
         })?;
         if let Some(rep) = &st.replica {
             // Best effort: the replica copy may or may not exist.
-            let _ = rep.delete(key);
+            let _ = rep.delete(ctx, key);
         }
         self.drain_step(ctx, st, backend, project);
         Ok(())
@@ -1266,7 +1198,7 @@ impl Adal {
                 Ok(()) => {
                     drained += 1;
                     st.metrics.journal_drained.inc();
-                    st.replicate(&key, &data);
+                    st.replicate(ctx, &key, &data);
                     self.obs
                         .event(names::ADAL_JOURNAL_DRAIN_LOG_EVENT, &[("project", project), ("key", &key)]);
                 }
@@ -1276,7 +1208,7 @@ impl Adal {
                     // journal holds the acknowledged write — repair the
                     // primary (covers torn residue left by a failed
                     // verify cleanup).
-                    match backend.get_traced(ctx, &key) {
+                    match backend.get(ctx, &key) {
                         Ok(existing) if existing.content_eq(&data) => {
                             drained += 1;
                             st.metrics.journal_drained.inc();
@@ -1287,14 +1219,14 @@ impl Adal {
                                 names::ADAL_JOURNAL_CONFLICT_LOG_EVENT,
                                 &[("project", project), ("key", &key)],
                             );
-                            let _ = backend.delete_traced(ctx, &key);
+                            let _ = backend.delete(ctx, &key);
                             match st.with_retries(&self.obs, ctx, project, |actx| {
                                 st.put_verified(actx, backend, &key, &data)
                             }) {
                                 Ok(()) => {
                                     drained += 1;
                                     st.metrics.journal_drained.inc();
-                                    st.replicate(&key, &data);
+                                    st.replicate(ctx, &key, &data);
                                 }
                                 Err(_) => {
                                     st.journal.requeue_front(key, data);
@@ -1626,6 +1558,58 @@ mod tests {
         );
     }
 
+    /// An out-of-tree backend that breaks the commit contract: handed
+    /// N staged puts, it answers with no results at all.
+    struct SilentCommit;
+
+    impl StorageBackend for SilentCommit {
+        fn kind(&self) -> &'static str {
+            "silent"
+        }
+        fn put(&self, _: &TraceCtx, key: &str, _: Payload) -> Result<(), BackendError> {
+            Err(BackendError::Unsupported(key.to_string()))
+        }
+        fn get(&self, _: &TraceCtx, key: &str) -> Result<Payload, BackendError> {
+            Err(BackendError::NotFound(key.to_string()))
+        }
+        fn stat(&self, _: &TraceCtx, key: &str) -> Result<EntryMeta, BackendError> {
+            Err(BackendError::NotFound(key.to_string()))
+        }
+        fn delete(&self, _: &TraceCtx, key: &str) -> Result<(), BackendError> {
+            Err(BackendError::NotFound(key.to_string()))
+        }
+        fn list(&self, _: &TraceCtx, _: &str) -> Result<Vec<EntryMeta>, BackendError> {
+            Ok(Vec::new())
+        }
+        fn stage_put(&self, _: &TraceCtx, _: &str, _: Payload) -> Result<StagedPut, BackendError> {
+            Ok(StagedPut::Committed)
+        }
+        fn commit_staged(&self, _: Vec<StagedPut>) -> Vec<Result<(), BackendError>> {
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn a_missing_commit_result_is_an_error_not_an_ack() {
+        let (adal, cred) = setup();
+        adal.mount("zebrafish", Arc::new(SilentCommit));
+        let staged = ["a", "b"]
+            .map(|k| {
+                let path = format!("lsdf://zebrafish/{k}");
+                adal.put_stage_traced(&TraceCtx::disabled(), &cred, &path, b("px")).unwrap()
+            })
+            .into();
+        let results = adal.commit_staged(staged);
+        assert_eq!(results.len(), 2);
+        for r in &results {
+            assert!(matches!(r, Err(AdalError::Backend(BackendError::Other(_)))), "{r:?}");
+        }
+        assert!(adal.put(&cred, "lsdf://zebrafish/c", b("px")).is_err());
+        assert_eq!(adal.counters().puts, 0);
+        let acked = [("project", "zebrafish")];
+        assert_eq!(adal.obs().histogram(names::ADAL_PROJECT_OP_LATENCY_NS, &acked).count(), 0);
+    }
+
     #[test]
     fn builder_chain_builds_a_working_layer() {
         let auth = Arc::new(TokenAuth::new());
@@ -1756,7 +1740,7 @@ mod tests {
         fn kind(&self) -> &'static str {
             "scripted"
         }
-        fn put(&self, key: &str, data: Payload) -> Result<(), BackendError> {
+        fn put(&self, ctx: &TraceCtx, key: &str, data: Payload) -> Result<(), BackendError> {
             if self.trip(&self.fail_budget) {
                 return Err(BackendError::TransientIo(format!("scripted put '{key}'")));
             }
@@ -1766,37 +1750,37 @@ mod tests {
                 // fresh digest cell.
                 let mut torn = data.to_vec();
                 torn[0] ^= 0xff;
-                return self.inner.put(key, Payload::from(torn));
+                return self.inner.put(ctx, key, Payload::from(torn));
             }
-            self.inner.put(key, data)
+            self.inner.put(ctx, key, data)
         }
-        fn get(&self, key: &str) -> Result<Payload, BackendError> {
+        fn get(&self, ctx: &TraceCtx, key: &str) -> Result<Payload, BackendError> {
             if self.trip(&self.fail_budget) {
                 return Err(BackendError::TransientIo(format!("scripted get '{key}'")));
             }
-            self.inner.get(key)
+            self.inner.get(ctx, key)
         }
-        fn stat(&self, key: &str) -> Result<EntryMeta, BackendError> {
+        fn stat(&self, ctx: &TraceCtx, key: &str) -> Result<EntryMeta, BackendError> {
             if self.trip(&self.fail_budget) {
                 return Err(BackendError::TransientIo(format!("scripted stat '{key}'")));
             }
-            self.inner.stat(key)
+            self.inner.stat(ctx, key)
         }
-        fn delete(&self, key: &str) -> Result<(), BackendError> {
+        fn delete(&self, ctx: &TraceCtx, key: &str) -> Result<(), BackendError> {
             if self.trip(&self.fail_budget) {
                 return Err(BackendError::TransientIo(format!(
                     "scripted delete '{key}'"
                 )));
             }
-            self.inner.delete(key)
+            self.inner.delete(ctx, key)
         }
-        fn list(&self, prefix: &str) -> Result<Vec<EntryMeta>, BackendError> {
+        fn list(&self, ctx: &TraceCtx, prefix: &str) -> Result<Vec<EntryMeta>, BackendError> {
             if self.trip(&self.fail_budget) {
                 return Err(BackendError::TransientIo(format!(
                     "scripted list '{prefix}'"
                 )));
             }
-            self.inner.list(prefix)
+            self.inner.list(ctx, prefix)
         }
     }
 

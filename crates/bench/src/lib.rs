@@ -2,8 +2,8 @@
 //!
 //! One function per experiment in DESIGN.md's index (E1–E14), each
 //! returning a paper-vs-measured table. The `report` binary runs them all
-//! (`cargo run --release -p lsdf-bench --bin report`); the criterion
-//! benches under `benches/` time the hot kernels of each experiment.
+//! (`cargo run --release -p lsdf-bench --bin report`); timing is the
+//! `benchmark` binary's job (BENCHMARK.json).
 
 #![warn(missing_docs)]
 

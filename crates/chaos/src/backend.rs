@@ -126,9 +126,10 @@ impl FaultyBackend {
         Ok(())
     }
 
-    /// Mirrors the non-tearing injection counters onto the trace, so a
-    /// trace's `chaos_fault` events reconcile 1:1 with
-    /// `chaos_injected_total` when every operation is traced.
+    /// Mirrors the non-tearing injection counters onto the trace: every
+    /// operation has one body, so a trace's `chaos_fault` events
+    /// reconcile 1:1 with `chaos_injected_total` whenever the caller's
+    /// ctx is enabled.
     fn trace_decision(&self, ctx: &TraceCtx, d: &FaultDecision) {
         if !ctx.is_enabled() {
             return;
@@ -182,38 +183,7 @@ impl StorageBackend for FaultyBackend {
         self.inner.kind()
     }
 
-    fn put(&self, key: &str, data: Payload) -> Result<(), BackendError> {
-        let d = self.next_decision(true);
-        self.gate(&d, "put", key)?;
-        let payload = if d.torn { self.tear(data) } else { data };
-        self.inner.put(key, payload)
-    }
-
-    fn get(&self, key: &str) -> Result<Payload, BackendError> {
-        let d = self.next_decision(false);
-        self.gate(&d, "get", key)?;
-        self.inner.get(key)
-    }
-
-    fn stat(&self, key: &str) -> Result<EntryMeta, BackendError> {
-        let d = self.next_decision(false);
-        self.gate(&d, "stat", key)?;
-        self.inner.stat(key)
-    }
-
-    fn delete(&self, key: &str) -> Result<(), BackendError> {
-        let d = self.next_decision(false);
-        self.gate(&d, "delete", key)?;
-        self.inner.delete(key)
-    }
-
-    fn list(&self, prefix: &str) -> Result<Vec<EntryMeta>, BackendError> {
-        let d = self.next_decision(false);
-        self.gate(&d, "list", prefix)?;
-        self.inner.list(prefix)
-    }
-
-    fn put_traced(&self, ctx: &TraceCtx, key: &str, data: Payload) -> Result<(), BackendError> {
+    fn put(&self, ctx: &TraceCtx, key: &str, data: Payload) -> Result<(), BackendError> {
         let d = self.next_decision(true);
         self.trace_decision(ctx, &d);
         self.gate(&d, "put", key)?;
@@ -230,35 +200,35 @@ impl StorageBackend for FaultyBackend {
         } else {
             data
         };
-        self.inner.put_traced(ctx, key, payload)
+        self.inner.put(ctx, key, payload)
     }
 
-    fn get_traced(&self, ctx: &TraceCtx, key: &str) -> Result<Payload, BackendError> {
+    fn get(&self, ctx: &TraceCtx, key: &str) -> Result<Payload, BackendError> {
         let d = self.next_decision(false);
         self.trace_decision(ctx, &d);
         self.gate(&d, "get", key)?;
-        self.inner.get_traced(ctx, key)
+        self.inner.get(ctx, key)
     }
 
-    fn stat_traced(&self, ctx: &TraceCtx, key: &str) -> Result<EntryMeta, BackendError> {
+    fn stat(&self, ctx: &TraceCtx, key: &str) -> Result<EntryMeta, BackendError> {
         let d = self.next_decision(false);
         self.trace_decision(ctx, &d);
         self.gate(&d, "stat", key)?;
-        self.inner.stat_traced(ctx, key)
+        self.inner.stat(ctx, key)
     }
 
-    fn delete_traced(&self, ctx: &TraceCtx, key: &str) -> Result<(), BackendError> {
+    fn delete(&self, ctx: &TraceCtx, key: &str) -> Result<(), BackendError> {
         let d = self.next_decision(false);
         self.trace_decision(ctx, &d);
         self.gate(&d, "delete", key)?;
-        self.inner.delete_traced(ctx, key)
+        self.inner.delete(ctx, key)
     }
 
-    fn list_traced(&self, ctx: &TraceCtx, prefix: &str) -> Result<Vec<EntryMeta>, BackendError> {
+    fn list(&self, ctx: &TraceCtx, prefix: &str) -> Result<Vec<EntryMeta>, BackendError> {
         let d = self.next_decision(false);
         self.trace_decision(ctx, &d);
         self.gate(&d, "list", prefix)?;
-        self.inner.list_traced(ctx, prefix)
+        self.inner.list(ctx, prefix)
     }
 }
 
@@ -282,29 +252,50 @@ mod tests {
     #[test]
     fn quiet_plan_is_transparent() {
         let reg = Registry::new();
+        let ctx = TraceCtx::disabled();
         let fb = FaultyBackend::new("disk", store("d"), FaultPlan::quiet(1), &reg);
-        fb.put("k", b("v")).unwrap();
-        assert_eq!(fb.get("k").unwrap(), b("v"));
-        assert_eq!(fb.stat("k").unwrap().size, 1);
-        assert_eq!(fb.list("").unwrap().len(), 1);
-        fb.delete("k").unwrap();
+        fb.put(&ctx, "k", b("v")).unwrap();
+        assert_eq!(fb.get(&ctx, "k").unwrap(), b("v"));
+        assert_eq!(fb.stat(&ctx, "k").unwrap().size, 1);
+        assert_eq!(fb.list(&ctx, "").unwrap().len(), 1);
+        fb.delete(&ctx, "k").unwrap();
         assert!(!fb.exists("k"));
         assert_eq!(reg.counter_total(names::CHAOS_INJECTED_TOTAL), 0);
         assert_eq!(fb.ops_seen(), 6); // exists() routes through stat()
+
+        // A single put is a batch of one here too: `stage_put` +
+        // `commit_staged` on a twin leaves what `put` leaves and refuses
+        // a taken key with the same error.
+        let twin = FaultyBackend::new("twin", store("t"), FaultPlan::quiet(1), &reg);
+        let batch_of_one = |key: &str, data: Payload| {
+            let staged = twin.stage_put(&ctx, key, data)?;
+            twin.commit_staged(vec![staged]).pop().expect("one result per staged put")
+        };
+        for key in ["p/1", "p/2", "q/3"] {
+            fb.put(&ctx, key, b(key)).unwrap();
+            batch_of_one(key, b(key)).unwrap();
+        }
+        assert_eq!(fb.get(&ctx, "p/2"), twin.get(&ctx, "p/2"));
+        assert_eq!(fb.stat(&ctx, "p/2"), twin.stat(&ctx, "p/2"));
+        assert_eq!(fb.list(&ctx, "p/"), twin.list(&ctx, "p/"));
+        let taken = fb.put(&ctx, "p/1", b("again"));
+        assert!(matches!(taken, Err(BackendError::AlreadyExists(_))));
+        assert_eq!(taken, batch_of_one("p/1", b("again")));
     }
 
     #[test]
     fn outage_window_fails_exactly_its_ops() {
+        let ctx = TraceCtx::disabled();
         let reg = Registry::new();
         let plan = FaultPlan::quiet(1).outage(1, 3);
         let fb = FaultyBackend::new("disk", store("d"), plan, &reg);
-        fb.put("a", b("1")).unwrap(); // op 0: before the window
+        fb.put(&ctx, "a", b("1")).unwrap(); // op 0: before the window
         assert!(matches!(
-            fb.put("b", b("2")), // op 1
+            fb.put(&ctx, "b", b("2")), // op 1
             Err(BackendError::Unavailable(_))
         ));
-        assert!(matches!(fb.get("a"), Err(BackendError::Unavailable(_)))); // op 2
-        assert_eq!(fb.get("a").unwrap(), b("1")); // op 3: recovered
+        assert!(matches!(fb.get(&ctx, "a"), Err(BackendError::Unavailable(_)))); // op 2
+        assert_eq!(fb.get(&ctx, "a").unwrap(), b("1")); // op 3: recovered
         assert_eq!(
             reg.counter_value(
                 names::CHAOS_INJECTED_TOTAL,
@@ -316,12 +307,13 @@ mod tests {
 
     #[test]
     fn transient_faults_are_counted_and_reproducible() {
+        let ctx = TraceCtx::disabled();
         let run = || {
             let reg = Registry::new();
             let plan = FaultPlan::quiet(9).transient(0.5);
             let fb = FaultyBackend::new("disk", store("d"), plan, &reg);
             (0..64)
-                .map(|i| fb.put(&format!("k{i}"), b("x")).is_ok())
+                .map(|i| fb.put(&ctx, &format!("k{i}"), b("x")).is_ok())
                 .collect::<Vec<_>>()
         };
         let a = run();
@@ -332,12 +324,13 @@ mod tests {
 
     #[test]
     fn torn_write_acknowledges_but_corrupts() {
+        let ctx = TraceCtx::disabled();
         let reg = Registry::new();
         let inner = store("d");
         let plan = FaultPlan::quiet(5).torn_writes(1.0);
         let fb = FaultyBackend::new("disk", inner.clone(), plan, &reg);
-        fb.put("k", b("payload")).unwrap(); // acked!
-        let stored = inner.get("k").unwrap();
+        fb.put(&ctx, "k", b("payload")).unwrap(); // acked!
+        let stored = inner.get(&ctx, "k").unwrap();
         assert_ne!(stored, b("payload"));
         assert_eq!(stored.len(), 7); // one byte flipped, not truncated
         assert_eq!(
@@ -351,6 +344,7 @@ mod tests {
 
     #[test]
     fn torn_write_mutates_a_private_copy_never_the_shared_buffer() {
+        let ctx = TraceCtx::disabled();
         // The zero-copy invariant under chaos: the caller's Payload
         // handle is shared with replicas and the catalog, so a torn
         // write must corrupt its own copy — the shared buffer and its
@@ -362,14 +356,14 @@ mod tests {
         let original = b("payload");
         let caller_handle = original.clone(); // e.g. the replica's handle
         let digest_before = caller_handle.digest();
-        fb.put("k", original).unwrap();
+        fb.put(&ctx, "k", original).unwrap();
         assert_eq!(caller_handle, b("payload"), "shared buffer was mutated");
         assert_eq!(
             caller_handle.digest(),
             digest_before,
             "memoized digest cell poisoned by the torn copy"
         );
-        let stored = inner.get("k").unwrap();
+        let stored = inner.get(&ctx, "k").unwrap();
         assert_ne!(stored, caller_handle);
         assert_ne!(stored.digest(), digest_before, "tear got its own digest cell");
     }
@@ -384,11 +378,12 @@ mod tests {
 
     #[test]
     fn latency_spikes_recorded_without_failing() {
+        let ctx = TraceCtx::disabled();
         let reg = Registry::new();
         let plan = FaultPlan::quiet(2).latency_spikes(1.0, 7_000);
         let fb = FaultyBackend::new("disk", store("d"), plan, &reg);
-        fb.put("k", b("v")).unwrap();
-        assert_eq!(fb.get("k").unwrap(), b("v"));
+        fb.put(&ctx, "k", b("v")).unwrap();
+        assert_eq!(fb.get(&ctx, "k").unwrap(), b("v"));
         let h = reg.histogram(names::CHAOS_INJECTED_LATENCY_NS, &[("backend", "disk")]);
         assert_eq!(h.count(), 2);
         assert_eq!(h.sum(), 14_000);

@@ -199,26 +199,6 @@ impl FacilityBuilder {
         self
     }
 
-    /// Adds a project with its metadata schema and backend choice.
-    #[deprecated(note = "use `tenant(ProjectSpec::new(schema, backend))`")]
-    pub fn project(self, schema: Schema, backend: BackendChoice) -> Self {
-        self.tenant(ProjectSpec::new(schema, backend))
-    }
-
-    /// Adds a project mounted through the full ADAL resilience stack.
-    #[deprecated(
-        note = "use `tenant(ProjectSpec::new(schema, primary).resilient(replica, cfg))`"
-    )]
-    pub fn resilient_project(
-        self,
-        schema: Schema,
-        primary: BackendChoice,
-        replica: BackendChoice,
-        cfg: ResilienceConfig,
-    ) -> Self {
-        self.tenant(ProjectSpec::new(schema, primary).resilient(replica, cfg))
-    }
-
     /// Overrides the compute-cluster shape.
     pub fn cluster(mut self, topology: ClusterTopology, config: DfsConfig) -> Self {
         self.cluster = topology;
@@ -845,6 +825,8 @@ mod tests {
         );
         let h = f.adal().health("zebrafish-htm").unwrap();
         assert!(h.has_replica);
+        // A spec without `.quota(..)` gets an unlimited quota: never shed.
+        assert_eq!(f.admission().quota("zebrafish-htm"), Some(QuotaSpec::unlimited()));
         assert_eq!(h.breaker, lsdf_adal::BreakerState::Closed);
         assert_eq!(h.journal_depth, 0);
         // The write was replicated: re-putting the same key is refused
@@ -872,31 +854,6 @@ mod tests {
             ))
             .build();
         assert!(matches!(r, Err(FacilityError::DuplicateProject(_))));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_builder_shims_still_compile_and_run() {
-        let f = Facility::builder()
-            .project(
-                zebrafish_schema(),
-                BackendChoice::ObjectStore { capacity: u64::MAX },
-            )
-            .resilient_project(
-                katrin_schema(),
-                BackendChoice::ObjectStore { capacity: u64::MAX },
-                BackendChoice::ObjectStore { capacity: u64::MAX },
-                ResilienceConfig::default(),
-            )
-            .build()
-            .unwrap();
-        assert_eq!(f.projects(), vec!["katrin", "zebrafish-htm"]);
-        // Shim-registered projects get an unlimited quota: never shed.
-        assert_eq!(
-            f.admission().quota("katrin"),
-            Some(QuotaSpec::unlimited())
-        );
-        assert!(f.adal().health("katrin").unwrap().has_replica);
     }
 
     #[test]

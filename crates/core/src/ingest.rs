@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 use bytes::Bytes;
 
-use lsdf_adal::{Credential, PendingPut};
+use lsdf_adal::{AdalError, BackendError, Credential, PendingPut};
 use lsdf_metadata::{DatasetId, Document, NewDataset, ProjectStore};
 use lsdf_obs::{Counter, Histogram, Registry, Span, TraceCtx};
 use lsdf_storage::Payload;
@@ -27,23 +27,6 @@ pub(crate) struct ProjectIngestObs {
     stored_unregistered: Counter,
     rejected: Counter,
     bytes: Histogram,
-}
-
-impl ProjectIngestObs {
-    fn outcome(&self, o: Outcome) -> &Counter {
-        match o {
-            Outcome::Registered => &self.registered,
-            Outcome::StoredUnregistered => &self.stored_unregistered,
-            Outcome::Rejected => &self.rejected,
-        }
-    }
-}
-
-#[derive(Clone, Copy)]
-enum Outcome {
-    Registered,
-    StoredUnregistered,
-    Rejected,
 }
 
 /// Cached ingest metric handles: the registry maps are touched once
@@ -160,6 +143,17 @@ struct StagedIngest<'a> {
     fin: IngestFinalize<'a>,
 }
 
+/// What [`Facility::ingest_finalize`] answers per item: the dataset id
+/// when a catalog entry was created, and the payload bytes accepted.
+type Ingested = Result<(Option<DatasetId>, u64), FacilityError>;
+
+/// The answer for an item a layer below returned no result for: an
+/// error, never an ack.
+fn no_result() -> FacilityError {
+    let e = BackendError::Other("no result for staged ingest item".into());
+    FacilityError::Adal(AdalError::Backend(e))
+}
+
 struct IngestFinalize<'a> {
     store: Arc<ProjectStore>,
     pm: &'a ProjectIngestObs,
@@ -181,7 +175,8 @@ impl Facility {
     ///
     /// The item passes the admission front door first: a project over
     /// its quota gets [`FacilityError::Admission`] with `retry_after_ns`
-    /// before any byte reaches storage.
+    /// before any byte reaches storage. From there a single item is a
+    /// batch of one: stage, then finalize.
     pub fn ingest(
         &self,
         cred: &Credential,
@@ -189,23 +184,31 @@ impl Facility {
         policy: IngestPolicy,
     ) -> Result<Option<DatasetId>, FacilityError> {
         self.admit_ingest(&item.project, item.data.len() as u64)?;
-        self.ingest_traced(&TraceCtx::disabled(), cred, item, policy)
+        let staged = self.ingest_stage(&TraceCtx::disabled(), cred, item, policy);
+        let (id, _) = self
+            .ingest_finalize(vec![staged])
+            .pop()
+            .unwrap_or_else(|| Err(no_result()))?;
+        Ok(id)
     }
 
-    /// [`Facility::ingest`] with an explicit trace context: the ADAL
-    /// put (and everything below it — retries, breaker transitions,
-    /// DFS placement, HSM staging) attaches as children of `ctx`.
+    /// Stages one item: metadata validation (*before* the payload
+    /// lands, so enforcement never leaves orphan bytes), the single
+    /// payload hash, and ADAL staging (placement / resilient fan-out)
+    /// happen here, safely inside a pool worker; the metadata commit and
+    /// catalog insert wait for [`Facility::ingest_finalize`]. The ADAL
+    /// put (and everything below it — retries, breaker transitions, DFS
+    /// placement, HSM staging) attaches as children of `ctx`. An item
+    /// that fails here is counted as rejected here.
     ///
-    /// Admission is *not* checked here — callers either went through
-    /// [`Facility::ingest`] or the batch pre-pass, both of which admit
-    /// before this runs.
-    pub fn ingest_traced(
+    /// Admission is *not* checked here — callers admit before this runs.
+    fn ingest_stage(
         &self,
         ctx: &TraceCtx,
         cred: &Credential,
         item: IngestItem,
         policy: IngestPolicy,
-    ) -> Result<Option<DatasetId>, FacilityError> {
+    ) -> Result<StagedIngest<'_>, FacilityError> {
         let store = self.store(&item.project)?.clone();
         // Metric handles were cached at facility build: the hot path
         // only bumps atomics, never the registry maps.
@@ -214,13 +217,10 @@ impl Facility {
             .project(&item.project)
             .ok_or_else(|| FacilityError::UnknownProject(item.project.clone()))?;
         let span = self.obs().span(&self.ingest_obs().latency);
-        let outcome = |o: Outcome| pm.outcome(o).inc();
-        // Validate metadata *before* the payload lands, so enforcement
-        // never leaves orphan bytes.
         let doc = match checked_metadata(&store, item.metadata, policy) {
             Ok(doc) => doc,
             Err(reason) => {
-                outcome(Outcome::Rejected);
+                pm.rejected.inc();
                 return Err(FacilityError::MetadataRequired { key: item.key, reason });
             }
         };
@@ -230,71 +230,10 @@ impl Facility {
         let digest = data.digest();
         let location = format!("lsdf://{}/{}", item.project, item.key);
         let size = data.len() as u64;
-        if let Err(e) = self.adal().put_traced(ctx, cred, &location, data) {
-            outcome(Outcome::Rejected);
-            return Err(e.into());
-        }
-        // Outcomes are counted once the catalog has answered: an item
-        // it refuses (a taken name) is rejected, not registered.
-        let result = match doc {
-            Some(basic) => store
-                .insert(NewDataset {
-                    name: item.key,
-                    location,
-                    size_bytes: size,
-                    checksum_hex: digest.to_hex(),
-                    basic,
-                })
-                .map(Some)
-                .map_err(FacilityError::from),
-            None => Ok(None),
-        };
-        match &result {
-            Ok(Some(_)) => outcome(Outcome::Registered),
-            Ok(None) => outcome(Outcome::StoredUnregistered),
-            Err(_) => outcome(Outcome::Rejected),
-        }
-        if result.is_ok() {
-            pm.bytes.record(size);
-        }
-        span.finish();
-        result
-    }
-
-    /// Stages one batch item: metadata validation, the single payload
-    /// hash, and ADAL staging (placement / resilient fan-out) happen
-    /// here, safely inside a pool worker; the metadata commit and
-    /// catalog insert wait for [`Facility::ingest_finalize`]. Failure
-    /// metrics are recorded exactly as on the eager path.
-    fn ingest_stage_traced(
-        &self,
-        ctx: &TraceCtx,
-        cred: &Credential,
-        item: IngestItem,
-        policy: IngestPolicy,
-    ) -> Result<StagedIngest<'_>, FacilityError> {
-        let store = self.store(&item.project)?.clone();
-        let pm = self
-            .ingest_obs()
-            .project(&item.project)
-            .ok_or_else(|| FacilityError::UnknownProject(item.project.clone()))?;
-        let span = self.obs().span(&self.ingest_obs().latency);
-        let doc = match checked_metadata(&store, item.metadata, policy) {
-            Ok(doc) => doc,
-            Err(reason) => {
-                pm.outcome(Outcome::Rejected).inc();
-                return Err(FacilityError::MetadataRequired { key: item.key, reason });
-            }
-        };
-        // The one hash per acked payload, memoized on the shared handle.
-        let data: Payload = item.data.into();
-        let digest = data.digest();
-        let location = format!("lsdf://{}/{}", item.project, item.key);
-        let size = data.len() as u64;
         let pending = match self.adal().put_stage_traced(ctx, cred, &location, data) {
             Ok(p) => p,
             Err(e) => {
-                pm.outcome(Outcome::Rejected).inc();
+                pm.rejected.inc();
                 return Err(e.into());
             }
         };
@@ -316,8 +255,8 @@ impl Facility {
     /// catalog commit per project store (one catalog lock, one WAL
     /// group, one modelled fsync) — and tallies outcomes and metrics
     /// serially in submission order from what storage and the catalog
-    /// answered. An item is acked (counted in the report) only after
-    /// both returned Ok.
+    /// answered. An item is acked (`Ok`) only after both returned Ok;
+    /// otherwise it carries the error of the step that refused it.
     ///
     /// A batch item's `facility_ingest` latency is its time to that
     /// ack: the span opened at staging finishes in the tally, after
@@ -327,29 +266,41 @@ impl Facility {
     fn ingest_finalize(
         &self,
         staged: Vec<Result<StagedIngest<'_>, FacilityError>>,
-    ) -> Vec<(Outcome, u64)> {
+    ) -> Vec<Ingested> {
+        // `None` until the step that decides the item has answered.
+        let mut results: Vec<Option<Ingested>> = Vec::with_capacity(staged.len());
         let mut fins: Vec<Option<IngestFinalize<'_>>> = Vec::with_capacity(staged.len());
         let mut pendings = Vec::with_capacity(staged.len());
         for r in staged {
-            fins.push(r.ok().map(|s| {
-                pendings.push(s.pending);
-                s.fin
-            }));
+            match r {
+                Ok(s) => {
+                    pendings.push(s.pending);
+                    fins.push(Some(s.fin));
+                    results.push(None);
+                }
+                Err(e) => {
+                    fins.push(None);
+                    results.push(Some(Err(e)));
+                }
+            }
         }
         let mut commits = self.adal().commit_staged(pendings).into_iter();
-        // Rejected until storage and the catalog have both said yes.
-        let mut outcomes = vec![(Outcome::Rejected, 0u64); fins.len()];
         // Catalog entries grouped per store, in submission order, each
         // with its place in the batch and its payload size.
         type CatalogGroup = (Arc<ProjectStore>, Vec<(usize, u64)>, Vec<NewDataset>);
         let mut groups: Vec<CatalogGroup> = Vec::new();
         for (i, fin) in fins.iter_mut().enumerate() {
             let Some(f) = fin else { continue };
-            if !matches!(commits.next(), Some(Ok(()))) {
-                continue;
+            match commits.next() {
+                Some(Ok(())) => {}
+                Some(Err(e)) => {
+                    results[i] = Some(Err(e.into()));
+                    continue;
+                }
+                None => continue,
             }
             let Some(dataset) = f.dataset.take() else {
-                outcomes[i] = (Outcome::StoredUnregistered, f.size);
+                results[i] = Some(Ok((None, f.size)));
                 continue;
             };
             match groups.iter_mut().find(|(s, _, _)| Arc::ptr_eq(s, &f.store)) {
@@ -362,23 +313,31 @@ impl Facility {
         }
         for (store, at, datasets) in groups {
             for ((i, size), r) in at.into_iter().zip(store.insert_batch(datasets)) {
-                if r.is_ok() {
-                    outcomes[i] = (Outcome::Registered, size);
-                }
+                results[i] = Some(r.map(|id| (Some(id), size)).map_err(FacilityError::from));
             }
         }
         // Counted once the catalog has answered: an item it refused (a
         // taken name) is rejected, not registered. Items that failed
         // staging were counted there.
-        for (fin, (outcome, size)) in fins.into_iter().zip(&outcomes) {
-            let Some(f) = fin else { continue };
-            f.pm.outcome(*outcome).inc();
-            if !matches!(outcome, Outcome::Rejected) {
-                f.pm.bytes.record(*size);
-            }
-            f.span.finish();
-        }
-        outcomes
+        results
+            .into_iter()
+            .zip(fins)
+            .map(|(r, fin)| {
+                let r = r.unwrap_or_else(|| Err(no_result()));
+                if let Some(f) = fin {
+                    match &r {
+                        Ok((Some(_), _)) => f.pm.registered.inc(),
+                        Ok((None, _)) => f.pm.stored_unregistered.inc(),
+                        Err(_) => f.pm.rejected.inc(),
+                    }
+                    if r.is_ok() {
+                        f.pm.bytes.record(f.size);
+                    }
+                    f.span.finish();
+                }
+                r
+            })
+            .collect()
     }
 
     /// Ingests a batch, tallying outcomes instead of failing fast.
@@ -437,9 +396,9 @@ impl Facility {
                     span.add_field("wait_ns", &wait_ns.to_string());
                     span.finish_at(self.obs().now_ns() + wait_ns);
                 }
-                self.ingest_stage_traced(ctx, cred, item, policy)
+                self.ingest_stage(ctx, cred, item, policy)
             });
-        let outcomes = self.ingest_finalize(staged);
+        let results = self.ingest_finalize(staged);
         trace.finish();
         // Telemetry scrape in the serial tail: at most one scrape per
         // interval, never inside the fan-out, so the history — and
@@ -449,17 +408,17 @@ impl Facility {
             shed,
             ..IngestReport::default()
         };
-        for (outcome, size) in outcomes {
-            match outcome {
-                Outcome::Registered => {
+        for r in results {
+            match r {
+                Ok((Some(_), size)) => {
                     report.registered += 1;
                     report.bytes += size;
                 }
-                Outcome::StoredUnregistered => {
+                Ok((None, size)) => {
                     report.stored_unregistered += 1;
                     report.bytes += size;
                 }
-                Outcome::Rejected => report.rejected += 1,
+                Err(_) => report.rejected += 1,
             }
         }
         report
@@ -470,6 +429,7 @@ impl Facility {
 mod tests {
     use super::*;
     use crate::facility::{BackendChoice, ProjectSpec};
+    use lsdf_adal::{EntryMeta, StagedPut, StorageBackend};
     use lsdf_metadata::query::eq;
     use lsdf_metadata::zebrafish_schema;
     use lsdf_workloads::microscopy::HtmGenerator;
@@ -726,6 +686,111 @@ mod tests {
             }
         }
         assert_eq!(waits, 2, "exactly the queued admissions record a wait");
+    }
+
+    #[test]
+    fn a_single_ingest_is_a_batch_of_one() {
+        let twin = || {
+            Facility::builder()
+                .tenant(ProjectSpec::new(zebrafish_schema(), BackendChoice::Dfs))
+                .build()
+                .unwrap()
+        };
+        let (single, batched) = (twin(), twin());
+        let admin = single.admin().clone();
+        let good = items(1);
+        let orphan = IngestItem {
+            key: "raw/mystery".into(),
+            metadata: None,
+            ..good[0].clone()
+        };
+        let path = |item: &IngestItem| format!("lsdf://zebrafish-htm/{}", item.key);
+        // Three acked items, then the three refusals: no metadata under
+        // enforcement, a taken key, and — once storage has forgotten
+        // the object — a name the catalog still holds.
+        let script = [&good[0], &good[1], &good[2], &orphan, &good[0], &good[1]];
+        let mut errors = Vec::new();
+        for (step, item) in script.into_iter().enumerate() {
+            if step == 5 {
+                for f in [&single, &batched] {
+                    f.adal().delete(&admin, &path(item)).unwrap();
+                }
+            }
+            let r = single.ingest(&admin, item.clone(), IngestPolicy::default());
+            let report = batched.ingest_batch(&admin, vec![item.clone()], IngestPolicy::default());
+            assert_eq!((report.registered, report.rejected), (r.is_ok() as u64, r.is_err() as u64));
+            errors.extend(r.err());
+        }
+        assert!(matches!(errors[0], FacilityError::MetadataRequired { .. }), "{errors:?}");
+        assert!(single.adal().get(&admin, &path(&orphan)).is_err(), "orphan bytes");
+        assert!(
+            matches!(errors[1], FacilityError::Adal(AdalError::Backend(BackendError::AlreadyExists(_)))),
+            "{errors:?}"
+        );
+        assert!(matches!(errors[2], FacilityError::Metadata(_)), "{errors:?}");
+        assert_eq!(errors.len(), 3);
+
+        let store = |f: &Facility| f.store("zebrafish-htm").unwrap().catalog_digest();
+        assert_eq!(store(&single), store(&batched));
+        assert_eq!(single.dfs().namespace_digest(), batched.dfs().namespace_digest());
+        let counted = |f: &Facility| {
+            let reg = f.obs();
+            let outcome = |o| {
+                let labels = [("project", "zebrafish-htm"), ("outcome", o)];
+                reg.counter_value(names::FACILITY_INGEST_TOTAL, &labels)
+            };
+            let bytes = reg.histogram(names::FACILITY_INGEST_BYTES, &[("project", "zebrafish-htm")]);
+            (
+                [outcome("registered"), outcome("stored_unregistered"), outcome("rejected")],
+                (bytes.count(), bytes.sum()),
+                reg.counter_value(names::ADAL_OPS_TOTAL, &[("op", "put")]),
+            )
+        };
+        assert_eq!(counted(&single), counted(&batched));
+        assert_eq!(counted(&single).0, [3, 0, 3]);
+    }
+
+    /// An out-of-tree backend that breaks the commit contract: handed
+    /// N staged puts, it answers with no results at all.
+    struct SilentCommit;
+
+    impl StorageBackend for SilentCommit {
+        fn kind(&self) -> &'static str {
+            "silent"
+        }
+        fn put(&self, _: &TraceCtx, key: &str, _: Payload) -> Result<(), BackendError> {
+            Err(BackendError::Unsupported(key.to_string()))
+        }
+        fn get(&self, _: &TraceCtx, key: &str) -> Result<Payload, BackendError> {
+            Err(BackendError::NotFound(key.to_string()))
+        }
+        fn stat(&self, _: &TraceCtx, key: &str) -> Result<EntryMeta, BackendError> {
+            Err(BackendError::NotFound(key.to_string()))
+        }
+        fn delete(&self, _: &TraceCtx, key: &str) -> Result<(), BackendError> {
+            Err(BackendError::NotFound(key.to_string()))
+        }
+        fn list(&self, _: &TraceCtx, _: &str) -> Result<Vec<EntryMeta>, BackendError> {
+            Ok(Vec::new())
+        }
+        fn stage_put(&self, _: &TraceCtx, _: &str, _: Payload) -> Result<StagedPut, BackendError> {
+            Ok(StagedPut::Committed)
+        }
+        fn commit_staged(&self, _: Vec<StagedPut>) -> Vec<Result<(), BackendError>> {
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn bytes_no_backend_committed_get_no_catalog_entry() {
+        let f = facility();
+        let admin = f.admin().clone();
+        f.adal().mount("zebrafish-htm", Arc::new(SilentCommit));
+        let batch = items(1)[..2].to_vec();
+        let report = f.ingest_batch(&admin, batch, IngestPolicy::default());
+        assert_eq!((report.registered, report.rejected, report.bytes), (0, 2, 0));
+        assert_eq!(f.store("zebrafish-htm").unwrap().len(), 0);
+        assert_eq!(f.adal().counters().puts, 0);
     }
 
     #[test]

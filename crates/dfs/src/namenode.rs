@@ -357,25 +357,15 @@ impl Dfs {
         data: &[u8],
         writer: Option<DfsNodeId>,
     ) -> Result<FileMeta, DfsError> {
-        self.write_traced(path, data, writer, &TraceCtx::disabled())
-    }
-
-    /// [`Dfs::write`] attributed to a causal trace: a `dfs_write` child
-    /// span with one `dfs_block_placed` event per block recording the
-    /// block id and how many replicas landed.
-    pub fn write_traced(
-        &self,
-        path: &str,
-        data: &[u8],
-        writer: Option<DfsNodeId>,
-        ctx: &TraceCtx,
-    ) -> Result<FileMeta, DfsError> {
-        self.write_payload_traced(path, &Payload::from(data), writer, ctx)
+        self.write_payload_traced(path, &Payload::from(data), writer, &TraceCtx::disabled())
     }
 
     /// Zero-copy write: blocks are views into the shared payload buffer
     /// (no per-chunk copy), and the namespace commit goes through
-    /// [`Dfs::commit_files_batch`] with a batch of one.
+    /// [`Dfs::commit_files_batch`] with a batch of one. Attributed to a
+    /// causal trace as a `dfs_write` child span of `ctx` with one
+    /// `dfs_block_placed` event per block, recording the block id and
+    /// how many replicas landed.
     pub fn write_payload_traced(
         &self,
         path: &str,
@@ -726,7 +716,7 @@ impl Dfs {
             let entry = files
                 .remove(path)
                 .ok_or_else(|| DfsError::FileNotFound(path.to_string()))?;
-            // Log under the namespace lock (see `write_traced`); the
+            // Log under the namespace lock (see `commit_files_batch`); the
             // record carries the block ids so replay can clear the block
             // map even when a checkpoint captured blocks but not the
             // file entry.

@@ -299,6 +299,16 @@ impl Hsm {
             .ok_or_else(|| HsmError::NotFound(key.to_string()))
     }
 
+    /// The catalog entry of one object: a single map lookup.
+    pub fn stat(&self, key: &str) -> Result<CatalogEntry, HsmError> {
+        self.inner
+            .lock()
+            .catalog
+            .get(key)
+            .cloned()
+            .ok_or_else(|| HsmError::NotFound(key.to_string()))
+    }
+
     /// Full catalog snapshot.
     pub fn catalog(&self) -> Vec<CatalogEntry> {
         self.inner.lock().catalog.values().cloned().collect()

@@ -158,7 +158,7 @@ fn e4_scaling_shape() {
 }
 
 /// E5: distributed MIP equals the sequential render (the correctness half
-/// of the 1 TB-in-20-min claim; the timing half lives in the benches).
+/// of the 1 TB-in-20-min claim; the timing half is `lsdf_bench::e5_visualization`).
 #[test]
 fn e5_visualization_correctness() {
     let v = Volume::synthetic(3, 24, 24, 16);

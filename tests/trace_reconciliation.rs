@@ -46,13 +46,19 @@ fn event_tallies(tracer: &Tracer) -> BTreeMap<(String, String), u64> {
     tallies
 }
 
-#[test]
-fn traced_chaos_soak_reconciles_events_with_counters() {
-    let seed = 0x15df_0005u64;
-    let reg = Arc::new(Registry::new());
-    reg.set_virtual_time_ns(1);
-    let tracer = Tracer::new(&reg, TraceConfig::full().capacity(100_000).seed(seed));
+fn object_store(name: &str) -> Arc<dyn StorageBackend> {
+    Arc::new(ObjectStoreBackend::new(Arc::new(ObjectStore::new(name, u64::MAX))))
+}
 
+/// A fully traced ADAL with project `soak` mounted resiliently over
+/// `primary` and `replica`.
+fn traced_soak_adal(
+    seed: u64,
+    reg: &Arc<Registry>,
+    tracer: &Tracer,
+    primary: Arc<dyn StorageBackend>,
+    replica: Arc<dyn StorageBackend>,
+) -> (Adal, Credential) {
     let auth = Arc::new(TokenAuth::new());
     auth.register("tok", "operator");
     let acl = Arc::new(Acl::new());
@@ -63,27 +69,6 @@ fn traced_chaos_soak_reconciles_events_with_counters() {
         .registry(reg.clone())
         .tracer(tracer.clone())
         .build();
-    let cred = Credential::Token("tok".into());
-
-    // Only the primary is faulty, and with full tracing every primary
-    // op runs under an enabled trace context — so chaos decisions are
-    // visible to both the counters and the trace events.
-    let primary: Arc<dyn StorageBackend> = FaultyBackend::new(
-        "soak",
-        Arc::new(ObjectStoreBackend::new(Arc::new(ObjectStore::new(
-            "soak-primary",
-            u64::MAX,
-        )))),
-        FaultPlan::quiet(seed)
-            .transient(0.05)
-            .torn_writes(0.02)
-            .latency_spikes(0.05, 2 * MS)
-            .outage(150, 190),
-        &reg,
-    );
-    let replica: Arc<dyn StorageBackend> = Arc::new(ObjectStoreBackend::new(Arc::new(
-        ObjectStore::new("soak-replica", u64::MAX),
-    )));
     adal.mount_resilient(
         "soak",
         primary,
@@ -101,6 +86,31 @@ fn traced_chaos_soak_reconciles_events_with_counters() {
             ..ResilienceConfig::default()
         },
     );
+    (adal, Credential::Token("tok".into()))
+}
+
+#[test]
+fn traced_chaos_soak_reconciles_events_with_counters() {
+    let seed = 0x15df_0005u64;
+    let reg = Arc::new(Registry::new());
+    reg.set_virtual_time_ns(1);
+    let tracer = Tracer::new(&reg, TraceConfig::full().capacity(100_000).seed(seed));
+
+    // With full tracing every backend op runs under an enabled trace
+    // context — so chaos decisions are visible to both the counters
+    // and the trace events.
+    let primary: Arc<dyn StorageBackend> = FaultyBackend::new(
+        "soak",
+        object_store("soak-primary"),
+        FaultPlan::quiet(seed)
+            .transient(0.05)
+            .torn_writes(0.02)
+            .latency_spikes(0.05, 2 * MS)
+            .outage(150, 190),
+        &reg,
+    );
+    let (adal, cred) =
+        traced_soak_adal(seed, &reg, &tracer, primary, object_store("soak-replica"));
 
     // The SLO under test: the soak project's breaker must be closed.
     let rule = format!("gauge({}{{project=soak}}) == 0", names::ADAL_BREAKER_STATE);
@@ -227,4 +237,69 @@ fn traced_chaos_soak_reconciles_events_with_counters() {
         degraded,
         "no trace captured a retry-exhausted or breaker-open event"
     );
+}
+
+/// A shorter run with a faulty replica as well (transient faults
+/// only): the replica leg of a resilient put runs under the
+/// `adal_replica_put` span it reserves, so a fault injected on the
+/// replica is traced there — counted and traced, per backend name.
+#[test]
+fn a_faulty_replica_is_traced_under_its_replica_put_span() {
+    let seed = 0x15df_0013u64;
+    let reg = Arc::new(Registry::new());
+    reg.set_virtual_time_ns(1);
+    let tracer = Tracer::new(&reg, TraceConfig::full().capacity(100_000).seed(seed));
+    let faulty = |name: &str, inner: &str| -> Arc<dyn StorageBackend> {
+        let plan = FaultPlan::quiet(seed).transient(0.05);
+        FaultyBackend::new(name, object_store(inner), plan, &reg)
+    };
+    let (adal, cred) = traced_soak_adal(
+        seed,
+        &reg,
+        &tracer,
+        faulty("soak", "soak-primary"),
+        faulty("soak-replica", "soak-replica-disk"),
+    );
+    let mut rng = SimRng::seed_from_u64(seed).stream("faulty-replica");
+    let mut keys: Vec<String> = Vec::new();
+    for i in 0..OPS / 5 {
+        reg.set_virtual_time_ns(1 + i * MS);
+        if keys.is_empty() || rng.index(100) < 60 {
+            let path = format!("lsdf://soak/k/{i:05}");
+            if adal.put(&cred, &path, Bytes::from_static(b"payload")).is_ok() {
+                keys.push(path);
+            }
+        } else {
+            let path = &keys[rng.index(keys.len())];
+            assert_eq!(&adal.get(&cred, path).expect("acked read")[..], b"payload");
+        }
+    }
+
+    // Every chaos_fault event, by the backend that injected it and the
+    // span it sits in.
+    let mut events: BTreeMap<(String, &'static str), u64> = BTreeMap::new();
+    for trace in tracer.traces() {
+        trace.root.for_each_event(&mut |span, event| {
+            if event.name == names::CHAOS_FAULT_EVENT {
+                let backend = event.fields.iter().find(|(k, _)| k == "backend");
+                let backend = backend.map(|(_, v)| v.clone()).unwrap_or_default();
+                *events.entry((backend, span.name)).or_insert(0) += 1;
+            }
+        });
+    }
+    for backend in ["soak", "soak-replica"] {
+        let traced: u64 = events.iter().filter(|((b, _), _)| b == backend).map(|(_, n)| n).sum();
+        let labels = [("backend", backend), ("fault", "transient")];
+        assert_eq!(
+            traced,
+            reg.counter_value(names::CHAOS_INJECTED_TOTAL, &labels),
+            "{backend}: chaos events vs injected counter"
+        );
+        assert!(traced >= 1, "no fault was injected on {backend} — the run is vacuous");
+    }
+    let elsewhere: Vec<_> = events
+        .keys()
+        .filter(|(b, span)| b == "soak-replica" && *span != names::ADAL_REPLICA_PUT_SPAN)
+        .collect();
+    assert!(elsewhere.is_empty(), "replica faults traced outside the replica leg: {elsewhere:?}");
 }
