@@ -126,8 +126,9 @@ impl AuthProvider for TokenAuth {
 /// Per-project access-control lists.
 #[derive(Default)]
 pub struct Acl {
-    /// (user, project) → (read, write).
-    grants: RwLock<HashMap<(String, String), (bool, bool)>>,
+    /// user → project → may write (every grant may read): nested so
+    /// that a check probes with the two borrowed names it was given.
+    grants: RwLock<HashMap<String, HashMap<String, bool>>>,
 }
 
 impl Acl {
@@ -138,16 +139,15 @@ impl Acl {
 
     /// Grants read (and optionally write) on `project` to `user`.
     pub fn grant(&self, user: &str, project: &str, write: bool) {
-        self.grants
-            .write()
-            .insert((user.to_string(), project.to_string()), (true, write));
+        let mut grants = self.grants.write();
+        grants.entry(user.to_string()).or_default().insert(project.to_string(), write);
     }
 
     /// Revokes all access on `project` from `user`.
     pub fn revoke(&self, user: &str, project: &str) {
-        self.grants
-            .write()
-            .remove(&(user.to_string(), project.to_string()));
+        if let Some(projects) = self.grants.write().get_mut(user) {
+            projects.remove(project);
+        }
     }
 
     /// Checks an access request.
@@ -159,12 +159,9 @@ impl Acl {
     ) -> Result<(), AuthError> {
         let grants = self.grants.read();
         let ok = grants
-            .get(&(principal.user.clone(), project.to_string()))
-            .map(|&(r, w)| match access {
-                Access::Read => r,
-                Access::Write => w,
-            })
-            .unwrap_or(false);
+            .get(principal.user.as_str())
+            .and_then(|projects| projects.get(project))
+            .is_some_and(|&may_write| may_write || access == Access::Read);
         if ok {
             Ok(())
         } else {
@@ -224,5 +221,33 @@ mod tests {
         assert!(acl.check(&alice, "katrin", Access::Read).is_err());
         acl.revoke("alice", "zebrafish");
         assert!(acl.check(&alice, "zebrafish", Access::Read).is_err());
+    }
+
+    #[test]
+    fn grants_are_per_user_and_per_project() {
+        let acl = Acl::new();
+        let (alice, bob) = (Principal { user: "alice".into() }, Principal { user: "bob".into() });
+        acl.grant("alice", "zebrafish", true);
+        acl.grant("alice", "katrin", false);
+        acl.grant("bob", "katrin", true);
+        // One project's grant is not another's, for the same user.
+        assert!(acl.check(&alice, "katrin", Access::Write).is_err());
+        assert!(acl.check(&bob, "zebrafish", Access::Read).is_err());
+        // A revoke takes that grant and leaves the user's others.
+        acl.revoke("alice", "zebrafish");
+        assert_eq!(
+            acl.check(&alice, "zebrafish", Access::Read),
+            Err(AuthError::Denied {
+                user: "alice".into(),
+                project: "zebrafish".into(),
+                access: Access::Read,
+            })
+        );
+        assert!(acl.check(&alice, "katrin", Access::Read).is_ok());
+        assert!(acl.check(&bob, "katrin", Access::Write).is_ok());
+        // Revoking what was never granted is a no-op.
+        acl.revoke("carol", "katrin");
+        acl.revoke("bob", "zebrafish");
+        assert!(acl.check(&bob, "katrin", Access::Write).is_ok());
     }
 }

@@ -635,36 +635,37 @@ impl Adal {
         v
     }
 
-    fn resolve(
+    /// Authenticates, authorizes and finds the mount for an object
+    /// path; the project and key come back borrowed from `path`.
+    fn resolve<'p>(
         &self,
         cred: &Credential,
-        path: &str,
+        path: &'p str,
         access: Access,
-    ) -> Result<(Mount, LsdfPath), AdalError> {
-        self.resolve_parsed(cred, LsdfPath::parse(path)?, access)
+    ) -> Result<(Mount, &'p str, &'p str), AdalError> {
+        match LsdfPath::split(path)? {
+            (_, "") => Err(PathError::EmptyKey(path.to_string()).into()),
+            (project, key) => Ok((self.resolve_project(cred, project, access)?, project, key)),
+        }
     }
 
-    fn resolve_parsed(
+    fn resolve_project(
         &self,
         cred: &Credential,
-        parsed: LsdfPath,
+        project: &str,
         access: Access,
-    ) -> Result<(Mount, LsdfPath), AdalError> {
+    ) -> Result<Mount, AdalError> {
         let principal = self.auth.authenticate(cred).inspect_err(|_| {
             self.ops.denied.inc();
         })?;
-        self.acl
-            .check(&principal, &parsed.project, access)
-            .inspect_err(|_| {
-                self.ops.denied.inc();
-            })?;
-        let mount = self
-            .mounts
+        self.acl.check(&principal, project, access).inspect_err(|_| {
+            self.ops.denied.inc();
+        })?;
+        self.mounts
             .read()
-            .get(&parsed.project)
+            .get(project)
             .cloned()
-            .ok_or_else(|| AdalError::NoMount(parsed.project.clone()))?;
-        Ok((mount, parsed))
+            .ok_or_else(|| AdalError::NoMount(project.to_string()))
     }
 
     /// Classifies an operation into the admission lane it should ride:
@@ -726,7 +727,7 @@ impl Adal {
             self.trace_root(names::ADAL_PUT_SPAN, path)
         };
         let span = self.obs.span(&self.ops.put_latency);
-        let (mount, parsed) = self.resolve(cred, path, Access::Write)?;
+        let (mount, project, key) = self.resolve(cred, path, Access::Write)?;
         let data = data.into();
         let len = data.len() as u64;
         let staged = match &mount.resilience {
@@ -738,13 +739,13 @@ impl Adal {
                     &trace,
                     st,
                     &mount.backend,
-                    &parsed.project,
-                    &parsed.key,
+                    project,
+                    key,
                     data,
                 )?;
                 None
             }
-            None => Some(mount.backend.stage_put(&trace, &parsed.key, data)?),
+            None => Some(mount.backend.stage_put(&trace, key, data)?),
         };
         trace.finish();
         Ok(PendingPut {
@@ -814,16 +815,16 @@ impl Adal {
     pub fn get(&self, cred: &Credential, path: &str) -> Result<Bytes, AdalError> {
         let trace = self.trace_root(names::ADAL_GET_SPAN, path);
         let span = self.obs.span(&self.ops.get_latency);
-        let (mount, parsed) = self.resolve(cred, path, Access::Read)?;
+        let (mount, project, key) = self.resolve(cred, path, Access::Read)?;
         let data = match &mount.resilience {
             Some(st) => self.resilient_get(
                 &trace,
                 st,
                 &mount.backend,
-                &parsed.project,
-                &parsed.key,
+                project,
+                key,
             )?,
-            None => mount.backend.get(&trace, &parsed.key)?,
+            None => mount.backend.get(&trace, key)?,
         }
         .into_bytes();
         self.ops.gets.inc();
@@ -839,16 +840,16 @@ impl Adal {
     pub fn stat(&self, cred: &Credential, path: &str) -> Result<EntryMeta, AdalError> {
         let trace = self.trace_root(names::ADAL_STAT_SPAN, path);
         let span = self.obs.span(&self.ops.stat_latency);
-        let (mount, parsed) = self.resolve(cred, path, Access::Read)?;
+        let (mount, project, key) = self.resolve(cred, path, Access::Read)?;
         let meta = match &mount.resilience {
             Some(st) => self.resilient_stat(
                 &trace,
                 st,
                 &mount.backend,
-                &parsed.project,
-                &parsed.key,
+                project,
+                key,
             )?,
-            None => mount.backend.stat(&trace, &parsed.key)?,
+            None => mount.backend.stat(&trace, key)?,
         };
         self.ops.stats.inc();
         mount.metrics.op(&self.obs, OpKind::Stat);
@@ -865,17 +866,17 @@ impl Adal {
     pub fn list(&self, cred: &Credential, path: &str) -> Result<Vec<EntryMeta>, AdalError> {
         let trace = self.trace_root(names::ADAL_LIST_SPAN, path);
         let span = self.obs.span(&self.ops.list_latency);
-        let (mount, parsed) =
-            self.resolve_parsed(cred, LsdfPath::parse_prefix(path)?, Access::Read)?;
+        let (project, key) = LsdfPath::split(path)?;
+        let mount = self.resolve_project(cred, project, Access::Read)?;
         let entries = match &mount.resilience {
             Some(st) => self.resilient_list(
                 &trace,
                 st,
                 &mount.backend,
-                &parsed.project,
-                &parsed.key,
+                project,
+                key,
             )?,
-            None => mount.backend.list(&trace, &parsed.key)?,
+            None => mount.backend.list(&trace, key)?,
         };
         self.ops.lists.inc();
         mount.metrics.op(&self.obs, OpKind::List);
@@ -889,16 +890,16 @@ impl Adal {
     /// delete first cancels any journaled write for the key.
     pub fn delete(&self, cred: &Credential, path: &str) -> Result<(), AdalError> {
         let trace = self.trace_root(names::ADAL_DELETE_SPAN, path);
-        let (mount, parsed) = self.resolve(cred, path, Access::Write)?;
+        let (mount, project, key) = self.resolve(cred, path, Access::Write)?;
         match &mount.resilience {
             Some(st) => self.resilient_delete(
                 &trace,
                 st,
                 &mount.backend,
-                &parsed.project,
-                &parsed.key,
+                project,
+                key,
             )?,
-            None => mount.backend.delete(&trace, &parsed.key)?,
+            None => mount.backend.delete(&trace, key)?,
         }
         self.ops.deletes.inc();
         mount.metrics.op(&self.obs, OpKind::Delete);
@@ -1664,6 +1665,12 @@ mod tests {
             adal.get(&cred, "file:///etc/passwd"),
             Err(AdalError::Path(_))
         ));
+        // A whole project is a listing prefix, never an object.
+        let whole = "lsdf://zebrafish/";
+        let empty_key = |e: AdalError| e == AdalError::Path(PathError::EmptyKey(whole.into()));
+        assert!(adal.get(&cred, whole).is_err_and(empty_key));
+        assert!(adal.put(&cred, whole, b("x")).is_err_and(empty_key));
+        assert_eq!(adal.list(&cred, whole), Ok(vec![]));
     }
 
     #[test]

@@ -43,9 +43,11 @@ impl LsdfPath {
         }
     }
 
-    /// Parses a listing prefix: like [`LsdfPath::parse`] but the key may
-    /// be empty (`lsdf://project/` lists a whole project).
-    pub fn parse_prefix(s: &str) -> Result<Self, PathError> {
+    /// The project and key of `lsdf://project/key/with/slashes`,
+    /// borrowed from `s`: what an operation that only reads them needs.
+    /// The key may be empty (`lsdf://project/` and `lsdf://project` name
+    /// a whole project, as a listing prefix).
+    pub fn split(s: &str) -> Result<(&str, &str), PathError> {
         let rest = s
             .strip_prefix("lsdf://")
             .ok_or_else(|| PathError::BadScheme(s.to_string()))?;
@@ -53,6 +55,13 @@ impl LsdfPath {
         if project.is_empty() {
             return Err(PathError::EmptyProject(s.to_string()));
         }
+        Ok((project, key))
+    }
+
+    /// Parses a listing prefix: like [`LsdfPath::parse`] but the key may
+    /// be empty (`lsdf://project/` lists a whole project).
+    pub fn parse_prefix(s: &str) -> Result<Self, PathError> {
+        let (project, key) = Self::split(s)?;
         Ok(LsdfPath {
             project: project.to_string(),
             key: key.to_string(),
@@ -61,22 +70,10 @@ impl LsdfPath {
 
     /// Parses `lsdf://project/key/with/slashes`.
     pub fn parse(s: &str) -> Result<Self, PathError> {
-        let rest = s
-            .strip_prefix("lsdf://")
-            .ok_or_else(|| PathError::BadScheme(s.to_string()))?;
-        let (project, key) = rest
-            .split_once('/')
-            .ok_or_else(|| PathError::EmptyKey(s.to_string()))?;
-        if project.is_empty() {
-            return Err(PathError::EmptyProject(s.to_string()));
+        match Self::parse_prefix(s)? {
+            p if p.key.is_empty() => Err(PathError::EmptyKey(s.to_string())),
+            p => Ok(p),
         }
-        if key.is_empty() {
-            return Err(PathError::EmptyKey(s.to_string()));
-        }
-        Ok(LsdfPath {
-            project: project.to_string(),
-            key: key.to_string(),
-        })
     }
 }
 
@@ -117,6 +114,18 @@ mod tests {
             LsdfPath::parse("lsdf://proj"),
             Err(PathError::EmptyKey(_))
         ));
+    }
+
+    #[test]
+    fn split_borrows_the_halves_and_allows_an_empty_key() {
+        assert_eq!(
+            LsdfPath::split("lsdf://zebrafish/raw/day1/img-001.raw"),
+            Ok(("zebrafish", "raw/day1/img-001.raw"))
+        );
+        assert_eq!(LsdfPath::split("lsdf://proj/"), Ok(("proj", "")));
+        assert_eq!(LsdfPath::split("lsdf://proj"), Ok(("proj", "")));
+        assert_eq!(LsdfPath::split("http://x/y"), Err(PathError::BadScheme("http://x/y".into())));
+        assert_eq!(LsdfPath::split("lsdf:///k"), Err(PathError::EmptyProject("lsdf:///k".into())));
     }
 
     #[test]

@@ -3,6 +3,8 @@
 //! repository, fetch payloads, tag datasets (which triggers workflows,
 //! slide 12), and audit findability (experiment E14).
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 
 use lsdf_adal::Credential;
@@ -51,7 +53,7 @@ impl<'a> DataBrowser<'a> {
         &self,
         project: &str,
         pred: &Predicate,
-    ) -> Result<Vec<DatasetRecord>, FacilityError> {
+    ) -> Result<Vec<Arc<DatasetRecord>>, FacilityError> {
         Ok(self.facility.store(project)?.query(pred))
     }
 
@@ -167,6 +169,7 @@ mod tests {
     fn tag_matching_selects_by_query() {
         let f = facility_with_data(3);
         let b = DataBrowser::new(&f, f.admin().clone());
+        let held = b.query("zebrafish-htm", &eq("wavelength_nm", 488.0)).unwrap();
         let n = b
             .tag_matching(
                 "zebrafish-htm",
@@ -179,6 +182,10 @@ mod tests {
             .query("zebrafish-htm", &has_tag("needs-segmentation"))
             .unwrap();
         assert_eq!(tagged.len(), 24);
+        // Every hit was tagged in the catalog, under the handles this
+        // test and `tag_matching` itself held: those stay as they were read.
+        assert!(tagged.iter().zip(&held).all(|(now, then)| now.id == then.id && !Arc::ptr_eq(now, then)));
+        assert!(held.iter().all(|r| r.tags.is_empty()));
     }
 
     #[test]
@@ -192,6 +199,11 @@ mod tests {
         assert!(json.ends_with(']'));
         assert_eq!(json.matches("\"checksum\"").count(), 24);
         assert!(json.contains("\"wavelength_nm\":488.0"));
+        // Byte for byte what the owned-record export of PR 19 wrote.
+        assert_eq!(
+            (json.len(), lsdf_storage::sha256(json.as_bytes()).to_hex().as_str()),
+            (8166, "949d6ad565e28f76bb84390e47fb727306ae40d32fc3a71751e81e6888bb7f2c")
+        );
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! stay within the workspace's offline dependency set; the output is
 //! strict RFC 8259 JSON.
 
+use std::borrow::Borrow;
+
 use crate::record::DatasetRecord;
 use crate::schema::Document;
 use crate::value::Value;
@@ -103,8 +105,8 @@ pub fn record_to_json(rec: &DatasetRecord) -> String {
 }
 
 /// Renders a result set as a JSON array.
-pub fn records_to_json(recs: &[DatasetRecord]) -> String {
-    let items: Vec<String> = recs.iter().map(record_to_json).collect();
+pub fn records_to_json(recs: &[impl Borrow<DatasetRecord>]) -> String {
+    let items: Vec<String> = recs.iter().map(|r| record_to_json(r.borrow())).collect();
     format!("[{}]", items.join(","))
 }
 

@@ -20,7 +20,7 @@ use crate::value::{FieldType, Value};
 #[derive(Debug, Clone)]
 pub struct CrossQueryResult {
     /// Matching records, annotated with their project.
-    pub hits: Vec<(String, DatasetRecord)>,
+    pub hits: Vec<(String, Arc<DatasetRecord>)>,
     /// Number of stores contacted to answer the query.
     pub stores_contacted: usize,
     /// Records scanned across all contacted stores.

@@ -24,33 +24,50 @@ impl FieldIndex {
         Self::default()
     }
 
-    /// Adds one posting.
+    /// Adds one posting. The store issues ids in ascending order and
+    /// indexes each once, so every posting list stays ascending and
+    /// duplicate-free without being sorted.
     pub fn insert(&mut self, value: &Value, id: DatasetId) {
         self.postings.entry(value.order_key()).or_default().push(id);
         self.entries += 1;
     }
 
-    /// Ids with exactly this value.
-    pub fn lookup_eq(&self, value: &Value) -> Vec<DatasetId> {
-        self.postings
-            .get(&value.order_key())
-            .cloned()
-            .unwrap_or_default()
+    /// Ids with exactly this value, ascending, as stored.
+    pub fn lookup_eq(&self, value: &Value) -> &[DatasetId] {
+        self.postings.get(&value.order_key()).map_or(&[], Vec::as_slice)
     }
 
-    /// Ids with values in the half-open range `[lo, hi)`; either bound may
-    /// be `None` for unbounded. Both bounds must be of the same type as
-    /// the indexed values for meaningful results (guaranteed by schema
-    /// validation upstream).
-    pub fn lookup_range(&self, lo: Option<&Value>, hi: Option<&Value>) -> Vec<DatasetId> {
-        let (lo, hi) = (lo.map(Value::order_key), hi.map(Value::order_key));
-        let lo_b = lo.as_ref().map_or(Bound::Unbounded, Bound::Included);
-        let hi_b = hi.as_ref().map_or(Bound::Unbounded, Bound::Excluded);
-        let mut out = Vec::new();
-        for ids in self.postings.range((lo_b, hi_b)).map(|(_, v)| v) {
-            out.extend_from_slice(ids);
-        }
+    /// The posting lists of the values between the bounds, in value
+    /// order; `lo` must not lie above `hi` (`BTreeMap::range` panics).
+    /// Bounds of another type than the indexed values select a superset
+    /// (keys order by type first): callers re-check each id.
+    fn range(
+        &self,
+        lo: Bound<&Value>,
+        hi: Bound<&Value>,
+    ) -> impl Iterator<Item = &Vec<DatasetId>> {
+        self.postings.range((lo.map(Value::order_key), hi.map(Value::order_key))).map(|(_, ids)| ids)
+    }
+
+    /// Ids with values between the bounds, ascending.
+    pub fn lookup_range(&self, lo: Bound<&Value>, hi: Bound<&Value>) -> Vec<DatasetId> {
+        let mut out: Vec<DatasetId> = self.range(lo, hi).flatten().copied().collect();
+        out.sort_unstable();
         out
+    }
+
+    /// How many ids [`FieldIndex::lookup_range`] would return, counted
+    /// list by list and abandoned once past `cap`: exact when at most
+    /// `cap`, and never more than `cap + 1` lists walked.
+    pub fn count_range(&self, lo: Bound<&Value>, hi: Bound<&Value>, cap: usize) -> usize {
+        let mut n = 0;
+        for ids in self.range(lo, hi) {
+            n += ids.len();
+            if n > cap {
+                break;
+            }
+        }
+        n
     }
 
     /// Total postings.
@@ -76,28 +93,31 @@ impl TagIndex {
         Self::default()
     }
 
-    /// Records that `id` carries `tag`.
+    /// Records that `id` carries `tag`. Tags arrive in any id order, so
+    /// the posting goes in at its sorted place: every list stays
+    /// ascending and duplicate-free (re-tagging is idempotent).
     pub fn insert(&mut self, tag: &str, id: DatasetId) {
         let ids = self.postings.entry(tag.to_string()).or_default();
-        // Keep posting lists duplicate-free (re-tagging is idempotent).
-        if ids.last() != Some(&id) && !ids.contains(&id) {
-            ids.push(id);
+        if let Err(at) = ids.binary_search(&id) {
+            ids.insert(at, id);
         }
     }
 
     /// Removes a tag posting.
     pub fn remove(&mut self, tag: &str, id: DatasetId) {
         if let Some(ids) = self.postings.get_mut(tag) {
-            ids.retain(|&x| x != id);
+            if let Ok(at) = ids.binary_search(&id) {
+                ids.remove(at);
+            }
             if ids.is_empty() {
                 self.postings.remove(tag);
             }
         }
     }
 
-    /// Ids carrying the tag.
-    pub fn lookup(&self, tag: &str) -> Vec<DatasetId> {
-        self.postings.get(tag).cloned().unwrap_or_default()
+    /// Ids carrying the tag, ascending, as stored.
+    pub fn lookup(&self, tag: &str) -> &[DatasetId] {
+        self.postings.get(tag).map_or(&[], Vec::as_slice)
     }
 
     /// All known tags.
@@ -111,6 +131,7 @@ impl TagIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::ops::Bound::{Excluded, Included, Unbounded};
 
     fn id(n: u64) -> DatasetId {
         DatasetId(n)
@@ -133,14 +154,32 @@ mod tests {
         for (i, x) in [-2.0, -0.5, 0.0, 1.5, 3.0, 10.0].iter().enumerate() {
             idx.insert(&Value::Float(*x), id(i as u64));
         }
-        let got = idx.lookup_range(Some(&Value::Float(-1.0)), Some(&Value::Float(3.0)));
+        let got = idx.lookup_range(Included(&Value::Float(-1.0)), Excluded(&Value::Float(3.0)));
         assert_eq!(got, vec![id(1), id(2), id(3)]);
         // Unbounded below.
-        let got = idx.lookup_range(None, Some(&Value::Float(0.0)));
+        let got = idx.lookup_range(Unbounded, Excluded(&Value::Float(0.0)));
         assert_eq!(got, vec![id(0), id(1)]);
         // Unbounded above includes hi values.
-        let got = idx.lookup_range(Some(&Value::Float(3.0)), None);
+        let got = idx.lookup_range(Included(&Value::Float(3.0)), Unbounded);
         assert_eq!(got, vec![id(4), id(5)]);
+    }
+
+    #[test]
+    fn range_results_ascend_by_id_and_a_count_stops_at_its_cap() {
+        let mut idx = FieldIndex::new();
+        // Values descend as ids ascend, two ids a value.
+        for i in 0..1_000u64 {
+            idx.insert(&Value::Int(-((i / 2) as i64)), id(i));
+        }
+        let all = idx.lookup_range(Unbounded, Unbounded);
+        assert_eq!(all, (0..1_000).map(id).collect::<Vec<_>>());
+        let some = idx.lookup_range(Excluded(&Value::Int(-3)), Included(&Value::Int(-1)));
+        assert_eq!(some, [id(2), id(3), id(4), id(5)]);
+        // Exact under the cap; past it, abandoned one list later.
+        assert_eq!(idx.count_range(Included(&Value::Int(-2)), Unbounded, 64), 6);
+        assert_eq!(idx.count_range(Unbounded, Unbounded, 64), 66);
+        assert_eq!(idx.count_range(Unbounded, Unbounded, 0), 2);
+        assert_eq!(idx.count_range(Unbounded, Unbounded, usize::MAX), 1_000);
     }
 
     #[test]
@@ -149,7 +188,7 @@ mod tests {
         for (i, s) in ["apple", "banana", "cherry"].iter().enumerate() {
             idx.insert(&Value::from(*s), id(i as u64));
         }
-        let got = idx.lookup_range(Some(&Value::from("b")), Some(&Value::from("c")));
+        let got = idx.lookup_range(Included(&Value::from("b")), Excluded(&Value::from("c")));
         assert_eq!(got, vec![id(1)]);
     }
 
@@ -164,6 +203,15 @@ mod tests {
         assert_eq!(t.lookup("raw"), vec![id(2)]);
         t.remove("raw", id(2));
         assert!(t.lookup("raw").is_empty());
-        assert!(t.tags().is_empty());
+        // Tagged in any order, looked up ascending.
+        for n in [7, 3, 9, 3, 1] {
+            t.insert("late", id(n));
+        }
+        assert_eq!(t.lookup("late"), [id(1), id(3), id(7), id(9)]);
+        t.remove("late", id(3));
+        t.insert("late", id(8));
+        assert_eq!(t.lookup("late"), [id(1), id(7), id(8), id(9)]);
+        t.remove("absent", id(1));
+        assert_eq!(t.tags(), ["late"]);
     }
 }

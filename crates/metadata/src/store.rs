@@ -2,9 +2,12 @@
 //! metadata, appended processing results, tags, secondary indexes, and an
 //! index-aware query executor with scan instrumentation.
 
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use lsdf_sync::{ranks, OrderedRwLock};
 
@@ -68,7 +71,10 @@ pub struct NewDataset {
 }
 
 struct StoreState {
-    records: Vec<DatasetRecord>,
+    /// Shared with every reader that was handed one: a mutation goes
+    /// through [`Arc::make_mut`], which copies the record first when a
+    /// reader still holds it, so a handle is a snapshot as of its read.
+    records: Vec<Arc<DatasetRecord>>,
     by_name: HashMap<String, DatasetId>,
     field_indexes: HashMap<String, FieldIndex>,
     tag_index: TagIndex,
@@ -113,7 +119,7 @@ impl StoreState {
         for t in &rec.tags {
             self.tag_index.insert(t, id);
         }
-        self.records.push(rec);
+        self.records.push(Arc::new(rec));
         self.touch(id);
         Ok(id)
     }
@@ -130,6 +136,64 @@ impl StoreState {
         self.tag_index = TagIndex::new();
     }
 
+    /// Index-assisted candidate ids for `pred`, ascending and
+    /// duplicate-free; `None` = full scan required. A single posting
+    /// list is lent as stored; a range is gathered and sorted; a
+    /// disjunction needs both sides; a conjunction walks only the side
+    /// [`StoreState::estimate`] finds cheaper.
+    fn candidates(&self, pred: &Predicate) -> Option<Cow<'_, [DatasetId]>> {
+        Some(match pred {
+            Predicate::Eq(f, v) => Cow::Borrowed(self.field_indexes.get(f)?.lookup_eq(v)),
+            Predicate::HasTag(t) => Cow::Borrowed(self.tag_index.lookup(t)),
+            Predicate::And(a, b) => {
+                // The cap grows until one side's count is exact under
+                // it, so estimating costs a constant times the cheaper
+                // side however long the range behind the other is.
+                let mut cap = 64;
+                let cheaper = loop {
+                    match (self.estimate(a, cap), self.estimate(b, cap)) {
+                        (None, None) => return None,
+                        (Some(_), None) => break a,
+                        (None, Some(_)) => break b,
+                        (Some(x), Some(y)) if x.min(y) <= cap => break if x <= y { a } else { b },
+                        _ => cap = cap.saturating_mul(8),
+                    }
+                };
+                return self.candidates(cheaper);
+            }
+            Predicate::Or(a, b) => {
+                let mut ids = self.candidates(a)?.into_owned();
+                ids.extend_from_slice(&self.candidates(b)?);
+                ids.sort_unstable();
+                ids.dedup();
+                Cow::Owned(ids)
+            }
+            _ => {
+                let (f, lo, hi) = range_of(pred)?;
+                Cow::Owned(self.field_indexes.get(f)?.lookup_range(lo, hi))
+            }
+        })
+    }
+
+    /// How many ids [`StoreState::candidates`] would return for `pred`:
+    /// exact when at most `cap`, otherwise only known to be above it (a
+    /// range stops counting there). `None` = no index narrows `pred`.
+    fn estimate(&self, pred: &Predicate, cap: usize) -> Option<usize> {
+        Some(match pred {
+            Predicate::Eq(f, v) => self.field_indexes.get(f)?.lookup_eq(v).len(),
+            Predicate::HasTag(t) => self.tag_index.lookup(t).len(),
+            Predicate::And(a, b) => match (self.estimate(a, cap), self.estimate(b, cap)) {
+                (Some(x), Some(y)) => x.min(y),
+                (x, y) => x.or(y)?,
+            },
+            Predicate::Or(a, b) => self.estimate(a, cap)?.saturating_add(self.estimate(b, cap)?),
+            _ => {
+                let (f, lo, hi) = range_of(pred)?;
+                self.field_indexes.get(f)?.count_range(lo, hi, cap)
+            }
+        })
+    }
+
     /// Applies one replayed WAL record; `false` when its effect is
     /// already present (idempotent skip).
     fn apply(&mut self, rec: MetaWalRecord) -> bool {
@@ -139,7 +203,7 @@ impl StoreState {
                 let Some(rec) = self.records.get_mut(id.0 as usize) else {
                     return false;
                 };
-                let added = rec.tags.insert(tag.clone());
+                let added = Arc::make_mut(rec).tags.insert(tag.clone());
                 if added {
                     self.tag_index.insert(&tag, id);
                     self.touch(id);
@@ -150,7 +214,7 @@ impl StoreState {
                 let Some(rec) = self.records.get_mut(id.0 as usize) else {
                     return false;
                 };
-                let removed = rec.tags.remove(&tag);
+                let removed = Arc::make_mut(rec).tags.remove(&tag);
                 if removed {
                     self.tag_index.remove(&tag, id);
                     self.touch(id);
@@ -164,12 +228,26 @@ impl StoreState {
                 if rec.processing.len() as u32 >= seq {
                     return false;
                 }
-                rec.processing.push(ProcessingResult { step, params, results, derived_keys, seq });
+                let result = ProcessingResult { step, params, results, derived_keys, seq };
+                Arc::make_mut(rec).processing.push(result);
                 self.touch(id);
                 true
             }
         }
     }
+}
+
+/// The field and index range a comparison narrows to; `None` for every
+/// other predicate (`Ne`, `Contains`, `Not`, `All`: no index help).
+fn range_of(pred: &Predicate) -> Option<(&str, Bound<&Value>, Bound<&Value>)> {
+    use Bound::{Excluded, Included, Unbounded};
+    Some(match pred {
+        Predicate::Lt(f, v) => (f, Unbounded, Excluded(v)),
+        Predicate::Le(f, v) => (f, Unbounded, Included(v)),
+        Predicate::Gt(f, v) => (f, Excluded(v), Unbounded),
+        Predicate::Ge(f, v) => (f, Included(v), Unbounded),
+        _ => return None,
+    })
 }
 
 impl NewDataset {
@@ -353,20 +431,22 @@ impl ProjectStore {
         results
     }
 
-    /// Fetches a record by id.
-    pub fn get(&self, id: DatasetId) -> Result<DatasetRecord, MetadataError> {
+    /// Fetches a record by id. Like every read here it hands out a
+    /// shared handle, not a copy: the record as of this call, which
+    /// later tags and processing results in the catalog do not touch.
+    pub fn get(&self, id: DatasetId) -> Result<Arc<DatasetRecord>, MetadataError> {
         self.state
             .read()
             .records
             .get(id.0 as usize)
-            .cloned()
+            .map(Arc::clone)
             .ok_or(MetadataError::NotFound(id))
     }
 
     /// Fetches a record by unique name.
-    pub fn get_by_name(&self, name: &str) -> Option<DatasetRecord> {
+    pub fn get_by_name(&self, name: &str) -> Option<Arc<DatasetRecord>> {
         let st = self.state.read();
-        st.by_name.get(name).map(|&id| st.records[id.0 as usize].clone())
+        st.by_name.get(name).map(|&id| Arc::clone(&st.records[id.0 as usize]))
     }
 
     /// Basic metadata is write-once: this always fails, by design. The
@@ -397,6 +477,7 @@ impl ProjectStore {
                 .records
                 .get_mut(id.0 as usize)
                 .ok_or(MetadataError::NotFound(id))?;
+            let rec = Arc::make_mut(rec);
             let seq = rec.processing.len() as u32 + 1;
             if let Some(d) = &self.durability {
                 let log_rec = MetaWalRecord::AppendProcessing {
@@ -439,7 +520,7 @@ impl ProjectStore {
                 .records
                 .get_mut(id.0 as usize)
                 .ok_or(MetadataError::NotFound(id))?;
-            let added = rec.tags.insert(tag.to_string());
+            let added = Arc::make_mut(rec).tags.insert(tag.to_string());
             if added {
                 if let Some(d) = &self.durability {
                     d.log(&MetaWalRecord::Tag { id, tag: tag.to_string() }.encode());
@@ -470,7 +551,7 @@ impl ProjectStore {
                 .records
                 .get_mut(id.0 as usize)
                 .ok_or(MetadataError::NotFound(id))?;
-            let removed = rec.tags.remove(tag);
+            let removed = Arc::make_mut(rec).tags.remove(tag);
             if removed {
                 if let Some(d) = &self.durability {
                     d.log(&MetaWalRecord::Untag { id, tag: tag.to_string() }.encode());
@@ -495,71 +576,23 @@ impl ProjectStore {
 
     /// Executes a query, using secondary indexes where the predicate shape
     /// allows, and returns matching records in id order.
-    pub fn query(&self, pred: &Predicate) -> Vec<DatasetRecord> {
+    pub fn query(&self, pred: &Predicate) -> Vec<Arc<DatasetRecord>> {
         self.queries.fetch_add(1, Ordering::Relaxed);
         let st = self.state.read();
-        let candidates = self.candidate_ids(&st, pred);
-        match candidates {
-            Some(mut ids) => {
-                ids.sort_unstable();
-                ids.dedup();
+        // The index narrows, it does not answer: every candidate is
+        // re-checked, so a bound the index reads loosely costs a
+        // candidate, never a wrong hit.
+        let matching = |r: &&Arc<DatasetRecord>| pred.matches(r);
+        match st.candidates(pred) {
+            Some(ids) => {
                 self.scanned.fetch_add(ids.len() as u64, Ordering::Relaxed);
-                ids.into_iter()
-                    .map(|id| &st.records[id.0 as usize])
-                    .filter(|r| pred.matches(r))
-                    .cloned()
-                    .collect()
+                let hits = ids.iter().map(|id| &st.records[id.0 as usize]);
+                hits.filter(matching).map(Arc::clone).collect()
             }
             None => {
-                self.scanned
-                    .fetch_add(st.records.len() as u64, Ordering::Relaxed);
-                st.records.iter().filter(|r| pred.matches(r)).cloned().collect()
+                self.scanned.fetch_add(st.records.len() as u64, Ordering::Relaxed);
+                st.records.iter().filter(matching).map(Arc::clone).collect()
             }
-        }
-    }
-
-    /// Index-assisted candidate generation. `None` = full scan required.
-    /// A conjunction may narrow via either side; a disjunction needs both.
-    fn candidate_ids(&self, st: &StoreState, pred: &Predicate) -> Option<Vec<DatasetId>> {
-        match pred {
-            Predicate::Eq(f, v) => st.field_indexes.get(f).map(|idx| idx.lookup_eq(v)),
-            Predicate::Lt(f, v) => st
-                .field_indexes
-                .get(f)
-                .map(|idx| idx.lookup_range(None, Some(v))),
-            Predicate::Le(f, v) => st.field_indexes.get(f).map(|idx| {
-                let mut ids = idx.lookup_range(None, Some(v));
-                ids.extend(idx.lookup_eq(v));
-                ids
-            }),
-            // lookup_range's lower bound is inclusive, so Gt candidates
-            // include exact-equal ids; the final matches() filter drops them.
-            Predicate::Gt(f, v) => st
-                .field_indexes
-                .get(f)
-                .map(|idx| idx.lookup_range(Some(v), None)),
-            Predicate::Ge(f, v) => st
-                .field_indexes
-                .get(f)
-                .map(|idx| idx.lookup_range(Some(v), None)),
-            Predicate::HasTag(t) => Some(st.tag_index.lookup(t)),
-            Predicate::And(a, b) => match (self.candidate_ids(st, a), self.candidate_ids(st, b)) {
-                (Some(x), Some(y)) => {
-                    // Use the smaller side as the candidate set.
-                    Some(if x.len() <= y.len() { x } else { y })
-                }
-                (Some(x), None) | (None, Some(x)) => Some(x),
-                (None, None) => None,
-            },
-            Predicate::Or(a, b) => {
-                let x = self.candidate_ids(st, a)?;
-                let mut y = self.candidate_ids(st, b)?;
-                let mut out = x;
-                out.append(&mut y);
-                Some(out)
-            }
-            // Ne, Contains, Not, All: no index help.
-            _ => None,
         }
     }
 
@@ -572,8 +605,8 @@ impl ProjectStore {
     }
 
     /// All records (snapshot), in insertion order.
-    pub fn all(&self) -> Vec<DatasetRecord> {
-        self.state.read().records.clone()
+    pub fn all(&self) -> Vec<Arc<DatasetRecord>> {
+        self.state.read().records.to_vec()
     }
 
     /// All tags in use.
@@ -593,7 +626,7 @@ impl ProjectStore {
 
     /// Convenience: ids of records matching a tag.
     pub fn ids_with_tag(&self, tag: &str) -> Vec<DatasetId> {
-        self.state.read().tag_index.lookup(tag)
+        self.state.read().tag_index.lookup(tag).to_vec()
     }
 
     /// Looks up a single basic-metadata value.
@@ -865,6 +898,105 @@ mod tests {
     }
 
     #[test]
+    fn a_conjunction_walks_only_the_side_it_uses() {
+        let store = store_with(480);
+        // "This fish since T": 24 ids on one side, the tail of the
+        // catalog on the other, written either way round.
+        let since = ge("acquired_at", Value::Time(5 * 100 + 12));
+        for pred in [eq("fish_id", 5i64).and(since.clone()), since.clone().and(eq("fish_id", 5i64))] {
+            let (_, before) = store.query_stats();
+            let ids: Vec<u64> = store.query(&pred).iter().map(|r| r.id.0).collect();
+            assert_eq!(ids, (5 * 24 + 12..6 * 24).collect::<Vec<u64>>());
+            assert_eq!(store.query_stats().1 - before, 24, "{pred:?}");
+        }
+        // The range is the cheaper side when it is the shorter one.
+        let (_, before) = store.query_stats();
+        let last = ge("acquired_at", Value::Time(19 * 100 + 21));
+        assert_eq!(store.query(&eq("wavelength_nm", 561.0).and(last)).len(), 2);
+        assert_eq!(store.query_stats().1 - before, 3);
+        // A side with no index leaves the other; two such, a full scan.
+        let (_, before) = store.query_stats();
+        assert_eq!(store.query(&eq("well", "A1").and(eq("fish_id", 5i64))).len(), 24);
+        assert_eq!(store.query(&eq("well", "A1").and(eq("well", "B2"))).len(), 0);
+        assert_eq!(store.query_stats().1 - before, 24 + 480);
+    }
+
+    #[test]
+    fn both_zeros_are_one_value_to_an_indexed_field() {
+        let schema = SchemaBuilder::new("t")
+            .required("x", FieldType::Float)
+            .indexed()
+            .required("y", FieldType::Float)
+            .build()
+            .unwrap();
+        let store = ProjectStore::new(schema);
+        for (i, v) in [-0.0, 0.0, 1.0].into_iter().enumerate() {
+            let basic = [("x", v), ("y", v)].map(|(k, v)| (k.to_string(), Value::Float(v)));
+            store.insert(new_ds(&format!("r{i}"), basic.into_iter().collect())).unwrap();
+        }
+        let ids = |pred: Predicate| store.query(&pred).iter().map(|r| r.id.0).collect::<Vec<_>>();
+        let forms: [fn(&str, f64) -> Predicate; 6] = [eq, crate::query::ne, lt, le, gt, ge];
+        for form in forms {
+            for zero in [0.0, -0.0] {
+                assert_eq!(ids(form("x", zero)), ids(form("y", zero)), "{:?}", form("x", zero));
+            }
+        }
+        assert_eq!(ids(eq("x", 0.0)), [0, 1]);
+        assert_eq!(ids(ge("x", 0.0)), [0, 1, 2]);
+        assert_eq!(ids(le("x", -0.0)), [0, 1]);
+    }
+
+    #[test]
+    fn reads_hand_out_the_catalog_s_own_records() {
+        let store = store_with(480);
+        let first = store.query(&eq("fish_id", 7i64));
+        assert_eq!(first.len(), 24);
+        // One allocation per record, shared: the catalog's handle and ours.
+        assert!(first.iter().all(|r| Arc::strong_count(r) == 2));
+        let second = store.query(&eq("fish_id", 7i64));
+        assert!(first.iter().zip(&second).all(|(a, b)| Arc::ptr_eq(a, b)));
+        assert!(first.iter().all(|r| Arc::strong_count(r) == 3));
+        let by_name = store.get_by_name(&first[3].name).unwrap();
+        assert!(Arc::ptr_eq(&by_name, &first[3]) && Arc::ptr_eq(&by_name, &store.get(by_name.id).unwrap()));
+        drop(by_name);
+        let watch: Vec<_> = first.iter().map(Arc::downgrade).collect();
+        drop((first, second));
+        assert!(watch.iter().all(|w| w.strong_count() == 1), "only the catalog's is left");
+    }
+
+    #[test]
+    fn a_held_handle_is_a_snapshot_and_the_catalog_moves_on() {
+        let disk = lsdf_durability::DurableStore::new();
+        let store = durable_store(&disk, 4);
+        let twin = store_with(0);
+        for s in [&store, &twin] {
+            insert_range(s, 0, 10);
+        }
+        assert_eq!(store.checkpoint(), Some(3));
+        let id = DatasetId(5);
+        let held = store.get(id).unwrap();
+        let hits = store.query(&eq("fish_id", 5i64));
+        for s in [&store, &twin] {
+            s.tag(id, "needs-processing").unwrap();
+            s.append_processing(id, "seg", Document::new(), Document::new(), vec![]).unwrap();
+        }
+        // What was handed out is the record as of its read...
+        assert!(Arc::ptr_eq(&held, &hits[0]));
+        assert!(held.tags.is_empty() && held.processing.is_empty());
+        // ...and every later read sees the catalog's.
+        let now = store.get(id).unwrap();
+        assert!(now.has_tag("needs-processing") && now.processing.len() == 1);
+        assert_eq!(now.basic, held.basic, "WORM: basic metadata never differs");
+        assert_eq!(store.query(&has_tag("needs-processing")), [now]);
+        // The catalog is the one of a twin that never handed out a
+        // handle, and the copy dirtied its chunk like any change.
+        assert_eq!(store.catalog_digest(), twin.catalog_digest());
+        assert_eq!(store.checkpoint(), Some(1));
+        store.untag(id, "needs-processing").unwrap();
+        assert!(store.get(id).unwrap().tags.is_empty() && !held.has_tag("needs-processing"));
+    }
+
+    #[test]
     fn tags_query_and_events_fire() {
         let store = store_with(10);
         let tag_events = Arc::new(AtomicUsize::new(0));
@@ -1106,7 +1238,7 @@ mod tests {
         // inserts logged since replay (dense ids restart at 0); the tag
         // on id 7 finds no such record and is skipped.
         assert_eq!((stats.replayed, stats.skipped), (2, 1));
-        let names: Vec<String> = store.all().into_iter().map(|r| r.name).collect();
+        let names: Vec<String> = store.all().into_iter().map(|r| r.name.clone()).collect();
         assert_eq!(names, ["img-00006", "img-00007"]);
         // Nothing of the rejected checkpoint is kept by reference: the
         // next one writes the catalog it has, and recovers from it.

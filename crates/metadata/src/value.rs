@@ -70,8 +70,9 @@ impl Value {
     pub fn order_key(&self) -> OrderKey {
         fn f64_key(x: f64) -> u64 {
             // IEEE-754 total order trick: flip sign bit for positives,
-            // all bits for negatives.
-            let bits = x.to_bits();
+            // all bits for negatives. `-0.0 + 0.0` is `0.0`: the two
+            // zeros compare `Equal`, so they share one key.
+            let bits = (x + 0.0).to_bits();
             if bits >> 63 == 0 {
                 bits ^ 0x8000_0000_0000_0000
             } else {

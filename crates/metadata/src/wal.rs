@@ -15,6 +15,7 @@
 //! snapshot capture) is safe. Dataset ids are dense insertion indexes,
 //! so replaying inserts in log order reassigns the original ids.
 
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 
 use crate::record::{DatasetId, DatasetRecord, ProcessingResult};
@@ -285,22 +286,23 @@ fn dec_record(d: &mut Dec<'_>) -> Option<DatasetRecord> {
 pub(crate) struct MetaSnapshot;
 
 impl MetaSnapshot {
-    /// Encodes borrowed records, so the store can snapshot under its
-    /// read guard without cloning the catalog first.
-    pub(crate) fn encode(records: &[DatasetRecord]) -> Vec<u8> {
+    /// Encodes borrowed records (the store's shared handles or plain
+    /// records alike), so the store can snapshot under its read guard
+    /// without cloning the catalog first.
+    pub(crate) fn encode(records: &[impl Borrow<DatasetRecord>]) -> Vec<u8> {
         let mut e = Enc::new();
         e.u64(records.len() as u64);
         Self::finish(e, records)
     }
 
     /// One checkpoint chunk: the records' bytes and nothing else.
-    pub(crate) fn encode_chunk(records: &[DatasetRecord]) -> Vec<u8> {
+    pub(crate) fn encode_chunk(records: &[impl Borrow<DatasetRecord>]) -> Vec<u8> {
         Self::finish(Enc::new(), records)
     }
 
-    fn finish(mut e: Enc, records: &[DatasetRecord]) -> Vec<u8> {
+    fn finish(mut e: Enc, records: &[impl Borrow<DatasetRecord>]) -> Vec<u8> {
         for r in records {
-            enc_record(&mut e, r);
+            enc_record(&mut e, r.borrow());
         }
         e.finish()
     }

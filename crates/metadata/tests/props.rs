@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use lsdf_durability::{CheckpointStore, ComponentDurability, DurabilityConfig, DurableStore, Loaded};
-use lsdf_metadata::query::{eq, ge, has_tag, lt};
+use lsdf_metadata::query::{contains, eq, ge, gt, has_tag, le, lt};
 use lsdf_metadata::{
     dataset, CrossQuery, DatasetId, Document, Federation, FieldType, MetadataError, NewDataset,
     Predicate, ProjectStore, SchemaBuilder, UnifiedCatalog, Value,
@@ -32,6 +32,16 @@ fn doc(run: i64, energy: f64, detector: &str) -> Document {
     ]
     .into_iter()
     .collect()
+}
+
+/// Energies, for rows and for query bounds alike: whole numbers either
+/// side of zero and both zeros, equal as values and different as bits.
+fn energy() -> impl Strategy<Value = f64> {
+    (-60i32..1000).prop_map(|e| match e {
+        ..-40 => -0.0,
+        -40..-20 => 0.0,
+        _ => f64::from(e),
+    })
 }
 
 /// A durable store over its own fresh disk.
@@ -197,24 +207,27 @@ proptest! {
     /// returns exactly the records the brute-force `matches()` scan does.
     #[test]
     fn indexed_query_equals_full_scan(
-        rows in prop::collection::vec((0i64..20, 0u32..1000, 0usize..3), 1..200),
+        rows in prop::collection::vec((0i64..20, energy(), 0usize..3), 1..200),
         q_run in 0i64..20,
-        q_energy in 0u32..1000,
+        q_energy in energy(),
     ) {
         let store = ProjectStore::new(schema("t"));
         for (i, (run, e, d)) in rows.iter().enumerate() {
             let detector = ["main", "veto", "monitor"][*d];
             store
-                .insert(dataset(&format!("r{i}"), 1, doc(*run, *e as f64, detector)))
+                .insert(dataset(&format!("r{i}"), 1, doc(*run, *e, detector)))
                 .unwrap();
         }
         let preds: Vec<Predicate> = vec![
             eq("run", q_run),
-            ge("energy", q_energy as f64),
-            lt("energy", q_energy as f64),
-            eq("run", q_run).and(ge("energy", q_energy as f64)),
+            eq("energy", q_energy),
+            eq("energy", 0.0),
+            le("energy", -0.0),
+            ge("energy", q_energy),
+            lt("energy", q_energy),
+            eq("run", q_run).and(ge("energy", q_energy)),
             eq("run", q_run).or(eq("detector", "veto")),
-            eq("detector", "main").and(lt("energy", q_energy as f64)),
+            eq("detector", "main").and(lt("energy", q_energy)),
             eq("run", q_run).not(),
         ];
         for pred in &preds {
@@ -226,6 +239,86 @@ proptest! {
                 .map(|r| r.id.0)
                 .collect();
             prop_assert_eq!(&via_engine, &via_scan, "pred {:?}", pred);
+        }
+    }
+
+    /// The planner narrows and never answers. Random nests of `And`,
+    /// `Or` and `Not` over every leaf form, on indexed fields, on an
+    /// unindexed copy and on tags, return exactly the records a scan
+    /// with `matches()` does, in id order; and "this run, within this
+    /// range" examines no more records than the run has, whichever side
+    /// the range is written on and however much of the catalog it spans.
+    #[test]
+    fn planned_queries_equal_a_scan_and_examine_the_cheaper_side(
+        rows in prop::collection::vec((0i64..12, energy(), 0usize..3, 0u8..4), 1..200),
+        program in prop::collection::vec((0u8..13, 0i64..12, energy()), 1..24),
+    ) {
+        let schema = SchemaBuilder::new("t")
+            .required("run", FieldType::Int)
+            .indexed()
+            .required("energy", FieldType::Float)
+            .indexed()
+            .required("energy_copy", FieldType::Float)
+            .required("detector", FieldType::Str)
+            .build()
+            .unwrap();
+        let store = ProjectStore::new(schema);
+        let tags = ["raw", "qa-passed"];
+        for (i, (run, e, d, tagged)) in rows.iter().enumerate() {
+            let mut basic = doc(*run, *e, ["main", "veto", "monitor"][*d]);
+            basic.insert("energy_copy".to_string(), Value::Float(*e));
+            let id = store.insert(dataset(&format!("r{i}"), 1, basic)).unwrap();
+            for (bit, tag) in tags.iter().enumerate() {
+                if tagged >> bit & 1 == 1 {
+                    store.tag(id, tag).unwrap();
+                }
+            }
+        }
+        // A postfix program: leaves push, combinators pop what is there.
+        let range = |form: u8, field: &str, e: f64| [lt, le, gt, ge][usize::from(form % 4)](field, e);
+        let mut stack: Vec<Predicate> = Vec::new();
+        for &(op, run, e) in &program {
+            let leaf = match op {
+                0 => eq("run", run),
+                1 => eq("energy", e),
+                2 | 3 => range(run as u8, "energy", e),
+                4 => range(run as u8, "energy_copy", e),
+                // An int field against a float bound: never a match,
+                // and an open range over keys of another type.
+                5 => range(run as u8, "run", e),
+                6 => has_tag(tags[run as usize % 2]),
+                7 => contains("detector", ["ai", "o", "et"][run as usize % 3]),
+                8 => eq("detector", "veto"),
+                _ => match (op, stack.pop(), stack.pop()) {
+                    (9 | 10, Some(b), Some(a)) => a.and(b),
+                    (11, Some(b), Some(a)) => a.or(b),
+                    (_, Some(a), rest) => {
+                        stack.extend(rest);
+                        a.not()
+                    }
+                    _ => Predicate::All,
+                },
+            };
+            stack.push(leaf);
+        }
+        let all = store.all();
+        let scan = |pred: &Predicate| -> Vec<u64> {
+            all.iter().filter(|r| pred.matches(r)).map(|r| r.id.0).collect()
+        };
+        while let Some(pred) = stack.pop() {
+            let via_engine: Vec<u64> = store.query(&pred).iter().map(|r| r.id.0).collect();
+            prop_assert_eq!(via_engine, scan(&pred), "pred {:?}", pred);
+        }
+        for &(form, run, e) in &program {
+            let in_run = scan(&eq("run", run)).len() as u64;
+            let within = range(form, "energy", e);
+            for pred in [eq("run", run).and(within.clone()), within.clone().and(eq("run", run))] {
+                let (_, before) = store.query_stats();
+                let hits = store.query(&pred).len();
+                let examined = store.query_stats().1 - before;
+                prop_assert!(examined <= in_run, "{} of {} examined for {:?}", examined, in_run, pred);
+                prop_assert_eq!(hits, scan(&pred).len(), "pred {:?}", pred);
+            }
         }
     }
 

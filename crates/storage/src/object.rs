@@ -8,6 +8,7 @@
 //! digest, captured at ingest and re-verifiable on read.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
 
@@ -74,7 +75,6 @@ struct StoreInner {
     used: u64,
     next_id: u64,
     puts: u64,
-    gets: u64,
 }
 
 /// A thread-safe, capacity-bounded, write-once object store.
@@ -82,6 +82,9 @@ pub struct ObjectStore {
     name: String,
     capacity: u64,
     inner: RwLock<StoreInner>,
+    /// Fetches attempted, found or not. Beside the lock, so that a fetch
+    /// shares it with other fetches.
+    gets: AtomicU64,
 }
 
 impl ObjectStore {
@@ -95,8 +98,8 @@ impl ObjectStore {
                 used: 0,
                 next_id: 0,
                 puts: 0,
-                gets: 0,
             }),
+            gets: AtomicU64::new(0),
         }
     }
 
@@ -171,8 +174,8 @@ impl ObjectStore {
     /// first use — the memoized comparison here stays sound while an
     /// untorn read-back costs zero hashes.
     pub fn get(&self, key: &str) -> Result<Payload, StoreError> {
-        let mut inner = self.inner.write();
-        inner.gets += 1;
+        self.gets.fetch_add(1, Ordering::Relaxed);
+        let inner = self.inner.read();
         let stored = inner
             .by_key
             .get(key)
@@ -225,8 +228,7 @@ impl ObjectStore {
     /// `(puts, gets)` counters — cheap instrumentation for the ADAL
     /// overhead experiment (E9).
     pub fn op_counts(&self) -> (u64, u64) {
-        let inner = self.inner.read();
-        (inner.puts, inner.gets)
+        (self.inner.read().puts, self.gets.load(Ordering::Relaxed))
     }
 }
 
@@ -312,6 +314,40 @@ mod tests {
         let _ = store.get("a");
         let _ = store.get("a");
         assert_eq!(store.op_counts(), (1, 2));
+    }
+
+    #[test]
+    fn gets_share_the_lock_and_every_attempt_is_counted() {
+        const READERS: usize = 4;
+        const GETS: usize = 1_000;
+        let store = ObjectStore::new("t", u64::MAX);
+        for i in 0..10 {
+            store.put(&format!("old/{i}"), payload(&format!("data-{i}"))).unwrap();
+        }
+        let start = std::sync::Barrier::new(READERS + 1);
+        std::thread::scope(|s| {
+            for _ in 0..READERS {
+                s.spawn(|| {
+                    start.wait();
+                    for i in 0..GETS {
+                        if i % 2 == 0 {
+                            let want = payload(&format!("data-{}", i % 10));
+                            assert_eq!(store.get(&format!("old/{}", i % 10)).unwrap(), want);
+                        } else {
+                            let missing = format!("missing/{i}");
+                            assert_eq!(store.get(&missing), Err(StoreError::NotFound(missing)));
+                        }
+                    }
+                });
+            }
+            s.spawn(|| {
+                start.wait();
+                for i in 0..GETS {
+                    store.put(&format!("new/{i}"), payload("fresh")).unwrap();
+                }
+            });
+        });
+        assert_eq!(store.op_counts(), ((10 + GETS) as u64, (READERS * GETS) as u64));
     }
 
     #[test]

@@ -111,5 +111,10 @@ fn main() {
         sample.name,
         cells.map(|v| v.to_string()).unwrap_or_default()
     );
+    // 7. The hits of step 3 were held through all of that. A hit is a
+    // shared handle on the record as of its query: the catalog tagged
+    // and processed copies, and these still read as they did then.
+    let stale = in_focus.iter().filter(|r| r.tags.is_empty() && r.processing.is_empty()).count();
+    println!("{stale} of {} handles held since step 3 still read untagged", in_focus.len());
     println!("quickstart complete");
 }

@@ -86,12 +86,14 @@ bench:
             || { echo "bench: $w did not read back correct with 0 failed"; exit 1; }; \
     done
 
-# Paired measurement of one workload, the rule README "Measuring"
-# states: checks `parent` out into a git worktree under target/, builds
-# both benchmarks once, runs `pairs` alternating pairs (odd pairs parent
-# first, even pairs change first) of BENCHMARK.json's command and
-# prints, per end-to-end metric, each side's median and quartiles, the
-# move of the median, and in how many pairs the change read higher.
+# Paired measurement of one workload, or of all four back to back when
+# `workload` is `all`: the rule README "Measuring" states. Checks
+# `parent` out into a git worktree under target/, builds both benchmarks
+# once, runs `pairs` alternating pairs (odd pairs parent first, even
+# pairs change first) of BENCHMARK.json's command per workload and
+# prints, per workload and end-to-end metric in the order the benchmark
+# reports them (36 rows for `all`), each side's median and quartiles,
+# the move of the median, and in how many pairs the change read higher.
 # Every run's full output stays under target/bench-pair/runs/.
 bench-pair workload seed pairs="10" parent="HEAD~1":
     #!/usr/bin/env bash
@@ -104,32 +106,38 @@ bench-pair workload seed pairs="10" parent="HEAD~1":
     cargo build --release --offline -p lsdf-bench --bin benchmark
     cp $top/parent/target/release/benchmark $top/benchmark-parent
     cp target/release/benchmark $top/benchmark-change
-    for i in $(seq 1 {{pairs}}); do
-        if (( i % 2 )); then order="parent change"; else order="change parent"; fi
-        for side in $order; do
-            $top/benchmark-$side --workload {{workload}} --seed {{seed}} --seconds 28 --trace 0 > "$out/$side-$i.txt"
-            tail -n 1 "$out/$side-$i.txt" \
-                | grep '^{"correct": true, "attempted": [0-9]*, "failed": 0,' \
-                | grep -o '"[a-z_0-9]*": {"value": [-0-9.e]*' \
-                | sed "s/^\"\([a-z_0-9]*\)\": {\"value\": /$side $i \1 /" >> "$out/all.txt" \
-                || { echo "bench-pair: $side run $i did not read back correct with 0 failed"; exit 1; }
+    workloads={{workload}}
+    [ $workloads != all ] || workloads="htm_bulk daq_events dfs_analysis browse_during_ingest"
+    for w in $workloads; do
+        for i in $(seq 1 {{pairs}}); do
+            if (( i % 2 )); then order="parent change"; else order="change parent"; fi
+            for side in $order; do
+                $top/benchmark-$side --workload $w --seed {{seed}} --seconds 28 --trace 0 > "$out/$w-$side-$i.txt"
+                tail -n 1 "$out/$w-$side-$i.txt" \
+                    | grep '^{"correct": true, "attempted": [0-9]*, "failed": 0,' \
+                    | grep -o '"[a-z_0-9]*": {"value": [-0-9.e]*' \
+                    | sed "s/^\"\([a-z_0-9]*\)\": {\"value\": /$w $side $i \1 /" >> "$out/all.txt" \
+                    || { echo "bench-pair: $w $side run $i did not read back correct with 0 failed"; exit 1; }
+            done
         done
     done
-    awk '{ v[$1, $3, $2] = $4; metrics[$3]; if ($2 > n) n = $2 }
-    function quartiles(side, m,    i, j, x, a) {
-        for (i = 1; i <= n; i++) { x = v[side, m, i]; for (j = i - 1; j > 0 && a[j] > x; j--) a[j + 1] = a[j]; a[j + 1] = x }
+    awk '{ v[$1, $2, $4, $3] = $5; if ($3 > n) n = $3
+           if (!($1 in ws)) { ws[$1]; w[++nw] = $1 }
+           if (!($4 in ms)) { ms[$4]; m[++nm] = $4 } }
+    function quartiles(wl, side, mt,    i, j, x, a) {
+        for (i = 1; i <= n; i++) { x = v[wl, side, mt, i]; for (j = i - 1; j > 0 && a[j] > x; j--) a[j + 1] = a[j]; a[j + 1] = x }
         q1 = a[int((n + 3) / 4)]; q3 = a[n + 1 - int((n + 3) / 4)]
         median = (n % 2) ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2
     }
     END {
-        printf "%-20s %12s %25s %12s %25s %8s %s\n", "metric", "parent", "(quartiles)", "change", "(quartiles)", "median", "change higher"
-        for (m in metrics) {
-            quartiles("parent", m); pm = median; pq = sprintf("%.6g .. %.6g", q1, q3)
-            quartiles("change", m); higher = 0
-            for (i = 1; i <= n; i++) higher += v["change", m, i] > v["parent", m, i]
-            printf "%-20s %12.6g %25s %12.6g %25s %+7.2f%% %d/%d\n", m, pm, pq, median, sprintf("%.6g .. %.6g", q1, q3), pm ? (median - pm) / pm * 100 : 0, higher, n
+        printf "%-21s %-20s %12s %25s %12s %25s %8s %s\n", "workload", "metric", "parent", "(quartiles)", "change", "(quartiles)", "median", "change higher"
+        for (k = 1; k <= nw; k++) for (l = 1; l <= nm; l++) {
+            quartiles(w[k], "parent", m[l]); pm = median; pq = sprintf("%.6g .. %.6g", q1, q3)
+            quartiles(w[k], "change", m[l]); higher = 0
+            for (i = 1; i <= n; i++) higher += v[w[k], "change", m[l], i] > v[w[k], "parent", m[l], i]
+            printf "%-21s %-20s %12.6g %25s %12.6g %25s %+7.2f%% %d/%d\n", w[k], m[l], pm, pq, median, sprintf("%.6g .. %.6g", q1, q3), pm ? (median - pm) / pm * 100 : 0, higher, n
         }
-    }' "$out/all.txt" | sort
+    }' "$out/all.txt"
     echo "every run: $out"
 
 # CI smoke: quick-mode ingest throughput must stay within 2x of the

@@ -123,7 +123,7 @@ proptest! {
             ids.push(id);
         }
         let store = f.store("zebrafish-htm").expect("project");
-        let before: Vec<_> = ids.iter().map(|&id| store.get(id).unwrap().basic).collect();
+        let before: Vec<_> = ids.iter().map(|&id| store.get(id).unwrap().basic.clone()).collect();
         for (step_no, &which) in order.iter().enumerate() {
             store
                 .append_processing(

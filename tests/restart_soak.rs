@@ -527,7 +527,7 @@ fn a_crash_at_each_step_of_a_checkpoint_recovers() {
             // The other two components are whole; the imaging catalog
             // holds exactly what its log held since the checkpoint.
             assert_eq!(digests()[..2], expected[..2]);
-            let names: Vec<String> = imaging.all().into_iter().map(|r| r.name).collect();
+            let names: Vec<String> = imaging.all().into_iter().map(|r| r.name.clone()).collect();
             let logged: Vec<String> = batch(SEED, 16)
                 .into_iter()
                 .filter(|item| item.project == "imaging")
