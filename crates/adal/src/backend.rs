@@ -349,7 +349,7 @@ impl StorageBackend for HsmBackend {
         Ok(())
     }
     fn get(&self, ctx: &TraceCtx, key: &str) -> Result<Payload, BackendError> {
-        Ok(self.hsm.get_traced(key, ctx)?)
+        Ok(self.hsm.get(ctx, key)?)
     }
     fn stat(&self, _ctx: &TraceCtx, key: &str) -> Result<EntryMeta, BackendError> {
         let e = self.hsm.stat(key)?;

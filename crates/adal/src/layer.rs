@@ -4,9 +4,8 @@
 //! Accounting goes through the `lsdf-obs` registry: each operation
 //! bumps `adal_ops_total{op=..}` (plus a per-project
 //! `adal_project_ops_total{project=..,op=..}` breakdown) and records
-//! its latency into `adal_op_latency_ns{op=..}`. The historical
-//! [`AdalCounters`] struct remains as a compatibility view computed
-//! from the registry counters.
+//! its latency into `adal_op_latency_ns{op=..}`; rejected requests
+//! count in `adal_denied_total`.
 //!
 //! Projects mounted with [`Adal::mount_resilient`] additionally get the
 //! failure handling a 24/7 ingest facility needs:
@@ -30,12 +29,11 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
-use parking_lot::{Mutex, RwLock};
-
 use lsdf_obs::{Counter, Gauge, Histogram, Registry, Span, TraceCtx, Tracer};
 use lsdf_pool::WorkerPool;
 use lsdf_sim::SimRng;
 use lsdf_storage::Payload;
+use lsdf_sync::{ranks, OrderedMutex, OrderedRwLock};
 
 use crate::auth::{Access, Acl, AuthError, AuthProvider, Credential, TokenAuth};
 use crate::backend::{missing_commit_result, BackendError, EntryMeta, StagedPut, StorageBackend};
@@ -87,23 +85,6 @@ impl From<BackendError> for AdalError {
     fn from(e: BackendError) -> Self {
         AdalError::Backend(e)
     }
-}
-
-/// Operation counters (the E9 overhead accounting).
-///
-/// Compatibility view over the obs registry: `puts`/`gets` mirror
-/// `adal_ops_total{op=put|get}`, `metas` is the sum of the `stat` and
-/// `list` ops, `denied` mirrors `adal_denied_total`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct AdalCounters {
-    /// `put` calls served.
-    pub puts: u64,
-    /// `get` calls served.
-    pub gets: u64,
-    /// `stat`/`list`/`exists` calls served.
-    pub metas: u64,
-    /// Requests rejected by auth.
-    pub denied: u64,
 }
 
 /// The operation kinds [`Adal::classify`] understands — the same set
@@ -241,7 +222,7 @@ struct ResilientState {
     breaker: CircuitBreaker,
     journal: RedoJournal,
     verify_writes: bool,
-    rng: Mutex<SimRng>,
+    rng: OrderedMutex<SimRng>,
     metrics: ResilienceMetrics,
 }
 
@@ -477,7 +458,7 @@ pub struct PendingPut {
 pub struct Adal {
     auth: Arc<dyn AuthProvider>,
     acl: Arc<Acl>,
-    mounts: RwLock<HashMap<String, Mount>>,
+    mounts: OrderedRwLock<HashMap<String, Mount>>,
     obs: Arc<Registry>,
     ops: OpMetrics,
     pool: WorkerPool,
@@ -517,7 +498,7 @@ impl Adal {
         Adal {
             auth,
             acl,
-            mounts: RwLock::new(HashMap::new()),
+            mounts: OrderedRwLock::new(ranks::ADAL_MOUNTS, HashMap::new()),
             obs: registry,
             ops,
             pool,
@@ -569,14 +550,12 @@ impl Adal {
             names::ADAL_MOUNT_LOG_EVENT,
             &[("project", project), ("backend", backend.kind())],
         );
-        self.mounts.write().insert(
-            project.to_string(),
-            Mount {
-                metrics: MountMetrics::new(project, backend.kind()),
-                backend,
-                resilience: None,
-            },
-        );
+        let mount = Mount {
+            metrics: MountMetrics::new(project, backend.kind()),
+            backend,
+            resilience: None,
+        };
+        self.mounts.write().insert(project.to_string(), mount);
     }
 
     /// Mounts a backend with the full resilience stack: retries for
@@ -601,7 +580,10 @@ impl Adal {
             breaker: CircuitBreaker::new(cfg.breaker),
             journal: RedoJournal::new(cfg.journal_entries, cfg.journal_bytes),
             verify_writes: cfg.verify_writes,
-            rng: Mutex::new(SimRng::seed_from_u64(cfg.seed).stream(project)),
+            rng: OrderedMutex::new(
+                ranks::ADAL_RETRY_RNG,
+                SimRng::seed_from_u64(cfg.seed).stream(project),
+            ),
             policy: cfg.retry,
             metrics,
         };
@@ -613,14 +595,12 @@ impl Adal {
                 ("mode", "resilient"),
             ],
         );
-        self.mounts.write().insert(
-            project.to_string(),
-            Mount {
-                metrics: MountMetrics::new(project, primary.kind()),
-                backend: primary,
-                resilience: Some(Arc::new(state)),
-            },
-        );
+        let mount = Mount {
+            metrics: MountMetrics::new(project, primary.kind()),
+            backend: primary,
+            resilience: Some(Arc::new(state)),
+        };
+        self.mounts.write().insert(project.to_string(), mount);
     }
 
     /// The backend kind currently serving a project.
@@ -1323,16 +1303,6 @@ impl Adal {
             .filter_map(|p| self.health(&p))
             .collect()
     }
-
-    /// Counter snapshot (compatibility view over the obs registry).
-    pub fn counters(&self) -> AdalCounters {
-        AdalCounters {
-            puts: self.ops.puts.get(),
-            gets: self.ops.gets.get(),
-            metas: self.ops.stats.get() + self.ops.lists.get(),
-            denied: self.ops.denied.get(),
-        }
-    }
 }
 
 /// Fluent construction for [`Adal`]: auth provider, ACL, initial
@@ -1430,6 +1400,7 @@ mod tests {
     use super::*;
     use crate::backend::ObjectStoreBackend;
     use lsdf_storage::ObjectStore;
+    use parking_lot::Mutex;
 
     fn setup() -> (Adal, Credential) {
         let auth = Arc::new(TokenAuth::new());
@@ -1468,15 +1439,10 @@ mod tests {
         assert_eq!(meta.size, 2);
         let listed = adal.list(&cred, "lsdf://zebrafish/raw/").unwrap();
         assert_eq!(listed.len(), 1);
-        assert_eq!(
-            adal.counters(),
-            AdalCounters {
-                puts: 1,
-                gets: 1,
-                metas: 2,
-                denied: 0
-            }
-        );
+        for op in ["put", "get", "stat", "list"] {
+            assert_eq!(adal.obs().counter_value(names::ADAL_OPS_TOTAL, &[("op", op)]), 1, "{op}");
+        }
+        assert_eq!(adal.obs().counter_value(names::ADAL_DENIED_TOTAL, &[]), 0);
     }
 
     #[test]
@@ -1606,7 +1572,7 @@ mod tests {
             assert!(matches!(r, Err(AdalError::Backend(BackendError::Other(_)))), "{r:?}");
         }
         assert!(adal.put(&cred, "lsdf://zebrafish/c", b("px")).is_err());
-        assert_eq!(adal.counters().puts, 0);
+        assert_eq!(adal.obs().counter_value(names::ADAL_OPS_TOTAL, &[("op", "put")]), 0);
         let acked = [("project", "zebrafish")];
         assert_eq!(adal.obs().histogram(names::ADAL_PROJECT_OP_LATENCY_NS, &acked).count(), 0);
     }
@@ -1642,7 +1608,7 @@ mod tests {
         let adal = Adal::builder().build();
         let r = adal.get(&Credential::Token("any".into()), "lsdf://p/x");
         assert!(matches!(r, Err(AdalError::Auth(_))));
-        assert_eq!(adal.counters().denied, 1);
+        assert_eq!(adal.obs().counter_value(names::ADAL_DENIED_TOTAL, &[]), 1);
     }
 
     #[test]
@@ -1650,7 +1616,7 @@ mod tests {
         let (adal, cred) = setup();
         let r = adal.put(&cred, "lsdf://katrin/run1", b("ev"));
         assert!(matches!(r, Err(AdalError::Auth(AuthError::Denied { .. }))));
-        assert_eq!(adal.counters().denied, 1);
+        assert_eq!(adal.obs().counter_value(names::ADAL_DENIED_TOTAL, &[]), 1);
     }
 
     #[test]

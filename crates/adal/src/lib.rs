@@ -31,7 +31,7 @@ pub use backend::{
     BackendError, DfsBackend, EntryMeta, HsmBackend, ObjectStoreBackend, StagedPut,
     StorageBackend,
 };
-pub use layer::{Adal, AdalBuilder, AdalCounters, AdalError, OpKind, PendingPut, RequestClass};
+pub use layer::{Adal, AdalBuilder, AdalError, OpKind, PendingPut, RequestClass};
 pub use path::{LsdfPath, PathError};
 pub use resilience::{
     BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker, HealthReport,

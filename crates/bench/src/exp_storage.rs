@@ -14,7 +14,7 @@ use lsdf_storage::{
 use lsdf_workloads::climate::ClimateModel;
 
 use crate::report::{fmt_bytes, fmt_secs, ExpReport, ExpRow};
-use lsdf_obs::names;
+use lsdf_obs::{names, TraceCtx};
 
 /// E9: the unified access layer's overhead over direct backend access
 /// (slide 9: "need a unified access layer").
@@ -195,10 +195,10 @@ pub fn e13_hsm(quick: bool) -> ExpReport {
         hsm.run_migration().expect("migration");
     }
     let ingest_wall = t.elapsed().as_secs_f64();
-    let (demotions, _) = hsm.counters();
+    let demotions = hsm.obs().counter_value(names::HSM_DEMOTIONS_TOTAL, &[("store", "disk")]);
     // Every archived day still readable (transparent recall).
     let t = Instant::now();
-    let _ = hsm.get("daily/d0000").expect("recall");
+    let _ = hsm.get(&TraceCtx::disabled(), "daily/d0000").expect("recall");
     let recall_wall = t.elapsed().as_secs_f64();
 
     // Physical latency on the tape-library model.
@@ -207,7 +207,7 @@ pub fn e13_hsm(quick: bool) -> ExpReport {
     let unloaded = lib.unloaded_latency(recall_gb);
     let mut sim = Simulation::new();
     for _ in 0..16 {
-        lib.submit(&mut sim, TapeOp::Recall, recall_gb, |_, _| {});
+        lib.submit(&TraceCtx::disabled(), &mut sim, TapeOp::Recall, recall_gb, |_, _| {});
     }
     sim.run();
     let contended = lib.recall_latency();

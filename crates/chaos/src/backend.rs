@@ -3,11 +3,11 @@
 use std::sync::Arc;
 
 use lsdf_storage::Payload;
-use parking_lot::Mutex;
 
 use lsdf_adal::{BackendError, EntryMeta, StorageBackend};
 use lsdf_obs::{Counter, Histogram, Registry, TraceCtx};
 use lsdf_sim::SimRng;
+use lsdf_sync::{ranks, OrderedMutex};
 
 use crate::plan::{FaultDecision, FaultPlan};
 use lsdf_obs::names;
@@ -55,7 +55,7 @@ pub struct FaultyBackend {
     inner: Arc<dyn StorageBackend>,
     name: String,
     plan: FaultPlan,
-    state: Mutex<InjectState>,
+    state: OrderedMutex<InjectState>,
     obs: ChaosObs,
 }
 
@@ -74,7 +74,7 @@ impl FaultyBackend {
             name: name.to_string(),
             obs: ChaosObs::new(registry, name),
             plan,
-            state: Mutex::new(InjectState { rng, ops: 0 }),
+            state: OrderedMutex::new(ranks::CHAOS_INJECT, InjectState { rng, ops: 0 }),
         })
     }
 

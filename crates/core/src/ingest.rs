@@ -566,7 +566,10 @@ mod tests {
         assert_eq!(bytes.sum(), report.bytes);
         assert_eq!(bytes.count(), report.registered);
         // Ingest flowed through the shared ADAL counters too.
-        assert_eq!(f.adal().counters().puts, report.registered);
+        assert_eq!(
+            reg.counter_value(names::ADAL_OPS_TOTAL, &[("op", "put")]),
+            report.registered
+        );
     }
 
     #[test]
@@ -790,7 +793,7 @@ mod tests {
         let report = f.ingest_batch(&admin, batch, IngestPolicy::default());
         assert_eq!((report.registered, report.rejected, report.bytes), (0, 2, 0));
         assert_eq!(f.store("zebrafish-htm").unwrap().len(), 0);
-        assert_eq!(f.adal().counters().puts, 0);
+        assert_eq!(f.obs().counter_value(names::ADAL_OPS_TOTAL, &[("op", "put")]), 0);
     }
 
     #[test]

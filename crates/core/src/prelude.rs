@@ -16,7 +16,7 @@ pub use lsdf_chaos::{CrashPoint, FaultPlan};
 pub use lsdf_durability::{DurabilityConfig, DurableStore};
 
 pub use lsdf_adal::{
-    Acl, Adal, AdalBuilder, AdalCounters, AdalError, BackendError, BreakerConfig, BreakerState,
+    Acl, Adal, AdalBuilder, AdalError, BackendError, BreakerConfig, BreakerState,
     Credential, EntryMeta, HealthReport, OpKind, RequestClass, ResilienceConfig, RetryPolicy,
     StorageBackend, TokenAuth,
 };

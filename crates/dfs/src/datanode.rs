@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use bytes::Bytes;
-use parking_lot::{Mutex, RwLock};
+use lsdf_sync::{ranks, OrderedMutex, OrderedRwLock};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -69,8 +69,8 @@ struct FlakyState {
 pub struct DataNode {
     id: DfsNodeId,
     capacity: u64,
-    state: RwLock<DataNodeState>,
-    flaky: Mutex<Option<FlakyState>>,
+    state: OrderedRwLock<DataNodeState>,
+    flaky: OrderedMutex<Option<FlakyState>>,
 }
 
 impl DataNode {
@@ -79,12 +79,11 @@ impl DataNode {
         DataNode {
             id,
             capacity,
-            state: RwLock::new(DataNodeState {
-                blocks: HashMap::new(),
-                used: 0,
-                alive: true,
-            }),
-            flaky: Mutex::new(None),
+            state: OrderedRwLock::new(
+                ranks::DFS_DATANODE_STATE,
+                DataNodeState { blocks: HashMap::new(), used: 0, alive: true },
+            ),
+            flaky: OrderedMutex::new(ranks::DFS_DATANODE_FLAKY, None),
         }
     }
 

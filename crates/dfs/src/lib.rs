@@ -25,6 +25,6 @@ mod wal;
 pub use cluster::{ClusterTopology, DfsNodeId, Locality, RackId};
 pub use datanode::{BlockId, DataNode, DataNodeError};
 pub use namenode::{
-    Dfs, DfsConfig, DfsError, DfsRecoveryStats, FileMeta, LocalityStats, LocatedBlock,
+    Dfs, DfsConfig, DfsError, DfsRecoveryStats, FileMeta, LocatedBlock,
     PlacementPolicy, StagedFile,
 };

@@ -156,17 +156,6 @@ struct BlockInfo {
     replicas: Vec<DfsNodeId>,
 }
 
-/// Read-locality counters (experiments E4/E12).
-#[derive(Debug, Default)]
-pub struct LocalityStats {
-    /// Block reads served node-locally.
-    pub node_local: u64,
-    /// Block reads served rack-locally.
-    pub rack_local: u64,
-    /// Block reads served remotely.
-    pub remote: u64,
-}
-
 /// Registry handles for namenode-op and block-I/O accounting.
 struct DfsObs {
     registry: Arc<Registry>,
@@ -794,14 +783,10 @@ impl Dfs {
     /// Each block's repair touches only that block's shard of the block
     /// map, so monitor passes run concurrently with foreground writes
     /// to other blocks.
-    pub fn re_replicate(&self) -> usize {
-        self.re_replicate_traced(&TraceCtx::disabled())
-    }
-
-    /// [`Dfs::re_replicate`] attributed to a causal trace: a
-    /// `dfs_re_replicate` child span with one `dfs_block_rereplicated`
-    /// event per replica created.
-    pub fn re_replicate_traced(&self, ctx: &TraceCtx) -> usize {
+    ///
+    /// The pass is a `dfs_re_replicate` child span of `ctx` with one
+    /// `dfs_block_rereplicated` event per replica created.
+    pub fn re_replicate(&self, ctx: &TraceCtx) -> usize {
         let tspan = ctx.child(names::DFS_RE_REPLICATE_SPAN);
         let todo = self.under_replicated();
         let mut created = 0;
@@ -891,16 +876,6 @@ impl Dfs {
     /// gauge).
     pub fn unrecoverable_blocks(&self) -> i64 {
         self.obs.under_replicated_unrecoverable.get()
-    }
-
-    /// Read-locality counters (compatibility view over the obs
-    /// registry's `dfs_block_reads_total{locality=..}` counters).
-    pub fn locality_stats(&self) -> LocalityStats {
-        LocalityStats {
-            node_local: self.obs.node_local.get(),
-            rack_local: self.obs.rack_local.get(),
-            remote: self.obs.remote.get(),
-        }
     }
 
     /// Total replicas created by the replication monitor.
@@ -1302,13 +1277,11 @@ mod tests {
         assert_eq!(reg.histogram(names::DFS_WRITE_BYTES, &[]).sum(), 200);
         assert_eq!(reg.histogram(names::DFS_READ_BYTES, &[]).sum(), 200);
         assert!(reg.histogram(names::DFS_OP_LATENCY_NS, &[("op", "read")]).count() >= 1);
-        // Locality counters flow through the registry and the compat view.
-        let stats = fs.locality_stats();
-        assert_eq!(
-            stats.node_local + stats.rack_local + stats.remote,
-            reg.counter_total(names::DFS_BLOCK_READS_TOTAL),
-        );
-        assert_eq!(stats.node_local + stats.rack_local + stats.remote, 4);
+        // One block read per block the read spans: 200 bytes in 64-byte
+        // blocks, each with its first replica on the writer that reads.
+        assert_eq!(reg.counter_total(names::DFS_BLOCK_READS_TOTAL), 200u64.div_ceil(64));
+        let node_local = [("locality", "node_local")];
+        assert_eq!(reg.counter_value(names::DFS_BLOCK_READS_TOTAL, &node_local), 4);
     }
 
     fn dfs(racks: u16, per_rack: u16, block: u64, repl: usize) -> Dfs {
@@ -1395,9 +1368,9 @@ mod tests {
         let fs = dfs(2, 3, 1000, 3);
         fs.write("/f", &data(100), Some(DfsNodeId(2))).unwrap();
         fs.read("/f", Some(DfsNodeId(2))).unwrap();
-        let stats = fs.locality_stats();
-        assert_eq!(stats.node_local, 1);
-        assert_eq!(stats.remote, 0);
+        let reads = |l| fs.obs().counter_value(names::DFS_BLOCK_READS_TOTAL, &[("locality", l)]);
+        assert_eq!(reads("node_local"), 1);
+        assert_eq!(reads("remote"), 0);
     }
 
     #[test]
@@ -1417,7 +1390,7 @@ mod tests {
         fs.kill_node(DfsNodeId(0));
         let under = fs.under_replicated();
         assert_eq!(under.len(), 5, "all 5 blocks lost their first replica");
-        let created = fs.re_replicate();
+        let created = fs.re_replicate(&TraceCtx::disabled());
         assert_eq!(created, 5);
         assert!(fs.under_replicated().is_empty());
         // All replicas now live and distinct.
@@ -1458,7 +1431,7 @@ mod tests {
             .store_block(BlockId(999), Bytes::from(data(100)))
             .unwrap();
         fs.kill_node(lb.replicas[0]);
-        let created = fs.re_replicate();
+        let created = fs.re_replicate(&TraceCtx::disabled());
         assert_eq!(created, 0, "the only candidate node is full");
         assert_eq!(fs.unrecoverable_blocks(), 1);
         assert_eq!(
@@ -1468,7 +1441,7 @@ mod tests {
         );
         // Free the space: the next pass repairs and clears the gauge.
         fs.node(spare).delete_block(BlockId(999)).unwrap();
-        assert_eq!(fs.re_replicate(), 1);
+        assert_eq!(fs.re_replicate(&TraceCtx::disabled()), 1);
         assert_eq!(fs.unrecoverable_blocks(), 0);
         assert!(fs.under_replicated().is_empty());
     }
@@ -1489,13 +1462,13 @@ mod tests {
             .unwrap();
         fs.set_node_flaky(spare, 1.0, 11);
         fs.kill_node(lb.replicas[1]);
-        assert_eq!(fs.re_replicate(), 0);
+        assert_eq!(fs.re_replicate(&TraceCtx::disabled()), 0);
         assert!(fs.obs().counter_value(names::DFS_STORE_RETRY_TOTAL, &[]) >= 1);
         assert_eq!(fs.unrecoverable_blocks(), 1);
         // Healthy again: the next pass places the replica and clears the
         // gauge.
         fs.clear_node_flaky(spare);
-        assert_eq!(fs.re_replicate(), 1);
+        assert_eq!(fs.re_replicate(&TraceCtx::disabled()), 1);
         assert_eq!(fs.unrecoverable_blocks(), 0);
         assert!(fs.under_replicated().is_empty());
     }
@@ -1527,7 +1500,8 @@ mod tests {
                 .collect();
             fs.set_node_flaky(spares[0], 1.0, 13);
             fs.kill_node(lb.replicas[1]);
-            assert_eq!(fs.re_replicate(), 1, "seed {seed}: repair must succeed");
+            let repaired = fs.re_replicate(&TraceCtx::disabled());
+            assert_eq!(repaired, 1, "seed {seed}: repair must succeed");
             assert!(fs.under_replicated().is_empty(), "seed {seed}");
             assert_eq!(fs.unrecoverable_blocks(), 0, "seed {seed}");
             saw_retry |= fs.obs().counter_value(names::DFS_STORE_RETRY_TOTAL, &[]) >= 1;
@@ -1545,7 +1519,12 @@ mod tests {
         assert!(fs.obs().counter_value(names::DFS_FLAKY_FAILURES_TOTAL, &[]) >= 1);
         fs.clear_node_flaky(DfsNodeId(0));
         fs.read("/f", Some(DfsNodeId(0))).unwrap();
-        assert_eq!(fs.locality_stats().node_local, 1, "healthy again");
+        let node_local = [("locality", "node_local")];
+        assert_eq!(
+            fs.obs().counter_value(names::DFS_BLOCK_READS_TOTAL, &node_local),
+            1,
+            "healthy again"
+        );
     }
 
     #[test]
@@ -1699,7 +1678,7 @@ mod tests {
         // Delete the file: the under-replicated set is now empty and a
         // later re_replicate pass must not resurrect anything.
         fs.delete("/f").unwrap();
-        assert_eq!(fs.re_replicate(), 0);
+        assert_eq!(fs.re_replicate(&TraceCtx::disabled()), 0);
         assert!(fs.under_replicated().is_empty());
     }
 

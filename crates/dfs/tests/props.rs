@@ -4,6 +4,7 @@
 
 use bytes::Bytes;
 use lsdf_dfs::{ClusterTopology, Dfs, DfsConfig, DfsNodeId, PlacementPolicy};
+use lsdf_obs::TraceCtx;
 use proptest::prelude::*;
 
 fn make(racks: u16, per_rack: u16, block: u64, repl: usize, policy: PlacementPolicy, seed: u64) -> Dfs {
@@ -84,7 +85,7 @@ proptest! {
         for (i, p) in payloads.iter().enumerate() {
             prop_assert_eq!(fs.read(&format!("/f{i}"), None).unwrap(), Bytes::from(p.clone()));
         }
-        fs.re_replicate();
+        fs.re_replicate(&TraceCtx::disabled());
         prop_assert!(fs.under_replicated().is_empty());
         // All replicas distinct and alive after repair.
         for i in 0..5 {

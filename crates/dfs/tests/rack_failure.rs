@@ -7,6 +7,7 @@
 //! rack and loses them.
 
 use lsdf_dfs::{ClusterTopology, Dfs, DfsConfig, DfsNodeId, PlacementPolicy, RackId};
+use lsdf_obs::TraceCtx;
 
 fn cluster(policy: PlacementPolicy, seed: u64) -> Dfs {
     Dfs::new(
@@ -47,7 +48,7 @@ fn rack_aware_placement_survives_any_single_rack_failure() {
             }
             // And a re-replication pass restores full redundancy on the
             // surviving racks.
-            dfs.re_replicate();
+            dfs.re_replicate(&TraceCtx::disabled());
             assert!(dfs.under_replicated().is_empty());
         }
     }

@@ -4,7 +4,7 @@
 //! The compiler cannot check the promises the facility makes: seeded
 //! runs are bit-identical (all time from the obs registry clock, all
 //! randomness from named `lsdf-sim` streams), every metric name agrees
-//! between increment sites, compat views, and the bench report, and
+//! between increment sites, test assertions and the bench report, and
 //! locks are acquired in the globally declared rank order. This crate
 //! enforces them mechanically, the way Rucio enforces naming
 //! conventions and the Superfacility programme verifies policy
@@ -18,41 +18,38 @@
 //!   measurement), the linter's own wall-time report, and test code.
 //! * **L2 `no_panic`** — no `unwrap` / `expect` / `panic!` /
 //!   `unreachable!` in non-test library code of the production crates.
-//!   Remaining debt is ratcheted through `lint-baseline.json`: the
-//!   count may only decrease.
 //! * **L3 `metric_names`** — no string-literal metric name at a
 //!   `counter(`/`gauge(`/`histogram(`/`*_value(`/`counter_total(` call
 //!   site, and no string-literal span/event name at a trace call site
 //!   (`child(`/`child_at(`/`root(`/`event(`/`event_at(`); names live
 //!   as consts in `lsdf_obs::names`, and every declared const must be
 //!   used somewhere.
-//! * **L4 `locks`** — no `std::sync::Mutex`/`RwLock` where the
-//!   workspace mandates the `lsdf-sync` wrappers over `parking_lot`,
-//!   and no ad-hoc per-shard lock vectors (`Vec<Mutex<..>>` /
-//!   `Vec<RwLock<..>>`) anywhere: sharded state goes through
-//!   `lsdf_dfs::shard::ShardedMap`, whose stripes are rank-ordered
-//!   `OrderedRwLock`s declared in the manifest — the rank, not a path
-//!   exemption, is what sanctions them.
+//! * **L4 `locks`** — no ad-hoc per-shard lock vectors
+//!   (`Vec<Mutex<..>>` / `Vec<RwLock<..>>`) anywhere: sharded state
+//!   goes through `lsdf_dfs::shard::ShardedMap`, whose stripes are
+//!   rank-ordered `OrderedRwLock`s declared in the manifest — the rank,
+//!   not a path exemption, is what sanctions them.
 //! * **L5 `lock_order`** — the static half of the facility's two-layer
-//!   lock-order analysis (see [`lockorder`]): every
-//!   `OrderedMutex`/`OrderedRwLock` construction must name a rank
-//!   declared in `lsdf_sync::ranks`, the reconstructed cross-file
-//!   acquisition graph must respect the declared partial order and stay
-//!   acyclic, and raw `parking_lot` lock construction outside
-//!   `crates/sync/` is ratcheted debt like L2.
+//!   lock-order analysis (see [`lockorder`]): a raw `Mutex::new(` /
+//!   `RwLock::new(` / `Condvar::new(` construction, `parking_lot` or
+//!   `std::sync`, outside `crates/sync/` is a violation (the check is
+//!   of construction sites: a raw lock built by `#[derive(Default)]`,
+//!   as the two leaf tables in `adal/src/auth.rs` are, is not seen);
+//!   an `OrderedMutex`/`OrderedRwLock` names a rank declared in
+//!   `lsdf_sync::ranks`, and the reconstructed cross-file acquisition
+//!   graph must respect the declared partial order and stay acyclic.
 //! * **L6 `payload_copy`** — no deep payload copies (`.to_vec()`,
 //!   `.clone()` on payload-ish bindings, `Bytes::copy_from_slice`) in
 //!   the data-path hot crates (`adal`, `dfs`, `storage`): the write
 //!   path shares one immutable `Payload` handle end to end, and a deep
 //!   copy silently forfeits the zero-copy + hash-once guarantees.
-//!   Remaining debt is ratcheted through `lint-baseline.json` like L2.
 //!
-//! Any rule can be waived per line with
-//! `// lint: allow(<rule>) -- <justification>` (trailing, or on the
-//! line directly above); the justification is mandatory. Waiving
-//! `lock_order` silences an edge report but never cycle detection.
+//! Every finding is a violation and fails the run. Any rule can be
+//! waived per line with `// lint: allow(<rule>) -- <justification>`
+//! (trailing, or on the line directly above); the justification is
+//! mandatory. Waiving `lock_order` silences an edge or raw-lock report
+//! but never cycle detection.
 
-pub mod baseline;
 pub mod lockorder;
 pub mod scan;
 
@@ -69,15 +66,15 @@ use scan::ScannedFile;
 pub enum Rule {
     /// L1: wall-clock / entropy use outside the allowlist.
     Determinism,
-    /// L2: panicking calls in production library code (baselined).
+    /// L2: panicking calls in production library code.
     NoPanic,
     /// L3: string-literal metric names / unused declared names.
     MetricNames,
-    /// L4: `std::sync` locks / ad-hoc shard lock vectors.
+    /// L4: ad-hoc shard lock vectors.
     Locks,
-    /// L5: lock-rank manifest and acquisition-order analysis.
+    /// L5: raw locks, the lock-rank manifest and acquisition order.
     LockOrder,
-    /// L6: deep payload copies on the data-path hot crates (baselined).
+    /// L6: deep payload copies on the data-path hot crates.
     PayloadCopy,
     /// Malformed `// lint: allow(...)` annotations.
     Annotation,
@@ -232,18 +229,9 @@ pub fn parse_name_consts(src: &str) -> Vec<NameConst> {
 /// The result of a full lint run.
 #[derive(Clone, Debug, Default)]
 pub struct Report {
-    /// Hard violations (L1, L3, L4, L5 order/manifest defects,
-    /// malformed annotations) — always fatal.
+    /// Every finding, sorted by path, line and rule; any one fails the
+    /// run.
     pub violations: Vec<Diagnostic>,
-    /// L2 debt sites — compared against the baseline, not individually
-    /// fatal.
-    pub no_panic: Vec<Diagnostic>,
-    /// L5 raw-lock construction debt — compared against the baseline,
-    /// not individually fatal.
-    pub raw_locks: Vec<Diagnostic>,
-    /// L6 deep-payload-copy debt sites — compared against the baseline,
-    /// not individually fatal.
-    pub payload_copy: Vec<Diagnostic>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
 }
@@ -322,16 +310,14 @@ pub fn lint_files(files: &[(String, String)], cfg: &Config) -> Report {
         let scanned = scan::scan_file(content);
         let outcome = process_file(rel, &scanned, cfg, &BTreeSet::new());
         report.violations.extend(outcome.report.violations);
-        report.no_panic.extend(outcome.report.no_panic);
-        report.payload_copy.extend(outcome.report.payload_copy);
         report.files_scanned += 1;
         if let Some(a) = outcome.analysis {
             analyses.push(a);
         }
     }
-    let order = lockorder::finish(&analyses, &cfg.ranks, &cfg.ranks_module, false);
-    report.violations.extend(order.violations);
-    report.raw_locks.extend(order.raw_locks);
+    report
+        .violations
+        .extend(lockorder::finish(&analyses, &cfg.ranks, &cfg.ranks_module, false));
     sort_report(&mut report);
     report
 }
@@ -446,12 +432,12 @@ fn lint_scanned(rel: &str, file: &ScannedFile, cfg: &Config, allows: &Allows) ->
             }
         }
 
-        // L2 panic-freedom (baselined).
+        // L2 panic-freedom.
         if panic_scope && !waived(Rule::NoPanic) {
             for pat in PANIC_PATTERNS {
                 let mut at = 0usize;
                 while let Some(p) = code[at..].find(pat) {
-                    report.no_panic.push(Diagnostic {
+                    report.violations.push(Diagnostic {
                         path: rel.to_string(),
                         line: i + 1,
                         rule: Rule::NoPanic,
@@ -465,10 +451,10 @@ fn lint_scanned(rel: &str, file: &ScannedFile, cfg: &Config, allows: &Allows) ->
             }
         }
 
-        // L6 payload copies (baselined).
+        // L6 payload copies.
         if payload_scope && !waived(Rule::PayloadCopy) {
             let mut hit = |msg: String| {
-                report.payload_copy.push(Diagnostic {
+                report.violations.push(Diagnostic {
                     path: rel.to_string(),
                     line: i + 1,
                     rule: Rule::PayloadCopy,
@@ -555,24 +541,12 @@ fn lint_scanned(rel: &str, file: &ScannedFile, cfg: &Config, allows: &Allows) ->
 
         // L4 lock discipline.
         if !waived(Rule::Locks) {
-            let use_line = code.trim_start().starts_with("use std::sync::")
-                && (code.contains("Mutex") || code.contains("RwLock"));
-            if code.contains("std::sync::Mutex") || code.contains("std::sync::RwLock") || use_line
-            {
-                report.violations.push(Diagnostic {
-                    path: rel.to_string(),
-                    line: i + 1,
-                    rule: Rule::Locks,
-                    message: "std::sync lock where the workspace mandates parking_lot"
-                        .to_string(),
-                });
-            }
             // Per-shard lock vectors are banned everywhere: the one
             // sanctioned striping lives in lsdf_dfs::shard::ShardedMap,
             // whose stripes are rank-ordered OrderedRwLocks (which this
             // pattern does not match) — the declared rank, not a path
             // exemption, is what legitimizes them.
-            let norm = code.replace("parking_lot::", "");
+            let norm = code.replace("parking_lot::", "").replace("std::sync::", "");
             if norm.contains("Vec<Mutex<") || norm.contains("Vec<RwLock<") {
                 report.violations.push(Diagnostic {
                     path: rel.to_string(),
@@ -659,9 +633,6 @@ fn sort_report(report: &mut Report) {
     report.violations.sort_by(|a, b| {
         (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule))
     });
-    report.no_panic.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
-    report.raw_locks.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
-    report.payload_copy.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
 }
 
 /// Recursively collects workspace `.rs` files, skipping build output,
@@ -747,8 +718,6 @@ pub fn run(cfg: &Config) -> io::Result<Report> {
     for slot in slots {
         let outcome = slot.expect("every slot is filled by its chunk's worker")?;
         report.violations.extend(outcome.report.violations);
-        report.no_panic.extend(outcome.report.no_panic);
-        report.payload_copy.extend(outcome.report.payload_copy);
         report.files_scanned += 1;
         names_seen.extend(outcome.names_used);
         if let Some(a) = outcome.analysis {
@@ -756,9 +725,9 @@ pub fn run(cfg: &Config) -> io::Result<Report> {
         }
     }
 
-    let order = lockorder::finish(&analyses, &cfg.ranks, &cfg.ranks_module, true);
-    report.violations.extend(order.violations);
-    report.raw_locks.extend(order.raw_locks);
+    report
+        .violations
+        .extend(lockorder::finish(&analyses, &cfg.ranks, &cfg.ranks_module, true));
 
     // Unused / duplicate declared names.
     let mut values = BTreeSet::new();
@@ -833,12 +802,13 @@ mod tests {
         let cfg = test_cfg();
         let src = "fn f() { x.unwrap(); } // lint: allow(no_panic) -- invariant: set above\n";
         let r = lint_file("crates/adal/src/x.rs", src, &cfg);
-        assert!(r.no_panic.is_empty());
-        // Without the justification the annotation itself is an error.
+        assert!(r.violations.is_empty(), "{:#?}", r.violations);
+        // Without the justification the annotation itself is an error,
+        // and the site it failed to waive is still reported.
         let bad = "fn f() { x.unwrap(); } // lint: allow(no_panic)\n";
         let r = lint_file("crates/adal/src/x.rs", bad, &cfg);
-        assert_eq!(r.violations.len(), 1);
-        assert_eq!(r.violations[0].rule, Rule::Annotation);
+        let rules: Vec<Rule> = r.violations.iter().map(|d| d.rule).collect();
+        assert_eq!(rules, vec![Rule::NoPanic, Rule::Annotation]);
     }
 
     #[test]
@@ -846,7 +816,7 @@ mod tests {
         let cfg = test_cfg();
         let src = "// lint: allow(no_panic) -- checked by caller\nfn f() { x.unwrap(); }\n";
         let r = lint_file("crates/adal/src/x.rs", src, &cfg);
-        assert!(r.no_panic.is_empty());
+        assert!(r.violations.is_empty(), "{:#?}", r.violations);
     }
 
     #[test]
@@ -973,18 +943,30 @@ mod tests {
 
     #[test]
     fn raw_lock_debt_is_separate_from_violations() {
+        // There is no debt: a raw lock is a violation like any other.
         let cfg = test_cfg();
         let src = "fn f() { let m = parking_lot::Mutex::new(0); }\n";
         let r = lint_file("crates/adal/src/x.rs", src, &cfg);
+        assert_eq!(r.violations.len(), 1, "{:#?}", r.violations);
+        assert_eq!(r.violations[0].rule, Rule::LockOrder);
+        // A justified waiver silences it; an unjustified one is itself
+        // a violation and waives nothing.
+        let waived = "// lint: allow(lock_order) -- never nests: dropped before any call\n\
+                      fn f() { let m = parking_lot::Mutex::new(0); }\n";
+        let r = lint_file("crates/adal/src/x.rs", waived, &cfg);
         assert!(r.violations.is_empty(), "{:#?}", r.violations);
-        assert_eq!(r.raw_locks.len(), 1, "{:#?}", r.raw_locks);
+        let bare = "fn f() { let m = parking_lot::Mutex::new(0); } // lint: allow(lock_order)\n";
+        let r = lint_file("crates/adal/src/x.rs", bare, &cfg);
+        let rules: Vec<Rule> = r.violations.iter().map(|d| d.rule).collect();
+        assert_eq!(rules, vec![Rule::LockOrder, Rule::Annotation]);
         // Inside the sync crate the construction is the implementation.
         let r = lint_file("crates/sync/src/lib.rs", src, &cfg);
-        assert!(r.raw_locks.is_empty(), "{:#?}", r.raw_locks);
+        assert!(r.violations.is_empty(), "{:#?}", r.violations);
     }
 
     #[test]
     fn payload_copies_are_ratcheted_debt_in_hot_crates() {
+        // No ratchet either: each deep copy in a hot crate is a violation.
         let cfg = test_cfg();
         let src = "fn f(data: &Payload) {
                        let a = data.to_vec();
@@ -994,18 +976,18 @@ mod tests {
                    }
 ";
         let r = lint_file("crates/dfs/src/x.rs", src, &cfg);
-        assert!(r.violations.is_empty(), "{:#?}", r.violations);
-        assert_eq!(r.payload_copy.len(), 3, "{:#?}", r.payload_copy);
+        assert_eq!(r.violations.len(), 3, "{:#?}", r.violations);
+        assert!(r.violations.iter().all(|d| d.rule == Rule::PayloadCopy));
         // Outside the hot crates the rule is silent.
         let r = lint_file("crates/core/src/x.rs", src, &cfg);
-        assert!(r.payload_copy.is_empty(), "{:#?}", r.payload_copy);
+        assert!(r.violations.is_empty(), "{:#?}", r.violations);
         // A waived site (cheap handle clone) is silent.
         let waived = "fn f(data: &Payload) {
                           let b = data.clone(); // lint: allow(payload_copy) -- refcount bump
                       }
 ";
         let r = lint_file("crates/dfs/src/x.rs", waived, &cfg);
-        assert!(r.payload_copy.is_empty(), "{:#?}", r.payload_copy);
+        assert!(r.violations.is_empty(), "{:#?}", r.violations);
         // Test code is exempt like every other rule.
         let test_src = "#[cfg(test)]
 mod tests {
@@ -1013,7 +995,7 @@ mod tests {
 }
 ";
         let r = lint_file("crates/dfs/src/x.rs", test_src, &cfg);
-        assert!(r.payload_copy.is_empty(), "{:#?}", r.payload_copy);
+        assert!(r.violations.is_empty(), "{:#?}", r.violations);
     }
 
     #[test]

@@ -36,8 +36,9 @@
 //!   out of the edge report but never out of cycle detection — two
 //!   individually-waived inversions still deadlock), and any raw
 //!   `Mutex::new(` / `RwLock::new(` / `Condvar::new(` outside
-//!   `crates/sync/` (ratcheted through `lint-baseline.json` like L2
-//!   debt, because `Condvar` and a few legacy sites cannot wrap yet).
+//!   `crates/sync/`, whichever crate the type comes from (a job-local
+//!   lock that cannot nest with a facility lock, or a `Condvar`, which
+//!   has no ordered wrapper, says so in a per-line waiver).
 //!
 //! Because every `Ordered*` field in the workspace is private,
 //! acquisitions happen in the declaring module, so per-file lockmaps
@@ -129,11 +130,9 @@ struct CallSite {
 pub struct FileAnalysis {
     /// Workspace-relative path.
     pub rel: String,
-    /// Per-file violations: unranked/undeclared constructions and
-    /// ambiguous lock idents.
+    /// Per-file violations: raw, unranked or undeclared constructions
+    /// and ambiguous lock idents.
     pub violations: Vec<Diagnostic>,
-    /// Raw (un-ranked) lock constructions — ratcheted debt.
-    pub raw_locks: Vec<Diagnostic>,
     /// Nested-acquisition edges observed directly.
     pub edges: Vec<Edge>,
     /// Calls made under held guards, pending summary expansion.
@@ -149,15 +148,6 @@ pub struct FileAnalysis {
     /// Manifest idents referenced by construction sites (for the
     /// unused-rank check).
     pub ranks_referenced: BTreeSet<String>,
-}
-
-/// The merged cross-file result.
-#[derive(Clone, Debug, Default)]
-pub struct Outcome {
-    /// Hard violations (inversions, cycles, manifest defects).
-    pub violations: Vec<Diagnostic>,
-    /// Raw-lock construction sites (ratcheted like `no_panic`).
-    pub raw_locks: Vec<Diagnostic>,
 }
 
 const ACQUIRE_PATTERNS: &[(&str, &str)] = &[
@@ -651,7 +641,7 @@ pub fn analyze_file(
                         continue;
                     }
                     if !waived(i) {
-                        fa.raw_locks.push(Diagnostic {
+                        fa.violations.push(Diagnostic {
                             path: rel.to_string(),
                             line: i + 1,
                             rule: Rule::LockOrder,
@@ -779,8 +769,8 @@ pub fn finish(
     ranks: &[RankConst],
     ranks_module: &str,
     check_unused: bool,
-) -> Outcome {
-    let mut out = Outcome::default();
+) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
     let names: BTreeMap<u16, &str> =
         ranks.iter().map(|r| (r.id, r.name.as_str())).collect();
     let label = |id: u16| {
@@ -792,7 +782,7 @@ pub fn finish(
     let mut seen_names: BTreeMap<&str, &RankConst> = BTreeMap::new();
     for rc in ranks {
         if let Some(prev) = seen_ids.insert(rc.id, rc) {
-            out.violations.push(Diagnostic {
+            out.push(Diagnostic {
                 path: ranks_module.to_string(),
                 line: rc.line,
                 rule: Rule::LockOrder,
@@ -804,7 +794,7 @@ pub fn finish(
             });
         }
         if let Some(prev) = seen_names.insert(rc.name.as_str(), rc) {
-            out.violations.push(Diagnostic {
+            out.push(Diagnostic {
                 path: ranks_module.to_string(),
                 line: rc.line,
                 rule: Rule::LockOrder,
@@ -817,8 +807,7 @@ pub fn finish(
     }
 
     for fa in analyses {
-        out.violations.extend(fa.violations.iter().cloned());
-        out.raw_locks.extend(fa.raw_locks.iter().cloned());
+        out.extend(fa.violations.iter().cloned());
     }
 
     // Transitive per-function rank summaries across the workspace.
@@ -912,7 +901,7 @@ pub fn finish(
             .as_ref()
             .map(|c| format!(" via call to `{c}`"))
             .unwrap_or_default();
-        out.violations.push(Diagnostic {
+        out.push(Diagnostic {
             path: e.path.clone(),
             line: e.line,
             rule: Rule::LockOrder,
@@ -972,7 +961,7 @@ pub fn finish(
             .min_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)))
             .expect("cyclic component implies at least one edge");
         let ring: Vec<String> = comp.iter().map(|&id| label(id)).collect();
-        out.violations.push(Diagnostic {
+        out.push(Diagnostic {
             path: anchor.path.clone(),
             line: anchor.line,
             rule: Rule::LockOrder,
@@ -992,7 +981,7 @@ pub fn finish(
             .collect();
         for rc in ranks {
             if !used.contains(rc.ident.as_str()) {
-                out.violations.push(Diagnostic {
+                out.push(Diagnostic {
                     path: ranks_module.to_string(),
                     line: rc.line,
                     rule: Rule::LockOrder,
@@ -1063,9 +1052,9 @@ mod tests {
              fn f(s: &S) { let g = s.a.lock(); let h = s.b.lock(); }\n",
         );
         let out = finish(&[fa], &ranks(), "ranks.rs", false);
-        assert_eq!(out.violations.len(), 1, "{:#?}", out.violations);
-        assert!(out.violations[0].message.contains("inversion"));
-        assert!(out.violations[0].message.contains("outer(10)"));
+        assert_eq!(out.len(), 1, "{:#?}", out);
+        assert!(out[0].message.contains("inversion"));
+        assert!(out[0].message.contains("outer(10)"));
     }
 
     #[test]
@@ -1145,9 +1134,9 @@ mod tests {
             AnalyzeOpts::default(),
         );
         let out = finish(&[a, b], &ranks(), "ranks.rs", false);
-        assert_eq!(out.violations.len(), 1, "{:#?}", out.violations);
-        assert!(out.violations[0].message.contains("via call to `poke`"));
-        assert!(out.violations[0].message.contains("inner(20)"));
+        assert_eq!(out.len(), 1, "{:#?}", out);
+        assert!(out[0].message.contains("via call to `poke`"));
+        assert!(out[0].message.contains("inner(20)"));
     }
 
     #[test]
@@ -1175,7 +1164,7 @@ mod tests {
             AnalyzeOpts::default(),
         );
         let out = finish(&[a, b], &ranks(), "ranks.rs", false);
-        assert!(out.violations.is_empty(), "{:#?}", out.violations);
+        assert!(out.is_empty(), "{:#?}", out);
     }
 
     #[test]
@@ -1207,18 +1196,17 @@ mod tests {
         );
         let out = finish(&[a, b], &ranks(), "ranks.rs", false);
         let cycles: Vec<_> = out
-            .violations
             .iter()
             .filter(|d| d.message.contains("cycle"))
             .collect();
-        assert_eq!(cycles.len(), 1, "{:#?}", out.violations);
+        assert_eq!(cycles.len(), 1, "{:#?}", out);
         assert!(cycles[0].message.contains("outer(10)"));
         assert!(cycles[0].message.contains("inner(20)"));
         // And no inversion report for the waived edge itself.
         assert!(
-            out.violations.iter().all(|d| !d.message.contains("inversion")),
+            out.iter().all(|d| !d.message.contains("inversion")),
             "{:#?}",
-            out.violations
+            out
         );
     }
 
@@ -1238,19 +1226,25 @@ mod tests {
     #[test]
     fn raw_lock_constructions_are_counted_outside_sync() {
         let src = "fn f() { let m = parking_lot::Mutex::new(0); let c = Condvar::new(); }\n\
-                   fn g() { let o = OrderedMutex::new(ranks::OUTER, 0); }\n";
+                   fn g() { let s = std::sync::RwLock::new(0); }\n\
+                   fn h() { let o = OrderedMutex::new(ranks::OUTER, 0); }\n";
         let fa = analyze(src);
-        assert_eq!(fa.raw_locks.len(), 2, "{:#?}", fa.raw_locks);
+        assert_eq!(fa.violations.len(), 3, "{:#?}", fa.violations);
+        assert!(fa.violations.iter().all(|d| d.message.starts_with("raw ")));
         let scanned = scan_file(src);
-        let waived = vec![false; scanned.lines.len()];
         let sync = analyze_file(
             "crates/sync/src/lib.rs",
             &scanned,
             &ranks(),
-            &waived,
+            &vec![false; scanned.lines.len()],
             AnalyzeOpts { in_sync_crate: true },
         );
-        assert!(sync.raw_locks.is_empty(), "{:#?}", sync.raw_locks);
+        assert!(sync.violations.is_empty(), "{:#?}", sync.violations);
+        // A waived line is silent outside the sync crate too.
+        let all = vec![true; scanned.lines.len()];
+        let waived =
+            analyze_file("crates/x/src/a.rs", &scanned, &ranks(), &all, AnalyzeOpts::default());
+        assert!(waived.violations.is_empty(), "{:#?}", waived.violations);
     }
 
     #[test]
@@ -1261,13 +1255,12 @@ mod tests {
         );
         let out = finish(std::slice::from_ref(&fa), &ranks(), "ranks.rs", true);
         let unused: Vec<_> = out
-            .violations
             .iter()
             .filter(|d| d.message.contains("no construction site"))
             .collect();
-        assert_eq!(unused.len(), 2, "{:#?}", out.violations); // INNER, LEAF
+        assert_eq!(unused.len(), 2, "{:#?}", out); // INNER, LEAF
         let out = finish(&[fa], &ranks(), "ranks.rs", false);
-        assert!(out.violations.is_empty(), "{:#?}", out.violations);
+        assert!(out.is_empty(), "{:#?}", out);
     }
 
     #[test]
@@ -1277,7 +1270,7 @@ mod tests {
              pub const B: LockRank = rank(10, \"b\");\n",
         );
         let out = finish(&[], &dup, "ranks.rs", false);
-        assert_eq!(out.violations.len(), 1, "{:#?}", out.violations);
-        assert!(out.violations[0].message.contains("declared twice"));
+        assert_eq!(out.len(), 1, "{:#?}", out);
+        assert!(out[0].message.contains("declared twice"));
     }
 }

@@ -9,49 +9,37 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use lsdf_lint::{baseline, find_workspace_root, run, Config, Report};
+use lsdf_lint::{find_workspace_root, run, Config, Report};
 
 const USAGE: &str = "\
 lsdf-lint — facility-invariant static analysis
 
 USAGE:
-    lsdf-lint [--root DIR] [--baseline FILE] [--json] [--write-baseline]
+    lsdf-lint [--root DIR] [--json]
 
 OPTIONS:
-    --root DIR         Workspace root (default: nearest [workspace] ancestor)
-    --baseline FILE    Debt baseline (default: <root>/lint-baseline.json)
-    --json             Machine-readable output (stable ordering)
-    --write-baseline   Record the current debt (ratcheted: never increases)
-    --help             This text
+    --root DIR    Workspace root (default: nearest [workspace] ancestor)
+    --json        Machine-readable output (stable ordering)
+    --help        This text
+
+EXIT:
+    0 clean, 1 violations found, 2 the lint itself could not run
 ";
 
 struct Args {
     root: Option<PathBuf>,
-    baseline: Option<PathBuf>,
     json: bool,
-    write_baseline: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        root: None,
-        baseline: None,
-        json: false,
-        write_baseline: false,
-    };
+    let mut args = Args { root: None, json: false };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--json" => args.json = true,
-            "--write-baseline" => args.write_baseline = true,
             "--root" => {
                 args.root = Some(PathBuf::from(
                     it.next().ok_or("--root needs a directory")?,
-                ));
-            }
-            "--baseline" => {
-                args.baseline = Some(PathBuf::from(
-                    it.next().ok_or("--baseline needs a file path")?,
                 ));
             }
             "--help" | "-h" => {
@@ -75,21 +63,7 @@ fn json_escape(s: &str) -> String {
         .collect()
 }
 
-/// One ratcheted counter's live/allowed state.
-struct Ratchet {
-    current: usize,
-    allowed: usize,
-    ok: bool,
-}
-
-fn print_json(
-    report: &Report,
-    no_panic: &Ratchet,
-    raw_locks: &Ratchet,
-    payload_copy: &Ratchet,
-    ok: bool,
-    wall_ms: u128,
-) {
+fn print_json(report: &Report, ok: bool, wall_ms: u128) {
     let mut out = String::from("{\n  \"violations\": [\n");
     for (i, d) in report.violations.iter().enumerate() {
         out.push_str(&format!(
@@ -101,46 +75,7 @@ fn print_json(
             if i + 1 < report.violations.len() { "," } else { "" }
         ));
     }
-    out.push_str("  ],\n  \"debt\": [\n");
-    for (i, d) in report.no_panic.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"path\": \"{}\", \"line\": {}}}{}\n",
-            json_escape(&d.path),
-            d.line,
-            if i + 1 < report.no_panic.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"raw_locks\": [\n");
-    for (i, d) in report.raw_locks.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"path\": \"{}\", \"line\": {}}}{}\n",
-            json_escape(&d.path),
-            d.line,
-            if i + 1 < report.raw_locks.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"payload_copies\": [\n");
-    for (i, d) in report.payload_copy.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"path\": \"{}\", \"line\": {}}}{}\n",
-            json_escape(&d.path),
-            d.line,
-            if i + 1 < report.payload_copy.len() { "," } else { "" }
-        ));
-    }
-    out.push_str(&format!(
-        "  ],\n  \"no_panic\": {{\"current\": {}, \"baseline\": {}, \"ok\": {}}},\n",
-        no_panic.current, no_panic.allowed, no_panic.ok
-    ));
-    out.push_str(&format!(
-        "  \"lock_order\": {{\"current\": {}, \"baseline\": {}, \"ok\": {}}},\n",
-        raw_locks.current, raw_locks.allowed, raw_locks.ok
-    ));
-    out.push_str(&format!(
-        "  \"payload_copy\": {{\"current\": {}, \"baseline\": {}, \"ok\": {}}},\n",
-        payload_copy.current, payload_copy.allowed, payload_copy.ok
-    ));
-    out.push_str(&format!("  \"ok\": {ok},\n"));
+    out.push_str(&format!("  ],\n  \"ok\": {ok},\n"));
     out.push_str(&format!("  \"wall_ms\": {wall_ms},\n"));
     out.push_str(&format!("  \"files_scanned\": {}\n}}\n", report.files_scanned));
     print!("{out}");
@@ -156,126 +91,24 @@ fn real_main() -> Result<bool, String> {
             find_workspace_root(&cwd).ok_or("no [workspace] Cargo.toml found upward")?
         }
     };
-    let baseline_path = args
-        .baseline
-        .unwrap_or_else(|| root.join("lint-baseline.json"));
     let cfg =
         Config::for_workspace(&root).map_err(|e| format!("loading registry modules: {e}"))?;
     let report = run(&cfg).map_err(|e| format!("scanning workspace: {e}"))?;
-    let live = baseline::Baseline {
-        no_panic: report.no_panic.len(),
-        raw_locks: report.raw_locks.len(),
-        payload_copy: report.payload_copy.len(),
-    };
-
-    let existing = baseline::load(&baseline_path).map_err(|e| e.to_string())?;
-    let tightened = baseline::Baseline {
-        no_panic: baseline::tightened(live.no_panic, existing.map(|b| b.no_panic)),
-        raw_locks: baseline::tightened(live.raw_locks, existing.map(|b| b.raw_locks)),
-        payload_copy: baseline::tightened(live.payload_copy, existing.map(|b| b.payload_copy)),
-    };
-    if args.write_baseline {
-        baseline::save(&baseline_path, tightened).map_err(|e| e.to_string())?;
-        if !args.json {
-            println!(
-                "lsdf-lint: baseline written: no_panic = {} ({} live), raw_locks = {} \
-                 ({} live), payload_copy = {} ({} live)",
-                tightened.no_panic,
-                live.no_panic,
-                tightened.raw_locks,
-                live.raw_locks,
-                tightened.payload_copy,
-                live.payload_copy
-            );
-        }
-    }
-    let allowed = if args.write_baseline {
-        tightened
-    } else {
-        existing.unwrap_or(baseline::Baseline {
-            no_panic: 0,
-            raw_locks: 0,
-            payload_copy: 0,
-        })
-    };
-    let mk = |current: usize, allowed: usize| Ratchet {
-        current,
-        allowed,
-        ok: baseline::ratchet(current, allowed) == baseline::Verdict::Ok,
-    };
-    let no_panic = mk(live.no_panic, allowed.no_panic);
-    let raw_locks = mk(live.raw_locks, allowed.raw_locks);
-    let payload_copy = mk(live.payload_copy, allowed.payload_copy);
-    let ok = report.violations.is_empty() && no_panic.ok && raw_locks.ok && payload_copy.ok;
+    let ok = report.violations.is_empty();
     let wall_ms = started.elapsed().as_millis();
 
     if args.json {
-        print_json(&report, &no_panic, &raw_locks, &payload_copy, ok, wall_ms);
+        print_json(&report, ok, wall_ms);
         return Ok(ok);
     }
     for d in &report.violations {
         println!("{d}");
     }
-    if !no_panic.ok {
-        for d in &report.no_panic {
-            println!("{d}");
-        }
-        println!(
-            "lsdf-lint: FAIL — no_panic debt grew: {} sites > baseline {}; pay it down \
-             (or justify with `// lint: allow(no_panic) -- why`)",
-            no_panic.current, no_panic.allowed
-        );
-    } else if no_panic.current < no_panic.allowed {
-        println!(
-            "lsdf-lint: no_panic debt shrank ({} < baseline {}) — run \
-             `just lint-baseline` to ratchet the baseline down",
-            no_panic.current, no_panic.allowed
-        );
-    }
-    if !raw_locks.ok {
-        for d in &report.raw_locks {
-            println!("{d}");
-        }
-        println!(
-            "lsdf-lint: FAIL — raw_locks debt grew: {} sites > baseline {}; construct \
-             lsdf_sync::OrderedMutex/OrderedRwLock with a declared rank instead",
-            raw_locks.current, raw_locks.allowed
-        );
-    } else if raw_locks.current < raw_locks.allowed {
-        println!(
-            "lsdf-lint: raw_locks debt shrank ({} < baseline {}) — run \
-             `just lint-baseline` to ratchet the baseline down",
-            raw_locks.current, raw_locks.allowed
-        );
-    }
-    if !payload_copy.ok {
-        for d in &report.payload_copy {
-            println!("{d}");
-        }
-        println!(
-            "lsdf-lint: FAIL — payload_copy debt grew: {} sites > baseline {}; share the \
-             Payload handle (or justify with `// lint: allow(payload_copy) -- why`)",
-            payload_copy.current, payload_copy.allowed
-        );
-    } else if payload_copy.current < payload_copy.allowed {
-        println!(
-            "lsdf-lint: payload_copy debt shrank ({} < baseline {}) — run \
-             `just lint-baseline` to ratchet the baseline down",
-            payload_copy.current, payload_copy.allowed
-        );
-    }
     println!(
-        "lsdf-lint: {} files scanned in {} ms, {} violations, no_panic debt {}/{}, \
-         raw_locks debt {}/{}, payload_copy debt {}/{} — {}",
+        "lsdf-lint: {} files scanned in {} ms, {} violations — {}",
         report.files_scanned,
         wall_ms,
         report.violations.len(),
-        no_panic.current,
-        no_panic.allowed,
-        raw_locks.current,
-        raw_locks.allowed,
-        payload_copy.current,
-        payload_copy.allowed,
         if ok { "OK" } else { "FAIL" }
     );
     Ok(ok)

@@ -53,11 +53,7 @@ fn lint(rel: &str) -> Report {
 }
 
 fn count(report: &Report, rule: Rule) -> usize {
-    let hard = report.violations.iter().filter(|d| d.rule == rule).count();
-    match rule {
-        Rule::NoPanic => report.no_panic.len(),
-        _ => hard,
-    }
+    report.violations.iter().filter(|d| d.rule == rule).count()
 }
 
 #[test]
@@ -70,11 +66,12 @@ fn determinism_fires_on_bad_and_not_on_good() {
 
 #[test]
 fn no_panic_fires_on_bad_and_not_on_good() {
+    // No baseline file exists: each panicking call is a violation.
     let bad = lint("no_panic/bad.rs");
-    assert_eq!(count(&bad, Rule::NoPanic), 4, "{:#?}", bad.no_panic);
-    let good = lint("no_panic/good.rs");
-    assert_eq!(count(&good, Rule::NoPanic), 0, "{:#?}", good.no_panic);
+    assert_eq!(count(&bad, Rule::NoPanic), 4, "{:#?}", bad.violations);
+    assert_eq!(bad.violations.len(), 4, "{:#?}", bad.violations);
     // The good fixture's annotation is well-formed.
+    let good = lint("no_panic/good.rs");
     assert!(good.violations.is_empty(), "{:#?}", good.violations);
 }
 
@@ -128,17 +125,43 @@ fn durability_names_fire_on_bad_and_not_on_good() {
 
 #[test]
 fn locks_fires_on_bad_and_not_on_good() {
+    // The shard vector is L4's; every lock the fixture constructs —
+    // `std::sync` or `parking_lot`, `Mutex`, `RwLock` or `Condvar` — is a
+    // raw lock outside `crates/sync/`, which L5 reports.
     let bad = lint("locks/bad.rs");
-    assert_eq!(count(&bad, Rule::Locks), 4, "{:#?}", bad.violations);
+    assert_eq!(count(&bad, Rule::Locks), 1, "{:#?}", bad.violations);
+    assert_eq!(count(&bad, Rule::LockOrder), 4, "{:#?}", bad.violations);
+    assert!(
+        bad.violations
+            .iter()
+            .filter(|d| d.rule == Rule::LockOrder)
+            .all(|d| d.message.starts_with("raw ")),
+        "{:#?}",
+        bad.violations
+    );
+    // The same constructions under justified waivers are clean.
     let good = lint("locks/good.rs");
-    assert_eq!(count(&good, Rule::Locks), 0, "{:#?}", good.violations);
+    assert!(good.violations.is_empty(), "{:#?}", good.violations);
+    // A waiver without its justification waives nothing and is itself
+    // a violation.
+    let unjustified = lint("locks/unjustified.rs");
+    assert_eq!(count(&unjustified, Rule::LockOrder), 1, "{:#?}", unjustified.violations);
+    assert_eq!(count(&unjustified, Rule::Annotation), 1, "{:#?}", unjustified.violations);
+}
+
+#[test]
+fn payload_copy_fires_on_bad_and_not_on_good() {
+    let bad = lint("payload_copy/bad.rs");
+    assert_eq!(count(&bad, Rule::PayloadCopy), 1, "{:#?}", bad.violations);
+    assert_eq!(bad.violations.len(), 1, "{:#?}", bad.violations);
+    let good = lint("payload_copy/good.rs");
+    assert!(good.violations.is_empty(), "{:#?}", good.violations);
 }
 
 #[test]
 fn lock_order_good_fixture_is_clean() {
     let good = lint("lock_order/good.rs");
-    assert_eq!(count(&good, Rule::LockOrder), 0, "{:#?}", good.violations);
-    assert!(good.raw_locks.is_empty(), "{:#?}", good.raw_locks);
+    assert!(good.violations.is_empty(), "{:#?}", good.violations);
 }
 
 #[test]
@@ -150,16 +173,15 @@ fn lock_order_bad_fixture_fires_every_detection_direction() {
         .filter(|d| d.rule == Rule::LockOrder)
         .collect();
     // One rank inversion, one same-rank nesting, the self-loop cycle it
-    // implies, one unranked construction, one undeclared rank.
-    assert_eq!(order.len(), 5, "{:#?}", order);
+    // implies, one unranked construction, one undeclared rank, one raw
+    // parking_lot construction.
+    assert_eq!(order.len(), 6, "{:#?}", order);
     let has = |needle: &str| order.iter().filter(|d| d.message.contains(needle)).count();
     assert_eq!(has("inversion"), 2, "{:#?}", order);
     assert_eq!(has("cycle"), 1, "{:#?}", order);
     assert_eq!(has("without a rank"), 1, "{:#?}", order);
     assert_eq!(has("not declared"), 1, "{:#?}", order);
-    // The raw parking_lot construction is ratcheted debt, not a hard
-    // violation.
-    assert_eq!(bad.raw_locks.len(), 1, "{:#?}", bad.raw_locks);
+    assert_eq!(has("raw Mutex::new"), 1, "{:#?}", order);
 }
 
 #[test]
@@ -205,6 +227,7 @@ fn bad_fixtures_fire_only_their_own_rule() {
     let l = lint("locks/bad.rs");
     assert_eq!(count(&l, Rule::Determinism), 0);
     assert_eq!(count(&l, Rule::MetricNames), 0);
+    assert_eq!(count(&l, Rule::NoPanic), 0);
     let o = lint("lock_order/bad.rs");
     assert_eq!(count(&o, Rule::Determinism), 0);
     assert_eq!(count(&o, Rule::Locks), 0);

@@ -1,6 +1,6 @@
 //! L5 fixture (bad): one rank inversion, one same-rank nesting (which
 //! is also a self-loop cycle), one unranked construction, one
-//! undeclared rank, and one raw parking_lot lock (ratcheted debt).
+//! undeclared rank, and one raw parking_lot lock.
 
 use lsdf_sync::{ranks, OrderedMutex};
 

@@ -1,17 +1,32 @@
-// Fixture: parking_lot locks, plus one justified std::sync use — no
-// L4 findings allowed.
-use parking_lot::{Mutex, RwLock};
+// Fixture: the constructions of `bad.rs`, each under a justified
+// per-line waiver — no findings allowed.
+use parking_lot::{Condvar, Mutex};
 
-pub struct Shared {
-    inner: Mutex<Vec<u8>>,
-    index: RwLock<u32>,
+pub struct Gate {
+    open: Mutex<bool>,
+    changed: Condvar,
 }
 
-// lint: allow(locks) -- this crate is dependency-free by design
-pub fn poison_tolerant(m: &std::sync::Mutex<u8>) -> u8 {
-    *m.lock().unwrap_or_else(|e| e.into_inner())
+impl Gate {
+    pub fn new() -> Self {
+        Self {
+            // lint: allow(lock_order) -- guards one flag; held only across the condvar wait below
+            open: Mutex::new(false),
+            changed: Condvar::new(), // lint: allow(lock_order) -- a condvar has no ordered wrapper
+        }
+    }
+
+    pub fn wait(&self) {
+        let mut open = self.open.lock();
+        while !*open {
+            self.changed.wait(&mut open);
+        }
+    }
 }
 
-pub fn guard(s: &Shared) -> usize {
-    s.inner.lock().len() + *s.index.read() as usize
+pub fn poison_tolerant() -> u8 {
+    // lint: allow(lock_order) -- function-local, never shared
+    let m = std::sync::Mutex::new(7u8);
+    let v = *m.lock().unwrap_or_else(|e| e.into_inner());
+    v
 }

@@ -23,6 +23,7 @@ use parking_lot::{Condvar, Mutex};
 
 use lsdf_dfs::{Dfs, DfsError, DfsNodeId, LocatedBlock};
 use lsdf_obs::names;
+use lsdf_pool::WorkerPool;
 
 use crate::api::{Combiner, InputFormat, Mapper, Reducer};
 
@@ -39,7 +40,8 @@ pub struct JobConfig {
     /// Duplicate long-running map attempts once the queue drains.
     pub speculative: bool,
     /// Artificial per-map-task delay for specific nodes (straggler
-    /// injection for the E4 ablation).
+    /// injection for the E4 ablation): an attempt on such a node stalls
+    /// for the delay, or until another attempt commits its task.
     pub slow_nodes: Vec<(DfsNodeId, Duration)>,
     /// How records are carved from blocks.
     pub input_format: InputFormat,
@@ -251,17 +253,29 @@ where
             .collect()
     };
 
-    let board = Mutex::new(Board {
-        states: vec![TaskState::Pending; n_tasks],
-        pending: n_tasks,
-        done: 0,
-    });
+    // Each worker's first planned task is claimed here, before the
+    // executors start, so the first round is the plan itself on every
+    // run: a thread that is slow to start can have its task duplicated
+    // by speculation, never stolen.
+    let mut states = vec![TaskState::Pending; n_tasks];
+    let first_tasks: Vec<Option<usize>> = config
+        .workers
+        .iter()
+        .map(|&worker| {
+            let i = (0..n_tasks).find(|&i| plan[i] == worker && states[i] == TaskState::Pending)?;
+            states[i] = TaskState::Running { attempts: 1 };
+            Some(i)
+        })
+        .collect();
+    let pending = states.iter().filter(|s| **s == TaskState::Pending).count();
+    // lint: allow(lock_order) -- job-local board; no guard outlives the pick or commit that took it
+    let board = Mutex::new(Board { states, pending, done: 0 });
+    // lint: allow(lock_order) -- waits on the board's guard only; an ordered guard has no condvar
     let board_cv = Condvar::new();
     // Committed map outputs: per task, per reducer partition.
     type Buckets<K, V> = Vec<Vec<(K, V)>>;
-    type Committed<K, V> = Mutex<Vec<Option<Buckets<K, V>>>>;
-    let committed: Committed<M::Key, M::Value> =
-        Mutex::new((0..n_tasks).map(|_| None).collect());
+    let mut committed: Vec<Option<Buckets<M::Key, M::Value>>> =
+        (0..n_tasks).map(|_| None).collect();
 
     let input_records = AtomicU64::new(0);
     let map_output_records = AtomicU64::new(0);
@@ -274,13 +288,13 @@ where
     let spec_won = AtomicU64::new(0);
 
     crossbeam::thread::scope(|scope| {
-        for &worker in &config.workers {
+        let mut attempts = Vec::with_capacity(config.workers.len());
+        for (&worker, mut claimed) in config.workers.iter().zip(first_tasks) {
             let tasks = &tasks;
             let plan = &plan;
             let rank_for = &rank_for;
             let board = &board;
             let board_cv = &board_cv;
-            let committed = &committed;
             let input_records = &input_records;
             let map_output_records = &map_output_records;
             let shuffled_records = &shuffled_records;
@@ -290,12 +304,13 @@ where
             let remote = &remote;
             let spec_launched = &spec_launched;
             let spec_won = &spec_won;
-            scope.spawn(move |_| {
+            attempts.push(scope.spawn(move |_| {
                 let slow = config
                     .slow_nodes
                     .iter()
                     .find(|(n, _)| *n == worker)
                     .map(|(_, d)| *d);
+                let mut won_outputs = Vec::new();
                 loop {
                     // Pick a task: pending (locality-ranked), else a
                     // speculative duplicate, else wait/exit.
@@ -304,7 +319,9 @@ where
                         Wait,
                         Exit,
                     }
-                    let pick = {
+                    let pick = if let Some(i) = claimed.take() {
+                        Pick::Task(i, false)
+                    } else {
                         let mut b = board.lock();
                         if b.done == tasks.len() {
                             Pick::Exit
@@ -368,9 +385,18 @@ where
                                 spec_launched.fetch_add(1, Ordering::Relaxed);
                             }
                             let t = &tasks[i];
-                            // Straggler injection.
+                            // Straggler injection: the attempt stalls for
+                            // the node's delay, or until another attempt has
+                            // committed its task if that comes first — a
+                            // duplicate that finishes inside the delay wins
+                            // on the board, not by a race against a sleep.
                             if let Some(d) = slow {
-                                std::thread::sleep(d);
+                                let mut b = board.lock();
+                                board_cv.wait_while_for(
+                                    &mut b,
+                                    |b| b.states[i] != TaskState::Done,
+                                    d,
+                                );
                             }
                             // The node this attempt runs on: the planned
                             // owner for first attempts, the idle
@@ -436,7 +462,7 @@ where
                                 }
                             };
                             if won {
-                                committed.lock()[i] = Some(buckets);
+                                won_outputs.push((i, buckets));
                                 input_records
                                     .fetch_add(records.len() as u64, Ordering::Relaxed);
                                 map_output_records.fetch_add(emitted, Ordering::Relaxed);
@@ -461,13 +487,18 @@ where
                         }
                     }
                 }
-            });
+                won_outputs
+            }));
+        }
+        for attempt in attempts {
+            for (i, buckets) in attempt.join().expect("worker thread panicked") {
+                committed[i] = Some(buckets);
+            }
         }
     })
     .expect("worker thread panicked");
 
     // Shuffle: gather each reducer's bucket across all committed tasks.
-    let committed = committed.into_inner();
     let mut reducer_inputs: Vec<Vec<(M::Key, M::Value)>> =
         (0..n_reducers).map(|_| Vec::new()).collect();
     for task_out in committed.into_iter() {
@@ -477,57 +508,30 @@ where
         }
     }
 
-    // Reduce phase: sort, group, fold — parallel across partitions.
-    let reduce_outputs: Mutex<Vec<Option<Vec<R::Output>>>> =
-        Mutex::new((0..n_reducers).map(|_| None).collect());
-    let output_records = AtomicU64::new(0);
-    let next_partition = AtomicU64::new(0);
-    let reducer_inputs = Mutex::new(
-        reducer_inputs
-            .into_iter()
-            .map(Some)
-            .collect::<Vec<Option<Vec<(M::Key, M::Value)>>>>(),
-    );
-    crossbeam::thread::scope(|scope| {
-        let n_threads = config.workers.len().min(n_reducers);
-        for _ in 0..n_threads {
-            let reducer_inputs = &reducer_inputs;
-            let reduce_outputs = &reduce_outputs;
-            let next_partition = &next_partition;
-            let output_records = &output_records;
-            scope.spawn(move |_| loop {
-                let r = next_partition.fetch_add(1, Ordering::Relaxed) as usize;
-                if r >= n_reducers {
-                    break;
+    // Reduce phase: sort, group, fold — parallel across partitions,
+    // outputs back in partition order.
+    let output: Vec<R::Output> = WorkerPool::new(config.workers.len())
+        .run(reducer_inputs, |_, mut pairs| {
+            pairs.sort_by(|a, b| a.0.cmp(&b.0));
+            let mut outs = Vec::new();
+            let mut i = 0;
+            while i < pairs.len() {
+                let mut j = i + 1;
+                while j < pairs.len() && pairs[j].0 == pairs[i].0 {
+                    j += 1;
                 }
-                let mut pairs = reducer_inputs.lock()[r]
-                    .take()
-                    .expect("partition taken twice");
-                pairs.sort_by(|a, b| a.0.cmp(&b.0));
-                let mut outs = Vec::new();
-                let mut i = 0;
-                while i < pairs.len() {
-                    let mut j = i + 1;
-                    while j < pairs.len() && pairs[j].0 == pairs[i].0 {
-                        j += 1;
-                    }
-                    let values: Vec<M::Value> =
-                        pairs[i..j].iter().map(|(_, v)| v.clone()).collect();
-                    outs.extend(reducer.reduce(&pairs[i].0, &values));
-                    i = j;
-                }
-                output_records.fetch_add(outs.len() as u64, Ordering::Relaxed);
-                reduce_outputs.lock()[r] = Some(outs);
-            });
-        }
-    })
-    .expect("reduce thread panicked");
+                let values: Vec<M::Value> =
+                    pairs[i..j].iter().map(|(_, v)| v.clone()).collect();
+                outs.extend(reducer.reduce(&pairs[i].0, &values));
+                i = j;
+            }
+            outs
+        })
+        .into_iter()
+        .flatten()
+        .collect();
 
-    let mut output = Vec::new();
-    for part in reduce_outputs.into_inner() {
-        output.extend(part.expect("reduce partition missing"));
-    }
-
+    let output_records = output.len() as u64;
     let wall = Duration::from_nanos(clock.now_ns().saturating_sub(started_ns));
     job_latency.record(wall.as_nanos() as u64);
     jobs_total.inc();
@@ -539,7 +543,7 @@ where
             input_records: input_records.into_inner(),
             map_output_records: map_output_records.into_inner(),
             shuffled_records: shuffled_records.into_inner(),
-            output_records: output_records.into_inner(),
+            output_records,
             bytes_read: bytes_read.into_inner(),
             node_local_maps: node_local.into_inner(),
             rack_local_maps: rack_local.into_inner(),

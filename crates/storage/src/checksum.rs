@@ -157,7 +157,7 @@ fn compress(state: &mut [u32; 8], blocks: &[u8]) {
 
 /// Which compress kernel [`sha256`] runs on this host: `"x86-sha"`
 /// (x86-64 SHA extensions) or `"portable"` (scalar FIPS 180-4 rounds).
-/// Benchmark baselines record it so absolute throughput is compared
+/// The operator report prints it so absolute throughput is compared
 /// only between hosts running the same kernel.
 pub fn sha256_kernel() -> &'static str {
     #[cfg(target_arch = "x86_64")]

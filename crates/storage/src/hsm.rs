@@ -11,9 +11,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use lsdf_obs::{Counter, Histogram, Registry, TraceCtx};
+use lsdf_sync::{ranks, OrderedMutex};
 
 use crate::checksum::Digest;
 use crate::object::{ObjectStore, StoreError};
@@ -144,7 +143,7 @@ pub struct Hsm {
     high_watermark: f64,
     policy: MigrationPolicy,
     obs: HsmObs,
-    inner: Mutex<HsmInner>,
+    inner: OrderedMutex<HsmInner>,
 }
 
 impl Hsm {
@@ -194,10 +193,10 @@ impl Hsm {
             high_watermark,
             policy,
             obs,
-            inner: Mutex::new(HsmInner {
-                catalog: HashMap::new(),
-                seq: 0,
-            }),
+            inner: OrderedMutex::new(
+                ranks::STORAGE_HSM,
+                HsmInner { catalog: HashMap::new(), seq: 0 },
+            ),
         }
     }
 
@@ -232,15 +231,11 @@ impl Hsm {
     }
 
     /// Reads an object; a tape-resident object is transparently recalled
-    /// to disk first (and stays there — recall implies promotion).
-    pub fn get(&self, key: &str) -> Result<Payload, HsmError> {
-        self.get_traced(key, &TraceCtx::disabled())
-    }
-
-    /// [`Hsm::get`] with causal tracing: when the object is tape-resident
-    /// the staging (recall) leg is recorded as a child span so a slow read
-    /// is attributable to the tape tier rather than the disk array.
-    pub fn get_traced(&self, key: &str, ctx: &TraceCtx) -> Result<Payload, HsmError> {
+    /// to disk first (and stays there — recall implies promotion). The
+    /// staging (recall) leg is recorded as a child span of `ctx`, so a
+    /// slow read is attributable to the tape tier rather than the disk
+    /// array.
+    pub fn get(&self, ctx: &TraceCtx, key: &str) -> Result<Payload, HsmError> {
         let tier = {
             let mut inner = self.inner.lock();
             let entry = inner
@@ -312,12 +307,6 @@ impl Hsm {
     /// Full catalog snapshot.
     pub fn catalog(&self) -> Vec<CatalogEntry> {
         self.inner.lock().catalog.values().cloned().collect()
-    }
-
-    /// `(demotions, recalls)` performed so far (compatibility view over
-    /// the obs registry counters).
-    pub fn counters(&self) -> (u64, u64) {
-        (self.obs.demotions.get(), self.obs.recalls.get())
     }
 
     /// Disk usage as a fraction of capacity.
@@ -491,8 +480,10 @@ mod tests {
         let hsm = setup(1000, MigrationPolicy::OldestFirst);
         hsm.put("a", blob(100)).unwrap();
         assert_eq!(hsm.tier_of("a").unwrap(), Tier::Disk);
-        assert_eq!(hsm.get("a").unwrap(), blob(100));
-        assert_eq!(hsm.counters(), (0, 0));
+        assert_eq!(hsm.get(&TraceCtx::disabled(), "a").unwrap(), blob(100));
+        let labels: [(&str, &str); 1] = [("store", "disk")];
+        assert_eq!(hsm.obs().counter_value(names::HSM_DEMOTIONS_TOTAL, &labels), 0);
+        assert_eq!(hsm.obs().counter_value(names::HSM_RECALLS_TOTAL, &labels), 0);
     }
 
     #[test]
@@ -526,8 +517,8 @@ mod tests {
             hsm.put(&format!("o{i}"), blob(100)).unwrap();
         }
         // Touch the oldest objects so LRU protects them.
-        hsm.get("o0").unwrap();
-        hsm.get("o1").unwrap();
+        hsm.get(&TraceCtx::disabled(), "o0").unwrap();
+        hsm.get(&TraceCtx::disabled(), "o1").unwrap();
         let report = hsm.run_migration().unwrap();
         assert!(!report.demoted.contains(&"o0".to_string()));
         assert!(!report.demoted.contains(&"o1".to_string()));
@@ -553,12 +544,12 @@ mod tests {
         }
         hsm.run_migration().unwrap();
         assert_eq!(hsm.tier_of("o0").unwrap(), Tier::Tape);
-        let data = hsm.get("o0").unwrap();
+        let data = hsm.get(&TraceCtx::disabled(), "o0").unwrap();
         assert_eq!(data, blob(100));
         assert_eq!(hsm.tier_of("o0").unwrap(), Tier::Disk, "recall promotes");
-        let (demotions, recalls) = hsm.counters();
-        assert_eq!(demotions, 4);
-        assert_eq!(recalls, 1);
+        let labels: [(&str, &str); 1] = [("store", "disk")];
+        assert_eq!(hsm.obs().counter_value(names::HSM_DEMOTIONS_TOTAL, &labels), 4);
+        assert_eq!(hsm.obs().counter_value(names::HSM_RECALLS_TOTAL, &labels), 1);
     }
 
     #[test]
@@ -570,14 +561,14 @@ mod tests {
         hsm.run_migration().unwrap();
         for i in 0..20 {
             // Every object readable regardless of tier.
-            assert_eq!(hsm.get(&format!("o{i}")).unwrap(), blob(90));
+            assert_eq!(hsm.get(&TraceCtx::disabled(), &format!("o{i}")).unwrap(), blob(90));
         }
     }
 
     #[test]
     fn unknown_keys_error() {
         let hsm = setup(1000, MigrationPolicy::OldestFirst);
-        assert!(matches!(hsm.get("nope"), Err(HsmError::NotFound(_))));
+        assert!(matches!(hsm.get(&TraceCtx::disabled(), "nope"), Err(HsmError::NotFound(_))));
         assert!(matches!(hsm.tier_of("nope"), Err(HsmError::NotFound(_))));
         assert!(matches!(hsm.demote("nope"), Err(HsmError::NotFound(_))));
         assert!(matches!(hsm.delete("nope"), Err(HsmError::NotFound(_))));
@@ -591,8 +582,8 @@ mod tests {
         hsm.demote("tape-res").unwrap();
         hsm.delete("disk-res").unwrap();
         hsm.delete("tape-res").unwrap();
-        assert!(matches!(hsm.get("disk-res"), Err(HsmError::NotFound(_))));
-        assert!(matches!(hsm.get("tape-res"), Err(HsmError::NotFound(_))));
+        assert!(matches!(hsm.get(&TraceCtx::disabled(), "disk-res"), Err(HsmError::NotFound(_))));
+        assert!(matches!(hsm.get(&TraceCtx::disabled(), "tape-res"), Err(HsmError::NotFound(_))));
         assert!(hsm.catalog().is_empty());
         assert_eq!(
             hsm.obs()
@@ -602,7 +593,7 @@ mod tests {
         // The key is reusable after deletion (write-once applies to live
         // objects only).
         hsm.put("disk-res", blob(10)).unwrap();
-        assert_eq!(hsm.get("disk-res").unwrap(), blob(10));
+        assert_eq!(hsm.get(&TraceCtx::disabled(), "disk-res").unwrap(), blob(10));
     }
 
     #[test]
@@ -622,15 +613,13 @@ mod tests {
             hsm.put(&format!("o{i}"), blob(100)).unwrap();
         }
         hsm.run_migration().unwrap();
-        hsm.get("o0").unwrap(); // transparent recall
+        hsm.get(&TraceCtx::disabled(), "o0").unwrap(); // transparent recall
         let labels: [(&str, &str); 1] = [("store", "disk")];
         assert_eq!(reg.counter_value(names::HSM_DEMOTIONS_TOTAL, &labels), 4);
         assert_eq!(reg.counter_value(names::HSM_RECALLS_TOTAL, &labels), 1);
         assert_eq!(reg.counter_value(names::HSM_PUTS_TOTAL, &labels), 9);
         assert_eq!(reg.histogram(names::HSM_DEMOTE_BYTES, &labels).sum(), 400);
         assert_eq!(reg.histogram(names::HSM_RECALL_LATENCY_NS, &labels).count(), 1);
-        // The compat view and the registry agree.
-        assert_eq!(hsm.counters(), (4, 1));
         assert!(reg.events().iter().any(|e| e.name == "hsm_recall"));
     }
 

@@ -8,9 +8,8 @@
 //! digest, captured at ingest and re-verifiable on read.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::RwLock;
+use lsdf_sync::{ranks, OrderedRwLock};
 
 use crate::checksum::Digest;
 use crate::payload::Payload;
@@ -74,17 +73,13 @@ struct StoreInner {
     by_key: BTreeMap<String, Stored>,
     used: u64,
     next_id: u64,
-    puts: u64,
 }
 
 /// A thread-safe, capacity-bounded, write-once object store.
 pub struct ObjectStore {
     name: String,
     capacity: u64,
-    inner: RwLock<StoreInner>,
-    /// Fetches attempted, found or not. Beside the lock, so that a fetch
-    /// shares it with other fetches.
-    gets: AtomicU64,
+    inner: OrderedRwLock<StoreInner>,
 }
 
 impl ObjectStore {
@@ -93,13 +88,10 @@ impl ObjectStore {
         ObjectStore {
             name: name.into(),
             capacity,
-            inner: RwLock::new(StoreInner {
-                by_key: BTreeMap::new(),
-                used: 0,
-                next_id: 0,
-                puts: 0,
-            }),
-            gets: AtomicU64::new(0),
+            inner: OrderedRwLock::new(
+                ranks::STORAGE_OBJECT,
+                StoreInner { by_key: BTreeMap::new(), used: 0, next_id: 0 },
+            ),
         }
     }
 
@@ -164,7 +156,6 @@ impl ObjectStore {
             },
         );
         inner.used += size;
-        inner.puts += 1;
         Ok(meta)
     }
 
@@ -174,7 +165,6 @@ impl ObjectStore {
     /// first use — the memoized comparison here stays sound while an
     /// untorn read-back costs zero hashes.
     pub fn get(&self, key: &str) -> Result<Payload, StoreError> {
-        self.gets.fetch_add(1, Ordering::Relaxed);
         let inner = self.inner.read();
         let stored = inner
             .by_key
@@ -223,12 +213,6 @@ impl ObjectStore {
             .take_while(|(k, _)| k.starts_with(prefix))
             .map(|(_, s)| s.meta.clone())
             .collect()
-    }
-
-    /// `(puts, gets)` counters — cheap instrumentation for the ADAL
-    /// overhead experiment (E9).
-    pub fn op_counts(&self) -> (u64, u64) {
-        (self.inner.read().puts, self.gets.load(Ordering::Relaxed))
     }
 }
 
@@ -311,9 +295,8 @@ mod tests {
     fn op_counters_track() {
         let store = ObjectStore::new("t", u64::MAX);
         store.put("a", payload("x")).unwrap();
-        let _ = store.get("a");
-        let _ = store.get("a");
-        assert_eq!(store.op_counts(), (1, 2));
+        assert_eq!(store.get("a").unwrap(), payload("x"));
+        assert_eq!(store.get("a").unwrap(), payload("x"));
     }
 
     #[test]
@@ -347,7 +330,7 @@ mod tests {
                 }
             });
         });
-        assert_eq!(store.op_counts(), ((10 + GETS) as u64, (READERS * GETS) as u64));
+        assert_eq!(store.len(), 10 + GETS);
     }
 
     #[test]

@@ -213,17 +213,17 @@ mod tests {
 
     #[test]
     fn digest_is_memoized_across_clones() {
+        // Read off the handles, not off `payload_digests_computed()`:
+        // that counter is the process's, and the tests beside this one
+        // hash on their own threads.
         let a = p("zebrafish");
-        let before = payload_digests_computed();
         let b = a.clone();
+        assert_eq!(b.digest_if_computed(), None);
         let d1 = a.digest();
-        let d2 = b.digest();
-        assert_eq!(d1, d2);
         assert_eq!(d1, sha256(b"zebrafish"));
-        // Clones share the cell in both directions: the second call is
-        // a cache hit no matter which clone computed first.
-        assert!(payload_digests_computed() - before <= 1);
+        // Clones share the cell: what one computed the other already has.
         assert_eq!(b.digest_if_computed(), Some(d1));
+        assert_eq!(b.digest(), d1);
     }
 
     #[test]

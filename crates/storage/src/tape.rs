@@ -190,27 +190,16 @@ impl TapeLibrary {
     }
 
     /// Submits a request; `on_done` runs at completion inside the sim.
+    /// The whole request (queue wait included) becomes a `tape_request`
+    /// child span of `ctx` and the robot's cartridge exchange a nested
+    /// `tape_mount` span, both timestamped in sim time so a recall trace
+    /// shows exactly where the minutes went.
     pub fn submit(
         &self,
-        sim: &mut Simulation,
-        op: TapeOp,
-        bytes: u64,
-        on_done: impl FnOnce(&mut Simulation, TapeCompletion) + 'static,
-    ) {
-        self.submit_traced(sim, op, bytes, &TraceCtx::disabled(), on_done);
-    }
-
-    /// [`TapeLibrary::submit`] with causal tracing: the whole request
-    /// (queue wait included) becomes a `tape_request` child span and the
-    /// robot's cartridge exchange a nested `tape_mount` span, both
-    /// timestamped in sim time so a recall trace shows exactly where the
-    /// minutes went.
-    pub fn submit_traced(
-        &self,
-        sim: &mut Simulation,
-        op: TapeOp,
-        bytes: u64,
         ctx: &TraceCtx,
+        sim: &mut Simulation,
+        op: TapeOp,
+        bytes: u64,
         on_done: impl FnOnce(&mut Simulation, TapeCompletion) + 'static,
     ) {
         let submitted = sim.now();
@@ -382,7 +371,7 @@ mod tests {
         let done = Rc::new(RefCell::new(None));
         {
             let done = done.clone();
-            lib.submit(&mut sim, TapeOp::Recall, 10_000_000_000, move |_, c| {
+            lib.submit(&TraceCtx::disabled(), &mut sim, TapeOp::Recall, 10_000_000_000, move |_, c| {
                 *done.borrow_mut() = Some(c);
             });
         }
@@ -404,7 +393,7 @@ mod tests {
         let finishes: Rc<RefCell<Vec<f64>>> = Rc::new(RefCell::new(Vec::new()));
         for _ in 0..3 {
             let finishes = finishes.clone();
-            lib.submit(&mut sim, TapeOp::Recall, 10_000_000_000, move |s, _| {
+            lib.submit(&TraceCtx::disabled(), &mut sim, TapeOp::Recall, 10_000_000_000, move |s, _| {
                 finishes.borrow_mut().push(s.now().as_secs_f64());
             });
         }
@@ -430,7 +419,7 @@ mod tests {
         let finishes: Rc<RefCell<Vec<f64>>> = Rc::new(RefCell::new(Vec::new()));
         for _ in 0..4 {
             let finishes = finishes.clone();
-            lib.submit(&mut sim, TapeOp::Archive, 0, move |s, _| {
+            lib.submit(&TraceCtx::disabled(), &mut sim, TapeOp::Archive, 0, move |s, _| {
                 finishes.borrow_mut().push(s.now().as_secs_f64());
             });
         }
@@ -447,8 +436,8 @@ mod tests {
         let reg = Arc::new(Registry::new());
         let lib = TapeLibrary::with_registry(params(), reg.clone());
         let mut sim = Simulation::new();
-        lib.submit(&mut sim, TapeOp::Recall, 10_000_000_000, |_, _| {});
-        lib.submit(&mut sim, TapeOp::Archive, 0, |_, _| {});
+        lib.submit(&TraceCtx::disabled(), &mut sim, TapeOp::Recall, 10_000_000_000, |_, _| {});
+        lib.submit(&TraceCtx::disabled(), &mut sim, TapeOp::Archive, 0, |_, _| {});
         sim.run();
         assert_eq!(reg.counter_value(names::TAPE_MOUNTS_TOTAL, &[]), 2);
         assert_eq!(reg.counter_value(names::TAPE_OPS_TOTAL, &[("op", "recall")]), 1);
@@ -481,7 +470,7 @@ mod tests {
             let finish = Rc::new(RefCell::new(0.0));
             {
                 let finish = finish.clone();
-                lib.submit(&mut sim, TapeOp::Recall, 0, move |s, _| {
+                lib.submit(&TraceCtx::disabled(), &mut sim, TapeOp::Recall, 0, move |s, _| {
                     *finish.borrow_mut() = s.now().as_secs_f64();
                 });
             }
@@ -502,8 +491,8 @@ mod tests {
     fn byte_accounting_by_direction() {
         let lib = TapeLibrary::new(params());
         let mut sim = Simulation::new();
-        lib.submit(&mut sim, TapeOp::Archive, 500, |_, _| {});
-        lib.submit(&mut sim, TapeOp::Recall, 300, |_, _| {});
+        lib.submit(&TraceCtx::disabled(), &mut sim, TapeOp::Archive, 500, |_, _| {});
+        lib.submit(&TraceCtx::disabled(), &mut sim, TapeOp::Recall, 300, |_, _| {});
         sim.run();
         assert_eq!(lib.bytes_moved(), (500, 300));
         assert_eq!(lib.archive_latency().count(), 1);
@@ -519,7 +508,7 @@ mod tests {
         let lib = TapeLibrary::new(params());
         let mut sim = Simulation::new();
         let root = tracer.root(names::HSM_STAGE_SPAN, "recall-test");
-        lib.submit_traced(&mut sim, TapeOp::Recall, 0, &root, |_, _| {});
+        lib.submit(&root, &mut sim, TapeOp::Recall, 0, |_, _| {});
         sim.run();
         root.finish();
         let traces = tracer.traces();

@@ -4,6 +4,7 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
+use lsdf_obs::TraceCtx;
 use lsdf_storage::{Hsm, MigrationPolicy, ObjectStore, Tier};
 use proptest::prelude::*;
 
@@ -66,7 +67,7 @@ proptest! {
             }
             if let Some(&r) = reads.get(i) {
                 let key = format!("o{}", r % (i + 1));
-                let data = hsm.get(&key).unwrap();
+                let data = hsm.get(&TraceCtx::disabled(), &key).unwrap();
                 prop_assert_eq!(data.len(), sizes[r % (i + 1)]);
             }
         }
@@ -79,7 +80,7 @@ proptest! {
                 Tier::Disk => prop_assert!(disk.contains(&key) && !tape.contains(&key)),
                 Tier::Tape => prop_assert!(tape.contains(&key) && !disk.contains(&key)),
             }
-            let data = hsm.get(&key).unwrap();
+            let data = hsm.get(&TraceCtx::disabled(), &key).unwrap();
             prop_assert_eq!(data, Bytes::from(vec![(i % 251) as u8; sz]));
         }
     }

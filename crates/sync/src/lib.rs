@@ -14,7 +14,9 @@
 //!
 //! * statically, `lsdf-lint`'s L5 `lock_order` rule parses the manifest
 //!   and the workspace source, reconstructs the acquisition graph, and
-//!   fails CI on any edge the declared partial order forbids;
+//!   fails CI on any edge the declared partial order forbids — and on
+//!   any raw `Mutex`/`RwLock`/`Condvar` constructed outside this crate,
+//!   so a lock the witness cannot see does not get written;
 //! * dynamically, [`OrderedMutex`] / [`OrderedRwLock`] — under the
 //!   `lock-order` cargo feature, enabled by tests and soaks — keep a
 //!   thread-local stack of held ranks and panic with a deterministic
@@ -140,7 +142,11 @@ impl<T: ?Sized> OrderedMutex<T> {
     pub fn lock(&self) -> OrderedMutexGuard<'_, T> {
         #[cfg(feature = "lock-order")]
         witness::acquire(self.rank);
-        OrderedMutexGuard { rank: self.rank, inner: self.inner.lock() }
+        OrderedMutexGuard {
+            #[cfg(feature = "lock-order")]
+            rank: self.rank,
+            inner: self.inner.lock(),
+        }
     }
 
     /// The declared rank.
@@ -157,7 +163,7 @@ impl<T: fmt::Debug> fmt::Debug for OrderedMutex<T> {
 
 /// Guard for [`OrderedMutex`]; pops the witness stack on drop.
 pub struct OrderedMutexGuard<'a, T: ?Sized> {
-    #[cfg_attr(not(feature = "lock-order"), allow(dead_code))]
+    #[cfg(feature = "lock-order")]
     rank: LockRank,
     inner: parking_lot::MutexGuard<'a, T>,
 }
@@ -203,14 +209,22 @@ impl<T: ?Sized> OrderedRwLock<T> {
     pub fn read(&self) -> OrderedReadGuard<'_, T> {
         #[cfg(feature = "lock-order")]
         witness::acquire(self.rank);
-        OrderedReadGuard { rank: self.rank, inner: self.inner.read() }
+        OrderedReadGuard {
+            #[cfg(feature = "lock-order")]
+            rank: self.rank,
+            inner: self.inner.read(),
+        }
     }
 
     /// Acquires an exclusive write guard, checking the rank order.
     pub fn write(&self) -> OrderedWriteGuard<'_, T> {
         #[cfg(feature = "lock-order")]
         witness::acquire(self.rank);
-        OrderedWriteGuard { rank: self.rank, inner: self.inner.write() }
+        OrderedWriteGuard {
+            #[cfg(feature = "lock-order")]
+            rank: self.rank,
+            inner: self.inner.write(),
+        }
     }
 
     /// The declared rank.
@@ -230,7 +244,7 @@ impl<T: fmt::Debug> fmt::Debug for OrderedRwLock<T> {
 
 /// Shared guard for [`OrderedRwLock`]; pops the witness stack on drop.
 pub struct OrderedReadGuard<'a, T: ?Sized> {
-    #[cfg_attr(not(feature = "lock-order"), allow(dead_code))]
+    #[cfg(feature = "lock-order")]
     rank: LockRank,
     inner: parking_lot::RwLockReadGuard<'a, T>,
 }
@@ -251,7 +265,7 @@ impl<T: ?Sized> Drop for OrderedReadGuard<'_, T> {
 
 /// Exclusive guard for [`OrderedRwLock`]; pops the witness stack on drop.
 pub struct OrderedWriteGuard<'a, T: ?Sized> {
-    #[cfg_attr(not(feature = "lock-order"), allow(dead_code))]
+    #[cfg(feature = "lock-order")]
     rank: LockRank,
     inner: parking_lot::RwLockWriteGuard<'a, T>,
 }

@@ -15,9 +15,13 @@
 //!   stripes are the one sanctioned case.
 //!
 //! The declared partial order encodes the real call topology:
-//! admission gates a request, the namespace commits it, the commit is
-//! WAL-logged, the WAL hits a device; observability is innermost
-//! because every layer may record while holding its own lock.
+//! admission gates a request, ADAL resolves its mount and calls a
+//! backend (the HSM catalog over its object stores, or the namenode,
+//! whose namespace, block map and placement RNG sit above the
+//! datanodes they place on), the catalog commits it, the commit is
+//! WAL-logged, the WAL hits a device, a tag the catalog emits queues a
+//! workflow run; observability is innermost because every layer may
+//! record while holding its own lock.
 
 use crate::{rank, LockRank};
 
@@ -34,11 +38,32 @@ pub const ADMISSION_PROJECTS: LockRank = rank(100, "admission_projects");
 /// the project table read guard is still held.
 pub const ADMISSION_PROJECT_STATE: LockRank = rank(110, "admission_project_state");
 
+/// ADAL mount table (`Adal::mounts`): a lookup clones the mount out and
+/// drops the guard before any backend call, so it sits above admission
+/// and below everything a backend locks.
+pub const ADAL_MOUNTS: LockRank = rank(190, "adal_mounts");
+
 /// ADAL circuit-breaker state (`CircuitBreaker::breaker`). Leaf lock.
 pub const ADAL_BREAKER: LockRank = rank(200, "adal_breaker");
 
 /// ADAL redo-journal queue (`RedoJournal::journal`). Leaf lock.
 pub const ADAL_JOURNAL: LockRank = rank(210, "adal_journal");
+
+/// A resilient mount's retry-jitter stream (`ResilientState::rng`);
+/// drawn between attempts with no other ADAL lock held. Leaf lock.
+pub const ADAL_RETRY_RNG: LockRank = rank(220, "adal_retry_rng");
+
+/// A fault-injecting backend's decision state (`FaultyBackend::state`);
+/// released before the wrapped backend is called. Leaf lock.
+pub const CHAOS_INJECT: LockRank = rank(230, "chaos_inject");
+
+/// The HSM tier catalog (`Hsm::inner`); below the object stores it
+/// moves payloads between.
+pub const STORAGE_HSM: LockRank = rank(240, "storage_hsm");
+
+/// One object store's key map (`ObjectStore::inner`): the disk or tape
+/// tier under an HSM, or a plain backend. Leaf lock.
+pub const STORAGE_OBJECT: LockRank = rank(250, "storage_object");
 
 /// The namenode namespace map (`Dfs::files`): held across block
 /// allocation and the WAL append that commits a mutation.
@@ -51,6 +76,15 @@ pub const DFS_BLOCK_SHARD: LockRank = rank(310, "dfs_block_shard");
 
 /// The namenode's seeded placement RNG (`Dfs::rng`). Leaf lock.
 pub const DFS_RNG: LockRank = rank(320, "dfs_rng");
+
+/// One datanode's block table and liveness (`DataNode::state`): read
+/// under a block-map stripe (replica liveness, repair copies) and under
+/// the placement RNG (is the writer alive?), so it ranks above both.
+pub const DFS_DATANODE_STATE: LockRank = rank(330, "dfs_datanode_state");
+
+/// One datanode's flaky-mode dice (`DataNode::flaky`); rolled while the
+/// node's state guard is held.
+pub const DFS_DATANODE_FLAKY: LockRank = rank(340, "dfs_datanode_flaky");
 
 /// Per-project metadata store state (`ProjectStore::state`): held
 /// across the WAL append that commits an insert.
@@ -67,6 +101,15 @@ pub const DURABLE_DEVICES: LockRank = rank(510, "durable_devices");
 /// One simulated device's staged/synced image (`MemDisk::state`).
 /// Innermost of the durability stack.
 pub const MEMDISK_STATE: LockRank = rank(520, "memdisk_state");
+
+/// The trigger engine's pending-run queue (`TriggerEngine::queue`):
+/// pushed by the metadata store's subscriber callback, which runs after
+/// `META_STATE` is released, and popped one run at a time. Leaf lock.
+pub const WORKFLOW_TRIGGER_QUEUE: LockRank = rank(600, "workflow_trigger_queue");
+
+/// The trigger engine's outcome log (`TriggerEngine::completed`);
+/// appended after a run's catalog writes return. Leaf lock.
+pub const WORKFLOW_TRIGGER_COMPLETED: LockRank = rank(610, "workflow_trigger_completed");
 
 /// Telemetry ring-buffer store (`TelemetryStore::inner`); held across
 /// the registry snapshot a scrape folds in and the self-metric updates
@@ -115,15 +158,24 @@ mod tests {
             POOL_SLOT,
             ADMISSION_PROJECTS,
             ADMISSION_PROJECT_STATE,
+            ADAL_MOUNTS,
             ADAL_BREAKER,
             ADAL_JOURNAL,
+            ADAL_RETRY_RNG,
+            CHAOS_INJECT,
+            STORAGE_HSM,
+            STORAGE_OBJECT,
             DFS_FILES,
             DFS_BLOCK_SHARD,
             DFS_RNG,
+            DFS_DATANODE_STATE,
+            DFS_DATANODE_FLAKY,
             META_STATE,
             WAL_ACTIVE,
             DURABLE_DEVICES,
             MEMDISK_STATE,
+            WORKFLOW_TRIGGER_QUEUE,
+            WORKFLOW_TRIGGER_COMPLETED,
             OBS_TELEMETRY,
             OBS_SLO_WINDOWS,
             OBS_SPAN_CELL,

@@ -10,7 +10,6 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use lsdf_obs::{Counter, Histogram, Registry};
-use parking_lot::Mutex;
 
 use crate::actor::{Actor, ActorError};
 use crate::token::Token;
@@ -378,8 +377,6 @@ impl Workflow {
                         };
                         work.push((a, inputs));
                     }
-                    let results: Mutex<Vec<(usize, Result<crate::actor::Firing, ActorError>)>> =
-                        Mutex::new(Vec::with_capacity(work.len()));
                     // Split actors out so each thread gets exclusive &mut.
                     let mut slots: Vec<(usize, &mut Box<dyn Actor>, Vec<Token>)> = Vec::new();
                     {
@@ -393,19 +390,23 @@ impl Workflow {
                             }
                         }
                     }
-                    crossbeam::thread::scope(|scope| {
-                        for (i, actor, inputs) in slots {
-                            let results = &results;
-                            scope.spawn(move |_| {
-                                let r = actor.fire(&inputs);
-                                results.lock().push((i, r));
-                            });
-                        }
+                    // `slots` is in actor order, so the joined firings are too.
+                    let firings = std::thread::scope(|scope| {
+                        let handles: Vec<_> = slots
+                            .into_iter()
+                            .map(|(i, actor, inputs)| (i, scope.spawn(move || actor.fire(&inputs))))
+                            .collect();
+                        // Join every handle before looking at any result:
+                        // the scope panics on a panicked thread left unjoined.
+                        let joined: Vec<_> =
+                            handles.into_iter().map(|(i, h)| (i, h.join())).collect();
+                        joined
+                            .into_iter()
+                            .map(|(i, r)| r.map(|firing| (i, firing)))
+                            .collect::<Result<Vec<_>, _>>()
                     })
                     .map_err(|_| WorkflowError::Internal("actor thread panicked"))?;
-                    let mut results = results.into_inner();
-                    results.sort_by_key(|(i, _)| *i);
-                    for (a, r) in results {
+                    for (a, r) in firings {
                         let firing = r?;
                         if self.in_ch[a].is_empty() && !firing.more {
                             self.source_live[a] = false;
@@ -441,6 +442,7 @@ impl Default for Workflow {
 mod tests {
     use super::*;
     use crate::actor::{Collect, FanOut, FilterActor, MapActor, VecSource, ZipWith};
+    use parking_lot::Mutex;
     use std::sync::Arc;
 
     fn ints(v: &[i64]) -> Vec<Token> {
@@ -503,6 +505,24 @@ mod tests {
         let got: Vec<i64> = sink.lock().iter().map(|t| t.as_int().unwrap()).collect();
         assert_eq!(got, vec![0, 2, 6]); // i*i - i
         assert!(stats.firings >= 3 * 5);
+    }
+
+    #[test]
+    fn two_actors_panicking_in_one_parallel_round_is_an_error_not_a_panic() {
+        let mut wf = Workflow::new();
+        let src = wf.add(VecSource::new("src", ints(&[1])));
+        let dup = wf.add(FanOut::new("dup", 2));
+        wf.connect(src, 0, dup, 0).unwrap();
+        for port in 0..2 {
+            let boom = wf.add(MapActor::new("boom", |_: Token| panic!("actor bug")));
+            let out = wf.add(Collect::new("sink", Arc::new(Mutex::new(Vec::new()))));
+            wf.connect(dup, port, boom, 0).unwrap();
+            wf.connect(boom, 0, out, 0).unwrap();
+        }
+        assert!(matches!(
+            wf.run(Director::Parallel),
+            Err(WorkflowError::Internal(_))
+        ));
     }
 
     #[test]

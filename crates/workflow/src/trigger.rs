@@ -13,6 +13,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use lsdf_obs::Registry;
+use lsdf_sync::{ranks, OrderedMutex};
 use parking_lot::Mutex;
 
 use lsdf_metadata::{DatasetId, Document, MetadataEvent, ProjectStore, Value};
@@ -61,9 +62,9 @@ struct PendingRun {
 pub struct TriggerEngine {
     store: Arc<ProjectStore>,
     rules: Vec<TriggerRule>,
-    queue: Arc<Mutex<VecDeque<PendingRun>>>,
+    queue: Arc<OrderedMutex<VecDeque<PendingRun>>>,
     director: Director,
-    completed: Mutex<Vec<TriggerOutcome>>,
+    completed: OrderedMutex<Vec<TriggerOutcome>>,
     registry: Option<Arc<Registry>>,
 }
 
@@ -92,13 +93,13 @@ impl TriggerEngine {
         director: Director,
         registry: Option<Arc<Registry>>,
     ) -> Arc<Self> {
-        let queue: Arc<Mutex<VecDeque<PendingRun>>> = Arc::new(Mutex::new(VecDeque::new()));
+        let queue = Arc::new(OrderedMutex::new(ranks::WORKFLOW_TRIGGER_QUEUE, VecDeque::new()));
         let engine = Arc::new(TriggerEngine {
             store: store.clone(),
             rules,
             queue: queue.clone(),
             director,
-            completed: Mutex::new(Vec::new()),
+            completed: OrderedMutex::new(ranks::WORKFLOW_TRIGGER_COMPLETED, Vec::new()),
             registry,
         });
         let tag_to_rule: Vec<(String, usize)> = engine
@@ -137,6 +138,7 @@ impl TriggerEngine {
                 break;
             };
             let rule = &self.rules[run.rule_idx];
+            // lint: allow(lock_order) -- the rule's `Collect` actor locks it per token, nothing else held
             let sink: Arc<Mutex<Vec<Token>>> = Arc::new(Mutex::new(Vec::new()));
             let mut wf = (rule.build)(run.dataset, sink.clone());
             if let Some(reg) = &self.registry {

@@ -12,6 +12,7 @@ use std::rc::Rc;
 
 use lsdf_core::{BackendChoice, Facility, IngestItem, IngestPolicy, ProjectSpec};
 use lsdf_metadata::{FieldType, SchemaBuilder, Value};
+use lsdf_obs::{names, TraceCtx};
 use lsdf_sim::Simulation;
 use lsdf_storage::{MigrationPolicy, TapeLibrary, TapeOp, TapeParams, Tier};
 use lsdf_workloads::katrin::{KatrinGenerator, Spectrum, ENDPOINT_EV};
@@ -79,7 +80,7 @@ fn main() {
         .iter()
         .filter(|e| e.tier == Tier::Tape)
         .count();
-    let (demotions, _) = hsm.counters();
+    let demotions = hsm.obs().counter_value(names::HSM_DEMOTIONS_TOTAL, &[("store", "katrin-disk")]);
     println!(
         "ingested {RUNS} runs; {} on tape after {} demotions (disk at {:.0}%)",
         on_tape,
@@ -90,7 +91,7 @@ fn main() {
     // --- Recall an old run for reanalysis -------------------------------
     let old_run = "runs/run0000";
     assert_eq!(hsm.tier_of(old_run).expect("catalogued"), Tier::Tape);
-    let data = hsm.get(old_run).expect("transparent recall");
+    let data = hsm.get(&TraceCtx::disabled(), old_run).expect("transparent recall");
     assert_eq!(hsm.tier_of(old_run).expect("catalogued"), Tier::Disk);
     let mut spectrum = Spectrum::new(ENDPOINT_EV - 200.0, 2.0, 100);
     let n = spectrum.fill_run(&data);
@@ -107,7 +108,7 @@ fn main() {
     // A reanalysis campaign recalls 12 archived runs (2 GB each) at once.
     for i in 0..12usize {
         let latencies = latencies.clone();
-        lib.submit(&mut sim, TapeOp::Recall, 2_000_000_000, move |_, c| {
+        lib.submit(&TraceCtx::disabled(), &mut sim, TapeOp::Recall, 2_000_000_000, move |_, c| {
             latencies
                 .borrow_mut()
                 .push((i, c.finished.since(c.submitted).as_secs_f64()));

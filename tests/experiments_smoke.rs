@@ -18,6 +18,7 @@ use lsdf_metadata::{
 };
 use lsdf_net::units::{GB, PB, TB, TEN_GBIT};
 use lsdf_net::{lsdf as lsdf_net_topo, NetSim, Placement, TransferModel};
+use lsdf_obs::TraceCtx;
 use lsdf_sim::{SimDuration, Simulation};
 use lsdf_storage::{ArrayModel, TapeLibrary, TapeOp, TapeParams};
 use lsdf_workloads::microscopy::{rates, HtmGenerator};
@@ -293,7 +294,7 @@ fn e13_tape_latency_shape() {
     let lib = TapeLibrary::new(TapeParams::lto5(2));
     let mut sim = Simulation::new();
     for _ in 0..6 {
-        lib.submit(&mut sim, TapeOp::Recall, 10 * GB, |_, _| {});
+        lib.submit(&TraceCtx::disabled(), &mut sim, TapeOp::Recall, 10 * GB, |_, _| {});
     }
     sim.run();
     let lat = lib.recall_latency();

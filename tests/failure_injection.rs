@@ -10,6 +10,7 @@ use std::time::Duration;
 use lsdf_cloud::{CloudConfig, CloudManager, HostSpec, Placement, VmState, VmTemplate};
 use lsdf_dfs::{ClusterTopology, Dfs, DfsConfig, DfsNodeId, PlacementPolicy};
 use lsdf_mapreduce::{no_combiner, run_job, JobConfig, Mapper, Record, Reducer};
+use lsdf_obs::TraceCtx;
 use lsdf_sim::{SimDuration, Simulation};
 use lsdf_storage::{TapeLibrary, TapeOp, TapeParams};
 
@@ -50,7 +51,7 @@ fn mapreduce_completes_after_datanode_death_with_rereplication() {
     dfs.kill_node(DfsNodeId(0));
     dfs.kill_node(DfsNodeId(4));
     assert!(!dfs.under_replicated().is_empty());
-    dfs.re_replicate();
+    dfs.re_replicate(&TraceCtx::disabled());
     assert!(dfs.under_replicated().is_empty());
 
     // The job runs on the surviving nodes and sees every byte.
@@ -88,7 +89,7 @@ fn cascading_failures_eventually_lose_blocks_detectably() {
     }
     assert!(dfs.read("/data", None).is_err());
     // Re-replication cannot help with zero live sources.
-    assert_eq!(dfs.re_replicate(), 0);
+    assert_eq!(dfs.re_replicate(&TraceCtx::disabled()), 0);
     // Reviving one replica-holder restores service.
     dfs.revive_node(DfsNodeId(0));
     dfs.revive_node(DfsNodeId(1));
@@ -155,7 +156,7 @@ fn tape_contention_degrades_latency_gracefully() {
     let finishes: Rc<RefCell<Vec<f64>>> = Rc::new(RefCell::new(Vec::new()));
     for _ in 0..5 {
         let finishes = finishes.clone();
-        lib.submit(&mut sim, TapeOp::Recall, 1_000_000_000, move |s, _| {
+        lib.submit(&TraceCtx::disabled(), &mut sim, TapeOp::Recall, 1_000_000_000, move |s, _| {
             finishes.borrow_mut().push(s.now().as_secs_f64());
         });
     }
