@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use parking_lot::RwLock;
+use lsdf_sync::{ranks, OrderedRwLock};
 
 /// A presented credential.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -74,17 +74,25 @@ pub trait AuthProvider: Send + Sync {
 }
 
 /// A static token registry.
-#[derive(Default)]
 pub struct TokenAuth {
-    tokens: RwLock<HashMap<String, String>>,
+    tokens: OrderedRwLock<HashMap<String, String>>,
     /// Whether anonymous access resolves to a `guest` principal.
     allow_anonymous: bool,
+}
+
+impl Default for TokenAuth {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl TokenAuth {
     /// An empty registry denying anonymous access.
     pub fn new() -> Self {
-        Self::default()
+        TokenAuth {
+            tokens: OrderedRwLock::new(ranks::ADAL_AUTH_TOKENS, HashMap::new()),
+            allow_anonymous: false,
+        }
     }
 
     /// Allows anonymous access as user `guest`.
@@ -124,17 +132,22 @@ impl AuthProvider for TokenAuth {
 }
 
 /// Per-project access-control lists.
-#[derive(Default)]
 pub struct Acl {
     /// user → project → may write (every grant may read): nested so
     /// that a check probes with the two borrowed names it was given.
-    grants: RwLock<HashMap<String, HashMap<String, bool>>>,
+    grants: OrderedRwLock<HashMap<String, HashMap<String, bool>>>,
+}
+
+impl Default for Acl {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Acl {
     /// An empty ACL (denies everything).
     pub fn new() -> Self {
-        Self::default()
+        Acl { grants: OrderedRwLock::new(ranks::ADAL_ACL_GRANTS, HashMap::new()) }
     }
 
     /// Grants read (and optionally write) on `project` to `user`.

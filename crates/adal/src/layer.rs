@@ -466,49 +466,11 @@ pub struct Adal {
 }
 
 impl Adal {
-    /// Creates an ADAL with the given authentication provider and ACL,
-    /// recording into a private obs registry. Use
-    /// [`Adal::with_registry`] (or [`Adal::builder`]) to share a
-    /// facility-wide registry.
-    pub fn new(auth: Arc<dyn AuthProvider>, acl: Arc<Acl>) -> Self {
-        Self::with_registry(auth, acl, Arc::new(Registry::new()))
-    }
-
-    /// Creates an ADAL recording into `registry`, with the serial
-    /// (single-worker) pool; use [`Adal::builder`] to enable parallel
-    /// replica fan-out.
-    pub fn with_registry(
-        auth: Arc<dyn AuthProvider>,
-        acl: Arc<Acl>,
-        registry: Arc<Registry>,
-    ) -> Self {
-        Self::with_pool(auth, acl, registry, WorkerPool::serial())
-    }
-
-    /// Creates an ADAL recording into `registry` whose resilient writes
-    /// fan primary and replica puts out over `pool`. Results are
-    /// identical for every worker count; only wall-clock time changes.
-    pub fn with_pool(
-        auth: Arc<dyn AuthProvider>,
-        acl: Arc<Acl>,
-        registry: Arc<Registry>,
-        pool: WorkerPool,
-    ) -> Self {
-        let ops = OpMetrics::new(&registry);
-        Adal {
-            auth,
-            acl,
-            mounts: OrderedRwLock::new(ranks::ADAL_MOUNTS, HashMap::new()),
-            obs: registry,
-            ops,
-            pool,
-            tracer: None,
-        }
-    }
-
-    /// Starts a fluent [`AdalBuilder`].
+    /// Starts a fluent [`AdalBuilder`], the one way to construct the
+    /// layer. Defaults: a fresh [`TokenAuth`] with no tokens, an empty
+    /// [`Acl`], no mounts, a private registry.
     pub fn builder() -> AdalBuilder {
-        AdalBuilder::new()
+        AdalBuilder::default()
     }
 
     /// The obs registry this layer records into.
@@ -1330,12 +1292,6 @@ pub struct AdalBuilder {
 }
 
 impl AdalBuilder {
-    /// An empty builder. Defaults: a fresh [`TokenAuth`] with no
-    /// tokens, an empty [`Acl`], no mounts, a private registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Sets the authentication provider.
     pub fn auth(mut self, auth: Arc<dyn AuthProvider>) -> Self {
         self.auth = Some(auth);
@@ -1386,8 +1342,15 @@ impl AdalBuilder {
             .workers
             .map(WorkerPool::new)
             .unwrap_or_else(WorkerPool::from_env);
-        let mut adal = Adal::with_pool(auth, acl, registry, pool);
-        adal.tracer = self.tracer;
+        let adal = Adal {
+            auth,
+            acl,
+            mounts: OrderedRwLock::new(ranks::ADAL_MOUNTS, HashMap::new()),
+            ops: OpMetrics::new(&registry),
+            obs: registry,
+            pool,
+            tracer: self.tracer,
+        };
         for (project, backend) in self.mounts {
             adal.mount(&project, backend);
         }
@@ -1408,7 +1371,7 @@ mod tests {
         let acl = Arc::new(Acl::new());
         acl.grant("garcia", "zebrafish", true);
         acl.grant("garcia", "katrin", false); // read-only
-        let adal = Adal::new(auth, acl);
+        let adal = Adal::builder().auth(auth).acl(acl).build();
         adal.mount(
             "zebrafish",
             Arc::new(ObjectStoreBackend::new(Arc::new(ObjectStore::new(
@@ -1769,7 +1732,7 @@ mod tests {
         acl.grant("garcia", "anka", true);
         let reg = Arc::new(Registry::new());
         reg.set_virtual_time_ns(1);
-        let adal = Adal::with_registry(auth, acl, reg);
+        let adal = Adal::builder().auth(auth).acl(acl).registry(reg).build();
         let primary = ScriptedBackend::new(name);
         let replica: Arc<dyn StorageBackend> = Arc::new(ObjectStoreBackend::new(Arc::new(
             ObjectStore::new("replica", u64::MAX),
@@ -1902,7 +1865,7 @@ mod tests {
         acl.grant("garcia", "anka", true);
         let reg = Arc::new(Registry::new());
         reg.set_virtual_time_ns(1);
-        let adal = Adal::with_registry(auth, acl, reg);
+        let adal = Adal::builder().auth(auth).acl(acl).registry(reg).build();
         let primary = ScriptedBackend::new("p4");
         let cfg = ResilienceConfig {
             retry: RetryPolicy::new(2, 100, 1_000, 0),

@@ -38,7 +38,7 @@ pub fn e9_adal(quick: bool) -> ExpReport {
     auth.register("tok", "user");
     let acl = Arc::new(Acl::new());
     acl.grant("user", "proj", true);
-    let adal = Adal::new(auth, acl);
+    let adal = Adal::builder().auth(auth).acl(acl).build();
     adal.mount(
         "proj",
         Arc::new(ObjectStoreBackend::new(Arc::new(ObjectStore::new(

@@ -12,9 +12,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use lsdf_net::lsdf::{build as build_facility_net, capacity};
-use lsdf_net::NetSim;
+use lsdf_net::{NetSim, TopologyError};
 
-use crate::error::LsdfError;
 use lsdf_sim::{SimDuration, SimTime, Simulation};
 
 /// Which storage system a community writes to.
@@ -115,8 +114,8 @@ pub struct CampaignResult {
 /// routes more communities than the facility has DAQ ports (one each).
 ///
 /// # Errors
-/// Propagates facility-network construction failures as [`LsdfError::Net`].
-pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignResult, LsdfError> {
+/// Propagates facility-network construction failures.
+pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignResult, TopologyError> {
     assert!(config.days > 0, "campaign needs at least one day");
     assert!(
         config.communities.iter().all(|c| c.batches_per_day > 0),

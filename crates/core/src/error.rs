@@ -1,14 +1,10 @@
-//! The facility-level error types: [`FacilityError`] for facade
-//! operations and the workspace-wide [`LsdfError`] umbrella that every
-//! subsystem error converts into with `?`.
+//! [`FacilityError`]: the typed error of facade operations, into which
+//! the access layer's, the catalog's, the workflow engine's and the
+//! admission front door's errors convert with `?`.
 
-use lsdf_adal::{AdalError, BackendError};
+use lsdf_adal::AdalError;
 use lsdf_admission::AdmissionError;
-use lsdf_cloud::CloudError;
-use lsdf_dfs::DfsError;
 use lsdf_metadata::MetadataError;
-use lsdf_net::TopologyError;
-use lsdf_storage::{HsmError, StoreError};
 use lsdf_workflow::WorkflowError;
 
 /// Errors surfaced by facility operations.
@@ -73,150 +69,5 @@ impl From<WorkflowError> for FacilityError {
 impl From<AdmissionError> for FacilityError {
     fn from(e: AdmissionError) -> Self {
         FacilityError::Admission(e)
-    }
-}
-
-/// The workspace-wide error umbrella.
-///
-/// Every subsystem keeps its own typed error enum; `LsdfError` is the
-/// top-level sum that callers crossing subsystem boundaries can `?` into
-/// without stringifying. Conversions preserve the typed variant — no
-/// information is flattened into strings on the way up.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LsdfError {
-    /// Access-layer failure (auth, path, backend dispatch).
-    Adal(AdalError),
-    /// Storage-backend failure behind the ADAL.
-    Backend(BackendError),
-    /// Distributed-filesystem failure.
-    Dfs(DfsError),
-    /// HSM tiering failure.
-    Hsm(HsmError),
-    /// Object-store failure.
-    Store(StoreError),
-    /// Metadata-repository failure.
-    Metadata(MetadataError),
-    /// Workflow failure.
-    Workflow(WorkflowError),
-    /// Cloud/IaaS failure.
-    Cloud(CloudError),
-    /// Network-topology failure.
-    Net(TopologyError),
-    /// Facility-facade failure.
-    Facility(FacilityError),
-    /// Request shed by the multi-tenant admission front door.
-    Admission(AdmissionError),
-}
-
-impl std::fmt::Display for LsdfError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LsdfError::Adal(e) => write!(f, "adal: {e}"),
-            LsdfError::Backend(e) => write!(f, "backend: {e}"),
-            LsdfError::Dfs(e) => write!(f, "dfs: {e}"),
-            LsdfError::Hsm(e) => write!(f, "hsm: {e}"),
-            LsdfError::Store(e) => write!(f, "store: {e}"),
-            LsdfError::Metadata(e) => write!(f, "metadata: {e}"),
-            LsdfError::Workflow(e) => write!(f, "workflow: {e}"),
-            LsdfError::Cloud(e) => write!(f, "cloud: {e}"),
-            LsdfError::Net(e) => write!(f, "net: {e}"),
-            LsdfError::Facility(e) => write!(f, "facility: {e}"),
-            LsdfError::Admission(e) => write!(f, "admission: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for LsdfError {}
-
-impl From<AdalError> for LsdfError {
-    fn from(e: AdalError) -> Self {
-        LsdfError::Adal(e)
-    }
-}
-impl From<BackendError> for LsdfError {
-    fn from(e: BackendError) -> Self {
-        LsdfError::Backend(e)
-    }
-}
-impl From<DfsError> for LsdfError {
-    fn from(e: DfsError) -> Self {
-        LsdfError::Dfs(e)
-    }
-}
-impl From<HsmError> for LsdfError {
-    fn from(e: HsmError) -> Self {
-        LsdfError::Hsm(e)
-    }
-}
-impl From<StoreError> for LsdfError {
-    fn from(e: StoreError) -> Self {
-        LsdfError::Store(e)
-    }
-}
-impl From<MetadataError> for LsdfError {
-    fn from(e: MetadataError) -> Self {
-        LsdfError::Metadata(e)
-    }
-}
-impl From<WorkflowError> for LsdfError {
-    fn from(e: WorkflowError) -> Self {
-        LsdfError::Workflow(e)
-    }
-}
-impl From<CloudError> for LsdfError {
-    fn from(e: CloudError) -> Self {
-        LsdfError::Cloud(e)
-    }
-}
-impl From<TopologyError> for LsdfError {
-    fn from(e: TopologyError) -> Self {
-        LsdfError::Net(e)
-    }
-}
-impl From<FacilityError> for LsdfError {
-    fn from(e: FacilityError) -> Self {
-        LsdfError::Facility(e)
-    }
-}
-impl From<AdmissionError> for LsdfError {
-    fn from(e: AdmissionError) -> Self {
-        LsdfError::Admission(e)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn subsystem_errors_lift_without_stringification() {
-        fn cross_layer() -> Result<(), LsdfError> {
-            Err(StoreError::NotFound("k".into()))?
-        }
-        match cross_layer() {
-            Err(LsdfError::Store(StoreError::NotFound(k))) => assert_eq!(k, "k"),
-            other => panic!("expected typed store error, got {other:?}"),
-        }
-        let e: LsdfError = FacilityError::UnknownProject("p".into()).into();
-        assert!(e.to_string().contains("unknown project"));
-    }
-
-    #[test]
-    fn admission_sheds_lift_without_stringification() {
-        fn front_door() -> Result<(), LsdfError> {
-            Err(AdmissionError::Rejected {
-                project: "katrin".into(),
-                lane: lsdf_admission::Lane::Bulk,
-                retry_after_ns: 250,
-            })?
-        }
-        match front_door() {
-            Err(LsdfError::Admission(AdmissionError::Rejected {
-                retry_after_ns, ..
-            })) => assert_eq!(retry_after_ns, 250),
-            other => panic!("expected typed admission error, got {other:?}"),
-        }
-        let e: FacilityError = AdmissionError::UnknownProject("p".into()).into();
-        assert!(matches!(e, FacilityError::Admission(_)));
     }
 }

@@ -10,7 +10,7 @@ use lsdf_adal::{
 };
 use lsdf_admission::{AdmissionController, AdmissionError, Lane, QuotaSpec, Ticket};
 use lsdf_dfs::{ClusterTopology, Dfs, DfsConfig};
-use lsdf_durability::{ComponentDurability, DurabilityConfig, DurableStore};
+use lsdf_durability::{ComponentDurability, DurabilityConfig, DurableStore, RecoveryStats};
 use lsdf_metadata::{ProjectStore, Schema};
 use lsdf_obs::{
     facility_status, names, ConsoleInputs, FacilityHealth, Registry, SloMonitor, SloRule,
@@ -379,17 +379,39 @@ pub struct Facility {
 pub struct ComponentRecovery {
     /// Component name (`"dfs"` or `"meta-<project>"`).
     pub component: String,
-    /// A verified checkpoint was loaded as the replay base.
-    pub snapshot_loaded: bool,
-    /// A checkpoint was on disk and failed verification; the component
-    /// holds what its surviving WAL segments hold.
-    pub checkpoint_rejected: bool,
-    /// WAL records applied during replay.
-    pub replayed: u64,
-    /// WAL records skipped (effect already present).
-    pub skipped: u64,
-    /// Log segments that ended in a torn (un-acked) frame.
-    pub torn_tails: u64,
+    /// What its recovery pass found and did.
+    pub stats: RecoveryStats,
+}
+
+/// One of the facility's durable components: the namenode or a
+/// project's catalog.
+#[derive(Clone, Copy)]
+enum Durable<'a> {
+    Dfs(&'a Dfs),
+    Store(&'a ProjectStore),
+}
+
+impl Durable<'_> {
+    fn crash(self, seed: u64) {
+        match self {
+            Durable::Dfs(dfs) => dfs.crash(seed),
+            Durable::Store(store) => store.crash(seed),
+        }
+    }
+
+    fn recover(self) -> RecoveryStats {
+        match self {
+            Durable::Dfs(dfs) => dfs.recover(),
+            Durable::Store(store) => store.recover(),
+        }
+    }
+
+    fn maybe_checkpoint(self) -> bool {
+        match self {
+            Durable::Dfs(dfs) => dfs.maybe_checkpoint(),
+            Durable::Store(store) => store.maybe_checkpoint(),
+        }
+    }
 }
 
 /// Per-component recovery outcome of one kill-and-restart cycle.
@@ -401,14 +423,14 @@ pub struct RecoveryReport {
 }
 
 impl RecoveryReport {
-    /// Total WAL records replayed across components.
+    /// Total WAL records that took effect in replay, across components.
     pub fn total_replayed(&self) -> u64 {
-        self.components.iter().map(|c| c.replayed).sum()
+        self.components.iter().map(|c| c.stats.replayed).sum()
     }
 
     /// Total torn (discarded, never-acked) frames across components.
     pub fn total_torn_tails(&self) -> u64 {
-        self.components.iter().map(|c| c.torn_tails).sum()
+        self.components.iter().map(|c| c.stats.torn_tails).sum()
     }
 
     /// Renders the report as a stable JSON document (the restart-soak
@@ -419,11 +441,11 @@ impl RecoveryReport {
             out.push_str(&format!(
                 "    {{\"component\": \"{}\", \"snapshot_loaded\": {}, \"checkpoint_rejected\": {}, \"replayed\": {}, \"skipped\": {}, \"torn_tails\": {}}}{}\n",
                 c.component,
-                c.snapshot_loaded,
-                c.checkpoint_rejected,
-                c.replayed,
-                c.skipped,
-                c.torn_tails,
+                c.stats.snapshot_loaded,
+                c.stats.checkpoint_rejected,
+                c.stats.replayed,
+                c.stats.skipped,
+                c.stats.torn_tails,
                 if i + 1 < self.components.len() { "," } else { "" }
             ));
         }
@@ -562,16 +584,16 @@ impl Facility {
     /// the number of checkpoints taken. A non-durable facility returns
     /// zero.
     pub fn run_durability_reconciler(&self) -> usize {
-        let mut taken = 0;
-        if self.dfs.maybe_checkpoint() {
-            taken += 1;
-        }
-        for p in self.projects() {
-            if self.stores[&p].maybe_checkpoint() {
-                taken += 1;
-            }
-        }
-        taken
+        let components = self.durable_components();
+        components.iter().filter(|(_, c)| c.maybe_checkpoint()).count()
+    }
+
+    /// Every durable component with its log name: the namenode first,
+    /// then the catalogs in project order.
+    fn durable_components(&self) -> Vec<(String, Durable<'_>)> {
+        let stores = self.projects().into_iter();
+        let stores = stores.map(|p| (format!("meta-{p}"), Durable::Store(&self.stores[&p])));
+        std::iter::once(("dfs".to_string(), Durable::Dfs(&self.dfs))).chain(stores).collect()
     }
 
     /// Kills and restarts the facility's stateful services in place:
@@ -598,40 +620,18 @@ impl Facility {
         root.event(names::CHAOS_CRASH_LOG_EVENT, &[("seed", &seed.to_string())]);
         // One process, one death: every stateful service crashes
         // together, each tearing its own in-flight frame.
-        self.dfs.crash(seed);
-        let projects = self.projects();
-        for (i, p) in projects.iter().enumerate() {
-            self.stores[p].crash(seed.wrapping_add(i as u64 + 1));
+        let durable = self.durable_components();
+        for (i, (_, component)) in durable.iter().enumerate() {
+            component.crash(seed.wrapping_add(i as u64));
         }
-        let mut components = Vec::with_capacity(projects.len() + 1);
-        {
+        let recover = |(name, component): (String, Durable<'_>)| {
             let span = root.child(names::RECOVERY_COMPONENT_SPAN);
-            span.add_field("component", "dfs");
-            let s = self.dfs.recover();
+            span.add_field("component", &name);
+            let stats = component.recover();
             span.finish();
-            components.push(ComponentRecovery {
-                component: "dfs".to_string(),
-                snapshot_loaded: s.snapshot_loaded,
-                checkpoint_rejected: s.checkpoint_rejected,
-                replayed: s.replayed,
-                skipped: s.skipped,
-                torn_tails: s.torn_tails,
-            });
-        }
-        for p in &projects {
-            let span = root.child(names::RECOVERY_COMPONENT_SPAN);
-            span.add_field("component", &format!("meta-{p}"));
-            let s = self.stores[p].recover();
-            span.finish();
-            components.push(ComponentRecovery {
-                component: format!("meta-{p}"),
-                snapshot_loaded: s.snapshot_loaded,
-                checkpoint_rejected: s.checkpoint_rejected,
-                replayed: s.replayed,
-                skipped: s.skipped,
-                torn_tails: s.torn_tails,
-            });
-        }
+            ComponentRecovery { component: name, stats }
+        };
+        let components = durable.into_iter().map(recover).collect();
         root.finish();
         RecoveryReport { components }
     }
@@ -1037,7 +1037,7 @@ mod tests {
         store.insert(zf_ds("img-0", 1)).unwrap();
         store.insert(zf_ds("img-1", 2)).unwrap();
         assert_eq!(f.run_durability_reconciler(), 1, "metadata store crossed");
-        assert_eq!(store.wal_records_since_checkpoint(), 0);
+        assert_eq!(f.run_durability_reconciler(), 0, "the count restarts at a checkpoint");
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod prelude;
 mod session;
 
 pub use browser::{DataBrowser, FindabilityReport};
-pub use error::{FacilityError, LsdfError};
+pub use error::FacilityError;
 pub use facility::{
     BackendChoice, ComponentRecovery, Facility, FacilityBuilder, ProjectSpec, RecoveryReport,
 };

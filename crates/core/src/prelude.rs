@@ -7,8 +7,7 @@
 
 pub use crate::{
     BackendChoice, ComponentRecovery, DataBrowser, Facility, FacilityBuilder, FacilityError,
-    IngestItem, IngestPolicy, IngestReport, LsdfError, ProjectSession, ProjectSpec,
-    RecoveryReport,
+    IngestItem, IngestPolicy, IngestReport, ProjectSession, ProjectSpec, RecoveryReport,
 };
 
 pub use lsdf_chaos::{CrashPoint, FaultPlan};

@@ -25,6 +25,5 @@ mod wal;
 pub use cluster::{ClusterTopology, DfsNodeId, Locality, RackId};
 pub use datanode::{BlockId, DataNode, DataNodeError};
 pub use namenode::{
-    Dfs, DfsConfig, DfsError, DfsRecoveryStats, FileMeta, LocatedBlock,
-    PlacementPolicy, StagedFile,
+    Dfs, DfsConfig, DfsError, FileMeta, LocatedBlock, PlacementPolicy, StagedFile,
 };

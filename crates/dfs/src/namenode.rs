@@ -20,7 +20,7 @@ use crate::cluster::{ClusterTopology, DfsNodeId, Locality};
 use crate::datanode::{BlockId, DataNode, DataNodeError};
 use crate::shard::ShardedMap;
 use crate::wal::{BlockEntry, DfsSnapshot, DfsWalRecord};
-use lsdf_durability::{Chunk, ComponentDurability};
+use lsdf_durability::{Chunk, ComponentDurability, RecoveryStats};
 use lsdf_obs::names;
 use lsdf_storage::{sha256, Payload};
 
@@ -223,22 +223,6 @@ pub struct Dfs {
     durability: Option<ComponentDurability>,
 }
 
-/// What one namenode recovery pass replayed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DfsRecoveryStats {
-    /// A verified checkpoint was loaded as the replay base.
-    pub snapshot_loaded: bool,
-    /// A checkpoint was on disk and failed verification; the namespace
-    /// holds what the surviving WAL segments hold.
-    pub checkpoint_rejected: bool,
-    /// WAL records replayed over the base.
-    pub replayed: u64,
-    /// Replayed records whose effect was already present.
-    pub skipped: u64,
-    /// Segments that ended in a torn (never-acked) frame.
-    pub torn_tails: u64,
-}
-
 impl Dfs {
     /// Builds a cluster of `topology.node_count()` empty datanodes,
     /// recording into a private obs registry.
@@ -299,10 +283,8 @@ impl Dfs {
             obs: DfsObs::new(registry),
             durability,
         };
-        if fs.durability.is_some() {
-            // Re-open from disk state: a fresh store replays nothing.
-            fs.recover();
-        }
+        // Re-open from disk state: a fresh store replays nothing.
+        fs.recover();
         fs
     }
 
@@ -719,13 +701,7 @@ impl Dfs {
             }
             entry
         };
-        for id in &entry.blocks {
-            if let Some(info) = self.blocks.remove(*id) {
-                for n in info.replicas {
-                    let _ = self.nodes[n.0 as usize].delete_block(*id);
-                }
-            }
-        }
+        self.drop_blocks(&entry.blocks);
         self.obs.deletes.inc();
         Ok(())
     }
@@ -837,26 +813,21 @@ impl Dfs {
                     stuck = true;
                     break;
                 };
-                let new_replicas = self.blocks.write(id, |info| {
+                let committed = self.commit_replicas(id, |replicas| {
                     // Drop dead replicas from the map now that we have
                     // fresh copies; keep list = live ∪ {new}.
-                    info.replicas.retain(|n| self.nodes[n.0 as usize].is_alive());
-                    info.replicas.push(t);
-                    info.replicas.clone()
+                    replicas.retain(|n| self.nodes[n.0 as usize].is_alive());
+                    replicas.push(t);
                 });
-                let Some(new_replicas) = new_replicas else {
+                if !committed {
                     // The owning file was deleted while we were copying:
                     // the map entry is gone, so the fresh copy on `t`
                     // would leak. Drop it and move to the next block.
                     let _ = self.nodes[t.0 as usize].delete_block(id);
                     break;
-                };
+                }
                 created += 1;
                 self.obs.rereplicated.inc();
-                if let Some(d) = &self.durability {
-                    let record = DfsWalRecord::ReplicaSet { block: id, replicas: new_replicas };
-                    d.log(&record.encode());
-                }
                 tspan.event(
                     names::DFS_BLOCK_REREPLICATED_EVENT,
                     &[("block", &id.0.to_string()), ("target", &t.0.to_string())],
@@ -869,18 +840,6 @@ impl Dfs {
         self.obs.under_replicated_unrecoverable.set(unrecoverable);
         tspan.add_field("created", &created.to_string());
         created
-    }
-
-    /// Blocks the last [`Dfs::re_replicate`] pass could not repair
-    /// (compat view over the `dfs_under_replicated_unrecoverable`
-    /// gauge).
-    pub fn unrecoverable_blocks(&self) -> i64 {
-        self.obs.under_replicated_unrecoverable.get()
-    }
-
-    /// Total replicas created by the replication monitor.
-    pub fn rereplication_count(&self) -> u64 {
-        self.obs.rereplicated.get()
     }
 
     /// `(used bytes, capacity bytes)` across live nodes.
@@ -965,40 +924,39 @@ impl Dfs {
             if self.nodes[dst.0 as usize].store_block(block, data).is_err() {
                 return moved;
             }
-            let new_replicas = self.blocks.write(block, |info| {
-                info.replicas.retain(|&n| n != src);
-                info.replicas.push(dst);
-                info.replicas.clone()
+            let committed = self.commit_replicas(block, |replicas| {
+                replicas.retain(|&n| n != src);
+                replicas.push(dst);
             });
-            let Some(new_replicas) = new_replicas else {
+            if !committed {
                 // Deleted out from under the balancer: drop the copy we
                 // just made rather than leaking it on `dst`.
                 let _ = self.nodes[dst.0 as usize].delete_block(block);
                 continue;
-            };
-            if let Some(d) = &self.durability {
-                let record = DfsWalRecord::ReplicaSet { block, replicas: new_replicas };
-                d.log(&record.encode());
             }
             let _ = self.nodes[src.0 as usize].delete_block(block);
             moved += 1;
         }
     }
 
+    /// The one live change to a block's replica set: `edit` runs on
+    /// the set and the resulting `ReplicaSet` record is logged inside
+    /// the stripe's write guard, so two passes moving the same block
+    /// log in the order they mutated it. `false` when the block is gone
+    /// (its file was deleted): nothing edited, nothing logged.
+    fn commit_replicas(&self, block: BlockId, edit: impl FnOnce(&mut Vec<DfsNodeId>)) -> bool {
+        let committed = self.blocks.write(block, |info| {
+            edit(&mut info.replicas);
+            if let Some(d) = &self.durability {
+                // lint: allow(payload_copy) -- node-id list, not payload bytes
+                let replicas = info.replicas.clone();
+                d.log(&DfsWalRecord::ReplicaSet { block, replicas }.encode());
+            }
+        });
+        committed.is_some()
+    }
+
     // --- Durability: snapshot, crash, recovery ------------------------
-
-    /// True when this namenode commits mutations to a WAL.
-    pub fn is_durable(&self) -> bool {
-        self.durability.is_some()
-    }
-
-    /// WAL records committed since the last checkpoint (reconciler
-    /// cadence input; 0 when not durable).
-    pub fn wal_records_since_checkpoint(&self) -> u64 {
-        self.durability
-            .as_ref()
-            .map_or(0, ComponentDurability::records_since_checkpoint)
-    }
 
     fn snapshot(&self) -> DfsSnapshot {
         let files: Vec<(String, u64, Vec<BlockId>)> = {
@@ -1035,24 +993,18 @@ impl Dfs {
         sha256(&self.snapshot().encode()).to_hex()
     }
 
-    /// Takes a checkpoint now (rotate WAL → snapshot → persist →
-    /// truncate old segments). Returns how many chunks were written,
-    /// or `None` when the namenode is not durable.
+    /// The reconciler's step: takes a checkpoint (rotate WAL →
+    /// snapshot → persist → truncate old segments) when the configured
+    /// record threshold has been reached; returns whether one was
+    /// taken. Never on a namenode that is not durable.
     ///
     /// The namespace is always one chunk, always written: it is keyed
     /// by path and deletes move entries, so there is no stable range to
     /// cut it by, and no workload brings it to a checkpoint large
     /// enough to measure one.
-    pub fn checkpoint(&self) -> Option<u64> {
-        let d = self.durability.as_ref()?;
-        d.checkpoint_with(|_| vec![Chunk::Put(self.snapshot().encode())])
-    }
-
-    /// Checkpoints only when the configured record threshold has been
-    /// reached; returns whether one was taken.
     pub fn maybe_checkpoint(&self) -> bool {
-        let due = self.durability.as_ref().is_some_and(ComponentDurability::should_checkpoint);
-        due && self.checkpoint().is_some()
+        let namespace = |_| vec![Chunk::Put(self.snapshot().encode())];
+        self.durability.as_ref().and_then(|d| d.checkpoint_if_due(namespace)).is_some()
     }
 
     /// Simulates a namenode crash: every volatile structure (file table,
@@ -1069,46 +1021,37 @@ impl Dfs {
         self.next_block.store(0, Ordering::Relaxed);
     }
 
-    /// Recovers the namespace from the durable store: loads the latest
-    /// verified checkpoint, then replays the committed WAL suffix
-    /// idempotently. A namenode without durability returns zeroed stats.
-    pub fn recover(&self) -> DfsRecoveryStats {
+    /// Recovers the namespace from the durable store through the
+    /// harness's recovery loop: the latest verified checkpoint is
+    /// installed, then the committed WAL suffix replayed idempotently.
+    /// A namenode without durability returns zeroed stats.
+    pub fn recover(&self) -> RecoveryStats {
         let Some(d) = &self.durability else {
-            return DfsRecoveryStats::default();
+            return RecoveryStats::default();
         };
-        let recovered = d.recover();
-        let mut stats = DfsRecoveryStats {
-            checkpoint_rejected: recovered.checkpoint_rejected,
-            torn_tails: recovered.torn_tails,
-            ..DfsRecoveryStats::default()
+        d.recover_with(
+            |chunks| self.install(chunks),
+            // An undecodable committed record cannot occur (we wrote
+            // it); it counts as skipped rather than panicking.
+            |payload| DfsWalRecord::decode(payload).is_some_and(|rec| self.apply_record(rec)),
+        )
+    }
+
+    /// Loads a checkpoint's one chunk over the (wiped) volatile state;
+    /// `false`, with nothing loaded, when it does not decode.
+    fn install(&self, chunks: Vec<Vec<u8>>) -> bool {
+        let Some(snap) = chunks.first().and_then(|bytes| DfsSnapshot::decode(bytes)) else {
+            return false;
         };
-        let chunk = recovered.snapshot.as_ref().and_then(|chunks| chunks.first());
-        if let Some(snap) = chunk.and_then(|bytes| DfsSnapshot::decode(bytes)) {
-            stats.snapshot_loaded = true;
-            self.next_block.fetch_max(snap.next_block, Ordering::Relaxed);
-            for (id, size, replicas) in snap.blocks {
-                self.blocks.insert(id, BlockInfo { size, replicas });
-            }
-            let mut files = self.files.write();
-            for (path, size, blocks) in snap.files {
-                files.insert(path, FileEntry { blocks, size });
-            }
+        self.next_block.fetch_max(snap.next_block, Ordering::Relaxed);
+        for (id, size, replicas) in snap.blocks {
+            self.blocks.insert(id, BlockInfo { size, replicas });
         }
-        for payload in &recovered.records {
-            stats.replayed += 1;
-            match DfsWalRecord::decode(payload) {
-                Some(rec) => {
-                    if !self.apply_record(rec) {
-                        stats.skipped += 1;
-                    }
-                }
-                // Undecodable committed records cannot occur (we wrote
-                // them); count defensively rather than panic.
-                None => stats.skipped += 1,
-            }
+        let mut files = self.files.write();
+        for (path, size, blocks) in snap.files {
+            files.insert(path, FileEntry { blocks, size });
         }
-        d.note_skipped(stats.skipped);
-        stats
+        true
     }
 
     /// Applies one replayed record; returns `false` when its effect was
@@ -1138,11 +1081,14 @@ impl Dfs {
             }
             DfsWalRecord::ReplicaSet { block, replicas } => self
                 .blocks
-                .write(block, |info| info.replicas = replicas)
-                .is_some(),
+                .write(block, |info| {
+                    let changed = info.replicas != replicas;
+                    info.replicas = replicas;
+                    changed
+                })
+                .unwrap_or(false),
             DfsWalRecord::Alloc { watermark } => {
-                self.next_block.fetch_max(watermark, Ordering::Relaxed);
-                true
+                self.next_block.fetch_max(watermark, Ordering::Relaxed) < watermark
             }
         }
     }
@@ -1297,6 +1243,11 @@ mod tests {
         )
     }
 
+    /// Blocks the last `re_replicate` pass could not repair.
+    fn unrecoverable(fs: &Dfs) -> i64 {
+        fs.obs().gauge_value(names::DFS_UNDER_REPLICATED_UNRECOVERABLE, &[])
+    }
+
     fn data(n: usize) -> Vec<u8> {
         (0..n).map(|i| (i % 251) as u8).collect()
     }
@@ -1401,7 +1352,7 @@ mod tests {
                 .iter()
                 .all(|n| fs.node(*n).is_alive()));
         }
-        assert_eq!(fs.rereplication_count(), 5);
+        assert_eq!(fs.obs().counter_value(names::DFS_REREPLICATIONS_TOTAL, &[]), 5);
     }
 
     #[test]
@@ -1433,16 +1384,11 @@ mod tests {
         fs.kill_node(lb.replicas[0]);
         let created = fs.re_replicate(&TraceCtx::disabled());
         assert_eq!(created, 0, "the only candidate node is full");
-        assert_eq!(fs.unrecoverable_blocks(), 1);
-        assert_eq!(
-            fs.obs()
-                .gauge_value(names::DFS_UNDER_REPLICATED_UNRECOVERABLE, &[]),
-            1
-        );
+        assert_eq!(unrecoverable(&fs), 1);
         // Free the space: the next pass repairs and clears the gauge.
         fs.node(spare).delete_block(BlockId(999)).unwrap();
         assert_eq!(fs.re_replicate(&TraceCtx::disabled()), 1);
-        assert_eq!(fs.unrecoverable_blocks(), 0);
+        assert_eq!(unrecoverable(&fs), 0);
         assert!(fs.under_replicated().is_empty());
     }
 
@@ -1464,12 +1410,12 @@ mod tests {
         fs.kill_node(lb.replicas[1]);
         assert_eq!(fs.re_replicate(&TraceCtx::disabled()), 0);
         assert!(fs.obs().counter_value(names::DFS_STORE_RETRY_TOTAL, &[]) >= 1);
-        assert_eq!(fs.unrecoverable_blocks(), 1);
+        assert_eq!(unrecoverable(&fs), 1);
         // Healthy again: the next pass places the replica and clears the
         // gauge.
         fs.clear_node_flaky(spare);
         assert_eq!(fs.re_replicate(&TraceCtx::disabled()), 1);
-        assert_eq!(fs.unrecoverable_blocks(), 0);
+        assert_eq!(unrecoverable(&fs), 0);
         assert!(fs.under_replicated().is_empty());
     }
 
@@ -1503,7 +1449,7 @@ mod tests {
             let repaired = fs.re_replicate(&TraceCtx::disabled());
             assert_eq!(repaired, 1, "seed {seed}: repair must succeed");
             assert!(fs.under_replicated().is_empty(), "seed {seed}");
-            assert_eq!(fs.unrecoverable_blocks(), 0, "seed {seed}");
+            assert_eq!(unrecoverable(&fs), 0, "seed {seed}");
             saw_retry |= fs.obs().counter_value(names::DFS_STORE_RETRY_TOTAL, &[]) >= 1;
         }
         assert!(saw_retry, "some seed must have hit the flaky spare first");
@@ -1646,6 +1592,28 @@ mod tests {
         fs.recover();
         assert_eq!(fs.next_block.load(Ordering::Relaxed), before);
         assert_eq!(fs.namespace_digest(), digest);
+    }
+
+    #[test]
+    fn a_replayed_record_counts_once_as_applied_or_as_skipped() {
+        const N: u64 = 5;
+        let store = lsdf_durability::DurableStore::new();
+        let fs = durable_dfs(&store, 1_000);
+        for i in 0..N {
+            fs.write(&format!("/f{i}"), &data(150), None).unwrap();
+        }
+        let digest = fs.namespace_digest();
+        fs.crash(21);
+        let first = fs.recover();
+        assert_eq!((first.replayed, first.skipped), (N, 0));
+        // Nothing crashed in between: every record's file is there.
+        let second = fs.recover();
+        assert_eq!((second.replayed, second.skipped), (0, N));
+        assert_eq!(fs.namespace_digest(), digest);
+        // The harness's own series say what the returned stats say.
+        let counted = |name| fs.obs().counter_value(name, &[("log", "dfs")]);
+        assert_eq!(counted(names::RECOVERY_REPLAYED_RECORDS_TOTAL), N);
+        assert_eq!(counted(names::RECOVERY_SKIPPED_RECORDS_TOTAL), N);
     }
 
     #[test]

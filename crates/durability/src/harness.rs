@@ -2,17 +2,19 @@
 //! (namenode, metadata store) holds to get WAL + checkpoints + recovery
 //! without re-implementing the epoch dance.
 //!
-//! Protocol per component:
+//! Protocol per component (DESIGN §13 states who logs, who applies and
+//! who counts):
 //!
 //! * every acked mutation calls [`ComponentDurability::log`] with a
 //!   canonical record *before* returning to the caller;
-//! * a background reconciler polls [`ComponentDurability::should_checkpoint`]
-//!   and calls [`ComponentDurability::checkpoint_with`] with the
-//!   canonical state as a list of chunks, of which only the ones that
-//!   changed since the last checkpoint carry bytes;
-//! * after a crash, [`ComponentDurability::recover`] hands back the
-//!   latest verified checkpoint plus the committed WAL suffix, which the
-//!   component applies idempotently.
+//! * a background reconciler calls
+//!   [`ComponentDurability::checkpoint_if_due`] with the canonical
+//!   state as a list of chunks, of which only the ones that changed
+//!   since the last checkpoint carry bytes;
+//! * after a crash, [`ComponentDurability::recover_with`] runs the
+//!   recovery loop: the latest verified checkpoint goes to the
+//!   component's `install`, the committed WAL suffix through its
+//!   idempotent `apply`, and the harness counts what took effect.
 
 use crate::checkpoint::{CheckpointStore, Chunk, Loaded};
 use crate::device::DurableStore;
@@ -46,16 +48,21 @@ impl Default for DurabilityConfig {
     }
 }
 
-/// What [`ComponentDurability::recover`] found on disk.
-pub struct Recovered {
-    /// The verified checkpoint's chunks in order, if there is one.
-    pub snapshot: Option<Vec<Vec<u8>>>,
-    /// A checkpoint was on disk and failed verification: `records` is
-    /// every surviving segment from epoch 0, over no base.
+/// What one [`ComponentDurability::recover_with`] pass found and did —
+/// the one recovery-stats type of every durable component.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RecoveryStats {
+    /// A verified checkpoint was installed as the replay base.
+    pub snapshot_loaded: bool,
+    /// A checkpoint was on disk and failed verification: the component
+    /// holds what its surviving WAL segments hold, over no base.
     pub checkpoint_rejected: bool,
-    /// Committed WAL records to replay over the snapshot, in log order.
-    pub records: Vec<Vec<u8>>,
-    /// Segments that ended in a torn frame (discarded un-acked tails).
+    /// Replayed WAL records that took effect.
+    pub replayed: u64,
+    /// Replayed WAL records that did not: the effect was already
+    /// present, or the record did not decode.
+    pub skipped: u64,
+    /// Log segments that ended in a torn (never-acked) frame.
     pub torn_tails: u64,
 }
 
@@ -120,22 +127,21 @@ impl ComponentDurability {
             .fetch_add(payloads.len() as u64, Ordering::Relaxed);
     }
 
-    /// True when enough records have accumulated since the last
-    /// checkpoint for the reconciler to take a new one.
-    pub fn should_checkpoint(&self) -> bool {
-        self.since_ckpt.load(Ordering::Relaxed) >= self.checkpoint_every
-    }
-
-    /// WAL records committed since the last checkpoint.
-    pub fn records_since_checkpoint(&self) -> u64 {
-        self.since_ckpt.load(Ordering::Relaxed)
-    }
-
     /// Records per checkpoint chunk: chunk `i` of what
     /// [`ComponentDurability::checkpoint_with`] is handed covers
     /// records `i * n .. (i + 1) * n` of the component's state.
     pub fn chunk_records(&self) -> u64 {
         self.checkpoint_every
+    }
+
+    /// The reconciler's step: [`ComponentDurability::checkpoint_with`]
+    /// when at least `checkpoint_every` records were logged since the
+    /// last checkpoint, `None` (and `snapshot` uncalled) when not.
+    pub fn checkpoint_if_due(&self, snapshot: impl Fn(bool) -> Vec<Chunk>) -> Option<u64> {
+        if self.since_ckpt.load(Ordering::Relaxed) < self.checkpoint_every {
+            return None;
+        }
+        self.checkpoint_with(snapshot)
     }
 
     /// Takes a checkpoint: rotates the WAL so new records land in a
@@ -164,36 +170,45 @@ impl ComponentDurability {
         Some(written)
     }
 
-    /// Reads the latest verified checkpoint and the committed WAL suffix
-    /// above it. Counts the run and models replay latency on the
-    /// recovery histogram.
-    pub fn recover(&self) -> Recovered {
-        // A checkpoint that failed verification falls back to replaying
-        // every surviving segment rather than just the suffix.
-        let (from_epoch, snapshot, checkpoint_rejected) = match self.ckpts.load() {
-            Loaded::Verified { wal_epoch, chunks } => (wal_epoch, Some(chunks), false),
-            Loaded::Rejected => (0, None, true),
-            Loaded::Absent => (0, None, false),
+    /// The recovery loop, the same for every component: loads the
+    /// latest verified checkpoint and hands its chunks to `install`
+    /// (`true` = installed as the base), then replays the committed
+    /// WAL suffix above it, in log order, through `apply` (`true` = the
+    /// record took effect; `false` = its effect was already present or
+    /// it did not decode). A checkpoint that failed verification is not
+    /// installed and every surviving segment is replayed instead.
+    ///
+    /// Counts the run, `replayed` and `skipped` on the `recovery_*`
+    /// series exactly as returned. The modelled replay latency and the
+    /// checkpoint cadence go by records read, whatever their effect.
+    pub fn recover_with(
+        &self,
+        install: impl FnOnce(Vec<Vec<u8>>) -> bool,
+        mut apply: impl FnMut(&[u8]) -> bool,
+    ) -> RecoveryStats {
+        let mut stats = RecoveryStats::default();
+        let from_epoch = match self.ckpts.load() {
+            Loaded::Verified { wal_epoch, chunks } => {
+                stats.snapshot_loaded = install(chunks);
+                wal_epoch
+            }
+            Loaded::Rejected => {
+                stats.checkpoint_rejected = true;
+                0
+            }
+            Loaded::Absent => 0,
         };
         let replay = self.log.replay_from(from_epoch);
+        stats.torn_tails = replay.torn_tails;
+        let read = replay.records.len() as u64;
+        stats.replayed = replay.records.iter().filter(|payload| apply(payload)).count() as u64;
+        stats.skipped = read - stats.replayed;
         self.obs.runs.inc();
-        self.obs.replayed.add(replay.records.len() as u64);
-        self.obs
-            .latency
-            .record(RECOVERY_BASE_NS + REPLAY_NS_PER_RECORD * replay.records.len() as u64);
-        self.since_ckpt.store(replay.records.len() as u64, Ordering::Relaxed);
-        Recovered {
-            snapshot,
-            checkpoint_rejected,
-            records: replay.records,
-            torn_tails: replay.torn_tails,
-        }
-    }
-
-    /// Counts records that replay skipped because their effect was
-    /// already present (idempotent re-application).
-    pub fn note_skipped(&self, n: u64) {
-        self.obs.skipped.add(n);
+        self.obs.replayed.add(stats.replayed);
+        self.obs.skipped.add(stats.skipped);
+        self.obs.latency.record(RECOVERY_BASE_NS + REPLAY_NS_PER_RECORD * read);
+        self.since_ckpt.store(read, Ordering::Relaxed);
+        stats
     }
 
     /// Simulates the crash tearing an in-flight, never-acked frame onto

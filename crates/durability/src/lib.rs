@@ -14,7 +14,8 @@
 //!   behind an atomically replaced manifest, of which a save writes
 //!   only the chunks that changed;
 //! * [`ComponentDurability`] — the per-component bundle tying the three
-//!   together (log → checkpoint → recover);
+//!   together and owning the recovery loop (log → checkpoint →
+//!   install + replay, counted once as [`RecoveryStats`]);
 //! * [`Enc`] / [`Dec`] — the deterministic little-endian codec that
 //!   makes snapshots canonical and recovery bit-identical.
 //!
@@ -37,5 +38,5 @@ pub use checkpoint::{CheckpointStore, Chunk, Loaded};
 pub use codec::{Dec, Enc};
 pub use crc::crc32;
 pub use device::{DurableStore, MemDisk};
-pub use harness::{ComponentDurability, DurabilityConfig, Recovered};
+pub use harness::{ComponentDurability, DurabilityConfig, RecoveryStats};
 pub use log::{parse_frames, DurableLog, Replay, WalConfig, FRAME_HEADER_LEN, MAX_RECORD_LEN};

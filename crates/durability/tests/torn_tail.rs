@@ -119,7 +119,7 @@ fn corruption_never_invents_records(how: Written) {
 // tests below stop it after each step by composing the step's effect on
 // the `DurableStore` directly, then re-open the component "from disk".
 
-use lsdf_durability::{Chunk, ComponentDurability, DurabilityConfig, Recovered};
+use lsdf_durability::{Chunk, ComponentDurability, DurabilityConfig};
 use lsdf_obs::names;
 use lsdf_storage::sha256;
 
@@ -147,6 +147,29 @@ fn chunks(len: u64, first_put: u64) -> Vec<Chunk> {
             false => Chunk::Keep,
         })
         .collect()
+}
+
+/// What one `recover_with` pass handed the component.
+struct Recovered {
+    snapshot: Option<Vec<Vec<u8>>>,
+    checkpoint_rejected: bool,
+    records: Vec<Vec<u8>>,
+}
+
+fn recover(d: &ComponentDurability) -> Recovered {
+    let (mut snapshot, mut records) = (None, Vec::new());
+    let stats = d.recover_with(
+        |chunks| {
+            snapshot = Some(chunks);
+            true
+        },
+        |record| {
+            records.push(record.to_vec());
+            true
+        },
+    );
+    assert_eq!(stats.snapshot_loaded, snapshot.is_some());
+    Recovered { snapshot, checkpoint_rejected: stats.checkpoint_rejected, records }
 }
 
 /// The state a recovery yields: the checkpoint's items, then every
@@ -182,7 +205,7 @@ fn crash_after_the_new_chunks_and_before_the_manifest_recovers_the_old_checkpoin
     store.open(&chunk_device("t", 8..11)).set(body(8..11));
 
     let (reopened, reg) = open(&store, "t");
-    let recovered = reopened.recover();
+    let recovered = recover(&reopened);
     assert!(!recovered.checkpoint_rejected);
     assert_eq!(recovered.snapshot, Some(vec![body(0..4), body(4..6)]), "the old checkpoint");
     assert_eq!(recovered.records.len(), 5, "its untruncated segment");
@@ -192,7 +215,7 @@ fn crash_after_the_new_chunks_and_before_the_manifest_recovers_the_old_checkpoin
     assert_eq!(reopened.checkpoint_with(|_| chunks(11, 1)), Some(2));
     assert_eq!(store.names_with_prefix("t-ckpt-").len(), 3);
     assert_eq!(reg.counter_value(names::CKPT_CHUNKS_REUSED_TOTAL, &[("log", "t")]), 1);
-    assert_eq!(state(&open(&store, "t").0.recover()), (0..11).collect::<Vec<_>>());
+    assert_eq!(state(&recover(&open(&store, "t").0)), (0..11).collect::<Vec<_>>());
 }
 
 #[test]
@@ -210,7 +233,7 @@ fn crash_after_the_manifest_and_before_collection_recovers_the_new_checkpoint() 
     store.open("t-wal-00000001").set(old_segment);
 
     let (reopened, _) = open(&store, "t");
-    let recovered = reopened.recover();
+    let recovered = recover(&reopened);
     assert_eq!(recovered.snapshot, Some(vec![body(0..4), body(4..8), body(8..11)]));
     assert!(recovered.records.is_empty(), "replay starts at the new manifest's epoch");
     assert_eq!(state(&recovered), (0..11).collect::<Vec<_>>());
@@ -236,7 +259,7 @@ fn one_missing_or_corrupt_chunk_rejects_the_checkpoint_and_replays_from_epoch_ze
             store.open(&dev).set(b"bit rot".to_vec());
         }
         let (reopened, reg) = open(&store, "t");
-        let recovered = reopened.recover();
+        let recovered = recover(&reopened);
         assert!(recovered.checkpoint_rejected, "{damaged:?}");
         assert_eq!(recovered.snapshot, None, "no chunk of a rejected checkpoint is used");
         assert_eq!(reg.counter_value(names::CKPT_REJECTED_TOTAL, &[("log", "t")]), 1);
@@ -260,7 +283,7 @@ fn a_checkpoint_collects_only_its_own_chunks() {
     }
     assert_eq!(t.checkpoint_with(|_| chunks(15, 2)), Some(2));
     u.crash_torn(7);
-    let recovered = open(&store, "t-ckpt-u").0.recover();
+    let recovered = recover(&open(&store, "t-ckpt-u").0);
     assert!(recovered.snapshot.is_some() && !recovered.checkpoint_rejected);
     assert_eq!(state(&recovered), (0..15).collect::<Vec<_>>());
 }
@@ -274,7 +297,7 @@ fn a_manifest_written_with_another_chunk_size_is_rewritten_whole() {
     let reg = Arc::new(Registry::new());
     let cfg = DurabilityConfig { checkpoint_every: 5, ..DurabilityConfig::default() };
     let resized = ComponentDurability::open(&store, "t", &reg, &cfg);
-    assert_eq!(state(&resized.recover()), (0..10).collect::<Vec<_>>());
+    assert_eq!(state(&recover(&resized)), (0..10).collect::<Vec<_>>());
     // The component believes both of its chunks of five are clean; the
     // manifest on disk holds chunks of four, so nothing can be kept.
     let asked = std::cell::RefCell::new(Vec::new());
@@ -285,6 +308,36 @@ fn a_manifest_written_with_another_chunk_size_is_rewritten_whole() {
     assert_eq!(resized.checkpoint_with(snapshot), Some(2));
     assert_eq!(*asked.borrow(), [false, true]);
     assert_eq!(reg.counter_value(names::CKPT_TAKEN_TOTAL, &[("log", "t")]), 1);
-    assert_eq!(resized.recover().snapshot, Some(vec![body(0..5), body(5..10)]));
+    assert_eq!(recover(&resized).snapshot, Some(vec![body(0..5), body(5..10)]));
     assert_eq!(store.names_with_prefix("t-ckpt-").len(), 2);
+}
+
+#[test]
+fn recover_with_counts_a_record_once_by_whether_it_took_effect() {
+    let store = DurableStore::new();
+    let (d, _) = open(&store, "t");
+    d.log(&5u64.to_le_bytes());
+    d.log(&5u64.to_le_bytes());
+    d.log(b"odd");
+    let (reopened, reg) = open(&store, "t");
+    let mut items = Vec::new();
+    // The toy component's idempotent apply: a record is one item, an
+    // item already held or a record of another size changes nothing.
+    let stats = reopened.recover_with(
+        |_| unreachable!("no checkpoint was taken"),
+        |record| match <[u8; 8]>::try_from(record).map(u64::from_le_bytes) {
+            Ok(i) if !items.contains(&i) => {
+                items.push(i);
+                true
+            }
+            _ => false,
+        },
+    );
+    assert_eq!(items, [5]);
+    assert_eq!((stats.replayed, stats.skipped), (1, 2), "effect, no effect, undecodable");
+    assert!(!stats.snapshot_loaded && !stats.checkpoint_rejected);
+    let counter = |name| reg.counter_value(name, &[("log", "t")]);
+    assert_eq!(counter(names::RECOVERY_RUNS_TOTAL), 1);
+    assert_eq!(counter(names::RECOVERY_REPLAYED_RECORDS_TOTAL), stats.replayed);
+    assert_eq!(counter(names::RECOVERY_SKIPPED_RECORDS_TOTAL), stats.skipped);
 }

@@ -33,8 +33,9 @@
 //!   lock-order analysis (see [`lockorder`]): a raw `Mutex::new(` /
 //!   `RwLock::new(` / `Condvar::new(` construction, `parking_lot` or
 //!   `std::sync`, outside `crates/sync/` is a violation (the check is
-//!   of construction sites: a raw lock built by `#[derive(Default)]`,
-//!   as the two leaf tables in `adal/src/auth.rs` are, is not seen);
+//!   of construction sites: a raw lock built by `#[derive(Default)]`
+//!   is not seen, which is why a crate whose library code needs no raw
+//!   lock — `lsdf-adal` — does not depend on `parking_lot` at all);
 //!   an `OrderedMutex`/`OrderedRwLock` names a rank declared in
 //!   `lsdf_sync::ranks`, and the reconstructed cross-file acquisition
 //!   graph must respect the declared partial order and stay acyclic.
@@ -442,7 +443,7 @@ fn lint_scanned(rel: &str, file: &ScannedFile, cfg: &Config, allows: &Allows) ->
                         line: i + 1,
                         rule: Rule::NoPanic,
                         message: format!(
-                            "{} in production library code; return LsdfError instead",
+                            "{} in production library code; return the crate's typed error instead",
                             pat.trim_start_matches('.')
                         ),
                     });

@@ -287,7 +287,7 @@ where
     let spec_launched = AtomicU64::new(0);
     let spec_won = AtomicU64::new(0);
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut attempts = Vec::with_capacity(config.workers.len());
         for (&worker, mut claimed) in config.workers.iter().zip(first_tasks) {
             let tasks = &tasks;
@@ -304,7 +304,7 @@ where
             let remote = &remote;
             let spec_launched = &spec_launched;
             let spec_won = &spec_won;
-            attempts.push(scope.spawn(move |_| {
+            attempts.push(scope.spawn(move || {
                 let slow = config
                     .slow_nodes
                     .iter()
@@ -495,8 +495,7 @@ where
                 committed[i] = Some(buckets);
             }
         }
-    })
-    .expect("worker thread panicked");
+    });
 
     // Shuffle: gather each reducer's bucket across all committed tasks.
     let mut reducer_inputs: Vec<Vec<(M::Key, M::Value)>> =

@@ -34,5 +34,5 @@ pub use index::{FieldIndex, TagIndex};
 pub use query::Predicate;
 pub use record::{DatasetId, DatasetRecord, ProcessingResult};
 pub use schema::{zebrafish_schema, Document, FieldDef, Schema, SchemaBuilder, SchemaError};
-pub use store::{MetaRecoveryStats, MetadataError, NewDataset, ProjectStore};
+pub use store::{MetadataError, NewDataset, ProjectStore};
 pub use value::{FieldType, OrderKey, Value};

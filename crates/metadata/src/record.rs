@@ -7,17 +7,16 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
 
 use crate::schema::Document;
 
 /// Identifies a dataset within one project store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DatasetId(pub u64);
 
 /// One processing run's metadata, appended to a dataset after a workflow
 /// or analysis job completes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProcessingResult {
     /// Name of the processing step (e.g. `"segmentation-v2"`).
     pub step: String,
@@ -32,7 +31,7 @@ pub struct ProcessingResult {
 }
 
 /// A dataset record: WORM basic metadata + appended processing results.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetRecord {
     /// Record id within the project store.
     pub id: DatasetId,

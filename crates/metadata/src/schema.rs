@@ -6,7 +6,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 
 use crate::value::{FieldType, Value};
 
@@ -14,7 +13,7 @@ use crate::value::{FieldType, Value};
 pub type Document = BTreeMap<String, Value>;
 
 /// Declaration of one schema field.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FieldDef {
     /// Field name.
     pub name: String,
@@ -27,7 +26,7 @@ pub struct FieldDef {
 }
 
 /// A project's metadata schema.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Schema {
     /// Schema (project) name.
     pub name: String,

@@ -3,6 +3,7 @@
 //! index-aware query executor with scan instrumentation.
 
 use std::borrow::Cow;
+use std::cell::{Cell, RefCell};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::Bound;
@@ -18,7 +19,7 @@ use crate::record::{DatasetId, DatasetRecord, ProcessingResult};
 use crate::schema::{Document, Schema, SchemaError};
 use crate::value::Value;
 use crate::wal::{MetaSnapshot, MetaWalRecord};
-use lsdf_durability::{Chunk, ComponentDurability};
+use lsdf_durability::{Chunk, ComponentDurability, RecoveryStats};
 use lsdf_storage::sha256;
 
 /// Errors from store operations.
@@ -136,6 +137,30 @@ impl StoreState {
         self.tag_index = TagIndex::new();
     }
 
+    /// Replaces the catalog with a verified checkpoint's records,
+    /// rebuilding every derived structure (name map, field indexes, tag
+    /// index) from them; `false`, with nothing changed, when a chunk
+    /// does not decode.
+    fn install(&mut self, chunks: Vec<Vec<u8>>) -> bool {
+        let mut records = Vec::new();
+        // Each chunk's bytes are dropped as soon as it is decoded.
+        let decoded = chunks
+            .into_iter()
+            .try_for_each(|chunk| MetaSnapshot::decode_chunk(&chunk, &mut records));
+        if decoded.is_none() {
+            return false;
+        }
+        self.wipe();
+        self.records.reserve(records.len());
+        self.by_name.reserve(records.len());
+        for rec in records {
+            // Checkpointed names are unique: none is refused.
+            let _ = self.register(rec);
+        }
+        self.dirty.iter_mut().for_each(|flag| *flag.get_mut() = false);
+        true
+    }
+
     /// Index-assisted candidate ids for `pred`, ascending and
     /// duplicate-free; `None` = full scan required. A single posting
     /// list is lent as stored; a range is gathered and sorted; a
@@ -194,8 +219,9 @@ impl StoreState {
         })
     }
 
-    /// Applies one replayed WAL record; `false` when its effect is
-    /// already present (idempotent skip).
+    /// Applies one WAL record, for the live call that is about to log
+    /// it and for the replay that read it back alike; `false` when its
+    /// effect is already present (idempotent skip).
     fn apply(&mut self, rec: MetaWalRecord) -> bool {
         match rec {
             MetaWalRecord::Insert(new) => self.register(new.into_record()).is_ok(),
@@ -267,22 +293,6 @@ impl NewDataset {
     }
 }
 
-/// What one metadata-store recovery pass replayed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MetaRecoveryStats {
-    /// A verified checkpoint was loaded as the replay base.
-    pub snapshot_loaded: bool,
-    /// A checkpoint was on disk and failed verification; the catalog
-    /// holds what the surviving WAL segments hold.
-    pub checkpoint_rejected: bool,
-    /// WAL records applied during replay.
-    pub replayed: u64,
-    /// WAL records skipped because their effect was already present.
-    pub skipped: u64,
-    /// Log segments that ended in a torn (un-acked) frame.
-    pub torn_tails: u64,
-}
-
 /// A single project's metadata repository.
 pub struct ProjectStore {
     project: String,
@@ -331,9 +341,7 @@ impl ProjectStore {
             queries: AtomicU64::new(0),
             durability,
         };
-        if store.durability.is_some() {
-            store.recover();
-        }
+        store.recover();
         store
     }
 
@@ -461,6 +469,34 @@ impl ProjectStore {
         Err(MetadataError::WormViolation(id))
     }
 
+    /// The one live write below [`ProjectStore::insert_batch`]: under
+    /// the catalog lock, `build` sees the dataset and names the change
+    /// as a WAL record, [`StoreState::apply`] — the routine replay runs —
+    /// makes it, and it is logged if it took effect, so log order is
+    /// catalog order and nothing is acked before it is durable. A
+    /// change that took effect is then told to subscribers as `event`.
+    fn commit(
+        &self,
+        id: DatasetId,
+        build: impl FnOnce(&DatasetRecord) -> MetaWalRecord,
+        event: impl FnOnce() -> MetadataEvent,
+    ) -> Result<(), MetadataError> {
+        let subs = {
+            let mut st = self.state.write();
+            let rec = build(st.records.get(id.0 as usize).ok_or(MetadataError::NotFound(id))?);
+            let logged = self.durability.as_ref().map(|d| (d, rec.encode()));
+            if !st.apply(rec) {
+                return Ok(());
+            }
+            if let Some((d, payload)) = logged {
+                d.log(&payload);
+            }
+            st.subscribers.clone()
+        };
+        self.emit(&subs, &event());
+        Ok(())
+    }
+
     /// Appends a processing-result set (the paper's METADATA N), returning
     /// its sequence number.
     pub fn append_processing(
@@ -471,107 +507,38 @@ impl ProjectStore {
         results: Document,
         derived_keys: Vec<String>,
     ) -> Result<u32, MetadataError> {
-        let (seq, subs) = {
-            let mut st = self.state.write();
-            let rec = st
-                .records
-                .get_mut(id.0 as usize)
-                .ok_or(MetadataError::NotFound(id))?;
-            let rec = Arc::make_mut(rec);
-            let seq = rec.processing.len() as u32 + 1;
-            if let Some(d) = &self.durability {
-                let log_rec = MetaWalRecord::AppendProcessing {
-                    id,
-                    step: step.to_string(),
-                    params: params.clone(),
-                    results: results.clone(),
-                    derived_keys: derived_keys.clone(),
-                    seq,
-                };
-                d.log(&log_rec.encode());
-            }
-            rec.processing.push(ProcessingResult {
-                step: step.to_string(),
-                params,
-                results,
-                derived_keys,
-                seq,
-            });
-            st.touch(id);
-            (seq, st.subscribers.clone())
-        };
-        self.emit(
-            &subs,
-            &MetadataEvent::ProcessingAdded {
-                project: self.project.clone(),
-                id,
-                step: step.to_string(),
-                seq,
+        let next = Cell::new(0);
+        self.commit(
+            id,
+            |rec| {
+                let (step, seq) = (step.to_string(), rec.processing.len() as u32 + 1);
+                next.set(seq);
+                MetaWalRecord::AppendProcessing { id, step, params, results, derived_keys, seq }
             },
-        );
-        Ok(seq)
+            || {
+                let (project, step) = (self.project.clone(), step.to_string());
+                MetadataEvent::ProcessingAdded { project, id, step, seq: next.get() }
+            },
+        )?;
+        Ok(next.get())
     }
 
     /// Adds a tag; idempotent. Emits an event only on first addition.
     pub fn tag(&self, id: DatasetId, tag: &str) -> Result<(), MetadataError> {
-        let (added, subs) = {
-            let mut st = self.state.write();
-            let rec = st
-                .records
-                .get_mut(id.0 as usize)
-                .ok_or(MetadataError::NotFound(id))?;
-            let added = Arc::make_mut(rec).tags.insert(tag.to_string());
-            if added {
-                if let Some(d) = &self.durability {
-                    d.log(&MetaWalRecord::Tag { id, tag: tag.to_string() }.encode());
-                }
-                st.tag_index.insert(tag, id);
-                st.touch(id);
-            }
-            (added, st.subscribers.clone())
-        };
-        if added {
-            self.emit(
-                &subs,
-                &MetadataEvent::Tagged {
-                    project: self.project.clone(),
-                    id,
-                    tag: tag.to_string(),
-                },
-            );
-        }
-        Ok(())
+        self.commit(
+            id,
+            |_| MetaWalRecord::Tag { id, tag: tag.to_string() },
+            || MetadataEvent::Tagged { project: self.project.clone(), id, tag: tag.to_string() },
+        )
     }
 
     /// Removes a tag; idempotent.
     pub fn untag(&self, id: DatasetId, tag: &str) -> Result<(), MetadataError> {
-        let (removed, subs) = {
-            let mut st = self.state.write();
-            let rec = st
-                .records
-                .get_mut(id.0 as usize)
-                .ok_or(MetadataError::NotFound(id))?;
-            let removed = Arc::make_mut(rec).tags.remove(tag);
-            if removed {
-                if let Some(d) = &self.durability {
-                    d.log(&MetaWalRecord::Untag { id, tag: tag.to_string() }.encode());
-                }
-                st.tag_index.remove(tag, id);
-                st.touch(id);
-            }
-            (removed, st.subscribers.clone())
-        };
-        if removed {
-            self.emit(
-                &subs,
-                &MetadataEvent::Untagged {
-                    project: self.project.clone(),
-                    id,
-                    tag: tag.to_string(),
-                },
-            );
-        }
-        Ok(())
+        self.commit(
+            id,
+            |_| MetaWalRecord::Untag { id, tag: tag.to_string() },
+            || MetadataEvent::Untagged { project: self.project.clone(), id, tag: tag.to_string() },
+        )
     }
 
     /// Executes a query, using secondary indexes where the predicate shape
@@ -640,19 +607,6 @@ impl ProjectStore {
 
     // --- Durability: snapshot, crash, recovery ------------------------
 
-    /// True when mutations are committed to a WAL before acking.
-    pub fn is_durable(&self) -> bool {
-        self.durability.is_some()
-    }
-
-    /// WAL records committed since the last checkpoint (reconciler
-    /// scheduling input).
-    pub fn wal_records_since_checkpoint(&self) -> u64 {
-        self.durability
-            .as_ref()
-            .map_or(0, ComponentDurability::records_since_checkpoint)
-    }
-
     /// SHA-256 over the canonical catalog snapshot: two stores with the
     /// same logical catalog produce the same digest, bit for bit.
     pub fn catalog_digest(&self) -> String {
@@ -692,8 +646,8 @@ impl ProjectStore {
     /// Checkpoints when enough WAL records have accumulated; returns
     /// whether a checkpoint was taken.
     pub fn maybe_checkpoint(&self) -> bool {
-        let due = self.durability.as_ref().is_some_and(ComponentDurability::should_checkpoint);
-        due && self.checkpoint().is_some()
+        let d = self.durability.as_ref();
+        d.and_then(|d| d.checkpoint_if_due(|whole| self.checkpoint_chunks(whole))).is_some()
     }
 
     /// Simulates a store crash: the in-memory catalog (records, name
@@ -708,56 +662,27 @@ impl ProjectStore {
         self.state.write().wipe();
     }
 
-    /// Rebuilds the catalog from the durable store: installs the latest
-    /// verified checkpoint, then replays the committed WAL suffix
-    /// idempotently. A store without durability returns zeroed stats.
-    pub fn recover(&self) -> MetaRecoveryStats {
+    /// Rebuilds the catalog from the durable store through the
+    /// harness's recovery loop: the latest verified checkpoint is
+    /// installed, then the committed WAL suffix replayed idempotently.
+    /// A store without durability returns zeroed stats.
+    pub fn recover(&self) -> RecoveryStats {
         let Some(d) = &self.durability else {
-            return MetaRecoveryStats::default();
+            return RecoveryStats::default();
         };
-        let recovered = d.recover();
-        let mut stats = MetaRecoveryStats {
-            checkpoint_rejected: recovered.checkpoint_rejected,
-            torn_tails: recovered.torn_tails,
-            ..MetaRecoveryStats::default()
-        };
-        let base = recovered.snapshot.and_then(|chunks| {
-            let mut records = Vec::new();
-            // Each chunk's bytes are dropped as soon as it is decoded.
-            chunks
-                .into_iter()
-                .try_for_each(|chunk| MetaSnapshot::decode_chunk(&chunk, &mut records))?;
-            Some(records)
-        });
-        // One lock for the whole pass. Replay emits no events: the
-        // recovered catalog is a reconstruction, not new activity.
+        // One lock for the whole pass, lent to both steps in turn.
+        // Replay emits no events: the recovered catalog is a
+        // reconstruction, not new activity.
         let mut st = self.state.write();
-        stats.snapshot_loaded = base.is_some();
-        if let Some(records) = base {
-            // Every derived structure (name map, field indexes, tag
-            // index) is rebuilt from the checkpoint's records.
-            st.wipe();
-            st.records.reserve(records.len());
-            st.by_name.reserve(records.len());
-            for rec in records {
-                // Checkpointed names are unique: none is refused.
-                let _ = st.register(rec);
-            }
-        }
         // Clean exactly when the records in memory are the ones the
-        // manifest names; replay, below, dirties what it touches.
-        let dirty = !stats.snapshot_loaded;
-        st.dirty.iter_mut().for_each(|flag| *flag.get_mut() = dirty);
-        for payload in &recovered.records {
-            if MetaWalRecord::decode(payload).is_some_and(|rec| st.apply(rec)) {
-                stats.replayed += 1;
-            } else {
-                stats.skipped += 1;
-            }
-        }
-        drop(st);
-        d.note_skipped(stats.skipped);
-        stats
+        // manifest names: an install says so, replay dirties what it
+        // touches.
+        st.dirty.iter_mut().for_each(|flag| *flag.get_mut() = true);
+        let st = RefCell::new(st);
+        d.recover_with(
+            |chunks| st.borrow_mut().install(chunks),
+            |payload| MetaWalRecord::decode(payload).is_some_and(|rec| st.borrow_mut().apply(rec)),
+        )
     }
 }
 
@@ -1315,6 +1240,26 @@ mod tests {
     }
 
     #[test]
+    fn a_replayed_record_counts_once_as_applied_or_as_skipped() {
+        const N: u64 = 5;
+        let disk = lsdf_durability::DurableStore::new();
+        let (store, reg) = durable_store_and_registry(&disk, 1_000);
+        insert_range(&store, 0, N as i64);
+        let digest = store.catalog_digest();
+        store.crash(21);
+        let first = store.recover();
+        assert_eq!((first.replayed, first.skipped), (N, 0));
+        // Nothing crashed in between: every record's name is taken.
+        let second = store.recover();
+        assert_eq!((second.replayed, second.skipped), (0, N));
+        assert_eq!(store.catalog_digest(), digest);
+        // The harness's own series say what the returned stats say.
+        let counted = |name| reg.counter_value(name, &[("log", "meta-zebrafish")]);
+        assert_eq!(counted(lsdf_obs::names::RECOVERY_REPLAYED_RECORDS_TOTAL), N);
+        assert_eq!(counted(lsdf_obs::names::RECOVERY_SKIPPED_RECORDS_TOTAL), N);
+    }
+
+    #[test]
     fn processing_seq_replay_is_idempotent_across_checkpoint_race() {
         let disk = lsdf_durability::DurableStore::new();
         let store = durable_store(&disk, 1_000);
@@ -1340,11 +1285,9 @@ mod tests {
     #[test]
     fn non_durable_store_recovery_is_a_no_op() {
         let store = store_with(2);
-        assert!(!store.is_durable());
-        assert_eq!(store.wal_records_since_checkpoint(), 0);
         assert_eq!(store.checkpoint(), None);
         assert!(!store.maybe_checkpoint());
-        assert_eq!(store.recover(), MetaRecoveryStats::default());
+        assert_eq!(store.recover(), RecoveryStats::default());
         assert_eq!(store.len(), 2, "recover leaves a non-durable store alone");
     }
 

@@ -8,10 +8,9 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 
 /// The type of a metadata field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FieldType {
     /// UTF-8 string.
     Str,
@@ -26,7 +25,7 @@ pub enum FieldType {
 }
 
 /// A dynamically typed metadata value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// UTF-8 string.
     Str(String),

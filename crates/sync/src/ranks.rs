@@ -38,6 +38,14 @@ pub const ADMISSION_PROJECTS: LockRank = rank(100, "admission_projects");
 /// the project table read guard is still held.
 pub const ADMISSION_PROJECT_STATE: LockRank = rank(110, "admission_project_state");
 
+/// The static token registry (`TokenAuth::tokens`): read once at the
+/// head of every ADAL call, before the ACL. Leaf lock.
+pub const ADAL_AUTH_TOKENS: LockRank = rank(170, "adal_auth_tokens");
+
+/// The per-project ACL (`Acl::grants`): read after authentication and
+/// before the mount lookup. Leaf lock.
+pub const ADAL_ACL_GRANTS: LockRank = rank(180, "adal_acl_grants");
+
 /// ADAL mount table (`Adal::mounts`): a lookup clones the mount out and
 /// drops the guard before any backend call, so it sits above admission
 /// and below everything a backend locks.
@@ -158,6 +166,8 @@ mod tests {
             POOL_SLOT,
             ADMISSION_PROJECTS,
             ADMISSION_PROJECT_STATE,
+            ADAL_AUTH_TOKENS,
+            ADAL_ACL_GRANTS,
             ADAL_MOUNTS,
             ADAL_BREAKER,
             ADAL_JOURNAL,

@@ -1,9 +1,11 @@
 # Workspace task runner. `just check` is the gate a PR must pass.
 
-# Build, test, lint (clippy + lsdf-lint) the whole workspace.
+# Build, test, lint (clippy + lsdf-lint) the whole workspace. `--locked`:
+# a Cargo.lock that no longer matches the manifests fails the gate
+# instead of being rewritten on the side.
 check:
-    cargo build --release
-    cargo test -q
+    cargo build --release --locked
+    cargo test -q --locked
     cargo clippy --workspace --all-targets -- -D warnings
     cargo run --release -p lsdf-lint
 

@@ -58,7 +58,7 @@ fn run_soak(seed: u64) -> String {
     auth.register("tok", "operator");
     let acl = Arc::new(Acl::new());
     acl.grant("operator", "soak", true);
-    let adal = Adal::with_registry(auth, acl, reg.clone());
+    let adal = Adal::builder().auth(auth).acl(acl).registry(reg.clone()).build();
     let cred = Credential::Token("tok".into());
 
     // A faulty object-store primary with an object-store replica: the

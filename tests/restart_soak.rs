@@ -22,22 +22,30 @@
 //! * **a crash at each step of a checkpoint recovers** — new chunks
 //!   under the old manifest, the new manifest beside uncollected old
 //!   chunks, and a referenced chunk lost (rejected whole, reported, the
-//!   surviving log replayed).
+//!   surviving log replayed);
+//! * **a change is written once** — a catalog log replays to the
+//!   digest, the dirty chunks and the record count its live run left
+//!   and tells subscribers nothing, and replica sets moved by the
+//!   monitor and the balancer at once replay to the namespace they
+//!   left.
 //!
 //! Set `LSDF_RESTART_REPORT=<path>` to write the [`RecoveryReport`]
 //! JSON for all crash points, and the chunks written and kept by every
 //! checkpoint — CI uploads it as the recovery artifact.
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Barrier};
 
 use bytes::Bytes;
 
 use lsdf_chaos::FaultPlan;
 use lsdf_core::{BackendChoice, Facility, IngestItem, IngestPolicy, ProjectSpec, RecoveryReport};
-use lsdf_dfs::{ClusterTopology, DfsConfig};
-use lsdf_durability::{DurabilityConfig, DurableStore};
-use lsdf_metadata::{Document, FieldType, SchemaBuilder, Value};
+use lsdf_dfs::{ClusterTopology, Dfs, DfsConfig, DfsNodeId};
+use lsdf_durability::{ComponentDurability, DurabilityConfig, DurableStore};
+use lsdf_metadata::{
+    DatasetId, Document, FieldType, MetadataEvent, NewDataset, ProjectStore, SchemaBuilder, Value,
+};
 use lsdf_obs::{names, Registry, TraceCtx};
 use lsdf_sim::SimRng;
 use lsdf_storage::sha256;
@@ -306,7 +314,7 @@ fn run_soak_with(seed: u64, workers: usize) -> (String, Vec<RecoveryReport>, Vec
     for (i, r) in reports.iter().enumerate() {
         for c in &r.components {
             assert!(
-                c.snapshot_loaded || c.replayed > 0,
+                c.stats.snapshot_loaded || c.stats.replayed > 0,
                 "crash {i}: component {} recovered from nothing: {r:?}",
                 c.component
             );
@@ -510,7 +518,7 @@ fn a_crash_at_each_step_of_a_checkpoint_recovers() {
         let rejected: Vec<&str> = report
             .components
             .iter()
-            .filter(|c| c.checkpoint_rejected)
+            .filter(|c| c.stats.checkpoint_rejected)
             .map(|c| c.component.as_str())
             .collect();
         let imaging = f.store("imaging").unwrap();
@@ -540,11 +548,11 @@ fn a_crash_at_each_step_of_a_checkpoint_recovers() {
             assert_eq!(disk.names_with_prefix("meta-imaging-ckpt-").len(), 1);
             continue;
         }
-        assert!(rejected.is_empty() && report.components.iter().all(|c| c.snapshot_loaded), "{report:?}");
+        assert!(rejected.is_empty() && report.components.iter().all(|c| c.stats.snapshot_loaded), "{report:?}");
         assert_eq!(digests(), expected, "{crash:?}");
         verify_acked(&f, &model, &format!("after {crash:?}"));
         // The log replays over the old checkpoint and not over the new.
-        let replayed = report.components.iter().map(|c| c.replayed).collect::<Vec<_>>();
+        let replayed = report.components.iter().map(|c| c.stats.replayed).collect::<Vec<_>>();
         match crash {
             Crash::NewChunksOldManifest => assert_eq!(replayed, [200, 200, 200]),
             _ => assert_eq!(replayed, [0, 0, 0]),
@@ -559,4 +567,175 @@ fn a_crash_at_each_step_of_a_checkpoint_recovers() {
         f.crash_restart(SEED ^ 0x06);
         verify_acked(&f, &model, &format!("after {crash:?} and one more restart"));
     }
+}
+
+// --- The single write ------------------------------------------------
+//
+// A live mutation and a replayed one run the same routine
+// (`StoreState::apply`; `Dfs::commit_replicas` logs inside the block's
+// stripe). The two tests below pin what that buys: a log replays to the
+// state, the dirty chunks and the record count the live run left, and
+// says nothing to subscribers while it does.
+
+/// A durable catalog of its own on `disk`, chunks of four, counting the
+/// events it emits as `[inserted, tagged, untagged, processing added]`.
+fn counted_catalog(disk: &DurableStore) -> (ProjectStore, Arc<[AtomicU64; 4]>) {
+    let reg = Arc::new(Registry::new());
+    let cfg = DurabilityConfig { checkpoint_every: 4, ..DurabilityConfig::default() };
+    let schema = SchemaBuilder::new("twin").required("n", FieldType::Int).build().unwrap();
+    let durability = ComponentDurability::open(disk, "meta-twin", &reg, &cfg);
+    let store = ProjectStore::with_durability(schema, Some(durability));
+    let events: Arc<[AtomicU64; 4]> = Arc::default();
+    let seen = events.clone();
+    store.subscribe(Arc::new(move |event| {
+        let kind = match event {
+            MetadataEvent::Inserted { .. } => 0,
+            MetadataEvent::Tagged { .. } => 1,
+            MetadataEvent::Untagged { .. } => 2,
+            MetadataEvent::ProcessingAdded { .. } => 3,
+        };
+        seen[kind].fetch_add(1, Ordering::Relaxed);
+    }));
+    (store, events)
+}
+
+/// What a seeded mix of catalog writes should have told subscribers.
+#[derive(Default)]
+struct MixModel {
+    tags: Vec<BTreeSet<&'static str>>,
+    /// `[inserted, tagged, untagged, processing added]`.
+    events: [u64; 4],
+}
+
+/// Runs `ops` seeded writes — insert, tag, the same tag again, untag
+/// (present or not), append_processing — against `store` and `model`.
+fn catalog_mix(store: &ProjectStore, model: &mut MixModel, rng: &mut SimRng, ops: usize) {
+    const TAGS: [&str; 3] = ["raw", "needs-processing", "published"];
+    for _ in 0..ops {
+        let n = model.tags.len();
+        let id = DatasetId(rng.index(n.max(1)) as u64);
+        let tag = TAGS[rng.index(TAGS.len())];
+        // An empty catalog can only grow.
+        match if n == 0 { 0 } else { rng.index(5) } {
+            0 => {
+                model.tags.push(BTreeSet::new());
+                model.events[0] += 1;
+                let new = NewDataset {
+                    name: format!("d-{n:04}"),
+                    location: format!("lsdf://twin/d-{n:04}"),
+                    size_bytes: n as u64,
+                    checksum_hex: String::new(),
+                    basic: [("n".to_string(), Value::Int(n as i64))].into_iter().collect(),
+                };
+                store.insert(new).unwrap();
+            }
+            1 | 2 => {
+                model.events[1] += u64::from(model.tags[id.0 as usize].insert(tag));
+                store.tag(id, tag).unwrap();
+                // Present now, whichever call added it: no second event.
+                store.tag(id, tag).unwrap();
+            }
+            3 => {
+                model.events[2] += u64::from(model.tags[id.0 as usize].remove(tag));
+                store.untag(id, tag).unwrap();
+            }
+            _ => {
+                model.events[3] += 1;
+                let results = [("cells".to_string(), Value::Int(n as i64))].into_iter().collect();
+                store.append_processing(id, "seg", Document::new(), results, vec![]).unwrap();
+            }
+        }
+    }
+}
+
+#[test]
+fn a_replayed_catalog_log_leaves_what_the_live_run_left() {
+    assert!(lsdf_sync::witness_enabled(), "runs witness-armed");
+    let counts = |events: &[AtomicU64; 4]| [0, 1, 2, 3].map(|k| events[k].load(Ordering::Relaxed));
+    for checkpoint_midway in [false, true] {
+        // Twins fed the same writes on a disk each; only one will crash.
+        let (live_disk, crashed_disk) = (DurableStore::new(), DurableStore::new());
+        let (live, live_events) = counted_catalog(&live_disk);
+        let (crashed, crashed_events) = counted_catalog(&crashed_disk);
+        let mut logged_since_checkpoint = 0;
+        for (store, events) in [(&live, &live_events), (&crashed, &crashed_events)] {
+            let mut rng = SimRng::seed_from_u64(SEED).stream("catalog-mix");
+            let mut model = MixModel::default();
+            catalog_mix(store, &mut model, &mut rng, 120);
+            let before: u64 = model.events.iter().sum();
+            if checkpoint_midway {
+                assert!(store.checkpoint().is_some());
+            }
+            catalog_mix(store, &mut model, &mut rng, 120);
+            // One event per insert, first tag, removal and append; none
+            // for a tag already there or an untag of nothing.
+            assert_eq!(counts(events), model.events);
+            assert!(model.events.iter().all(|&n| n > 0), "{:?}", model.events);
+            // And one WAL record per event: what changed nothing is
+            // not logged.
+            let all: u64 = model.events.iter().sum();
+            logged_since_checkpoint = if checkpoint_midway { all - before } else { all };
+        }
+        let told = counts(&crashed_events);
+        crashed.crash(SEED);
+        let stats = crashed.recover();
+        assert_eq!(stats.snapshot_loaded, checkpoint_midway);
+        assert_eq!((stats.replayed, stats.skipped), (logged_since_checkpoint, 0));
+        assert_eq!(counts(&crashed_events), told, "replay is not news");
+        assert_eq!(crashed.catalog_digest(), live.catalog_digest());
+        assert_eq!(crashed.all(), live.all());
+        // The same chunks are dirty on both sides: the next checkpoint
+        // writes as many, and leaves the same content-addressed set.
+        let written = live.checkpoint();
+        assert!(written.is_some_and(|chunks| chunks > 0));
+        assert_eq!(crashed.checkpoint(), written, "midway checkpoint: {checkpoint_midway}");
+        let chunks = |disk: &DurableStore| disk.names_with_prefix("meta-twin-ckpt-");
+        assert_eq!(chunks(&crashed_disk), chunks(&live_disk));
+        assert_eq!(chunks(&live_disk).len(), live.len().div_ceil(4));
+    }
+}
+
+#[test]
+fn concurrent_replica_moves_replay_to_the_namespace_they_left() {
+    assert!(lsdf_sync::witness_enabled(), "runs witness-armed");
+    let mut total_moved = 0;
+    for seed in 0..16u64 {
+        let reg = Arc::new(Registry::new());
+        let disk = DurableStore::new();
+        let durability =
+            ComponentDurability::open(&disk, "dfs", &reg, &DurabilityConfig::default());
+        let config = DfsConfig { block_size: 64, replication: 2, seed, ..DfsConfig::default() };
+        let dfs = Dfs::with_durability(ClusterTopology::new(2, 3), config, reg, Some(durability));
+        // Every first replica on node 0 and every second on the other
+        // rack: the balancer has blocks to move off node 0, and
+        // killing a node of the other rack gives the monitor some of
+        // the same blocks to repair.
+        for i in 0..12 {
+            dfs.write(&format!("/f{i}"), &vec![i as u8; 100 + 30 * i], Some(DfsNodeId(0))).unwrap();
+        }
+        dfs.kill_node(DfsNodeId(3 + (seed % 3) as u32));
+        assert!(!dfs.under_replicated().is_empty(), "seed {seed}");
+        let start = Barrier::new(2);
+        let (repaired, moved) = std::thread::scope(|s| {
+            let monitor = s.spawn(|| {
+                start.wait();
+                dfs.re_replicate(&TraceCtx::disabled())
+            });
+            start.wait();
+            let moved = dfs.rebalance(0.1);
+            (monitor.join().expect("monitor thread panicked"), moved)
+        });
+        // How far the balancer gets before a move collides with a
+        // repair is the scheduler's business; that both ran is not.
+        assert!(repaired > 0, "seed {seed}");
+        total_moved += moved;
+        // Each replica set was logged under the stripe lock it changed
+        // under, so the last record of a block is its last state.
+        let digest = dfs.namespace_digest();
+        dfs.crash(seed);
+        let stats = dfs.recover();
+        assert!(!stats.snapshot_loaded && stats.replayed > 0, "seed {seed}: {stats:?}");
+        assert_eq!(dfs.namespace_digest(), digest, "seed {seed}");
+    }
+    assert!(total_moved > 0, "the balancer never moved a block");
 }
