@@ -165,11 +165,6 @@ pub trait StorageBackend: Send + Sync {
     /// Keys under `prefix`, sorted. Backend failures surface as errors
     /// rather than being swallowed into an empty listing.
     fn list(&self, ctx: &TraceCtx, prefix: &str) -> Result<Vec<EntryMeta>, BackendError>;
-    /// True when `key` exists.
-    fn exists(&self, key: &str) -> bool {
-        self.stat(&TraceCtx::disabled(), key).is_ok()
-    }
-
     /// Stages a put, deferring any commit step that serialises on
     /// shared metadata (the DFS namenode), so a batch of N puts pays one
     /// metadata lock and one WAL group commit instead of N. Default for
@@ -381,8 +376,11 @@ impl StorageBackend for HsmBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resilience::{ResilienceConfig, ResilientBackend};
     use bytes::Bytes;
     use lsdf_dfs::{ClusterTopology, DfsConfig};
+    use lsdf_obs::Registry;
+    use lsdf_pool::WorkerPool;
     use lsdf_storage::MigrationPolicy;
 
     fn payload(s: &str) -> Payload {
@@ -402,10 +400,21 @@ mod tests {
         let disk = Arc::new(ObjectStore::new("disk", u64::MAX));
         let tape = Arc::new(ObjectStore::new("tape", u64::MAX));
         let hsm = Arc::new(Hsm::new(disk, tape, 0.5, 0.8, MigrationPolicy::OldestFirst));
+        // The resilience decorator over a quiet primary is one more
+        // backend under the same contract, with and without a replica.
+        let store = |name: &str| -> Arc<dyn StorageBackend> {
+            Arc::new(ObjectStoreBackend::new(Arc::new(ObjectStore::new(name, u64::MAX))))
+        };
+        let resilient = |replica: Option<Arc<dyn StorageBackend>>| {
+            let (cfg, reg) = (ResilienceConfig::default(), Arc::new(Registry::new()));
+            ResilientBackend::new("p", store("primary"), replica, cfg, reg, WorkerPool::serial())
+        };
         vec![
             Box::new(ObjectStoreBackend::new(obj)),
             Box::new(DfsBackend::new(dfs)),
             Box::new(HsmBackend::new(hsm)),
+            Box::new(resilient(None)),
+            Box::new(resilient(Some(store("replica")))),
         ]
     }
 
@@ -414,9 +423,8 @@ mod tests {
         let ctx = TraceCtx::disabled();
         for b in backends() {
             let kind = b.kind();
-            // put / exists / get / stat
+            // put / get / stat
             b.put(&ctx, "a/x", payload("hello")).unwrap();
-            assert!(b.exists("a/x"), "{kind}");
             assert_eq!(b.get(&ctx, "a/x").unwrap(), payload("hello"), "{kind}");
             let m = b.stat(&ctx, "a/x").unwrap();
             assert_eq!(m.size, 5, "{kind}");
@@ -437,7 +445,7 @@ mod tests {
             assert_eq!(keys, vec!["a/x", "a/y"], "{kind}");
             // missing keys
             assert!(matches!(b.get(&ctx, "nope"), Err(BackendError::NotFound(_))), "{kind}");
-            assert!(!b.exists("nope"), "{kind}");
+            assert!(matches!(b.stat(&ctx, "nope"), Err(BackendError::NotFound(_))), "{kind}");
         }
     }
 
@@ -447,7 +455,7 @@ mod tests {
         for b in backends() {
             b.put(&ctx, "k", payload("v")).unwrap();
             b.delete(&ctx, "k").unwrap();
-            assert!(!b.exists("k"), "{}", b.kind());
+            assert!(b.stat(&ctx, "k").is_err(), "{}", b.kind());
             assert!(
                 matches!(b.delete(&ctx, "k"), Err(BackendError::NotFound(_))),
                 "{} double delete",

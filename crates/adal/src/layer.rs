@@ -1,49 +1,38 @@
 //! The ADAL itself: a registry mapping project mounts to backends, with
 //! authentication, authorization and operation accounting on every call.
 //!
+//! Every operation runs the same body: mint the root trace, start the
+//! latency span, split the path, authenticate, authorize, find the
+//! mount, call the backend, and — on success only — account. A `put` is
+//! that front half, a [`StorageBackend::stage_put`], and the accounting
+//! deferred to [`Adal::commit_staged`]; a single put is a batch of one.
+//!
 //! Accounting goes through the `lsdf-obs` registry: each operation
 //! bumps `adal_ops_total{op=..}` (plus a per-project
 //! `adal_project_ops_total{project=..,op=..}` breakdown) and records
 //! its latency into `adal_op_latency_ns{op=..}`; rejected requests
 //! count in `adal_denied_total`.
 //!
-//! Projects mounted with [`Adal::mount_resilient`] additionally get the
-//! failure handling a 24/7 ingest facility needs:
-//!
-//! * transient backend errors are retried under a [`RetryPolicy`]
-//!   (bounded exponential backoff, jitter from a deterministic stream);
-//! * a per-project [`CircuitBreaker`] stops hammering a failing
-//!   backend and probes it half-open after a cool-down;
-//! * while the breaker is open, reads fail over to an optional replica
-//!   backend and writes are acknowledged into a bounded [`RedoJournal`]
-//!   that drains back to the primary on recovery;
-//! * every put can be read back and checksum-verified (torn-write
-//!   detection via `lsdf_storage::checksum`).
-//!
-//! All of it is observable: `adal_retries_total`,
-//! `adal_breaker_transitions_total{to=..}`, `adal_failover_reads_total`,
-//! `adal_journal_depth` and friends land in the shared registry, and
-//! [`Adal::health`] assembles a per-project [`HealthReport`].
+//! The layer has one mode. A project mounted with
+//! [`Adal::mount_resilient`] is served by one more backend — the
+//! retry / breaker / failover / journal decorator of
+//! [`crate::resilience`] — that no operation here branches on; the
+//! layer keeps a typed handle to it for [`Adal::health`] and
+//! [`Adal::drain_journal`] only.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
-use lsdf_obs::{Counter, Gauge, Histogram, Registry, Span, TraceCtx, Tracer};
+use lsdf_obs::{names, Counter, Histogram, Registry, Span, TraceCtx, Tracer};
 use lsdf_pool::WorkerPool;
-use lsdf_sim::SimRng;
 use lsdf_storage::Payload;
-use lsdf_sync::{ranks, OrderedMutex, OrderedRwLock};
+use lsdf_sync::{ranks, OrderedRwLock};
 
 use crate::auth::{Access, Acl, AuthError, AuthProvider, Credential, TokenAuth};
 use crate::backend::{missing_commit_result, BackendError, EntryMeta, StagedPut, StorageBackend};
 use crate::path::{LsdfPath, PathError};
-use lsdf_obs::names;
-
-use crate::resilience::{
-    BreakerState, BreakerTransition, CircuitBreaker, HealthReport, RedoJournal,
-    ResilienceConfig, RetryPolicy,
-};
+use crate::resilience::{BreakerState, HealthReport, ResilienceConfig, ResilientBackend};
 
 /// Errors surfaced by ADAL operations.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,6 +94,19 @@ pub enum OpKind {
 
 impl OpKind {
     const COUNT: usize = 5;
+    const ALL: [OpKind; Self::COUNT] =
+        [OpKind::Put, OpKind::Get, OpKind::Stat, OpKind::List, OpKind::Delete];
+
+    /// The name of the operation's trace span.
+    fn span_name(self) -> &'static str {
+        match self {
+            OpKind::Put => names::ADAL_PUT_SPAN,
+            OpKind::Get => names::ADAL_GET_SPAN,
+            OpKind::Stat => names::ADAL_STAT_SPAN,
+            OpKind::List => names::ADAL_LIST_SPAN,
+            OpKind::Delete => names::ADAL_DELETE_SPAN,
+        }
+    }
 
     /// The `op` label value of the per-op metrics.
     fn label(self) -> &'static str {
@@ -134,256 +136,25 @@ pub enum RequestClass {
 /// Cached registry handles for the hot path — resolved once at
 /// construction so operations only touch atomics.
 struct OpMetrics {
-    puts: Counter,
-    gets: Counter,
-    stats: Counter,
-    lists: Counter,
-    deletes: Counter,
+    /// `adal_ops_total{op}`, indexed by [`OpKind`].
+    ops: [Counter; OpKind::COUNT],
+    /// `adal_op_latency_ns{op}`, indexed by [`OpKind`], for every kind
+    /// but the last: `delete` exports no latency series.
+    latency: [Histogram; OpKind::COUNT - 1],
     denied: Counter,
-    put_latency: Histogram,
-    get_latency: Histogram,
-    stat_latency: Histogram,
-    list_latency: Histogram,
     put_bytes: Histogram,
     get_bytes: Histogram,
 }
 
 impl OpMetrics {
     fn new(reg: &Registry) -> Self {
-        let op_counter = |op| reg.counter(names::ADAL_OPS_TOTAL, &[("op", op)]);
-        let op_latency = |op| reg.histogram(names::ADAL_OP_LATENCY_NS, &[("op", op)]);
+        let op_latency = |op: OpKind| reg.histogram(names::ADAL_OP_LATENCY_NS, &[("op", op.label())]);
         OpMetrics {
-            puts: op_counter("put"),
-            gets: op_counter("get"),
-            stats: op_counter("stat"),
-            lists: op_counter("list"),
-            deletes: op_counter("delete"),
+            ops: OpKind::ALL.map(|op| reg.counter(names::ADAL_OPS_TOTAL, &[("op", op.label())])),
+            latency: std::array::from_fn(|i| op_latency(OpKind::ALL[i])),
             denied: reg.counter(names::ADAL_DENIED_TOTAL, &[]),
-            put_latency: op_latency("put"),
-            get_latency: op_latency("get"),
-            stat_latency: op_latency("stat"),
-            list_latency: op_latency("list"),
             put_bytes: reg.histogram(names::ADAL_PUT_BYTES, &[]),
             get_bytes: reg.histogram(names::ADAL_GET_BYTES, &[]),
-        }
-    }
-}
-
-/// Cached per-project registry handles for the resilience machinery.
-struct ResilienceMetrics {
-    retries: Counter,
-    transient_observed: Counter,
-    retry_exhausted: Counter,
-    failover_reads: Counter,
-    journal_enqueued: Counter,
-    journal_drained: Counter,
-    journal_conflicts: Counter,
-    verify_failures: Counter,
-    replica_write_failures: Counter,
-    breaker_to_open: Counter,
-    breaker_to_half_open: Counter,
-    breaker_to_closed: Counter,
-    breaker_state: Gauge,
-    journal_depth: Gauge,
-    journal_bytes: Gauge,
-    backoff_ns: Histogram,
-}
-
-impl ResilienceMetrics {
-    fn new(reg: &Registry, project: &str) -> Self {
-        let labels: [(&str, &str); 1] = [("project", project)];
-        let transition =
-            |to| reg.counter(names::ADAL_BREAKER_TRANSITIONS_TOTAL, &[("project", project), ("to", to)]);
-        ResilienceMetrics {
-            retries: reg.counter(names::ADAL_RETRIES_TOTAL, &labels),
-            transient_observed: reg.counter(names::ADAL_TRANSIENT_OBSERVED_TOTAL, &labels),
-            retry_exhausted: reg.counter(names::ADAL_RETRY_EXHAUSTED_TOTAL, &labels),
-            failover_reads: reg.counter(names::ADAL_FAILOVER_READS_TOTAL, &labels),
-            journal_enqueued: reg.counter(names::ADAL_JOURNAL_ENQUEUED_TOTAL, &labels),
-            journal_drained: reg.counter(names::ADAL_JOURNAL_DRAINED_TOTAL, &labels),
-            journal_conflicts: reg.counter(names::ADAL_JOURNAL_CONFLICTS_TOTAL, &labels),
-            verify_failures: reg.counter(names::ADAL_WRITE_VERIFY_FAILURES_TOTAL, &labels),
-            replica_write_failures: reg.counter(names::ADAL_REPLICA_WRITE_FAILURES_TOTAL, &labels),
-            breaker_to_open: transition("open"),
-            breaker_to_half_open: transition("half_open"),
-            breaker_to_closed: transition("closed"),
-            breaker_state: reg.gauge(names::ADAL_BREAKER_STATE, &labels),
-            journal_depth: reg.gauge(names::ADAL_JOURNAL_DEPTH, &labels),
-            journal_bytes: reg.gauge(names::ADAL_JOURNAL_BYTES, &labels),
-            backoff_ns: reg.histogram(names::ADAL_RETRY_BACKOFF_NS, &labels),
-        }
-    }
-}
-
-/// Resilience state attached to a mount by [`Adal::mount_resilient`].
-struct ResilientState {
-    replica: Option<Arc<dyn StorageBackend>>,
-    policy: RetryPolicy,
-    breaker: CircuitBreaker,
-    journal: RedoJournal,
-    verify_writes: bool,
-    rng: OrderedMutex<SimRng>,
-    metrics: ResilienceMetrics,
-}
-
-impl ResilientState {
-    /// Publishes a breaker transition to counters, the state gauge, the
-    /// event ring, and — when a trace is live — the causal trace.
-    fn note_transition(&self, obs: &Registry, ctx: &TraceCtx, project: &str, t: BreakerTransition) {
-        match t.to {
-            BreakerState::Open => self.metrics.breaker_to_open.inc(),
-            BreakerState::HalfOpen => self.metrics.breaker_to_half_open.inc(),
-            BreakerState::Closed => self.metrics.breaker_to_closed.inc(),
-        }
-        self.metrics.breaker_state.set(t.to.as_gauge());
-        ctx.event(
-            names::ADAL_BREAKER_TRANSITION_EVENT,
-            &[("project", project), ("from", t.from.name()), ("to", t.to.name())],
-        );
-        obs.event(
-            names::ADAL_BREAKER_LOG_EVENT,
-            &[("project", project), ("from", t.from.name()), ("to", t.to.name())],
-        );
-    }
-
-    /// Asks the breaker for permission to call the primary.
-    fn acquire(&self, obs: &Registry, ctx: &TraceCtx, project: &str) -> bool {
-        let (ok, t) = self.breaker.try_acquire(obs.now_ns());
-        if let Some(t) = t {
-            self.note_transition(obs, ctx, project, t);
-        }
-        ok
-    }
-
-    /// Records a call outcome in the breaker.
-    fn record(&self, obs: &Registry, ctx: &TraceCtx, project: &str, success: bool) {
-        if let Some(t) = self.breaker.record(obs.now_ns(), success) {
-            self.note_transition(obs, ctx, project, t);
-        }
-    }
-
-    /// Mirrors the journal bounds into the depth/bytes gauges.
-    fn sync_journal_gauges(&self) {
-        self.metrics.journal_depth.set(self.journal.depth() as i64);
-        self.metrics.journal_bytes.set(self.journal.bytes() as i64);
-    }
-
-    /// Runs `call` under the retry policy: transient errors are retried
-    /// with recorded (not slept) backoff until the attempt budget is
-    /// spent or the breaker leaves the closed state; deterministic
-    /// errors return immediately and count as backend-healthy.
-    ///
-    /// Each attempt runs inside its own `adal_attempt` child span of
-    /// `ctx`; retries and exhaustion are mirrored onto the trace as
-    /// events next to their counters.
-    ///
-    /// Counter identity, asserted by the chaos soak:
-    /// `adal_transient_observed_total ==
-    ///  adal_retries_total + adal_retry_exhausted_total`.
-    fn with_retries<T>(
-        &self,
-        obs: &Registry,
-        ctx: &TraceCtx,
-        project: &str,
-        mut call: impl FnMut(&TraceCtx) -> Result<T, BackendError>,
-    ) -> Result<T, BackendError> {
-        let mut attempt: u32 = 0;
-        loop {
-            let attempt_span = ctx.child(names::ADAL_ATTEMPT_SPAN);
-            if attempt_span.is_enabled() {
-                attempt_span.add_field("attempt", &attempt.to_string());
-            }
-            let out = call(&attempt_span);
-            attempt_span.finish();
-            match out {
-                Ok(v) => {
-                    self.record(obs, ctx, project, true);
-                    return Ok(v);
-                }
-                Err(e) if e.is_transient() => {
-                    self.metrics.transient_observed.inc();
-                    self.record(obs, ctx, project, false);
-                    let out_of_attempts = attempt + 1 >= self.policy.max_attempts;
-                    // A breaker our own failures just opened must not be
-                    // hammered by the rest of the retry budget.
-                    if out_of_attempts || self.breaker.state() == BreakerState::Open {
-                        self.metrics.retry_exhausted.inc();
-                        ctx.event(names::ADAL_RETRY_EXHAUSTED_EVENT, &[("project", project)]);
-                        return Err(e);
-                    }
-                    let delay = self.policy.delay_ns(attempt, &mut self.rng.lock());
-                    self.metrics.backoff_ns.record(delay);
-                    self.metrics.retries.inc();
-                    if ctx.is_enabled() {
-                        ctx.event(
-                            names::ADAL_RETRY_EVENT,
-                            &[("project", project), ("delay_ns", &delay.to_string())],
-                        );
-                    }
-                    attempt += 1;
-                }
-                Err(e) => {
-                    // The backend answered authoritatively: it is healthy,
-                    // the request is just wrong (NotFound, AlreadyExists…).
-                    self.record(obs, ctx, project, true);
-                    return Err(e);
-                }
-            }
-        }
-    }
-
-    /// One put attempt with optional read-back verification. The
-    /// read-back is compared against the source payload with
-    /// [`Payload::content_eq`] — an identical shared buffer verifies in
-    /// O(1), a substituted (torn) buffer fails the byte comparison, and
-    /// neither side is hashed. A mismatch removes the bad copy and
-    /// reports [`BackendError::Integrity`] so the retry loop redoes the
-    /// transfer.
-    fn put_verified(
-        &self,
-        ctx: &TraceCtx,
-        backend: &Arc<dyn StorageBackend>,
-        key: &str,
-        data: &Payload,
-    ) -> Result<(), BackendError> {
-        // lint: allow(payload_copy) -- Payload handle clone: refcount bump
-        backend.put(ctx, key, data.clone())?;
-        if !self.verify_writes {
-            return Ok(());
-        }
-        match backend.get(ctx, key) {
-            Ok(back) if back.content_eq(data) => Ok(()),
-            Ok(_) => {
-                self.metrics.verify_failures.inc();
-                let _ = backend.delete(ctx, key);
-                Err(BackendError::Integrity(format!(
-                    "write verification failed for '{key}'"
-                )))
-            }
-            Err(e) => {
-                // Could not read our own write back: clean up and let the
-                // retry loop redo the transfer.
-                let _ = backend.delete(ctx, key);
-                if e.is_transient() {
-                    Err(e)
-                } else {
-                    Err(BackendError::Integrity(format!(
-                        "write verification read-back failed for '{key}': {e}"
-                    )))
-                }
-            }
-        }
-    }
-
-    /// Best-effort copy of a successful write onto the replica. The
-    /// clone is a refcount bump sharing one payload handle (and its
-    /// memoized digest) with the primary copy.
-    fn replicate(&self, ctx: &TraceCtx, key: &str, data: &Payload) {
-        if let Some(rep) = &self.replica {
-            // lint: allow(payload_copy) -- Payload handle clone: refcount bump
-            if rep.put(ctx, key, data.clone()).is_err() {
-                self.metrics.replica_write_failures.inc();
-            }
         }
     }
 }
@@ -432,23 +203,24 @@ impl MountMetrics {
     }
 }
 
-/// One project mount: the primary backend plus optional resilience.
+/// One project mount. `resilient` is the same object as `backend`,
+/// typed, when the project was mounted with [`Adal::mount_resilient`].
 #[derive(Clone)]
 struct Mount {
     backend: Arc<dyn StorageBackend>,
-    resilience: Option<Arc<ResilientState>>,
+    resilient: Option<Arc<ResilientBackend>>,
     metrics: Arc<MountMetrics>,
 }
 
 /// A put staged by [`Adal::put_stage_traced`], carrying everything
-/// needed to finalize it — the deferred backend commit (if any) plus
-/// the latency span and per-project accounting that
-/// [`Adal::commit_staged`] completes in batch order. The trace span
-/// closes at stage time, while its parent (e.g. a pool task span) is
-/// still open — a trace child finishing after its parent is dropped.
+/// needed to finalize it — the backend's staged commit plus the latency
+/// span and per-project accounting that [`Adal::commit_staged`]
+/// completes in batch order. The trace span closes at stage time, while
+/// its parent (e.g. a pool task span) is still open — a trace child
+/// finishing after its parent is dropped.
 pub struct PendingPut {
     backend: Arc<dyn StorageBackend>,
-    staged: Option<StagedPut>,
+    staged: StagedPut,
     metrics: Arc<MountMetrics>,
     len: u64,
     span: Span,
@@ -478,22 +250,6 @@ impl Adal {
         &self.obs
     }
 
-    /// The worker pool used for resilient replica fan-out.
-    pub fn pool(&self) -> WorkerPool {
-        self.pool
-    }
-
-    /// The causal tracer, if one is attached.
-    pub fn tracer(&self) -> Option<&Tracer> {
-        self.tracer.as_ref()
-    }
-
-    /// Attaches a causal tracer: from here on every operation mints a
-    /// root trace (subject to the tracer's sampling mode).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = Some(tracer);
-    }
-
     /// Mints the root trace context for one operation, or a disabled
     /// context when no tracer is attached.
     fn trace_root(&self, name: &'static str, key: &str) -> TraceCtx {
@@ -508,24 +264,20 @@ impl Adal {
     /// slide 6: "transparent access over background storage and
     /// technology changes").
     pub fn mount(&self, project: &str, backend: Arc<dyn StorageBackend>) {
-        self.obs.event(
-            names::ADAL_MOUNT_LOG_EVENT,
-            &[("project", project), ("backend", backend.kind())],
-        );
-        let mount = Mount {
-            metrics: MountMetrics::new(project, backend.kind()),
-            backend,
-            resilience: None,
-        };
-        self.mounts.write().insert(project.to_string(), mount);
+        self.install(project, backend, None);
     }
 
     /// Mounts a backend with the full resilience stack: retries for
     /// transient errors, a circuit breaker, optional replica failover
     /// for reads, and a redo journal for degraded writes. Successful
     /// writes are also copied to `replica` (best effort), so the
-    /// replica can serve reads while the primary's breaker is open.
+    /// replica can serve reads while the primary's breaker is open. A
+    /// write acknowledged into the journal is readable at once
+    /// (`get`/`stat`/`list`), stays write-once, is cancelled by a
+    /// `delete`, and drains back to the primary after the outage.
     ///
+    /// The stack is one more backend wrapped around `primary`; every
+    /// operation reaches it the way it reaches a plain mount.
     /// Remounting replaces any previous mount for the project; the
     /// resilience state (breaker, journal) starts fresh.
     pub fn mount_resilient(
@@ -535,32 +287,32 @@ impl Adal {
         replica: Option<Arc<dyn StorageBackend>>,
         cfg: ResilienceConfig,
     ) {
-        let metrics = ResilienceMetrics::new(&self.obs, project);
-        metrics.breaker_state.set(BreakerState::Closed.as_gauge());
-        let state = ResilientState {
+        let backend = Arc::new(ResilientBackend::new(
+            project,
+            primary,
             replica,
-            breaker: CircuitBreaker::new(cfg.breaker),
-            journal: RedoJournal::new(cfg.journal_entries, cfg.journal_bytes),
-            verify_writes: cfg.verify_writes,
-            rng: OrderedMutex::new(
-                ranks::ADAL_RETRY_RNG,
-                SimRng::seed_from_u64(cfg.seed).stream(project),
-            ),
-            policy: cfg.retry,
-            metrics,
-        };
-        self.obs.event(
-            names::ADAL_MOUNT_LOG_EVENT,
-            &[
-                ("project", project),
-                ("backend", primary.kind()),
-                ("mode", "resilient"),
-            ],
-        );
+            cfg,
+            self.obs.clone(),
+            self.pool,
+        ));
+        self.install(project, backend.clone(), Some(backend));
+    }
+
+    fn install(
+        &self,
+        project: &str,
+        backend: Arc<dyn StorageBackend>,
+        resilient: Option<Arc<ResilientBackend>>,
+    ) {
+        let mut fields = vec![("project", project), ("backend", backend.kind())];
+        if resilient.is_some() {
+            fields.push(("mode", "resilient"));
+        }
+        self.obs.event(names::ADAL_MOUNT_LOG_EVENT, &fields);
         let mount = Mount {
-            metrics: MountMetrics::new(project, primary.kind()),
-            backend: primary,
-            resilience: Some(Arc::new(state)),
+            metrics: MountMetrics::new(project, backend.kind()),
+            backend,
+            resilient,
         };
         self.mounts.write().insert(project.to_string(), mount);
     }
@@ -575,39 +327,6 @@ impl Adal {
         let mut v: Vec<String> = self.mounts.read().keys().cloned().collect();
         v.sort_unstable();
         v
-    }
-
-    /// Authenticates, authorizes and finds the mount for an object
-    /// path; the project and key come back borrowed from `path`.
-    fn resolve<'p>(
-        &self,
-        cred: &Credential,
-        path: &'p str,
-        access: Access,
-    ) -> Result<(Mount, &'p str, &'p str), AdalError> {
-        match LsdfPath::split(path)? {
-            (_, "") => Err(PathError::EmptyKey(path.to_string()).into()),
-            (project, key) => Ok((self.resolve_project(cred, project, access)?, project, key)),
-        }
-    }
-
-    fn resolve_project(
-        &self,
-        cred: &Credential,
-        project: &str,
-        access: Access,
-    ) -> Result<Mount, AdalError> {
-        let principal = self.auth.authenticate(cred).inspect_err(|_| {
-            self.ops.denied.inc();
-        })?;
-        self.acl.check(&principal, project, access).inspect_err(|_| {
-            self.ops.denied.inc();
-        })?;
-        self.mounts
-            .read()
-            .get(project)
-            .cloned()
-            .ok_or_else(|| AdalError::NoMount(project.to_string()))
     }
 
     /// Classifies an operation into the admission lane it should ride:
@@ -626,10 +345,60 @@ impl Adal {
         }
     }
 
-    /// Stores an object at `lsdf://project/key`. On a resilient mount
-    /// the write is retried through transient faults, verified against
-    /// torn writes, and — when the backend is down — acknowledged into
-    /// the redo journal for later draining.
+    /// The front half of every operation, between its latency span and
+    /// its backend call: splits the path (only a listing may name a
+    /// whole project), authenticates, authorizes and finds the mount.
+    /// The key comes back borrowed from `path`.
+    fn enter<'p>(
+        &self,
+        op: OpKind,
+        cred: &Credential,
+        path: &'p str,
+    ) -> Result<(Mount, &'p str), AdalError> {
+        let (project, key) = LsdfPath::split(path)?;
+        if key.is_empty() && op != OpKind::List {
+            return Err(PathError::EmptyKey(path.to_string()).into());
+        }
+        let access = match op {
+            OpKind::Put | OpKind::Delete => Access::Write,
+            OpKind::Get | OpKind::Stat | OpKind::List => Access::Read,
+        };
+        let principal = self.auth.authenticate(cred).inspect_err(|_| {
+            self.ops.denied.inc();
+        })?;
+        self.acl.check(&principal, project, access).inspect_err(|_| {
+            self.ops.denied.inc();
+        })?;
+        let mount = self.mounts.read().get(project).cloned();
+        Ok((mount.ok_or_else(|| AdalError::NoMount(project.to_string()))?, key))
+    }
+
+    /// The one body of `get`, `stat`, `list` and `delete`: root trace,
+    /// latency span, [`Adal::enter`], the backend `call`, and — on
+    /// success only — the global counter, the per-mount counter and the
+    /// latencies. A failed call still records the attempt in the global
+    /// latency histogram when its span drops.
+    fn run<T>(
+        &self,
+        op: OpKind,
+        cred: &Credential,
+        path: &str,
+        call: impl FnOnce(&dyn StorageBackend, &TraceCtx, &str) -> Result<T, BackendError>,
+    ) -> Result<T, AdalError> {
+        let trace = self.trace_root(op.span_name(), path);
+        let span = self.ops.latency.get(op as usize).map(|h| self.obs.span(h));
+        let (mount, key) = self.enter(op, cred, path)?;
+        let out = call(&*mount.backend, &trace, key)?;
+        self.ops.ops[op as usize].inc();
+        mount.metrics.op(&self.obs, op);
+        if let Some(span) = span {
+            mount.metrics.op_latency(&self.obs, span.finish());
+        }
+        trace.finish();
+        Ok(out)
+    }
+
+    /// Stores an object at `lsdf://project/key`.
     ///
     /// A single put is a batch of one: [`Adal::put_stage_traced`] under
     /// a new root span, then [`Adal::commit_staged`].
@@ -645,11 +414,13 @@ impl Adal {
             .unwrap_or_else(|| Err(missing_commit_result().into()))
     }
 
-    /// Stages a put for a later batched commit: resolution, admission
-    /// of resilient writes, and block placement happen now (safely in a
-    /// pool worker); the metadata commit that serialises on shared
-    /// state is deferred to [`Adal::commit_staged`]. A write staged
-    /// here is **not** acknowledgeable until its commit returns Ok.
+    /// Stages a put for a later batched commit: resolution and the
+    /// backend's [`StorageBackend::stage_put`] (block placement on the
+    /// DFS; the whole write on a backend without a staged protocol)
+    /// happen now, safely in a pool worker; the metadata commit that
+    /// serialises on shared state is deferred to
+    /// [`Adal::commit_staged`]. A write staged here is **not**
+    /// acknowledgeable until its commit returns Ok.
     ///
     /// The operation's `adal_put` span is a child of an enabled
     /// `parent` (e.g. a pool task inside a batch ingest), else a new
@@ -668,27 +439,11 @@ impl Adal {
         } else {
             self.trace_root(names::ADAL_PUT_SPAN, path)
         };
-        let span = self.obs.span(&self.ops.put_latency);
-        let (mount, project, key) = self.resolve(cred, path, Access::Write)?;
+        let span = self.obs.span(&self.ops.latency[OpKind::Put as usize]);
+        let (mount, key) = self.enter(OpKind::Put, cred, path)?;
         let data = data.into();
         let len = data.len() as u64;
-        let staged = match &mount.resilience {
-            // The resilient path commits (or journals) eagerly: its
-            // fan-out, retries, and journaling are self-contained and
-            // its ack point is unchanged.
-            Some(st) => {
-                self.resilient_put(
-                    &trace,
-                    st,
-                    &mount.backend,
-                    project,
-                    key,
-                    data,
-                )?;
-                None
-            }
-            None => Some(mount.backend.stage_put(&trace, key, data)?),
-        };
+        let staged = mount.backend.stage_put(&trace, key, data)?;
         trace.finish();
         Ok(PendingPut {
             backend: mount.backend,
@@ -707,23 +462,16 @@ impl Adal {
         let mut outcomes: Vec<Option<Result<(), BackendError>>> =
             pending.iter().map(|_| None).collect();
         let mut finalize = Vec::with_capacity(pending.len());
-        // Group deferred commits by backend instance, preserving order.
+        // Group the commits by backend instance, preserving order.
         type CommitGroup = (Arc<dyn StorageBackend>, Vec<usize>, Vec<StagedPut>);
         let mut groups: Vec<CommitGroup> = Vec::new();
         for (i, p) in pending.into_iter().enumerate() {
-            match p.staged {
-                None => outcomes[i] = Some(Ok(())),
-                Some(s) => {
-                    if let Some((_, idxs, batch)) = groups
-                        .iter_mut()
-                        .find(|(b, _, _)| Arc::ptr_eq(b, &p.backend))
-                    {
-                        idxs.push(i);
-                        batch.push(s);
-                    } else {
-                        groups.push((p.backend.clone(), vec![i], vec![s]));
-                    }
+            match groups.iter_mut().find(|(b, _, _)| Arc::ptr_eq(b, &p.backend)) {
+                Some((_, idxs, batch)) => {
+                    idxs.push(i);
+                    batch.push(p.staged);
                 }
+                None => groups.push((p.backend, vec![i], vec![p.staged])),
             }
             finalize.push((p.metrics, p.len, p.span));
         }
@@ -738,7 +486,7 @@ impl Adal {
             .map(|(outcome, (metrics, len, span))| {
                 match outcome.unwrap_or_else(|| Err(missing_commit_result())) {
                     Ok(()) => {
-                        self.ops.puts.inc();
+                        self.ops.ops[OpKind::Put as usize].inc();
                         self.ops.put_bytes.record(len);
                         metrics.op(&self.obs, OpKind::Put);
                         let dt = span.finish();
@@ -751,499 +499,53 @@ impl Adal {
             .collect()
     }
 
-    /// Fetches an object. On a resilient mount, journaled writes are
-    /// readable immediately (read-your-writes), transient faults are
-    /// retried, and an open breaker fails the read over to the replica.
+    /// Fetches an object.
     pub fn get(&self, cred: &Credential, path: &str) -> Result<Bytes, AdalError> {
-        let trace = self.trace_root(names::ADAL_GET_SPAN, path);
-        let span = self.obs.span(&self.ops.get_latency);
-        let (mount, project, key) = self.resolve(cred, path, Access::Read)?;
-        let data = match &mount.resilience {
-            Some(st) => self.resilient_get(
-                &trace,
-                st,
-                &mount.backend,
-                project,
-                key,
-            )?,
-            None => mount.backend.get(&trace, key)?,
-        }
-        .into_bytes();
-        self.ops.gets.inc();
-        self.ops.get_bytes.record(data.len() as u64);
-        mount.metrics.op(&self.obs, OpKind::Get);
-        let dt = span.finish();
-        mount.metrics.op_latency(&self.obs, dt);
-        trace.finish();
-        Ok(data)
+        self.run(OpKind::Get, cred, path, |backend, ctx, key| {
+            let data = backend.get(ctx, key)?.into_bytes();
+            self.ops.get_bytes.record(data.len() as u64);
+            Ok(data)
+        })
     }
 
-    /// Metadata for an object (degrades like [`Adal::get`]).
+    /// Metadata for an object.
     pub fn stat(&self, cred: &Credential, path: &str) -> Result<EntryMeta, AdalError> {
-        let trace = self.trace_root(names::ADAL_STAT_SPAN, path);
-        let span = self.obs.span(&self.ops.stat_latency);
-        let (mount, project, key) = self.resolve(cred, path, Access::Read)?;
-        let meta = match &mount.resilience {
-            Some(st) => self.resilient_stat(
-                &trace,
-                st,
-                &mount.backend,
-                project,
-                key,
-            )?,
-            None => mount.backend.stat(&trace, key)?,
-        };
-        self.ops.stats.inc();
-        mount.metrics.op(&self.obs, OpKind::Stat);
-        let dt = span.finish();
-        mount.metrics.op_latency(&self.obs, dt);
-        trace.finish();
-        Ok(meta)
+        self.run(OpKind::Stat, cred, path, |backend, ctx, key| backend.stat(ctx, key))
     }
 
     /// Lists keys under `lsdf://project/prefix` (the prefix may be empty
     /// to list a whole project). Backend listing failures surface as
-    /// [`AdalError::Backend`]. On a resilient mount the listing merges
-    /// journaled (acknowledged but not yet landed) writes.
+    /// [`AdalError::Backend`].
     pub fn list(&self, cred: &Credential, path: &str) -> Result<Vec<EntryMeta>, AdalError> {
-        let trace = self.trace_root(names::ADAL_LIST_SPAN, path);
-        let span = self.obs.span(&self.ops.list_latency);
-        let (project, key) = LsdfPath::split(path)?;
-        let mount = self.resolve_project(cred, project, Access::Read)?;
-        let entries = match &mount.resilience {
-            Some(st) => self.resilient_list(
-                &trace,
-                st,
-                &mount.backend,
-                project,
-                key,
-            )?,
-            None => mount.backend.list(&trace, key)?,
-        };
-        self.ops.lists.inc();
-        mount.metrics.op(&self.obs, OpKind::List);
-        let dt = span.finish();
-        mount.metrics.op_latency(&self.obs, dt);
-        trace.finish();
-        Ok(entries)
+        self.run(OpKind::List, cred, path, |backend, ctx, prefix| backend.list(ctx, prefix))
     }
 
-    /// Deletes an object (requires write access). On a resilient mount a
-    /// delete first cancels any journaled write for the key.
+    /// Deletes an object (requires write access).
     pub fn delete(&self, cred: &Credential, path: &str) -> Result<(), AdalError> {
-        let trace = self.trace_root(names::ADAL_DELETE_SPAN, path);
-        let (mount, project, key) = self.resolve(cred, path, Access::Write)?;
-        match &mount.resilience {
-            Some(st) => self.resilient_delete(
-                &trace,
-                st,
-                &mount.backend,
-                project,
-                key,
-            )?,
-            None => mount.backend.delete(&trace, key)?,
-        }
-        self.ops.deletes.inc();
-        mount.metrics.op(&self.obs, OpKind::Delete);
-        trace.finish();
-        Ok(())
-    }
-
-    // ----- resilient operation paths -------------------------------------
-
-    fn resilient_put(
-        &self,
-        ctx: &TraceCtx,
-        st: &ResilientState,
-        backend: &Arc<dyn StorageBackend>,
-        project: &str,
-        key: &str,
-        data: Payload,
-    ) -> Result<(), BackendError> {
-        // Write-once applies to acknowledged-but-unlanded writes too.
-        if st.journal.lookup(key).is_some() {
-            return Err(BackendError::AlreadyExists(key.to_string()));
-        }
-        if !st.acquire(&self.obs, ctx, project) {
-            return self.journal_put(ctx, st, project, key, data);
-        }
-        // No hashing here: read-back verification compares payload
-        // content directly, and the catalog/object-store digest is
-        // memoized on the shared handle.
-        // Both legs' child spans are reserved here, serially and in a
-        // fixed order, BEFORE any parallel hand-off: the trace tree is
-        // therefore identical at every worker count.
-        let primary_ctx = ctx.child(names::ADAL_PRIMARY_PUT_SPAN);
-        let replica_ctx = if st.replica.is_some() {
-            ctx.child(names::ADAL_REPLICA_PUT_SPAN)
-        } else {
-            TraceCtx::disabled()
-        };
-        let primary = match (&st.replica, self.pool.is_parallel()) {
-            // Parallel fan-out: the replica leg shares the payload
-            // handle (refcount bump, shared digest cell) and streams
-            // concurrently with the primary's verified write.
-            (Some(rep), true) => {
-                let (primary, replica) = self.pool.join(
-                    || {
-                        let out = st.with_retries(&self.obs, &primary_ctx, project, |actx| {
-                            st.put_verified(actx, backend, key, &data)
-                        });
-                        primary_ctx.finish();
-                        out
-                    },
-                    || {
-                        // lint: allow(payload_copy) -- Payload handle clone: refcount bump
-                        let out = rep.put(&replica_ctx, key, data.clone());
-                        replica_ctx.finish();
-                        out
-                    },
-                );
-                match (&primary, replica) {
-                    // Same best-effort accounting as the serial
-                    // replicate() path.
-                    (Ok(()), Err(_)) => st.metrics.replica_write_failures.inc(),
-                    // The primary write failed: withdraw the speculative
-                    // replica copy so failover reads and the journal's
-                    // replica-side write-once check cannot observe an
-                    // unacknowledged write.
-                    (Err(_), Ok(())) => {
-                        let _ = rep.delete(ctx, key);
-                    }
-                    _ => {}
-                }
-                primary
-            }
-            _ => {
-                let out = st.with_retries(&self.obs, &primary_ctx, project, |actx| {
-                    st.put_verified(actx, backend, key, &data)
-                });
-                primary_ctx.finish();
-                if out.is_ok() {
-                    st.replicate(&replica_ctx, key, &data);
-                }
-                replica_ctx.finish();
-                out
-            }
-        };
-        match primary {
-            Ok(()) => {
-                self.drain_step(ctx, st, backend, project);
-                Ok(())
-            }
-            // Retry budget spent on transient faults (or the breaker
-            // opened): degrade to the journal rather than bounce the
-            // experiment's data.
-            Err(e) if e.is_transient() => self.journal_put(ctx, st, project, key, data),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Acknowledges a write into the redo journal (degraded-write path).
-    fn journal_put(
-        &self,
-        ctx: &TraceCtx,
-        st: &ResilientState,
-        project: &str,
-        key: &str,
-        data: Payload,
-    ) -> Result<(), BackendError> {
-        // The primary cannot be asked whether the key exists, but the
-        // replica holds a copy of every landed write: honour write-once
-        // as far as it can be checked (`stat`, not `exists`: it takes
-        // the ctx, so a fault injected on this probe is traced).
-        if let Some(rep) = &st.replica {
-            if rep.stat(ctx, key).is_ok() {
-                return Err(BackendError::AlreadyExists(key.to_string()));
-            }
-        }
-        if st.journal.push(key, data) {
-            st.metrics.journal_enqueued.inc();
-            st.sync_journal_gauges();
-            ctx.event(
-                names::ADAL_JOURNAL_ENQUEUE_EVENT,
-                &[("project", project), ("key", key)],
-            );
-            self.obs
-                .event(names::ADAL_JOURNAL_ENQUEUE_EVENT, &[("project", project), ("key", key)]);
-            Ok(())
-        } else {
-            // A full journal must NOT acknowledge: that would risk data
-            // loss the caller never hears about.
-            Err(BackendError::NoSpace(format!(
-                "redo journal for '{project}' is full"
-            )))
-        }
-    }
-
-    fn resilient_get(
-        &self,
-        ctx: &TraceCtx,
-        st: &ResilientState,
-        backend: &Arc<dyn StorageBackend>,
-        project: &str,
-        key: &str,
-    ) -> Result<Payload, BackendError> {
-        // Read-your-writes for journaled, acknowledged writes.
-        if let Some(data) = st.journal.lookup(key) {
-            return Ok(data);
-        }
-        if st.acquire(&self.obs, ctx, project) {
-            match st.with_retries(&self.obs, ctx, project, |actx| backend.get(actx, key)) {
-                Ok(data) => {
-                    self.drain_step(ctx, st, backend, project);
-                    return Ok(data);
-                }
-                Err(e) if e.is_transient() => { /* fall over to the replica */ }
-                Err(e) => return Err(e),
-            }
-        }
-        self.failover_read(ctx, st, project, key, |rep| rep.get(ctx, key))
-    }
-
-    fn resilient_stat(
-        &self,
-        ctx: &TraceCtx,
-        st: &ResilientState,
-        backend: &Arc<dyn StorageBackend>,
-        project: &str,
-        key: &str,
-    ) -> Result<EntryMeta, BackendError> {
-        if let Some(data) = st.journal.lookup(key) {
-            return Ok(EntryMeta {
-                key: key.to_string(),
-                size: data.len() as u64,
-            });
-        }
-        if st.acquire(&self.obs, ctx, project) {
-            match st.with_retries(&self.obs, ctx, project, |actx| backend.stat(actx, key)) {
-                Ok(meta) => return Ok(meta),
-                Err(e) if e.is_transient() => {}
-                Err(e) => return Err(e),
-            }
-        }
-        self.failover_read(ctx, st, project, key, |rep| rep.stat(ctx, key))
-    }
-
-    fn resilient_list(
-        &self,
-        ctx: &TraceCtx,
-        st: &ResilientState,
-        backend: &Arc<dyn StorageBackend>,
-        project: &str,
-        prefix: &str,
-    ) -> Result<Vec<EntryMeta>, BackendError> {
-        let landed = if st.acquire(&self.obs, ctx, project) {
-            match st.with_retries(&self.obs, ctx, project, |actx| {
-                backend.list(actx, prefix)
-            }) {
-                Ok(entries) => Ok(entries),
-                Err(e) if e.is_transient() => {
-                    self.failover_read(ctx, st, project, prefix, |rep| rep.list(ctx, prefix))
-                }
-                Err(e) => Err(e),
-            }
-        } else {
-            self.failover_read(ctx, st, project, prefix, |rep| rep.list(ctx, prefix))
-        }?;
-        // Merge acknowledged journal entries; the journal wins on key
-        // collisions (it is the newer acknowledged state).
-        let mut out: Vec<EntryMeta> = st
-            .journal
-            .entries_under(prefix)
-            .into_iter()
-            .map(|(key, size)| EntryMeta { key, size })
-            .collect();
-        let journaled: std::collections::HashSet<String> =
-            out.iter().map(|e| e.key.clone()).collect();
-        out.extend(landed.into_iter().filter(|e| !journaled.contains(&e.key)));
-        out.sort_by(|a, b| a.key.cmp(&b.key));
-        Ok(out)
-    }
-
-    fn resilient_delete(
-        &self,
-        ctx: &TraceCtx,
-        st: &ResilientState,
-        backend: &Arc<dyn StorageBackend>,
-        project: &str,
-        key: &str,
-    ) -> Result<(), BackendError> {
-        // A journaled write never reached the primary or the replica:
-        // cancelling it completes the delete.
-        if st.journal.remove(key).is_some() {
-            st.sync_journal_gauges();
-            return Ok(());
-        }
-        if !st.acquire(&self.obs, ctx, project) {
-            return Err(BackendError::Unavailable(format!(
-                "backend for '{project}' is cooling down (breaker open)"
-            )));
-        }
-        st.with_retries(&self.obs, ctx, project, |actx| {
-            backend.delete(actx, key)
-        })?;
-        if let Some(rep) = &st.replica {
-            // Best effort: the replica copy may or may not exist.
-            let _ = rep.delete(ctx, key);
-        }
-        self.drain_step(ctx, st, backend, project);
-        Ok(())
-    }
-
-    /// Serves a read from the replica, counting the failover.
-    fn failover_read<T>(
-        &self,
-        ctx: &TraceCtx,
-        st: &ResilientState,
-        project: &str,
-        key: &str,
-        read: impl FnOnce(&Arc<dyn StorageBackend>) -> Result<T, BackendError>,
-    ) -> Result<T, BackendError> {
-        let Some(rep) = &st.replica else {
-            return Err(BackendError::Unavailable(format!(
-                "backend for '{project}' is unavailable and no replica is mounted"
-            )));
-        };
-        let out = read(rep)?;
-        st.metrics.failover_reads.inc();
-        ctx.event(
-            names::ADAL_FAILOVER_READ_EVENT,
-            &[("project", project), ("key", key)],
-        );
-        self.obs
-            .event(names::ADAL_FAILOVER_READ_EVENT, &[("project", project), ("key", key)]);
-        Ok(out)
-    }
-
-    /// Drains the redo journal while the breaker allows it. Called after
-    /// successful operations and by [`Adal::drain_journal`]; each landed
-    /// entry is verified and replicated like a live put.
-    fn drain_step(
-        &self,
-        ctx: &TraceCtx,
-        st: &ResilientState,
-        backend: &Arc<dyn StorageBackend>,
-        project: &str,
-    ) -> usize {
-        let mut drained = 0;
-        loop {
-            if st.journal.depth() == 0 || !st.acquire(&self.obs, ctx, project) {
-                break;
-            }
-            let Some((key, data)) = st.journal.pop() else { break };
-            // Zero hashes per journal entry: the landing attempt, the
-            // conflict comparison, and the repair re-put all compare
-            // payload content directly.
-            match st.with_retries(&self.obs, ctx, project, |actx| {
-                st.put_verified(actx, backend, &key, &data)
-            }) {
-                Ok(()) => {
-                    drained += 1;
-                    st.metrics.journal_drained.inc();
-                    st.replicate(ctx, &key, &data);
-                    self.obs
-                        .event(names::ADAL_JOURNAL_DRAIN_LOG_EVENT, &[("project", project), ("key", &key)]);
-                }
-                Err(BackendError::AlreadyExists(_)) => {
-                    // The key landed before the outage. Equal payload:
-                    // the drain is a no-op. Different payload: the
-                    // journal holds the acknowledged write — repair the
-                    // primary (covers torn residue left by a failed
-                    // verify cleanup).
-                    match backend.get(ctx, &key) {
-                        Ok(existing) if existing.content_eq(&data) => {
-                            drained += 1;
-                            st.metrics.journal_drained.inc();
-                        }
-                        _ => {
-                            st.metrics.journal_conflicts.inc();
-                            self.obs.event(
-                                names::ADAL_JOURNAL_CONFLICT_LOG_EVENT,
-                                &[("project", project), ("key", &key)],
-                            );
-                            let _ = backend.delete(ctx, &key);
-                            match st.with_retries(&self.obs, ctx, project, |actx| {
-                                st.put_verified(actx, backend, &key, &data)
-                            }) {
-                                Ok(()) => {
-                                    drained += 1;
-                                    st.metrics.journal_drained.inc();
-                                    st.replicate(ctx, &key, &data);
-                                }
-                                Err(_) => {
-                                    st.journal.requeue_front(key, data);
-                                    st.sync_journal_gauges();
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
-                // Transient exhaustion or the disk filling up: keep the
-                // entry and stop this pass.
-                Err(e) if e.is_transient() || matches!(e, BackendError::NoSpace(_)) => {
-                    st.journal.requeue_front(key, data);
-                    st.sync_journal_gauges();
-                    break;
-                }
-                Err(_) => {
-                    // Deterministic refusal (e.g. Unsupported): the entry
-                    // can never land — drop it as a conflict rather than
-                    // wedge the journal forever.
-                    st.metrics.journal_conflicts.inc();
-                    self.obs.event(
-                        names::ADAL_JOURNAL_CONFLICT_LOG_EVENT,
-                        &[("project", project), ("key", &key)],
-                    );
-                }
-            }
-        }
-        if drained > 0 {
-            st.sync_journal_gauges();
-        }
-        drained
+        self.run(OpKind::Delete, cred, path, |backend, ctx, key| backend.delete(ctx, key))
     }
 
     /// Explicitly drains a project's redo journal (e.g. from a recovery
     /// loop after an outage ends). Returns entries landed. Plain mounts
     /// and unknown projects drain nothing.
     pub fn drain_journal(&self, project: &str) -> usize {
-        let mount = { self.mounts.read().get(project).cloned() };
-        match mount {
-            Some(Mount {
-                backend,
-                resilience: Some(st),
-                ..
-            }) => {
-                let trace = self.trace_root(names::ADAL_DRAIN_SPAN, project);
-                let drained = self.drain_step(&trace, &st, &backend, project);
-                if trace.is_enabled() {
-                    trace.add_field("drained", &drained.to_string());
-                }
-                trace.finish();
-                drained
-            }
-            _ => 0,
+        let resilient = self.mounts.read().get(project).and_then(|m| m.resilient.clone());
+        let Some(resilient) = resilient else { return 0 };
+        let trace = self.trace_root(names::ADAL_DRAIN_SPAN, project);
+        let drained = resilient.drain_step(&trace);
+        if trace.is_enabled() {
+            trace.add_field("drained", &drained.to_string());
         }
+        trace.finish();
+        drained
     }
 
     /// Point-in-time health of one project's mount. Plain mounts report
     /// a closed breaker and an empty journal.
     pub fn health(&self, project: &str) -> Option<HealthReport> {
-        let mount = { self.mounts.read().get(project).cloned() }?;
-        Some(match &mount.resilience {
-            Some(st) => HealthReport {
-                project: project.to_string(),
-                backend: mount.backend.kind(),
-                breaker: st.breaker.state(),
-                failure_rate: st.breaker.failure_rate(),
-                has_replica: st.replica.is_some(),
-                journal_depth: st.journal.depth(),
-                journal_bytes: st.journal.bytes(),
-                retries: st.metrics.retries.get(),
-                failover_reads: st.metrics.failover_reads.get(),
-            },
+        let mount = self.mounts.read().get(project).cloned()?;
+        Some(match &mount.resilient {
+            Some(resilient) => resilient.health(),
             None => HealthReport {
                 project: project.to_string(),
                 backend: mount.backend.kind(),
@@ -1435,16 +737,32 @@ mod tests {
 
     #[test]
     fn per_mount_handles_count_every_op_and_stay_lazy() {
-        let (adal, cred) = setup();
+        for resilient in [false, true] {
+            let (adal, cred) = setup();
+            if resilient {
+                for project in ["zebrafish", "katrin"] {
+                    let store = Arc::new(ObjectStore::new(project, u64::MAX));
+                    let primary = Arc::new(ObjectStoreBackend::new(store));
+                    adal.mount_resilient(project, primary, None, ResilienceConfig::default());
+                }
+            }
+            per_mount_handles(&adal, &cred);
+        }
+    }
+
+    /// The body of the test above, run over a plain and a resilient
+    /// mount of the same store: the accounting is the layer's, so the
+    /// backend serving the project moves none of it.
+    fn per_mount_handles(adal: &Adal, cred: &Credential) {
         adal.acl.grant("garcia", "katrin", true);
         for i in 0..5 {
-            adal.put(&cred, &format!("lsdf://zebrafish/raw/i{i}"), b("px")).unwrap();
+            adal.put(cred, &format!("lsdf://zebrafish/raw/i{i}"), b("px")).unwrap();
         }
         let staged = (0..2)
             .map(|i| {
                 adal.put_stage_traced(
                     &TraceCtx::disabled(),
-                    &cred,
+                    cred,
                     &format!("lsdf://zebrafish/raw/s{i}"),
                     b("px"),
                 )
@@ -1453,9 +771,9 @@ mod tests {
             .collect();
         assert!(adal.commit_staged(staged).iter().all(Result::is_ok));
         for _ in 0..3 {
-            adal.get(&cred, "lsdf://zebrafish/raw/i0").unwrap();
+            adal.get(cred, "lsdf://zebrafish/raw/i0").unwrap();
         }
-        adal.put(&cred, "lsdf://katrin/run1", b("ev")).unwrap();
+        adal.put(cred, "lsdf://katrin/run1", b("ev")).unwrap();
         let reg = adal.obs();
         let ops = |project: &str, op: &str| {
             let labels = [("project", project), ("backend", "object-store"), ("op", op)];
@@ -1486,6 +804,52 @@ mod tests {
                 "adal_project_ops_total{backend=object-store,op=put,project=zebrafish}",
             ]
         );
+
+        // Every kind of op: N successes are N in the global counter, N
+        // in the per-mount counter and (but for `delete`, which exports
+        // no latency series) N in both latency families.
+        for _ in 0..2 {
+            adal.stat(cred, "lsdf://zebrafish/raw/i0").unwrap();
+        }
+        adal.list(cred, "lsdf://zebrafish/raw/").unwrap();
+        adal.delete(cred, "lsdf://zebrafish/raw/i4").unwrap();
+        let global = |op| reg.counter_value(names::ADAL_OPS_TOTAL, &[("op", op)]);
+        let attempts = |op| reg.histogram(names::ADAL_OP_LATENCY_NS, &[("op", op)]).count();
+        for (op, zebrafish, katrin) in
+            [("put", 7, 1), ("get", 3, 0), ("stat", 2, 0), ("list", 1, 0), ("delete", 1, 0)]
+        {
+            assert_eq!((ops("zebrafish", op), ops("katrin", op)), (zebrafish, katrin), "{op}");
+            assert_eq!(global(op), zebrafish + katrin, "{op}");
+            let timed = if op == "delete" { 0 } else { zebrafish + katrin };
+            assert_eq!(attempts(op), timed, "{op}");
+        }
+        assert_eq!((latency("zebrafish"), latency("katrin")), (13, 1));
+
+        // A call that fails — bad credential, ACL denial, no mount, a
+        // whole project named as an object, a missing key — moves no
+        // success series; only the attempt is timed, and the first two
+        // are counted as denied.
+        adal.acl.grant("garcia", "ghost", true);
+        let accounted = || -> Vec<(String, u64)> {
+            let snap = reg.snapshot();
+            let counters = snap.counters.iter().map(|(id, v)| (id, *v));
+            let histograms = snap.histograms.iter().map(|(id, h)| (id, h.count));
+            counters
+                .chain(histograms)
+                .filter(|(id, _)| id.name == names::ADAL_OPS_TOTAL || id.name.starts_with("adal_project_"))
+                .map(|(id, v)| (id.to_string(), v))
+                .collect()
+        };
+        let before = accounted();
+        let stranger = Credential::Token("nope".into());
+        assert!(matches!(adal.get(&stranger, "lsdf://zebrafish/raw/i0"), Err(AdalError::Auth(_))));
+        assert!(matches!(adal.get(cred, "lsdf://mystery/x"), Err(AdalError::Auth(_))));
+        assert!(matches!(adal.get(cred, "lsdf://ghost/x"), Err(AdalError::NoMount(_))));
+        assert!(matches!(adal.stat(cred, "lsdf://zebrafish/"), Err(AdalError::Path(_))));
+        assert!(matches!(adal.delete(cred, "lsdf://zebrafish/raw/i4"), Err(AdalError::Backend(_))));
+        assert_eq!(accounted(), before);
+        assert_eq!(reg.counter_value(names::ADAL_DENIED_TOTAL, &[]), 2);
+        assert_eq!((attempts("get"), attempts("stat"), attempts("delete")), (6, 3, 0));
     }
 
     /// An out-of-tree backend that breaks the commit contract: handed
@@ -1636,15 +1000,19 @@ mod tests {
 
     // ----- resilience ----------------------------------------------------
 
-    use crate::resilience::BreakerConfig;
+    use crate::resilience::{BreakerConfig, RetryPolicy};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     /// Test double: an object store whose next N primary calls fail with
-    /// a transient error, and whose next M puts are torn (stored
-    /// corrupted while still acknowledged).
+    /// a transient error, whose next M puts are torn (stored corrupted
+    /// while still acknowledged), and whose next put can be parked: it
+    /// reports in on the sender, then waits for the receiver.
     struct ScriptedBackend {
         inner: ObjectStoreBackend,
         fail_budget: Mutex<u64>,
         tear_budget: Mutex<u64>,
+        park: Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
     }
 
     impl ScriptedBackend {
@@ -1653,6 +1021,7 @@ mod tests {
                 inner: ObjectStoreBackend::new(Arc::new(ObjectStore::new(name, u64::MAX))),
                 fail_budget: Mutex::new(0),
                 tear_budget: Mutex::new(0),
+                park: Mutex::new(None),
             })
         }
         fn fail_next(&self, n: u64) {
@@ -1679,6 +1048,11 @@ mod tests {
         fn put(&self, ctx: &TraceCtx, key: &str, data: Payload) -> Result<(), BackendError> {
             if self.trip(&self.fail_budget) {
                 return Err(BackendError::TransientIo(format!("scripted put '{key}'")));
+            }
+            let park = self.park.lock().take();
+            if let Some((entered, release)) = park {
+                let _ = entered.send(());
+                let _ = release.recv();
             }
             if self.trip(&self.tear_budget) {
                 // Torn write: mutate a private copy — the shared buffer
@@ -1852,8 +1226,8 @@ mod tests {
         assert_eq!(h.breaker, BreakerState::Closed);
         assert_eq!(h.journal_depth, 0);
         // Journaled writes landed on the primary itself.
-        assert!(primary.inner.exists("b"));
-        assert!(primary.inner.exists("c"));
+        assert!(primary.inner.stat(&TraceCtx::disabled(), "b").is_ok());
+        assert!(primary.inner.stat(&TraceCtx::disabled(), "c").is_ok());
         assert_eq!(adal.get(&cred, "lsdf://anka/b").unwrap(), b("bb"));
     }
 
@@ -1903,7 +1277,106 @@ mod tests {
         primary.fail_next(0);
         adal.obs().set_virtual_time_ns(10_000);
         assert_eq!(adal.drain_journal("anka"), 0);
-        assert!(!primary.inner.exists("tmp"));
+        assert!(primary.inner.stat(&TraceCtx::disabled(), "tmp").is_err());
+    }
+
+    #[test]
+    fn an_acked_write_stays_readable_while_it_drains() {
+        let (adal, cred, primary, _) = resilient_setup("p6");
+        // Outage: the write is acknowledged into the journal.
+        primary.fail_next(u64::MAX / 2);
+        adal.put(&cred, "lsdf://anka/k", b("payload")).unwrap();
+        assert_eq!(adal.health("anka").unwrap().journal_depth, 1);
+        // Healed, cooled down — and the drain's landing put parks inside
+        // the primary, the entry neither landed nor given up.
+        primary.fail_next(0);
+        adal.obs().set_virtual_time_ns(10_000);
+        let (entered, parked) = mpsc::channel();
+        let (release, released) = mpsc::channel();
+        *primary.park.lock() = Some((entered, released));
+        let (read, meta, rewrite, drained) = std::thread::scope(|s| {
+            let drainer = s.spawn(|| adal.drain_journal("anka"));
+            let reached = parked.recv_timeout(Duration::from_secs(30));
+            let seen = (
+                adal.get(&cred, "lsdf://anka/k"),
+                adal.stat(&cred, "lsdf://anka/k"),
+                adal.put(&cred, "lsdf://anka/k", b("usurper")),
+            );
+            let _ = release.send(());
+            reached.expect("the drain never reached primary.put");
+            (seen.0, seen.1, seen.2, drainer.join().expect("drainer panicked"))
+        });
+        assert_eq!(read, Ok(b("payload")));
+        assert_eq!(meta.map(|m| m.size), Ok(7));
+        assert!(
+            matches!(rewrite, Err(AdalError::Backend(BackendError::AlreadyExists(_)))),
+            "{rewrite:?}"
+        );
+        // Landed once, counted once, and it is the acknowledged bytes.
+        assert_eq!(drained, 1);
+        let p = [("project", "anka")];
+        assert_eq!(adal.obs().counter_value(names::ADAL_JOURNAL_DRAINED_TOTAL, &p), 1);
+        assert_eq!(adal.obs().counter_value(names::ADAL_JOURNAL_CONFLICTS_TOTAL, &p), 0);
+        assert_eq!(adal.obs().gauge_value(names::ADAL_JOURNAL_DEPTH, &p), 0);
+        let landed = primary.inner.get(&TraceCtx::disabled(), "k").unwrap();
+        assert_eq!(landed.into_bytes(), b("payload"));
+        assert_eq!(adal.get(&cred, "lsdf://anka/k").unwrap(), b("payload"));
+    }
+
+    #[test]
+    fn a_resilient_dfs_put_is_a_batch_of_one() {
+        use crate::backend::DfsBackend;
+        use lsdf_dfs::{ClusterTopology, Dfs, DfsConfig};
+        use lsdf_obs::{SpanRecord, TraceConfig, Tracer};
+        // The decorator has no staged protocol, so over a DFS primary
+        // both the single put and the staged one must reach the DFS
+        // through `ResilientBackend::put`, under the same spans.
+        let twin = |resilient: bool| {
+            let auth = Arc::new(TokenAuth::new());
+            auth.register("tok", "garcia");
+            let acl = Arc::new(Acl::new());
+            acl.grant("garcia", "anka", true);
+            let reg = Arc::new(Registry::new());
+            reg.set_virtual_time_ns(1);
+            let tracer = Tracer::new(&reg, TraceConfig::full());
+            let adal = Adal::builder().auth(auth).acl(acl).registry(reg).tracer(tracer.clone()).build();
+            let cfg = DfsConfig { block_size: 64, replication: 2, ..DfsConfig::default() };
+            let dfs = Arc::new(Dfs::new(ClusterTopology::new(1, 3), cfg));
+            let backend = Arc::new(DfsBackend::new(dfs.clone()));
+            if resilient {
+                adal.mount_resilient("anka", backend, None, ResilienceConfig::default());
+            } else {
+                adal.mount("anka", backend);
+            }
+            (adal, tracer, dfs)
+        };
+        let (single, batched, plain) = (twin(true), twin(true), twin(false));
+        let cred = Credential::Token("tok".into());
+        for key in ["run/f1", "run/f2"] {
+            let path = format!("lsdf://anka/{key}");
+            let data = b(&"x".repeat(100));
+            single.0.put(&cred, &path, data.clone()).unwrap();
+            plain.0.put(&cred, &path, data.clone()).unwrap();
+            let staged = batched
+                .0
+                .put_stage_traced(&TraceCtx::disabled(), &cred, &path, data)
+                .unwrap();
+            assert_eq!(batched.0.commit_staged(vec![staged]), [Ok(())]);
+        }
+        assert_eq!(single.2.namespace_digest(), batched.2.namespace_digest());
+        assert_eq!(single.2.namespace_digest(), plain.2.namespace_digest());
+        fn shape(span: &SpanRecord) -> String {
+            let children: Vec<String> = span.children.iter().map(shape).collect();
+            format!("{}[{}]", span.name, children.join(","))
+        }
+        let shapes = |tracer: &Tracer| -> Vec<String> {
+            tracer.traces().iter().map(|t| shape(&t.root)).collect()
+        };
+        assert_eq!(shapes(&single.1), shapes(&batched.1));
+        let root = &single.1.traces()[0].root;
+        assert_eq!(root.name, names::ADAL_PUT_SPAN);
+        assert_eq!(root.children[0].name, names::ADAL_PRIMARY_PUT_SPAN);
+        assert_eq!(root.children[0].children[0].name, names::ADAL_ATTEMPT_SPAN);
     }
 
     #[test]

@@ -10,12 +10,13 @@
 //!   store, the DFS, and the HSM;
 //! * [`TokenAuth`] / [`Acl`] — pluggable authentication and per-project
 //!   authorization;
-//! * [`Adal`] — the mount registry tying it together, with operation
-//!   counters used by the overhead experiment (E9);
+//! * [`Adal`] — the mount registry tying it together: one operation
+//!   body whatever the backend, with operation counters used by the
+//!   overhead experiment (E9);
 //! * [`RetryPolicy`] / [`CircuitBreaker`] / [`RedoJournal`] — the
-//!   resilience machinery behind [`Adal::mount_resilient`]: bounded
-//!   retries for transient faults, a per-backend breaker, replica
-//!   failover reads and journaled degraded writes.
+//!   parts of the resilience backend [`Adal::mount_resilient`] wraps a
+//!   primary in: bounded retries for transient faults, a breaker,
+//!   replica failover reads and journaled degraded writes.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

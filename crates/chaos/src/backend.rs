@@ -259,9 +259,9 @@ mod tests {
         assert_eq!(fb.stat(&ctx, "k").unwrap().size, 1);
         assert_eq!(fb.list(&ctx, "").unwrap().len(), 1);
         fb.delete(&ctx, "k").unwrap();
-        assert!(!fb.exists("k"));
+        assert!(fb.stat(&ctx, "k").is_err());
         assert_eq!(reg.counter_total(names::CHAOS_INJECTED_TOTAL), 0);
-        assert_eq!(fb.ops_seen(), 6); // exists() routes through stat()
+        assert_eq!(fb.ops_seen(), 6);
 
         // A single put is a batch of one here too: `stage_put` +
         // `commit_staged` on a twin leaves what `put` leaves and refuses

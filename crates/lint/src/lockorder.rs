@@ -168,7 +168,7 @@ const CALL_EDGE_IGNORE: &[&str] = &[
     "all", "and_then", "any", "as_bytes", "as_mut", "as_ref", "as_str", "clear", "clone",
     "cloned", "cmp", "collect", "contains", "contains_key", "copied", "count", "default",
     "drain", "drop", "entry", "enumerate", "expect", "extend", "filter", "filter_map", "find",
-    "flat_map", "flatten", "fold", "get", "get_mut", "hash", "inc", "insert", "into_iter",
+    "flat_map", "flatten", "fold", "front", "get", "get_mut", "hash", "inc", "insert", "into_iter",
     "is_empty", "iter", "iter_mut", "join", "keys", "last", "len", "lock", "map", "max",
     "max_by_key", "min", "min_by_key", "new", "next", "observe", "ok_or", "ok_or_else",
     "parse", "pop", "pop_front", "position", "push", "push_back", "read", "record", "remove",

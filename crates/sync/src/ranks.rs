@@ -57,7 +57,7 @@ pub const ADAL_BREAKER: LockRank = rank(200, "adal_breaker");
 /// ADAL redo-journal queue (`RedoJournal::journal`). Leaf lock.
 pub const ADAL_JOURNAL: LockRank = rank(210, "adal_journal");
 
-/// A resilient mount's retry-jitter stream (`ResilientState::rng`);
+/// A resilient mount's retry-jitter stream (`ResilientBackend::rng`);
 /// drawn between attempts with no other ADAL lock held. Leaf lock.
 pub const ADAL_RETRY_RNG: LockRank = rank(220, "adal_retry_rng");
 
