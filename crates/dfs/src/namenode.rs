@@ -20,7 +20,7 @@ use crate::cluster::{ClusterTopology, DfsNodeId, Locality};
 use crate::datanode::{BlockId, DataNode, DataNodeError};
 use crate::shard::ShardedMap;
 use crate::wal::{BlockEntry, DfsSnapshot, DfsWalRecord};
-use lsdf_durability::{Chunk, ComponentDurability, RecoveryStats};
+use lsdf_durability::{Chunk, Chunks, ComponentDurability, RecoveryStats};
 use lsdf_obs::names;
 use lsdf_storage::{sha256, Payload};
 
@@ -1038,9 +1038,15 @@ impl Dfs {
     }
 
     /// Loads a checkpoint's one chunk over the (wiped) volatile state;
-    /// `false`, with nothing loaded, when it does not decode.
-    fn install(&self, chunks: Vec<Vec<u8>>) -> bool {
-        let Some(snap) = chunks.first().and_then(|bytes| DfsSnapshot::decode(bytes)) else {
+    /// `false`, with nothing loaded, unless the manifest names exactly
+    /// one chunk and it verifies and decodes.
+    fn install(&self, chunks: &Chunks<'_>) -> bool {
+        let mut decoded = Vec::new();
+        let stage = |bytes: &[u8]| DfsSnapshot::decode(bytes).map(|snap| decoded.push(snap)).is_some();
+        if !chunks.try_for_each(stage) {
+            return false;
+        }
+        let Ok([snap]) = <[DfsSnapshot; 1]>::try_from(decoded) else {
             return false;
         };
         self.next_block.fetch_max(snap.next_block, Ordering::Relaxed);
@@ -1577,6 +1583,24 @@ mod tests {
         // must not reuse ids (which would clobber surviving blocks).
         fs.write("/exp/e", &data(50), None).unwrap();
         assert_eq!(fs.read("/exp/c", None).unwrap(), Bytes::from(data(410)));
+    }
+
+    #[test]
+    fn a_checkpoint_the_namenode_cannot_install_is_rejected_and_counted() {
+        let store = lsdf_durability::DurableStore::new();
+        let fs = durable_dfs(&store, 1_000);
+        fs.write("/exp/a", &data(250), None).unwrap();
+        let digest = fs.namespace_digest();
+        // A manifest whose one chunk hashes to what it says and is not a
+        // namespace, at an epoch above the segment that holds the write.
+        let ckpts = lsdf_durability::CheckpointStore::open(store.clone(), "dfs", fs.obs());
+        assert_eq!(ckpts.save(vec![Chunk::Put(b"not a namespace".to_vec())], 1_000, 1), Some(1));
+        fs.crash(5);
+        let stats = fs.recover();
+        assert!(stats.checkpoint_rejected && !stats.snapshot_loaded, "{stats:?}");
+        assert_eq!(fs.obs().counter_value(names::CKPT_REJECTED_TOTAL, &[("log", "dfs")]), 1);
+        // Replayed from epoch 0, not from the refused manifest's epoch.
+        assert_eq!(fs.namespace_digest(), digest);
     }
 
     #[test]

@@ -23,9 +23,10 @@
 //!   were not yet truncated; the new chunks are orphans;
 //! * new manifest, old chunks not yet collected — the new checkpoint;
 //!   the next save collects the orphans;
-//! * a chunk the manifest names is missing or fails its hash — the
-//!   checkpoint is rejected as a whole and counted, and recovery
-//!   replays whatever WAL survives from epoch 0.
+//! * a chunk the manifest names is missing or fails its hash, or the
+//!   component refuses what the chunks hold — the checkpoint is
+//!   rejected as a whole and counted, and recovery replays whatever
+//!   WAL survives from epoch 0.
 //!
 //! [`MemDisk::set`]: crate::device::MemDisk::set
 
@@ -47,21 +48,43 @@ pub enum Chunk {
     Put(Vec<u8>),
 }
 
-/// What [`CheckpointStore::load`] found.
+/// What [`CheckpointStore::load_with`] found.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Loaded {
     /// No manifest: the component never checkpointed.
     Absent,
-    /// A manifest that does not decode, or names a chunk that is
-    /// missing or fails its hash. Nothing of it is used.
+    /// A manifest that does not decode or names a chunk that is missing
+    /// or fails its hash, or chunks the component refused to install.
+    /// Nothing of it is used.
     Rejected,
-    /// Every chunk verified.
-    Verified {
+    /// Every chunk verified and the component installed them.
+    Installed {
         /// WAL segments at or above this epoch replay over the chunks.
         wal_epoch: u64,
-        /// The chunks, in manifest order.
-        chunks: Vec<Vec<u8>>,
     },
+}
+
+/// The chunks a manifest names, lent to the component that installs
+/// them.
+pub struct Chunks<'a> {
+    store: &'a DurableStore,
+    prefix: String,
+    hashes: &'a [Digest],
+}
+
+impl Chunks<'_> {
+    /// Lends each chunk to `visit`, in manifest order, once its bytes
+    /// hash to what the manifest says: verified and read under one
+    /// borrow of the device image, not from a copy of it. `false` at
+    /// the first chunk that is missing, fails its hash or that `visit`
+    /// refuses. A later chunk may still fail after `visit` accepted
+    /// earlier ones, so `visit` stages and the caller commits on `true`.
+    pub fn try_for_each(&self, mut visit: impl FnMut(&[u8]) -> bool) -> bool {
+        self.hashes.iter().all(|hash| {
+            let dev = self.store.get(&format!("{}{hash}", self.prefix));
+            dev.is_some_and(|dev| dev.with_image(|body| sha256(body) == *hash && visit(body)))
+        })
+    }
 }
 
 /// The durable pointer at the root of recovery.
@@ -196,31 +219,28 @@ impl CheckpointStore {
         self.obs.truncated.add(segments);
     }
 
-    /// Loads the manifest and every chunk it names, in order. One chunk
-    /// missing or failing its hash rejects the checkpoint as a whole
-    /// (counted on `ckpt_rejected_total`): the caller replays the WAL
-    /// from epoch 0 with no base state, which idempotent replay makes
-    /// safe for whatever segments still exist.
-    pub fn load(&self) -> Loaded {
+    /// Loads the manifest and lends the chunks it names to `install`,
+    /// the component's routine that replaces its state with them and
+    /// says whether it did. A manifest that does not decode, or an
+    /// `install` that answers `false` — a chunk missing or failing its
+    /// hash, or holding what the component cannot accept — rejects the
+    /// checkpoint as a whole (counted once on `ckpt_rejected_total`):
+    /// the caller replays the WAL from epoch 0 over no base, which
+    /// idempotent replay makes safe for whatever segments still exist.
+    pub fn load_with(&self, install: impl FnOnce(&Chunks<'_>) -> bool) -> Loaded {
         let Some(dev) = self.store.get(&self.manifest_device()) else {
             return Loaded::Absent;
         };
-        let prefix = self.chunk_prefix();
-        let verified = Manifest::decode(&dev.read()).and_then(|m| {
-            let chunks = m
-                .chunks
-                .iter()
-                .map(|hash| {
-                    let body = self.store.get(&format!("{prefix}{hash}"))?.read();
-                    (sha256(&body) == *hash).then_some(body)
-                })
-                .collect::<Option<_>>()?;
-            Some(Loaded::Verified { wal_epoch: m.wal_epoch, chunks })
+        let installed = Manifest::decode(&dev.read()).filter(|m| {
+            install(&Chunks { store: &self.store, prefix: self.chunk_prefix(), hashes: &m.chunks })
         });
-        verified.unwrap_or_else(|| {
-            self.obs.rejected.inc();
-            Loaded::Rejected
-        })
+        match installed {
+            Some(m) => Loaded::Installed { wal_epoch: m.wal_epoch },
+            None => {
+                self.obs.rejected.inc();
+                Loaded::Rejected
+            }
+        }
     }
 }
 
@@ -237,8 +257,19 @@ mod tests {
         bodies.iter().map(|b| Chunk::Put(b.to_vec())).collect()
     }
 
-    fn verified(wal_epoch: u64, bodies: &[&[u8]]) -> Loaded {
-        Loaded::Verified { wal_epoch, chunks: bodies.iter().map(|b| b.to_vec()).collect() }
+    /// What a component that accepts any bytes is told and handed.
+    fn load(ckpts: &CheckpointStore) -> (Loaded, Vec<Vec<u8>>) {
+        let mut bodies = Vec::new();
+        let stage = |body: &[u8]| {
+            bodies.push(body.to_vec());
+            true
+        };
+        let loaded = ckpts.load_with(|chunks| chunks.try_for_each(stage));
+        (loaded, bodies)
+    }
+
+    fn verified(wal_epoch: u64, bodies: &[&[u8]]) -> (Loaded, Vec<Vec<u8>>) {
+        (Loaded::Installed { wal_epoch }, bodies.iter().map(|b| b.to_vec()).collect())
     }
 
     #[test]
@@ -246,11 +277,11 @@ mod tests {
         let store = DurableStore::new();
         let (ckpts, reg) = open(&store);
         assert_eq!(ckpts.save(put(&[b"a0", b"b0", b"c0"]), 4, 1), Some(3));
-        assert_eq!(ckpts.load(), verified(1, &[b"a0", b"b0", b"c0"]));
+        assert_eq!(load(&ckpts), verified(1, &[b"a0", b"b0", b"c0"]));
         // The middle chunk changed and a fourth appeared.
         let next = vec![Chunk::Keep, Chunk::Put(b"b1".to_vec()), Chunk::Keep, Chunk::Put(b"d0".to_vec())];
         assert_eq!(ckpts.save(next, 4, 2), Some(2));
-        assert_eq!(ckpts.load(), verified(2, &[b"a0", b"b1", b"c0", b"d0"]));
+        assert_eq!(load(&ckpts), verified(2, &[b"a0", b"b1", b"c0", b"d0"]));
         assert_eq!(store.names_with_prefix("t-ckpt-").len(), 4, "b0 was collected");
         let count = |name| reg.counter_value(name, &[("log", "t")]);
         assert_eq!(count(names::CKPT_TAKEN_TOTAL), 2);
@@ -260,10 +291,10 @@ mod tests {
         assert_eq!((bytes.count(), bytes.sum()), (2, 10), "bytes written, not bytes referenced");
         // Nothing changed: nothing is written, the replay floor moves.
         assert_eq!(ckpts.save((0..4).map(|_| Chunk::Keep).collect(), 4, 3), Some(0));
-        assert_eq!(ckpts.load(), verified(3, &[b"a0", b"b1", b"c0", b"d0"]));
+        assert_eq!(load(&ckpts), verified(3, &[b"a0", b"b1", b"c0", b"d0"]));
         // An empty state is a checkpoint too, distinct from none at all.
         assert_eq!(ckpts.save(Vec::new(), 4, 4), Some(0));
-        assert_eq!(ckpts.load(), verified(4, &[]));
+        assert_eq!(load(&ckpts), verified(4, &[]));
         assert!(store.names_with_prefix("t-ckpt-").is_empty());
     }
 
@@ -274,7 +305,7 @@ mod tests {
         ckpts.save(put(&[b"same", b"same", b"other"]), 4, 1);
         assert_eq!(store.names_with_prefix("t-ckpt-").len(), 2);
         ckpts.save(vec![Chunk::Put(b"new".to_vec()), Chunk::Keep, Chunk::Keep], 4, 2);
-        assert_eq!(ckpts.load(), verified(2, &[b"new", b"same", b"other"]));
+        assert_eq!(load(&ckpts), verified(2, &[b"new", b"same", b"other"]));
     }
 
     #[test]
@@ -282,13 +313,13 @@ mod tests {
         let store = DurableStore::new();
         let (ckpts, _) = open(&store);
         assert_eq!(ckpts.save(vec![Chunk::Keep], 4, 1), None, "no manifest yet");
-        assert_eq!(ckpts.load(), Loaded::Absent);
+        assert_eq!(load(&ckpts).0, Loaded::Absent);
         ckpts.save(put(&[b"a", b"b"]), 4, 1);
         let longer = vec![Chunk::Keep, Chunk::Keep, Chunk::Keep];
         assert_eq!(ckpts.save(longer, 4, 2), None, "index 2 was never written");
         let resized = vec![Chunk::Put(b"a2".to_vec()), Chunk::Keep];
         assert_eq!(ckpts.save(resized, 8, 2), None, "chunks of 4 records are not chunks of 8");
-        assert_eq!(ckpts.load(), verified(1, &[b"a", b"b"]));
+        assert_eq!(load(&ckpts), verified(1, &[b"a", b"b"]));
         // The orphan `a2` goes with the next save that lands.
         assert_eq!(store.names_with_prefix("t-ckpt-").len(), 3);
         assert_eq!(ckpts.save(put(&[b"a", b"b"]), 8, 2), Some(2));
@@ -296,10 +327,33 @@ mod tests {
     }
 
     #[test]
+    fn chunks_the_component_refuses_reject_the_checkpoint_like_a_bad_hash() {
+        let store = DurableStore::new();
+        let (ckpts, reg) = open(&store);
+        ckpts.save(put(&[b"a", b"b"]), 4, 7);
+        let rejected = || reg.counter_value(names::CKPT_REJECTED_TOTAL, &[("log", "t")]);
+        // Refused after every chunk was read, and at the second chunk.
+        let refuse = |chunks: &Chunks<'_>| {
+            assert!(chunks.try_for_each(|_| true), "both chunks verify");
+            false
+        };
+        assert_eq!(ckpts.load_with(refuse), Loaded::Rejected);
+        let mut seen = 0;
+        let only_a = |body: &[u8]| {
+            seen += 1;
+            body == b"a"
+        };
+        assert_eq!(ckpts.load_with(|chunks| chunks.try_for_each(only_a)), Loaded::Rejected);
+        assert_eq!((seen, rejected()), (2, 2));
+        assert_eq!(ckpts.load_with(|_| true), Loaded::Installed { wal_epoch: 7 });
+        assert_eq!(rejected(), 2);
+    }
+
+    #[test]
     fn missing_manifest_is_epoch_zero() {
         let store = DurableStore::new();
         let (ckpts, reg) = open(&store);
-        assert_eq!(ckpts.load(), Loaded::Absent);
+        assert_eq!(load(&ckpts).0, Loaded::Absent);
         assert_eq!(reg.counter_value(names::CKPT_REJECTED_TOTAL, &[("log", "t")]), 0);
     }
 
@@ -317,7 +371,7 @@ mod tests {
                 } else {
                     store.open(&dev).set(b"tampered".to_vec());
                 }
-                assert_eq!(ckpts.load(), Loaded::Rejected, "chunk {damaged} remove={remove}");
+                assert_eq!(load(&ckpts).0, Loaded::Rejected, "chunk {damaged} remove={remove}");
                 assert_eq!(reg.counter_value(names::CKPT_REJECTED_TOTAL, &[("log", "t")]), 1);
             }
         }
@@ -330,6 +384,6 @@ mod tests {
         assert_eq!(bytes.len(), 21 + 3 * 32);
         bytes[0] = 1;
         manifest.set(bytes);
-        assert_eq!(ckpts.load(), Loaded::Rejected);
+        assert_eq!(load(&ckpts).0, Loaded::Rejected);
     }
 }

@@ -76,6 +76,12 @@ impl MemDisk {
         self.state.lock().synced.clone()
     }
 
+    /// Lends the durable image to `f` where it lies, for a reader that
+    /// only looks (hash, decode): the device stays locked meanwhile.
+    pub fn with_image<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
+        f(&self.state.lock().synced)
+    }
+
     /// Bytes in the durable image.
     pub fn synced_len(&self) -> u64 {
         self.state.lock().synced.len() as u64

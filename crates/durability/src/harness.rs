@@ -12,11 +12,12 @@
 //!   state as a list of chunks, of which only the ones that changed
 //!   since the last checkpoint carry bytes;
 //! * after a crash, [`ComponentDurability::recover_with`] runs the
-//!   recovery loop: the latest verified checkpoint goes to the
-//!   component's `install`, the committed WAL suffix through its
-//!   idempotent `apply`, and the harness counts what took effect.
+//!   recovery loop: the latest checkpoint's chunks are lent, verified,
+//!   to the component's `install`, the committed WAL suffix goes
+//!   through its idempotent `apply`, and the harness counts what took
+//!   effect.
 
-use crate::checkpoint::{CheckpointStore, Chunk, Loaded};
+use crate::checkpoint::{CheckpointStore, Chunk, Chunks, Loaded};
 use crate::device::DurableStore;
 use crate::log::{DurableLog, WalConfig};
 use lsdf_obs::names;
@@ -54,8 +55,9 @@ impl Default for DurabilityConfig {
 pub struct RecoveryStats {
     /// A verified checkpoint was installed as the replay base.
     pub snapshot_loaded: bool,
-    /// A checkpoint was on disk and failed verification: the component
-    /// holds what its surviving WAL segments hold, over no base.
+    /// A checkpoint was on disk and failed verification, or held what
+    /// the component refused to install: the component holds what its
+    /// surviving WAL segments hold, over no base.
     pub checkpoint_rejected: bool,
     /// Replayed WAL records that took effect.
     pub replayed: u64,
@@ -170,26 +172,28 @@ impl ComponentDurability {
         Some(written)
     }
 
-    /// The recovery loop, the same for every component: loads the
-    /// latest verified checkpoint and hands its chunks to `install`
-    /// (`true` = installed as the base), then replays the committed
-    /// WAL suffix above it, in log order, through `apply` (`true` = the
-    /// record took effect; `false` = its effect was already present or
-    /// it did not decode). A checkpoint that failed verification is not
-    /// installed and every surviving segment is replayed instead.
+    /// The recovery loop, the same for every component: lends the
+    /// latest checkpoint's chunks, each verified against the manifest
+    /// as it is read, to `install` (`true` = installed as the base,
+    /// `false` = nothing of the component changed), then replays the
+    /// committed WAL suffix above it, in log order, through `apply`
+    /// (`true` = the record took effect; `false` = its effect was
+    /// already present or it did not decode). A checkpoint that failed
+    /// verification or that `install` refused is one outcome: rejected,
+    /// counted, and every surviving segment replayed instead.
     ///
     /// Counts the run, `replayed` and `skipped` on the `recovery_*`
     /// series exactly as returned. The modelled replay latency and the
     /// checkpoint cadence go by records read, whatever their effect.
     pub fn recover_with(
         &self,
-        install: impl FnOnce(Vec<Vec<u8>>) -> bool,
+        install: impl FnOnce(&Chunks<'_>) -> bool,
         mut apply: impl FnMut(&[u8]) -> bool,
     ) -> RecoveryStats {
         let mut stats = RecoveryStats::default();
-        let from_epoch = match self.ckpts.load() {
-            Loaded::Verified { wal_epoch, chunks } => {
-                stats.snapshot_loaded = install(chunks);
+        let from_epoch = match self.ckpts.load_with(install) {
+            Loaded::Installed { wal_epoch } => {
+                stats.snapshot_loaded = true;
                 wal_epoch
             }
             Loaded::Rejected => {

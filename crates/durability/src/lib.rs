@@ -34,7 +34,7 @@ mod device;
 mod harness;
 mod log;
 
-pub use checkpoint::{CheckpointStore, Chunk, Loaded};
+pub use checkpoint::{CheckpointStore, Chunk, Chunks, Loaded};
 pub use codec::{Dec, Enc};
 pub use crc::crc32;
 pub use device::{DurableStore, MemDisk};

@@ -160,8 +160,14 @@ fn recover(d: &ComponentDurability) -> Recovered {
     let (mut snapshot, mut records) = (None, Vec::new());
     let stats = d.recover_with(
         |chunks| {
-            snapshot = Some(chunks);
-            true
+            // Staged while the chunks verify, kept only if all did.
+            let mut staged = Vec::new();
+            let verified = chunks.try_for_each(|chunk| {
+                staged.push(chunk.to_vec());
+                true
+            });
+            snapshot = verified.then_some(staged);
+            verified
         },
         |record| {
             records.push(record.to_vec());
@@ -310,6 +316,41 @@ fn a_manifest_written_with_another_chunk_size_is_rewritten_whole() {
     assert_eq!(reg.counter_value(names::CKPT_TAKEN_TOTAL, &[("log", "t")]), 1);
     assert_eq!(recover(&resized).snapshot, Some(vec![body(0..5), body(5..10)]));
     assert_eq!(store.names_with_prefix("t-ckpt-").len(), 2);
+}
+
+#[test]
+fn a_refused_install_is_a_rejected_checkpoint_and_replays_from_epoch_zero() {
+    let store = DurableStore::new();
+    let (d, reg) = open(&store, "t");
+    log(&d, 0..6);
+    assert_eq!(d.checkpoint_with(|_| chunks(6, 0)), Some(2));
+    log(&d, 6..9);
+    // A stale segment below the manifest's epoch that was never
+    // truncated: only a replay from epoch 0 reads it.
+    let stale = DurableLog::open(store.clone(), "stale", &Arc::new(Registry::new()), WalConfig::default());
+    stale.append_commit(&99u64.to_le_bytes());
+    store.open("t-wal-00000000").set(store.open("stale-wal-00000000").read());
+    let rejected = || reg.counter_value(names::CKPT_REJECTED_TOTAL, &[("log", "t")]);
+    // Every chunk hashes to what the manifest says; the component
+    // cannot use what they hold.
+    let mut records = Vec::new();
+    let stats = d.recover_with(
+        |chunks| {
+            assert!(chunks.try_for_each(|_| true));
+            false
+        },
+        |record| {
+            records.push(record.to_vec());
+            true
+        },
+    );
+    assert!(stats.checkpoint_rejected && !stats.snapshot_loaded, "{stats:?}");
+    assert_eq!(rejected(), 1, "counted once, like a failed hash");
+    assert_eq!(records, [body(99..100), body(6..7), body(7..8), body(8..9)]);
+    // The same disk under a component that accepts the chunks.
+    let recovered = recover(&d);
+    assert!(!recovered.checkpoint_rejected);
+    assert_eq!((state(&recovered), rejected()), ((0..9).collect(), 1));
 }
 
 #[test]

@@ -59,8 +59,12 @@ pub fn value_to_json(v: &Value) -> String {
 /// Renders a document as a JSON object (keys in BTreeMap order —
 /// deterministic output).
 pub fn document_to_json(doc: &Document) -> String {
+    object_to_json(doc.iter().map(|(k, v)| (k.as_str(), v)))
+}
+
+fn object_to_json<'a>(entries: impl Iterator<Item = (&'a str, &'a Value)>) -> String {
     let mut out = String::from("{");
-    for (i, (k, v)) in doc.iter().enumerate() {
+    for (i, (k, v)) in entries.enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -98,7 +102,7 @@ pub fn record_to_json(rec: &DatasetRecord) -> String {
         json_string(&rec.location),
         rec.size_bytes,
         json_string(&rec.checksum_hex),
-        document_to_json(&rec.basic),
+        object_to_json(rec.basic.iter()),
         tags.join(","),
         processing.join(",")
     )
@@ -114,6 +118,8 @@ pub fn records_to_json(recs: &[impl Borrow<DatasetRecord>]) -> String {
 mod tests {
     use super::*;
     use crate::record::{DatasetId, ProcessingResult};
+    use crate::schema::SchemaBuilder;
+    use crate::value::FieldType;
 
     #[test]
     fn string_escaping() {
@@ -153,13 +159,14 @@ mod tests {
 
     #[test]
     fn record_rendering_includes_everything() {
+        let schema = SchemaBuilder::new("p").required("fish", FieldType::Int).build().unwrap();
         let rec = DatasetRecord {
             id: DatasetId(7),
             name: "img-1".into(),
             location: "lsdf://p/img-1".into(),
             size_bytes: 42,
             checksum_hex: "abcd".into(),
-            basic: [("fish".to_string(), Value::Int(3))].into_iter().collect(),
+            basic: schema.shape([("fish".to_string(), Value::Int(3))].into_iter().collect()).unwrap(),
             processing: vec![ProcessingResult {
                 step: "seg".into(),
                 params: Document::new(),

@@ -213,7 +213,7 @@ mod tests {
                 unified
                     .insert(
                         s.name.as_str(),
-                        dataset(&rec.name, rec.size_bytes, rec.basic.clone()),
+                        dataset(&rec.name, rec.size_bytes, rec.basic.to_document()),
                     )
                     .unwrap();
             }
@@ -243,7 +243,7 @@ mod tests {
                 unified
                     .insert(
                         s.name.as_str(),
-                        dataset(&rec.name, rec.size_bytes, rec.basic.clone()),
+                        dataset(&rec.name, rec.size_bytes, rec.basic.to_document()),
                     )
                     .unwrap();
             }

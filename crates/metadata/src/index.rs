@@ -2,20 +2,76 @@
 //!
 //! One ordered map per field, over order-preserving byte keys, answers
 //! both equality and range lookups. It maps to posting lists of
-//! [`DatasetId`]s and is maintained incrementally on insert.
+//! [`DatasetId`]s and is maintained incrementally on insert, or built
+//! in one pass from the whole catalog when a restart rebuilds it.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 
 use crate::record::DatasetId;
 use crate::value::{OrderKey, Value};
 
+/// The ids under one key, ascending. A value only one dataset carries
+/// (a timestamp) is most of an index: its id is held in the map's own
+/// node, not in a vector of one.
+#[derive(Debug)]
+enum Posting {
+    One(DatasetId),
+    Many(Vec<DatasetId>),
+}
+
+impl Posting {
+    fn ids(&self) -> &[DatasetId] {
+        match self {
+            Posting::One(id) => std::slice::from_ref(id),
+            Posting::Many(ids) => ids,
+        }
+    }
+
+    fn push(&mut self, id: DatasetId) {
+        match self {
+            Posting::One(first) => *self = Posting::Many(vec![*first, id]),
+            Posting::Many(ids) => ids.push(id),
+        }
+    }
+}
+
+impl PartialEq for Posting {
+    fn eq(&self, other: &Self) -> bool {
+        self.ids() == other.ids()
+    }
+}
+
 /// An equality + range index over one field.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub struct FieldIndex {
     /// order key → ids.
-    postings: BTreeMap<OrderKey, Vec<DatasetId>>,
+    postings: BTreeMap<OrderKey, Posting>,
     entries: u64,
+}
+
+/// Builds the index of a whole catalog at once: the postings are
+/// sorted by value (for fields that grow with the id, a timestamp or a
+/// run number, they already are), grouped, and the map is built
+/// bottom-up from the sorted run, where inserting them one by one
+/// descends the tree once per posting. Equal to the index those
+/// inserts build, in any input order.
+impl<'a> FromIterator<(&'a Value, DatasetId)> for FieldIndex {
+    fn from_iter<I: IntoIterator<Item = (&'a Value, DatasetId)>>(postings: I) -> Self {
+        let mut run: Vec<(OrderKey, DatasetId)> =
+            postings.into_iter().map(|(value, id)| (value.order_key(), id)).collect();
+        run.sort_unstable();
+        let entries = run.len() as u64;
+        let mut grouped: Vec<(OrderKey, Posting)> = Vec::new();
+        for (key, id) in run {
+            match grouped.last_mut() {
+                Some((last, posting)) if *last == key => posting.push(id),
+                _ => grouped.push((key, Posting::One(id))),
+            }
+        }
+        FieldIndex { postings: grouped.into_iter().collect(), entries }
+    }
 }
 
 impl FieldIndex {
@@ -28,13 +84,18 @@ impl FieldIndex {
     /// indexes each once, so every posting list stays ascending and
     /// duplicate-free without being sorted.
     pub fn insert(&mut self, value: &Value, id: DatasetId) {
-        self.postings.entry(value.order_key()).or_default().push(id);
+        match self.postings.entry(value.order_key()) {
+            Entry::Vacant(slot) => {
+                slot.insert(Posting::One(id));
+            }
+            Entry::Occupied(mut slot) => slot.get_mut().push(id),
+        }
         self.entries += 1;
     }
 
     /// Ids with exactly this value, ascending, as stored.
     pub fn lookup_eq(&self, value: &Value) -> &[DatasetId] {
-        self.postings.get(&value.order_key()).map_or(&[], Vec::as_slice)
+        self.postings.get(&value.order_key()).map_or(&[], Posting::ids)
     }
 
     /// The posting lists of the values between the bounds, in value
@@ -45,8 +106,8 @@ impl FieldIndex {
         &self,
         lo: Bound<&Value>,
         hi: Bound<&Value>,
-    ) -> impl Iterator<Item = &Vec<DatasetId>> {
-        self.postings.range((lo.map(Value::order_key), hi.map(Value::order_key))).map(|(_, ids)| ids)
+    ) -> impl Iterator<Item = &[DatasetId]> {
+        self.postings.range((lo.map(Value::order_key), hi.map(Value::order_key))).map(|(_, p)| p.ids())
     }
 
     /// Ids with values between the bounds, ascending.
@@ -146,6 +207,31 @@ mod tests {
         assert_eq!(idx.lookup_eq(&Value::Int(5)), vec![id(1), id(2)]);
         assert_eq!(idx.lookup_eq(&Value::Int(7)), Vec::<DatasetId>::new());
         assert_eq!(idx.len(), 3);
+    }
+
+    #[test]
+    fn an_index_built_at_once_is_the_index_its_inserts_build() {
+        let floats = [3.0, -0.0, 1.5, 0.0, 3.0, -2.0, 3.0, 1e9].map(Value::Float);
+        let strings = ["veto", "main", "veto", "monitor", "main", "main"].map(Value::from);
+        let ascending = [1, 1, 2, 3, 3, 3, 7].map(Value::Time);
+        for values in [&floats[..], &strings[..], &ascending[..], &[]] {
+            let mut inserted = FieldIndex::new();
+            for (i, v) in values.iter().enumerate() {
+                inserted.insert(v, id(i as u64));
+            }
+            let built: FieldIndex = values.iter().enumerate().map(|(i, v)| (v, id(i as u64))).collect();
+            assert_eq!(built, inserted, "{values:?}");
+            assert_eq!(built.len(), values.len() as u64);
+            assert_eq!(built.lookup_range(Unbounded, Unbounded).len(), values.len());
+        }
+        let built: FieldIndex = floats.iter().enumerate().map(|(i, v)| (v, id(i as u64))).collect();
+        // One id is lent from the map's node, two from a list that was
+        // one id first; both zeros are one value.
+        assert_eq!(built.lookup_eq(&Value::Float(1.5)), [id(2)]);
+        assert_eq!(built.lookup_eq(&Value::Float(0.0)), [id(1), id(3)]);
+        assert_eq!(built.lookup_eq(&Value::Float(3.0)), [id(0), id(4), id(6)]);
+        assert_eq!(built.count_range(Included(&Value::Float(-0.0)), Excluded(&Value::Float(3.0)), 64), 3);
+        assert_ne!(built, FieldIndex::from_iter([(&floats[0], id(0))]));
     }
 
     #[test]

@@ -33,6 +33,6 @@ pub use federation::{dataset, CrossQuery, CrossQueryResult, Federation, UnifiedC
 pub use index::{FieldIndex, TagIndex};
 pub use query::Predicate;
 pub use record::{DatasetId, DatasetRecord, ProcessingResult};
-pub use schema::{zebrafish_schema, Document, FieldDef, Schema, SchemaBuilder, SchemaError};
+pub use schema::{zebrafish_schema, Document, FieldDef, Fields, Schema, SchemaBuilder, SchemaError};
 pub use store::{MetadataError, NewDataset, ProjectStore};
 pub use value::{FieldType, OrderKey, Value};

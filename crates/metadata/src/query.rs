@@ -116,19 +116,19 @@ impl Predicate {
 mod tests {
     use super::*;
     use crate::record::DatasetId;
-    use crate::schema::Document;
+    use crate::schema::{Document, SchemaBuilder};
 
     fn rec(pairs: &[(&str, Value)], tags: &[&str]) -> DatasetRecord {
+        let declare = |b: SchemaBuilder, (k, v): &(&str, Value)| b.optional(k, v.field_type());
+        let schema = pairs.iter().fold(SchemaBuilder::new("t"), declare).build().unwrap();
+        let doc = pairs.iter().map(|(k, v)| (k.to_string(), v.clone())).collect::<Document>();
         DatasetRecord {
             id: DatasetId(0),
             name: "r".into(),
             location: String::new(),
             size_bytes: 0,
             checksum_hex: String::new(),
-            basic: pairs
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect::<Document>(),
+            basic: schema.shape(doc).unwrap(),
             processing: vec![],
             tags: tags.iter().map(|t| t.to_string()).collect(),
         }

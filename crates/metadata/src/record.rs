@@ -8,7 +8,7 @@
 use std::collections::BTreeSet;
 
 
-use crate::schema::Document;
+use crate::schema::{Document, Fields};
 
 /// Identifies a dataset within one project store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -43,8 +43,9 @@ pub struct DatasetRecord {
     pub size_bytes: u64,
     /// Hex SHA-256 of the payload (empty when unknown).
     pub checksum_hex: String,
-    /// Write-once experiment metadata, schema-validated at insert.
-    pub basic: Document,
+    /// Write-once experiment metadata, schema-validated at insert and
+    /// held in the schema's shape.
+    pub basic: Fields,
     /// Appended processing-result sets (the paper's METADATA 1..N).
     pub processing: Vec<ProcessingResult>,
     /// Free-form tags; drive workflow triggering.
@@ -66,6 +67,7 @@ impl DatasetRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::SchemaBuilder;
     use crate::value::Value;
 
     fn record() -> DatasetRecord {
@@ -75,7 +77,7 @@ mod tests {
             location: "lsdf://zebrafish/raw/img-001".into(),
             size_bytes: 4_000_000,
             checksum_hex: String::new(),
-            basic: Document::new(),
+            basic: SchemaBuilder::new("t").build().unwrap().shape(Document::new()).unwrap(),
             processing: vec![
                 ProcessingResult {
                     step: "segmentation".into(),

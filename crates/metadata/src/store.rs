@@ -19,7 +19,7 @@ use crate::record::{DatasetId, DatasetRecord, ProcessingResult};
 use crate::schema::{Document, Schema, SchemaError};
 use crate::value::Value;
 use crate::wal::{MetaSnapshot, MetaWalRecord};
-use lsdf_durability::{Chunk, ComponentDurability, RecoveryStats};
+use lsdf_durability::{Chunk, Chunks, ComponentDurability, RecoveryStats};
 use lsdf_storage::sha256;
 
 /// Errors from store operations.
@@ -72,12 +72,16 @@ pub struct NewDataset {
 }
 
 struct StoreState {
+    /// What shaped every record here, and reads stored ones back.
+    schema: Schema,
     /// Shared with every reader that was handed one: a mutation goes
     /// through [`Arc::make_mut`], which copies the record first when a
     /// reader still holds it, so a handle is a snapshot as of its read.
     records: Vec<Arc<DatasetRecord>>,
     by_name: HashMap<String, DatasetId>,
-    field_indexes: HashMap<String, FieldIndex>,
+    /// One index per indexed field, beside the field's slot. Empty
+    /// while a recovery runs: [`StoreState::reindex`] ends it.
+    field_indexes: Vec<(usize, FieldIndex)>,
     tag_index: TagIndex,
     subscribers: Vec<Subscriber>,
     /// Records per checkpoint chunk: chunk `i` is records
@@ -102,9 +106,9 @@ impl StoreState {
 
     /// The one routine that adds a dataset: the name map, the field
     /// and tag indexes and the record vector change together here, for
-    /// a fresh insert, a replayed WAL record and a checkpoint's records
-    /// alike. The id is the next dense insertion index, whatever `rec`
-    /// carried; a name already taken is refused and handed back.
+    /// a fresh insert and a replayed WAL record alike. The id is the
+    /// next dense insertion index, whatever `rec` carried; a name
+    /// already taken is refused and handed back.
     fn register(&mut self, mut rec: DatasetRecord) -> Result<DatasetId, String> {
         let id = DatasetId(self.records.len() as u64);
         match self.by_name.entry(rec.name.clone()) {
@@ -112,8 +116,8 @@ impl StoreState {
             Entry::Vacant(slot) => slot.insert(id),
         };
         rec.id = id;
-        for (field, idx) in self.field_indexes.iter_mut() {
-            if let Some(v) = rec.basic.get(field) {
+        for (slot, idx) in self.field_indexes.iter_mut() {
+            if let Some(v) = rec.basic.slot(*slot) {
                 idx.insert(v, id);
             }
         }
@@ -131,33 +135,60 @@ impl StoreState {
         self.records.clear();
         self.dirty.clear();
         self.by_name.clear();
-        for idx in self.field_indexes.values_mut() {
-            *idx = FieldIndex::new();
-        }
         self.tag_index = TagIndex::new();
+        self.reindex();
     }
 
-    /// Replaces the catalog with a verified checkpoint's records,
-    /// rebuilding every derived structure (name map, field indexes, tag
-    /// index) from them; `false`, with nothing changed, when a chunk
-    /// does not decode.
-    fn install(&mut self, chunks: Vec<Vec<u8>>) -> bool {
-        let mut records = Vec::new();
-        // Each chunk's bytes are dropped as soon as it is decoded.
-        let decoded = chunks
-            .into_iter()
-            .try_for_each(|chunk| MetaSnapshot::decode_chunk(&chunk, &mut records));
-        if decoded.is_none() {
+    /// Builds every field index from the records, each in one pass
+    /// over the catalog. Basic metadata is write-once, so the indexes
+    /// are a function of the records alone: a recovery registers and
+    /// replays with none and builds them once when it is done.
+    fn reindex(&mut self) {
+        let records = &self.records;
+        let of = |slot| records.iter().filter_map(move |r| Some((r.basic.slot(slot)?, r.id)));
+        let indexed = self.schema.fields().iter().enumerate().filter(|(_, f)| f.indexed);
+        self.field_indexes = indexed.map(|(slot, _)| (slot, of(slot).collect())).collect();
+    }
+
+    /// The index over `field`, if the schema keeps one.
+    fn index(&self, field: &str) -> Option<&FieldIndex> {
+        let slot = self.schema.slot(field)?;
+        self.field_indexes.iter().find(|(s, _)| *s == slot).map(|(_, idx)| idx)
+    }
+
+    /// Replaces the catalog with a checkpoint's records, the name map
+    /// and tag index rebuilt from them (the caller, a recovery, ends
+    /// with [`StoreState::reindex`]). `false`, with nothing changed,
+    /// when a chunk fails its hash, was written under another schema,
+    /// does not decode, or holds a record whose id is not its position
+    /// or whose name an earlier record has: ids are positions and
+    /// names are keys, and a catalog that renumbered or dropped records
+    /// to make them so would not be the one that was checkpointed.
+    fn install(&mut self, chunks: &Chunks<'_>) -> bool {
+        // A crash leaves both empty with the capacity they had: decoded
+        // into them, the catalog comes back without either regrowing.
+        let (mut records, mut by_name) = match self.records.is_empty() {
+            true => (std::mem::take(&mut self.records), std::mem::take(&mut self.by_name)),
+            false => Default::default(),
+        };
+        let schema = &self.schema;
+        if !chunks.try_for_each(|chunk| MetaSnapshot::decode_chunk(chunk, schema, &mut records).is_some()) {
             return false;
         }
-        self.wipe();
-        self.records.reserve(records.len());
-        self.by_name.reserve(records.len());
-        for rec in records {
-            // Checkpointed names are unique: none is refused.
-            let _ = self.register(rec);
+        by_name.reserve(records.len());
+        let mut tag_index = TagIndex::new();
+        for rec in &records {
+            if by_name.insert(rec.name.clone(), rec.id).is_some() {
+                return false;
+            }
+            for t in &rec.tags {
+                tag_index.insert(t, rec.id);
+            }
         }
-        self.dirty.iter_mut().for_each(|flag| *flag.get_mut() = false);
+        // Clean: the records in memory are the ones the manifest names.
+        let clean = 0..records.len().div_ceil(self.chunk_records);
+        self.dirty = clean.map(|_| AtomicBool::new(false)).collect();
+        (self.records, self.by_name, self.tag_index) = (records, by_name, tag_index);
         true
     }
 
@@ -168,7 +199,7 @@ impl StoreState {
     /// [`StoreState::estimate`] finds cheaper.
     fn candidates(&self, pred: &Predicate) -> Option<Cow<'_, [DatasetId]>> {
         Some(match pred {
-            Predicate::Eq(f, v) => Cow::Borrowed(self.field_indexes.get(f)?.lookup_eq(v)),
+            Predicate::Eq(f, v) => Cow::Borrowed(self.index(f)?.lookup_eq(v)),
             Predicate::HasTag(t) => Cow::Borrowed(self.tag_index.lookup(t)),
             Predicate::And(a, b) => {
                 // The cap grows until one side's count is exact under
@@ -195,7 +226,7 @@ impl StoreState {
             }
             _ => {
                 let (f, lo, hi) = range_of(pred)?;
-                Cow::Owned(self.field_indexes.get(f)?.lookup_range(lo, hi))
+                Cow::Owned(self.index(f)?.lookup_range(lo, hi))
             }
         })
     }
@@ -205,7 +236,7 @@ impl StoreState {
     /// range stops counting there). `None` = no index narrows `pred`.
     fn estimate(&self, pred: &Predicate, cap: usize) -> Option<usize> {
         Some(match pred {
-            Predicate::Eq(f, v) => self.field_indexes.get(f)?.lookup_eq(v).len(),
+            Predicate::Eq(f, v) => self.index(f)?.lookup_eq(v).len(),
             Predicate::HasTag(t) => self.tag_index.lookup(t).len(),
             Predicate::And(a, b) => match (self.estimate(a, cap), self.estimate(b, cap)) {
                 (Some(x), Some(y)) => x.min(y),
@@ -214,7 +245,7 @@ impl StoreState {
             Predicate::Or(a, b) => self.estimate(a, cap)?.saturating_add(self.estimate(b, cap)?),
             _ => {
                 let (f, lo, hi) = range_of(pred)?;
-                self.field_indexes.get(f)?.count_range(lo, hi, cap)
+                self.index(f)?.count_range(lo, hi, cap)
             }
         })
     }
@@ -224,7 +255,7 @@ impl StoreState {
     /// effect is already present (idempotent skip).
     fn apply(&mut self, rec: MetaWalRecord) -> bool {
         match rec {
-            MetaWalRecord::Insert(new) => self.register(new.into_record()).is_ok(),
+            MetaWalRecord::Insert(rec) => self.register(rec).is_ok(),
             MetaWalRecord::Tag { id, tag } => {
                 let Some(rec) = self.records.get_mut(id.0 as usize) else {
                     return false;
@@ -277,19 +308,20 @@ fn range_of(pred: &Predicate) -> Option<(&str, Bound<&Value>, Bound<&Value>)> {
 }
 
 impl NewDataset {
-    /// The catalog record this registration becomes; the store assigns
-    /// the id when it registers it.
-    fn into_record(self) -> DatasetRecord {
-        DatasetRecord {
+    /// The catalog record this registration becomes, its document
+    /// validated against `schema` and moved into the schema's shape;
+    /// the store assigns the id when it registers it.
+    fn into_record(self, schema: &Schema) -> Result<DatasetRecord, SchemaError> {
+        Ok(DatasetRecord {
             id: DatasetId(0),
             name: self.name,
             location: self.location,
             size_bytes: self.size_bytes,
             checksum_hex: self.checksum_hex,
-            basic: self.basic,
+            basic: schema.shape(self.basic)?,
             processing: Vec::new(),
             tags: Default::default(),
-        }
+        })
     }
 }
 
@@ -316,27 +348,26 @@ impl ProjectStore {
     /// segments from a previous incarnation) is recovered before this
     /// returns.
     pub fn with_durability(schema: Schema, durability: Option<ComponentDurability>) -> Self {
-        let field_indexes = schema
-            .indexed_fields()
-            .map(|f| (f.to_string(), FieldIndex::new()))
-            .collect();
         // A store with no log to checkpoint is one chunk.
         let chunk_records = durability
             .as_ref()
             .and_then(|d| usize::try_from(d.chunk_records()).ok())
             .unwrap_or(usize::MAX);
+        let mut state = StoreState {
+            schema: schema.clone(),
+            records: Vec::new(),
+            by_name: HashMap::new(),
+            field_indexes: Vec::new(),
+            tag_index: TagIndex::new(),
+            subscribers: Vec::new(),
+            chunk_records,
+            dirty: Vec::new(),
+        };
+        state.reindex();
         let store = ProjectStore {
             project: schema.name.clone(),
+            state: OrderedRwLock::new(ranks::META_STATE, state),
             schema,
-            state: OrderedRwLock::new(ranks::META_STATE, StoreState {
-                records: Vec::new(),
-                by_name: HashMap::new(),
-                field_indexes,
-                tag_index: TagIndex::new(),
-                subscribers: Vec::new(),
-                chunk_records,
-                dirty: Vec::new(),
-            }),
             scanned: AtomicU64::new(0),
             queries: AtomicU64::new(0),
             durability,
@@ -394,30 +425,28 @@ impl ProjectStore {
         &self,
         batch: Vec<NewDataset>,
     ) -> Vec<Result<DatasetId, MetadataError>> {
-        // Outside the lock: validate, and encode each WAL record from
-        // the registration's borrowed fields.
-        let prepared: Vec<Result<(NewDataset, Vec<u8>), MetadataError>> = batch
-            .into_iter()
-            .map(|new| {
-                self.schema.validate(&new.basic)?;
-                let payload = match &self.durability {
-                    Some(_) => MetaWalRecord::encode_insert(&new),
-                    None => Vec::new(),
-                };
-                Ok((new, payload))
-            })
-            .collect();
-        let mut logged = Vec::with_capacity(prepared.len());
+        let mut logged = Vec::with_capacity(batch.len());
         let (results, subs) = {
+            // The commit is one critical section that opens when the
+            // batch arrives: each item goes document -> record -> WAL
+            // bytes -> indexes under the lock, nothing is staged beside
+            // it. Shaping or encoding ahead of the lock would shorten
+            // the section but open it later by as long as that work
+            // takes, and whether a reader working alongside meets the
+            // commit or slips past it then turns on microseconds: its
+            // query times get two modes (DESIGN §8, "Where the commit
+            // window opens"). Move work out only with that measured.
             let mut st = self.state.write();
-            let results: Vec<Result<DatasetId, MetadataError>> = prepared
+            let results: Vec<Result<DatasetId, MetadataError>> = batch
                 .into_iter()
-                .map(|item| {
-                    let (new, payload) = item?;
-                    let id = st
-                        .register(new.into_record())
-                        .map_err(MetadataError::DuplicateName)?;
-                    logged.push(payload);
+                .map(|new| {
+                    let rec = new.into_record(&self.schema)?;
+                    let payload = self
+                        .durability
+                        .as_ref()
+                        .map(|_| MetaWalRecord::encode_insert(&self.schema, &rec));
+                    let id = st.register(rec).map_err(MetadataError::DuplicateName)?;
+                    logged.extend(payload);
                     Ok(id)
                 })
                 .collect();
@@ -484,7 +513,7 @@ impl ProjectStore {
         let subs = {
             let mut st = self.state.write();
             let rec = build(st.records.get(id.0 as usize).ok_or(MetadataError::NotFound(id))?);
-            let logged = self.durability.as_ref().map(|d| (d, rec.encode()));
+            let logged = self.durability.as_ref().map(|d| (d, rec.encode(&self.schema)));
             if !st.apply(rec) {
                 return Ok(());
             }
@@ -626,7 +655,7 @@ impl ProjectStore {
             .zip(&st.dirty)
             .map(|(records, dirty)| {
                 if dirty.swap(false, Ordering::Relaxed) || whole {
-                    Chunk::Put(MetaSnapshot::encode_chunk(records))
+                    Chunk::Put(MetaSnapshot::encode_chunk(&self.schema, records))
                 } else {
                     Chunk::Keep
                 }
@@ -664,8 +693,12 @@ impl ProjectStore {
 
     /// Rebuilds the catalog from the durable store through the
     /// harness's recovery loop: the latest verified checkpoint is
-    /// installed, then the committed WAL suffix replayed idempotently.
-    /// A store without durability returns zeroed stats.
+    /// installed, then the committed WAL suffix replayed idempotently,
+    /// then the field indexes built over the result. A checkpoint or a
+    /// logged insert written under another schema than this store's is
+    /// refused — reported as `checkpoint_rejected`, counted as skipped
+    /// — never read as if it were this one's. A store without
+    /// durability returns zeroed stats.
     pub fn recover(&self) -> RecoveryStats {
         let Some(d) = &self.durability else {
             return RecoveryStats::default();
@@ -678,11 +711,15 @@ impl ProjectStore {
         // manifest names: an install says so, replay dirties what it
         // touches.
         st.dirty.iter_mut().for_each(|flag| *flag.get_mut() = true);
+        st.field_indexes.clear();
         let st = RefCell::new(st);
-        d.recover_with(
+        let decode = |payload: &[u8]| MetaWalRecord::decode(payload, &self.schema);
+        let stats = d.recover_with(
             |chunks| st.borrow_mut().install(chunks),
-            |payload| MetaWalRecord::decode(payload).is_some_and(|rec| st.borrow_mut().apply(rec)),
-        )
+            |payload| decode(payload).is_some_and(|rec| st.borrow_mut().apply(rec)),
+        );
+        st.into_inner().reindex();
+        stats
     }
 }
 
@@ -1051,14 +1088,24 @@ mod tests {
         store: &lsdf_durability::DurableStore,
         checkpoint_every: u64,
     ) -> (ProjectStore, Arc<lsdf_obs::Registry>) {
+        open_under(zebrafish_schema(), store, checkpoint_every)
+    }
+
+    /// Opens the `meta-zebrafish` store on `disk` under `schema`,
+    /// recovering whatever the disk holds.
+    fn open_under(
+        schema: Schema,
+        disk: &lsdf_durability::DurableStore,
+        checkpoint_every: u64,
+    ) -> (ProjectStore, Arc<lsdf_obs::Registry>) {
         let reg = Arc::new(lsdf_obs::Registry::new());
         let cfg = lsdf_durability::DurabilityConfig {
             checkpoint_every,
             ..lsdf_durability::DurabilityConfig::default()
         };
         let durability =
-            lsdf_durability::ComponentDurability::open(store, "meta-zebrafish", &reg, &cfg);
-        (ProjectStore::with_durability(zebrafish_schema(), Some(durability)), reg)
+            lsdf_durability::ComponentDurability::open(disk, "meta-zebrafish", &reg, &cfg);
+        (ProjectStore::with_durability(schema, Some(durability)), reg)
     }
 
     /// Inserts `img-<from>` up to `img-<to - 1>` as one batch.
@@ -1173,6 +1220,156 @@ mod tests {
         let stats = store.recover();
         assert!(stats.snapshot_loaded && !stats.checkpoint_rejected);
         assert_eq!(store.catalog_digest(), digest);
+    }
+
+    #[test]
+    fn a_store_reopened_under_another_schema_refuses_what_the_disk_holds() {
+        let disk = lsdf_durability::DurableStore::new();
+        let store = durable_store(&disk, 2);
+        insert_range(&store, 0, 6);
+        assert_eq!(store.checkpoint(), Some(3));
+        insert_range(&store, 6, 8);
+        let digest = store.catalog_digest();
+        drop(store);
+        // The same fields and one more: other slots, another fingerprint.
+        let widened = zebrafish_schema().fields().iter().fold(
+            SchemaBuilder::new("zebrafish-htm").optional("operator", FieldType::Str),
+            |b, f| if f.required { b.required(&f.name, f.ty) } else { b.optional(&f.name, f.ty) },
+        );
+        let (reopened, reg) = open_under(widened.build().unwrap(), &disk, 2);
+        let rejected = || reg.counter_value(lsdf_obs::names::CKPT_REJECTED_TOTAL, &[("log", "meta-zebrafish")]);
+        assert!(reopened.is_empty(), "no record is read under a schema it was not written under");
+        assert_eq!(rejected(), 1);
+        let stats = reopened.recover();
+        assert!(stats.checkpoint_rejected && !stats.snapshot_loaded, "{stats:?}");
+        assert_eq!((stats.replayed, stats.skipped, rejected()), (0, 2, 2));
+        drop(reopened);
+        // Refused, not destroyed: the schema that wrote it reads it all.
+        let (store, reg) = durable_store_and_registry(&disk, 2);
+        assert_eq!((store.len(), store.catalog_digest()), (8, digest));
+        assert_eq!(reg.counter_value(lsdf_obs::names::CKPT_REJECTED_TOTAL, &[("log", "meta-zebrafish")]), 0);
+    }
+
+    #[test]
+    fn a_checkpoint_whose_records_do_not_fit_the_catalog_is_refused_whole() {
+        let schema = SchemaBuilder::new("zebrafish-htm")
+            .required("run", FieldType::Int)
+            .indexed()
+            .required("energy", FieldType::Float)
+            .optional("detector", FieldType::Str)
+            .build()
+            .unwrap();
+        let record = |id: u64, name: &str| DatasetRecord {
+            id: DatasetId(id),
+            name: name.to_string(),
+            ..new_ds(name, [("run", Value::Int(7)), ("energy", Value::Float(0.5))].map(|(k, v)| (k.to_string(), v)).into())
+                .into_record(&schema)
+                .unwrap()
+        };
+        let chunk = |records: &[DatasetRecord]| MetaSnapshot::encode_chunk(&schema, records);
+        let sound = [chunk(&[record(0, "a"), record(1, "b")]), chunk(&[record(2, "c"), record(3, "d")])];
+        // fingerprint, id, three length-prefixed strings and the size:
+        // then record 0's bitmap (three slots, the third absent) and its
+        // first value's type tag.
+        let bitmap = 8 + 8 + (4 + 1) + (4 + "lsdf://zebrafish-htm/raw/a".len()) + 8 + 4;
+        assert_eq!(sound[0][bitmap..bitmap + 2], [0b011, FieldType::Int.tag()]);
+        let patched = |at: usize, byte: u8| {
+            let mut bytes = sound[0].clone();
+            bytes[at] = byte;
+            bytes
+        };
+        let unsound = [
+            ("a name an earlier record has", vec![sound[0].clone(), chunk(&[record(2, "c"), record(3, "a")])]),
+            ("an id that is not its position", vec![sound[0].clone(), chunk(&[record(3, "c"), record(4, "d")])]),
+            ("chunks out of order", vec![sound[1].clone(), sound[0].clone()]),
+            ("a slot the schema lacks", vec![patched(bitmap, 0b1011), sound[1].clone()]),
+            ("a value of another type than its slot", vec![patched(bitmap + 1, FieldType::Time.tag()), sound[1].clone()]),
+        ];
+        let disk = lsdf_durability::DurableStore::new();
+        let (store, reg) = open_under(schema.clone(), &disk, 2);
+        // Every chunk below is hashed as it is saved: the manifest
+        // names what is there, and what is there is wrong.
+        let save = |chunks: &[Vec<u8>]| {
+            let ckpts = lsdf_durability::CheckpointStore::open(disk.clone(), "meta-zebrafish", &reg);
+            assert!(ckpts.save(chunks.iter().cloned().map(Chunk::Put).collect(), 2, 0).is_some());
+        };
+        let rejected = || reg.counter_value(lsdf_obs::names::CKPT_REJECTED_TOTAL, &[("log", "meta-zebrafish")]);
+        for (n, (what, chunks)) in unsound.iter().enumerate() {
+            save(chunks);
+            let stats = store.recover();
+            assert!(stats.checkpoint_rejected && !stats.snapshot_loaded, "{what}: {stats:?}");
+            assert_eq!(rejected(), n as u64 + 1, "{what}");
+            assert!(store.is_empty(), "{what}: nothing of it is kept, renumbered or not");
+        }
+        save(&sound);
+        assert!(store.recover().snapshot_loaded);
+        let names: Vec<(u64, String)> = store.all().iter().map(|r| (r.id.0, r.name.clone())).collect();
+        assert_eq!(names, [(0, "a".into()), (1, "b".into()), (2, "c".into()), (3, "d".into())]);
+        assert_eq!(store.query(&eq("run", 7i64)).len(), 4);
+        // A live catalog a refused checkpoint leaves as it was.
+        save(&unsound[0].1);
+        assert!(store.recover().checkpoint_rejected);
+        assert_eq!((store.len(), store.get_by_name("d").map(|r| r.id)), (4, Some(DatasetId(3))));
+    }
+
+    #[test]
+    fn a_restart_answers_every_query_as_before_and_held_handles_still_read() {
+        let disk = lsdf_durability::DurableStore::new();
+        let store = durable_store(&disk, 4);
+        // Wavelengths repeat, fall to either zero and are mostly out of
+        // id order; timestamps rise with the id, one value each.
+        let wavelengths = [561.0, 0.0, 488.0, -0.0, 405.0, 488.0, 640.0];
+        let insert = |from: i64, to: i64| {
+            let batch = (from..to).map(|i| new_ds(&format!("img-{i:05}"), zf_doc(i / 3, i % 3, wavelengths[i as usize % 7])));
+            assert!(store.insert_batch(batch.collect()).iter().all(Result::is_ok));
+        };
+        insert(0, 22);
+        for i in [0, 5, 9, 21] {
+            store.tag(DatasetId(i), "raw").unwrap();
+        }
+        assert_eq!(store.checkpoint(), Some(6));
+        // The suffix the checkpoint does not hold.
+        insert(22, 31);
+        store.tag(DatasetId(25), "raw").unwrap();
+        store.untag(DatasetId(5), "raw").unwrap();
+        let at = |i: i64| Value::Time(i / 3 * 100 + i % 3);
+        let preds = [
+            eq("fish_id", 3i64),
+            eq("wavelength_nm", 0.0),
+            eq("wavelength_nm", 488.0),
+            le("wavelength_nm", -0.0),
+            gt("wavelength_nm", 488.0),
+            ge("acquired_at", at(20)).and(lt("acquired_at", at(27))),
+            eq("acquired_at", at(13)),
+            eq("fish_id", 7i64).and(ge("wavelength_nm", 488.0)),
+            eq("fish_id", 1i64).or(eq("wavelength_nm", 640.0)),
+            has_tag("raw"),
+            has_tag("raw").and(lt("acquired_at", at(10))),
+            eq("well", "A1").and(eq("fish_id", 9i64)),
+        ];
+        let answers = |store: &ProjectStore| -> Vec<(Vec<u64>, u64)> {
+            let answer = |pred| {
+                let (_, before) = store.query_stats();
+                let ids = store.query(pred).iter().map(|r| r.id.0).collect();
+                (ids, store.query_stats().1 - before)
+            };
+            preds.iter().map(answer).collect()
+        };
+        let before = answers(&store);
+        assert_eq!(before[1].0, [1, 3, 8, 10, 15, 17, 22, 24, 29]);
+        assert_eq!(before[6], (vec![13], 1));
+        let held = store.get(DatasetId(13)).unwrap();
+        store.crash(23);
+        let stats = store.recover();
+        assert!(stats.snapshot_loaded && stats.replayed == 11, "{stats:?}");
+        // The same ids, found by examining the same number of records:
+        // the indexes a restart builds at once narrow as the ones that
+        // grew insert by insert did.
+        assert_eq!(answers(&store), before);
+        let now = store.get(DatasetId(13)).unwrap();
+        assert!(!Arc::ptr_eq(&held, &now) && *held == *now);
+        assert_eq!(held.basic.get("acquired_at"), Some(&at(13)));
+        assert_eq!(held.basic.to_document(), zf_doc(4, 1, wavelengths[6]));
     }
 
     #[test]

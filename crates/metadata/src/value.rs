@@ -24,6 +24,20 @@ pub enum FieldType {
     Time,
 }
 
+impl FieldType {
+    /// The type's byte in every stored encoding: before a value, and in
+    /// what a schema's fingerprint hashes.
+    pub(crate) const fn tag(self) -> u8 {
+        match self {
+            FieldType::Str => 0,
+            FieldType::Int => 1,
+            FieldType::Float => 2,
+            FieldType::Bool => 3,
+            FieldType::Time => 4,
+        }
+    }
+}
+
 /// A dynamically typed metadata value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {

@@ -86,11 +86,14 @@ bench:
 # prints, per workload and end-to-end metric in the order the benchmark
 # reports them (36 rows for `all`), each side's median and quartiles,
 # the move of the median, and in how many pairs the change read higher.
-# Every run's full output stays under target/bench-pair/runs/.
-bench-pair workload seed pairs="10" parent="HEAD~1":
+# With `trace` 1 both sides run `--trace 1` instead and the rows are the
+# per-layer rungs (51 a workload): the "rung before/after" a perf report
+# prints beside its prediction, e.g. `just bench-pair daq_events 61 3
+# HEAD~1 1`. Every run's full output stays under target/bench-pair/runs/.
+bench-pair workload seed pairs="10" parent="HEAD~1" trace="0":
     #!/usr/bin/env bash
     set -euo pipefail
-    top=target/bench-pair; out=$top/runs/{{workload}}-{{seed}}-$(date +%s)
+    top=target/bench-pair; out=$top/runs/{{workload}}-{{seed}}-trace{{trace}}-$(date +%s)
     mkdir -p "$out"
     [ -d $top/parent ] || git worktree add --detach $top/parent {{parent}}
     git -C $top/parent checkout --quiet --detach {{parent}}
@@ -104,11 +107,11 @@ bench-pair workload seed pairs="10" parent="HEAD~1":
         for i in $(seq 1 {{pairs}}); do
             if (( i % 2 )); then order="parent change"; else order="change parent"; fi
             for side in $order; do
-                $top/benchmark-$side --workload $w --seed {{seed}} --seconds 28 --trace 0 > "$out/$w-$side-$i.txt"
+                $top/benchmark-$side --workload $w --seed {{seed}} --seconds 28 --trace {{trace}} > "$out/$w-$side-$i.txt"
                 tail -n 1 "$out/$w-$side-$i.txt" \
                     | grep '^{"correct": true, "attempted": [0-9]*, "failed": 0,' \
-                    | grep -o '"[a-z_0-9]*": {"value": [-0-9.e]*' \
-                    | sed "s/^\"\([a-z_0-9]*\)\": {\"value\": /$w $side $i \1 /" >> "$out/all.txt" \
+                    | grep -o '"[a-z_0-9.]*": {"value": [-0-9.e]*' \
+                    | sed "s/^\"\([a-z_0-9.]*\)\": {\"value\": /$w $side $i \1 /" >> "$out/all.txt" \
                     || { echo "bench-pair: $w $side run $i did not read back correct with 0 failed"; exit 1; }
             done
         done
@@ -122,12 +125,12 @@ bench-pair workload seed pairs="10" parent="HEAD~1":
         median = (n % 2) ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2
     }
     END {
-        printf "%-21s %-20s %12s %25s %12s %25s %8s %s\n", "workload", "metric", "parent", "(quartiles)", "change", "(quartiles)", "median", "change higher"
+        printf "%-21s %-34s %12s %25s %12s %25s %8s %s\n", "workload", "metric", "parent", "(quartiles)", "change", "(quartiles)", "median", "change higher"
         for (k = 1; k <= nw; k++) for (l = 1; l <= nm; l++) {
             quartiles(w[k], "parent", m[l]); pm = median; pq = sprintf("%.6g .. %.6g", q1, q3)
             quartiles(w[k], "change", m[l]); higher = 0
             for (i = 1; i <= n; i++) higher += v[w[k], "change", m[l], i] > v[w[k], "parent", m[l], i]
-            printf "%-21s %-20s %12.6g %25s %12.6g %25s %+7.2f%% %d/%d\n", w[k], m[l], pm, pq, median, sprintf("%.6g .. %.6g", q1, q3), pm ? (median - pm) / pm * 100 : 0, higher, n
+            printf "%-21s %-34s %12.6g %25s %12.6g %25s %+7.2f%% %d/%d\n", w[k], m[l], pm, pq, median, sprintf("%.6g .. %.6g", q1, q3), pm ? (median - pm) / pm * 100 : 0, higher, n
         }
     }' "$out/all.txt"
     echo "every run: $out"
