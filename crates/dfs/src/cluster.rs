@@ -71,10 +71,22 @@ impl ClusterTopology {
     pub fn same_rack(&self, a: DfsNodeId, b: DfsNodeId) -> bool {
         self.rack_of(a) == self.rack_of(b)
     }
+
+    /// How far a read from `reader` travels to a replica on `node`; a
+    /// reader outside the cluster (`None`) is remote from every node.
+    pub(crate) fn locality(&self, reader: Option<DfsNodeId>, node: DfsNodeId) -> Locality {
+        match reader {
+            Some(r) if r == node => Locality::NodeLocal,
+            Some(r) if self.same_rack(r, node) => Locality::RackLocal,
+            _ => Locality::Remote,
+        }
+    }
 }
 
 /// How "far" a read travels — the locality metric reported by the client.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Variants are declared nearest first, so the derived order ranks
+/// replicas.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Locality {
     /// Replica on the reading node itself.
     NodeLocal,
@@ -112,6 +124,17 @@ mod tests {
         let r1: Vec<u32> = t.nodes_in_rack(RackId(1)).map(|n| n.0).collect();
         assert_eq!(r1, vec![3, 4, 5]);
         assert_eq!(t.nodes().count(), 6);
+    }
+
+    #[test]
+    fn locality_ranks_nearest_first() {
+        let t = ClusterTopology::new(2, 2);
+        let reader = Some(DfsNodeId(0));
+        assert_eq!(t.locality(reader, DfsNodeId(0)), Locality::NodeLocal);
+        assert_eq!(t.locality(reader, DfsNodeId(1)), Locality::RackLocal);
+        assert_eq!(t.locality(reader, DfsNodeId(2)), Locality::Remote);
+        assert_eq!(t.locality(None, DfsNodeId(0)), Locality::Remote);
+        assert!(Locality::NodeLocal < Locality::RackLocal && Locality::RackLocal < Locality::Remote);
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub mod shard;
 mod wal;
 
 pub use cluster::{ClusterTopology, DfsNodeId, Locality, RackId};
-pub use datanode::{BlockId, DataNode, DataNodeError};
+pub use datanode::{BlockExtent, BlockId, DataNode, DataNodeError};
 pub use namenode::{
     Dfs, DfsConfig, DfsError, FileMeta, LocatedBlock, PlacementPolicy, StagedFile,
 };

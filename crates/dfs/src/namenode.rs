@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use crate::cluster::{ClusterTopology, DfsNodeId, Locality};
-use crate::datanode::{BlockId, DataNode, DataNodeError};
+use crate::datanode::{BlockExtent, BlockId, DataNode, DataNodeError};
 use crate::shard::ShardedMap;
 use crate::wal::{BlockEntry, DfsSnapshot, DfsWalRecord};
 use lsdf_durability::{Chunk, Chunks, ComponentDurability, RecoveryStats};
@@ -356,7 +356,8 @@ impl Dfs {
     /// [`Dfs::commit_files_batch`] — one lock acquisition and one WAL
     /// group commit for a whole batch of staged files.
     ///
-    /// Block chunks are zero-copy views into `data`'s buffer.
+    /// Every replica is a [`BlockExtent`] of `data`'s buffer, so a
+    /// whole-file read hands that buffer back.
     pub fn stage_write_traced(
         &self,
         path: &str,
@@ -386,13 +387,12 @@ impl Dfs {
                 self.log_rolled_back_alloc(max_id);
                 return Err(DfsError::NoSpace);
             }
-            // A view into the shared payload buffer — refcount bump per
+            // A window of the shared payload buffer — refcount bump per
             // replica, zero copies.
-            let chunk = data.slice_bytes(start..end);
+            let extent = BlockExtent::new(data.bytes().clone(), start..end);
             let mut placed = Vec::new();
             for t in targets {
-                // lint: allow(payload_copy) -- Bytes view clone: refcount bump
-                match self.nodes[t.0 as usize].store_block(id, chunk.clone()) {
+                match self.nodes[t.0 as usize].store_block(id, extent.clone()) {
                     Ok(()) => placed.push(t),
                     Err(DataNodeError::TransientIo(_)) => {
                         self.obs.flaky_failures.inc();
@@ -413,12 +413,12 @@ impl Dfs {
                 ],
             );
             if self.durability.is_some() {
-                entries.push((id, chunk.len() as u64, placed.clone()));
+                entries.push((id, extent.len() as u64, placed.clone()));
             }
             self.blocks.insert(
                 id,
                 BlockInfo {
-                    size: chunk.len() as u64,
+                    size: extent.len() as u64,
                     replicas: placed,
                 },
             );
@@ -515,6 +515,12 @@ impl Dfs {
 
     /// [`Dfs::read`] attributed to a causal trace via a `dfs_read`
     /// child span.
+    ///
+    /// One rule assembles the file: when the block extents are
+    /// consecutive windows of one buffer — every file this DFS wrote,
+    /// however its replicas moved since — the read is one view of that
+    /// buffer. Extents of different buffers (a replica stored through
+    /// [`Dfs::node`]) are concatenated, the one counted copy.
     pub fn read_traced(
         &self,
         path: &str,
@@ -524,25 +530,16 @@ impl Dfs {
         let tspan = ctx.child(names::DFS_READ_SPAN);
         tspan.add_field("path", path);
         let span = self.obs.registry.span(&self.obs.read_latency);
-        let located = self.file_blocks(path)?;
-        if located.len() == 1 {
-            // Single-block fast path: hand back the datanode's buffer
-            // directly instead of copying it into a fresh Vec.
-            let data = self.read_block(&located[0], reader)?;
-            self.obs.reads.inc();
-            self.obs.read_bytes.record(data.len() as u64);
-            span.finish();
-            return Ok(data);
-        }
-        let mut out = Vec::with_capacity(located.iter().map(|b| b.size as usize).sum());
-        for lb in &located {
-            let data = self.read_block(lb, reader)?;
-            out.extend_from_slice(&data);
-        }
+        let extents = self
+            .file_blocks(path)?
+            .iter()
+            .map(|lb| self.read_extent(lb, reader))
+            .collect::<Result<Vec<_>, _>>()?;
+        let data = BlockExtent::join(&extents);
         self.obs.reads.inc();
-        self.obs.read_bytes.record(out.len() as u64);
+        self.obs.read_bytes.record(data.len() as u64);
         span.finish();
-        Ok(Bytes::from(out))
+        Ok(data)
     }
 
     /// Reads one located block from the best replica, recording locality.
@@ -551,31 +548,34 @@ impl Dfs {
         lb: &LocatedBlock,
         reader: Option<DfsNodeId>,
     ) -> Result<Bytes, DfsError> {
-        // Order replicas by distance from the reader.
-        let mut candidates: Vec<(u8, DfsNodeId)> = lb
+        self.read_extent(lb, reader).map(|extent| extent.bytes())
+    }
+
+    /// The extent of the first live replica that answers, trying them
+    /// nearest first (ties by node id) and counting the read under the
+    /// locality it was served at.
+    fn read_extent(
+        &self,
+        lb: &LocatedBlock,
+        reader: Option<DfsNodeId>,
+    ) -> Result<BlockExtent, DfsError> {
+        let mut candidates: Vec<(Locality, DfsNodeId)> = lb
             .replicas
             .iter()
             .filter(|n| self.nodes[n.0 as usize].is_alive())
-            .map(|&n| {
-                let rank = match reader {
-                    Some(r) if r == n => 0,
-                    Some(r) if self.topology.same_rack(r, n) => 1,
-                    _ => 2,
-                };
-                (rank, n)
-            })
+            .map(|&n| (self.topology.locality(reader, n), n))
             .collect();
-        candidates.sort_unstable_by_key(|&(rank, n)| (rank, n.0));
-        for (rank, n) in candidates {
+        candidates.sort_unstable();
+        for (locality, n) in candidates {
             match self.nodes[n.0 as usize].read_block(lb.id) {
-                Ok(data) => {
-                    let counter = match rank {
-                        0 => &self.obs.node_local,
-                        1 => &self.obs.rack_local,
-                        _ => &self.obs.remote,
+                Ok(extent) => {
+                    let counter = match locality {
+                        Locality::NodeLocal => &self.obs.node_local,
+                        Locality::RackLocal => &self.obs.rack_local,
+                        Locality::Remote => &self.obs.remote,
                     };
                     counter.inc();
-                    return Ok(data);
+                    return Ok(extent);
                 }
                 Err(DataNodeError::TransientIo(_)) => {
                     // Flaky drop: fall through to the next replica.
@@ -585,32 +585,6 @@ impl Dfs {
             }
         }
         Err(DfsError::BlockUnavailable(lb.id))
-    }
-
-    /// The locality of the replica that a read from `reader` would use.
-    pub fn locality_of(&self, lb: &LocatedBlock, reader: DfsNodeId) -> Option<Locality> {
-        let mut best: Option<Locality> = None;
-        for &n in &lb.replicas {
-            if !self.nodes[n.0 as usize].is_alive() {
-                continue;
-            }
-            let loc = if n == reader {
-                Locality::NodeLocal
-            } else if self.topology.same_rack(n, reader) {
-                Locality::RackLocal
-            } else {
-                Locality::Remote
-            };
-            best = Some(match (best, loc) {
-                (None, l) => l,
-                (Some(Locality::NodeLocal), _) => Locality::NodeLocal,
-                (Some(_), Locality::NodeLocal) => Locality::NodeLocal,
-                (Some(Locality::RackLocal), _) => Locality::RackLocal,
-                (Some(_), Locality::RackLocal) => Locality::RackLocal,
-                _ => Locality::Remote,
-            });
-        }
-        best
     }
 
     /// Locates a file's blocks.
@@ -747,7 +721,9 @@ impl Dfs {
     }
 
     /// Replication monitor pass: for every under-replicated block, copy
-    /// from a live replica to fresh targets that have room for it.
+    /// from a live replica to fresh targets that have room for it. The
+    /// copy is the source's extent handle, so the new replica is a
+    /// window of the same file buffer as the old ones.
     /// A target whose `store_block` fails (flaky node, capacity raced
     /// away) is excluded and the placement retried on another node,
     /// counted in `dfs_store_retry_total`. Blocks that cannot reach
@@ -768,7 +744,7 @@ impl Dfs {
         let mut created = 0;
         let mut unrecoverable: i64 = 0;
         for id in todo {
-            let Some((data, existing_live)) = self.blocks.read(id, |info| {
+            let Some((source, existing_live)) = self.blocks.read(id, |info| {
                 let live: Vec<DfsNodeId> = info
                     .replicas
                     .iter()
@@ -777,14 +753,14 @@ impl Dfs {
                     .collect();
                 // Any readable live replica can source the copy (the
                 // first may be flaky).
-                let data = live
+                let source = live
                     .iter()
                     .find_map(|n| self.nodes[n.0 as usize].read_block(id).ok());
-                (data, live)
+                (source, live)
             }) else {
                 continue;
             };
-            let Some(data) = data else {
+            let Some(extent) = source else {
                 unrecoverable += 1;
                 continue;
             };
@@ -798,9 +774,8 @@ impl Dfs {
                     .read(id, |info| info.replicas.clone())
                     .unwrap_or_default();
                 let mut placed = None;
-                while let Some(t) = self.pick_new_target(&exclude, data.len() as u64) {
-                    // lint: allow(payload_copy) -- Bytes handle clone: refcount bump
-                    if self.nodes[t.0 as usize].store_block(id, data.clone()).is_ok() {
+                while let Some(t) = self.pick_new_target(&exclude, extent.len() as u64) {
+                    if self.nodes[t.0 as usize].store_block(id, extent.clone()).is_ok() {
                         placed = Some(t);
                         break;
                     }
@@ -863,8 +838,9 @@ impl Dfs {
     /// The balancer: moves replicas from over-full to under-full live
     /// nodes until every node's used bytes are within `threshold`
     /// (fraction of mean usage, e.g. 0.1 = ±10 %) or no legal move
-    /// remains. A move never co-locates two replicas of one block.
-    /// Returns the number of replicas moved — HDFS's `balancer` tool.
+    /// remains. A move never co-locates two replicas of one block, and
+    /// hands the extent itself to the new holder. Returns the number of
+    /// replicas moved — HDFS's `balancer` tool.
     pub fn rebalance(&self, threshold: f64) -> usize {
         assert!(threshold >= 0.0, "threshold must be non-negative");
         let mut moved = 0;
@@ -904,10 +880,16 @@ impl Dfs {
                     {
                         return best;
                     }
-                    // Prefer the largest block that still fits the gap, so
-                    // the balancer converges instead of ping-ponging.
+                    // Prefer the largest block that still fits the gap
+                    // and leaves dst below where src was: every move
+                    // shrinks the spread, so the balancer converges
+                    // instead of ping-ponging a block that outweighs
+                    // the mean between an empty node and a full one.
                     let dst_used = self.nodes[dst.0 as usize].used();
-                    if (dst_used + info.size) as f64 > hi_cut.max(info.size as f64) {
+                    let src_used = self.nodes[src.0 as usize].used();
+                    if (dst_used + info.size) as f64 > hi_cut.max(info.size as f64)
+                        || dst_used + info.size >= src_used
+                    {
                         return best;
                     }
                     match best {
@@ -918,10 +900,10 @@ impl Dfs {
             let Some((block, _)) = candidate else {
                 return moved;
             };
-            let Ok(data) = self.nodes[src.0 as usize].read_block(block) else {
+            let Ok(extent) = self.nodes[src.0 as usize].read_block(block) else {
                 return moved;
             };
-            if self.nodes[dst.0 as usize].store_block(block, data).is_err() {
+            if self.nodes[dst.0 as usize].store_block(block, extent).is_err() {
                 return moved;
             }
             let committed = self.commit_replicas(block, |replicas| {
@@ -1385,7 +1367,7 @@ mod tests {
         // Fill the spare node to the brim via a replication-1 file pinned
         // there: direct block store keeps the test simple.
         fs.node(spare)
-            .store_block(BlockId(999), Bytes::from(data(100)))
+            .store_block(BlockId(999), Bytes::from(data(100)).into())
             .unwrap();
         fs.kill_node(lb.replicas[0]);
         let created = fs.re_replicate(&TraceCtx::disabled());

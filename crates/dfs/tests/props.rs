@@ -1,10 +1,15 @@
 //! Property tests for DFS invariants: placement distinctness, roundtrip
-//! fidelity under arbitrary file sizes, and durability under failures up
-//! to replication-1 nodes.
+//! fidelity under arbitrary file sizes, durability under failures up
+//! to replication-1 nodes, and reads that hand back the written buffer.
+//!
+//! `payload_deep_copies` is process-global and one test here counts it
+//! exactly, so every test in this binary writes owned payloads
+//! ([`put`]), never the copying `&[u8]` entry point.
 
 use bytes::Bytes;
-use lsdf_dfs::{ClusterTopology, Dfs, DfsConfig, DfsNodeId, PlacementPolicy};
+use lsdf_dfs::{BlockExtent, ClusterTopology, Dfs, DfsConfig, DfsNodeId, PlacementPolicy};
 use lsdf_obs::TraceCtx;
+use lsdf_storage::{payload_deep_copies, Payload};
 use proptest::prelude::*;
 
 fn make(racks: u16, per_rack: u16, block: u64, repl: usize, policy: PlacementPolicy, seed: u64) -> Dfs {
@@ -20,6 +25,97 @@ fn make(racks: u16, per_rack: u16, block: u64, repl: usize, policy: PlacementPol
     )
 }
 
+/// Writes `data` as an owned payload (no counted copy) and returns the
+/// buffer the file was written from.
+fn put(fs: &Dfs, path: &str, data: Vec<u8>, writer: Option<DfsNodeId>) -> Bytes {
+    let payload = Payload::from(data);
+    fs.write_payload_traced(path, &payload, writer, &TraceCtx::disabled()).unwrap();
+    payload.into_bytes()
+}
+
+/// `got` is `buf` itself — same bytes at the same address — not a copy.
+/// An empty file has no blocks, hence no buffer to hand back: equal
+/// bytes are all it can promise.
+fn same_buffer(got: &Bytes, buf: &Bytes) -> bool {
+    got == buf && (buf.is_empty() || got.as_ptr() == buf.as_ptr())
+}
+
+/// Every live replica of every block of `path` is the window of `buf`
+/// at that block's offset.
+fn replicas_are_windows_of(fs: &Dfs, path: &str, buf: &Bytes) -> bool {
+    fs.file_blocks(path).unwrap().iter().all(|lb| {
+        lb.replicas.iter().filter(|&&n| fs.node(n).is_alive()).all(|&n| {
+            let block = fs.node(n).read_block(lb.id).unwrap().bytes();
+            block.as_ptr() == buf[lb.offset as usize..].as_ptr() && block.len() as u64 == lb.size
+        })
+    })
+}
+
+/// Lengths 0, one short of a block, and every multiple of `block` in
+/// 1, 2 and 4 blocks with its ±1 neighbours.
+fn edge_lengths(block: usize) -> Vec<usize> {
+    let mut lens = vec![0, block - 1];
+    for k in [1, 2, 4] {
+        lens.extend([k * block - 1, k * block, k * block + 1]);
+    }
+    lens.sort_unstable();
+    lens.dedup();
+    lens
+}
+
+#[test]
+fn a_read_is_the_written_buffer_through_re_replication_and_rebalancing() {
+    for block in [1usize, 3, 64, 100] {
+        for len in edge_lengths(block) {
+            let fs = make(3, 4, block as u64, 3, PlacementPolicy::RackAware, len as u64);
+            let data: Vec<u8> = (0..len).map(|i| (i * 7 % 256) as u8).collect();
+            // Written from node 0: it holds a replica of every block, so
+            // killing it leaves every block to repair and the balancer
+            // has a skew to undo.
+            let buf = put(&fs, "/f", data, Some(DfsNodeId(0)));
+            let case = format!("block {block}, len {len}");
+            // What the parent counted: each replica charges its window.
+            let stored = 3 * len as u64;
+            assert!(same_buffer(&fs.read("/f", None).unwrap(), &buf), "{case}: read");
+            assert_eq!(fs.usage().0, stored, "{case}: usage after write");
+
+            fs.kill_node(DfsNodeId(0));
+            fs.re_replicate(&TraceCtx::disabled());
+            assert!(fs.under_replicated().is_empty(), "{case}");
+            assert!(replicas_are_windows_of(&fs, "/f", &buf), "{case}: re-replicated");
+            assert!(same_buffer(&fs.read("/f", None).unwrap(), &buf), "{case}: read after repair");
+            assert_eq!(fs.usage().0, stored, "{case}: usage after repair");
+
+            fs.rebalance(0.0);
+            assert!(replicas_are_windows_of(&fs, "/f", &buf), "{case}: rebalanced");
+            assert!(same_buffer(&fs.read("/f", None).unwrap(), &buf), "{case}: read after rebalance");
+            assert_eq!(fs.usage().0, stored, "{case}: usage after rebalance");
+        }
+    }
+}
+
+#[test]
+fn a_replica_of_a_foreign_buffer_reads_back_through_one_counted_copy() {
+    let fs = make(2, 3, 100, 2, PlacementPolicy::RackAware, 5);
+    let data: Vec<u8> = (0..350).map(|i| (i % 251) as u8).collect();
+    let buf = put(&fs, "/f", data.clone(), None);
+    // Every replica of the second block swapped for an equal window of
+    // another buffer, stored straight on the datanodes.
+    let lb = fs.file_blocks("/f").unwrap()[1].clone();
+    let range = lb.offset as usize..(lb.offset + lb.size) as usize;
+    for &n in &lb.replicas {
+        fs.node(n).delete_block(lb.id).unwrap();
+        let foreign = Bytes::from(data[range.clone()].to_vec());
+        fs.node(n).store_block(lb.id, BlockExtent::from(foreign)).unwrap();
+    }
+    let before = payload_deep_copies();
+    let got = fs.read("/f", None).unwrap();
+    assert_eq!(payload_deep_copies() - before, 1, "one concatenation, counted");
+    assert_eq!(got, buf);
+    assert_ne!(got.as_ptr(), buf.as_ptr());
+    assert_eq!(fs.usage().0, 2 * 350, "the swap kept every window's size");
+}
+
 proptest! {
     /// Any file roundtrips exactly, for arbitrary sizes and block sizes.
     #[test]
@@ -30,8 +126,8 @@ proptest! {
     ) {
         let fs = make(2, 3, block, 2, PlacementPolicy::RackAware, seed);
         let payload: Vec<u8> = (0..len).map(|i| (i * 31 % 256) as u8).collect();
-        fs.write("/f", &payload, None).unwrap();
-        prop_assert_eq!(fs.read("/f", None).unwrap(), Bytes::from(payload));
+        let buf = put(&fs, "/f", payload, None);
+        prop_assert!(same_buffer(&fs.read("/f", None).unwrap(), &buf));
         let expect_blocks = if len == 0 { 0 } else { (len as u64).div_ceil(block) as usize };
         prop_assert_eq!(fs.stat("/f").unwrap().blocks, expect_blocks);
     }
@@ -45,7 +141,7 @@ proptest! {
         policy in prop::sample::select(vec![PlacementPolicy::RackAware, PlacementPolicy::Random]),
     ) {
         let fs = make(3, 4, 64, repl, policy, seed);
-        fs.write("/f", &[0u8; 1000], Some(DfsNodeId(5))).unwrap();
+        put(&fs, "/f", vec![0u8; 1000], Some(DfsNodeId(5)));
         for lb in fs.file_blocks("/f").unwrap() {
             prop_assert_eq!(lb.replicas.len(), repl);
             let mut uniq = lb.replicas.clone();
@@ -75,7 +171,7 @@ proptest! {
             .map(|i| vec![i as u8; 300 + i * 17])
             .collect();
         for (i, p) in payloads.iter().enumerate() {
-            fs.write(&format!("/f{i}"), p, Some(DfsNodeId((i % 12) as u32))).unwrap();
+            put(&fs, &format!("/f{i}"), p.clone(), Some(DfsNodeId((i % 12) as u32)));
         }
         for &k in &kill {
             fs.kill_node(DfsNodeId(k));
@@ -105,7 +201,7 @@ proptest! {
     fn usage_accounting(sizes in prop::collection::vec(1usize..500, 1..10)) {
         let fs = make(2, 3, 100, 2, PlacementPolicy::Random, 9);
         for (i, &s) in sizes.iter().enumerate() {
-            fs.write(&format!("/f{i}"), &vec![0u8; s], None).unwrap();
+            put(&fs, &format!("/f{i}"), vec![0u8; s], None);
         }
         let (used, _) = fs.usage();
         let expect: u64 = sizes.iter().map(|&s| s as u64 * 2).sum();

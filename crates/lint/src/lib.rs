@@ -40,7 +40,8 @@
 //!   `lsdf_sync::ranks`, and the reconstructed cross-file acquisition
 //!   graph must respect the declared partial order and stay acyclic.
 //! * **L6 `payload_copy`** — no deep payload copies (`.to_vec()`,
-//!   `.clone()` on payload-ish bindings, `Bytes::copy_from_slice`) in
+//!   `.extend_from_slice(`, `.concat()`, `.clone()` on payload-ish
+//!   bindings, `Bytes::copy_from_slice`) in
 //!   the data-path hot crates (`adal`, `dfs`, `storage`): the write
 //!   path shares one immutable `Payload` handle end to end, and a deep
 //!   copy silently forfeits the zero-copy + hash-once guarantees.
@@ -246,6 +247,15 @@ const DETERMINISM_PATTERNS: &[&str] = &[
 ];
 
 const PANIC_PATTERNS: &[&str] = &[".unwrap()", ".expect(", "panic!", "unreachable!"];
+
+/// Calls that copy bytes whatever the receiver: each occurrence on a
+/// hot-crate line is an L6 finding, with the remedy to print.
+const COPY_PATTERNS: &[(&str, &str)] = &[
+    (".to_vec()", "share the Payload handle or slice a zero-copy view of it"),
+    (".extend_from_slice(", "hand out a view of the buffer instead of building a new one"),
+    (".concat()", "hand out a view of the buffer instead of building a new one"),
+    ("Bytes::copy_from_slice", "wrap the existing buffer in a Payload instead"),
+];
 
 /// Identifiers that name payload bytes on the data path: a `.clone()`
 /// on one of these is (almost always) a deep copy of object data, not
@@ -462,14 +472,12 @@ fn lint_scanned(rel: &str, file: &ScannedFile, cfg: &Config, allows: &Allows) ->
                     message: msg,
                 });
             };
-            let mut at = 0usize;
-            while let Some(p) = code[at..].find(".to_vec()") {
-                hit(
-                    "deep payload copy (.to_vec()) on the data path; share the \
-                     Payload handle or slice_bytes a zero-copy view"
-                        .to_string(),
-                );
-                at += p + ".to_vec()".len();
+            for (pat, remedy) in COPY_PATTERNS {
+                let mut at = 0usize;
+                while let Some(p) = code[at..].find(pat) {
+                    hit(format!("deep payload copy ({pat}) on the data path; {remedy}"));
+                    at += p + pat.len();
+                }
             }
             let mut at = 0usize;
             while let Some(p) = code[at..].find(".clone()") {
@@ -485,13 +493,6 @@ fn lint_scanned(rel: &str, file: &ScannedFile, cfg: &Config, allows: &Allows) ->
                     }
                 }
                 at = abs + ".clone()".len();
-            }
-            if code.contains("Bytes::copy_from_slice") {
-                hit(
-                    "Bytes::copy_from_slice duplicates payload bytes; wrap the existing \
-                     buffer in a Payload instead"
-                        .to_string(),
-                );
             }
         }
 
@@ -974,10 +975,12 @@ mod tests {
                        let b = data.clone();
                        let c = Bytes::copy_from_slice(&a);
                        let d = config.clone();
+                       out.extend_from_slice(&data);
+                       let e = [a, c].concat();
                    }
 ";
         let r = lint_file("crates/dfs/src/x.rs", src, &cfg);
-        assert_eq!(r.violations.len(), 3, "{:#?}", r.violations);
+        assert_eq!(r.violations.len(), 5, "{:#?}", r.violations);
         assert!(r.violations.iter().all(|d| d.rule == Rule::PayloadCopy));
         // Outside the hot crates the rule is silent.
         let r = lint_file("crates/core/src/x.rs", src, &cfg);

@@ -15,13 +15,16 @@
 //!   a **new** payload from a private copy; the fresh payload gets a
 //!   fresh digest cell, so a substituted buffer can never inherit the
 //!   original's memoized digest and dodge verification.
-//! * [`Payload::slice_bytes`] shares the parent buffer (a DFS block is a
-//!   view into the file payload, not a copy).
+//! * A view of part of the buffer shares it: a DFS block replica is a
+//!   window of [`Payload::bytes`], not a copy.
+//! * The only deep copies are the two counted constructors:
+//!   `From<&[u8]>` (legacy borrowed-slice entry points) and
+//!   `From<&[Bytes]>` (concatenating views of different buffers).
 //! * Deep copies and digest computations are counted in process-global
 //!   counters ([`payload_deep_copies`], [`payload_digests_computed`]) so
 //!   tests can assert the zero-copy / hash-once contract end to end.
 
-use std::ops::{Deref, RangeBounds};
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -110,14 +113,6 @@ impl Payload {
         self.bytes
     }
 
-    /// A zero-copy view of `range` sharing the parent buffer — how DFS
-    /// block chunks reference the file payload without copying. The view
-    /// is plain [`Bytes`]: its content differs from the parent's, so it
-    /// carries no digest cell.
-    pub fn slice_bytes(&self, range: impl RangeBounds<usize>) -> Bytes {
-        self.bytes.slice(range)
-    }
-
     /// Cheap content equality: identical buffers (same pointer and
     /// length) compare equal in O(1); distinct buffers fall back to a
     /// byte comparison. This is how write verification compares a
@@ -146,6 +141,21 @@ impl From<&[u8]> for Payload {
     fn from(slice: &[u8]) -> Self {
         DEEP_COPIES.fetch_add(1, Ordering::Relaxed);
         Payload::new(Bytes::copy_from_slice(slice)) // lint: allow(payload_copy) -- the counted legacy entry point
+    }
+}
+
+impl From<&[Bytes]> for Payload {
+    /// Concatenates views that share no buffer into one owned buffer —
+    /// a counted deep copy, like the borrowed-slice entry point. The
+    /// DFS reaches it only for a file whose block replicas are windows
+    /// of different buffers.
+    fn from(parts: &[Bytes]) -> Self {
+        DEEP_COPIES.fetch_add(1, Ordering::Relaxed);
+        let mut out = Vec::with_capacity(parts.iter().map(Bytes::len).sum());
+        for part in parts {
+            out.extend_from_slice(part); // lint: allow(payload_copy) -- the counted concatenation
+        }
+        Payload::from(out)
     }
 }
 
@@ -232,17 +242,6 @@ mod tests {
         let b = a.clone();
         assert_eq!(a.bytes().as_ptr(), b.bytes().as_ptr());
         assert!(a.content_eq(&b));
-    }
-
-    #[test]
-    fn slice_is_a_view_into_the_parent() {
-        let a = p("0123456789");
-        let s = a.slice_bytes(2..6);
-        assert_eq!(&s[..], b"2345");
-        // Same allocation: the view's pointer sits inside the parent's.
-        let base = a.bytes().as_ptr() as usize;
-        let view = s.as_ptr() as usize;
-        assert_eq!(view, base + 2);
     }
 
     #[test]

@@ -28,7 +28,7 @@ proptest! {
             let src = handles[pick % handles.len()].clone();
             // A zero-copy view of a prefix: same buffer, own range.
             let mid = src.len() / 2;
-            let view = src.slice_bytes(0..mid);
+            let view = src.bytes().slice(0..mid);
             prop_assert_eq!(&view[..], &data[..mid]);
             handles.push(src);
         }

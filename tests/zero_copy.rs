@@ -5,7 +5,9 @@
 //! shared [`Payload`] handle — catalog checksum, object-store metadata,
 //! and replica verification all reuse the cell) and **deep-copied zero
 //! times** on the success path, across every backend family and every
-//! worker count.
+//! worker count; and a read hands back the very buffer that was
+//! ingested — the object store's stored handle, the DFS file's buffer
+//! that every block replica is a window of — with no copy and no hash.
 //!
 //! This lives in its own test binary on purpose: the witnesses are
 //! process-global counters (`payload_digests_computed`,
@@ -21,7 +23,7 @@ use lsdf_dfs::{ClusterTopology, DfsConfig};
 use lsdf_metadata::{Document, FieldType, SchemaBuilder, Value};
 use lsdf_obs::Registry;
 use lsdf_sim::SimRng;
-use lsdf_storage::{payload_deep_copies, payload_digests_computed, sha256};
+use lsdf_storage::{payload_deep_copies, payload_digests_computed};
 
 const ITEMS_PER_PROJECT: u64 = 30;
 
@@ -97,14 +99,10 @@ fn acked_payloads_hash_once_and_copy_zero_times_at_any_worker_count() {
         let f = facility(reg, workers);
         let admin = f.admin().clone();
         let items = batch(0xbeef);
-        let expected: Vec<(String, String)> = items
+        // The ingested buffers themselves: a `Bytes` clone shares them.
+        let expected: Vec<(String, Bytes)> = items
             .iter()
-            .map(|i| {
-                (
-                    format!("lsdf://{}/{}", i.project, i.key),
-                    sha256(&i.data).to_hex(),
-                )
-            })
+            .map(|i| (format!("lsdf://{}/{}", i.project, i.key), i.data.clone()))
             .collect();
 
         let digests_before = payload_digests_computed();
@@ -127,18 +125,26 @@ fn acked_payloads_hash_once_and_copy_zero_times_at_any_worker_count() {
             "workers={workers}: payload bytes were deep-copied on the success path"
         );
 
-        // Read-back stays checksum-clean and does not re-hash (the
-        // object store verifies against the memoized cell; DFS reads
-        // are zero-copy views for single-block files).
+        // Read-back is the ingested buffer for every tenant: the object
+        // store verifies against the memoized cell without re-hashing,
+        // and a multi-block DFS file reads as one view of the buffer its
+        // blocks were cut from.
         let digests_before_reads = payload_digests_computed();
-        for (location, digest) in &expected {
+        let copies_before_reads = payload_deep_copies();
+        for (location, ingested) in &expected {
             let got = f.adal().get(&admin, location).unwrap();
-            assert_eq!(&sha256(&got).to_hex(), digest, "{location} corrupted");
+            assert_eq!(got.len(), ingested.len(), "{location}: length");
+            assert_eq!(got.as_ptr(), ingested.as_ptr(), "{location}: not the ingested buffer");
         }
         assert_eq!(
             payload_digests_computed(),
             digests_before_reads,
             "workers={workers}: read-back verification re-hashed a payload"
+        );
+        assert_eq!(
+            payload_deep_copies(),
+            copies_before_reads,
+            "workers={workers}: read-back deep-copied a payload"
         );
         reports.push(report);
     }
