@@ -96,6 +96,48 @@ pub enum Locality {
     Remote,
 }
 
+/// Most replicas one block read tries. The namenode places
+/// `replication` replicas (3 by default) and repairs back to that, so
+/// in practice this is every live one; past it the farthest drop out.
+const MAX_TRIED: usize = 8;
+
+/// Replicas in the order a read tries them: by `(Locality, node id)`,
+/// nearest first, held on the stack. Collected from `(Locality, node)`
+/// pairs in any order.
+pub(crate) struct TryOrder {
+    len: usize,
+    slots: [(Locality, DfsNodeId); MAX_TRIED],
+}
+
+impl TryOrder {
+    pub(crate) fn as_slice(&self) -> &[(Locality, DfsNodeId)] {
+        &self.slots[..self.len]
+    }
+
+    /// Insertion sort step: `entry` goes to its place, and the farthest
+    /// drops out once all slots are full.
+    fn insert(&mut self, entry: (Locality, DfsNodeId)) {
+        if self.len == MAX_TRIED && entry >= self.slots[MAX_TRIED - 1] {
+            return;
+        }
+        self.len = (self.len + 1).min(MAX_TRIED);
+        let mut at = self.len - 1;
+        while at > 0 && self.slots[at - 1] > entry {
+            self.slots[at] = self.slots[at - 1];
+            at -= 1;
+        }
+        self.slots[at] = entry;
+    }
+}
+
+impl FromIterator<(Locality, DfsNodeId)> for TryOrder {
+    fn from_iter<I: IntoIterator<Item = (Locality, DfsNodeId)>>(replicas: I) -> Self {
+        let mut order = TryOrder { len: 0, slots: [(Locality::Remote, DfsNodeId(0)); MAX_TRIED] };
+        replicas.into_iter().for_each(|entry| order.insert(entry));
+        order
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,6 +177,32 @@ mod tests {
         assert_eq!(t.locality(reader, DfsNodeId(2)), Locality::Remote);
         assert_eq!(t.locality(None, DfsNodeId(0)), Locality::Remote);
         assert!(Locality::NodeLocal < Locality::RackLocal && Locality::RackLocal < Locality::Remote);
+    }
+
+    #[test]
+    fn try_order_is_the_sorted_order_capped_at_the_nearest() {
+        let t = ClusterTopology::new(4, 4);
+        for reader in [None, Some(DfsNodeId(5))] {
+            // Every node, in a scrambled order.
+            let mut ranked: Vec<(Locality, DfsNodeId)> =
+                (0..16).map(|i| DfsNodeId(i * 7 % 16)).map(|n| (t.locality(reader, n), n)).collect();
+            let order: TryOrder = ranked.iter().copied().collect();
+            ranked.sort_unstable();
+            assert_eq!(order.as_slice(), &ranked[..MAX_TRIED], "reader {reader:?}");
+        }
+        let order: TryOrder = [
+            (Locality::Remote, DfsNodeId(3)),
+            (Locality::NodeLocal, DfsNodeId(9)),
+            (Locality::Remote, DfsNodeId(1)),
+        ]
+        .into_iter()
+        .collect();
+        let expect = [
+            (Locality::NodeLocal, DfsNodeId(9)),
+            (Locality::Remote, DfsNodeId(1)),
+            (Locality::Remote, DfsNodeId(3)),
+        ];
+        assert_eq!(order.as_slice(), &expect);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Datanodes: per-node block storage holding real bytes.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use bytes::Bytes;
 use lsdf_storage::Payload;
@@ -14,6 +16,30 @@ use crate::cluster::DfsNodeId;
 /// Identifies a block cluster-wide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockId(pub u64);
+
+/// Hashes a dense block id with one multiply by the 64-bit golden
+/// ratio: the low bits a table indexes by stay a permutation of the
+/// id's low bits, and the high bits it tags slots with are well mixed.
+/// SipHash's flood resistance buys nothing for ids the namenode hands
+/// out in sequence.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
 
 /// Errors from datanode operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,25 +111,12 @@ impl BlockExtent {
         self.file.slice(self.range.clone())
     }
 
-    /// The file `extents` make up, in order: one view of their buffer
-    /// when they are consecutive windows of it (same pointer and
-    /// length), otherwise their concatenation — the one counted deep
-    /// copy of the read path.
-    pub(crate) fn join(extents: &[BlockExtent]) -> Bytes {
-        let consecutive = extents.windows(2).all(|w| {
-            let (a, b) = (&w[0].file, &w[1].file);
-            a.as_ptr() == b.as_ptr() && a.len() == b.len() && w[0].range.end == w[1].range.start
-        });
-        match (extents.first(), extents.last()) {
-            (Some(first), Some(last)) if consecutive => {
-                first.file.slice(first.range.start..last.range.end)
-            }
-            (Some(_), _) => {
-                let parts: Vec<Bytes> = extents.iter().map(BlockExtent::bytes).collect();
-                Payload::from(&parts[..]).into_bytes()
-            }
-            _ => Bytes::new(),
-        }
+    /// True when `next` is the window right after this one in the same
+    /// buffer (same pointer and length).
+    fn is_followed_by(&self, next: &BlockExtent) -> bool {
+        self.file.as_ptr() == next.file.as_ptr()
+            && self.file.len() == next.file.len()
+            && self.range.end == next.range.start
     }
 }
 
@@ -115,10 +128,46 @@ impl From<Bytes> for BlockExtent {
     }
 }
 
+/// A file assembled from its blocks' extents as they arrive, in order.
+/// While they are consecutive windows of one buffer it is one view of
+/// that buffer, for one block or a thousand; the first block that
+/// breaks the run turns it into their concatenation, the one counted
+/// deep copy of the read path.
+#[derive(Default)]
+pub(crate) enum Assembly {
+    /// No block yet: the empty file.
+    #[default]
+    Empty,
+    /// Consecutive windows so far: the window they span.
+    View(BlockExtent),
+    /// Blocks of different buffers: each block's bytes, in order.
+    Parts(Vec<Bytes>),
+}
+
+impl Assembly {
+    /// Appends the file's next block.
+    pub(crate) fn push(&mut self, next: &BlockExtent) {
+        match self {
+            Assembly::Empty => *self = Assembly::View(next.clone()),
+            Assembly::View(run) if run.is_followed_by(next) => run.range.end = next.range.end,
+            Assembly::View(run) => *self = Assembly::Parts(vec![run.bytes(), next.bytes()]),
+            Assembly::Parts(parts) => parts.push(next.bytes()),
+        }
+    }
+
+    /// The assembled file.
+    pub(crate) fn finish(self) -> Bytes {
+        match self {
+            Assembly::Empty => Bytes::new(),
+            Assembly::View(run) => run.bytes(),
+            Assembly::Parts(parts) => Payload::from(&parts[..]).into_bytes(),
+        }
+    }
+}
+
 struct DataNodeState {
-    blocks: HashMap<BlockId, BlockExtent>,
+    blocks: HashMap<BlockId, BlockExtent, BuildHasherDefault<IdHasher>>,
     used: u64,
-    alive: bool,
 }
 
 struct FlakyState {
@@ -129,9 +178,17 @@ struct FlakyState {
 /// One datanode: bounded block storage plus liveness and an optional
 /// flaky mode (each I/O fails with a seeded probability) for fault
 /// injection — a softer failure than the binary [`DataNode::kill`].
+///
+/// Liveness is an atomic that [`DataNode::kill`]/[`DataNode::revive`]
+/// store and every I/O loads once on entry, so a read that began
+/// before a kill may finish. The flaky dice sit behind a mutex that an
+/// I/O takes only while the `flaky_armed` flag is on. Both flags are
+/// `Relaxed`: neither publishes data, the dice's own mutex orders them.
 pub struct DataNode {
     id: DfsNodeId,
     capacity: u64,
+    alive: AtomicBool,
+    flaky_armed: AtomicBool,
     state: OrderedRwLock<DataNodeState>,
     flaky: OrderedMutex<Option<FlakyState>>,
 }
@@ -142,9 +199,11 @@ impl DataNode {
         DataNode {
             id,
             capacity,
+            alive: AtomicBool::new(true),
+            flaky_armed: AtomicBool::new(false),
             state: OrderedRwLock::new(
                 ranks::DFS_DATANODE_STATE,
-                DataNodeState { blocks: HashMap::new(), used: 0, alive: true },
+                DataNodeState { blocks: HashMap::default(), used: 0 },
             ),
             flaky: OrderedMutex::new(ranks::DFS_DATANODE_FLAKY, None),
         }
@@ -159,22 +218,27 @@ impl DataNode {
             rate: rate.clamp(0.0, 1.0),
             rng: ChaCha8Rng::seed_from_u64(seed),
         });
+        self.flaky_armed.store(true, Ordering::Relaxed);
     }
 
     /// Clears flaky mode; the node serves I/O normally again.
     pub fn clear_flaky(&self) {
+        self.flaky_armed.store(false, Ordering::Relaxed);
         *self.flaky.lock() = None;
     }
 
     /// True while flaky mode is active.
     pub fn is_flaky(&self) -> bool {
-        self.flaky.lock().is_some()
+        self.flaky_armed.load(Ordering::Relaxed)
     }
 
-    /// Draws the flaky dice for one I/O.
+    /// Draws the flaky dice for one I/O; no lock while the node is
+    /// healthy.
     fn flaky_drop(&self) -> bool {
-        let mut guard = self.flaky.lock();
-        match guard.as_mut() {
+        if !self.is_flaky() {
+            return false;
+        }
+        match self.flaky.lock().as_mut() {
             Some(f) => f.rng.gen::<f64>() < f.rate,
             None => false,
         }
@@ -202,30 +266,30 @@ impl DataNode {
 
     /// Liveness flag (heartbeat summary).
     pub fn is_alive(&self) -> bool {
-        self.state.read().alive
+        self.alive.load(Ordering::Relaxed)
     }
 
     /// Marks the node dead; its blocks become unreachable but are kept so
     /// a later revive can reuse them.
     pub fn kill(&self) {
-        self.state.write().alive = false;
+        self.alive.store(false, Ordering::Relaxed);
     }
 
     /// Revives a dead node (its blocks become readable again).
     pub fn revive(&self) {
-        self.state.write().alive = true;
+        self.alive.store(true, Ordering::Relaxed);
     }
 
     /// Stores a block replica. Only the extent's own window counts
     /// against capacity, not the rest of the buffer it points into.
     pub fn store_block(&self, id: BlockId, extent: BlockExtent) -> Result<(), DataNodeError> {
-        let mut st = self.state.write();
-        if !st.alive {
+        if !self.is_alive() {
             return Err(DataNodeError::NodeDead(self.id));
         }
         if self.flaky_drop() {
             return Err(DataNodeError::TransientIo(self.id));
         }
+        let mut st = self.state.write();
         if st.blocks.contains_key(&id) {
             return Err(DataNodeError::DuplicateBlock(id));
         }
@@ -243,17 +307,23 @@ impl DataNode {
 
     /// Reads a block replica: the stored extent's handle, no bytes move.
     pub fn read_block(&self, id: BlockId) -> Result<BlockExtent, DataNodeError> {
-        let st = self.state.read();
-        if !st.alive {
+        self.with_block(id, BlockExtent::clone)
+    }
+
+    /// Reads a block replica: `f` sees the stored extent under the
+    /// node's read guard.
+    pub(crate) fn with_block<R>(
+        &self,
+        id: BlockId,
+        f: impl FnOnce(&BlockExtent) -> R,
+    ) -> Result<R, DataNodeError> {
+        if !self.is_alive() {
             return Err(DataNodeError::NodeDead(self.id));
         }
         if self.flaky_drop() {
             return Err(DataNodeError::TransientIo(self.id));
         }
-        st.blocks
-            .get(&id)
-            .cloned()
-            .ok_or(DataNodeError::NoSuchBlock(id))
+        self.state.read().blocks.get(&id).map(f).ok_or(DataNodeError::NoSuchBlock(id))
     }
 
     /// Drops a block replica (e.g. after file deletion or re-balancing).
@@ -309,21 +379,44 @@ mod tests {
     }
 
     #[test]
-    fn join_is_one_view_of_consecutive_windows_else_a_copy() {
+    fn assembly_is_one_view_of_consecutive_windows_else_a_copy() {
         let file = Bytes::from(b"0123456789".to_vec());
         let window = |r| BlockExtent::new(file.clone(), r);
-        let whole = BlockExtent::join(&[window(0..4), window(4..8), window(8..10)]);
+        let assemble = |extents: Vec<BlockExtent>| {
+            let mut file = Assembly::default();
+            extents.iter().for_each(|e| file.push(e));
+            file.finish()
+        };
+        let whole = assemble(vec![window(0..4), window(4..8), window(8..10)]);
         assert_eq!((whole.as_ptr(), whole.len()), (file.as_ptr(), file.len()));
         // A gap, a reordering or a foreign buffer is joined by copying.
-        let gap = BlockExtent::join(&[window(0..4), window(6..10)]);
+        let gap = assemble(vec![window(0..4), window(6..10)]);
         assert_eq!(gap, Bytes::from_static(b"01236789"));
-        let swapped = BlockExtent::join(&[window(4..8), window(0..4)]);
+        let swapped = assemble(vec![window(4..8), window(0..4)]);
         assert_eq!(swapped, Bytes::from_static(b"45670123"));
         let foreign = BlockExtent::from(Bytes::from(b"4567".to_vec()));
-        let mixed = BlockExtent::join(&[window(0..4), foreign, window(8..10)]);
+        let mixed = assemble(vec![window(0..4), foreign, window(8..10)]);
         assert_eq!(mixed, Bytes::from_static(b"0123456789"));
         assert_ne!(mixed.as_ptr(), file.as_ptr());
-        assert!(BlockExtent::join(&[]).is_empty());
+        // A run that resumes after a break is still copied, in order.
+        let resumed = assemble(vec![window(0..2), window(4..6), window(6..10)]);
+        assert_eq!(resumed, Bytes::from_static(b"01456789"));
+        assert!(assemble(vec![]).is_empty());
+    }
+
+    #[test]
+    fn dense_ids_hash_to_distinct_low_bits() {
+        let hash = |id: u64| {
+            let mut h = IdHasher::default();
+            std::hash::Hash::hash(&BlockId(id), &mut h);
+            h.finish()
+        };
+        // The multiplier is odd, so it permutes every power-of-two
+        // table's index bits: 1 024 dense ids fill 1 024 slots exactly.
+        let mut slots: Vec<u64> = (0..1024).map(|id| hash(id) & 1023).collect();
+        slots.sort_unstable();
+        slots.dedup();
+        assert_eq!(slots.len(), 1024);
     }
 
     #[test]
@@ -381,6 +474,7 @@ mod tests {
         let again: Vec<bool> = (0..64).map(|_| m.read_block(BlockId(0)).is_ok()).collect();
         assert_eq!(outcomes, again);
         n.clear_flaky();
+        assert!(!n.is_flaky());
         assert!((0..32).all(|_| n.read_block(BlockId(0)).is_ok()));
     }
 

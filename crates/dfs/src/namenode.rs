@@ -16,8 +16,8 @@ use lsdf_sync::{ranks, OrderedMutex, OrderedRwLock};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use crate::cluster::{ClusterTopology, DfsNodeId, Locality};
-use crate::datanode::{BlockExtent, BlockId, DataNode, DataNodeError};
+use crate::cluster::{ClusterTopology, DfsNodeId, Locality, TryOrder};
+use crate::datanode::{Assembly, BlockExtent, BlockId, DataNode, DataNodeError};
 use crate::shard::ShardedMap;
 use crate::wal::{BlockEntry, DfsSnapshot, DfsWalRecord};
 use lsdf_durability::{Chunk, Chunks, ComponentDurability, RecoveryStats};
@@ -146,8 +146,10 @@ pub struct FileMeta {
     pub blocks: usize,
 }
 
+/// A committed file. Files are write-once: the block list is published
+/// once (commit, install, replay) and reads take a handle, not a copy.
 struct FileEntry {
-    blocks: Vec<BlockId>,
+    blocks: Arc<[BlockId]>,
     size: u64,
 }
 
@@ -462,14 +464,9 @@ impl Dfs {
                     results.push(Err(DfsError::FileExists(sf.path)));
                     continue;
                 }
-                files.insert(
-                    sf.path.clone(),
-                    FileEntry {
-                        // lint: allow(payload_copy) -- block-id list, not payload bytes
-                        blocks: sf.block_ids.clone(),
-                        size: sf.size,
-                    },
-                );
+                let blocks = sf.block_ids.len();
+                let entry = FileEntry { blocks: sf.block_ids.into(), size: sf.size };
+                files.insert(sf.path.clone(), entry);
                 // Encode the WAL record under the namespace lock so log
                 // order agrees with namespace order for same-path
                 // commit/delete races; the batch is synced before any
@@ -486,11 +483,7 @@ impl Dfs {
                     );
                 }
                 committed.push((sf.size, sf.span));
-                results.push(Ok(FileMeta {
-                    path: sf.path,
-                    size: sf.size,
-                    blocks: sf.block_ids.len(),
-                }));
+                results.push(Ok(FileMeta { path: sf.path, size: sf.size, blocks }));
             }
             if let Some(d) = &self.durability {
                 d.log_batch(&wal);
@@ -516,10 +509,12 @@ impl Dfs {
     /// [`Dfs::read`] attributed to a causal trace via a `dfs_read`
     /// child span.
     ///
-    /// One rule assembles the file: when the block extents are
-    /// consecutive windows of one buffer — every file this DFS wrote,
-    /// however its replicas moved since — the read is one view of that
-    /// buffer. Extents of different buffers (a replica stored through
+    /// One namespace lookup, then per block one stripe read (its try
+    /// order) and one datanode read; nothing is allocated. One rule
+    /// assembles the file: when the block extents are consecutive
+    /// windows of one buffer — every file this DFS wrote, however its
+    /// replicas moved since — the read is one view of that buffer.
+    /// Extents of different buffers (a replica stored through
     /// [`Dfs::node`]) are concatenated, the one counted copy.
     pub fn read_traced(
         &self,
@@ -529,17 +524,22 @@ impl Dfs {
     ) -> Result<Bytes, DfsError> {
         let tspan = ctx.child(names::DFS_READ_SPAN);
         tspan.add_field("path", path);
-        let span = self.obs.registry.span(&self.obs.read_latency);
-        let extents = self
-            .file_blocks(path)?
-            .iter()
-            .map(|lb| self.read_extent(lb, reader))
-            .collect::<Result<Vec<_>, _>>()?;
-        let data = BlockExtent::join(&extents);
-        self.obs.reads.inc();
-        self.obs.read_bytes.record(data.len() as u64);
-        span.finish();
-        Ok(data)
+        // Timed as a `Span` would (failed reads too), minus its handle clones.
+        let clock = self.obs.registry.clock();
+        let start = clock.now_ns();
+        let read = || {
+            let mut file = Assembly::default();
+            for &id in self.layout(path)?.iter() {
+                self.read_extent(id, reader, |extent| file.push(extent))?;
+            }
+            let data = file.finish();
+            self.obs.reads.inc();
+            self.obs.read_bytes.record(data.len() as u64);
+            Ok(data)
+        };
+        let data = read();
+        self.obs.read_latency.record(clock.now_ns().saturating_sub(start));
+        data
     }
 
     /// Reads one located block from the best replica, recording locality.
@@ -548,34 +548,28 @@ impl Dfs {
         lb: &LocatedBlock,
         reader: Option<DfsNodeId>,
     ) -> Result<Bytes, DfsError> {
-        self.read_extent(lb, reader).map(|extent| extent.bytes())
+        self.read_extent(lb.id, reader, BlockExtent::bytes)
     }
 
-    /// The extent of the first live replica that answers, trying them
-    /// nearest first (ties by node id) and counting the read under the
-    /// locality it was served at.
-    fn read_extent(
+    /// `read` of the extent on the first replica in the block's try
+    /// order that answers, counted under the locality it was served at.
+    fn read_extent<R>(
         &self,
-        lb: &LocatedBlock,
+        id: BlockId,
         reader: Option<DfsNodeId>,
-    ) -> Result<BlockExtent, DfsError> {
-        let mut candidates: Vec<(Locality, DfsNodeId)> = lb
-            .replicas
-            .iter()
-            .filter(|n| self.nodes[n.0 as usize].is_alive())
-            .map(|&n| (self.topology.locality(reader, n), n))
-            .collect();
-        candidates.sort_unstable();
-        for (locality, n) in candidates {
-            match self.nodes[n.0 as usize].read_block(lb.id) {
-                Ok(extent) => {
+        mut read: impl FnMut(&BlockExtent) -> R,
+    ) -> Result<R, DfsError> {
+        let order = self.try_order(id, reader).ok_or(DfsError::BlockUnavailable(id))?;
+        for &(locality, n) in order.as_slice() {
+            match self.nodes[n.0 as usize].with_block(id, &mut read) {
+                Ok(r) => {
                     let counter = match locality {
                         Locality::NodeLocal => &self.obs.node_local,
                         Locality::RackLocal => &self.obs.rack_local,
                         Locality::Remote => &self.obs.remote,
                     };
                     counter.inc();
-                    return Ok(extent);
+                    return Ok(r);
                 }
                 Err(DataNodeError::TransientIo(_)) => {
                     // Flaky drop: fall through to the next replica.
@@ -584,38 +578,40 @@ impl Dfs {
                 Err(_) => {}
             }
         }
-        Err(DfsError::BlockUnavailable(lb.id))
+        Err(DfsError::BlockUnavailable(id))
+    }
+
+    /// The block's live replicas nearest to `reader` first, ties by node
+    /// id — the one try order of both read paths — taken under its stripe
+    /// guard. `None` once the block is gone (its file was deleted).
+    fn try_order(&self, id: BlockId, reader: Option<DfsNodeId>) -> Option<TryOrder> {
+        self.blocks.read(id, |info| {
+            let live = info.replicas.iter().filter(|n| self.nodes[n.0 as usize].is_alive());
+            live.map(|&n| (self.topology.locality(reader, n), n)).collect()
+        })
+    }
+
+    /// A committed file's block ids: the handle published at commit.
+    fn layout(&self, path: &str) -> Result<Arc<[BlockId]>, DfsError> {
+        let files = self.files.read();
+        let entry = files.get(path).ok_or_else(|| DfsError::FileNotFound(path.to_string()))?;
+        Ok(Arc::clone(&entry.blocks))
     }
 
     /// Locates a file's blocks.
     pub fn file_blocks(&self, path: &str) -> Result<Vec<LocatedBlock>, DfsError> {
-        let block_ids = {
-            let files = self.files.read();
-            files
-                .get(path)
-                .ok_or_else(|| DfsError::FileNotFound(path.to_string()))?
-                .blocks
-                .clone()
-        };
         let mut offset = 0;
-        let mut out = Vec::with_capacity(block_ids.len());
-        for id in block_ids {
+        let locate = |&id: &BlockId| {
             // A block can only vanish if the file was deleted between the
             // namespace read and here; surface that as unavailability.
-            let Some((size, replicas)) =
-                self.blocks.read(id, |info| (info.size, info.replicas.clone()))
-            else {
-                return Err(DfsError::BlockUnavailable(id));
-            };
-            out.push(LocatedBlock {
-                id,
-                size,
-                offset,
-                replicas,
-            });
+            let (size, replicas) = self
+                .blocks
+                .read(id, |info| (info.size, info.replicas.clone()))
+                .ok_or(DfsError::BlockUnavailable(id))?;
             offset += size;
-        }
-        Ok(out)
+            Ok(LocatedBlock { id, size, offset: offset - size, replicas })
+        };
+        self.layout(path)?.iter().map(locate).collect()
     }
 
     /// File metadata.
@@ -668,8 +664,7 @@ impl Dfs {
             if let Some(d) = &self.durability {
                 let record = DfsWalRecord::Delete {
                     path: path.to_string(),
-                    // lint: allow(payload_copy) -- block-id list, not payload bytes
-                    blocks: entry.blocks.clone(),
+                    blocks: Arc::clone(&entry.blocks),
                 };
                 d.log(&record.encode());
             }
@@ -941,19 +936,18 @@ impl Dfs {
     // --- Durability: snapshot, crash, recovery ------------------------
 
     fn snapshot(&self) -> DfsSnapshot {
-        let files: Vec<(String, u64, Vec<BlockId>)> = {
+        let files: Vec<(String, u64, Arc<[BlockId]>)> = {
             let guard = self.files.read();
             guard
                 .iter()
-                // lint: allow(payload_copy) -- block-id list, not payload bytes
-                .map(|(p, e)| (p.clone(), e.size, e.blocks.clone()))
+                .map(|(p, e)| (p.clone(), e.size, Arc::clone(&e.blocks)))
                 .collect()
         };
         // Walk blocks through the file table: only committed (referenced)
         // blocks enter the snapshot, in canonical path order.
         let mut blocks = Vec::new();
         for (_, _, ids) in &files {
-            for &id in ids {
+            for &id in ids.iter() {
                 if let Some(entry) =
                     self.blocks.read(id, |info| (id, info.size, info.replicas.clone()))
                 {
@@ -1052,7 +1046,7 @@ impl Dfs {
                 if files.contains_key(&path) {
                     return false;
                 }
-                let ids: Vec<BlockId> = blocks.iter().map(|(id, _, _)| *id).collect();
+                let ids: Arc<[BlockId]> = blocks.iter().map(|(id, _, _)| *id).collect();
                 for (id, bsize, replicas) in blocks {
                     self.blocks.insert(id, BlockInfo { size: bsize, replicas });
                 }
@@ -1062,7 +1056,7 @@ impl Dfs {
             DfsWalRecord::Delete { path, blocks } => {
                 let had_file = self.files.write().remove(&path).is_some();
                 let mut had_blocks = false;
-                for id in blocks {
+                for &id in blocks.iter() {
                     had_blocks |= self.blocks.remove(id).is_some();
                 }
                 had_file || had_blocks

@@ -17,6 +17,8 @@
 //! `next_block` watermark always matches the pre-crash allocator even
 //! though failed writes leave no file behind.
 
+use std::sync::Arc;
+
 use crate::cluster::DfsNodeId;
 use crate::datanode::BlockId;
 use lsdf_durability::{Dec, Enc};
@@ -38,7 +40,7 @@ pub(crate) enum DfsWalRecord {
     /// A file deletion. Carries the block ids so replay can drop the
     /// block-map entries even when the checkpoint captured the blocks
     /// but not the file entry (snapshot raced a concurrent delete).
-    Delete { path: String, blocks: Vec<BlockId> },
+    Delete { path: String, blocks: Arc<[BlockId]> },
     /// A block's replica set changed (re-replication, rebalancing).
     ReplicaSet {
         block: BlockId,
@@ -59,6 +61,22 @@ fn enc_replicas(e: &mut Enc, replicas: &[DfsNodeId]) {
     for r in replicas {
         e.u32(r.0);
     }
+}
+
+fn enc_ids(e: &mut Enc, ids: &[BlockId]) {
+    e.u32(ids.len() as u32);
+    for id in ids {
+        e.u64(id.0);
+    }
+}
+
+/// The ids are taken as one slice first, so a bad count fails before
+/// anything is allocated and the list is built in one allocation.
+fn dec_ids(d: &mut Dec<'_>) -> Option<Arc<[BlockId]>> {
+    let n = d.u32()? as usize;
+    let mut ids = Dec::new(d.take(n.checked_mul(8)?)?);
+    // In bounds: `ids` holds exactly `n` words.
+    Some((0..n).map(|_| BlockId(ids.u64().unwrap_or_default())).collect())
 }
 
 fn dec_replicas(d: &mut Dec<'_>) -> Option<Vec<DfsNodeId>> {
@@ -89,10 +107,7 @@ impl DfsWalRecord {
             DfsWalRecord::Delete { path, blocks } => {
                 e.u8(TAG_DELETE);
                 e.str(path);
-                e.u32(blocks.len() as u32);
-                for b in blocks {
-                    e.u64(b.0);
-                }
+                enc_ids(&mut e, blocks);
             }
             DfsWalRecord::ReplicaSet { block, replicas } => {
                 e.u8(TAG_REPLICA_SET);
@@ -126,15 +141,7 @@ impl DfsWalRecord {
                 }
                 DfsWalRecord::FileCommit { path, size, watermark, blocks }
             }
-            TAG_DELETE => {
-                let path = d.str()?;
-                let n = d.u32()? as usize;
-                let mut blocks = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    blocks.push(BlockId(d.u64()?));
-                }
-                DfsWalRecord::Delete { path, blocks }
-            }
+            TAG_DELETE => DfsWalRecord::Delete { path: d.str()?, blocks: dec_ids(&mut d)? },
             TAG_REPLICA_SET => DfsWalRecord::ReplicaSet {
                 block: BlockId(d.u64()?),
                 replicas: dec_replicas(&mut d)?,
@@ -159,7 +166,7 @@ impl DfsWalRecord {
 pub(crate) struct DfsSnapshot {
     pub next_block: u64,
     /// `(path, file size, block ids)` in path order.
-    pub files: Vec<(String, u64, Vec<BlockId>)>,
+    pub files: Vec<(String, u64, Arc<[BlockId]>)>,
     /// `(block, payload size, replicas)` for every referenced block,
     /// in file-table order.
     pub blocks: Vec<BlockEntry>,
@@ -173,10 +180,7 @@ impl DfsSnapshot {
         for (path, size, blocks) in &self.files {
             e.str(path);
             e.u64(*size);
-            e.u32(blocks.len() as u32);
-            for b in blocks {
-                e.u64(b.0);
-            }
+            enc_ids(&mut e, blocks);
         }
         e.u64(self.blocks.len() as u64);
         for (id, size, replicas) in &self.blocks {
@@ -195,12 +199,7 @@ impl DfsSnapshot {
         for _ in 0..n_files {
             let path = d.str()?;
             let size = d.u64()?;
-            let nb = d.u32()? as usize;
-            let mut blocks = Vec::with_capacity(nb.min(4096));
-            for _ in 0..nb {
-                blocks.push(BlockId(d.u64()?));
-            }
-            files.push((path, size, blocks));
+            files.push((path, size, dec_ids(&mut d)?));
         }
         let n_blocks = d.u64()? as usize;
         let mut blocks = Vec::with_capacity(n_blocks.min(65_536));
@@ -232,7 +231,7 @@ mod tests {
             },
             DfsWalRecord::Delete {
                 path: "/exp/f1".into(),
-                blocks: vec![BlockId(12), BlockId(13)],
+                blocks: [BlockId(12), BlockId(13)].into(),
             },
             DfsWalRecord::ReplicaSet {
                 block: BlockId(12),
@@ -250,8 +249,8 @@ mod tests {
         let snap = DfsSnapshot {
             next_block: 7,
             files: vec![
-                ("/a".into(), 10, vec![BlockId(0)]),
-                ("/b".into(), 20, vec![BlockId(1), BlockId(2)]),
+                ("/a".into(), 10, [BlockId(0)].into()),
+                ("/b".into(), 20, [BlockId(1), BlockId(2)].into()),
             ],
             blocks: vec![
                 (BlockId(0), 10, vec![DfsNodeId(0)]),

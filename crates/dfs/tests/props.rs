@@ -1,16 +1,25 @@
 //! Property tests for DFS invariants: placement distinctness, roundtrip
 //! fidelity under arbitrary file sizes, durability under failures up
-//! to replication-1 nodes, and reads that hand back the written buffer.
+//! to replication-1 nodes, reads that hand back the written buffer, and
+//! the replica try order under kills, revives and flaky nodes.
 //!
 //! `payload_deep_copies` is process-global and one test here counts it
 //! exactly, so every test in this binary writes owned payloads
 //! ([`put`]), never the copying `&[u8]` entry point.
 
+use std::sync::Barrier;
+use std::thread;
+
 use bytes::Bytes;
-use lsdf_dfs::{BlockExtent, ClusterTopology, Dfs, DfsConfig, DfsNodeId, PlacementPolicy};
-use lsdf_obs::TraceCtx;
+use lsdf_dfs::{
+    BlockExtent, BlockId, ClusterTopology, Dfs, DfsConfig, DfsError, DfsNodeId, Locality,
+    PlacementPolicy,
+};
+use lsdf_obs::{names, TraceCtx};
 use lsdf_storage::{payload_deep_copies, Payload};
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 fn make(racks: u16, per_rack: u16, block: u64, repl: usize, policy: PlacementPolicy, seed: u64) -> Dfs {
     Dfs::new(
@@ -116,6 +125,116 @@ fn a_replica_of_a_foreign_buffer_reads_back_through_one_counted_copy() {
     assert_eq!(fs.usage().0, 2 * 350, "the swap kept every window's size");
 }
 
+#[test]
+fn reads_racing_kills_and_revives_return_the_buffer_or_unavailable() {
+    const ROUNDS: usize = 2_000;
+    let fs = make(2, 3, 64, 2, PlacementPolicy::RackAware, 29);
+    let buf = put(&fs, "/f", (0..256).map(|i| i as u8).collect(), Some(DfsNodeId(0)));
+    let mut holders: Vec<DfsNodeId> =
+        fs.file_blocks("/f").unwrap().into_iter().flat_map(|lb| lb.replicas).collect();
+    holders.sort_unstable();
+    holders.dedup();
+    let start = Barrier::new(2);
+    let (served, unavailable) = thread::scope(|s| {
+        s.spawn(|| {
+            start.wait();
+            // Two holders down at a time: some blocks lose every replica.
+            for i in 0..ROUNDS {
+                let pair = [holders[i % holders.len()], holders[(i + 1) % holders.len()]];
+                pair.iter().for_each(|&n| fs.kill_node(n));
+                thread::yield_now();
+                pair.iter().for_each(|&n| fs.revive_node(n));
+            }
+        });
+        let reader = s.spawn(|| {
+            start.wait();
+            let (mut served, mut unavailable) = (0, 0);
+            for _ in 0..ROUNDS {
+                match fs.read("/f", None) {
+                    Ok(got) => {
+                        assert!(same_buffer(&got, &buf), "a foreign or partial buffer");
+                        served += 1;
+                    }
+                    Err(DfsError::BlockUnavailable(_)) => unavailable += 1,
+                    Err(e) => panic!("a read racing kills failed with {e}"),
+                }
+            }
+            (served, unavailable)
+        });
+        reader.join().unwrap()
+    });
+    assert_eq!(served + unavailable, ROUNDS);
+    // Settled: every holder down is unavailable, every holder up is the
+    // buffer.
+    holders.iter().for_each(|&n| fs.kill_node(n));
+    assert!(matches!(fs.read("/f", None), Err(DfsError::BlockUnavailable(_))));
+    holders.iter().for_each(|&n| fs.revive_node(n));
+    assert!(same_buffer(&fs.read("/f", None).unwrap(), &buf));
+}
+
+/// The reference for which replica serves a read: per block, the live
+/// replicas sorted by `(Locality, node id)`, tried in turn, a flaky one
+/// drawing from its own stream seeded as the datanode's is. It keeps
+/// the totals `dfs_block_reads_total{locality}` and
+/// `dfs_flaky_failures_total` must show.
+struct TryOrderModel {
+    topology: ClusterTopology,
+    alive: Vec<bool>,
+    flaky: Vec<Option<(f64, ChaCha8Rng)>>,
+    reads: [u64; 3],
+    flaky_failures: u64,
+}
+
+impl TryOrderModel {
+    fn new(topology: ClusterTopology) -> Self {
+        let n = topology.node_count();
+        TryOrderModel {
+            topology,
+            alive: vec![true; n],
+            flaky: (0..n).map(|_| None).collect(),
+            reads: [0; 3],
+            flaky_failures: 0,
+        }
+    }
+
+    fn locality(&self, reader: Option<DfsNodeId>, node: DfsNodeId) -> Locality {
+        match reader {
+            Some(r) if r == node => Locality::NodeLocal,
+            Some(r) if self.topology.same_rack(r, node) => Locality::RackLocal,
+            _ => Locality::Remote,
+        }
+    }
+
+    /// Reads a file laid out as `blocks`; `Err` names the first block
+    /// no replica served.
+    fn read(&mut self, blocks: &[(BlockId, Vec<DfsNodeId>)], reader: Option<DfsNodeId>) -> Result<(), BlockId> {
+        for (id, replicas) in blocks {
+            let mut order: Vec<(Locality, DfsNodeId)> = replicas
+                .iter()
+                .filter(|n| self.alive[n.0 as usize])
+                .map(|&n| (self.locality(reader, n), n))
+                .collect();
+            order.sort_unstable();
+            let served = order.into_iter().find(|&(locality, n)| {
+                let dropped = match &mut self.flaky[n.0 as usize] {
+                    Some((rate, rng)) => rng.gen::<f64>() < *rate,
+                    None => false,
+                };
+                if dropped {
+                    self.flaky_failures += 1;
+                } else {
+                    self.reads[locality as usize] += 1;
+                }
+                !dropped
+            });
+            if served.is_none() {
+                return Err(*id);
+            }
+        }
+        Ok(())
+    }
+}
+
 proptest! {
     /// Any file roundtrips exactly, for arbitrary sizes and block sizes.
     #[test]
@@ -191,6 +310,68 @@ proptest! {
                 uniq.dedup();
                 prop_assert_eq!(uniq.len(), lb.replicas.len());
                 prop_assert!(lb.replicas.iter().all(|&n| fs.node(n).is_alive()));
+            }
+        }
+    }
+
+    /// Under random kills, revives and flaky nodes, every read serves
+    /// from the replica the sorted try order names: the same result,
+    /// the same per-locality read counts and the same flaky drops as
+    /// [`TryOrderModel`].
+    #[test]
+    fn reads_follow_the_sorted_try_order_under_kills_and_flaky_nodes(seed in any::<u64>()) {
+        let fs = make(3, 4, 64, 3, PlacementPolicy::RackAware, seed);
+        let mut model = TryOrderModel::new(ClusterTopology::new(3, 4));
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let node = |rng: &mut ChaCha8Rng| DfsNodeId(rng.gen_range(0..12));
+        // Five files of one to five blocks, each written from some node.
+        let mut files = Vec::new();
+        for i in 0..5 {
+            let path = format!("/f{i}");
+            let data = (0..rng.gen_range(1..=320)).map(|b: usize| b as u8).collect();
+            let buf = put(&fs, &path, data, Some(node(&mut rng)));
+            let blocks: Vec<(BlockId, Vec<DfsNodeId>)> =
+                fs.file_blocks(&path).unwrap().into_iter().map(|lb| (lb.id, lb.replicas)).collect();
+            files.push((path, buf, blocks));
+        }
+        let reads = |l| fs.obs().counter_value(names::DFS_BLOCK_READS_TOTAL, &[("locality", l)]);
+        for step in 0..200 {
+            let n = node(&mut rng);
+            match rng.gen_range(0..6) {
+                0 => {
+                    fs.kill_node(n);
+                    model.alive[n.0 as usize] = false;
+                }
+                1 => {
+                    fs.revive_node(n);
+                    model.alive[n.0 as usize] = true;
+                }
+                2 => {
+                    let rate = [0.25, 0.5, 1.0][rng.gen_range(0..3)];
+                    let dice = rng.gen::<u64>();
+                    fs.set_node_flaky(n, rate, dice);
+                    model.flaky[n.0 as usize] = Some((rate, ChaCha8Rng::seed_from_u64(dice)));
+                }
+                3 => {
+                    fs.clear_node_flaky(n);
+                    model.flaky[n.0 as usize] = None;
+                }
+                _ => {
+                    let (path, buf, blocks) = &files[rng.gen_range(0..files.len())];
+                    let reader = rng.gen_bool(0.7).then_some(n);
+                    let got = fs.read(path, reader);
+                    match model.read(blocks, reader) {
+                        Ok(()) => prop_assert!(
+                            got.as_ref().is_ok_and(|got| same_buffer(got, buf)),
+                            "step {}: {:?}", step, got.map(|b| b.len())
+                        ),
+                        Err(id) => prop_assert_eq!(got, Err(DfsError::BlockUnavailable(id)), "step {}", step),
+                    }
+                    let counted = [reads("node_local"), reads("rack_local"), reads("remote")];
+                    prop_assert_eq!(counted, model.reads, "step {}", step);
+                    let flaky = fs.obs().counter_value(names::DFS_FLAKY_FAILURES_TOTAL, &[]);
+                    prop_assert_eq!(flaky, model.flaky_failures, "step {}", step);
+                }
             }
         }
     }

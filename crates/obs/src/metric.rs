@@ -124,13 +124,21 @@ impl Histogram {
     }
 
     /// Records one observation.
+    ///
+    /// `min` only falls and `max` only rises, so a value that does not
+    /// pass the loaded bound cannot pass the current one either: the
+    /// read-modify-write is skipped, exactly.
     pub fn record(&self, v: u64) {
         let inner = &self.inner;
         inner.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         inner.count.fetch_add(1, Ordering::Relaxed);
         inner.sum.fetch_add(v, Ordering::Relaxed);
-        inner.min.fetch_min(v, Ordering::Relaxed);
-        inner.max.fetch_max(v, Ordering::Relaxed);
+        if v < inner.min.load(Ordering::Relaxed) {
+            inner.min.fetch_min(v, Ordering::Relaxed);
+        }
+        if v > inner.max.load(Ordering::Relaxed) {
+            inner.max.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     /// Number of observations.

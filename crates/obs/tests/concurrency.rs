@@ -1,10 +1,11 @@
 //! Concurrency: many threads hammering the same registry handles must
 //! lose no increments and tear no histogram state.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 
-use lsdf_obs::Registry;
+use lsdf_obs::{Histogram, Registry};
+use proptest::prelude::*;
 
 #[test]
 fn concurrent_counter_increments_are_lossless() {
@@ -73,4 +74,44 @@ fn concurrent_histogram_records_preserve_count_and_sum() {
     assert_eq!(hist.sum(), n * (n - 1) / 2);
     assert_eq!(hist.min(), 0);
     assert_eq!(hist.max(), n - 1);
+}
+
+proptest! {
+    /// Threads released together by a barrier, each recording its share
+    /// of `values`, leave the histogram a sequential fold of them would:
+    /// count, sum, min, max and every bucket. Buckets are compared
+    /// through the quantile of each rank, which names the rank's bucket.
+    #[test]
+    fn concurrent_records_equal_a_sequential_fold(
+        values in prop::collection::vec(any::<u64>(), 1..400),
+        threads in 2usize..5,
+    ) {
+        let shared = Histogram::new();
+        let start = Barrier::new(threads);
+        let share = values.len().div_ceil(threads);
+        thread::scope(|s| {
+            for part in values.chunks(share) {
+                let (shared, start) = (&shared, &start);
+                s.spawn(move || {
+                    start.wait();
+                    part.iter().for_each(|&v| shared.record(v));
+                });
+            }
+            // Fewer chunks than threads: the missing ones still arrive.
+            for _ in values.chunks(share).len()..threads {
+                s.spawn(|| start.wait());
+            }
+        });
+        let fold = Histogram::new();
+        values.iter().for_each(|&v| fold.record(v));
+        prop_assert_eq!(shared.count(), fold.count());
+        prop_assert_eq!(shared.sum(), fold.sum());
+        prop_assert_eq!(shared.min(), fold.min());
+        prop_assert_eq!(shared.max(), fold.max());
+        let n = values.len();
+        for rank in 1..=n {
+            let q = (rank as f64 - 0.5) / n as f64;
+            prop_assert_eq!(shared.quantile(q), fold.quantile(q), "rank {}", rank);
+        }
+    }
 }

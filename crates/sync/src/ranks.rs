@@ -85,13 +85,14 @@ pub const DFS_BLOCK_SHARD: LockRank = rank(310, "dfs_block_shard");
 /// The namenode's seeded placement RNG (`Dfs::rng`). Leaf lock.
 pub const DFS_RNG: LockRank = rank(320, "dfs_rng");
 
-/// One datanode's block table and liveness (`DataNode::state`): read
-/// under a block-map stripe (replica liveness, repair copies) and under
-/// the placement RNG (is the writer alive?), so it ranks above both.
+/// One datanode's block table and used bytes (`DataNode::state`;
+/// liveness is an atomic beside it): read under a block-map stripe
+/// (repair copies), so it ranks above it.
 pub const DFS_DATANODE_STATE: LockRank = rank(330, "dfs_datanode_state");
 
-/// One datanode's flaky-mode dice (`DataNode::flaky`); rolled while the
-/// node's state guard is held.
+/// One datanode's flaky-mode dice (`DataNode::flaky`), taken only while
+/// the node's `flaky_armed` flag is on; rolled before the state guard
+/// is taken, and under a stripe by repair copies. Leaf lock.
 pub const DFS_DATANODE_FLAKY: LockRank = rank(340, "dfs_datanode_flaky");
 
 /// Per-project metadata store state (`ProjectStore::state`): held
