@@ -17,7 +17,8 @@ use lsdf_obs::{
     SpanProfile, TelemetryConfig, TelemetryStore, TraceConfig, TraceCtx, Tracer,
 };
 use lsdf_pool::WorkerPool;
-use lsdf_storage::{sha256_kernel, Hsm, MigrationPolicy, ObjectStore};
+use lsdf_storage::checksum::X16_MIN_LANES;
+use lsdf_storage::{sha256_kernel, sha256_many_kernel, Hsm, MigrationPolicy, ObjectStore};
 
 use crate::error::FacilityError;
 use crate::ingest::IngestObs;
@@ -522,8 +523,10 @@ impl Facility {
     /// ops/latency sparklines, lane queue depths, breaker states,
     /// WAL/checkpoint lag, active alerts, the slowest-operations span
     /// profile (when tracing is on), the telemetry store's
-    /// self-accounting, and the SHA-256 kernel this host checksums
-    /// with. Byte-identical at any worker count for a given seed.
+    /// self-accounting, and the SHA-256 kernels this host checksums
+    /// with (one message at a time, and a batch's groups of
+    /// `X16_MIN_LANES` or more). Byte-identical at any worker count for
+    /// a given seed.
     pub fn operator_report(&self) -> String {
         let health = self.facility_health();
         let profile = self
@@ -537,8 +540,9 @@ impl Facility {
             profile: profile.as_ref(),
         });
         report.push_str(&format!(
-            "\n-- checksums --\nsha256 kernel: {}\n",
-            sha256_kernel()
+            "\n-- checksums --\nsha256 kernel: {}; batches of {X16_MIN_LANES}+: {}\n",
+            sha256_kernel(),
+            sha256_many_kernel()
         ));
         report
     }
@@ -789,8 +793,13 @@ mod tests {
             reg.counter_value(names::HSM_PUTS_TOTAL, &[("store", "katrin-disk")]),
             1
         );
-        // The operator console names the checksum kernel this host runs.
-        let kernel_line = format!("sha256 kernel: {}\n", sha256_kernel());
+        // The operator console names the checksum kernels this host
+        // runs: one message at a time, and a batch's groups of 8+.
+        let kernel_line = format!(
+            "sha256 kernel: {}; batches of 8+: {}\n",
+            sha256_kernel(),
+            sha256_many_kernel()
+        );
         assert!(f.operator_report().ends_with(&kernel_line));
     }
 

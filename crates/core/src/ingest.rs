@@ -183,30 +183,85 @@ impl Facility {
         item: IngestItem,
         policy: IngestPolicy,
     ) -> Result<Option<DatasetId>, FacilityError> {
-        self.admit_ingest(&item.project, item.data.len() as u64)?;
-        let staged = self.ingest_stage(&TraceCtx::disabled(), cred, item, policy);
+        let ticket = self.admit_ingest(&item.project, item.data.len() as u64)?;
+        let staged = self.ingest_stage_all(
+            &TraceCtx::disabled(),
+            cred,
+            vec![(item, ticket.wait_ns)],
+            policy,
+        );
         let (id, _) = self
-            .ingest_finalize(vec![staged])
+            .ingest_finalize(staged)
             .pop()
             .unwrap_or_else(|| Err(no_result()))?;
         Ok(id)
     }
 
+    /// The one staging body under [`Facility::ingest`] and
+    /// [`Facility::ingest_batch`]: hashes every admitted payload in one
+    /// pass ([`Facility::hash_pass`]), then fans the items out across the
+    /// pool to [`Facility::ingest_stage`], each under its own
+    /// `pool_task` span of `trace` (with an `admission_wait` child when
+    /// the front door queued it). Results come back in submission order.
+    fn ingest_stage_all(
+        &self,
+        trace: &TraceCtx,
+        cred: &Credential,
+        admitted: Vec<(IngestItem, u64)>,
+        policy: IngestPolicy,
+    ) -> Vec<Result<StagedIngest<'_>, FacilityError>> {
+        let (items, payloads): (Vec<_>, Vec<Payload>) = admitted
+            .into_iter()
+            .map(|(mut item, wait_ns)| {
+                let data = Payload::new(std::mem::take(&mut item.data));
+                ((item, wait_ns), data)
+            })
+            .unzip();
+        self.hash_pass(&payloads);
+        let tasks: Vec<_> = items.into_iter().zip(payloads).collect();
+        self.pool()
+            .run_traced(trace, tasks, |_, ((item, wait_ns), data), ctx| {
+                if wait_ns > 0 && ctx.is_enabled() {
+                    let span = ctx.child(names::ADMISSION_WAIT_SPAN);
+                    span.add_field("wait_ns", &wait_ns.to_string());
+                    span.finish_at(self.obs().now_ns() + wait_ns);
+                }
+                self.ingest_stage(ctx, cred, item, data, policy)
+            })
+    }
+
+    /// Fills every payload's digest cell before the stage fan-out, so
+    /// the stage's `digest()` is a load: with W workers, W contiguous
+    /// chunks, one [`Payload::digest_all`] each (one call at W = 1).
+    /// Payloads of one block layout hash sixteen at a time where the
+    /// CPU allows; a chunk too small for that hashes them one at a time,
+    /// in parallel with the other chunks. The pass opens no span, so it
+    /// leaves no mark on a trace.
+    fn hash_pass(&self, payloads: &[Payload]) {
+        let chunk = payloads.len().div_ceil(self.pool().workers()).max(1);
+        let chunks: Vec<&[Payload]> = payloads.chunks(chunk).collect();
+        self.pool().run(chunks, |_, c| Payload::digest_all(c));
+    }
+
     /// Stages one item: metadata validation (*before* the payload
     /// lands, so enforcement never leaves orphan bytes), the single
-    /// payload hash, and ADAL staging (placement / resilient fan-out)
-    /// happen here, safely inside a pool worker; the metadata commit and
+    /// payload hash (already filled by the batch's hash pass, so here a
+    /// load), and ADAL staging (placement / resilient fan-out) happen
+    /// here, safely inside a pool worker; the metadata commit and
     /// catalog insert wait for [`Facility::ingest_finalize`]. The ADAL
     /// put (and everything below it — retries, breaker transitions, DFS
     /// placement, HSM staging) attaches as children of `ctx`. An item
-    /// that fails here is counted as rejected here.
+    /// that fails here is counted as rejected here; its payload was
+    /// hashed by the pass but is never stored.
     ///
     /// Admission is *not* checked here — callers admit before this runs.
+    /// `item.data` has been moved into `data`.
     fn ingest_stage(
         &self,
         ctx: &TraceCtx,
         cred: &Credential,
         item: IngestItem,
+        data: Payload,
         policy: IngestPolicy,
     ) -> Result<StagedIngest<'_>, FacilityError> {
         let store = self.store(&item.project)?.clone();
@@ -226,7 +281,6 @@ impl Facility {
         };
         // One SHA-256 per acked payload: the memoized digest travels
         // with the handle, so the object store / replica reuse it.
-        let data: Payload = item.data.into();
         let digest = data.digest();
         let location = format!("lsdf://{}/{}", item.project, item.key);
         let size = data.len() as u64;
@@ -385,19 +439,10 @@ impl Facility {
                 }
             })
             .collect();
-        // Workers stage items (validation, hashing, block placement);
-        // the metadata commits that serialise on shared state happen
-        // below, batched, after the fan-out.
-        let staged = self
-            .pool()
-            .run_traced(&trace, admitted, |_, (item, wait_ns), ctx| {
-                if wait_ns > 0 && ctx.is_enabled() {
-                    let span = ctx.child(names::ADMISSION_WAIT_SPAN);
-                    span.add_field("wait_ns", &wait_ns.to_string());
-                    span.finish_at(self.obs().now_ns() + wait_ns);
-                }
-                self.ingest_stage(ctx, cred, item, policy)
-            });
+        // One hash pass, then workers stage items (validation, block
+        // placement); the metadata commits that serialise on shared
+        // state happen below, batched, after the fan-out.
+        let staged = self.ingest_stage_all(&trace, cred, admitted, policy);
         let results = self.ingest_finalize(staged);
         trace.finish();
         // Telemetry scrape in the serial tail: at most one scrape per

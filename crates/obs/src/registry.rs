@@ -199,6 +199,22 @@ impl Registry {
         self.events.lock().iter().cloned().collect()
     }
 
+    /// Visits every metric where it lies — counters, then gauges, then
+    /// histograms, each kind in id order under its map's read guard —
+    /// without copying an id or touching the event ring. The telemetry
+    /// scrape folds the registry this way once per batch.
+    pub(crate) fn visit(&self, mut f: impl FnMut(&MetricId, Reading)) {
+        for (id, c) in self.counters.read().iter() {
+            f(id, Reading::Counter(c.get()));
+        }
+        for (id, g) in self.gauges.read().iter() {
+            f(id, Reading::Gauge(g.get()));
+        }
+        for (id, h) in self.histograms.read().iter() {
+            f(id, Reading::Hist(h.snapshot()));
+        }
+    }
+
     /// A point-in-time copy of every metric and event.
     pub fn snapshot(&self) -> RegistrySnapshot {
         RegistrySnapshot {
@@ -241,6 +257,13 @@ impl std::fmt::Debug for Registry {
             .field("events", &self.events.lock().len())
             .finish()
     }
+}
+
+/// One metric's value as [`Registry::visit`] reads it.
+pub(crate) enum Reading {
+    Counter(u64),
+    Gauge(i64),
+    Hist(HistogramSnapshot),
 }
 
 /// A point-in-time copy of a [`Registry`], sorted by metric id.

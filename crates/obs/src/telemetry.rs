@@ -22,7 +22,7 @@
 //! age horizon (`max_age_ns`), both enforced at scrape time. The store
 //! observes itself — `telemetry_scrapes_total`, `telemetry_samples_total`,
 //! `telemetry_evictions_total`, and the points high-water gauge land in
-//! the registry *after* the snapshot is taken, so scrape N records
+//! the registry *after* the fold over it, so scrape N records
 //! scrape N−1's self-accounting and the whole pipeline stays a pure
 //! function of the virtual clock (bit-identical at any worker count).
 //!
@@ -37,7 +37,7 @@ use lsdf_sync::{ranks, OrderedMutex};
 
 use crate::json::escape;
 use crate::names;
-use crate::registry::{MetricId, Registry};
+use crate::registry::{MetricId, Reading, Registry};
 
 /// Scrape cadence and retention bounds for a [`TelemetryStore`].
 #[derive(Clone, Copy, Debug)]
@@ -113,6 +113,50 @@ enum Series {
 }
 
 impl Series {
+    /// An empty series of the reading's kind.
+    fn of(reading: &Reading) -> Series {
+        match reading {
+            Reading::Counter(_) => Series::Counter {
+                base: 0,
+                last: 0,
+                points: VecDeque::new(),
+            },
+            Reading::Gauge(_) => Series::Gauge(VecDeque::new()),
+            Reading::Hist(_) => Series::Hist(VecDeque::new()),
+        }
+    }
+
+    /// Appends the reading taken at `now`: a counter's increase since
+    /// the last scrape (nothing when it did not grow), a gauge's value,
+    /// a histogram's summary. Returns how many points were appended.
+    fn push(&mut self, now: u64, reading: Reading) -> u64 {
+        match (self, reading) {
+            (Series::Counter { last, points, .. }, Reading::Counter(value)) => {
+                let delta = value.saturating_sub(*last);
+                *last = value;
+                if delta == 0 {
+                    return 0;
+                }
+                points.push_back((now, delta));
+            }
+            (Series::Gauge(points), Reading::Gauge(value)) => points.push_back((now, value)),
+            (Series::Hist(points), Reading::Hist(h)) => points.push_back((
+                now,
+                HistPoint {
+                    count: h.count,
+                    sum: h.sum,
+                    p50: h.p50,
+                    p95: h.p95,
+                    p99: h.p99,
+                    max: h.max,
+                },
+            )),
+            // One id is one kind for the registry's whole life.
+            _ => return 0,
+        }
+        1
+    }
+
     fn len(&self) -> usize {
         match self {
             Series::Counter { points, .. } => points.len(),
@@ -228,8 +272,12 @@ impl TelemetryStore {
     /// Scrapes the registry now: appends one sample per live metric,
     /// evicts by capacity and age, then records the store's own
     /// accounting metrics into the registry.
+    ///
+    /// The registry is folded where it lies ([`Registry::visit`], under
+    /// the ring lock, which ranks outside the registry's maps): no
+    /// snapshot, no copy of the event ring, and an id is cloned only
+    /// when its series is new.
     pub fn scrape(&self, registry: &Registry) {
-        let snap = registry.snapshot();
         let now = registry.now_ns();
         let age_cutoff = now.saturating_sub(self.config.max_age_ns);
 
@@ -238,51 +286,17 @@ impl TelemetryStore {
         let (high_water, series_count) = {
             let mut inner = self.inner.lock();
             inner.last_scrape_ns = Some(now);
-            for (id, value) in &snap.counters {
-                let s = inner.series.entry(id.clone()).or_insert(Series::Counter {
-                    base: 0,
-                    last: 0,
-                    points: VecDeque::new(),
-                });
-                if let Series::Counter { last, points, .. } = s {
-                    let delta = value.saturating_sub(*last);
-                    *last = *value;
-                    if delta > 0 {
-                        points.push_back((now, delta));
-                        appended += 1;
-                    }
-                }
-            }
-            for (id, value) in &snap.gauges {
-                let s = inner
-                    .series
-                    .entry(id.clone())
-                    .or_insert(Series::Gauge(VecDeque::new()));
-                if let Series::Gauge(points) = s {
-                    points.push_back((now, *value));
-                    appended += 1;
-                }
-            }
-            for (id, h) in &snap.histograms {
-                let s = inner
-                    .series
-                    .entry(id.clone())
-                    .or_insert(Series::Hist(VecDeque::new()));
-                if let Series::Hist(points) = s {
-                    points.push_back((
-                        now,
-                        HistPoint {
-                            count: h.count,
-                            sum: h.sum,
-                            p50: h.p50,
-                            p95: h.p95,
-                            p99: h.p99,
-                            max: h.max,
-                        },
-                    ));
-                    appended += 1;
-                }
-            }
+            let series = &mut inner.series;
+            registry.visit(|id, reading| {
+                appended += if let Some(s) = series.get_mut(id) {
+                    s.push(now, reading)
+                } else {
+                    let mut s = Series::of(&reading);
+                    let n = s.push(now, reading);
+                    series.insert(id.clone(), s);
+                    n
+                };
+            });
             for s in inner.series.values_mut() {
                 evicted += s.evict(self.config.capacity, age_cutoff);
             }
@@ -291,9 +305,9 @@ impl TelemetryStore {
             (inner.high_water, inner.series.len())
         };
 
-        // Self-accounting lands after the snapshot: scrape N observes
+        // Self-accounting lands after the fold: scrape N observes
         // scrape N−1's telemetry_* values, keeping the fold a pure
-        // function of the snapshot it read.
+        // function of the registry it read.
         registry.counter(names::TELEMETRY_SCRAPES_TOTAL, &[]).inc();
         registry
             .counter(names::TELEMETRY_SAMPLES_TOTAL, &[])
@@ -748,6 +762,117 @@ mod tests {
         assert_eq!(csv, ts.to_csv());
         assert!(csv.starts_with("kind,series,t_ns,field,value\n"));
         assert!(csv.contains("histogram,dfs_op_latency_ns{op=read},1000000,p99,9"), "{csv}");
+    }
+
+    /// The store's series, kept the way the scrape kept them before it
+    /// folded in place: every scrape folds a full `Registry::snapshot()`.
+    /// No eviction; the tests below size the ring so none happens.
+    #[derive(Default)]
+    struct SnapshotFold {
+        counters: BTreeMap<MetricId, (u64, Vec<(u64, u64)>)>,
+        gauges: BTreeMap<MetricId, Vec<(u64, i64)>>,
+        hists: BTreeMap<MetricId, Vec<(u64, HistPoint)>>,
+    }
+
+    impl SnapshotFold {
+        fn scrape(&mut self, r: &Registry) {
+            let snap = r.snapshot();
+            let now = r.now_ns();
+            for (id, value) in snap.counters {
+                let (last, points) = self.counters.entry(id).or_default();
+                if value > *last {
+                    points.push((now, value - *last));
+                }
+                *last = value;
+            }
+            for (id, value) in snap.gauges {
+                self.gauges.entry(id).or_default().push((now, value));
+            }
+            for (id, h) in snap.histograms {
+                let point = HistPoint {
+                    count: h.count,
+                    sum: h.sum,
+                    p50: h.p50,
+                    p95: h.p95,
+                    p99: h.p99,
+                    max: h.max,
+                };
+                self.hists.entry(id).or_default().push((now, point));
+            }
+        }
+
+        fn series_count(&self) -> usize {
+            self.counters.len() + self.gauges.len() + self.hists.len()
+        }
+    }
+
+    fn labels(id: &MetricId) -> Vec<(&str, &str)> {
+        id.labels
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_str()))
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// Random counter, gauge and histogram updates interleaved with
+        /// scrapes: every series the in-place fold keeps equals the one
+        /// a fold over `snapshot()` keeps, telemetry's own self-accounting
+        /// series included, and `counter_sum` is the value the scrape read
+        /// (`== counter_value` for every counter the test drives).
+        #[test]
+        fn the_in_place_fold_equals_a_fold_over_snapshots(
+            ops in proptest::collection::vec((0u8..4, 0usize..3, 0u64..5_000), 1..120),
+        ) {
+            let r = Registry::new();
+            let ts = store(4096);
+            let mut reference = SnapshotFold::default();
+            let counters = [
+                (names::ADAL_OPS_TOTAL, [("op", "put")]),
+                (names::ADAL_OPS_TOTAL, [("op", "get")]),
+                (names::DFS_OPS_TOTAL, [("op", "write")]),
+            ];
+            let gauges = [
+                (names::ADMISSION_QUEUE_DEPTH, [("lane", "bulk")]),
+                (names::ADMISSION_QUEUE_DEPTH, [("lane", "interactive")]),
+                (names::TRACE_RETAINED, [("store", "main")]),
+            ];
+            let hists = [
+                (names::ADAL_OP_LATENCY_NS, [("op", "get")]),
+                (names::ADAL_OP_LATENCY_NS, [("op", "put")]),
+                (names::DFS_OP_LATENCY_NS, [("op", "read")]),
+            ];
+            let mut t = 0u64;
+            for (kind, which, value) in ops {
+                match kind {
+                    0 => r.counter(counters[which].0, &counters[which].1).add(value),
+                    1 => r.gauge(gauges[which].0, &gauges[which].1).set(value as i64 - 2_500),
+                    2 => r.histogram(hists[which].0, &hists[which].1).record(value),
+                    _ => {
+                        t += MS;
+                        r.set_virtual_time_ns(t);
+                        reference.scrape(&r);
+                        ts.scrape(&r);
+                        for (id, (last, points)) in &reference.counters {
+                            let l = labels(id);
+                            proptest::prop_assert_eq!(&ts.counter_series(&id.name, &l), points);
+                            proptest::prop_assert_eq!(ts.counter_sum(&id.name, &l), *last);
+                        }
+                        // The self-accounting counters have moved since;
+                        // the ones this test drives have not.
+                        for (name, l) in &counters {
+                            proptest::prop_assert_eq!(ts.counter_sum(name, l), r.counter_value(name, l));
+                        }
+                        for (id, points) in &reference.gauges {
+                            proptest::prop_assert_eq!(&ts.gauge_series(&id.name, &labels(id)), points);
+                        }
+                        for (id, points) in &reference.hists {
+                            proptest::prop_assert_eq!(&ts.hist_series(&id.name, &labels(id)), points);
+                        }
+                        proptest::prop_assert_eq!(ts.series_count(), reference.series_count());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! refcount bump that *shares* the digest cell, so however many layers
 //! touch one acked write — admission, the ADAL fan-out, a replica, the
 //! object store's catalog — the digest is computed at most once and the
-//! bytes are copied exactly zero times.
+//! bytes are copied exactly zero times. A batch fills its payloads'
+//! cells up front with [`Payload::digest_all`], which hashes payloads of
+//! one block layout sixteen at a time where the CPU allows.
 //!
 //! ## Ownership rules
 //!
@@ -30,7 +32,7 @@ use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 
-use crate::checksum::{sha256, Digest};
+use crate::checksum::{sha256, sha256_many, Digest};
 
 /// Process-global count of SHA-256 digests actually computed (cache
 /// misses). Memoized hits do not count.
@@ -85,6 +87,31 @@ impl Payload {
             DIGESTS_COMPUTED.fetch_add(1, Ordering::Relaxed);
             sha256(&self.bytes)
         })
+    }
+
+    /// Computes the digest of every payload in `payloads` whose cell is
+    /// still empty, in one [`sha256_many`] pass, and stores each in its
+    /// payload's memo cell: a later [`Payload::digest`] on any clone is
+    /// a load. Payloads of one layout hash sixteen at a time where the
+    /// CPU allows (see [`sha256_many`]); the digests are the ones
+    /// `digest` would compute. Each hash counts once in
+    /// [`payload_digests_computed`], so a slice holding two clones of
+    /// one payload hashes (and counts) it twice.
+    pub fn digest_all(payloads: &[Payload]) {
+        let todo: Vec<&Payload> = payloads
+            .iter()
+            .filter(|p| p.digest.get().is_none())
+            .collect();
+        if todo.is_empty() {
+            return;
+        }
+        let messages: Vec<&[u8]> = todo.iter().map(|p| &p.bytes[..]).collect();
+        DIGESTS_COMPUTED.fetch_add(todo.len() as u64, Ordering::Relaxed);
+        for (p, d) in todo.into_iter().zip(sha256_many(&messages)) {
+            // A cell another thread filled meanwhile holds the same
+            // digest; keeping either is right.
+            let _ = p.digest.set(d);
+        }
     }
 
     /// The memoized digest if it has already been computed.
@@ -234,6 +261,25 @@ mod tests {
         // Clones share the cell: what one computed the other already has.
         assert_eq!(b.digest_if_computed(), Some(d1));
         assert_eq!(b.digest(), d1);
+    }
+
+    #[test]
+    fn digest_all_fills_every_empty_cell_with_the_one_digest() {
+        // Twenty of one layout (the 16-lane kernel where the CPU has
+        // it), three of another (one at a time), and one memoized.
+        let payloads: Vec<Payload> = (0..20)
+            .map(|i| p(&format!("lane-{i:03}")))
+            .chain((0..3).map(|i| p(&format!("{i}").repeat(100))))
+            .collect();
+        let memoized = payloads[5].digest();
+        let held = payloads[7].clone();
+        Payload::digest_all(&payloads);
+        for q in &payloads {
+            assert_eq!(q.digest_if_computed(), Some(sha256(q)));
+        }
+        assert_eq!(payloads[5].digest_if_computed(), Some(memoized));
+        // The cell is the handle's: a clone made before sees it filled.
+        assert_eq!(held.digest_if_computed(), Some(sha256(&held)));
     }
 
     #[test]

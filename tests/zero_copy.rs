@@ -9,6 +9,10 @@
 //! ingested — the object store's stored handle, the DFS file's buffer
 //! that every block replica is a window of — with no copy and no hash.
 //!
+//! The batch carries a group of equal-length payloads besides the
+//! random-length ones, so the hash pass's 16-lane path (where the CPU
+//! has it) is held to the same contract as the one-at-a-time path.
+//!
 //! This lives in its own test binary on purpose: the witnesses are
 //! process-global counters (`payload_digests_computed`,
 //! `payload_deep_copies`), so no other test may share the process.
@@ -26,6 +30,10 @@ use lsdf_sim::SimRng;
 use lsdf_storage::{payload_deep_copies, payload_digests_computed};
 
 const ITEMS_PER_PROJECT: u64 = 30;
+/// Equal-length payloads added to the DFS tenant: one block layout, so
+/// the batch's hash pass can take them sixteen at a time.
+const GROUP: u64 = 20;
+const GROUP_BYTES: usize = 1500;
 
 fn schema(name: &str) -> lsdf_metadata::Schema {
     SchemaBuilder::new(name)
@@ -86,17 +94,31 @@ fn batch(seed: u64) -> Vec<IngestItem> {
             });
         }
     }
+    for n in 0..GROUP {
+        let payload: Vec<u8> = (0..GROUP_BYTES)
+            .map(|_| rng.range_u64(0, 256) as u8)
+            .collect();
+        let mut doc = Document::new();
+        doc.insert("n".to_string(), Value::Int(n as i64));
+        items.push(IngestItem {
+            project: "spectro".to_string(),
+            key: format!("g/{n:04}"),
+            data: Bytes::from(payload),
+            metadata: Some(doc),
+        });
+    }
     items
 }
 
 #[test]
 fn acked_payloads_hash_once_and_copy_zero_times_at_any_worker_count() {
-    let total = 3 * ITEMS_PER_PROJECT;
+    let total = 3 * ITEMS_PER_PROJECT + GROUP;
     let mut reports = Vec::new();
+    let mut counters = Vec::new();
     for workers in [1usize, 4, 8] {
         let reg = Arc::new(Registry::new());
         reg.set_virtual_time_ns(1);
-        let f = facility(reg, workers);
+        let f = facility(reg.clone(), workers);
         let admin = f.admin().clone();
         let items = batch(0xbeef);
         // The ingested buffers themselves: a `Bytes` clone shares them.
@@ -147,10 +169,14 @@ fn acked_payloads_hash_once_and_copy_zero_times_at_any_worker_count() {
             "workers={workers}: read-back deep-copied a payload"
         );
         reports.push(report);
+        counters.push(reg.snapshot().counters);
     }
-    // The zero-copy path is still observationally worker-invariant.
+    // The zero-copy path is still observationally worker-invariant,
+    // whichever chunk of the hash pass each payload fell in.
     assert_eq!(reports[0], reports[1]);
     assert_eq!(reports[0], reports[2]);
+    assert_eq!(counters[0], counters[1]);
+    assert_eq!(counters[0], counters[2]);
 }
 
 /// Deep copies on the success path. `payload_deep_copies` counts the
