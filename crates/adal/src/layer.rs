@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
-use lsdf_obs::{names, Counter, Histogram, Registry, Span, TraceCtx, Tracer};
+use lsdf_obs::{names, Counter, Histogram, Registry, TraceCtx, Tracer};
 use lsdf_pool::WorkerPool;
 use lsdf_storage::Payload;
 use lsdf_sync::{ranks, OrderedRwLock};
@@ -180,8 +180,9 @@ impl MountMetrics {
         })
     }
 
-    /// Per-project operation breakdown, labelled by backend kind.
-    fn op(&self, reg: &Registry, op: OpKind) {
+    /// Per-project operation breakdown, labelled by backend kind: `n`
+    /// successes of `op`.
+    fn ops(&self, reg: &Registry, op: OpKind, n: u64) {
         self.ops[op as usize]
             .get_or_init(|| {
                 reg.counter(
@@ -189,17 +190,15 @@ impl MountMetrics {
                     &[("project", &self.project), ("backend", self.backend), ("op", op.label())],
                 )
             })
-            .inc();
+            .add(n);
     }
 
     /// Per-project latency view — the per-tenant histogram the admission
     /// governor's SLO rules read to find the project breaching its p99.
-    fn op_latency(&self, reg: &Registry, dt_ns: u64) {
-        self.latency
-            .get_or_init(|| {
-                reg.histogram(names::ADAL_PROJECT_OP_LATENCY_NS, &[("project", &self.project)])
-            })
-            .record(dt_ns);
+    fn op_latency(&self, reg: &Registry) -> &Histogram {
+        self.latency.get_or_init(|| {
+            reg.histogram(names::ADAL_PROJECT_OP_LATENCY_NS, &[("project", &self.project)])
+        })
     }
 }
 
@@ -214,16 +213,19 @@ struct Mount {
 
 /// A put staged by [`Adal::put_stage_traced`], carrying everything
 /// needed to finalize it — the backend's staged commit plus the latency
-/// span and per-project accounting that [`Adal::commit_staged`]
-/// completes in batch order. The trace span closes at stage time, while
+/// start and per-project accounting that [`Adal::commit_staged`]
+/// completes once per batch. The trace span closes at stage time, while
 /// its parent (e.g. a pool task span) is still open — a trace child
 /// finishing after its parent is dropped.
+///
+/// A pending put that is dropped without being committed records
+/// nothing: its latency is timed only by the commit.
 pub struct PendingPut {
     backend: Arc<dyn StorageBackend>,
     staged: StagedPut,
     metrics: Arc<MountMetrics>,
     len: u64,
-    span: Span,
+    start_ns: u64,
 }
 
 /// The Abstract Data Access Layer.
@@ -390,9 +392,9 @@ impl Adal {
         let (mount, key) = self.enter(op, cred, path)?;
         let out = call(&*mount.backend, &trace, key)?;
         self.ops.ops[op as usize].inc();
-        mount.metrics.op(&self.obs, op);
+        mount.metrics.ops(&self.obs, op, 1);
         if let Some(span) = span {
-            mount.metrics.op_latency(&self.obs, span.finish());
+            mount.metrics.op_latency(&self.obs).record(span.finish());
         }
         trace.finish();
         Ok(out)
@@ -439,25 +441,29 @@ impl Adal {
         } else {
             self.trace_root(names::ADAL_PUT_SPAN, path)
         };
-        let span = self.obs.span(&self.ops.latency[OpKind::Put as usize]);
-        let (mount, key) = self.enter(OpKind::Put, cred, path)?;
-        let data = data.into();
-        let len = data.len() as u64;
-        let staged = mount.backend.stage_put(&trace, key, data)?;
+        let start_ns = self.obs.now_ns();
+        let pending = self.enter(OpKind::Put, cred, path).and_then(|(mount, key)| {
+            let data = data.into();
+            let len = data.len() as u64;
+            let staged = mount.backend.stage_put(&trace, key, data)?;
+            Ok(PendingPut { backend: mount.backend, staged, metrics: mount.metrics, len, start_ns })
+        });
+        if pending.is_err() {
+            // A refused put is an attempt like any other op's: timed.
+            let dt = self.obs.now_ns().saturating_sub(start_ns);
+            self.ops.latency[OpKind::Put as usize].record(dt);
+        }
         trace.finish();
-        Ok(PendingPut {
-            backend: mount.backend,
-            staged,
-            metrics: mount.metrics,
-            len,
-            span,
-        })
+        pending
     }
 
     /// Commits a batch of staged puts, grouping them per backend so a
     /// whole N-file batch pays one namenode lock and one WAL group
-    /// commit. Results are in batch order; per-put success metrics and
-    /// spans are finalized here, serially, in batch order.
+    /// commit. Results are in batch order. The accounting lands once
+    /// per batch, at one clock reading: every put's latency in the
+    /// global histogram, and for the acked puts the counters by count,
+    /// the sizes in one histogram pass, and the per-mount series once
+    /// per run of puts to one mount.
     pub fn commit_staged(&self, pending: Vec<PendingPut>) -> Vec<Result<(), AdalError>> {
         let mut outcomes: Vec<Option<Result<(), BackendError>>> =
             pending.iter().map(|_| None).collect();
@@ -473,30 +479,32 @@ impl Adal {
                 }
                 None => groups.push((p.backend, vec![i], vec![p.staged])),
             }
-            finalize.push((p.metrics, p.len, p.span));
+            finalize.push((p.metrics, p.len, p.start_ns));
         }
         for (backend, idxs, batch) in groups {
             for (i, r) in idxs.into_iter().zip(backend.commit_staged(batch)) {
                 outcomes[i] = Some(r);
             }
         }
-        outcomes
+        let results: Vec<Result<(), AdalError>> = outcomes
             .into_iter()
-            .zip(finalize)
-            .map(|(outcome, (metrics, len, span))| {
-                match outcome.unwrap_or_else(|| Err(missing_commit_result())) {
-                    Ok(()) => {
-                        self.ops.ops[OpKind::Put as usize].inc();
-                        self.ops.put_bytes.record(len);
-                        metrics.op(&self.obs, OpKind::Put);
-                        let dt = span.finish();
-                        metrics.op_latency(&self.obs, dt);
-                        Ok(())
-                    }
-                    Err(e) => Err(AdalError::Backend(e)),
-                }
-            })
-            .collect()
+            .map(|o| o.unwrap_or_else(|| Err(missing_commit_result())).map_err(AdalError::Backend))
+            .collect();
+
+        let now = self.obs.now_ns();
+        let elapsed = |start_ns: u64| now.saturating_sub(start_ns);
+        let put = OpKind::Put as usize;
+        self.ops.latency[put].record_all(finalize.iter().map(|(_, _, start)| elapsed(*start)));
+        let acked: Vec<_> =
+            finalize.iter().zip(&results).filter(|(_, r)| r.is_ok()).map(|(f, _)| f).collect();
+        self.ops.ops[put].add(acked.len() as u64);
+        self.ops.put_bytes.record_all(acked.iter().map(|(_, len, _)| *len));
+        for run in acked.chunk_by(|a, b| Arc::ptr_eq(&a.0, &b.0)) {
+            let metrics = &run[0].0;
+            metrics.ops(&self.obs, OpKind::Put, run.len() as u64);
+            metrics.op_latency(&self.obs).record_all(run.iter().map(|(_, _, start)| elapsed(*start)));
+        }
+        results
     }
 
     /// Fetches an object.
@@ -902,6 +910,25 @@ mod tests {
         assert_eq!(adal.obs().counter_value(names::ADAL_OPS_TOTAL, &[("op", "put")]), 0);
         let acked = [("project", "zebrafish")];
         assert_eq!(adal.obs().histogram(names::ADAL_PROJECT_OP_LATENCY_NS, &acked).count(), 0);
+    }
+
+    #[test]
+    fn a_put_is_timed_when_refused_or_committed_and_not_when_dropped() {
+        let (adal, cred) = setup();
+        let reg = adal.obs();
+        let attempts = || reg.histogram(names::ADAL_OP_LATENCY_NS, &[("op", "put")]).count();
+        // Refused at stage: katrin is read-only.
+        assert!(matches!(adal.put(&cred, "lsdf://katrin/x", b("px")), Err(AdalError::Auth(_))));
+        assert_eq!(attempts(), 1);
+        // Staged, then dropped uncommitted.
+        let pending = adal.put_stage_traced(&TraceCtx::disabled(), &cred, "lsdf://zebrafish/y", b("px"));
+        drop(pending.unwrap());
+        assert_eq!(attempts(), 1);
+        // Acked, then refused as a second write of the same key.
+        adal.put(&cred, "lsdf://zebrafish/z", b("px")).unwrap();
+        assert!(adal.put(&cred, "lsdf://zebrafish/z", b("px")).is_err());
+        assert_eq!(attempts(), 3);
+        assert_eq!(reg.counter_value(names::ADAL_OPS_TOTAL, &[("op", "put")]), 1);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use lsdf_storage::checksum::X16_MIN_LANES;
 use lsdf_storage::{sha256_kernel, sha256_many_kernel, Hsm, MigrationPolicy, ObjectStore};
 
 use crate::error::FacilityError;
-use crate::ingest::IngestObs;
+use crate::ingest::{IngestItem, IngestObs};
 use crate::session::ProjectSession;
 
 /// Which storage component backs a project's data.
@@ -645,23 +645,31 @@ impl Facility {
         self.lanes.get(project).copied().unwrap_or(Lane::Bulk)
     }
 
-    /// Serial admission decision for one ingest item, made on the
-    /// caller thread in submission order (never inside pool workers)
-    /// so decisions are identical at every worker count. Unknown
-    /// projects keep their legacy `FacilityError::UnknownProject`.
-    pub(crate) fn admit_ingest(
-        &self,
-        project: &str,
-        bytes: u64,
-    ) -> Result<Ticket, FacilityError> {
-        match self
-            .admission
-            .admit(project, self.default_lane(project), bytes)
-        {
-            Ok(t) => Ok(t),
-            Err(AdmissionError::UnknownProject(p)) => Err(FacilityError::UnknownProject(p)),
-            Err(e) => Err(e.into()),
+    /// Serial admission decisions for ingest items, one per item in
+    /// submission order, made on the caller thread (never inside pool
+    /// workers) so decisions are identical at every worker count. Each
+    /// run of consecutive items of one project passes the front door as
+    /// one [`AdmissionController::admit_batch`]. Unknown projects keep
+    /// their legacy `FacilityError::UnknownProject`.
+    pub(crate) fn admit_ingest(&self, items: &[IngestItem]) -> Vec<Result<Ticket, FacilityError>> {
+        let mut decisions = Vec::with_capacity(items.len());
+        let mut sizes = Vec::new();
+        for run in items.chunk_by(|a, b| a.project == b.project) {
+            let project = &run[0].project;
+            sizes.clear();
+            sizes.extend(run.iter().map(|item| item.data.len() as u64));
+            match self.admission.admit_batch(project, self.default_lane(project), &sizes) {
+                Ok(tickets) => decisions.extend(tickets.into_iter().map(|t| t.map_err(FacilityError::from))),
+                Err(e) => {
+                    let e = match e {
+                        AdmissionError::UnknownProject(p) => FacilityError::UnknownProject(p),
+                        e => e.into(),
+                    };
+                    decisions.extend(run.iter().map(|_| Err(e.clone())));
+                }
+            }
         }
+        decisions
     }
 
     /// Opens a session on `project` under the admin credential: the

@@ -13,7 +13,7 @@ use bytes::Bytes;
 
 use lsdf_adal::{AdalError, BackendError, Credential, PendingPut};
 use lsdf_metadata::{DatasetId, Document, NewDataset, ProjectStore};
-use lsdf_obs::{Counter, Histogram, Registry, Span, TraceCtx};
+use lsdf_obs::{Counter, Histogram, Registry, TraceCtx};
 use lsdf_storage::Payload;
 
 use crate::error::FacilityError;
@@ -136,7 +136,7 @@ fn checked_metadata(
 }
 
 /// One batch item staged through the ADAL, plus everything needed to
-/// finalize it (catalog entry, metrics, latency span) once the batched
+/// finalize it (catalog entry, metrics, latency start) once the batched
 /// commit lands.
 struct StagedIngest<'a> {
     pending: PendingPut,
@@ -161,7 +161,9 @@ struct IngestFinalize<'a> {
     /// The catalog entry to register; `None` for an item stored
     /// without metadata (enforcement off).
     dataset: Option<NewDataset>,
-    span: Span,
+    /// When the item's `facility_ingest` latency started; the tally
+    /// finishes it.
+    start_ns: u64,
 }
 
 impl Facility {
@@ -183,7 +185,10 @@ impl Facility {
         item: IngestItem,
         policy: IngestPolicy,
     ) -> Result<Option<DatasetId>, FacilityError> {
-        let ticket = self.admit_ingest(&item.project, item.data.len() as u64)?;
+        let ticket = self
+            .admit_ingest(std::slice::from_ref(&item))
+            .pop()
+            .unwrap_or_else(|| Err(no_result()))?;
         let staged = self.ingest_stage_all(
             &TraceCtx::disabled(),
             cred,
@@ -251,8 +256,8 @@ impl Facility {
     /// catalog insert wait for [`Facility::ingest_finalize`]. The ADAL
     /// put (and everything below it — retries, breaker transitions, DFS
     /// placement, HSM staging) attaches as children of `ctx`. An item
-    /// that fails here is counted as rejected here; its payload was
-    /// hashed by the pass but is never stored.
+    /// that fails here is counted as rejected, and its latency recorded,
+    /// here; its payload was hashed by the pass but is never stored.
     ///
     /// Admission is *not* checked here — callers admit before this runs.
     /// `item.data` has been moved into `data`.
@@ -271,26 +276,26 @@ impl Facility {
             .ingest_obs()
             .project(&item.project)
             .ok_or_else(|| FacilityError::UnknownProject(item.project.clone()))?;
-        let span = self.obs().span(&self.ingest_obs().latency);
+        let start_ns = self.obs().now_ns();
+        let reject = |e: FacilityError| {
+            pm.rejected.inc();
+            let dt = self.obs().now_ns().saturating_sub(start_ns);
+            self.ingest_obs().latency.record(dt);
+            e
+        };
         let doc = match checked_metadata(&store, item.metadata, policy) {
             Ok(doc) => doc,
-            Err(reason) => {
-                pm.rejected.inc();
-                return Err(FacilityError::MetadataRequired { key: item.key, reason });
-            }
+            Err(reason) => return Err(reject(FacilityError::MetadataRequired { key: item.key, reason })),
         };
         // One SHA-256 per acked payload: the memoized digest travels
         // with the handle, so the object store / replica reuse it.
         let digest = data.digest();
         let location = format!("lsdf://{}/{}", item.project, item.key);
         let size = data.len() as u64;
-        let pending = match self.adal().put_stage_traced(ctx, cred, &location, data) {
-            Ok(p) => p,
-            Err(e) => {
-                pm.rejected.inc();
-                return Err(e.into());
-            }
-        };
+        let pending = self
+            .adal()
+            .put_stage_traced(ctx, cred, &location, data)
+            .map_err(|e| reject(e.into()))?;
         let dataset = doc.map(|basic| NewDataset {
             name: item.key,
             location,
@@ -300,7 +305,7 @@ impl Facility {
         });
         Ok(StagedIngest {
             pending,
-            fin: IngestFinalize { store, pm, size, dataset, span },
+            fin: IngestFinalize { store, pm, size, dataset, start_ns },
         })
     }
 
@@ -313,10 +318,11 @@ impl Facility {
     /// otherwise it carries the error of the step that refused it.
     ///
     /// A batch item's `facility_ingest` latency is its time to that
-    /// ack: the span opened at staging finishes in the tally, after
-    /// every store's catalog commit, so on a wall clock it includes the
-    /// batch's whole commit (as it already included the whole batched
-    /// storage commit), not only the item's own catalog insert.
+    /// ack: started at staging, finished in the tally at one clock
+    /// reading for the whole batch, after every store's catalog commit,
+    /// so on a wall clock it includes the batch's whole commit (as it
+    /// already included the whole batched storage commit), not only the
+    /// item's own catalog insert.
     fn ingest_finalize(
         &self,
         staged: Vec<Result<StagedIngest<'_>, FacilityError>>,
@@ -370,28 +376,26 @@ impl Facility {
                 results[i] = Some(r.map(|id| (Some(id), size)).map_err(FacilityError::from));
             }
         }
+        let results: Vec<Ingested> =
+            results.into_iter().map(|r| r.unwrap_or_else(|| Err(no_result()))).collect();
         // Counted once the catalog has answered: an item it refused (a
         // taken name) is rejected, not registered. Items that failed
-        // staging were counted there.
+        // staging were counted there. One clock reading finishes every
+        // latency; outcomes and bytes land once per run of one project.
+        let now = self.obs().now_ns();
+        let tallied: Vec<(&IngestFinalize<'_>, &Ingested)> =
+            fins.iter().zip(&results).filter_map(|(f, r)| Some((f.as_ref()?, r))).collect();
+        let latency = tallied.iter().map(|(f, _)| now.saturating_sub(f.start_ns));
+        self.ingest_obs().latency.record_all(latency);
+        for run in tallied.chunk_by(|(a, _), (b, _)| std::ptr::eq(a.pm, b.pm)) {
+            let pm = run[0].0.pm;
+            let count = |outcome: fn(&Ingested) -> bool| run.iter().filter(|(_, r)| outcome(r)).count() as u64;
+            pm.registered.add(count(|r| matches!(r, Ok((Some(_), _)))));
+            pm.stored_unregistered.add(count(|r| matches!(r, Ok((None, _)))));
+            pm.rejected.add(count(Result::is_err));
+            pm.bytes.record_all(run.iter().filter(|(_, r)| r.is_ok()).map(|(f, _)| f.size));
+        }
         results
-            .into_iter()
-            .zip(fins)
-            .map(|(r, fin)| {
-                let r = r.unwrap_or_else(|| Err(no_result()));
-                if let Some(f) = fin {
-                    match &r {
-                        Ok((Some(_), _)) => f.pm.registered.inc(),
-                        Ok((None, _)) => f.pm.stored_unregistered.inc(),
-                        Err(_) => f.pm.rejected.inc(),
-                    }
-                    if r.is_ok() {
-                        f.pm.bytes.record(f.size);
-                    }
-                    f.span.finish();
-                }
-                r
-            })
-            .collect()
     }
 
     /// Ingests a batch, tallying outcomes instead of failing fast.
@@ -423,19 +427,19 @@ impl Facility {
         };
         // Serial admission pre-pass: deterministic at any worker count.
         let mut shed = 0u64;
+        let decisions = self.admit_ingest(&items);
         let admitted: Vec<(IngestItem, u64)> = items
             .into_iter()
-            .filter_map(|item| {
-                match self.admit_ingest(&item.project, item.data.len() as u64) {
-                    Ok(ticket) => Some((item, ticket.wait_ns)),
-                    // Unknown projects fall through to the pool so the
-                    // per-item pipeline reports them as rejected, exactly
-                    // as before admission existed.
-                    Err(FacilityError::UnknownProject(_)) => Some((item, 0)),
-                    Err(_) => {
-                        shed += 1;
-                        None
-                    }
+            .zip(decisions)
+            .filter_map(|(item, decision)| match decision {
+                Ok(ticket) => Some((item, ticket.wait_ns)),
+                // Unknown projects fall through to the pool so the
+                // per-item pipeline reports them as rejected, exactly
+                // as before admission existed.
+                Err(FacilityError::UnknownProject(_)) => Some((item, 0)),
+                Err(_) => {
+                    shed += 1;
+                    None
                 }
             })
             .collect();
@@ -475,6 +479,7 @@ mod tests {
     use super::*;
     use crate::facility::{BackendChoice, ProjectSpec};
     use lsdf_adal::{EntryMeta, StagedPut, StorageBackend};
+    use lsdf_durability::{DurabilityConfig, DurableStore};
     use lsdf_metadata::query::eq;
     use lsdf_metadata::zebrafish_schema;
     use lsdf_workloads::microscopy::HtmGenerator;
@@ -738,11 +743,24 @@ mod tests {
 
     #[test]
     fn a_single_ingest_is_a_batch_of_one() {
+        // Two tenants: zebrafish on the DFS, and medaka, of the same
+        // schema, on an object store whose front door holds one token.
         let twin = || {
-            Facility::builder()
+            let mut medaka = zebrafish_schema();
+            medaka.name = "medaka-htm".into();
+            let one_token = lsdf_admission::QuotaSpec::per_second(1, 1 << 20).ops_burst(1).queue_depth(0);
+            let f = Facility::builder()
                 .tenant(ProjectSpec::new(zebrafish_schema(), BackendChoice::Dfs))
+                .tenant(
+                    ProjectSpec::new(medaka, BackendChoice::ObjectStore { capacity: u64::MAX })
+                        .quota(one_token),
+                )
+                .durability(DurableStore::new(), DurabilityConfig::default())
                 .build()
-                .unwrap()
+                .unwrap();
+            // A stopped clock: no token refills between admissions.
+            f.obs().set_virtual_time_ns(1);
+            f
         };
         let (single, batched) = (twin(), twin());
         let admin = single.admin().clone();
@@ -752,50 +770,87 @@ mod tests {
             metadata: None,
             ..good[0].clone()
         };
+        let medaka = |item: &IngestItem| IngestItem { project: "medaka-htm".into(), ..item.clone() };
         let path = |item: &IngestItem| format!("lsdf://zebrafish-htm/{}", item.key);
         // Three acked items, then the three refusals: no metadata under
         // enforcement, a taken key, and — once storage has forgotten
-        // the object — a name the catalog still holds.
-        let script = [&good[0], &good[1], &good[2], &orphan, &good[0], &good[1]];
+        // the object — a name the catalog still holds. Last, a batch of
+        // three project runs whose second medaka item is shed.
+        let script = [
+            vec![good[0].clone(), good[1].clone(), good[2].clone()],
+            vec![orphan.clone()],
+            vec![good[0].clone()],
+            vec![good[1].clone()],
+            vec![medaka(&good[3]), good[3].clone(), good[4].clone(), medaka(&good[4])],
+        ];
         let mut errors = Vec::new();
-        for (step, item) in script.into_iter().enumerate() {
-            if step == 5 {
+        for (step, batch) in script.into_iter().enumerate() {
+            if step == 3 {
                 for f in [&single, &batched] {
-                    f.adal().delete(&admin, &path(item)).unwrap();
+                    f.adal().delete(&admin, &path(&good[1])).unwrap();
                 }
             }
-            let r = single.ingest(&admin, item.clone(), IngestPolicy::default());
-            let report = batched.ingest_batch(&admin, vec![item.clone()], IngestPolicy::default());
-            assert_eq!((report.registered, report.rejected), (r.is_ok() as u64, r.is_err() as u64));
-            errors.extend(r.err());
+            let singles: Vec<_> =
+                batch.iter().map(|item| single.ingest(&admin, item.clone(), IngestPolicy::default())).collect();
+            let report = batched.ingest_batch(&admin, batch, IngestPolicy::default());
+            let count = |f: fn(&Result<_, FacilityError>) -> bool| singles.iter().filter(|r| f(r)).count() as u64;
+            let shed = count(|r| matches!(r, Err(FacilityError::Admission(_))));
+            let rejected = count(|r| r.is_err()) - shed;
+            assert_eq!((report.registered, report.rejected, report.shed), (count(|r| r.is_ok()), rejected, shed));
+            errors.extend(singles.into_iter().filter_map(Result::err));
         }
         assert!(matches!(errors[0], FacilityError::MetadataRequired { .. }), "{errors:?}");
-        assert!(single.adal().get(&admin, &path(&orphan)).is_err(), "orphan bytes");
+        for f in [&single, &batched] {
+            assert!(f.adal().get(&admin, &path(&orphan)).is_err(), "orphan bytes");
+        }
         assert!(
             matches!(errors[1], FacilityError::Adal(AdalError::Backend(BackendError::AlreadyExists(_)))),
             "{errors:?}"
         );
         assert!(matches!(errors[2], FacilityError::Metadata(_)), "{errors:?}");
-        assert_eq!(errors.len(), 3);
+        assert!(matches!(errors[3], FacilityError::Admission(_)), "{errors:?}");
+        assert_eq!(errors.len(), 4);
 
-        let store = |f: &Facility| f.store("zebrafish-htm").unwrap().catalog_digest();
-        assert_eq!(store(&single), store(&batched));
+        for project in ["zebrafish-htm", "medaka-htm"] {
+            let store = |f: &Facility| f.store(project).unwrap().catalog_digest();
+            assert_eq!(store(&single), store(&batched), "{project}");
+        }
         assert_eq!(single.dfs().namespace_digest(), batched.dfs().namespace_digest());
-        let counted = |f: &Facility| {
-            let reg = f.obs();
-            let outcome = |o| {
-                let labels = [("project", "zebrafish-htm"), ("outcome", o)];
-                reg.counter_value(names::FACILITY_INGEST_TOTAL, &labels)
-            };
-            let bytes = reg.histogram(names::FACILITY_INGEST_BYTES, &[("project", "zebrafish-htm")]);
-            (
-                [outcome("registered"), outcome("stored_unregistered"), outcome("rejected")],
-                (bytes.count(), bytes.sum()),
-                reg.counter_value(names::ADAL_OPS_TOTAL, &[("op", "put")]),
-            )
+        // Every outcome series by name, labels and value; the latencies
+        // by count.
+        let series = |f: &Facility| {
+            let snap = f.obs().snapshot();
+            let counted = [
+                names::FACILITY_INGEST_TOTAL,
+                names::ADAL_OPS_TOTAL,
+                names::ADAL_PROJECT_OPS_TOTAL,
+                names::ADMISSION_ADMITTED_TOTAL,
+                names::ADMISSION_SHED_TOTAL,
+            ];
+            let valued = [names::FACILITY_INGEST_BYTES, names::WAL_APPEND_BYTES];
+            let timed =
+                [names::FACILITY_INGEST_LATENCY_NS, names::ADAL_OP_LATENCY_NS, names::ADAL_PROJECT_OP_LATENCY_NS];
+            let counters = snap.counters.iter().filter(|(id, _)| counted.contains(&id.name.as_str()));
+            let histograms = snap.histograms.iter().filter_map(|(id, h)| match id.name.as_str() {
+                name if valued.contains(&name) => Some(format!("{id} {h:?}")),
+                name if timed.contains(&name) => Some(format!("{id} count {}", h.count)),
+                _ => None,
+            });
+            counters.map(|(id, v)| format!("{id} {v}")).chain(histograms).collect::<Vec<_>>()
         };
-        assert_eq!(counted(&single), counted(&batched));
-        assert_eq!(counted(&single).0, [3, 0, 3]);
+        let exported = series(&single);
+        assert_eq!(exported, series(&batched));
+        for line in [
+            "facility_ingest_total{outcome=registered,project=zebrafish-htm} 5",
+            "facility_ingest_total{outcome=rejected,project=zebrafish-htm} 3",
+            "facility_ingest_total{outcome=registered,project=medaka-htm} 1",
+            "admission_shed_total{lane=bulk,project=medaka-htm} 1",
+            "adal_ops_total{op=put} 7",
+            "facility_ingest_latency_ns count 9",
+        ] {
+            assert!(exported.iter().any(|l| l == line), "{line} not in {exported:#?}");
+        }
+        assert!(exported.iter().any(|l| l.starts_with(names::WAL_APPEND_BYTES)), "{exported:#?}");
     }
 
     /// An out-of-tree backend that breaks the commit contract: handed

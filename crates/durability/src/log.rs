@@ -202,9 +202,9 @@ impl DurableLog {
             seg.dev.sync();
         }
         self.obs.appends.add(payloads.len() as u64);
-        for p in payloads {
-            self.obs.append_bytes.record((FRAME_HEADER_LEN + p.len()) as u64);
-        }
+        self.obs
+            .append_bytes
+            .record_all(payloads.iter().map(|p| (FRAME_HEADER_LEN + p.len()) as u64));
         self.obs.fsyncs.inc();
         self.obs.fsync_latency.record(self.cfg.fsync_ns);
     }

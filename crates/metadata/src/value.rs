@@ -112,8 +112,9 @@ impl Value {
 
 /// The bytes of [`Value::order_key`]; dereferences to `[u8]` and
 /// compares as those bytes. Every key but a string's is held inline:
-/// an index probe for a numeric value allocates nothing, and an
-/// ordered index stores such keys in its own nodes.
+/// an index probe for a numeric value allocates nothing, an ordered
+/// index stores such keys in its own nodes, and two of them compare as
+/// a pair of integers rather than through a byte compare.
 #[derive(Debug)]
 pub struct OrderKey(KeyBytes);
 
@@ -143,9 +144,19 @@ impl std::ops::Deref for OrderKey {
     }
 }
 
+/// An inline key as the integers its bytes spell: the tag, then the
+/// big-endian `u64`. Comparing these pairs is comparing the bytes.
+fn inline_pair(bytes: &[u8; 9]) -> (u8, u64) {
+    let [tag, ordered @ ..] = *bytes;
+    (tag, u64::from_be_bytes(ordered))
+}
+
 impl PartialEq for OrderKey {
     fn eq(&self, other: &Self) -> bool {
-        **self == **other
+        match (&self.0, &other.0) {
+            (KeyBytes::Inline(a), KeyBytes::Inline(b)) => inline_pair(a) == inline_pair(b),
+            _ => **self == **other,
+        }
     }
 }
 
@@ -159,7 +170,10 @@ impl PartialOrd for OrderKey {
 
 impl Ord for OrderKey {
     fn cmp(&self, other: &Self) -> Ordering {
-        (**self).cmp(&**other)
+        match (&self.0, &other.0) {
+            (KeyBytes::Inline(a), KeyBytes::Inline(b)) => inline_pair(a).cmp(&inline_pair(b)),
+            _ => (**self).cmp(&**other),
+        }
     }
 }
 

@@ -65,7 +65,32 @@ fn open_store(disk: &DurableStore, checkpoint_every: u64) -> (ProjectStore, Arc<
     (ProjectStore::with_durability(schema("t"), Some(durability)), registry)
 }
 
+/// Values of all five types from small domains, so that pairs are often
+/// equal, with the edges: both zeros, the integer extremes, and strings
+/// holding NUL and bytes at or above 0x80.
+fn any_value() -> impl Strategy<Value = Value> {
+    let chars = prop::sample::select(vec!['\0', 'a', 'z', '\u{7f}', '\u{80}', 'é', '\u{10ffff}']);
+    let ints = || prop_oneof![Just(i64::MIN), Just(i64::MAX), -2i64..3, any::<i64>()];
+    prop_oneof![
+        prop::collection::vec(chars, 0..4).prop_map(|cs| Value::Str(cs.into_iter().collect())),
+        ints().prop_map(Value::Int),
+        prop_oneof![Just(0.0), Just(-0.0), Just(f64::MIN), Just(f64::INFINITY), -2.0f64..2.0, any::<f64>()]
+            .prop_map(Value::Float),
+        any::<bool>().prop_map(Value::Bool),
+        ints().prop_map(Value::Time),
+    ]
+}
+
 proptest! {
+    /// An order key orders and equals as its bytes do, whichever of its
+    /// two forms (inline integers, heap bytes) each side is held in.
+    #[test]
+    fn order_keys_order_as_their_bytes(a in any_value(), b in any_value()) {
+        let (ka, kb) = (a.order_key(), b.order_key());
+        prop_assert_eq!(ka.cmp(&kb), (*ka).cmp(&*kb), "{:?} vs {:?}", a, b);
+        prop_assert_eq!(ka == kb, *ka == *kb, "{:?} vs {:?}", a, b);
+    }
+
     /// Incremental checkpoints are full ones. A durable store that
     /// checkpoints chunk by chunk and crashes at seeded points is, after
     /// every step, the same catalog as a twin that never checkpointed

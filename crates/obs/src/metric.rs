@@ -141,6 +141,45 @@ impl Histogram {
         }
     }
 
+    /// Records every value in `values`: equal to calling
+    /// [`Histogram::record`] on each, for a caller that observes a batch
+    /// at once. The values fold locally first, then land as one
+    /// `fetch_add` per touched bucket plus one each for `count` and
+    /// `sum`, and a `min`/`max` read-modify-write only where the batch
+    /// moves them. An empty batch changes nothing, and a batch of one
+    /// is one `record`.
+    pub fn record_all(&self, values: impl IntoIterator<Item = u64>) {
+        let mut values = values.into_iter();
+        let Some(first) = values.next() else { return };
+        let Some(second) = values.next() else { return self.record(first) };
+        let mut buckets = [0u64; BUCKETS];
+        let (mut count, mut sum, mut lo, mut hi) = (0u64, 0u64, u64::MAX, 0u64);
+        for v in [first, second].into_iter().chain(values) {
+            buckets[bucket_of(v)] += 1;
+            count += 1;
+            sum = sum.wrapping_add(v);
+            lo = lo.min(v);
+            hi = hi.max(v);
+        }
+        let inner = &self.inner;
+        // Buckets are ordered by value: only those from `lo`'s to `hi`'s
+        // can have been hit.
+        let hit = bucket_of(lo)..=bucket_of(hi);
+        for (cell, &n) in inner.buckets[hit.clone()].iter().zip(&buckets[hit]) {
+            if n > 0 {
+                cell.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        inner.count.fetch_add(count, Ordering::Relaxed);
+        inner.sum.fetch_add(sum, Ordering::Relaxed);
+        if lo < inner.min.load(Ordering::Relaxed) {
+            inner.min.fetch_min(lo, Ordering::Relaxed);
+        }
+        if hi > inner.max.load(Ordering::Relaxed) {
+            inner.max.fetch_max(hi, Ordering::Relaxed);
+        }
+    }
+
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.inner.count.load(Ordering::Relaxed)
@@ -266,6 +305,7 @@ pub struct HistogramSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn bucket_boundaries() {
@@ -349,5 +389,43 @@ mod tests {
         let h2 = h.clone();
         h.record(10);
         assert_eq!(h2.count(), 1);
+    }
+
+    /// Every cell of a histogram, and its estimate at each rank and at
+    /// the quantiles a snapshot reports.
+    fn cells(h: &Histogram) -> (Vec<u64>, [u64; 4], Vec<u64>) {
+        let buckets = h.inner.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
+        let n = h.count();
+        let ranks = (0..=n).map(|r| r as f64 / n.max(1) as f64);
+        let qs = [0.0, 0.5, 0.95, 0.99, 1.0];
+        let quantiles = ranks.chain(qs).map(|q| h.quantile(q)).collect();
+        (buckets, [n, h.sum(), h.min(), h.max()], quantiles)
+    }
+
+    proptest! {
+        #[test]
+        fn record_all_equals_one_record_per_value(
+            values in prop::collection::vec(
+                prop_oneof![Just(0u64), Just(1u64), Just(u64::MAX), 0u64..5_000, any::<u64>()],
+                0..48,
+            ),
+            split in 0usize..48,
+        ) {
+            // Both twins share a history, so the batch meets a `min` and
+            // `max` it may or may not move.
+            let (head, batch) = values.split_at(split.min(values.len()));
+            let (one, all) = (Histogram::new(), Histogram::new());
+            for &v in head {
+                one.record(v);
+                all.record(v);
+            }
+            for &v in batch {
+                one.record(v);
+            }
+            all.record_all(batch.iter().copied());
+            prop_assert_eq!(cells(&one), cells(&all));
+            all.record_all(std::iter::empty());
+            prop_assert_eq!(cells(&one), cells(&all));
+        }
     }
 }

@@ -7,6 +7,7 @@
 //! management but overwriting does not. Every object carries its SHA-256
 //! digest, captured at ingest and re-verifiable on read.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use lsdf_sync::{ranks, OrderedRwLock};
@@ -64,9 +65,19 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
+/// One object. Its key is held once, as the map's key; an
+/// [`ObjectMeta`] is built from the two when asked for.
 struct Stored {
-    meta: ObjectMeta,
+    id: ObjectId,
+    size: u64,
+    digest: Digest,
     data: Payload,
+}
+
+impl Stored {
+    fn meta(&self, key: String) -> ObjectMeta {
+        ObjectMeta { id: self.id, key, size: self.size, digest: self.digest }
+    }
 }
 
 struct StoreInner {
@@ -124,15 +135,20 @@ impl ObjectStore {
     /// digest is the payload's memoized SHA-256 — if an upstream layer
     /// (ADAL verification, the metadata catalog) already hashed this
     /// payload family, no second hash happens here.
+    ///
+    /// A taken key is refused before capacity is checked, and a refused
+    /// put consumes no id.
     pub fn put(&self, key: &str, data: impl Into<Payload>) -> Result<ObjectMeta, StoreError> {
         let data = data.into();
         // Hash (or hit the memo) outside the write lock.
         let digest = data.digest();
         let size = data.len() as u64;
-        let mut inner = self.inner.write();
-        if inner.by_key.contains_key(key) {
+        let mut guard = self.inner.write();
+        let inner = &mut *guard;
+        // One descent finds the key taken or the slot it goes in.
+        let Entry::Vacant(slot) = inner.by_key.entry(key.to_string()) else {
             return Err(StoreError::AlreadyExists(key.to_string()));
-        }
+        };
         let free = self.capacity - inner.used;
         if size > free {
             return Err(StoreError::CapacityExceeded {
@@ -142,21 +158,8 @@ impl ObjectStore {
         }
         let id = ObjectId(inner.next_id);
         inner.next_id += 1;
-        let meta = ObjectMeta {
-            id,
-            key: key.to_string(),
-            size,
-            digest,
-        };
-        inner.by_key.insert(
-            key.to_string(),
-            Stored {
-                meta: meta.clone(),
-                data,
-            },
-        );
         inner.used += size;
-        Ok(meta)
+        Ok(slot.insert(Stored { id, size, digest, data }).meta(key.to_string()))
     }
 
     /// Fetches the payload, verifying its checksum. Payload buffers are
@@ -170,7 +173,7 @@ impl ObjectStore {
             .by_key
             .get(key)
             .ok_or_else(|| StoreError::NotFound(key.to_string()))?;
-        if stored.data.digest() != stored.meta.digest {
+        if stored.data.digest() != stored.digest {
             return Err(StoreError::ChecksumMismatch(key.to_string()));
         }
         // lint: allow(payload_copy) -- Payload handle clone: refcount bump
@@ -183,7 +186,7 @@ impl ObjectStore {
             .read()
             .by_key
             .get(key)
-            .map(|s| s.meta.clone())
+            .map(|s| s.meta(key.to_string()))
             .ok_or_else(|| StoreError::NotFound(key.to_string()))
     }
 
@@ -196,12 +199,12 @@ impl ObjectStore {
     /// management (HSM migration), not of the user-facing WORM contract.
     pub fn delete(&self, key: &str) -> Result<ObjectMeta, StoreError> {
         let mut inner = self.inner.write();
-        let stored = inner
+        let (key, stored) = inner
             .by_key
-            .remove(key)
+            .remove_entry(key)
             .ok_or_else(|| StoreError::NotFound(key.to_string()))?;
-        inner.used -= stored.meta.size;
-        Ok(stored.meta)
+        inner.used -= stored.size;
+        Ok(stored.meta(key))
     }
 
     /// Lists keys beginning with `prefix`, in lexicographic order.
@@ -211,7 +214,7 @@ impl ObjectStore {
             .by_key
             .range(prefix.to_string()..)
             .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(_, s)| s.meta.clone())
+            .map(|(k, s)| s.meta(k.clone()))
             .collect()
     }
 }

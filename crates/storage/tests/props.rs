@@ -1,11 +1,12 @@
-//! Property tests: object-store byte accounting and the HSM "never loses
-//! an object" invariant.
+//! Property tests: the object store against a map model, its byte
+//! accounting, and the HSM "never loses an object" invariant.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
 use lsdf_obs::TraceCtx;
-use lsdf_storage::{Hsm, MigrationPolicy, ObjectStore, Tier};
+use lsdf_storage::{sha256, Hsm, MigrationPolicy, ObjectId, ObjectMeta, ObjectStore, StoreError, Tier};
 use proptest::prelude::*;
 
 proptest! {
@@ -39,6 +40,66 @@ proptest! {
         }
         prop_assert_eq!(store.used(), live.values().sum::<u64>());
         prop_assert_eq!(store.len(), live.len());
+    }
+
+    /// The object store answers every op as a plain ordered map of
+    /// metadata and bytes would: puts of taken keys and puts past
+    /// capacity are refused (a taken key first) and consume no id, ids
+    /// are handed out in order, and `used()` is the live bytes.
+    #[test]
+    fn object_store_answers_like_a_map(
+        capacity in prop_oneof![Just(u64::MAX), 0u64..600],
+        ops in prop::collection::vec((0u8..5, 0usize..12, 0usize..150), 1..80),
+    ) {
+        let store = ObjectStore::new("t", capacity);
+        let mut model: BTreeMap<String, (ObjectMeta, Bytes)> = BTreeMap::new();
+        let mut next_id = 0;
+        for (op, keyi, size) in ops {
+            // Keys and prefixes that nest: "a/1" lies under "a", "a/"
+            // and "a/1", "ab/1" under "a" only.
+            let key = format!("{}/{}", ["a", "ab", "b"][keyi % 3], keyi / 3);
+            let used = model.values().map(|(m, _)| m.size).sum::<u64>();
+            match op {
+                0 => {
+                    let data = Bytes::from(vec![keyi as u8; size]);
+                    let want = if model.contains_key(&key) {
+                        Err(StoreError::AlreadyExists(key.clone()))
+                    } else if size as u64 > capacity - used {
+                        Err(StoreError::CapacityExceeded { requested: size as u64, free: capacity - used })
+                    } else {
+                        let meta = ObjectMeta { id: ObjectId(next_id), key: key.clone(), size: size as u64, digest: sha256(&data) };
+                        next_id += 1;
+                        model.insert(key.clone(), (meta.clone(), data.clone()));
+                        Ok(meta)
+                    };
+                    prop_assert_eq!(store.put(&key, data), want);
+                }
+                1 => {
+                    let want = model.get(&key).map(|(_, d)| d.clone()).ok_or(StoreError::NotFound(key.clone()));
+                    prop_assert_eq!(store.get(&key).map(|p| p.into_bytes()), want);
+                }
+                2 => {
+                    let want = model.get(&key).map(|(m, _)| m.clone()).ok_or(StoreError::NotFound(key.clone()));
+                    prop_assert_eq!(store.stat(&key), want);
+                }
+                3 => {
+                    let want = model.remove(&key).map(|(m, _)| m).ok_or(StoreError::NotFound(key.clone()));
+                    prop_assert_eq!(store.delete(&key), want);
+                }
+                _ => {
+                    for prefix in ["", "a", "a/", "ab/", "b/1", key.as_str()] {
+                        let want: Vec<ObjectMeta> = model
+                            .range(prefix.to_string()..)
+                            .take_while(|(k, _)| k.starts_with(prefix))
+                            .map(|(_, (m, _))| m.clone())
+                            .collect();
+                        prop_assert_eq!(store.list(prefix), want, "prefix {:?}", prefix);
+                    }
+                }
+            }
+            prop_assert_eq!(store.used(), model.values().map(|(m, _)| m.size).sum::<u64>());
+            prop_assert_eq!(store.len(), model.len());
+        }
     }
 
     /// After arbitrary put/read/migrate sequences, every ingested object is
