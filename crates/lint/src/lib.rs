@@ -5,8 +5,8 @@
 //! runs are bit-identical (all time from the obs registry clock, all
 //! randomness from named `lsdf-sim` streams), every metric name agrees
 //! between increment sites, test assertions and the bench report, and
-//! locks are acquired in the globally declared rank order. This crate
-//! enforces them mechanically, the way Rucio enforces naming
+//! every lock is built under a rank the global order declares. This
+//! crate enforces them mechanically, the way Rucio enforces naming
 //! conventions and the Superfacility programme verifies policy
 //! conformance — convention-only invariants rot at scale.
 //!
@@ -29,16 +29,19 @@
 //!   goes through `lsdf_dfs::shard::ShardedMap`, whose stripes are
 //!   rank-ordered `OrderedRwLock`s declared in the manifest — the rank,
 //!   not a path exemption, is what sanctions them.
-//! * **L5 `lock_order`** — the static half of the facility's two-layer
-//!   lock-order analysis (see [`lockorder`]): a raw `Mutex::new(` /
-//!   `RwLock::new(` / `Condvar::new(` construction, `parking_lot` or
-//!   `std::sync`, outside `crates/sync/` is a violation (the check is
-//!   of construction sites: a raw lock built by `#[derive(Default)]`
-//!   is not seen, which is why a crate whose library code needs no raw
-//!   lock — `lsdf-adal` — does not depend on `parking_lot` at all);
-//!   an `OrderedMutex`/`OrderedRwLock` names a rank declared in
-//!   `lsdf_sync::ranks`, and the reconstructed cross-file acquisition
-//!   graph must respect the declared partial order and stay acyclic.
+//! * **L5 `lock_order`** — ranks and construction sites (see
+//!   [`lockorder`]): a raw `Mutex::new(` / `RwLock::new(` /
+//!   `Condvar::new(` construction, `parking_lot` or `std::sync`, outside
+//!   `crates/sync/` is a violation (the check is of construction sites:
+//!   a raw lock built by `#[derive(Default)]` is not seen, which is why
+//!   a crate whose library code needs no raw lock — `lsdf-adal` — does
+//!   not depend on `parking_lot` at all); an
+//!   `OrderedMutex`/`OrderedRwLock` names a rank declared in
+//!   `lsdf_sync::ranks`, and every declared rank is unique and has a
+//!   construction site. Nesting is not judged here: `lsdf-sync`'s
+//!   witness checks it on every path the witness-armed tests execute,
+//!   and a nesting on a path no test runs is unchecked, so put a test
+//!   on it.
 //! * **L6 `payload_copy`** — no deep payload copies (`.to_vec()`,
 //!   `.extend_from_slice(`, `.concat()`, `.clone()` on payload-ish
 //!   bindings, `Bytes::copy_from_slice`) in
@@ -49,8 +52,7 @@
 //! Every finding is a violation and fails the run. Any rule can be
 //! waived per line with `// lint: allow(<rule>) -- <justification>`
 //! (trailing, or on the line directly above); the justification is
-//! mandatory. Waiving `lock_order` silences an edge or raw-lock report
-//! but never cycle detection.
+//! mandatory.
 
 pub mod lockorder;
 pub mod scan;
@@ -74,7 +76,7 @@ pub enum Rule {
     MetricNames,
     /// L4: ad-hoc shard lock vectors.
     Locks,
-    /// L5: raw locks, the lock-rank manifest and acquisition order.
+    /// L5: raw locks, the lock-rank manifest and construction sites.
     LockOrder,
     /// L6: deep payload copies on the data-path hot crates.
     PayloadCopy,
@@ -307,28 +309,11 @@ const SPAN_CALLS: &[&str] = &[
 /// Lints one file's content. `rel` is the workspace-relative path used
 /// for scoping decisions; the content does not need to exist on disk
 /// (the fixture tests feed synthetic files through here).
+/// The workspace-wide unused-name and unused-rank checks are left out:
+/// they only make sense over the whole tree.
 pub fn lint_file(rel: &str, content: &str, cfg: &Config) -> Report {
-    lint_files(&[(rel.to_string(), content.to_string())], cfg)
-}
-
-/// Lints a set of in-memory files as one unit, including the cross-file
-/// L5 acquisition graph (but not the workspace-wide unused-name /
-/// unused-rank checks, which only make sense over the whole tree).
-pub fn lint_files(files: &[(String, String)], cfg: &Config) -> Report {
-    let mut report = Report::default();
-    let mut analyses = Vec::new();
-    for (rel, content) in files {
-        let scanned = scan::scan_file(content);
-        let outcome = process_file(rel, &scanned, cfg, &BTreeSet::new());
-        report.violations.extend(outcome.report.violations);
-        report.files_scanned += 1;
-        if let Some(a) = outcome.analysis {
-            analyses.push(a);
-        }
-    }
-    report
-        .violations
-        .extend(lockorder::finish(&analyses, &cfg.ranks, &cfg.ranks_module, false));
+    let scanned = scan::scan_file(content);
+    let mut report = process_file(rel, &scanned, cfg, &BTreeSet::new()).report;
     sort_report(&mut report);
     report
 }
@@ -567,13 +552,14 @@ fn lint_scanned(rel: &str, file: &ScannedFile, cfg: &Config, allows: &Allows) ->
 /// Everything one file contributes to a run.
 struct FileOutcome {
     report: Report,
-    analysis: Option<lockorder::FileAnalysis>,
     /// Declared metric-name idents this file references (tokenized, so
     /// `FOO_TOTAL_EXT` does not count as a use of `FOO_TOTAL`).
     names_used: BTreeSet<String>,
+    /// Declared lock ranks this file's construction sites name.
+    ranks_used: BTreeSet<String>,
 }
 
-/// Scans, lints, and lock-order-analyzes one file.
+/// Scans and lints one file.
 fn process_file(
     rel: &str,
     scanned: &ScannedFile,
@@ -581,26 +567,16 @@ fn process_file(
     name_idents: &BTreeSet<&str>,
 ) -> FileOutcome {
     let allows = collect_allows(rel, scanned);
-    let report = lint_scanned(rel, scanned, cfg, &allows);
+    let mut report = lint_scanned(rel, scanned, cfg, &allows);
 
-    let analysis = if is_test_path(rel) {
-        None
-    } else {
-        let lock_waived: Vec<bool> = allows
-            .allowed
-            .iter()
-            .map(|rules| rules.contains(&Rule::LockOrder))
-            .collect();
-        Some(lockorder::analyze_file(
-            rel,
-            scanned,
-            &cfg.ranks,
-            &lock_waived,
-            lockorder::AnalyzeOpts {
-                in_sync_crate: rel.starts_with("crates/sync/"),
-            },
-        ))
-    };
+    let mut ranks_used = BTreeSet::new();
+    if !is_test_path(rel) {
+        let l5 = lockorder::check_file(rel, scanned, &cfg.ranks, |i| {
+            allows.allowed[i].contains(&Rule::LockOrder)
+        });
+        report.violations.extend(l5.violations);
+        ranks_used = l5.ranks_used;
+    }
 
     // One tokenizing pass for the unused-name check, replacing the old
     // O(files x names) substring scan.
@@ -628,7 +604,7 @@ fn process_file(
         }
     }
 
-    FileOutcome { report, analysis, names_used }
+    FileOutcome { report, names_used, ranks_used }
 }
 
 fn sort_report(report: &mut Report) {
@@ -668,8 +644,8 @@ pub fn collect_rs_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
-/// Runs the full workspace lint: every file, the cross-file L5
-/// acquisition graph, and the unused-name / unused-rank checks.
+/// Runs the full workspace lint: every file, the lock-rank manifest,
+/// and the unused-name / unused-rank checks.
 ///
 /// Files are processed on a small thread pool (contiguous chunks into
 /// pre-allocated slots — no shared mutable state, so the linter does
@@ -716,20 +692,18 @@ pub fn run(cfg: &Config) -> io::Result<Report> {
 
     let mut report = Report::default();
     let mut names_seen: BTreeSet<String> = BTreeSet::new();
-    let mut analyses: Vec<lockorder::FileAnalysis> = Vec::new();
+    let mut ranks_seen: BTreeSet<String> = BTreeSet::new();
     for slot in slots {
         let outcome = slot.expect("every slot is filled by its chunk's worker")?;
         report.violations.extend(outcome.report.violations);
         report.files_scanned += 1;
         names_seen.extend(outcome.names_used);
-        if let Some(a) = outcome.analysis {
-            analyses.push(a);
-        }
+        ranks_seen.extend(outcome.ranks_used);
     }
 
     report
         .violations
-        .extend(lockorder::finish(&analyses, &cfg.ranks, &cfg.ranks_module, true));
+        .extend(lockorder::check_manifest(&cfg.ranks, &cfg.ranks_module, &ranks_seen));
 
     // Unused / duplicate declared names.
     let mut values = BTreeSet::new();
@@ -930,7 +904,7 @@ mod tests {
         let src = "struct S { a: OrderedMutex<u8>, b: OrderedMutex<u8> }\n\
                    impl S { fn new() -> Self { Self {\n\
                        a: OrderedMutex::new(ranks::INNER, 0),\n\
-                       b: OrderedMutex::new(ranks::OUTER, 0),\n\
+                       b: OrderedMutex::new(ranks::GHOST, 0),\n\
                    } } }\n\
                    fn f(s: &S) { let g = s.a.lock(); let h = s.b.lock(); }\n";
         let r = lint_file("crates/adal/src/x.rs", src, &cfg);
@@ -939,8 +913,11 @@ mod tests {
             .iter()
             .filter(|d| d.rule == Rule::LockOrder)
             .collect();
+        // The undeclared rank is L5's; the nesting in `f` is the
+        // runtime witness's, and the lint says nothing about it.
         assert_eq!(order.len(), 1, "{:#?}", r.violations);
-        assert!(order[0].message.contains("inversion"));
+        assert_eq!(order[0].line, 4);
+        assert!(order[0].message.contains("`GHOST` is not declared"));
     }
 
     #[test]

@@ -1,46 +1,23 @@
-//! L5 fixture (good): every construction names a declared rank and
-//! every nested acquisition strictly increases.
+//! L5 fixture (good): every construction names a declared rank, as a
+//! field init, inside a wrapper, or with the rank on the next line.
+
+use std::sync::Arc;
 
 use lsdf_sync::{ranks, OrderedMutex, OrderedRwLock};
 
 pub struct Facility {
-    table: OrderedRwLock<u32>,
+    table: Arc<OrderedRwLock<u32>>,
     state: OrderedMutex<u32>,
 }
 
 impl Facility {
     pub fn new() -> Self {
         Self {
-            table: OrderedRwLock::new(ranks::OUTER, 0),
-            state: OrderedMutex::new(ranks::INNER, 0),
+            table: Arc::new(OrderedRwLock::new(ranks::OUTER, 0)),
+            state: OrderedMutex::new(
+                ranks::INNER,
+                0,
+            ),
         }
-    }
-
-    /// Nested in declared order: outer(10) then inner(20).
-    pub fn step(&self) -> u32 {
-        let t = self.table.read();
-        let s = self.state.lock();
-        *t + *s
-    }
-
-    /// Descending ranks are fine when the guards never overlap.
-    pub fn disjoint(&self) -> u32 {
-        {
-            let s = self.state.lock();
-            let _ = *s;
-        }
-        let t = self.table.write();
-        *t
-    }
-
-    /// A scrutinee temporary dies with its block, freeing the rank for
-    /// the write below.
-    pub fn get_or_reset(&self) -> u32 {
-        if let Some(v) = self.table.read().checked_add(1) {
-            return v;
-        }
-        let mut t = self.table.write();
-        *t = 0;
-        *t
     }
 }

@@ -54,11 +54,6 @@ impl Clock {
         self.inner.use_virtual.store(true, Ordering::Relaxed);
     }
 
-    /// Returns the clock to wall mode.
-    pub fn clear_virtual(&self) {
-        self.inner.use_virtual.store(false, Ordering::Relaxed);
-    }
-
     /// True when the clock reads virtual time.
     pub fn is_virtual(&self) -> bool {
         self.inner.use_virtual.load(Ordering::Relaxed)
@@ -103,8 +98,6 @@ mod tests {
         assert_eq!(c.now_ns(), 1_000);
         c.set_virtual_ns(2_000);
         assert_eq!(c.now_ns(), 2_000);
-        c.clear_virtual();
-        assert!(!c.is_virtual());
     }
 
     #[test]

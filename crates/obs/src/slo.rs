@@ -17,7 +17,6 @@
 //! rate(<counter> / <counter>) <|<= <number>      eval-to-eval error rate
 //! window(N) p50|p95|p99(<hist>{...}) ...         rolling quantile
 //! window(N) rate(<ctr>{...} / <ctr>{...}) ...    windowed error rate
-//! window(N) delta(<counter>{...}) ...            rate of change
 //! window(N) burn(<ctr>{...} / <ctr>{...}, B) ... burn rate vs budget B
 //! ```
 //!
@@ -34,13 +33,12 @@
 //! which is what separates a transient spike from sustained
 //! degradation: a rolling quantile is the *max* of the quantile samples
 //! in the window, a windowed rate divides the delta mass of two
-//! counters over the window, `delta` is a counter's windowed increase,
-//! and `burn` is the windowed error rate divided by an error *budget*
-//! `B` (à la error-budget burn-rate alerting: burn 1.0 consumes the
-//! budget exactly; a threshold like `<= 2` alerts on 2x burn).
-//! Windowed rate/burn/delta label blocks are allowed — per-project
-//! burn-rate rules are how the admission governor attributes sustained
-//! degradation. Windowed rules evaluate against an empty history (no
+//! counters over the window, and `burn` is the windowed error rate
+//! divided by an error *budget* `B` (à la error-budget burn-rate
+//! alerting: burn 1.0 consumes the budget exactly; a threshold like
+//! `<= 2` alerts on 2x burn). Windowed rate/burn label blocks are
+//! allowed — per-project burn-rate rules are how the admission governor
+//! attributes sustained degradation. Windowed rules evaluate against an empty history (no
 //! telemetry store, or no samples yet) as 0, i.e. vacuously healthy.
 
 use lsdf_sync::{ranks, OrderedMutex};
@@ -101,14 +99,6 @@ pub enum Selector {
         denominator: String,
         /// Denominator label filter (empty = sum across label sets).
         den_labels: Vec<(String, String)>,
-    },
-    /// A counter's increase over the window (requires `window(N)`),
-    /// e.g. `window(4) delta(chaos_injected_total) <= 100`.
-    Delta {
-        /// Counter name.
-        name: String,
-        /// Label filter (empty = sum across label sets).
-        labels: Vec<(String, String)>,
     },
     /// Error-budget burn rate (requires `window(N)`): the windowed
     /// error rate divided by the budget, e.g.
@@ -268,13 +258,6 @@ impl SloRule {
                     }
                 }
             }
-            "delta" => {
-                if window.is_none() {
-                    return Err(format!("`{t}`: delta requires a `window(N)` prefix"));
-                }
-                let (name, labels) = parse_metric_ref(arg)?;
-                Selector::Delta { name, labels }
-            }
             "burn" => {
                 if window.is_none() {
                     return Err(format!("`{t}`: burn requires a `window(N)` prefix"));
@@ -331,7 +314,6 @@ impl SloRule {
         let labels = match &self.selector {
             Selector::HistQuantile { labels, .. } => labels,
             Selector::GaugeValue { labels, .. } => labels,
-            Selector::Delta { labels, .. } => labels,
             Selector::WindowedRate { num_labels, .. } => num_labels,
             Selector::BurnRate { num_labels, .. } => num_labels,
             Selector::Rate { .. } => return None,
@@ -410,11 +392,6 @@ impl std::fmt::Display for SloRule {
                 fmt_metric_ref(f, numerator, num_labels)?;
                 write!(f, " / ")?;
                 fmt_metric_ref(f, denominator, den_labels)?;
-                write!(f, ")")?;
-            }
-            Selector::Delta { name, labels } => {
-                write!(f, "delta(")?;
-                fmt_metric_ref(f, name, labels)?;
                 write!(f, ")")?;
             }
             Selector::BurnRate {
@@ -675,9 +652,7 @@ impl SloMonitor {
                         }
                     }
                     // The parser only admits these with a window.
-                    Selector::WindowedRate { .. }
-                    | Selector::Delta { .. }
-                    | Selector::BurnRate { .. } => 0.0,
+                    Selector::WindowedRate { .. } | Selector::BurnRate { .. } => 0.0,
                 },
             };
             outcomes.push(RuleOutcome {
@@ -751,7 +726,6 @@ fn windowed_observe(
                 num as f64 / den as f64
             }
         }
-        Selector::Delta { name, labels } => windowed_mass(store, name, labels, since) as f64,
         Selector::BurnRate {
             numerator,
             num_labels,
@@ -929,7 +903,6 @@ mod tests {
             "window(banana) rate(a / b) < 0.5",
             "window(8 rate(a / b) < 0.5",
             "window(8) gauge(x) == 0",
-            "delta(a) < 5",
             "burn(a / b, 0.01) < 2",
             "window(8) burn(a / b) < 2",
             "window(8) burn(a / b, 0) < 2",
@@ -959,15 +932,6 @@ mod tests {
         let q = SloRule::parse("window(4) p99(lat_ns{project=p}) <= 1000").unwrap();
         assert_eq!(q.window(), Some(4));
         assert!(matches!(q.selector, Selector::HistQuantile { .. }));
-
-        let d = SloRule::parse("window(4) delta(chaos_injected_total) <= 100").unwrap();
-        assert_eq!(
-            d.selector,
-            Selector::Delta {
-                name: "chaos_injected_total".into(),
-                labels: vec![],
-            }
-        );
 
         let b = SloRule::parse("window(8) burn(errs_total / ops_total, 0.01) <= 2").unwrap();
         assert_eq!(

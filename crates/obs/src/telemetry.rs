@@ -18,13 +18,13 @@
 //!   every scrape, which is what rolling-quantile alerting and the
 //!   operator sparklines consume.
 //!
-//! Memory is bounded two ways: a per-series point capacity and an
-//! age horizon (`max_age_ns`), both enforced at scrape time. The store
-//! observes itself — `telemetry_scrapes_total`, `telemetry_samples_total`,
-//! `telemetry_evictions_total`, and the points high-water gauge land in
-//! the registry *after* the fold over it, so scrape N records
-//! scrape N−1's self-accounting and the whole pipeline stays a pure
-//! function of the virtual clock (bit-identical at any worker count).
+//! Memory is bounded by a per-series point capacity, enforced at scrape
+//! time. The store observes itself — `telemetry_scrapes_total`,
+//! `telemetry_samples_total`, `telemetry_evictions_total`, and the
+//! points high-water gauge land in the registry *after* the fold over
+//! it, so scrape N records scrape N−1's self-accounting and the whole
+//! pipeline stays a pure function of the virtual clock (bit-identical
+//! at any worker count).
 //!
 //! Lock order: the store's ring state ranks *outside* the registry
 //! tables (`OBS_TELEMETRY` 830 < `OBS_COUNTERS` 900), so a scrape may
@@ -44,21 +44,17 @@ use crate::registry::{MetricId, Reading, Registry};
 pub struct TelemetryConfig {
     /// Minimum virtual-time distance between scrapes.
     pub interval_ns: u64,
-    /// Maximum points retained per series (ring capacity).
+    /// Maximum points retained per series (ring capacity); older
+    /// points are evicted (counters fold into the series base).
     pub capacity: usize,
-    /// Maximum point age; older points are evicted (counters fold into
-    /// the series base). `u64::MAX` disables the age bound.
-    pub max_age_ns: u64,
 }
 
 impl Default for TelemetryConfig {
-    /// 1 virtual millisecond between scrapes, 512 points per series,
-    /// no age bound.
+    /// 1 virtual millisecond between scrapes, 512 points per series.
     fn default() -> Self {
         TelemetryConfig {
             interval_ns: 1_000_000,
             capacity: 512,
-            max_age_ns: u64::MAX,
         }
     }
 }
@@ -73,12 +69,6 @@ impl TelemetryConfig {
     /// Sets the per-series ring capacity.
     pub fn capacity(mut self, points: usize) -> Self {
         self.capacity = points.max(1);
-        self
-    }
-
-    /// Sets the age horizon.
-    pub fn max_age_ns(mut self, ns: u64) -> Self {
-        self.max_age_ns = ns;
         self
     }
 }
@@ -165,32 +155,26 @@ impl Series {
         }
     }
 
-    /// Evicts by capacity then age, folding counter deltas into the
-    /// base. Returns how many points were evicted.
-    fn evict(&mut self, capacity: usize, age_cutoff_ns: u64) -> u64 {
+    /// Evicts the oldest points beyond `capacity`, folding counter
+    /// deltas into the base. Returns how many points were evicted.
+    fn evict(&mut self, capacity: usize) -> u64 {
         let mut evicted = 0u64;
         match self {
             Series::Counter { base, points, .. } => {
-                while points.len() > capacity
-                    || points.front().is_some_and(|(t, _)| *t < age_cutoff_ns)
-                {
+                while points.len() > capacity {
                     let (_, delta) = points.pop_front().expect("loop guard ensures front");
                     *base += delta;
                     evicted += 1;
                 }
             }
             Series::Gauge(points) => {
-                while points.len() > capacity
-                    || points.front().is_some_and(|(t, _)| *t < age_cutoff_ns)
-                {
+                while points.len() > capacity {
                     points.pop_front();
                     evicted += 1;
                 }
             }
             Series::Hist(points) => {
-                while points.len() > capacity
-                    || points.front().is_some_and(|(t, _)| *t < age_cutoff_ns)
-                {
+                while points.len() > capacity {
                     points.pop_front();
                     evicted += 1;
                 }
@@ -205,15 +189,6 @@ struct Inner {
     series: BTreeMap<MetricId, Series>,
     points: u64,
     high_water: u64,
-}
-
-/// CSV-quotes a field when it contains a comma, quote, or newline.
-fn csv_field(s: &str) -> String {
-    if s.contains(',') || s.contains('"') || s.contains('\n') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
 }
 
 /// A ring-buffer time-series store scraping one [`Registry`] on the
@@ -270,8 +245,8 @@ impl TelemetryStore {
     }
 
     /// Scrapes the registry now: appends one sample per live metric,
-    /// evicts by capacity and age, then records the store's own
-    /// accounting metrics into the registry.
+    /// evicts by capacity, then records the store's own accounting
+    /// metrics into the registry.
     ///
     /// The registry is folded where it lies ([`Registry::visit`], under
     /// the ring lock, which ranks outside the registry's maps): no
@@ -279,8 +254,6 @@ impl TelemetryStore {
     /// when its series is new.
     pub fn scrape(&self, registry: &Registry) {
         let now = registry.now_ns();
-        let age_cutoff = now.saturating_sub(self.config.max_age_ns);
-
         let mut appended = 0u64;
         let mut evicted = 0u64;
         let (high_water, series_count) = {
@@ -298,7 +271,7 @@ impl TelemetryStore {
                 };
             });
             for s in inner.series.values_mut() {
-                evicted += s.evict(self.config.capacity, age_cutoff);
+                evicted += s.evict(self.config.capacity);
             }
             inner.points = inner.series.values().map(|s| s.len() as u64).sum();
             inner.high_water = inner.high_water.max(inner.points);
@@ -543,46 +516,6 @@ impl TelemetryStore {
         out.push_str("]\n}\n");
         out
     }
-
-    /// Renders the store as deterministic CSV:
-    /// `kind,series,t_ns,field,value` — counters one `delta` row per
-    /// point, gauges one `value` row, histograms one row per summary
-    /// field. Commas and quotes in series ids are CSV-quoted.
-    pub fn to_csv(&self) -> String {
-        let inner = self.inner.lock();
-        let mut out = String::with_capacity(4096);
-        out.push_str("kind,series,t_ns,field,value\n");
-        for (id, s) in &inner.series {
-            let sid = csv_field(&id.to_string());
-            match s {
-                Series::Counter { points, .. } => {
-                    for (t, d) in points {
-                        out.push_str(&format!("counter,{sid},{t},delta,{d}\n"));
-                    }
-                }
-                Series::Gauge(points) => {
-                    for (t, v) in points {
-                        out.push_str(&format!("gauge,{sid},{t},value,{v}\n"));
-                    }
-                }
-                Series::Hist(points) => {
-                    for (t, h) in points {
-                        for (field, v) in [
-                            ("count", h.count),
-                            ("sum", h.sum),
-                            ("p50", h.p50),
-                            ("p95", h.p95),
-                            ("p99", h.p99),
-                            ("max", h.max),
-                        ] {
-                            out.push_str(&format!("histogram,{sid},{t},{field},{v}\n"));
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 impl std::fmt::Debug for TelemetryStore {
@@ -669,27 +602,6 @@ mod tests {
     }
 
     #[test]
-    fn age_eviction_respects_the_horizon() {
-        let r = Registry::new();
-        let ts = TelemetryStore::new(
-            TelemetryConfig::default()
-                .interval_ns(MS)
-                .capacity(512)
-                .max_age_ns(3 * MS),
-        );
-        let g = r.gauge(names::ADMISSION_QUEUE_DEPTH, &[("project", "p"), ("lane", "bulk")]);
-        for k in 1..=10u64 {
-            g.set(k as i64);
-            r.set_virtual_time_ns(k * MS);
-            ts.scrape(&r);
-        }
-        let series = ts.gauge_series(names::ADMISSION_QUEUE_DEPTH, &[("project", "p"), ("lane", "bulk")]);
-        // At t=10ms the horizon is 7ms; points with t < 7ms are gone.
-        assert!(series.iter().all(|(t, _)| *t >= 7 * MS), "{series:?}");
-        assert_eq!(series.len(), 4);
-    }
-
-    #[test]
     fn window_sums_cover_exactly_full_partial_and_evicted_windows() {
         let r = Registry::new();
         let ts = store(4);
@@ -758,10 +670,6 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert!(json.contains("\"kind\": \"counter\""), "{json}");
-        let csv = ts.to_csv();
-        assert_eq!(csv, ts.to_csv());
-        assert!(csv.starts_with("kind,series,t_ns,field,value\n"));
-        assert!(csv.contains("histogram,dfs_op_latency_ns{op=read},1000000,p99,9"), "{csv}");
     }
 
     /// The store's series, kept the way the scrape kept them before it

@@ -95,9 +95,6 @@ fn valid_rule_strat() -> impl Strategy<Value = RuleParts> {
             )
         });
 
-    let delta = (name_strat(), labels_strat(), 1u32..32)
-        .prop_map(|(n, l, w)| (Some(w), format!("delta({})", fmt_ref(&n, &l))));
-
     let burn = (
         name_strat(),
         labels_strat(),
@@ -114,7 +111,7 @@ fn valid_rule_strat() -> impl Strategy<Value = RuleParts> {
         });
 
     (
-        prop_oneof![quantile, gauge, inst_rate, windowed_rate, delta, burn],
+        prop_oneof![quantile, gauge, inst_rate, windowed_rate, burn],
         cmp_strat(),
         threshold_strat(),
     )
@@ -182,8 +179,9 @@ proptest! {
         prop_assert!(SloRule::parse(&text).is_err(), "accepted {}", text);
     }
 
-    /// `delta` and `burn` only make sense over a window; without one
-    /// they are rejected whatever their arguments.
+    /// `burn` only makes sense over a window, and `delta` is not in the
+    /// grammar: without a window both are rejected whatever their
+    /// arguments.
     #[test]
     fn windowless_delta_and_burn_are_rejected(
         name in name_strat(),

@@ -10,17 +10,21 @@
 //! where every lock's rank is declared once in [`ranks`] — the same
 //! registry discipline `lsdf_obs::names` applies to metric names.
 //!
-//! Two layers enforce it:
+//! It is checked once, split by what each side can see:
 //!
-//! * statically, `lsdf-lint`'s L5 `lock_order` rule parses the manifest
-//!   and the workspace source, reconstructs the acquisition graph, and
-//!   fails CI on any edge the declared partial order forbids — and on
-//!   any raw `Mutex`/`RwLock`/`Condvar` constructed outside this crate,
-//!   so a lock the witness cannot see does not get written;
-//! * dynamically, [`OrderedMutex`] / [`OrderedRwLock`] — under the
-//!   `lock-order` cargo feature, enabled by tests and soaks — keep a
+//! * ranks and construction sites, statically: `lsdf-lint`'s L5
+//!   `lock_order` rule parses the manifest (unique ids and names, every
+//!   rank constructed somewhere), requires every [`OrderedMutex`] /
+//!   [`OrderedRwLock`] to name a declared rank, and fails CI on any raw
+//!   `Mutex`/`RwLock`/`Condvar` constructed outside this crate, so a
+//!   lock the witness cannot see does not get written;
+//! * nesting, by execution: under the `lock-order` cargo feature,
+//!   enabled by the integration tests and soaks, the wrappers keep a
 //!   thread-local stack of held ranks and panic with a deterministic
-//!   report on any inversion the static layer's heuristics missed.
+//!   report on any acquisition that does not rank strictly above every
+//!   lock the thread holds. Ranks are a total order, so no inversion
+//!   also means no cycle. A nesting on a path no test runs is
+//!   unchecked, so put a test on it.
 //!
 //! Without the feature the wrappers are transparent newtypes over
 //! `parking_lot` and compile to zero-cost passthrough, so release

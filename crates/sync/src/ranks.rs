@@ -8,11 +8,15 @@
 //! * gaps are deliberate — new locks slot between existing ranks
 //!   without renumbering;
 //! * every const here must be used by exactly one `OrderedMutex` /
-//!   `OrderedRwLock` construction site family (lint L5 flags unused or
-//!   duplicated ranks);
+//!   `OrderedRwLock` construction site family, named directly at the
+//!   site; lint L5 checks this statically (unused, duplicated or
+//!   undeclared ranks);
 //! * two locks may share a rank const only if they are *the same
 //!   striped family* and never nest with each other — the `ShardedMap`
-//!   stripes are the one sanctioned case.
+//!   stripes are the one sanctioned case;
+//! * the order itself is checked by the runtime witness on the paths
+//!   the witness-armed tests execute: a nesting on a path no test runs
+//!   is unchecked, so put a test on it.
 //!
 //! The declared partial order encodes the real call topology:
 //! admission gates a request, ADAL resolves its mount and calls a

@@ -22,7 +22,11 @@ clippy:
     cargo clippy --workspace --all-targets -- -D warnings
 
 # Facility-invariant static analysis (determinism, metric names,
-# panic-freedom, payload copies, lock discipline, lock-order analysis).
+# panic-freedom, payload copies, lock discipline, and lock ranks and
+# construction sites: a raw lock or an undeclared rank fails here). How
+# locks nest is the runtime witness's: `cargo test -p lsdf-integration
+# --test lock_order_witness` pins the shapes, and every integration test
+# runs witness-armed.
 lint:
     cargo run --release -p lsdf-lint
 
