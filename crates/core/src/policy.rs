@@ -11,7 +11,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use lsdf_metadata::{MetadataEvent, Predicate, ProjectStore};
+use lsdf_metadata::{BoundPredicate, MetadataEvent, Predicate, ProjectStore};
 
 /// A rule applied to every newly registered dataset.
 pub struct AutoTagRule {
@@ -26,7 +26,7 @@ pub struct AutoTagRule {
 /// The policy engine: evaluates rules on metadata events.
 pub struct PolicyEngine {
     store: Arc<ProjectStore>,
-    rules: Arc<Vec<AutoTagRule>>,
+    rules: Vec<AutoTagRule>,
     applied: Arc<AtomicU64>,
 }
 
@@ -34,23 +34,26 @@ impl PolicyEngine {
     /// Attaches rules to a store. Rules run synchronously inside the
     /// insert call path (after the record is committed), so by the time
     /// `insert` returns the dataset already carries its policy tags.
+    /// Each rule's field names are bound to the store's schema here,
+    /// once, not per inserted record.
     pub fn attach(store: Arc<ProjectStore>, rules: Vec<AutoTagRule>) -> Arc<Self> {
+        let bound: Vec<(BoundPredicate, String)> =
+            rules.iter().map(|rule| (rule.predicate.bind(store.schema()), rule.tag.clone())).collect();
         let engine = Arc::new(PolicyEngine {
             store: store.clone(),
-            rules: Arc::new(rules),
+            rules,
             applied: Arc::new(AtomicU64::new(0)),
         });
         let store2 = store.clone();
-        let rules = engine.rules.clone();
         let applied = engine.applied.clone();
         store.subscribe(Arc::new(move |ev: &MetadataEvent| {
             if let MetadataEvent::Inserted { id, .. } = ev {
                 let Ok(rec) = store2.get(*id) else { return };
-                for rule in rules.iter() {
-                    if rule.predicate.matches(&rec) {
+                for (predicate, tag) in &bound {
+                    if predicate.matches(&rec) {
                         // tag() re-enters the store; the event it emits
                         // (Tagged) does not recurse into this handler.
-                        if store2.tag(*id, &rule.tag).is_ok() {
+                        if store2.tag(*id, tag).is_ok() {
                             applied.fetch_add(1, Ordering::Relaxed);
                         }
                     }

@@ -39,12 +39,11 @@ pub fn value_to_json(v: &Value) -> String {
         Value::Int(i) => i.to_string(),
         Value::Float(x) => {
             if x.is_finite() {
-                // Keep integral floats distinguishable from ints.
-                if x.fract() == 0.0 && x.abs() < 1e15 {
-                    format!("{x:.1}")
-                } else {
-                    format!("{x}")
-                }
+                // Keep integral floats distinguishable from ints: `{:?}`
+                // always writes a fraction or an exponent (`1.0`,
+                // `1000000000000000.0`, `1e16`, `1e-7`), each an RFC 8259
+                // number a reader parses as a float.
+                format!("{x:?}")
             } else {
                 // JSON has no Inf/NaN; schema validation rejects NaN, and
                 // infinities become nulls rather than invalid output.
@@ -140,6 +139,18 @@ mod tests {
         assert_eq!(value_to_json(&Value::from("x")), "\"x\"");
         assert_eq!(value_to_json(&Value::Time(9)), "{\"time_ns\":9}");
         assert_eq!(value_to_json(&Value::Float(f64::INFINITY)), "null");
+    }
+
+    #[test]
+    fn every_finite_float_exports_as_a_float() {
+        let floats = [1.0, -0.0, 1e15, 1e16, 1e-7, f64::MAX];
+        let rendered = floats.map(|x| value_to_json(&Value::Float(x)));
+        assert_eq!(rendered, ["1.0", "-0.0", "1000000000000000.0", "1e16", "1e-7", "1.7976931348623157e308"]);
+        for (json, x) in rendered.iter().zip(floats) {
+            // Not an integer literal, and the same float read back.
+            assert!(json.contains(['.', 'e']), "{json}");
+            assert_eq!(json.parse::<f64>().map(f64::to_bits), Ok(x.to_bits()), "{json}");
+        }
     }
 
     #[test]

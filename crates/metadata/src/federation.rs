@@ -86,11 +86,12 @@ impl CrossQuery for UnifiedCatalog {
         let (_, scanned_before) = self.store.query_stats();
         let hits = self.store.query(pred);
         let (_, scanned_after) = self.store.query_stats();
+        let slot = self.store.schema().slot("project");
         CrossQueryResult {
             hits: hits
                 .into_iter()
                 .map(|r| {
-                    let project = match r.basic.get("project") {
+                    let project = match slot.and_then(|s| r.basic.slot(s)) {
                         Some(Value::Str(p)) => p.clone(),
                         _ => String::new(),
                     };

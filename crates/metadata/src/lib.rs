@@ -31,7 +31,7 @@ mod wal;
 pub use events::{MetadataEvent, Subscriber};
 pub use federation::{dataset, CrossQuery, CrossQueryResult, Federation, UnifiedCatalog};
 pub use index::{FieldIndex, TagIndex};
-pub use query::Predicate;
+pub use query::{BoundPredicate, Predicate};
 pub use record::{DatasetId, DatasetRecord, ProcessingResult};
 pub use schema::{zebrafish_schema, Document, FieldDef, Fields, Schema, SchemaBuilder, SchemaError};
 pub use store::{MetadataError, NewDataset, ProjectStore};

@@ -3,8 +3,14 @@
 //!
 //! Construction is ergonomic through the free functions ([`eq`], [`lt`],
 //! [`has_tag`], …) and the [`Predicate::and`]/[`Predicate::or`] methods.
+//! A predicate is evaluated in one form, [`BoundPredicate`]: its field
+//! names resolved to the slots of a schema once, then read by slot per
+//! record.
+
+use std::cmp::Ordering;
 
 use crate::record::DatasetRecord;
+use crate::schema::Schema;
 use crate::value::Value;
 
 /// A query predicate over dataset records.
@@ -86,28 +92,94 @@ impl Predicate {
         Predicate::Not(Box::new(self))
     }
 
-    /// Evaluates against one record (full-scan fallback path).
+    /// Evaluates against one record: binds against the record's own
+    /// schema, then evaluates the bound form.
     pub fn matches(&self, rec: &DatasetRecord) -> bool {
-        use std::cmp::Ordering::*;
-        let cmp = |field: &str, value: &Value| -> Option<std::cmp::Ordering> {
-            rec.basic.get(field).and_then(|v| v.partial_cmp_typed(value))
+        self.bind_with(&|name| rec.basic.slot_of(name)).matches(rec)
+    }
+
+    /// Resolves every field name against `schema`, once: the result
+    /// evaluates records of that schema by slot.
+    pub fn bind(&self, schema: &Schema) -> BoundPredicate {
+        self.bind_with(&|name| schema.slot(name))
+    }
+
+    fn bind_with(&self, slot: &dyn Fn(&str) -> Option<usize>) -> BoundPredicate {
+        use Ordering::{Equal, Greater, Less};
+        let cmp = |f: &str, value: &Value, accept: &[Ordering]| Bound::Cmp {
+            slot: slot(f),
+            value: value.clone(),
+            accept: accept.iter().fold(0, |mask, &o| mask | bit(o)),
         };
+        let boxed = |p: &Predicate| Box::new(p.bind_with(slot).0);
+        BoundPredicate(match self {
+            Predicate::All => Bound::All,
+            Predicate::Eq(f, v) => cmp(f, v, &[Equal]),
+            Predicate::Ne(f, v) => cmp(f, v, &[Less, Greater]),
+            Predicate::Lt(f, v) => cmp(f, v, &[Less]),
+            Predicate::Le(f, v) => cmp(f, v, &[Less, Equal]),
+            Predicate::Gt(f, v) => cmp(f, v, &[Greater]),
+            Predicate::Ge(f, v) => cmp(f, v, &[Greater, Equal]),
+            Predicate::Contains(f, needle) => Bound::Contains { slot: slot(f), needle: needle.clone() },
+            Predicate::HasTag(t) => Bound::HasTag(t.clone()),
+            Predicate::And(a, b) => Bound::And(boxed(a), boxed(b)),
+            Predicate::Or(a, b) => Bound::Or(boxed(a), boxed(b)),
+            Predicate::Not(p) => Bound::Not(boxed(p)),
+        })
+    }
+}
+
+/// A [`Predicate`] with its field names resolved to the slots of one
+/// [`Schema`] ([`Predicate::bind`]): it reads a record's fields by
+/// position, not by name, and is valid for records of that schema
+/// only. This is the one evaluator: a query's re-check,
+/// [`Predicate::matches`] and the policy rules all run it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BoundPredicate(Bound);
+
+/// [`Predicate`]'s shape with a slot (`None`: a field the schema
+/// lacks) for each field name.
+#[derive(Debug, Clone, PartialEq)]
+enum Bound {
+    All,
+    /// The field compares with `value` in an ordering whose [`bit`] is
+    /// in `accept`. A missing field or a value of another type
+    /// compares in none.
+    Cmp { slot: Option<usize>, value: Value, accept: u8 },
+    Contains { slot: Option<usize>, needle: String },
+    HasTag(String),
+    And(Box<Bound>, Box<Bound>),
+    Or(Box<Bound>, Box<Bound>),
+    Not(Box<Bound>),
+}
+
+/// An ordering's bit in [`Bound::Cmp`]'s `accept` mask.
+fn bit(o: Ordering) -> u8 {
+    1 << (o as i8 + 1)
+}
+
+impl BoundPredicate {
+    /// Evaluates against one record of the schema this was bound to.
+    pub fn matches(&self, rec: &DatasetRecord) -> bool {
+        self.0.matches(rec)
+    }
+}
+
+impl Bound {
+    fn matches(&self, rec: &DatasetRecord) -> bool {
+        let field = |slot: &Option<usize>| rec.basic.slot((*slot)?);
         match self {
-            Predicate::All => true,
-            Predicate::Eq(f, v) => cmp(f, v) == Some(Equal),
-            Predicate::Ne(f, v) => matches!(cmp(f, v), Some(Less) | Some(Greater)),
-            Predicate::Lt(f, v) => cmp(f, v) == Some(Less),
-            Predicate::Le(f, v) => matches!(cmp(f, v), Some(Less) | Some(Equal)),
-            Predicate::Gt(f, v) => cmp(f, v) == Some(Greater),
-            Predicate::Ge(f, v) => matches!(cmp(f, v), Some(Greater) | Some(Equal)),
-            Predicate::Contains(f, needle) => matches!(
-                rec.basic.get(f),
-                Some(Value::Str(s)) if s.contains(needle.as_str())
-            ),
-            Predicate::HasTag(t) => rec.has_tag(t),
-            Predicate::And(a, b) => a.matches(rec) && b.matches(rec),
-            Predicate::Or(a, b) => a.matches(rec) || b.matches(rec),
-            Predicate::Not(p) => !p.matches(rec),
+            Bound::All => true,
+            Bound::Cmp { slot, value, accept } => {
+                field(slot).and_then(|v| v.partial_cmp_typed(value)).is_some_and(|o| accept & bit(o) != 0)
+            }
+            Bound::Contains { slot, needle } => {
+                matches!(field(slot), Some(Value::Str(s)) if s.contains(needle.as_str()))
+            }
+            Bound::HasTag(t) => rec.has_tag(t),
+            Bound::And(a, b) => a.matches(rec) && b.matches(rec),
+            Bound::Or(a, b) => a.matches(rec) || b.matches(rec),
+            Bound::Not(p) => !p.matches(rec),
         }
     }
 }

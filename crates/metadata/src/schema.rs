@@ -84,7 +84,12 @@ pub struct Fields {
 impl Fields {
     /// The value of field `name`, if the record carries one.
     pub fn get(&self, name: &str) -> Option<&Value> {
-        self.slot(self.layout.slot(name)?)
+        self.slot(self.slot_of(name)?)
+    }
+
+    /// The slot of field `name` in the schema that shaped these fields.
+    pub(crate) fn slot_of(&self, name: &str) -> Option<usize> {
+        self.layout.slot(name)
     }
 
     /// The fields the record carries, in name order (a [`Document`]'s).

@@ -193,45 +193,55 @@ impl StoreState {
     }
 
     /// Index-assisted candidate ids for `pred`, ascending and
-    /// duplicate-free; `None` = full scan required. A single posting
-    /// list is lent as stored; a range is gathered and sorted; a
-    /// disjunction needs both sides; a conjunction walks only the side
-    /// [`StoreState::estimate`] finds cheaper.
-    fn candidates(&self, pred: &Predicate) -> Option<Cow<'_, [DatasetId]>> {
+    /// duplicate-free, with the part of `pred` they leave unchecked
+    /// (`None`: every candidate matches); `None` = full scan required.
+    /// A single posting list is lent as stored; a range is gathered and
+    /// sorted; a disjunction needs both sides; a conjunction walks only
+    /// the side [`StoreState::estimate`] finds cheaper.
+    ///
+    /// The index answers an `Eq` on its field exactly, not only
+    /// narrows it: order keys are injective within a type and carry it
+    /// in their first byte, the two float zeros share one key and
+    /// compare `Equal`, and `Schema::shape` refuses NaN, so no stored
+    /// key is a NaN's. The ids under a value's key are then exactly the
+    /// records whose field compares `Equal` with it. A tag's list is
+    /// its records. Every other candidate list is a superset, re-checked.
+    fn plan<'p>(&self, pred: &'p Predicate) -> Option<(Cow<'_, [DatasetId]>, Option<&'p Predicate>)> {
         Some(match pred {
-            Predicate::Eq(f, v) => Cow::Borrowed(self.index(f)?.lookup_eq(v)),
-            Predicate::HasTag(t) => Cow::Borrowed(self.tag_index.lookup(t)),
+            Predicate::Eq(f, v) => (Cow::Borrowed(self.index(f)?.lookup_eq(v)), None),
+            Predicate::HasTag(t) => (Cow::Borrowed(self.tag_index.lookup(t)), None),
             Predicate::And(a, b) => {
                 // The cap grows until one side's count is exact under
                 // it, so estimating costs a constant times the cheaper
                 // side however long the range behind the other is.
                 let mut cap = 64;
-                let cheaper = loop {
+                let (cheaper, other) = loop {
                     match (self.estimate(a, cap), self.estimate(b, cap)) {
                         (None, None) => return None,
-                        (Some(_), None) => break a,
-                        (None, Some(_)) => break b,
-                        (Some(x), Some(y)) if x.min(y) <= cap => break if x <= y { a } else { b },
+                        (Some(_), None) => break (a, b),
+                        (None, Some(_)) => break (b, a),
+                        (Some(x), Some(y)) if x.min(y) <= cap => break if x <= y { (a, b) } else { (b, a) },
                         _ => cap = cap.saturating_mul(8),
                     }
                 };
-                return self.candidates(cheaper);
+                let (ids, unchecked) = self.plan(cheaper)?;
+                (ids, Some(if unchecked.is_none() { &**other } else { pred }))
             }
             Predicate::Or(a, b) => {
-                let mut ids = self.candidates(a)?.into_owned();
-                ids.extend_from_slice(&self.candidates(b)?);
+                let mut ids = self.plan(a)?.0.into_owned();
+                ids.extend_from_slice(&self.plan(b)?.0);
                 ids.sort_unstable();
                 ids.dedup();
-                Cow::Owned(ids)
+                (Cow::Owned(ids), Some(pred))
             }
             _ => {
                 let (f, lo, hi) = range_of(pred)?;
-                Cow::Owned(self.index(f)?.lookup_range(lo, hi))
+                (Cow::Owned(self.index(f)?.lookup_range(lo, hi)), Some(pred))
             }
         })
     }
 
-    /// How many ids [`StoreState::candidates`] would return for `pred`:
+    /// How many ids [`StoreState::plan`] would return for `pred`:
     /// exact when at most `cap`, otherwise only known to be above it (a
     /// range stops counting there). `None` = no index narrows `pred`.
     fn estimate(&self, pred: &Predicate, cap: usize) -> Option<usize> {
@@ -575,19 +585,23 @@ impl ProjectStore {
     pub fn query(&self, pred: &Predicate) -> Vec<Arc<DatasetRecord>> {
         self.queries.fetch_add(1, Ordering::Relaxed);
         let st = self.state.read();
-        // The index narrows, it does not answer: every candidate is
-        // re-checked, so a bound the index reads loosely costs a
-        // candidate, never a wrong hit.
-        let matching = |r: &&Arc<DatasetRecord>| pred.matches(r);
-        match st.candidates(pred) {
-            Some(ids) => {
+        // What the index cannot answer is re-checked on every candidate,
+        // so a bound the index reads loosely costs a candidate, never a
+        // wrong hit. Names are bound to slots once, here.
+        let bound = |unchecked: &Predicate| unchecked.bind(&self.schema);
+        match st.plan(pred) {
+            Some((ids, unchecked)) => {
                 self.scanned.fetch_add(ids.len() as u64, Ordering::Relaxed);
                 let hits = ids.iter().map(|id| &st.records[id.0 as usize]);
-                hits.filter(matching).map(Arc::clone).collect()
+                match unchecked.map(bound) {
+                    None => hits.map(Arc::clone).collect(),
+                    Some(check) => hits.filter(|r| check.matches(r)).map(Arc::clone).collect(),
+                }
             }
             None => {
                 self.scanned.fetch_add(st.records.len() as u64, Ordering::Relaxed);
-                st.records.iter().filter(matching).map(Arc::clone).collect()
+                let check = bound(pred);
+                st.records.iter().filter(|r| check.matches(r)).map(Arc::clone).collect()
             }
         }
     }
@@ -906,6 +920,38 @@ mod tests {
         assert_eq!(ids(eq("x", 0.0)), [0, 1]);
         assert_eq!(ids(ge("x", 0.0)), [0, 1, 2]);
         assert_eq!(ids(le("x", -0.0)), [0, 1]);
+    }
+
+    #[test]
+    fn an_exact_equality_plan_on_either_zero_holds_what_matches_finds() {
+        let schema = SchemaBuilder::new("t")
+            .required("x", FieldType::Float)
+            .indexed()
+            .required("y", FieldType::Float)
+            .indexed()
+            .build()
+            .unwrap();
+        let store = ProjectStore::new(schema);
+        for (i, v) in [-0.0, 0.0, 1.0, -1.0, 0.0, -0.0].into_iter().enumerate() {
+            let basic = [("x", v), ("y", i as f64)].map(|(k, v)| (k.to_string(), Value::Float(v)));
+            store.insert(new_ds(&format!("r{i}"), basic.into_iter().collect())).unwrap();
+        }
+        let st = store.state.read();
+        for zero in [0.0, -0.0] {
+            let pred = eq("x", zero);
+            let (ids, unchecked) = st.plan(&pred).expect("x is indexed");
+            assert_eq!(unchecked, None, "nothing left to check");
+            let scan: Vec<DatasetId> = st.records.iter().filter(|r| pred.matches(r)).map(|r| r.id).collect();
+            assert_eq!((&*ids, scan.len()), (&scan[..], 4), "{zero:?}");
+            // Beside a range, the exact side leaves only the range.
+            let since = ge("y", 1.0);
+            let both = since.clone().and(pred);
+            let (ids, unchecked) = st.plan(&both).unwrap();
+            assert_eq!((&*ids, unchecked), (&scan[..], Some(&since)));
+        }
+        // A cheaper side that is a range leaves the whole conjunction.
+        let pred = ge("y", 5.0).and(eq("x", 0.0));
+        assert_eq!(st.plan(&pred).map(|(ids, unchecked)| (ids.to_vec(), unchecked)), Some((vec![DatasetId(5)], Some(&pred))));
     }
 
     #[test]
