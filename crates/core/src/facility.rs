@@ -516,7 +516,7 @@ impl Facility {
     /// rules see history up to the current virtual time.
     pub fn facility_health(&self) -> FacilityHealth {
         self.telemetry.maybe_scrape(&self.obs);
-        self.slo.evaluate_with_history(&self.obs, Some(&self.telemetry))
+        self.slo.evaluate(&self.obs, &self.telemetry)
     }
 
     /// Renders the operator console: per-tenant accounts with
@@ -535,7 +535,7 @@ impl Facility {
             .map(|t| SpanProfile::from_traces(&t.traces()));
         let mut report = facility_status(&ConsoleInputs {
             registry: &self.obs,
-            telemetry: Some(&self.telemetry),
+            telemetry: &self.telemetry,
             health: &health,
             profile: profile.as_ref(),
         });

@@ -35,8 +35,6 @@ const RECOVERY_BASE_NS: u64 = 20_000;
 pub struct DurabilityConfig {
     /// Modeled single-fsync latency (see [`WalConfig::fsync_ns`]).
     pub fsync_ns: u64,
-    /// Records per accounted fsync (see [`WalConfig::group_commit`]).
-    pub group_commit: u64,
     /// Checkpoint after this many WAL records since the last one. Also
     /// the number of records in one checkpoint chunk, so a sweep that
     /// is due has about a chunk's worth to write.
@@ -45,7 +43,7 @@ pub struct DurabilityConfig {
 
 impl Default for DurabilityConfig {
     fn default() -> Self {
-        Self { fsync_ns: 50_000, group_commit: 8, checkpoint_every: 4_096 }
+        Self { fsync_ns: 50_000, checkpoint_every: 4_096 }
     }
 }
 
@@ -92,7 +90,7 @@ impl ComponentDurability {
         registry: &Arc<Registry>,
         cfg: &DurabilityConfig,
     ) -> Self {
-        let wal_cfg = WalConfig { fsync_ns: cfg.fsync_ns, group_commit: cfg.group_commit };
+        let wal_cfg = WalConfig { fsync_ns: cfg.fsync_ns };
         let labels = &[("log", name)];
         let obs = RecoveryObs {
             runs: registry.counter(names::RECOVERY_RUNS_TOTAL, labels),

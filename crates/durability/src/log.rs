@@ -34,7 +34,7 @@
 //! [`DurableLog::append_commit_batch`] is one group: one buffer, one
 //! device append, one sync, one `wal_fsyncs_total` and one modeled
 //! `wal_fsync_latency_ns`. Records appended singly through
-//! [`DurableLog::append_commit`] are charged once per `group_commit`
+//! [`DurableLog::append_commit`] are charged once per [`GROUP_COMMIT`]
 //! records, reflecting that a real namenode coalesces concurrent
 //! commits into one fsync. Charging by batch and by record count keeps
 //! the metrics bit-identical at any worker count.
@@ -53,6 +53,8 @@ const FRAME_MAGIC: u8 = 0xA7;
 /// Upper bound on a single record payload (guards against reading a
 /// garbage length field as an allocation size).
 pub const MAX_RECORD_LEN: u32 = 1 << 26;
+/// Records appended singly per accounted fsync (group commit batching).
+const GROUP_COMMIT: u64 = 8;
 
 /// Tuning knobs for one write-ahead log.
 #[derive(Clone, Copy, Debug)]
@@ -60,13 +62,11 @@ pub struct WalConfig {
     /// Modeled latency of one device fsync, charged to
     /// `wal_fsync_latency_ns`.
     pub fsync_ns: u64,
-    /// Records per accounted fsync (group commit batching).
-    pub group_commit: u64,
 }
 
 impl Default for WalConfig {
     fn default() -> Self {
-        Self { fsync_ns: 50_000, group_commit: 8 }
+        Self { fsync_ns: 50_000 }
     }
 }
 
@@ -159,7 +159,7 @@ impl DurableLog {
 
     /// Appends one record and syncs it to the durable image before
     /// returning — the caller may ack its mutation as soon as this
-    /// returns. Fsync cost is charged once per `group_commit` records.
+    /// returns. Fsync cost is charged once per [`GROUP_COMMIT`] records.
     pub fn append_commit(&self, payload: &[u8]) {
         let frame = Self::frame(payload);
         {
@@ -170,7 +170,7 @@ impl DurableLog {
         self.obs.appends.inc();
         self.obs.append_bytes.record(frame.len() as u64);
         let n = self.records.fetch_add(1, Ordering::Relaxed) + 1;
-        if n.is_multiple_of(self.cfg.group_commit.max(1)) {
+        if n.is_multiple_of(GROUP_COMMIT) {
             self.obs.fsyncs.inc();
             self.obs.fsync_latency.record(self.cfg.fsync_ns);
         }
@@ -386,12 +386,14 @@ mod tests {
     fn fsync_accounting_batches_by_group() {
         let reg = registry();
         let store = DurableStore::new();
-        let cfg = WalConfig { fsync_ns: 1_000, group_commit: 4 };
+        let cfg = WalConfig { fsync_ns: 1_000 };
         let log = DurableLog::open(store, "t", &reg, cfg);
-        for i in 0..10u8 {
-            log.append_commit(&[i]);
+        // Two full groups and a partial one: the partial is not charged.
+        let n = 2 * GROUP_COMMIT + 2;
+        for i in 0..n {
+            log.append_commit(&[i as u8]);
         }
-        assert_eq!(reg.counter_value(names::WAL_APPENDS_TOTAL, &[("log", "t")]), 10);
+        assert_eq!(reg.counter_value(names::WAL_APPENDS_TOTAL, &[("log", "t")]), n);
         assert_eq!(reg.counter_value(names::WAL_FSYNCS_TOTAL, &[("log", "t")]), 2);
     }
 
@@ -425,14 +427,15 @@ mod tests {
     fn batch_append_shares_one_fsync_and_replays_in_order() {
         let reg = registry();
         let store = DurableStore::new();
-        let cfg = WalConfig { fsync_ns: 1_000, group_commit: 4 };
+        let cfg = WalConfig { fsync_ns: 1_000 };
         let log = DurableLog::open(store, "t", &reg, cfg);
-        let batch: Vec<Vec<u8>> = (0..10u8).map(|i| vec![i]).collect();
+        let n = 2 * GROUP_COMMIT + 2;
+        let batch: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8]).collect();
         log.append_commit_batch(&batch);
         log.append_commit_batch(&[]);
-        assert_eq!(reg.counter_value(names::WAL_APPENDS_TOTAL, &[("log", "t")]), 10);
+        assert_eq!(reg.counter_value(names::WAL_APPENDS_TOTAL, &[("log", "t")]), n);
         // One fsync for the whole batch (an empty batch charges none),
-        // vs. two on the per-record path above at group_commit = 4.
+        // vs. two for the same records on the per-record path above.
         assert_eq!(reg.counter_value(names::WAL_FSYNCS_TOTAL, &[("log", "t")]), 1);
         let r = log.replay_from(0);
         assert_eq!(r.records, batch);

@@ -287,12 +287,11 @@ const METRIC_CALLS: &[&str] = &[
     ".counter_series(",
     ".counter_series_filtered(",
     ".counter_sum(",
-    ".counter_window_sum(",
-    ".counter_window_total(",
     ".gauge_series(",
     ".hist_series(",
-    ".hist_window_p99(",
-    ".hist_window_quantile(",
+    // The windowed queries take a `MetricId`: its name is checked where
+    // the id is built.
+    "MetricId::new(",
 ];
 
 /// Span/trace call sites whose name argument must also be a

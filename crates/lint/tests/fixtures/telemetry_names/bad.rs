@@ -4,13 +4,11 @@
 pub fn watch(ts: &lsdf_obs::TelemetryStore) {
     let _ = ts.counter_series("foo_total", &[]);
     let _ = ts.counter_sum("foo_total", &[]);
-    let _ = ts.counter_window_sum("foo_total", &[], 0);
-    let _ = ts.counter_window_total("foo_total", 0);
+    let _ = ts.counter_window_sum(&lsdf_obs::MetricId::new("foo_total", &[]), 0);
     let _ = ts.counter_series_filtered("foo_total", ("project", "p"));
     let _ = ts.gauge_series("foo_depth", &[]);
     let _ = ts.hist_series(
         "foo_latency_ns",
         &[("op", "put")],
     );
-    let _ = ts.hist_window_p99("foo_latency_ns", &[], 0);
 }

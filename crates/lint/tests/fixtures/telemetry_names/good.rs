@@ -4,7 +4,7 @@ use lsdf_obs::names;
 
 pub fn watch(ts: &lsdf_obs::TelemetryStore) {
     let _ = ts.counter_series(names::FOO_TOTAL, &[]);
-    let _ = ts.counter_window_sum(names::FOO_TOTAL, &[], 0);
+    let _ = ts.counter_window_sum(&lsdf_obs::MetricId::new(names::FOO_TOTAL, &[]), 0);
     let _ = ts.counter_series_filtered(names::FOO_TOTAL, ("project", "p"));
     let _ = ts.hist_series(names::FOO_LATENCY_NS, &[("op", "put")]);
 }

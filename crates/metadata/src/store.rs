@@ -1110,7 +1110,7 @@ mod tests {
         let wal = |name| reg.counter_value(name, &[("log", "meta-zebrafish")]);
         use lsdf_obs::names::{WAL_APPENDS_TOTAL, WAL_FSYNCS_TOTAL};
         // One insert is a batch of one: one fsync per call, where the
-        // per-record path charged one per `group_commit` (8) records.
+        // per-record path charges one per `GROUP_COMMIT` (8) records.
         for i in 0..3 {
             store.insert(new_ds(&format!("one-{i}"), zf_doc(i, 0, 488.0))).unwrap();
         }

@@ -13,18 +13,17 @@
 
 use crate::names;
 use crate::profile::SpanProfile;
-use crate::registry::Registry;
+use crate::registry::{MetricId, Registry};
 use crate::slo::FacilityHealth;
 use crate::telemetry::TelemetryStore;
 
-/// Everything `facility_status` reads. `telemetry` and `profile` are
-/// optional: sections that need them render a placeholder note when
-/// absent.
+/// Everything `facility_status` reads. `profile` is optional: the
+/// slowest-operations section says tracing is off when it is absent.
 pub struct ConsoleInputs<'a> {
     /// The registry to snapshot for current values.
     pub registry: &'a Registry,
-    /// Telemetry history for sparklines and scrape accounting.
-    pub telemetry: Option<&'a TelemetryStore>,
+    /// Telemetry history for sparklines, WAL lag and scrape accounting.
+    pub telemetry: &'a TelemetryStore,
     /// The health evaluation to report (projects, alerts).
     pub health: &'a FacilityHealth,
     /// Span profile for the slowest-operations table.
@@ -64,7 +63,7 @@ const SPARK_WIDTH: usize = 16;
 /// section list and the determinism argument.
 pub fn facility_status(inputs: &ConsoleInputs<'_>) -> String {
     let snap = inputs.registry.snapshot();
-    let health = inputs.health;
+    let (health, ts) = (inputs.health, inputs.telemetry);
     let mut out = String::with_capacity(2048);
 
     out.push_str(&format!(
@@ -90,31 +89,19 @@ pub fn facility_status(inputs: &ConsoleInputs<'_>) -> String {
         let throttle = inputs
             .registry
             .gauge_value(names::ADMISSION_THROTTLE_LEVEL, &[("project", &p.project)]);
-        let (ops_spark, p99_spark) = match inputs.telemetry {
-            Some(ts) => {
-                let ops: Vec<u64> = ts
-                    .counter_series_filtered(
-                        names::ADAL_PROJECT_OPS_TOTAL,
-                        ("project", &p.project),
-                    )
-                    .into_iter()
-                    .map(|(_, d)| d)
-                    .collect();
-                let p99: Vec<u64> = ts
-                    .hist_series(
-                        names::ADAL_PROJECT_OP_LATENCY_NS,
-                        &[("project", &p.project)],
-                    )
-                    .into_iter()
-                    .map(|(_, h)| h.p99)
-                    .collect();
-                (
-                    sparkline(&tail(&ops, SPARK_WIDTH)),
-                    sparkline(&tail(&p99, SPARK_WIDTH)),
-                )
-            }
-            None => ("-".to_string(), "-".to_string()),
-        };
+        let ops: Vec<u64> = ts
+            .counter_series_filtered(names::ADAL_PROJECT_OPS_TOTAL, ("project", &p.project))
+            .into_iter()
+            .map(|(_, d)| d)
+            .collect();
+        let p99: Vec<u64> = ts
+            .hist_series(
+                names::ADAL_PROJECT_OP_LATENCY_NS,
+                &[("project", &p.project)],
+            )
+            .into_iter()
+            .map(|(_, h)| h.p99)
+            .collect();
         out.push_str(&format!(
             "{:<16} {:>10} {:>14} {:>10} {:>5} {:>4}  {:<w$} {:<w$}\n",
             p.project,
@@ -123,8 +110,8 @@ pub fn facility_status(inputs: &ConsoleInputs<'_>) -> String {
             p.tape_mounts,
             p.violations + p.windowed_violations,
             throttle,
-            ops_spark,
-            p99_spark,
+            sparkline(&tail(&ops, SPARK_WIDTH)),
+            sparkline(&tail(&p99, SPARK_WIDTH)),
             w = SPARK_WIDTH
         ));
     }
@@ -184,30 +171,23 @@ pub fn facility_status(inputs: &ConsoleInputs<'_>) -> String {
         let count = |name| inputs.registry.counter_value(name, &label_refs);
         // Lag per the TSDB: appends recorded after the component's last
         // checkpoint sample, and the chunk counts of that sample (the
-        // scrape interval holding the last checkpoint). Without history
-        // (or before the first checkpoint) the whole retained delta
-        // mass counts as lag, and the chunk counts are lifetime totals.
-        let (lag, written, kept) = match inputs.telemetry {
-            Some(ts) => {
-                let last_ckpt = ts
-                    .counter_series(names::CKPT_TAKEN_TOTAL, &label_refs)
-                    .last()
-                    .map(|(t, _)| *t)
-                    .unwrap_or(0);
-                let since = |name, t| ts.counter_window_sum(name, &label_refs, t);
-                let at = last_ckpt.saturating_sub(1);
-                (
-                    since(names::WAL_APPENDS_TOTAL, last_ckpt),
-                    since(names::CKPT_CHUNKS_WRITTEN_TOTAL, at),
-                    since(names::CKPT_CHUNKS_REUSED_TOTAL, at),
-                )
-            }
-            None => (
-                *appends,
-                count(names::CKPT_CHUNKS_WRITTEN_TOTAL),
-                count(names::CKPT_CHUNKS_REUSED_TOTAL),
-            ),
+        // scrape interval holding the last checkpoint). Before the first
+        // checkpoint the whole retained delta mass counts as lag.
+        let last_ckpt = ts
+            .counter_series(names::CKPT_TAKEN_TOTAL, &label_refs)
+            .last()
+            .map_or(0, |(t, _)| *t);
+        let since = |name: &str, t| {
+            let sibling = MetricId {
+                name: name.to_string(),
+                labels: id.labels.clone(),
+            };
+            ts.counter_window_sum(&sibling, t)
         };
+        let at = last_ckpt.saturating_sub(1);
+        let lag = since(names::WAL_APPENDS_TOTAL, last_ckpt);
+        let written = since(names::CKPT_CHUNKS_WRITTEN_TOTAL, at);
+        let kept = since(names::CKPT_CHUNKS_REUSED_TOTAL, at);
         out.push_str(&format!(
             "{:<32} {:>10} {:>8} {:>6} {:>14} {:>16}\n",
             id.to_string(),
@@ -259,27 +239,17 @@ pub fn facility_status(inputs: &ConsoleInputs<'_>) -> String {
     }
 
     // --- Telemetry self-accounting ------------------------------------
-    out.push_str("\n-- telemetry --\n");
-    match inputs.telemetry {
-        Some(ts) => {
-            out.push_str(&format!(
-                "series: {}  points: {}  high_water: {}  scrapes: {}  samples: {}  evictions: {}\n",
-                ts.series_count(),
-                ts.points_retained(),
-                ts.points_high_water(),
-                inputs
-                    .registry
-                    .counter_value(names::TELEMETRY_SCRAPES_TOTAL, &[]),
-                inputs
-                    .registry
-                    .counter_value(names::TELEMETRY_SAMPLES_TOTAL, &[]),
-                inputs
-                    .registry
-                    .counter_value(names::TELEMETRY_EVICTIONS_TOTAL, &[]),
-            ));
-        }
-        None => out.push_str("(telemetry disabled)\n"),
-    }
+    let registry_count = |name| inputs.registry.counter_value(name, &[]);
+    out.push_str(&format!(
+        "\n-- telemetry --\n\
+         series: {}  points: {}  high_water: {}  scrapes: {}  samples: {}  evictions: {}\n",
+        ts.series_count(),
+        ts.points_retained(),
+        ts.points_high_water(),
+        registry_count(names::TELEMETRY_SCRAPES_TOTAL),
+        registry_count(names::TELEMETRY_SAMPLES_TOTAL),
+        registry_count(names::TELEMETRY_EVICTIONS_TOTAL),
+    ));
 
     out
 }
@@ -336,10 +306,10 @@ mod tests {
         r.set_virtual_time_ns(2 * MS);
         ts.scrape(&r);
         let monitor = SloMonitor::with_defaults();
-        let health = monitor.evaluate_with_history(&r, Some(&ts));
+        let health = monitor.evaluate(&r, &ts);
         let inputs = ConsoleInputs {
             registry: &r,
-            telemetry: Some(&ts),
+            telemetry: &ts,
             health: &health,
             profile: Some(&SpanProfile::new()),
         };
@@ -367,14 +337,15 @@ mod tests {
     #[test]
     fn report_degrades_gracefully_without_history_or_profile() {
         let r = Registry::new();
-        let health = SloMonitor::with_defaults().evaluate(&r);
+        let ts = TelemetryStore::new(TelemetryConfig::default());
+        let health = SloMonitor::with_defaults().evaluate(&r, &ts);
         let report = facility_status(&ConsoleInputs {
             registry: &r,
-            telemetry: None,
+            telemetry: &ts,
             health: &health,
             profile: None,
         });
-        assert!(report.contains("(telemetry disabled)"));
+        assert!(report.contains("series: 0  points: 0"), "{report}");
         assert!(report.contains("(tracing disabled)"));
         assert!(report.contains("(no tenant traffic yet)"));
     }

@@ -1,4 +1,5 @@
-//! Hand-rolled JSON rendering for registry snapshots.
+//! Hand-rolled JSON rendering for registry snapshots, and the helpers
+//! the health report and telemetry exports share with it.
 //!
 //! The workspace deliberately has no `serde_json`; the exporter emits a
 //! small, fixed schema, so rendering by hand keeps the crate
@@ -45,15 +46,22 @@ pub fn render(snap: &RegistrySnapshot) -> String {
     out
 }
 
-fn join<T>(out: &mut String, items: &[T], mut f: impl FnMut(&mut String, &T)) {
-    for (i, item) in items.iter().enumerate() {
-        if i > 0 {
+/// Writes `items` as the body of a JSON array, one per indented line.
+pub(crate) fn join<I: IntoIterator>(
+    out: &mut String,
+    items: I,
+    mut f: impl FnMut(&mut String, I::Item),
+) {
+    let mut any = false;
+    for item in items {
+        if any {
             out.push(',');
         }
+        any = true;
         out.push_str("\n    ");
         f(out, item);
     }
-    if !items.is_empty() {
+    if any {
         out.push_str("\n  ");
     }
 }

@@ -40,6 +40,6 @@ pub use console::{facility_status, sparkline, ConsoleInputs};
 pub use metric::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use profile::{SpanProfile, SpanProfileRow};
 pub use registry::{Event, MetricId, Registry, RegistrySnapshot, Span};
-pub use slo::{Cmp, FacilityHealth, ProjectAccount, Quantile, RuleOutcome, Selector, SloMonitor, SloRule};
-pub use telemetry::{HistPoint, TelemetryConfig, TelemetryStore};
+pub use slo::{FacilityHealth, ProjectAccount, RuleOutcome, SloMonitor, SloRule};
+pub use telemetry::{TelemetryConfig, TelemetryStore};
 pub use trace::{SampleMode, SpanRecord, TraceConfig, TraceCtx, TraceEvent, TraceId, TraceRecord, Tracer};

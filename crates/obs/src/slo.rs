@@ -1,13 +1,14 @@
-//! SLO monitoring: declarative rules over registry snapshots, producing
-//! a [`FacilityHealth`] report with per-project accounting.
+//! SLO monitoring: declarative rules over registry snapshots and
+//! telemetry history, producing a [`FacilityHealth`] report with
+//! per-project accounting.
 //!
 //! The LSDF paper's facility is run against advertised operating
 //! points, with a project database accounting for what each scientific
 //! community consumes. This module is that loop in miniature: a
 //! [`SloMonitor`] holds parsed [`SloRule`]s and evaluates them against
-//! a [`Registry`] snapshot on demand, yielding a report that says
-//! whether the facility currently holds its promises and what each
-//! project did to the stack.
+//! a [`Registry`] and its [`TelemetryStore`] on demand, yielding a
+//! report that says whether the facility currently holds its promises
+//! and what each project did to the stack.
 //!
 //! Rule grammar (one rule per string):
 //!
@@ -20,111 +21,76 @@
 //! window(N) burn(<ctr>{...} / <ctr>{...}, B) ... burn rate vs budget B
 //! ```
 //!
-//! The label block is optional. `rate` divides the *deltas* of the two
-//! counter totals (summed across label sets) since the previous
-//! evaluation — the first evaluation and idle windows (denominator
-//! delta 0) report 0.0. A metric that does not exist yet evaluates as
-//! 0, so rules hold vacuously before traffic arrives. Evaluation is a
-//! pure function of the snapshot plus the monitor's window state:
-//! deterministic for deterministic runs.
+//! Every metric reference parses once into a [`MetricId`]; the label
+//! block is optional, and thresholds and budgets must be finite.
 //!
-//! `window(N)` aggregations read the [`TelemetryStore`]'s retained
-//! history over the last `N` scrape intervals instead of one snapshot,
-//! which is what separates a transient spike from sustained
-//! degradation: a rolling quantile is the *max* of the quantile samples
-//! in the window, a windowed rate divides the delta mass of two
-//! counters over the window, and `burn` is the windowed error rate
-//! divided by an error *budget* `B` (à la error-budget burn-rate
-//! alerting: burn 1.0 consumes the budget exactly; a threshold like
-//! `<= 2` alerts on 2x burn). Windowed rate/burn label blocks are
-//! allowed — per-project burn-rate rules are how the admission governor
-//! attributes sustained degradation. Windowed rules evaluate against an empty history (no
-//! telemetry store, or no samples yet) as 0, i.e. vacuously healthy.
+//! `rate` and `burn` are one selector, a counter ratio. Without a
+//! window it divides the *deltas* of the two counter totals (summed
+//! across label sets, so no label block is allowed) since the previous
+//! evaluation — the first evaluation and idle windows (denominator
+//! delta 0) report 0.0. With `window(N)` it divides the two counters'
+//! delta mass over the last `N` scrape intervals of the telemetry
+//! history, where an id without labels sums every label set; `burn`
+//! divides that rate by an error *budget* `B` (à la error-budget
+//! burn-rate alerting: burn 1.0 consumes the budget exactly; a
+//! threshold like `<= 2` alerts on 2x burn). A rolling quantile is the
+//! *max* of the quantile samples in the window. Windows are what
+//! separate a transient spike from sustained degradation, and
+//! per-project label blocks are how the admission governor attributes
+//! it.
+//!
+//! A metric that does not exist yet, and a window that holds no
+//! samples, evaluate as 0, so rules hold vacuously before traffic
+//! arrives. Evaluation is a pure function of the snapshot, the history
+//! and the monitor's rate state: deterministic for deterministic runs.
 
 use lsdf_sync::{ranks, OrderedMutex};
 
-use crate::json::{escape, fmt_f64};
+use crate::json::{escape, fmt_f64, join};
+use crate::metric::HistogramSnapshot;
 use crate::names;
 use crate::registry::{MetricId, Registry, RegistrySnapshot};
-use crate::telemetry::{HistPoint, TelemetryStore};
+use crate::telemetry::TelemetryStore;
 
 /// Which quantile a quantile rule reads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Quantile {
-    /// Median.
+pub(crate) enum Quantile {
     P50,
-    /// 95th percentile.
     P95,
-    /// 99th percentile.
     P99,
+}
+
+impl Quantile {
+    /// This quantile of a histogram summary.
+    pub(crate) fn of(self, h: &HistogramSnapshot) -> u64 {
+        match self {
+            Quantile::P50 => h.p50,
+            Quantile::P95 => h.p95,
+            Quantile::P99 => h.p99,
+        }
+    }
 }
 
 /// What a rule measures.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Selector {
+enum Selector {
     /// A histogram quantile, e.g. `p99(adal_op_latency_ns{op=put})`.
-    HistQuantile {
-        /// Which quantile.
-        q: Quantile,
-        /// Histogram name.
-        name: String,
-        /// Label filter (exact id match).
-        labels: Vec<(String, String)>,
-    },
+    HistQuantile { q: Quantile, id: MetricId },
     /// A gauge value, e.g. `gauge(dfs_under_replicated_unrecoverable)`.
-    GaugeValue {
-        /// Gauge name.
-        name: String,
-        /// Label filter (exact id match).
-        labels: Vec<(String, String)>,
-    },
-    /// An eval-to-eval counter ratio, e.g.
-    /// `rate(adal_retry_exhausted_total / adal_ops_total)`. Totals are
-    /// summed across label sets.
-    Rate {
-        /// Numerator counter name.
-        numerator: String,
-        /// Denominator counter name.
-        denominator: String,
-    },
-    /// A telemetry-windowed counter ratio (requires `window(N)`), e.g.
-    /// `window(8) rate(adal_retry_exhausted_total / adal_ops_total)`.
-    /// Label blocks are allowed; an empty block sums across label sets.
-    WindowedRate {
-        /// Numerator counter name.
-        numerator: String,
-        /// Numerator label filter (empty = sum across label sets).
-        num_labels: Vec<(String, String)>,
-        /// Denominator counter name.
-        denominator: String,
-        /// Denominator label filter (empty = sum across label sets).
-        den_labels: Vec<(String, String)>,
-    },
-    /// Error-budget burn rate (requires `window(N)`): the windowed
-    /// error rate divided by the budget, e.g.
-    /// `window(8) burn(err_total / ops_total, 0.01) <= 2`.
-    BurnRate {
-        /// Numerator (error) counter name.
-        numerator: String,
-        /// Numerator label filter.
-        num_labels: Vec<(String, String)>,
-        /// Denominator (traffic) counter name.
-        denominator: String,
-        /// Denominator label filter.
-        den_labels: Vec<(String, String)>,
-        /// The error budget the burn is measured against (> 0).
-        budget: f64,
+    GaugeValue(MetricId),
+    /// A counter ratio, divided by `budget` when the rule is a `burn`.
+    Ratio {
+        num: MetricId,
+        den: MetricId,
+        budget: Option<f64>,
     },
 }
 
 /// Comparison against the threshold.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Cmp {
-    /// Observed strictly below threshold.
+enum Cmp {
     Lt,
-    /// Observed at or below threshold.
     Le,
-    /// Observed equal to threshold.
     Eq,
 }
 
@@ -139,34 +105,50 @@ pub struct SloRule {
     threshold: f64,
 }
 
-fn parse_labels(block: &str) -> Result<Vec<(String, String)>, String> {
+/// `name` or `name{k=v,...}` → the id, labels sorted.
+fn parse_metric_ref(s: &str) -> Result<MetricId, String> {
+    let s = s.trim();
+    let Some((name, rest)) = s.split_once('{') else {
+        return Ok(MetricId {
+            name: s.to_string(),
+            labels: Vec::new(),
+        });
+    };
+    let block = rest
+        .strip_suffix('}')
+        .ok_or_else(|| format!("unclosed label block in `{s}`"))?;
     let mut labels = Vec::new();
-    for pair in block.split(',') {
-        let pair = pair.trim();
-        if pair.is_empty() {
-            continue;
-        }
+    for pair in block.split(',').map(str::trim).filter(|p| !p.is_empty()) {
         let (k, v) = pair
             .split_once('=')
             .ok_or_else(|| format!("label `{pair}` is not `key=value`"))?;
         labels.push((k.trim().to_string(), v.trim().to_string()));
     }
     labels.sort();
-    Ok(labels)
+    Ok(MetricId {
+        name: name.trim().to_string(),
+        labels,
+    })
 }
 
-/// `name` or `name{k=v,...}` → (name, sorted labels).
-fn parse_metric_ref(s: &str) -> Result<(String, Vec<(String, String)>), String> {
-    let s = s.trim();
-    match s.split_once('{') {
-        None => Ok((s.to_string(), Vec::new())),
-        Some((name, rest)) => {
-            let block = rest
-                .strip_suffix('}')
-                .ok_or_else(|| format!("unclosed label block in `{s}`"))?;
-            Ok((name.trim().to_string(), parse_labels(block)?))
-        }
+/// `numerator / denominator` → the two ids.
+fn parse_ratio(t: &str, head: &str, arg: &str) -> Result<(MetricId, MetricId), String> {
+    let (num, den) = arg
+        .split_once('/')
+        .ok_or_else(|| format!("`{t}`: {head} needs `numerator / denominator`"))?;
+    Ok((parse_metric_ref(num)?, parse_metric_ref(den)?))
+}
+
+/// A finite number, or an error naming `what`.
+fn parse_finite(t: &str, what: &str, s: &str) -> Result<f64, String> {
+    let v: f64 = s
+        .trim()
+        .parse()
+        .map_err(|e| format!("`{t}`: bad {what}: {e}"))?;
+    if !v.is_finite() {
+        return Err(format!("`{t}`: {what} must be finite, got `{}`", s.trim()));
     }
+    Ok(v)
 }
 
 impl SloRule {
@@ -210,52 +192,33 @@ impl SloRule {
         } else {
             return Err(format!("`{t}`: expected `<`, `<=`, or `==` after selector"));
         };
-        let threshold: f64 = num
-            .trim()
-            .parse()
-            .map_err(|e| format!("`{t}`: bad threshold: {e}"))?;
+        let threshold = parse_finite(t, "threshold", num)?;
         let selector = match head {
-            "p50" | "p95" | "p99" => {
-                let q = match head {
+            "p50" | "p95" | "p99" => Selector::HistQuantile {
+                q: match head {
                     "p50" => Quantile::P50,
                     "p95" => Quantile::P95,
                     _ => Quantile::P99,
-                };
-                let (name, labels) = parse_metric_ref(arg)?;
-                Selector::HistQuantile { q, name, labels }
+                },
+                id: parse_metric_ref(arg)?,
+            },
+            "gauge" if window.is_some() => {
+                return Err(format!(
+                    "`{t}`: gauge rules read the current value; `window` does not apply"
+                ))
             }
-            "gauge" => {
-                if window.is_some() {
+            "gauge" => Selector::GaugeValue(parse_metric_ref(arg)?),
+            "rate" => {
+                let (num, den) = parse_ratio(t, head, arg)?;
+                if window.is_none() && !(num.labels.is_empty() && den.labels.is_empty()) {
                     return Err(format!(
-                        "`{t}`: gauge rules read the current value; `window` does not apply"
+                        "`{t}`: rate counters are summed across labels; no label block allowed"
                     ));
                 }
-                let (name, labels) = parse_metric_ref(arg)?;
-                Selector::GaugeValue { name, labels }
-            }
-            "rate" => {
-                let (numerator, denominator) = arg
-                    .split_once('/')
-                    .ok_or_else(|| format!("`{t}`: rate needs `numerator / denominator`"))?;
-                let (numerator, nl) = parse_metric_ref(numerator)?;
-                let (denominator, dl) = parse_metric_ref(denominator)?;
-                if window.is_some() {
-                    Selector::WindowedRate {
-                        numerator,
-                        num_labels: nl,
-                        denominator,
-                        den_labels: dl,
-                    }
-                } else {
-                    if !nl.is_empty() || !dl.is_empty() {
-                        return Err(format!(
-                            "`{t}`: rate counters are summed across labels; no label block allowed"
-                        ));
-                    }
-                    Selector::Rate {
-                        numerator,
-                        denominator,
-                    }
+                Selector::Ratio {
+                    num,
+                    den,
+                    budget: None,
                 }
             }
             "burn" => {
@@ -265,24 +228,15 @@ impl SloRule {
                 let (metrics, budget) = arg
                     .rsplit_once(',')
                     .ok_or_else(|| format!("`{t}`: burn needs `num / den, budget`"))?;
-                let budget: f64 = budget
-                    .trim()
-                    .parse()
-                    .map_err(|e| format!("`{t}`: bad burn budget: {e}"))?;
-                if !budget.is_finite() || budget <= 0.0 {
+                let budget = parse_finite(t, "burn budget", budget)?;
+                if budget <= 0.0 {
                     return Err(format!("`{t}`: burn budget must be > 0"));
                 }
-                let (numerator, denominator) = metrics
-                    .split_once('/')
-                    .ok_or_else(|| format!("`{t}`: burn needs `numerator / denominator`"))?;
-                let (numerator, num_labels) = parse_metric_ref(numerator)?;
-                let (denominator, den_labels) = parse_metric_ref(denominator)?;
-                Selector::BurnRate {
-                    numerator,
-                    num_labels,
-                    denominator,
-                    den_labels,
-                    budget,
+                let (num, den) = parse_ratio(t, head, metrics)?;
+                Selector::Ratio {
+                    num,
+                    den,
+                    budget: Some(budget),
                 }
             }
             other => return Err(format!("`{t}`: unknown selector `{other}`")),
@@ -308,17 +262,13 @@ impl SloRule {
 
     /// The project this rule is scoped to, when its label filter names
     /// one — used to attribute violations in the per-project accounts.
-    /// For the two-counter windowed forms the numerator's label block
-    /// decides (errors are what gets attributed).
+    /// For a ratio the numerator's label block decides (errors are what
+    /// gets attributed).
     pub fn project(&self) -> Option<&str> {
-        let labels = match &self.selector {
-            Selector::HistQuantile { labels, .. } => labels,
-            Selector::GaugeValue { labels, .. } => labels,
-            Selector::WindowedRate { num_labels, .. } => num_labels,
-            Selector::BurnRate { num_labels, .. } => num_labels,
-            Selector::Rate { .. } => return None,
-        };
-        labels
+        let (Selector::HistQuantile { id, .. }
+        | Selector::GaugeValue(id)
+        | Selector::Ratio { num: id, .. }) = &self.selector;
+        id.labels
             .iter()
             .find(|(k, _)| k == "project")
             .map(|(_, v)| v.as_str())
@@ -333,26 +283,6 @@ impl SloRule {
     }
 }
 
-/// `name` or `name{k=v,...}` with the labels in sorted order.
-fn fmt_metric_ref(
-    f: &mut std::fmt::Formatter<'_>,
-    name: &str,
-    labels: &[(String, String)],
-) -> std::fmt::Result {
-    write!(f, "{name}")?;
-    if !labels.is_empty() {
-        write!(f, "{{")?;
-        for (i, (k, v)) in labels.iter().enumerate() {
-            if i > 0 {
-                write!(f, ",")?;
-            }
-            write!(f, "{k}={v}")?;
-        }
-        write!(f, "}}")?;
-    }
-    Ok(())
-}
-
 /// Renders the rule in canonical grammar form: sorted labels, single
 /// spacing, `{}`-formatted numbers. Parsing the rendering yields an
 /// equivalent rule (same window, selector, comparison and threshold) —
@@ -363,50 +293,25 @@ impl std::fmt::Display for SloRule {
             write!(f, "window({w}) ")?;
         }
         match &self.selector {
-            Selector::HistQuantile { q, name, labels } => {
+            Selector::HistQuantile { q, id } => {
                 let q = match q {
                     Quantile::P50 => "p50",
                     Quantile::P95 => "p95",
                     Quantile::P99 => "p99",
                 };
-                write!(f, "{q}(")?;
-                fmt_metric_ref(f, name, labels)?;
-                write!(f, ")")?;
+                write!(f, "{q}({id})")?;
             }
-            Selector::GaugeValue { name, labels } => {
-                write!(f, "gauge(")?;
-                fmt_metric_ref(f, name, labels)?;
-                write!(f, ")")?;
-            }
-            Selector::Rate {
-                numerator,
-                denominator,
-            } => write!(f, "rate({numerator} / {denominator})")?,
-            Selector::WindowedRate {
-                numerator,
-                num_labels,
-                denominator,
-                den_labels,
-            } => {
-                write!(f, "rate(")?;
-                fmt_metric_ref(f, numerator, num_labels)?;
-                write!(f, " / ")?;
-                fmt_metric_ref(f, denominator, den_labels)?;
-                write!(f, ")")?;
-            }
-            Selector::BurnRate {
-                numerator,
-                num_labels,
-                denominator,
-                den_labels,
-                budget,
-            } => {
-                write!(f, "burn(")?;
-                fmt_metric_ref(f, numerator, num_labels)?;
-                write!(f, " / ")?;
-                fmt_metric_ref(f, denominator, den_labels)?;
-                write!(f, ", {budget})")?;
-            }
+            Selector::GaugeValue(id) => write!(f, "gauge({id})")?,
+            Selector::Ratio {
+                num,
+                den,
+                budget: None,
+            } => write!(f, "rate({num} / {den})")?,
+            Selector::Ratio {
+                num,
+                den,
+                budget: Some(b),
+            } => write!(f, "burn({num} / {den}, {b})")?,
         }
         let cmp = match self.cmp {
             Cmp::Lt => "<",
@@ -417,21 +322,63 @@ impl std::fmt::Display for SloRule {
     }
 }
 
-fn metric_id(name: &str, labels: &[(String, String)]) -> MetricId {
-    // Labels arrive sorted from `parse_labels`; MetricId sorts again.
-    let as_refs: Vec<(&str, &str)> = labels
-        .iter()
-        .map(|(k, v)| (k.as_str(), v.as_str()))
-        .collect();
-    MetricId::new(name, &as_refs)
+/// `num / den`, or 0.0 when nothing was counted in the denominator.
+fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
+    }
 }
 
-fn counter_total(snap: &RegistrySnapshot, name: &str) -> u64 {
-    snap.counters
-        .iter()
-        .filter(|(id, _)| id.name == name)
-        .map(|(_, v)| v)
-        .sum()
+impl Selector {
+    /// The value now: the snapshot's reading, or for a ratio the
+    /// deltas since `prev`, which it then replaces.
+    fn observe_now(&self, snap: &RegistrySnapshot, prev: &mut Option<(u64, u64)>) -> f64 {
+        match self {
+            Selector::HistQuantile { q, id } => snap
+                .histograms
+                .iter()
+                .find(|(h, _)| h == id)
+                .map_or(0.0, |(_, h)| q.of(h) as f64),
+            Selector::GaugeValue(id) => snap
+                .gauges
+                .iter()
+                .find(|(g, _)| g == id)
+                .map_or(0.0, |(_, v)| *v as f64),
+            Selector::Ratio { num, den, .. } => {
+                let total = |name: &str| -> u64 {
+                    snap.counters
+                        .iter()
+                        .filter(|(id, _)| id.name == name)
+                        .map(|(_, v)| v)
+                        .sum()
+                };
+                let (n, d) = (total(&num.name), total(&den.name));
+                prev.replace((n, d)).map_or(0.0, |(pn, pd)| {
+                    ratio(n.saturating_sub(pn), d.saturating_sub(pd))
+                })
+            }
+        }
+    }
+
+    /// The value over the history's samples after `since_ns`.
+    fn observe_window(&self, history: &TelemetryStore, since_ns: u64) -> f64 {
+        match self {
+            Selector::HistQuantile { q, id } => history
+                .hist_window_quantile(id, *q, since_ns)
+                .map_or(0.0, |v| v as f64),
+            Selector::Ratio { num, den, budget } => {
+                let rate = ratio(
+                    history.counter_window_sum(num, since_ns),
+                    history.counter_window_sum(den, since_ns),
+                );
+                budget.map_or(rate, |b| rate / b)
+            }
+            // The parser rejects windowed gauge rules.
+            Selector::GaugeValue(_) => 0.0,
+        }
+    }
 }
 
 /// The outcome of one rule in one evaluation.
@@ -506,12 +453,9 @@ impl FacilityHealth {
             "{{\n  \"t_ns\": {},\n  \"healthy\": {},\n  \"rules\": [",
             self.t_ns, self.healthy
         ));
-        for (i, r) in self.rules.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        join(&mut out, &self.rules, |out, r| {
             out.push_str(&format!(
-                "\n    {{\"rule\": {}, \"ok\": {}, \"observed\": {}, \"threshold\": {}, \
+                "{{\"rule\": {}, \"ok\": {}, \"observed\": {}, \"threshold\": {}, \
                  \"windowed\": {}}}",
                 escape(&r.rule),
                 r.ok,
@@ -519,17 +463,11 @@ impl FacilityHealth {
                 fmt_f64(r.threshold),
                 r.windowed
             ));
-        }
-        if !self.rules.is_empty() {
-            out.push_str("\n  ");
-        }
+        });
         out.push_str("],\n  \"projects\": [");
-        for (i, p) in self.projects.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        join(&mut out, &self.projects, |out, p| {
             out.push_str(&format!(
-                "\n    {{\"project\": {}, \"ops\": {}, \"bytes\": {}, \
+                "{{\"project\": {}, \"ops\": {}, \"bytes\": {}, \
                  \"tape_mounts\": {}, \"violations\": {}, \"windowed_violations\": {}}}",
                 escape(&p.project),
                 p.ops,
@@ -538,17 +476,15 @@ impl FacilityHealth {
                 p.violations,
                 p.windowed_violations
             ));
-        }
-        if !self.projects.is_empty() {
-            out.push_str("\n  ");
-        }
+        });
         out.push_str("]\n}\n");
         out
     }
 }
 
-/// Evaluates a fixed rule set against registry snapshots, carrying the
-/// window state `rate` rules need between evaluations.
+/// Evaluates a fixed rule set against registry snapshots and telemetry
+/// history, carrying the state windowless `rate` rules need between
+/// evaluations.
 pub struct SloMonitor {
     rules: Vec<SloRule>,
     /// Previous (numerator, denominator) totals per rule index; `None`
@@ -575,100 +511,51 @@ impl SloMonitor {
         &self.rules
     }
 
-    /// Evaluates every rule against a fresh snapshot of `registry`,
-    /// updating the monitor's own metrics
-    /// (`facility_slo_evaluations_total`, `facility_slo_violations_total`,
-    /// `facility_slo_healthy`). Windowed rules see no history through
-    /// this entry point and hold vacuously; pass a telemetry store via
-    /// [`SloMonitor::evaluate_with_history`] to arm them.
-    pub fn evaluate(&self, registry: &Registry) -> FacilityHealth {
-        self.evaluate_with_history(registry, None)
-    }
-
-    /// Evaluates every rule; `window(N)` rules aggregate the telemetry
-    /// store's retained history over the last `N` scrape intervals
-    /// ending at the registry clock's now.
-    pub fn evaluate_with_history(
-        &self,
-        registry: &Registry,
-        history: Option<&TelemetryStore>,
-    ) -> FacilityHealth {
+    /// Evaluates every rule against a fresh snapshot of `registry`;
+    /// `window(N)` rules aggregate `history` over the last `N` scrape
+    /// intervals ending at the registry clock's now. Updates the
+    /// monitor's own metrics (`facility_slo_evaluations_total`,
+    /// `facility_slo_violations_total`,
+    /// `facility_slo_windowed_violations_total`, `facility_slo_healthy`).
+    pub fn evaluate(&self, registry: &Registry, history: &TelemetryStore) -> FacilityHealth {
         let snap = registry.snapshot();
         let t_ns = registry.now_ns();
         // Windowed observations are computed before the monitor's own
         // window lock is taken: the telemetry ring ranks outside it
         // (OBS_TELEMETRY 830 < OBS_SLO_WINDOWS 840) and the two must
         // never nest.
-        let windowed_obs: Vec<Option<f64>> = self
+        let windowed: Vec<Option<f64>> = self
             .rules
             .iter()
             .map(|rule| {
-                rule.window
-                    .map(|w| windowed_observe(rule, w, history, t_ns))
+                rule.window.map(|w| {
+                    let since = t_ns.saturating_sub(w.saturating_mul(history.interval_ns()));
+                    rule.selector.observe_window(history, since)
+                })
             })
             .collect();
         let mut windows = self.windows.lock();
-        let mut outcomes = Vec::with_capacity(self.rules.len());
-        for (i, rule) in self.rules.iter().enumerate() {
-            let observed = match windowed_obs[i] {
-                Some(v) => v,
-                None => match &rule.selector {
-                    Selector::HistQuantile { q, name, labels } => {
-                        let id = metric_id(name, labels);
-                        snap.histograms
-                            .iter()
-                            .find(|(hid, _)| *hid == id)
-                            .map_or(0.0, |(_, h)| match q {
-                                Quantile::P50 => h.p50 as f64,
-                                Quantile::P95 => h.p95 as f64,
-                                Quantile::P99 => h.p99 as f64,
-                            })
-                    }
-                    Selector::GaugeValue { name, labels } => {
-                        let id = metric_id(name, labels);
-                        snap.gauges
-                            .iter()
-                            .find(|(gid, _)| *gid == id)
-                            .map_or(0.0, |(_, v)| *v as f64)
-                    }
-                    Selector::Rate {
-                        numerator,
-                        denominator,
-                    } => {
-                        let num = counter_total(&snap, numerator);
-                        let den = counter_total(&snap, denominator);
-                        let prev = windows[i].replace((num, den));
-                        match prev {
-                            Some((pn, pd)) => {
-                                let dn = num.saturating_sub(pn);
-                                let dd = den.saturating_sub(pd);
-                                if dd == 0 {
-                                    0.0
-                                } else {
-                                    dn as f64 / dd as f64
-                                }
-                            }
-                            None => 0.0,
-                        }
-                    }
-                    // The parser only admits these with a window.
-                    Selector::WindowedRate { .. } | Selector::BurnRate { .. } => 0.0,
-                },
-            };
-            outcomes.push(RuleOutcome {
-                rule: rule.text.clone(),
-                ok: rule.compare(observed),
-                observed,
-                threshold: rule.threshold,
-                windowed: rule.window.is_some(),
-            });
-        }
+        let outcomes: Vec<RuleOutcome> = self
+            .rules
+            .iter()
+            .zip(windowed)
+            .zip(windows.iter_mut())
+            .map(|((rule, windowed), prev)| {
+                let observed = windowed.unwrap_or_else(|| rule.selector.observe_now(&snap, prev));
+                RuleOutcome {
+                    rule: rule.text.clone(),
+                    ok: rule.compare(observed),
+                    observed,
+                    threshold: rule.threshold,
+                    windowed: rule.window.is_some(),
+                }
+            })
+            .collect();
         drop(windows);
 
         let healthy = outcomes.iter().all(|o| o.ok);
         let violations = outcomes.iter().filter(|o| !o.ok).count() as u64;
-        let windowed_violations =
-            outcomes.iter().filter(|o| !o.ok && o.windowed).count() as u64;
+        let windowed_violations = outcomes.iter().filter(|o| !o.ok && o.windowed).count() as u64;
         registry
             .counter(names::FACILITY_SLO_EVALUATIONS_TOTAL, &[])
             .inc();
@@ -688,84 +575,6 @@ impl SloMonitor {
             projects: project_accounts(&snap, &self.rules, &outcomes),
             rules: outcomes,
         }
-    }
-}
-
-/// Observes one windowed rule against telemetry history; empty history
-/// (no store, or no in-window samples) observes 0.
-fn windowed_observe(
-    rule: &SloRule,
-    window: u64,
-    history: Option<&TelemetryStore>,
-    now_ns: u64,
-) -> f64 {
-    let Some(store) = history else { return 0.0 };
-    let since = now_ns.saturating_sub(window.saturating_mul(store.interval_ns()));
-    match &rule.selector {
-        Selector::HistQuantile { q, name, labels } => {
-            let pick: fn(&HistPoint) -> u64 = match q {
-                Quantile::P50 => |h| h.p50,
-                Quantile::P95 => |h| h.p95,
-                Quantile::P99 => |h| h.p99,
-            };
-            store
-                .hist_window_quantile(name, &label_refs(labels), since, pick)
-                .map_or(0.0, |v| v as f64)
-        }
-        Selector::WindowedRate {
-            numerator,
-            num_labels,
-            denominator,
-            den_labels,
-        } => {
-            let num = windowed_mass(store, numerator, num_labels, since);
-            let den = windowed_mass(store, denominator, den_labels, since);
-            if den == 0 {
-                0.0
-            } else {
-                num as f64 / den as f64
-            }
-        }
-        Selector::BurnRate {
-            numerator,
-            num_labels,
-            denominator,
-            den_labels,
-            budget,
-        } => {
-            let num = windowed_mass(store, numerator, num_labels, since);
-            let den = windowed_mass(store, denominator, den_labels, since);
-            if den == 0 {
-                0.0
-            } else {
-                (num as f64 / den as f64) / budget
-            }
-        }
-        // The parser rejects windowed gauge rules, and plain rate rules
-        // never carry a window.
-        Selector::GaugeValue { .. } | Selector::Rate { .. } => 0.0,
-    }
-}
-
-fn label_refs(labels: &[(String, String)]) -> Vec<(&str, &str)> {
-    labels
-        .iter()
-        .map(|(k, v)| (k.as_str(), v.as_str()))
-        .collect()
-}
-
-/// Windowed delta mass of one counter: label-filtered when the rule
-/// names labels, summed across label sets otherwise.
-fn windowed_mass(
-    store: &TelemetryStore,
-    name: &str,
-    labels: &[(String, String)],
-    since_ns: u64,
-) -> u64 {
-    if labels.is_empty() {
-        store.counter_window_total(name, since_ns)
-    } else {
-        store.counter_window_sum(name, &label_refs(labels), since_ns)
     }
 }
 
@@ -852,6 +661,13 @@ fn project_accounts(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::TelemetryConfig;
+
+    const MS: u64 = 1_000_000;
+
+    fn history() -> TelemetryStore {
+        TelemetryStore::new(TelemetryConfig::default().interval_ns(MS))
+    }
 
     #[test]
     fn parses_the_three_selector_forms() {
@@ -860,8 +676,7 @@ mod tests {
             q.selector,
             Selector::HistQuantile {
                 q: Quantile::P99,
-                name: "adal_op_latency_ns".into(),
-                labels: vec![("op".into(), "put".into())],
+                id: MetricId::new("adal_op_latency_ns", &[("op", "put")]),
             }
         );
         assert_eq!(q.cmp, Cmp::Lt);
@@ -870,10 +685,7 @@ mod tests {
         let g = SloRule::parse("gauge(dfs_under_replicated_unrecoverable) == 0").unwrap();
         assert_eq!(
             g.selector,
-            Selector::GaugeValue {
-                name: "dfs_under_replicated_unrecoverable".into(),
-                labels: vec![],
-            }
+            Selector::GaugeValue(MetricId::new("dfs_under_replicated_unrecoverable", &[]))
         );
         assert_eq!(g.cmp, Cmp::Eq);
 
@@ -881,9 +693,10 @@ mod tests {
             .unwrap();
         assert_eq!(
             r.selector,
-            Selector::Rate {
-                numerator: "adal_retry_exhausted_total".into(),
-                denominator: "adal_ops_total".into(),
+            Selector::Ratio {
+                num: MetricId::new("adal_retry_exhausted_total", &[]),
+                den: MetricId::new("adal_ops_total", &[]),
+                budget: None,
             }
         );
         assert_eq!(r.cmp, Cmp::Le);
@@ -899,6 +712,9 @@ mod tests {
             "rate(a) < 0.5",
             "rate(a{l=1} / b) < 0.5",
             "gauge(x) == banana",
+            "gauge(x) == NaN",
+            "p99(x) < inf",
+            "window(4) p99(x) <= -inf",
             "window(0) rate(a / b) < 0.5",
             "window(banana) rate(a / b) < 0.5",
             "window(8 rate(a / b) < 0.5",
@@ -907,6 +723,7 @@ mod tests {
             "window(8) burn(a / b) < 2",
             "window(8) burn(a / b, 0) < 2",
             "window(8) burn(a / b, -0.1) < 2",
+            "window(8) burn(a / b, inf) < 2",
             "window(8) burn(a, 0.01) < 2",
         ] {
             assert!(SloRule::parse(bad).is_err(), "`{bad}` should not parse");
@@ -920,11 +737,10 @@ mod tests {
         assert_eq!(r.window(), Some(8));
         assert_eq!(
             r.selector,
-            Selector::WindowedRate {
-                numerator: "errs_total".into(),
-                num_labels: vec![("project".into(), "p".into())],
-                denominator: "ops_total".into(),
-                den_labels: vec![],
+            Selector::Ratio {
+                num: MetricId::new("errs_total", &[("project", "p")]),
+                den: MetricId::new("ops_total", &[]),
+                budget: None,
             }
         );
         assert_eq!(r.project(), Some("p"));
@@ -936,15 +752,14 @@ mod tests {
         let b = SloRule::parse("window(8) burn(errs_total / ops_total, 0.01) <= 2").unwrap();
         assert_eq!(
             b.selector,
-            Selector::BurnRate {
-                numerator: "errs_total".into(),
-                num_labels: vec![],
-                denominator: "ops_total".into(),
-                den_labels: vec![],
-                budget: 0.01,
+            Selector::Ratio {
+                num: MetricId::new("errs_total", &[]),
+                den: MetricId::new("ops_total", &[]),
+                budget: Some(0.01),
             }
         );
         assert_eq!(b.text(), "window(8) burn(errs_total / ops_total, 0.01) <= 2");
+        assert_eq!(b.to_string(), b.text());
     }
 
     #[test]
@@ -958,8 +773,8 @@ mod tests {
             names::ADAL_OPS_TOTAL
         ))
         .unwrap()]);
-        let report = monitor.evaluate(&r);
-        assert!(report.healthy, "no store wired: windowed rules are vacuous");
+        let report = monitor.evaluate(&r, &history());
+        assert!(report.healthy, "nothing scraped yet: windowed rules are vacuous");
         assert!(report.windowed_alerting());
         assert_eq!(report.rules[0].observed, 0.0);
         assert!(report.rules[0].windowed);
@@ -967,10 +782,8 @@ mod tests {
 
     #[test]
     fn windowed_burn_catches_what_the_instantaneous_rate_misses() {
-        use crate::telemetry::{TelemetryConfig, TelemetryStore};
-        const MS: u64 = 1_000_000;
         let r = Registry::new();
-        let ts = TelemetryStore::new(TelemetryConfig::default().interval_ns(MS));
+        let ts = history();
         let errs = r.counter(names::ADAL_RETRY_EXHAUSTED_TOTAL, &[]);
         let ops = r.counter(names::ADAL_OPS_TOTAL, &[]);
         // An instantaneous spike rule sized for one bad eval, and a
@@ -1001,7 +814,7 @@ mod tests {
             errs.add(5); // sustained 25%: never breaches the 0.5 spike rule
             r.set_virtual_time_ns(k * MS);
             ts.scrape(&r);
-            last = monitor.evaluate_with_history(&r, Some(&ts));
+            last = monitor.evaluate(&r, &ts);
         }
         assert!(last.rules[0].ok, "instantaneous rule never fires at 25%");
         assert!(!last.rules[1].ok, "sustained 2.5x burn breaches the windowed rule");
@@ -1016,10 +829,8 @@ mod tests {
 
     #[test]
     fn rolling_p99_rule_remembers_a_spike_across_evals() {
-        use crate::telemetry::{TelemetryConfig, TelemetryStore};
-        const MS: u64 = 1_000_000;
         let r = Registry::new();
-        let ts = TelemetryStore::new(TelemetryConfig::default().interval_ns(MS));
+        let ts = history();
         let h = r.histogram(names::ADAL_PROJECT_OP_LATENCY_NS, &[("project", "p")]);
         let monitor = SloMonitor::new(vec![SloRule::parse(&format!(
             "window(4) p99({}{{project=p}}) <= 1000",
@@ -1036,7 +847,7 @@ mod tests {
             r.set_virtual_time_ns(k * MS);
             ts.scrape(&r);
         }
-        let report = monitor.evaluate_with_history(&r, Some(&ts));
+        let report = monitor.evaluate(&r, &ts);
         assert!(
             !report.rules[0].ok,
             "rolling p99 keeps the in-window spike: {}",
@@ -1047,24 +858,25 @@ mod tests {
             r.set_virtual_time_ns(k * MS);
             ts.scrape(&r);
         }
-        let report = monitor.evaluate_with_history(&r, Some(&ts));
+        let report = monitor.evaluate(&r, &ts);
         assert!(report.rules[0].ok, "spike aged out of the window");
     }
 
     #[test]
     fn gauge_rule_flips_and_recovers() {
         let r = Registry::new();
+        let ts = history();
         r.set_virtual_time_ns(1);
         let monitor = SloMonitor::with_defaults();
-        let report = monitor.evaluate(&r);
+        let report = monitor.evaluate(&r, &ts);
         assert!(report.healthy, "vacuously healthy before traffic");
         r.gauge(names::DFS_UNDER_REPLICATED_UNRECOVERABLE, &[]).set(3);
-        let report = monitor.evaluate(&r);
+        let report = monitor.evaluate(&r, &ts);
         assert!(!report.healthy);
         assert!(!report.rules[0].ok);
         assert_eq!(report.rules[0].observed, 3.0);
         r.gauge(names::DFS_UNDER_REPLICATED_UNRECOVERABLE, &[]).set(0);
-        let report = monitor.evaluate(&r);
+        let report = monitor.evaluate(&r, &ts);
         assert!(report.healthy, "recovers once the gauge clears");
         assert_eq!(r.counter_value(names::FACILITY_SLO_EVALUATIONS_TOTAL, &[]), 3);
         assert_eq!(r.counter_value(names::FACILITY_SLO_VIOLATIONS_TOTAL, &[]), 1);
@@ -1084,18 +896,19 @@ mod tests {
                 &format!("p50({}{{op=put}}) < 100", names::ADAL_OP_LATENCY_NS),
             )
             .unwrap()]);
-        assert!(tight.evaluate(&r).healthy);
+        assert!(tight.evaluate(&r, &history()).healthy);
         let strict =
             SloMonitor::new(vec![SloRule::parse(
                 &format!("p99({}{{op=put}}) < 100", names::ADAL_OP_LATENCY_NS),
             )
             .unwrap()]);
-        assert!(!strict.evaluate(&r).healthy, "p99 sees the outlier");
+        assert!(!strict.evaluate(&r, &history()).healthy, "p99 sees the outlier");
     }
 
     #[test]
     fn rate_rule_is_windowed() {
         let r = Registry::new();
+        let ts = history();
         let errs = r.counter(names::ADAL_RETRY_EXHAUSTED_TOTAL, &[("project", "p")]);
         let ops = r.counter(names::ADAL_OPS_TOTAL, &[("op", "put")]);
         let monitor = SloMonitor::new(vec![SloRule::parse(&format!(
@@ -1105,17 +918,17 @@ mod tests {
         ))
         .unwrap()]);
         // First window: no previous totals -> 0.0.
-        assert!(monitor.evaluate(&r).healthy);
+        assert!(monitor.evaluate(&r, &ts).healthy);
         ops.add(10);
         errs.add(9);
-        let report = monitor.evaluate(&r);
+        let report = monitor.evaluate(&r, &ts);
         assert!(!report.healthy);
         assert_eq!(report.rules[0].observed, 0.9);
         // Next window is clean: only deltas count.
         ops.add(10);
-        assert!(monitor.evaluate(&r).healthy);
+        assert!(monitor.evaluate(&r, &ts).healthy);
         // Idle window: denominator delta 0 -> vacuously ok.
-        assert!(monitor.evaluate(&r).healthy);
+        assert!(monitor.evaluate(&r, &ts).healthy);
     }
 
     #[test]
@@ -1147,7 +960,7 @@ mod tests {
             names::ADAL_BREAKER_STATE
         ))
         .unwrap()]);
-        let report = monitor.evaluate(&r);
+        let report = monitor.evaluate(&r, &history());
         assert!(!report.healthy);
         assert_eq!(report.projects.len(), 2);
         let katrin = &report.projects[0];
@@ -1165,6 +978,7 @@ mod tests {
     #[test]
     fn report_json_is_deterministic_and_balanced() {
         let r = Registry::new();
+        let ts = history();
         r.set_virtual_time_ns(42);
         r.counter(
             names::ADAL_PROJECT_OPS_TOTAL,
@@ -1172,8 +986,8 @@ mod tests {
         )
         .inc();
         let monitor = SloMonitor::with_defaults();
-        let json = monitor.evaluate(&r).to_json();
-        assert_eq!(json, monitor.evaluate(&r).to_json());
+        let json = monitor.evaluate(&r, &ts).to_json();
+        assert_eq!(json, monitor.evaluate(&r, &ts).to_json());
         assert!(json.contains("\"t_ns\": 42"), "{json}");
         assert!(json.contains("\"healthy\": true"), "{json}");
         assert!(json.contains("p\\\"q"), "{json}");

@@ -14,9 +14,9 @@
 //!   so the invariant `base + Σ retained deltas == counter value at the
 //!   last scrape` holds exactly, forever, at any ring size;
 //! * **gauges** sample the current value every scrape;
-//! * **histograms** sample the summary (count/sum/p50/p95/p99/max)
-//!   every scrape, which is what rolling-quantile alerting and the
-//!   operator sparklines consume.
+//! * **histograms** keep the registry's [`HistogramSnapshot`] every
+//!   scrape, which is what rolling-quantile alerting and the operator
+//!   sparklines consume.
 //!
 //! Memory is bounded by a per-series point capacity, enforced at scrape
 //! time. The store observes itself — `telemetry_scrapes_total`,
@@ -35,9 +35,11 @@ use std::collections::{BTreeMap, VecDeque};
 
 use lsdf_sync::{ranks, OrderedMutex};
 
-use crate::json::escape;
+use crate::json::{escape, join};
+use crate::metric::HistogramSnapshot;
 use crate::names;
 use crate::registry::{MetricId, Reading, Registry};
+use crate::slo::Quantile;
 
 /// Scrape cadence and retention bounds for a [`TelemetryStore`].
 #[derive(Clone, Copy, Debug)]
@@ -73,23 +75,6 @@ impl TelemetryConfig {
     }
 }
 
-/// One histogram sample: the summary the registry reported at a scrape.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HistPoint {
-    /// Observation count at the scrape.
-    pub count: u64,
-    /// Observation sum at the scrape.
-    pub sum: u64,
-    /// Median estimate at the scrape.
-    pub p50: u64,
-    /// 95th-percentile estimate at the scrape.
-    pub p95: u64,
-    /// 99th-percentile estimate at the scrape.
-    pub p99: u64,
-    /// Largest observation at the scrape.
-    pub max: u64,
-}
-
 enum Series {
     /// `base` carries every evicted delta; `last` is the counter value
     /// at the most recent scrape (== base + Σ point deltas).
@@ -99,7 +84,7 @@ enum Series {
         points: VecDeque<(u64, u64)>,
     },
     Gauge(VecDeque<(u64, i64)>),
-    Hist(VecDeque<(u64, HistPoint)>),
+    Hist(VecDeque<(u64, HistogramSnapshot)>),
 }
 
 impl Series {
@@ -130,17 +115,7 @@ impl Series {
                 points.push_back((now, delta));
             }
             (Series::Gauge(points), Reading::Gauge(value)) => points.push_back((now, value)),
-            (Series::Hist(points), Reading::Hist(h)) => points.push_back((
-                now,
-                HistPoint {
-                    count: h.count,
-                    sum: h.sum,
-                    p50: h.p50,
-                    p95: h.p95,
-                    p99: h.p99,
-                    max: h.max,
-                },
-            )),
+            (Series::Hist(points), Reading::Hist(h)) => points.push_back((now, h)),
             // One id is one kind for the registry's whole life.
             _ => return 0,
         }
@@ -321,30 +296,16 @@ impl TelemetryStore {
         }
     }
 
-    /// Σ of one counter series' deltas with timestamps strictly after
-    /// `since_ns` — the windowed mass behind rate-of-change and
-    /// burn-rate rules.
-    pub fn counter_window_sum(&self, name: &str, labels: &[(&str, &str)], since_ns: u64) -> u64 {
-        let id = MetricId::new(name, labels);
-        let inner = self.inner.lock();
-        match inner.series.get(&id) {
-            Some(Series::Counter { points, .. }) => points
-                .iter()
-                .filter(|(t, _)| *t > since_ns)
-                .map(|(_, d)| d)
-                .sum(),
-            _ => 0,
-        }
-    }
-
-    /// Windowed delta mass summed across *all* label sets of a counter
-    /// name (the windowed analogue of `Registry::counter_total`).
-    pub fn counter_window_total(&self, name: &str, since_ns: u64) -> u64 {
+    /// Σ of a counter's deltas with timestamps strictly after
+    /// `since_ns` — the windowed mass behind windowed `rate` and `burn`
+    /// rules. An `id` with labels reads that one series; an `id`
+    /// without labels sums every label set of its name.
+    pub fn counter_window_sum(&self, id: &MetricId, since_ns: u64) -> u64 {
         let inner = self.inner.lock();
         inner
             .series
             .iter()
-            .filter(|(id, _)| id.name == name)
+            .filter(|(s, _)| s.name == id.name && (id.labels.is_empty() || s.labels == id.labels))
             .map(|(_, s)| match s {
                 Series::Counter { points, .. } => points
                     .iter()
@@ -388,7 +349,11 @@ impl TelemetryStore {
     }
 
     /// The sampled summaries of one histogram series, oldest first.
-    pub fn hist_series(&self, name: &str, labels: &[(&str, &str)]) -> Vec<(u64, HistPoint)> {
+    pub fn hist_series(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+    ) -> Vec<(u64, HistogramSnapshot)> {
         let id = MetricId::new(name, labels);
         let inner = self.inner.lock();
         match inner.series.get(&id) {
@@ -397,42 +362,21 @@ impl TelemetryStore {
         }
     }
 
-    /// Largest p99 sample of a histogram series with timestamps strictly
-    /// after `since_ns`, or `None` when the window holds no samples —
-    /// the rolling quantile behind `window(N) p99(...)` rules.
-    pub fn hist_window_p99(
+    /// Largest `q` sample of a histogram series with timestamps
+    /// strictly after `since_ns`, or `None` when the window holds no
+    /// samples — the rolling quantile behind `window(N) p99(...)` rules.
+    pub(crate) fn hist_window_quantile(
         &self,
-        name: &str,
-        labels: &[(&str, &str)],
+        id: &MetricId,
+        q: Quantile,
         since_ns: u64,
     ) -> Option<u64> {
-        let id = MetricId::new(name, labels);
         let inner = self.inner.lock();
-        match inner.series.get(&id) {
+        match inner.series.get(id) {
             Some(Series::Hist(points)) => points
                 .iter()
                 .filter(|(t, _)| *t > since_ns)
-                .map(|(_, h)| h.p99)
-                .max(),
-            _ => None,
-        }
-    }
-
-    /// Largest windowed quantile sample for any of p50/p95/p99.
-    pub fn hist_window_quantile(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        since_ns: u64,
-        pick: fn(&HistPoint) -> u64,
-    ) -> Option<u64> {
-        let id = MetricId::new(name, labels);
-        let inner = self.inner.lock();
-        match inner.series.get(&id) {
-            Some(Series::Hist(points)) => points
-                .iter()
-                .filter(|(t, _)| *t > since_ns)
-                .map(|(_, h)| pick(h))
+                .map(|(_, h)| q.of(h))
                 .max(),
             _ => None,
         }
@@ -468,51 +412,36 @@ impl TelemetryStore {
                 .last_scrape_ns
                 .map_or("null".to_string(), |t| t.to_string())
         ));
-        for (i, (id, s)) in inner.series.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"id\": ");
+        join(&mut out, &inner.series, |out, (id, s)| {
+            out.push_str("{\"id\": ");
             out.push_str(&escape(&id.to_string()));
-            match s {
+            let points: Vec<String> = match s {
                 Series::Counter { base, points, .. } => {
-                    out.push_str(&format!(", \"kind\": \"counter\", \"base\": {base}, \"points\": ["));
-                    for (j, (t, d)) in points.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&format!("[{t},{d}]"));
-                    }
-                    out.push_str("]}");
+                    out.push_str(&format!(
+                        ", \"kind\": \"counter\", \"base\": {base}, \"points\": ["
+                    ));
+                    points.iter().map(|(t, d)| format!("[{t},{d}]")).collect()
                 }
                 Series::Gauge(points) => {
                     out.push_str(", \"kind\": \"gauge\", \"points\": [");
-                    for (j, (t, v)) in points.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&format!("[{t},{v}]"));
-                    }
-                    out.push_str("]}");
+                    points.iter().map(|(t, v)| format!("[{t},{v}]")).collect()
                 }
                 Series::Hist(points) => {
                     out.push_str(", \"kind\": \"histogram\", \"points\": [");
-                    for (j, (t, h)) in points.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&format!(
-                            "[{},{},{},{},{},{},{}]",
-                            t, h.count, h.sum, h.p50, h.p95, h.p99, h.max
-                        ));
-                    }
-                    out.push_str("]}");
+                    points
+                        .iter()
+                        .map(|(t, h)| {
+                            format!(
+                                "[{t},{},{},{},{},{},{}]",
+                                h.count, h.sum, h.p50, h.p95, h.p99, h.max
+                            )
+                        })
+                        .collect()
                 }
-            }
-        }
-        if !inner.series.is_empty() {
-            out.push_str("\n  ");
-        }
+            };
+            out.push_str(&points.join(","));
+            out.push_str("]}");
+        });
         out.push_str("]\n}\n");
         out
     }
@@ -606,6 +535,7 @@ mod tests {
         let r = Registry::new();
         let ts = store(4);
         let c = r.counter(names::HSM_PUTS_TOTAL, &[("store", "s")]);
+        let id = MetricId::new(names::HSM_PUTS_TOTAL, &[("store", "s")]);
         // Partial window at startup: only two scrapes exist, a window
         // of 8 intervals covers them all.
         c.add(3);
@@ -615,7 +545,7 @@ mod tests {
         r.set_virtual_time_ns(2 * MS);
         ts.scrape(&r);
         let since = (2 * MS).saturating_sub(8 * MS);
-        assert_eq!(ts.counter_window_sum(names::HSM_PUTS_TOTAL, &[("store", "s")], since), 7);
+        assert_eq!(ts.counter_window_sum(&id, since), 7);
         // Exactly-full window: 4 more scrapes; a window of 4 intervals
         // ending at t=6ms covers t in (2ms, 6ms] — exactly 4 points.
         for k in 3..=6u64 {
@@ -623,15 +553,20 @@ mod tests {
             r.set_virtual_time_ns(k * MS);
             ts.scrape(&r);
         }
-        assert_eq!(
-            ts.counter_window_sum(names::HSM_PUTS_TOTAL, &[("store", "s")], 6 * MS - 4 * MS),
-            40
-        );
+        assert_eq!(ts.counter_window_sum(&id, 6 * MS - 4 * MS), 40);
         // Eviction across the window edge: capacity 4 has evicted the
         // first two points; a window reaching past them sees only what
         // is retained, while counter_sum still reconciles exactly.
-        assert_eq!(ts.counter_window_sum(names::HSM_PUTS_TOTAL, &[("store", "s")], 0), 40);
+        assert_eq!(ts.counter_window_sum(&id, 0), 40);
         assert_eq!(ts.counter_sum(names::HSM_PUTS_TOTAL, &[("store", "s")]), 47);
+        // An id without labels sums every label set of its name.
+        r.counter(names::HSM_PUTS_TOTAL, &[("store", "t")]).add(2);
+        r.set_virtual_time_ns(7 * MS);
+        ts.scrape(&r);
+        let every = MetricId::new(names::HSM_PUTS_TOTAL, &[]);
+        assert_eq!(ts.counter_window_sum(&id, 0), 40);
+        assert_eq!(ts.counter_window_sum(&every, 0), 42);
+        assert_eq!(ts.counter_window_sum(&every, 6 * MS), 2);
     }
 
     #[test]
@@ -645,12 +580,11 @@ mod tests {
         h.record(100_000);
         r.set_virtual_time_ns(2 * MS);
         ts.scrape(&r);
-        let spike = ts
-            .hist_window_p99(names::ADAL_OP_LATENCY_NS, &[("op", "get")], 0)
-            .unwrap();
+        let id = MetricId::new(names::ADAL_OP_LATENCY_NS, &[("op", "get")]);
+        let spike = ts.hist_window_quantile(&id, Quantile::P99, 0).unwrap();
         assert!(spike >= 100_000, "rolling p99 keeps the spike: {spike}");
         assert_eq!(
-            ts.hist_window_p99(names::ADAL_OP_LATENCY_NS, &[("op", "get")], 2 * MS),
+            ts.hist_window_quantile(&id, Quantile::P99, 2 * MS),
             None,
             "empty window has no quantile"
         );
@@ -679,7 +613,7 @@ mod tests {
     struct SnapshotFold {
         counters: BTreeMap<MetricId, (u64, Vec<(u64, u64)>)>,
         gauges: BTreeMap<MetricId, Vec<(u64, i64)>>,
-        hists: BTreeMap<MetricId, Vec<(u64, HistPoint)>>,
+        hists: BTreeMap<MetricId, Vec<(u64, HistogramSnapshot)>>,
     }
 
     impl SnapshotFold {
@@ -697,15 +631,7 @@ mod tests {
                 self.gauges.entry(id).or_default().push((now, value));
             }
             for (id, h) in snap.histograms {
-                let point = HistPoint {
-                    count: h.count,
-                    sum: h.sum,
-                    p50: h.p50,
-                    p95: h.p95,
-                    p99: h.p99,
-                    max: h.max,
-                };
-                self.hists.entry(id).or_default().push((now, point));
+                self.hists.entry(id).or_default().push((now, h));
             }
         }
 

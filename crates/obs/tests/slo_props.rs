@@ -2,11 +2,13 @@
 //! renders to a canonical form that re-parses to the same rule
 //! (display/parse is a fixed point after one normalisation), and the
 //! malformed shapes the grammar promises to reject are rejected for
-//! every instantiation, not just the hand-picked unit-test cases.
+//! every instantiation, not just the hand-picked unit-test cases. The
+//! last property drives the ratio selector over seeded scrape
+//! histories.
 
 use proptest::prelude::*;
 
-use lsdf_obs::SloRule;
+use lsdf_obs::{MetricId, Registry, SloMonitor, SloRule, TelemetryConfig, TelemetryStore};
 
 /// A metric name: lowercase snake_case, like every `lsdf_obs::names`
 /// constant.
@@ -221,5 +223,138 @@ proptest! {
     ) {
         let text = format!("window({w}) burn({num} / {den}, {bad}) <= {thr}");
         prop_assert!(SloRule::parse(&text).is_err(), "accepted {}", text);
+    }
+}
+
+/// A threshold or budget the `f64` parser takes but no rule can use.
+fn non_finite_strat() -> impl Strategy<Value = &'static str> {
+    prop_oneof![
+        Just("NaN"),
+        Just("nan"),
+        Just("inf"),
+        Just("-inf"),
+        Just("infinity"),
+        Just("-Infinity"),
+    ]
+}
+
+proptest! {
+    /// Every selector form rejects a non-finite threshold: `== NaN`
+    /// could never hold and `< inf` always would. A burn rejects a
+    /// non-finite budget too.
+    #[test]
+    fn non_finite_threshold_is_rejected(parts in valid_rule_strat(), bad in non_finite_strat()) {
+        let prefix = parts.window.map(|w| format!("window({w}) ")).unwrap_or_default();
+        let text = format!("{prefix}{} {} {bad}", parts.body, parts.cmp);
+        prop_assert!(SloRule::parse(&text).is_err(), "accepted {}", text);
+    }
+
+    #[test]
+    fn non_finite_burn_budget_is_rejected(
+        num in name_strat(),
+        den in name_strat(),
+        w in 1u32..32,
+        thr in threshold_strat(),
+        bad in non_finite_strat(),
+    ) {
+        let text = format!("window({w}) burn({num} / {den}, {bad}) <= {thr}");
+        prop_assert!(SloRule::parse(&text).is_err(), "accepted {}", text);
+    }
+}
+
+const MS: u64 = 1_000_000;
+const PROJECTS: [&str; 2] = ["p", "q"];
+
+/// The project a ratio side is scoped to; `None` sums every label set.
+const SCOPES: [Option<&str>; 3] = [None, Some("p"), Some("q")];
+
+/// One ratio side as rule text and as the id it parses to.
+fn side(name: &str, scope: Option<&str>) -> (String, MetricId) {
+    match scope {
+        None => (name.to_string(), MetricId::new(name, &[])),
+        Some(p) => (format!("{name}{{project={p}}}"), MetricId::new(name, &[("project", p)])),
+    }
+}
+
+fn rule(text: &str) -> SloRule {
+    SloRule::parse(text).unwrap_or_else(|e| panic!("{text:?} must parse: {e}"))
+}
+
+/// One scrape interval of traffic: error and op increments per project,
+/// and how many intervals pass before the scrape.
+fn step_strat() -> impl Strategy<Value = ([u64; 2], [u64; 2], u64)> {
+    let inc = || prop_oneof![Just(0u64), 0u64..40];
+    ((inc(), inc()), (inc(), inc()), 1u64..3)
+        .prop_map(|((e0, e1), (o0, o1), gap)| ([e0, e1], [o0, o1], gap))
+}
+
+proptest! {
+    /// Over seeded scrape histories, the one ratio selector agrees with
+    /// itself and with the store: for every pair of label blocks,
+    /// `window(N) burn(a / b, B)` observes exactly `window(N) rate(a / b)`
+    /// divided by `B`, and the windowed rate is the ratio of the
+    /// windowed counter query over the same ids — which in turn is the
+    /// traffic the test itself recorded inside the window.
+    #[test]
+    fn burn_is_windowed_rate_over_budget(
+        steps in prop::collection::vec(step_strat(), 1..24),
+        window in 1u64..8,
+        budget in budget_strat(),
+    ) {
+        let reg = Registry::new();
+        let history = TelemetryStore::new(TelemetryConfig::default().interval_ns(MS));
+        let mut pairs = Vec::new();
+        let mut rules = Vec::new();
+        for num in SCOPES {
+            for den in SCOPES {
+                let ((num_text, num), (den_text, den)) =
+                    (side("errs_total", num), side("ops_total", den));
+                let ratio = format!("{num_text} / {den_text}");
+                rules.push(rule(&format!("window({window}) rate({ratio}) <= 1e9")));
+                rules.push(rule(&format!("window({window}) burn({ratio}, {budget}) <= 1e9")));
+                pairs.push((num, den));
+            }
+        }
+        let monitor = SloMonitor::new(rules);
+        // (scrape time, errors per project, ops per project)
+        let mut model: Vec<(u64, [u64; 2], [u64; 2])> = Vec::new();
+        let mut now = 0;
+        for (errs, ops, gap) in steps {
+            for (i, p) in PROJECTS.iter().enumerate() {
+                reg.counter("errs_total", &[("project", p)]).add(errs[i]);
+                reg.counter("ops_total", &[("project", p)]).add(ops[i]);
+            }
+            now += gap * MS;
+            reg.set_virtual_time_ns(now);
+            history.scrape(&reg);
+            model.push((now, errs, ops));
+
+            let since = now.saturating_sub(window * MS);
+            let in_window = |id: &MetricId, ops: bool| -> u64 {
+                model
+                    .iter()
+                    .filter(|(t, _, _)| *t > since)
+                    .map(|(_, e, o)| {
+                        let v = if ops { o } else { e };
+                        PROJECTS
+                            .iter()
+                            .enumerate()
+                            .filter(|(_, p)| id.labels.is_empty() || id.labels[0].1 == **p)
+                            .map(|(i, _)| v[i])
+                            .sum::<u64>()
+                    })
+                    .sum()
+            };
+            let health = monitor.evaluate(&reg, &history);
+            for ((num, den), pair) in pairs.iter().zip(health.rules.chunks(2)) {
+                let (rate, burn) = (pair[0].observed, pair[1].observed);
+                prop_assert_eq!(burn, rate / budget, "{} vs {}", pair[1].rule, pair[0].rule);
+                let n = history.counter_window_sum(num, since);
+                let d = history.counter_window_sum(den, since);
+                prop_assert_eq!((n, d), (in_window(num, false), in_window(den, true)));
+                let expected = if d == 0 { 0.0 } else { n as f64 / d as f64 };
+                prop_assert_eq!(rate, expected, "{}", pair[0].rule);
+            }
+        }
     }
 }

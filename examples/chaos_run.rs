@@ -111,7 +111,7 @@ fn main() {
                 ok_gets += 1;
             }
         }
-        if !monitor.evaluate(&reg).healthy {
+        if !monitor.evaluate(&reg, &telemetry).healthy {
             violated_evals += 1;
         }
         telemetry.maybe_scrape(&reg);
@@ -148,7 +148,7 @@ fn main() {
 
     // The SLO flipped to violated while the breaker was open, and the
     // facility is demonstrably healthy again after recovery.
-    let health = monitor.evaluate(&reg);
+    let health = monitor.evaluate(&reg, &telemetry);
     assert!(
         violated_evals >= 1,
         "the outage must flip the breaker SLO at least once"
@@ -174,7 +174,7 @@ fn main() {
     let profile = SpanProfile::from_traces(&tracer.traces());
     let report = facility_status(&ConsoleInputs {
         registry: &reg,
-        telemetry: Some(&telemetry),
+        telemetry: &telemetry,
         health: &health,
         profile: Some(&profile),
     });

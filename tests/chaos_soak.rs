@@ -232,10 +232,10 @@ fn run_soak_with(seed: u64, workers: usize) -> String {
         // Periodic reporter hook: every 2 000 ops an operator report is
         // rendered exactly as `just status` would show it mid-soak.
         if i % 2_000 == 1_999 {
-            let health = monitor.evaluate_with_history(&reg, Some(&telemetry));
+            let health = monitor.evaluate(&reg, &telemetry);
             last_report = facility_status(&ConsoleInputs {
                 registry: &reg,
-                telemetry: Some(&telemetry),
+                telemetry: &telemetry,
                 health: &health,
                 profile: None,
             });
@@ -321,10 +321,10 @@ fn run_soak_with(seed: u64, workers: usize) -> String {
     // shows the drained state, then fold report + telemetry history
     // into the witness alongside the registry.
     telemetry.scrape(&reg);
-    let health = monitor.evaluate_with_history(&reg, Some(&telemetry));
+    let health = monitor.evaluate(&reg, &telemetry);
     let report = facility_status(&ConsoleInputs {
         registry: &reg,
-        telemetry: Some(&telemetry),
+        telemetry: &telemetry,
         health: &health,
         profile: None,
     });

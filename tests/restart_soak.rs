@@ -328,7 +328,7 @@ fn run_soak_with(seed: u64, workers: usize) -> (String, Vec<RecoveryReport>, Vec
     // Batched WAL group commit: every N-file batch commit on the
     // namenode WAL, and every N-dataset catalog commit on a metadata
     // WAL, shares ONE accounted fsync. The per-record path charges one
-    // fsync per `group_commit` (default 8) records, so the batched path
+    // fsync per eight records (the WAL's `GROUP_COMMIT`), so the batched path
     // must beat that floor outright across the soak, on every log.
     for log in ["dfs", "meta-spectro", "meta-imaging"] {
         let appends = reg.counter_value(names::WAL_APPENDS_TOTAL, &[("log", log)]);

@@ -21,7 +21,9 @@ use lsdf_adal::{
     StorageBackend, TokenAuth,
 };
 use lsdf_chaos::{FaultPlan, FaultyBackend};
-use lsdf_obs::{names, Registry, SloMonitor, SloRule, TraceConfig, Tracer};
+use lsdf_obs::{
+    names, Registry, SloMonitor, SloRule, TelemetryConfig, TelemetryStore, TraceConfig, Tracer,
+};
 use lsdf_sim::SimRng;
 use lsdf_storage::ObjectStore;
 
@@ -115,6 +117,9 @@ fn traced_chaos_soak_reconciles_events_with_counters() {
     // The SLO under test: the soak project's breaker must be closed.
     let rule = format!("gauge({}{{project=soak}}) == 0", names::ADAL_BREAKER_STATE);
     let monitor = SloMonitor::new(vec![SloRule::parse(&rule).expect("rule parses")]);
+    // A gauge rule reads the current value; the monitor still takes a
+    // history, which stays empty here.
+    let history = TelemetryStore::new(TelemetryConfig::default());
     let mut violated_mid_soak = false;
 
     let mut model: BTreeMap<String, Vec<u8>> = BTreeMap::new();
@@ -148,7 +153,7 @@ fn traced_chaos_soak_reconciles_events_with_counters() {
             }
             _ => {}
         }
-        if !monitor.evaluate(&reg).healthy {
+        if !monitor.evaluate(&reg, &history).healthy {
             violated_mid_soak = true;
         }
     }
@@ -168,7 +173,7 @@ fn traced_chaos_soak_reconciles_events_with_counters() {
         }
         assert!(round < 199, "journal failed to drain");
     }
-    let health = monitor.evaluate(&reg);
+    let health = monitor.evaluate(&reg, &history);
     assert!(
         health.healthy,
         "facility must be healthy after recovery: {:?}",
