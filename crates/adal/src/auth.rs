@@ -6,6 +6,7 @@
 //! permission bits.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use lsdf_sync::{ranks, OrderedRwLock};
 
@@ -32,6 +33,13 @@ pub enum Access {
     Read,
     /// Ingest new objects.
     Write,
+}
+
+impl Access {
+    /// Whether holding `self` permits `wanted`: a writer may also read.
+    pub fn permits(self, wanted: Access) -> bool {
+        self == Access::Write || wanted == Access::Read
+    }
 }
 
 /// Authentication / authorization failures.
@@ -71,11 +79,20 @@ impl std::error::Error for AuthError {}
 pub trait AuthProvider: Send + Sync {
     /// Authenticates a credential.
     fn authenticate(&self, cred: &Credential) -> Result<Principal, AuthError>;
+
+    /// A number that moves whenever a credential may come to resolve
+    /// differently (a token registered, re-registered or dropped), bumped
+    /// with a `Release` store after the change. A project handle records
+    /// it before it resolves and re-resolves on its next op once it has
+    /// moved; a provider whose answers never change returns a constant.
+    fn epoch(&self) -> u64;
 }
 
 /// A static token registry.
 pub struct TokenAuth {
     tokens: OrderedRwLock<HashMap<String, String>>,
+    /// Bumped by every [`TokenAuth::register`].
+    epoch: AtomicU64,
     /// Whether anonymous access resolves to a `guest` principal.
     allow_anonymous: bool,
 }
@@ -91,6 +108,7 @@ impl TokenAuth {
     pub fn new() -> Self {
         TokenAuth {
             tokens: OrderedRwLock::new(ranks::ADAL_AUTH_TOKENS, HashMap::new()),
+            epoch: AtomicU64::new(0),
             allow_anonymous: false,
         }
     }
@@ -101,11 +119,12 @@ impl TokenAuth {
         self
     }
 
-    /// Registers a token for a user.
+    /// Registers a token for a user (re-registering moves it to `user`).
     pub fn register(&self, token: &str, user: &str) {
         self.tokens
             .write()
             .insert(token.to_string(), user.to_string());
+        self.epoch.fetch_add(1, Ordering::Release);
     }
 }
 
@@ -129,6 +148,10 @@ impl AuthProvider for TokenAuth {
             }
         }
     }
+
+    fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Acquire)
+    }
 }
 
 /// Per-project access-control lists.
@@ -136,6 +159,8 @@ pub struct Acl {
     /// user → project → may write (every grant may read): nested so
     /// that a check probes with the two borrowed names it was given.
     grants: OrderedRwLock<HashMap<String, HashMap<String, bool>>>,
+    /// Bumped by every grant and revoke; see [`Acl::epoch`].
+    epoch: AtomicU64,
 }
 
 impl Default for Acl {
@@ -147,13 +172,17 @@ impl Default for Acl {
 impl Acl {
     /// An empty ACL (denies everything).
     pub fn new() -> Self {
-        Acl { grants: OrderedRwLock::new(ranks::ADAL_ACL_GRANTS, HashMap::new()) }
+        Acl {
+            grants: OrderedRwLock::new(ranks::ADAL_ACL_GRANTS, HashMap::new()),
+            epoch: AtomicU64::new(0),
+        }
     }
 
     /// Grants read (and optionally write) on `project` to `user`.
     pub fn grant(&self, user: &str, project: &str, write: bool) {
         let mut grants = self.grants.write();
         grants.entry(user.to_string()).or_default().insert(project.to_string(), write);
+        self.epoch.fetch_add(1, Ordering::Release);
     }
 
     /// Revokes all access on `project` from `user`.
@@ -161,29 +190,21 @@ impl Acl {
         if let Some(projects) = self.grants.write().get_mut(user) {
             projects.remove(project);
         }
+        self.epoch.fetch_add(1, Ordering::Release);
     }
 
-    /// Checks an access request.
-    pub fn check(
-        &self,
-        principal: &Principal,
-        project: &str,
-        access: Access,
-    ) -> Result<(), AuthError> {
+    /// A number that moves with every grant and revoke, bumped with a
+    /// `Release` store after the change: what a project handle compares
+    /// per op to see that the access it resolved may have changed.
+    pub fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Acquire)
+    }
+
+    /// The most `user` may do on `project`: `None` without a grant.
+    pub fn granted(&self, user: &str, project: &str) -> Option<Access> {
         let grants = self.grants.read();
-        let ok = grants
-            .get(principal.user.as_str())
-            .and_then(|projects| projects.get(project))
-            .is_some_and(|&may_write| may_write || access == Access::Read);
-        if ok {
-            Ok(())
-        } else {
-            Err(AuthError::Denied {
-                user: principal.user.clone(),
-                project: project.to_string(),
-                access,
-            })
-        }
+        let may_write = *grants.get(user)?.get(project)?;
+        Some(if may_write { Access::Write } else { Access::Read })
     }
 }
 
@@ -219,48 +240,48 @@ mod tests {
     #[test]
     fn acl_read_write_separation() {
         let acl = Acl::new();
-        let alice = Principal {
-            user: "alice".into(),
-        };
         acl.grant("alice", "zebrafish", false); // read-only
-        assert!(acl.check(&alice, "zebrafish", Access::Read).is_ok());
-        assert!(matches!(
-            acl.check(&alice, "zebrafish", Access::Write),
-            Err(AuthError::Denied { .. })
-        ));
+        assert_eq!(acl.granted("alice", "zebrafish"), Some(Access::Read));
+        assert!(!Access::Read.permits(Access::Write));
         acl.grant("alice", "zebrafish", true);
-        assert!(acl.check(&alice, "zebrafish", Access::Write).is_ok());
+        assert_eq!(acl.granted("alice", "zebrafish"), Some(Access::Write));
+        assert!(Access::Write.permits(Access::Read));
         // Other projects still denied.
-        assert!(acl.check(&alice, "katrin", Access::Read).is_err());
+        assert_eq!(acl.granted("alice", "katrin"), None);
         acl.revoke("alice", "zebrafish");
-        assert!(acl.check(&alice, "zebrafish", Access::Read).is_err());
+        assert_eq!(acl.granted("alice", "zebrafish"), None);
     }
 
     #[test]
     fn grants_are_per_user_and_per_project() {
         let acl = Acl::new();
-        let (alice, bob) = (Principal { user: "alice".into() }, Principal { user: "bob".into() });
         acl.grant("alice", "zebrafish", true);
         acl.grant("alice", "katrin", false);
         acl.grant("bob", "katrin", true);
         // One project's grant is not another's, for the same user.
-        assert!(acl.check(&alice, "katrin", Access::Write).is_err());
-        assert!(acl.check(&bob, "zebrafish", Access::Read).is_err());
+        assert_eq!(acl.granted("alice", "katrin"), Some(Access::Read));
+        assert_eq!(acl.granted("bob", "zebrafish"), None);
         // A revoke takes that grant and leaves the user's others.
         acl.revoke("alice", "zebrafish");
-        assert_eq!(
-            acl.check(&alice, "zebrafish", Access::Read),
-            Err(AuthError::Denied {
-                user: "alice".into(),
-                project: "zebrafish".into(),
-                access: Access::Read,
-            })
-        );
-        assert!(acl.check(&alice, "katrin", Access::Read).is_ok());
-        assert!(acl.check(&bob, "katrin", Access::Write).is_ok());
+        assert_eq!(acl.granted("alice", "zebrafish"), None);
+        assert_eq!(acl.granted("alice", "katrin"), Some(Access::Read));
+        assert_eq!(acl.granted("bob", "katrin"), Some(Access::Write));
         // Revoking what was never granted is a no-op.
         acl.revoke("carol", "katrin");
         acl.revoke("bob", "zebrafish");
-        assert!(acl.check(&bob, "katrin", Access::Write).is_ok());
+        assert_eq!(acl.granted("bob", "katrin"), Some(Access::Write));
+    }
+
+    #[test]
+    fn every_grant_revoke_and_registration_moves_an_epoch() {
+        let (acl, auth) = (Acl::new(), TokenAuth::new());
+        let (a0, t0) = (acl.epoch(), auth.epoch());
+        acl.grant("alice", "zebrafish", true);
+        acl.revoke("alice", "zebrafish");
+        auth.register("s3cret", "alice");
+        auth.register("s3cret", "bob");
+        assert_eq!((acl.epoch() - a0, auth.epoch() - t0), (2, 2));
+        let p = auth.authenticate(&Credential::Token("s3cret".into())).unwrap();
+        assert_eq!(p.user, "bob");
     }
 }

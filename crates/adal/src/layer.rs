@@ -1,11 +1,22 @@
 //! The ADAL itself: a registry mapping project mounts to backends, with
-//! authentication, authorization and operation accounting on every call.
+//! authentication, authorization and operation accounting.
 //!
-//! Every operation runs the same body: mint the root trace, start the
-//! latency span, split the path, authenticate, authorize, find the
-//! mount, call the backend, and — on success only — account. A `put` is
-//! that front half, a [`StorageBackend::stage_put`], and the accounting
-//! deferred to [`Adal::commit_staged`]; a single put is a batch of one.
+//! A project is opened once for a credential ([`Adal::open`]): the
+//! principal, whether it may write, the mount and the read-side
+//! [`RequestClass`] resolve into a [`ProjectHandle`], whose ops take a
+//! key. An op on a handle does not split a path, authenticate or
+//! authorize again. It compares the auth, ACL and mount epochs the
+//! handle resolved under with the current ones and re-opens only when
+//! one moved, so a revoke, a re-registered token or a remount takes
+//! effect on the very next op. The path-string API
+//! (`get(cred, "lsdf://project/key")`, ...) is the same body with a
+//! split and a resolve in front.
+//!
+//! That body: mint the root trace, start the latency span, find the
+//! mount, call the backend, and — on success only — account. A `put`
+//! is that front half, a [`StorageBackend::stage_put`], and the
+//! accounting deferred to [`Adal::commit_staged`]; a single put is a
+//! batch of one.
 //!
 //! Accounting goes through the `lsdf-obs` registry: each operation
 //! bumps `adal_ops_total{op=..}` (plus a per-project
@@ -21,6 +32,7 @@
 //! [`Adal::drain_journal`] only.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
@@ -31,8 +43,13 @@ use lsdf_sync::{ranks, OrderedRwLock};
 
 use crate::auth::{Access, Acl, AuthError, AuthProvider, Credential, TokenAuth};
 use crate::backend::{missing_commit_result, BackendError, EntryMeta, StagedPut, StorageBackend};
-use crate::path::{LsdfPath, PathError};
+use crate::path::PathError;
 use crate::resilience::{BreakerState, HealthReport, ResilienceConfig, ResilientBackend};
+
+mod handle;
+
+pub use handle::ProjectHandle;
+use handle::Target;
 
 /// Errors surfaced by ADAL operations.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,8 +93,8 @@ impl From<BackendError> for AdalError {
     }
 }
 
-/// The operation kinds [`Adal::classify`] understands — the same set
-/// the per-op counters track, as a type instead of a string.
+/// The operation kinds the layer runs — the same set the per-op
+/// counters track, as a type instead of a string.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// `put` — store an object.
@@ -118,18 +135,25 @@ impl OpKind {
             OpKind::Delete => "delete",
         }
     }
+
+    /// The access the operation needs.
+    fn access(self) -> Access {
+        match self {
+            OpKind::Put | OpKind::Delete => Access::Write,
+            OpKind::Get | OpKind::Stat | OpKind::List => Access::Read,
+        }
+    }
 }
 
-/// How the multi-tenant front door should treat a request, derived
-/// from the operation and the backend serving the project. The
-/// admission layer maps each class onto a QoS lane.
+/// How the multi-tenant front door should treat a project's read-side
+/// traffic, derived from the backend serving it. The admission layer
+/// maps each class onto a QoS lane; writes ride the lane the tenant
+/// registered.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RequestClass {
-    /// Latency-sensitive read-side traffic (`get`/`stat`/`list`).
+    /// Latency-sensitive reads (`get`/`stat`/`list`).
     InteractiveRead,
-    /// Throughput-bound write-side traffic (`put`/`delete`).
-    BulkWrite,
-    /// Read-side traffic on an HSM mount, where a cold read winds tape.
+    /// Reads on an HSM mount, where a cold read winds tape.
     TapeRecall,
 }
 
@@ -209,6 +233,7 @@ struct Mount {
     backend: Arc<dyn StorageBackend>,
     resilient: Option<Arc<ResilientBackend>>,
     metrics: Arc<MountMetrics>,
+    read_class: RequestClass,
 }
 
 /// A put staged by [`Adal::put_stage_traced`], carrying everything
@@ -233,6 +258,8 @@ pub struct Adal {
     auth: Arc<dyn AuthProvider>,
     acl: Arc<Acl>,
     mounts: OrderedRwLock<HashMap<String, Mount>>,
+    /// Bumped by every [`Adal::install`], after the mount changed.
+    mount_epoch: AtomicU64,
     obs: Arc<Registry>,
     ops: OpMetrics,
     pool: WorkerPool,
@@ -254,9 +281,9 @@ impl Adal {
 
     /// Mints the root trace context for one operation, or a disabled
     /// context when no tracer is attached.
-    fn trace_root(&self, name: &'static str, key: &str) -> TraceCtx {
+    fn trace_root(&self, name: &'static str, at: Target<'_>) -> TraceCtx {
         match &self.tracer {
-            Some(t) => t.root(name, key),
+            Some(t) => t.root(name, &at.path()),
             None => TraceCtx::disabled(),
         }
     }
@@ -311,17 +338,18 @@ impl Adal {
             fields.push(("mode", "resilient"));
         }
         self.obs.event(names::ADAL_MOUNT_LOG_EVENT, &fields);
+        let read_class = match backend.kind() {
+            "hsm" => RequestClass::TapeRecall,
+            _ => RequestClass::InteractiveRead,
+        };
         let mount = Mount {
             metrics: MountMetrics::new(project, backend.kind()),
             backend,
             resilient,
+            read_class,
         };
         self.mounts.write().insert(project.to_string(), mount);
-    }
-
-    /// The backend kind currently serving a project.
-    pub fn backend_kind(&self, project: &str) -> Option<&'static str> {
-        self.mounts.read().get(project).map(|m| m.backend.kind())
+        self.mount_epoch.fetch_add(1, Ordering::Release);
     }
 
     /// Mounted project names, sorted.
@@ -331,65 +359,20 @@ impl Adal {
         v
     }
 
-    /// Classifies an operation into the admission lane it should ride:
-    /// read-side ops are interactive unless the project sits on an HSM
-    /// mount (where a read may wind tape); write-side ops are bulk.
-    pub fn classify(&self, op: OpKind, project: &str) -> RequestClass {
-        match op {
-            OpKind::Put | OpKind::Delete => RequestClass::BulkWrite,
-            OpKind::Get | OpKind::Stat | OpKind::List => {
-                if self.backend_kind(project) == Some("hsm") {
-                    RequestClass::TapeRecall
-                } else {
-                    RequestClass::InteractiveRead
-                }
-            }
-        }
-    }
-
-    /// The front half of every operation, between its latency span and
-    /// its backend call: splits the path (only a listing may name a
-    /// whole project), authenticates, authorizes and finds the mount.
-    /// The key comes back borrowed from `path`.
-    fn enter<'p>(
-        &self,
-        op: OpKind,
-        cred: &Credential,
-        path: &'p str,
-    ) -> Result<(Mount, &'p str), AdalError> {
-        let (project, key) = LsdfPath::split(path)?;
-        if key.is_empty() && op != OpKind::List {
-            return Err(PathError::EmptyKey(path.to_string()).into());
-        }
-        let access = match op {
-            OpKind::Put | OpKind::Delete => Access::Write,
-            OpKind::Get | OpKind::Stat | OpKind::List => Access::Read,
-        };
-        let principal = self.auth.authenticate(cred).inspect_err(|_| {
-            self.ops.denied.inc();
-        })?;
-        self.acl.check(&principal, project, access).inspect_err(|_| {
-            self.ops.denied.inc();
-        })?;
-        let mount = self.mounts.read().get(project).cloned();
-        Ok((mount.ok_or_else(|| AdalError::NoMount(project.to_string()))?, key))
-    }
-
-    /// The one body of `get`, `stat`, `list` and `delete`: root trace,
-    /// latency span, [`Adal::enter`], the backend `call`, and — on
-    /// success only — the global counter, the per-mount counter and the
-    /// latencies. A failed call still records the attempt in the global
-    /// latency histogram when its span drops.
+    /// The one body of `get`, `stat`, `list` and `delete`, by path or on
+    /// a handle: root trace, latency span, [`Adal::enter`], the backend
+    /// `call`, and — on success only — the global counter, the per-mount
+    /// counter and the latencies. A failed call still records the
+    /// attempt in the global latency histogram when its span drops.
     fn run<T>(
         &self,
         op: OpKind,
-        cred: &Credential,
-        path: &str,
+        at: Target<'_>,
         call: impl FnOnce(&dyn StorageBackend, &TraceCtx, &str) -> Result<T, BackendError>,
     ) -> Result<T, AdalError> {
-        let trace = self.trace_root(op.span_name(), path);
+        let trace = self.trace_root(op.span_name(), at);
         let span = self.ops.latency.get(op as usize).map(|h| self.obs.span(h));
-        let (mount, key) = self.enter(op, cred, path)?;
+        let (mount, key) = self.enter(op, at)?;
         let out = call(&*mount.backend, &trace, key)?;
         self.ops.ops[op as usize].inc();
         mount.metrics.ops(&self.obs, op, 1);
@@ -401,16 +384,19 @@ impl Adal {
     }
 
     /// Stores an object at `lsdf://project/key`.
-    ///
-    /// A single put is a batch of one: [`Adal::put_stage_traced`] under
-    /// a new root span, then [`Adal::commit_staged`].
     pub fn put(
         &self,
         cred: &Credential,
         path: &str,
         data: impl Into<Payload>,
     ) -> Result<(), AdalError> {
-        let staged = self.put_stage_traced(&TraceCtx::disabled(), cred, path, data)?;
+        self.put_at(Target::Path(cred, path), data)
+    }
+
+    /// A single put is a batch of one: [`Adal::stage`] under a new root
+    /// span, then [`Adal::commit_staged`].
+    fn put_at(&self, at: Target<'_>, data: impl Into<Payload>) -> Result<(), AdalError> {
+        let staged = self.stage(&TraceCtx::disabled(), at, data)?;
         self.commit_staged(vec![staged])
             .pop()
             .unwrap_or_else(|| Err(missing_commit_result().into()))
@@ -434,19 +420,25 @@ impl Adal {
         path: &str,
         data: impl Into<Payload>,
     ) -> Result<PendingPut, AdalError> {
+        self.stage(parent, Target::Path(cred, path), data)
+    }
+
+    /// The one body of a staged put, by path or on a handle.
+    fn stage(&self, parent: &TraceCtx, at: Target<'_>, data: impl Into<Payload>) -> Result<PendingPut, AdalError> {
         let trace = if parent.is_enabled() {
             let t = parent.child(names::ADAL_PUT_SPAN);
-            t.add_field("path", path);
+            t.add_field("path", &at.path());
             t
         } else {
-            self.trace_root(names::ADAL_PUT_SPAN, path)
+            self.trace_root(names::ADAL_PUT_SPAN, at)
         };
         let start_ns = self.obs.now_ns();
-        let pending = self.enter(OpKind::Put, cred, path).and_then(|(mount, key)| {
+        let pending = self.enter(OpKind::Put, at).and_then(|(mount, key)| {
             let data = data.into();
             let len = data.len() as u64;
             let staged = mount.backend.stage_put(&trace, key, data)?;
-            Ok(PendingPut { backend: mount.backend, staged, metrics: mount.metrics, len, start_ns })
+            let Mount { backend, metrics, .. } = mount.into_owned();
+            Ok(PendingPut { backend, staged, metrics, len, start_ns })
         });
         if pending.is_err() {
             // A refused put is an attempt like any other op's: timed.
@@ -509,7 +501,11 @@ impl Adal {
 
     /// Fetches an object.
     pub fn get(&self, cred: &Credential, path: &str) -> Result<Bytes, AdalError> {
-        self.run(OpKind::Get, cred, path, |backend, ctx, key| {
+        self.get_at(Target::Path(cred, path))
+    }
+
+    fn get_at(&self, at: Target<'_>) -> Result<Bytes, AdalError> {
+        self.run(OpKind::Get, at, |backend, ctx, key| {
             let data = backend.get(ctx, key)?.into_bytes();
             self.ops.get_bytes.record(data.len() as u64);
             Ok(data)
@@ -518,19 +514,19 @@ impl Adal {
 
     /// Metadata for an object.
     pub fn stat(&self, cred: &Credential, path: &str) -> Result<EntryMeta, AdalError> {
-        self.run(OpKind::Stat, cred, path, |backend, ctx, key| backend.stat(ctx, key))
+        self.run(OpKind::Stat, Target::Path(cred, path), |backend, ctx, key| backend.stat(ctx, key))
     }
 
     /// Lists keys under `lsdf://project/prefix` (the prefix may be empty
     /// to list a whole project). Backend listing failures surface as
     /// [`AdalError::Backend`].
     pub fn list(&self, cred: &Credential, path: &str) -> Result<Vec<EntryMeta>, AdalError> {
-        self.run(OpKind::List, cred, path, |backend, ctx, prefix| backend.list(ctx, prefix))
+        self.run(OpKind::List, Target::Path(cred, path), |backend, ctx, prefix| backend.list(ctx, prefix))
     }
 
     /// Deletes an object (requires write access).
     pub fn delete(&self, cred: &Credential, path: &str) -> Result<(), AdalError> {
-        self.run(OpKind::Delete, cred, path, |backend, ctx, key| backend.delete(ctx, key))
+        self.run(OpKind::Delete, Target::Path(cred, path), |backend, ctx, key| backend.delete(ctx, key))
     }
 
     /// Explicitly drains a project's redo journal (e.g. from a recovery
@@ -539,7 +535,7 @@ impl Adal {
     pub fn drain_journal(&self, project: &str) -> usize {
         let resilient = self.mounts.read().get(project).and_then(|m| m.resilient.clone());
         let Some(resilient) = resilient else { return 0 };
-        let trace = self.trace_root(names::ADAL_DRAIN_SPAN, project);
+        let trace = self.tracer.as_ref().map_or_else(TraceCtx::disabled, |t| t.root(names::ADAL_DRAIN_SPAN, project));
         let drained = resilient.drain_step(&trace);
         if trace.is_enabled() {
             trace.add_field("drained", &drained.to_string());
@@ -656,6 +652,7 @@ impl AdalBuilder {
             auth,
             acl,
             mounts: OrderedRwLock::new(ranks::ADAL_MOUNTS, HashMap::new()),
+            mount_epoch: AtomicU64::new(0),
             ops: OpMetrics::new(&registry),
             obs: registry,
             pool,
@@ -932,6 +929,83 @@ mod tests {
     }
 
     #[test]
+    fn a_handle_op_sees_grants_tokens_and_mounts_changed_since_it_opened() {
+        let auth = Arc::new(TokenAuth::new());
+        auth.register("tok", "garcia");
+        let acl = Arc::new(Acl::new());
+        acl.grant("garcia", "zebrafish", true);
+        let adal = Adal::builder().auth(auth.clone()).acl(acl.clone()).build();
+        let store = |name| Arc::new(ObjectStoreBackend::new(Arc::new(ObjectStore::new(name, u64::MAX))));
+        adal.mount("zebrafish", store("z"));
+        let cred = Credential::Token("tok".into());
+        let handle = adal.open(&cred, "zebrafish").unwrap();
+        assert_eq!(handle.read_class(), RequestClass::InteractiveRead);
+        handle.put("a", b("1")).unwrap();
+        assert_eq!(handle.get("a"), Ok(b("1")));
+        assert!(handle.is_current());
+        let denied = || adal.obs().counter_value(names::ADAL_DENIED_TOTAL, &[]);
+
+        // A revoke fails the next op; a grant lets the one after in.
+        acl.revoke("garcia", "zebrafish");
+        assert!(!handle.is_current());
+        assert!(matches!(handle.get("a"), Err(AdalError::Auth(AuthError::Denied { .. }))));
+        assert_eq!(denied(), 1);
+        acl.grant("garcia", "zebrafish", false);
+        assert_eq!(handle.get("a"), Ok(b("1")));
+        let write = AuthError::Denied { user: "garcia".into(), project: "zebrafish".into(), access: Access::Write };
+        assert_eq!(handle.put("b", b("1")), Err(AdalError::Auth(write)));
+        assert_eq!(denied(), 2);
+
+        // A remount serves the next op from the new backend.
+        let migrated = store("z2");
+        migrated.put(&TraceCtx::disabled(), "a", b("2").into()).unwrap();
+        adal.mount("zebrafish", migrated);
+        assert_eq!(handle.get("a"), Ok(b("2")));
+
+        // The token moves to a user without a grant.
+        auth.register("tok", "nobody");
+        assert!(matches!(handle.get("a"), Err(AdalError::Auth(AuthError::Denied { user, .. })) if user == "nobody"));
+
+        // A fresh open is current; one the ADAL refuses counts denied.
+        assert!(adal.open(&cred, "zebrafish").is_err());
+        auth.register("tok", "garcia");
+        let reopened = adal.open(&cred, "zebrafish").unwrap();
+        assert!(reopened.is_current());
+        assert_eq!(reopened.authorize(OpKind::Put), Err(AdalError::Auth(AuthError::Denied {
+            user: "garcia".into(),
+            project: "zebrafish".into(),
+            access: Access::Write,
+        })));
+        assert_eq!(denied(), 5);
+        assert!(matches!(reopened.get(""), Err(AdalError::Path(PathError::EmptyKey(p))) if p == "lsdf://zebrafish/"));
+    }
+
+    #[test]
+    fn a_handle_op_is_traced_and_counted_as_its_path_twin() {
+        use lsdf_obs::{TraceConfig, Tracer};
+        let twin = || {
+            let (adal, cred) = setup();
+            let reg = adal.obs().clone();
+            reg.set_virtual_time_ns(1);
+            let tracer = Tracer::new(&reg, TraceConfig::full());
+            let adal = Adal { tracer: Some(tracer.clone()), ..adal };
+            (adal, cred, tracer)
+        };
+        let ((by_path, cred, path_tracer), (by_handle, _, handle_tracer)) = (twin(), twin());
+        by_path.put(&cred, "lsdf://zebrafish/raw/i1", b("px")).unwrap();
+        by_path.get(&cred, "lsdf://zebrafish/raw/i1").unwrap();
+        let handle = by_handle.open(&cred, "zebrafish").unwrap();
+        handle.put("raw/i1", b("px")).unwrap();
+        handle.get("raw/i1").unwrap();
+        let roots = |t: &Tracer| -> Vec<(String, &'static str, u64)> {
+            t.traces().iter().map(|r| (r.key.clone(), r.root.name, r.trace_id.0)).collect()
+        };
+        assert_eq!(roots(&path_tracer), roots(&handle_tracer));
+        assert_eq!(roots(&handle_tracer)[1].0, "lsdf://zebrafish/raw/i1");
+        assert_eq!(by_path.obs().snapshot().counters, by_handle.obs().snapshot().counters);
+    }
+
+    #[test]
     fn builder_chain_builds_a_working_layer() {
         let auth = Arc::new(TokenAuth::new());
         auth.register("tok", "garcia");
@@ -1007,7 +1081,7 @@ mod tests {
     fn remount_swaps_backend_transparently() {
         let (adal, cred) = setup();
         adal.put(&cred, "lsdf://zebrafish/a", b("1")).unwrap();
-        assert_eq!(adal.backend_kind("zebrafish"), Some("object-store"));
+        assert_eq!(adal.health("zebrafish").map(|h| h.backend), Some("object-store"));
         // Technology change: remount the project onto a fresh backend
         // (clients keep using the same paths).
         let new_store = Arc::new(ObjectStore::new("z2", u64::MAX));

@@ -312,6 +312,80 @@ struct ProjectState {
     usage: ProjectUsage,
 }
 
+/// What a run of decisions in one lane at one instant is made on: the
+/// lane's and the byte account's refill rates at the throttle level.
+#[derive(Clone, Copy)]
+struct Terms {
+    lane: Lane,
+    lane_rate: u64,
+    byte_rate: u64,
+}
+
+impl ProjectState {
+    /// Refills `lane` and the byte account to `now_ns` and returns the
+    /// terms the decisions made at that instant share.
+    fn settle(&mut self, lane: Lane, now_ns: u64) -> Terms {
+        let lane_rate = self.quota.lane_rate(lane, self.throttle);
+        let byte_rate = self.quota.byte_rate(self.throttle);
+        self.lanes[lane.idx()].refill(now_ns, lane_rate, self.quota.ops_burst);
+        self.bytes.refill(now_ns, byte_rate, self.quota.bytes_burst);
+        Terms { lane, lane_rate, byte_rate }
+    }
+
+    /// Decides one request of `bytes` payload under `terms`: the one copy
+    /// of the token arithmetic, for a single request and for each of a
+    /// batch's.
+    fn decide(&mut self, project: &str, terms: Terms, bytes: u64) -> Result<Ticket, AdmissionError> {
+        let Terms { lane, lane_rate, byte_rate } = terms;
+        let (bytes_burst, queue_depth) = (self.quota.bytes_burst, self.quota.queue_depth);
+        // Operation account: borrow ahead up to `queue_depth`, then shed.
+        let ops_after = self.lanes[lane.idx()].level - 1;
+        if ops_after < -i128::from(queue_depth) {
+            let need = (-i128::from(queue_depth) - ops_after) as u128;
+            return self.shed(project, lane, ns_for(need, lane_rate).unwrap_or(u64::MAX));
+        }
+        // Byte account: debt bounded by the burst window.
+        let bytes_after = self.bytes.level - i128::from(bytes);
+        if bytes_after < -i128::from(bytes_burst) {
+            let need = (-i128::from(bytes_burst) - bytes_after) as u128;
+            return self.shed(project, lane, ns_for(need, byte_rate).unwrap_or(u64::MAX));
+        }
+        // The wait until the borrowed tokens actually exist.
+        let ops_wait = if ops_after >= 0 {
+            Some(0)
+        } else {
+            ns_for((-ops_after) as u128, lane_rate)
+        };
+        let bytes_wait = if bytes_after >= 0 {
+            Some(0)
+        } else {
+            ns_for((-bytes_after) as u128, byte_rate)
+        };
+        let (Some(ops_wait), Some(bytes_wait)) = (ops_wait, bytes_wait) else {
+            // Zero refill rate can never produce the borrowed tokens.
+            return self.shed(project, lane, u64::MAX);
+        };
+
+        self.lanes[lane.idx()].level = ops_after;
+        self.bytes.level = bytes_after;
+        self.usage.admitted += 1;
+        self.usage.bytes += bytes;
+        Ok(Ticket {
+            wait_ns: ops_wait.max(bytes_wait),
+            queue_depth: u64::try_from(-ops_after.min(0)).unwrap_or(u64::MAX),
+        })
+    }
+
+    fn shed(&mut self, project: &str, lane: Lane, retry_after_ns: u64) -> Result<Ticket, AdmissionError> {
+        self.usage.shed += 1;
+        Err(AdmissionError::Rejected {
+            project: project.to_string(),
+            lane,
+            retry_after_ns,
+        })
+    }
+}
+
 /// Registry handles cached at registration so the admit hot path
 /// never takes the registry's name-interning locks.
 struct LaneMetrics {
@@ -360,8 +434,95 @@ impl ProjectMetrics {
 }
 
 struct ProjectEntry {
+    project: String,
     state: OrderedMutex<ProjectState>,
     metrics: ProjectMetrics,
+}
+
+impl ProjectEntry {
+    /// One decision at `now_ns`: the batch of one of
+    /// [`ProjectEntry::admit_batch`], with no `Vec`.
+    fn admit(&self, now_ns: u64, lane: Lane, bytes: u64) -> Result<Ticket, AdmissionError> {
+        let mut st = self.state.lock();
+        let terms = st.settle(lane, now_ns);
+        let decision = st.decide(&self.project, terms, bytes);
+        self.publish(lane, std::slice::from_ref(&decision));
+        decision
+    }
+
+    /// A run of decisions at `now_ns`, one per entry of `sizes`, in
+    /// order: one lock and one publication of the metrics.
+    fn admit_batch(&self, now_ns: u64, lane: Lane, sizes: &[u64]) -> Vec<Result<Ticket, AdmissionError>> {
+        let mut st = self.state.lock();
+        let terms = st.settle(lane, now_ns);
+        let decisions: Vec<_> = sizes.iter().map(|&bytes| st.decide(&self.project, terms, bytes)).collect();
+        self.publish(lane, &decisions);
+        decisions
+    }
+
+    /// Publishes a run of `lane` decisions, under the state lock so the
+    /// queue gauge follows decision order: the admitted and shed
+    /// counters by count, the waits in one histogram pass, the queue
+    /// gauge at the last admitted depth.
+    fn publish(&self, lane: Lane, decisions: &[Result<Ticket, AdmissionError>]) {
+        let lm = &self.metrics.lanes[lane.idx()];
+        let tickets = || decisions.iter().filter_map(|d| d.as_ref().ok());
+        lm.wait.record_all(tickets().map(|t| t.wait_ns));
+        let admitted = tickets().count() as u64;
+        let shed = decisions.len() as u64 - admitted;
+        // A batch of one moves one counter, as a single admit did.
+        if admitted > 0 {
+            lm.admitted.add(admitted);
+        }
+        if shed > 0 {
+            lm.shed.add(shed);
+        }
+        if let Some(last) = tickets().next_back() {
+            lm.queue.set(i64::try_from(last.queue_depth).unwrap_or(i64::MAX));
+        }
+    }
+}
+
+/// A registered project's front-door account, resolved once by
+/// [`AdmissionController::account`]: a decision against it takes the
+/// project's state lock and nothing else, with no name lookup and no
+/// allocation (but a shed's error). It is the entry registered when it
+/// was taken; a re-registration is seen by accounts taken after it.
+#[derive(Clone)]
+pub struct Account {
+    obs: Arc<Registry>,
+    entry: Arc<ProjectEntry>,
+}
+
+impl Account {
+    /// Decides one request of `bytes` payload riding `lane`: a batch of
+    /// one of [`Account::admit_batch`], under the same ordering rule.
+    pub fn admit(&self, lane: Lane, bytes: u64) -> Result<Ticket, AdmissionError> {
+        self.entry.admit(self.obs.now_ns(), lane, bytes)
+    }
+
+    /// Decides a run of requests riding one lane, one per entry of
+    /// `sizes` (payload bytes), in order, at one clock reading: the
+    /// decisions of one [`Account::admit`] per request, for one clock
+    /// read, one lock and one publication of the metrics.
+    ///
+    /// Callers MUST decide serially in submission order (the facility
+    /// does so on the caller thread before any pool fan-out): a decision
+    /// depends on every prior one, and serial admission is what makes
+    /// shed sets and `retry_after_ns` values identical at any worker
+    /// count.
+    pub fn admit_batch(&self, lane: Lane, sizes: &[u64]) -> Vec<Result<Ticket, AdmissionError>> {
+        self.entry.admit_batch(self.obs.now_ns(), lane, sizes)
+    }
+
+    /// The project's front-door account so far.
+    pub fn usage(&self) -> ProjectUsage {
+        let st = self.entry.state.lock();
+        ProjectUsage {
+            throttle_level: st.throttle,
+            ..st.usage
+        }
+    }
 }
 
 /// The admission decision point. One controller fronts a facility;
@@ -393,6 +554,7 @@ impl AdmissionController {
             usage: ProjectUsage::default(),
         };
         let entry = Arc::new(ProjectEntry {
+            project: project.to_string(),
             state: OrderedMutex::new(ranks::ADMISSION_PROJECT_STATE, state),
             metrics: ProjectMetrics::new(&self.obs, project),
         });
@@ -416,13 +578,14 @@ impl AdmissionController {
 
     /// The project's front-door account so far.
     pub fn usage(&self, project: &str) -> Option<ProjectUsage> {
-        self.projects.read().get(project).map(|e| {
-            let st = e.state.lock();
-            ProjectUsage {
-                throttle_level: st.throttle,
-                ..st.usage
-            }
-        })
+        self.account(project).ok().map(|a| a.usage())
+    }
+
+    /// The project's account, for decisions that resolve it once.
+    pub fn account(&self, project: &str) -> Result<Account, AdmissionError> {
+        let entry = self.projects.read().get(project).cloned();
+        let entry = entry.ok_or_else(|| AdmissionError::UnknownProject(project.to_string()))?;
+        Ok(Account { obs: self.obs.clone(), entry })
     }
 
     /// Current governor throttle level for a project.
@@ -433,8 +596,23 @@ impl AdmissionController {
             .map(|e| e.state.lock().throttle)
     }
 
-    /// Decides one request of `bytes` payload riding `lane`: the batch
-    /// of one of [`AdmissionController::admit_batch`].
+    /// Runs `decide` on the project's entry at the current clock reading.
+    /// The project map's read guard (its rank is below the state lock's)
+    /// is held for it instead of cloning the entry out.
+    fn by_name<T>(
+        &self,
+        project: &str,
+        decide: impl FnOnce(&ProjectEntry, u64) -> T,
+    ) -> Result<T, AdmissionError> {
+        let projects = self.projects.read();
+        let entry = projects
+            .get(project)
+            .ok_or_else(|| AdmissionError::UnknownProject(project.to_string()))?;
+        Ok(decide(entry, self.obs.now_ns()))
+    }
+
+    /// Decides one request of `bytes` payload riding `lane`: the
+    /// project's entry and one decision, as [`Account::admit`] makes it.
     ///
     /// Callers MUST invoke this serially in submission order (the
     /// facility does so on the caller thread before any pool fan-out):
@@ -447,107 +625,19 @@ impl AdmissionController {
         lane: Lane,
         bytes: u64,
     ) -> Result<Ticket, AdmissionError> {
-        self.admit_batch(project, lane, &[bytes])?
-            .pop()
-            .unwrap_or_else(|| Err(AdmissionError::UnknownProject(project.to_string())))
+        self.by_name(project, |entry, now| entry.admit(now, lane, bytes))?
     }
 
-    /// Decides a run of requests of one project riding one lane, one
-    /// per entry of `sizes` (payload bytes), in order. The decisions
-    /// are those of one [`AdmissionController::admit`] per request made
-    /// at one clock reading, and the same ordering rule applies; the
-    /// run pays one project lookup, one clock read and one lock, and
-    /// its metrics land once: the admitted and shed counters by count,
-    /// the waits in one histogram pass, the queue gauge at the last
-    /// admitted depth. An unregistered project refuses the whole run.
+    /// Decides a run of requests of one project riding one lane, as
+    /// [`Account::admit_batch`] does. An unregistered project refuses
+    /// the whole run.
     pub fn admit_batch(
         &self,
         project: &str,
         lane: Lane,
         sizes: &[u64],
     ) -> Result<Vec<Result<Ticket, AdmissionError>>, AdmissionError> {
-        // The project map's read guard (its rank is below the state
-        // lock's) is held for the run instead of cloning the entry out.
-        let projects = self.projects.read();
-        let entry = projects
-            .get(project)
-            .ok_or_else(|| AdmissionError::UnknownProject(project.to_string()))?;
-        let now = self.obs.now_ns();
-        let mut st = entry.state.lock();
-        let lane_rate = st.quota.lane_rate(lane, st.throttle);
-        let byte_rate = st.quota.byte_rate(st.throttle);
-        let (ops_burst, bytes_burst, queue_depth) =
-            (st.quota.ops_burst, st.quota.bytes_burst, st.quota.queue_depth);
-        st.lanes[lane.idx()].refill(now, lane_rate, ops_burst);
-        st.bytes.refill(now, byte_rate, bytes_burst);
-
-        let decide = |st: &mut ProjectState, bytes: u64| {
-            let shed = |st: &mut ProjectState, retry_after_ns: u64| {
-                st.usage.shed += 1;
-                Err(AdmissionError::Rejected {
-                    project: project.to_string(),
-                    lane,
-                    retry_after_ns,
-                })
-            };
-            // Operation account: borrow ahead up to `queue_depth`, then shed.
-            let ops_after = st.lanes[lane.idx()].level - 1;
-            if ops_after < -i128::from(queue_depth) {
-                let need = (-i128::from(queue_depth) - ops_after) as u128;
-                let retry = ns_for(need, lane_rate).unwrap_or(u64::MAX);
-                return shed(st, retry);
-            }
-            // Byte account: debt bounded by the burst window.
-            let bytes_after = st.bytes.level - i128::from(bytes);
-            if bytes_after < -i128::from(bytes_burst) {
-                let need = (-i128::from(bytes_burst) - bytes_after) as u128;
-                let retry = ns_for(need, byte_rate).unwrap_or(u64::MAX);
-                return shed(st, retry);
-            }
-            // The wait until the borrowed tokens actually exist.
-            let ops_wait = if ops_after >= 0 {
-                Some(0)
-            } else {
-                ns_for((-ops_after) as u128, lane_rate)
-            };
-            let bytes_wait = if bytes_after >= 0 {
-                Some(0)
-            } else {
-                ns_for((-bytes_after) as u128, byte_rate)
-            };
-            let (Some(ops_wait), Some(bytes_wait)) = (ops_wait, bytes_wait) else {
-                // Zero refill rate can never produce the borrowed tokens.
-                return shed(st, u64::MAX);
-            };
-
-            st.lanes[lane.idx()].level = ops_after;
-            st.bytes.level = bytes_after;
-            st.usage.admitted += 1;
-            st.usage.bytes += bytes;
-            Ok(Ticket {
-                wait_ns: ops_wait.max(bytes_wait),
-                queue_depth: u64::try_from(-ops_after.min(0)).unwrap_or(u64::MAX),
-            })
-        };
-        let decisions: Vec<_> = sizes.iter().map(|&bytes| decide(&mut st, bytes)).collect();
-
-        // Still under the lock, so the queue gauge follows decision order.
-        let lm = &entry.metrics.lanes[lane.idx()];
-        let tickets = || decisions.iter().filter_map(|d| d.as_ref().ok());
-        lm.wait.record_all(tickets().map(|t| t.wait_ns));
-        let admitted = tickets().count() as u64;
-        let shed = decisions.len() as u64 - admitted;
-        // A batch of one moves one counter, as a single admit did.
-        if admitted > 0 {
-            lm.admitted.add(admitted);
-        }
-        if shed > 0 {
-            lm.shed.add(shed);
-        }
-        if let Some(last) = tickets().next_back() {
-            lm.queue.set(i64::try_from(last.queue_depth).unwrap_or(i64::MAX));
-        }
-        Ok(decisions)
+        self.by_name(project, |entry, now| entry.admit_batch(now, lane, sizes))
     }
 
     /// The adaptive governor: reads a [`FacilityHealth`] report and
@@ -920,23 +1010,38 @@ mod tests {
                 throttle(&ctl, &reg, "p", level);
                 (reg, ctl)
             };
+            // By name, on a held account, and as batches of one: each
+            // must decide and publish what the whole batch does.
             let (one_reg, one) = twin();
+            let (acct_reg, acct) = twin();
+            let (unit_reg, unit) = twin();
             let (all_reg, all) = twin();
+            let account = acct.account("p").expect("registered");
             let mut t = 0;
             for (dt, lane, sizes) in rounds {
                 t += dt;
-                one_reg.set_virtual_time_ns(t);
-                all_reg.set_virtual_time_ns(t);
+                for reg in [&one_reg, &acct_reg, &unit_reg, &all_reg] {
+                    reg.set_virtual_time_ns(t);
+                }
                 let lane = Lane::ALL[lane];
                 let singles: Vec<_> = sizes.iter().map(|&b| one.admit("p", lane, b)).collect();
+                let held: Vec<_> = sizes.iter().map(|&b| account.admit(lane, b)).collect();
+                let units: Vec<_> =
+                    sizes.iter().flat_map(|&b| unit.admit_batch("p", lane, &[b]).expect("registered")).collect();
                 let batch = all.admit_batch("p", lane, &sizes).expect("registered");
-                prop_assert_eq!(singles, batch);
+                prop_assert_eq!(&singles, &batch);
+                prop_assert_eq!(&held, &batch);
+                prop_assert_eq!(units, batch);
             }
-            prop_assert_eq!(one.usage("p"), all.usage("p"));
-            let (a, b) = (one_reg.snapshot(), all_reg.snapshot());
-            prop_assert_eq!(a.counters, b.counters);
-            prop_assert_eq!(a.gauges, b.gauges);
-            prop_assert_eq!(a.histograms, b.histograms);
+            prop_assert_eq!(account.usage(), all.usage("p").expect("registered"));
+            let all_snap = all_reg.snapshot();
+            for (twin, reg) in [(&one, &one_reg), (&acct, &acct_reg), (&unit, &unit_reg)] {
+                prop_assert_eq!(twin.usage("p"), all.usage("p"));
+                let snap = reg.snapshot();
+                prop_assert_eq!(&snap.counters, &all_snap.counters);
+                prop_assert_eq!(&snap.gauges, &all_snap.gauges);
+                prop_assert_eq!(&snap.histograms, &all_snap.histograms);
+            }
         }
     }
 

@@ -8,7 +8,7 @@ use lsdf_adal::{
     Acl, Adal, Credential, DfsBackend, HsmBackend, ObjectStoreBackend, ResilienceConfig,
     StorageBackend, TokenAuth,
 };
-use lsdf_admission::{AdmissionController, AdmissionError, Lane, QuotaSpec, Ticket};
+use lsdf_admission::{Account, AdmissionController, Lane, QuotaSpec};
 use lsdf_dfs::{ClusterTopology, Dfs, DfsConfig};
 use lsdf_durability::{ComponentDurability, DurabilityConfig, DurableStore, RecoveryStats};
 use lsdf_metadata::{ProjectStore, Schema};
@@ -21,7 +21,7 @@ use lsdf_storage::checksum::X16_MIN_LANES;
 use lsdf_storage::{sha256_kernel, sha256_many_kernel, Hsm, MigrationPolicy, ObjectStore};
 
 use crate::error::FacilityError;
-use crate::ingest::{IngestItem, IngestObs};
+use crate::ingest::IngestObs;
 use crate::session::ProjectSession;
 
 /// Which storage component backs a project's data.
@@ -640,36 +640,12 @@ impl Facility {
         RecoveryReport { components }
     }
 
-    /// The QoS lane a project's bulk (write-side) traffic rides.
-    pub(crate) fn default_lane(&self, project: &str) -> Lane {
-        self.lanes.get(project).copied().unwrap_or(Lane::Bulk)
-    }
-
-    /// Serial admission decisions for ingest items, one per item in
-    /// submission order, made on the caller thread (never inside pool
-    /// workers) so decisions are identical at every worker count. Each
-    /// run of consecutive items of one project passes the front door as
-    /// one [`AdmissionController::admit_batch`]. Unknown projects keep
-    /// their legacy `FacilityError::UnknownProject`.
-    pub(crate) fn admit_ingest(&self, items: &[IngestItem]) -> Vec<Result<Ticket, FacilityError>> {
-        let mut decisions = Vec::with_capacity(items.len());
-        let mut sizes = Vec::new();
-        for run in items.chunk_by(|a, b| a.project == b.project) {
-            let project = &run[0].project;
-            sizes.clear();
-            sizes.extend(run.iter().map(|item| item.data.len() as u64));
-            match self.admission.admit_batch(project, self.default_lane(project), &sizes) {
-                Ok(tickets) => decisions.extend(tickets.into_iter().map(|t| t.map_err(FacilityError::from))),
-                Err(e) => {
-                    let e = match e {
-                        AdmissionError::UnknownProject(p) => FacilityError::UnknownProject(p),
-                        e => e.into(),
-                    };
-                    decisions.extend(run.iter().map(|_| Err(e.clone())));
-                }
-            }
-        }
-        decisions
+    /// A project's front door, resolved once for a session or an ingest
+    /// run: its admission account and the lane its writes ride.
+    pub(crate) fn front_door(&self, project: &str) -> Result<(Account, Lane), FacilityError> {
+        let unknown = |_| FacilityError::UnknownProject(project.to_string());
+        let account = self.admission.account(project).map_err(unknown)?;
+        Ok((account, self.lanes.get(project).copied().unwrap_or(Lane::Bulk)))
     }
 
     /// Opens a session on `project` under the admin credential: the
@@ -679,16 +655,15 @@ impl Facility {
     }
 
     /// Opens a session on `project` under a caller-supplied credential
-    /// (register + grant the user first).
+    /// (register + grant the user first). The credential is checked by
+    /// the session's first op, not here.
     pub fn session_as(
         &self,
         project: &str,
         cred: Credential,
     ) -> Result<ProjectSession<'_>, FacilityError> {
-        if !self.stores.contains_key(project) {
-            return Err(FacilityError::UnknownProject(project.to_string()));
-        }
-        Ok(ProjectSession::new(self, project.to_string(), cred))
+        let (account, write_lane) = self.front_door(project)?;
+        Ok(ProjectSession::new(self, project.to_string(), cred, account, write_lane))
     }
 
     /// A project's metadata store.
@@ -724,11 +699,18 @@ impl Facility {
     pub fn grant(&self, user: &str, project: &str, write: bool) {
         self.acl.grant(user, project, write);
     }
+
+    /// Revokes a user's access to a project. Open sessions and handles
+    /// see it on their next op.
+    pub fn revoke(&self, user: &str, project: &str) {
+        self.acl.revoke(user, project);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lsdf_admission::AdmissionError;
     use lsdf_metadata::{zebrafish_schema, FieldType, SchemaBuilder};
     use lsdf_obs::names;
 
@@ -764,8 +746,14 @@ mod tests {
     fn builder_wires_projects_and_backends() {
         let f = mini();
         assert_eq!(f.projects(), vec!["katrin", "zebrafish-htm"]);
-        assert_eq!(f.adal().backend_kind("zebrafish-htm"), Some("object-store"));
-        assert_eq!(f.adal().backend_kind("katrin"), Some("hsm"));
+        let backend = |project| f.adal().health(project).map(|h| h.backend);
+        assert_eq!(backend("zebrafish-htm"), Some("object-store"));
+        assert_eq!(backend("katrin"), Some("hsm"));
+        // Reads on the HSM mount ride the tape-recall lane.
+        let admin = f.admin().clone();
+        let class = |project| f.adal().open(&admin, project).map(|h| h.read_class());
+        assert_eq!(class("zebrafish-htm"), Ok(lsdf_adal::RequestClass::InteractiveRead));
+        assert_eq!(class("katrin"), Ok(lsdf_adal::RequestClass::TapeRecall));
         assert!(f.hsm("katrin").is_some());
         assert!(f.hsm("zebrafish-htm").is_none());
         assert!(f.store("zebrafish-htm").is_ok());

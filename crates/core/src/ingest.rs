@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 use bytes::Bytes;
 
-use lsdf_adal::{AdalError, BackendError, Credential, PendingPut};
+use lsdf_adal::{AdalError, BackendError, Credential, OpKind, PendingPut, ProjectHandle};
 use lsdf_metadata::{DatasetId, Document, NewDataset, ProjectStore};
 use lsdf_obs::{Counter, Histogram, Registry, TraceCtx};
 use lsdf_storage::Payload;
@@ -147,6 +147,12 @@ struct StagedIngest<'a> {
 /// when a catalog entry was created, and the payload bytes accepted.
 type Ingested = Result<(Option<DatasetId>, u64), FacilityError>;
 
+/// What the front door answers per item: the index of its run's
+/// handle and its simulated admission wait; an admission error when
+/// shed; any other error when refused (an unknown project, or an open
+/// the ADAL refused), which staging reports as the item's rejection.
+type Door = Result<(usize, u64), FacilityError>;
+
 /// The answer for an item a layer below returned no result for: an
 /// error, never an ack.
 fn no_result() -> FacilityError {
@@ -175,26 +181,22 @@ impl Facility {
     /// `facility_ingest_total{project,outcome}` plus a
     /// `facility_ingest_bytes{project}` histogram for accepted payloads.
     ///
-    /// The item passes the admission front door first: a project over
-    /// its quota gets [`FacilityError::Admission`] with `retry_after_ns`
-    /// before any byte reaches storage. From there a single item is a
-    /// batch of one: stage, then finalize.
+    /// The item passes the front door first: a project over its quota
+    /// gets [`FacilityError::Admission`] with `retry_after_ns` before
+    /// any byte reaches storage. From there a single item is a batch of
+    /// one: stage, then finalize.
     pub fn ingest(
         &self,
         cred: &Credential,
         item: IngestItem,
         policy: IngestPolicy,
     ) -> Result<Option<DatasetId>, FacilityError> {
-        let ticket = self
-            .admit_ingest(std::slice::from_ref(&item))
-            .pop()
-            .unwrap_or_else(|| Err(no_result()))?;
-        let staged = self.ingest_stage_all(
-            &TraceCtx::disabled(),
-            cred,
-            vec![(item, ticket.wait_ns)],
-            policy,
-        );
+        let (handles, mut doors) = self.front_door_batch(cred, std::slice::from_ref(&item));
+        let door = doors.pop().unwrap_or_else(|| Err(no_result()));
+        if let Err(shed @ FacilityError::Admission(_)) = door {
+            return Err(shed);
+        }
+        let staged = self.ingest_stage_all(&TraceCtx::disabled(), &handles, vec![(item, door)], policy);
         let (id, _) = self
             .ingest_finalize(staged)
             .pop()
@@ -202,36 +204,88 @@ impl Facility {
         Ok(id)
     }
 
-    /// The one staging body under [`Facility::ingest`] and
-    /// [`Facility::ingest_batch`]: hashes every admitted payload in one
-    /// pass ([`Facility::hash_pass`]), then fans the items out across the
-    /// pool to [`Facility::ingest_stage`], each under its own
-    /// `pool_task` span of `trace` (with an `admission_wait` child when
-    /// the front door queued it). Results come back in submission order.
-    fn ingest_stage_all(
-        &self,
-        trace: &TraceCtx,
+    /// The serial front door of a batch: on the caller thread, before
+    /// any pool fan-out and in submission order, so its answers are the
+    /// same at every worker count. Each run of consecutive items of one
+    /// project is opened in the ADAL once and authorized to write, then
+    /// admitted as one [`lsdf_admission::Account::admit_batch`]:
+    /// authorized before admitted, so a refused item spends no token,
+    /// and staging does not authenticate per item. A run the ADAL
+    /// refuses is refused item by item, each on an open of its own as a
+    /// session's ops are (each one denied request), until one is let
+    /// in; the rest of the run is admitted under that handle.
+    fn front_door_batch<'f>(
+        &'f self,
         cred: &Credential,
-        admitted: Vec<(IngestItem, u64)>,
+        items: &[IngestItem],
+    ) -> (Vec<ProjectHandle<'f>>, Vec<Door>) {
+        let (mut handles, mut doors) = (Vec::new(), Vec::with_capacity(items.len()));
+        let mut sizes = Vec::new();
+        for run in items.chunk_by(|a, b| a.project == b.project) {
+            let project = &run[0].project;
+            let (account, lane) = match self.front_door(project) {
+                Ok(door) => door,
+                Err(e) => {
+                    doors.extend(run.iter().map(|_| Err(e.clone())));
+                    continue;
+                }
+            };
+            let mut rest = run;
+            let handle = loop {
+                let Some((_, tail)) = rest.split_first() else { break None };
+                let opened = self.adal().open(cred, project);
+                match opened.and_then(|handle| handle.authorize(OpKind::Put).map(|()| handle)) {
+                    Ok(handle) => break Some(handle),
+                    Err(e) => {
+                        doors.push(Err(e.into()));
+                        rest = tail;
+                    }
+                }
+            };
+            let Some(handle) = handle else { continue };
+            sizes.clear();
+            sizes.extend(rest.iter().map(|item| item.data.len() as u64));
+            let at = handles.len();
+            handles.push(handle);
+            let decided = account.admit_batch(lane, &sizes).into_iter();
+            doors.extend(decided.map(|d| d.map(|t| (at, t.wait_ns)).map_err(FacilityError::from)));
+        }
+        (handles, doors)
+    }
+
+    /// The one staging body under [`Facility::ingest`] and
+    /// [`Facility::ingest_batch`]: hashes every payload in one pass
+    /// ([`Facility::hash_pass`]), then fans the items out across the
+    /// pool to [`Facility::ingest_stage`] with their run's handle, each
+    /// under its own `pool_task` span of `trace` (with an
+    /// `admission_wait` child when the front door queued it). Results
+    /// come back in submission order.
+    fn ingest_stage_all<'f>(
+        &'f self,
+        trace: &TraceCtx,
+        handles: &[ProjectHandle<'_>],
+        doors: Vec<(IngestItem, Door)>,
         policy: IngestPolicy,
-    ) -> Vec<Result<StagedIngest<'_>, FacilityError>> {
-        let (items, payloads): (Vec<_>, Vec<Payload>) = admitted
+    ) -> Vec<Result<StagedIngest<'f>, FacilityError>> {
+        let (items, payloads): (Vec<_>, Vec<Payload>) = doors
             .into_iter()
-            .map(|(mut item, wait_ns)| {
+            .map(|(mut item, door)| {
                 let data = Payload::new(std::mem::take(&mut item.data));
-                ((item, wait_ns), data)
+                ((item, door), data)
             })
             .unzip();
         self.hash_pass(&payloads);
         let tasks: Vec<_> = items.into_iter().zip(payloads).collect();
         self.pool()
-            .run_traced(trace, tasks, |_, ((item, wait_ns), data), ctx| {
+            .run_traced(trace, tasks, |_, ((item, door), data), ctx| {
+                let wait_ns = door.as_ref().map_or(0, |&(_, wait_ns)| wait_ns);
                 if wait_ns > 0 && ctx.is_enabled() {
                     let span = ctx.child(names::ADMISSION_WAIT_SPAN);
                     span.add_field("wait_ns", &wait_ns.to_string());
                     span.finish_at(self.obs().now_ns() + wait_ns);
                 }
-                self.ingest_stage(ctx, cred, item, data, policy)
+                let handle = door.and_then(|(run, _)| handles.get(run).ok_or_else(no_result));
+                self.ingest_stage(ctx, handle, item, data, policy)
             })
     }
 
@@ -259,12 +313,13 @@ impl Facility {
     /// that fails here is counted as rejected, and its latency recorded,
     /// here; its payload was hashed by the pass but is never stored.
     ///
-    /// Admission is *not* checked here — callers admit before this runs.
-    /// `item.data` has been moved into `data`.
+    /// Admission is *not* checked here — callers admit before this runs,
+    /// and hand over the run's `handle`, or why the front door refused
+    /// the item. `item.data` has been moved into `data`.
     fn ingest_stage(
         &self,
         ctx: &TraceCtx,
-        cred: &Credential,
+        handle: Result<&ProjectHandle<'_>, FacilityError>,
         item: IngestItem,
         data: Payload,
         policy: IngestPolicy,
@@ -287,18 +342,17 @@ impl Facility {
             Ok(doc) => doc,
             Err(reason) => return Err(reject(FacilityError::MetadataRequired { key: item.key, reason })),
         };
+        let handle = handle.map_err(reject)?;
         // One SHA-256 per acked payload: the memoized digest travels
         // with the handle, so the object store / replica reuse it.
         let digest = data.digest();
-        let location = format!("lsdf://{}/{}", item.project, item.key);
         let size = data.len() as u64;
-        let pending = self
-            .adal()
-            .put_stage_traced(ctx, cred, &location, data)
+        let pending = handle
+            .put_stage(ctx, &item.key, data)
             .map_err(|e| reject(e.into()))?;
         let dataset = doc.map(|basic| NewDataset {
+            location: format!("lsdf://{}/{}", item.project, item.key),
             name: item.key,
-            location,
             size_bytes: size,
             checksum_hex: digest.to_hex(),
             basic,
@@ -400,11 +454,13 @@ impl Facility {
 
     /// Ingests a batch, tallying outcomes instead of failing fast.
     ///
-    /// Admission runs as a serial pre-pass on the caller thread, in
-    /// submission order, *before* the pool fan-out: token-bucket
-    /// decisions (admit / wait / shed) therefore never depend on worker
-    /// interleaving. Shed items are tallied in [`IngestReport::shed`]
-    /// and never reach storage.
+    /// The front door (open, then admission) runs as a serial pre-pass
+    /// on the caller thread, in submission order, *before* the pool
+    /// fan-out: token-bucket decisions (admit / wait / shed) therefore
+    /// never depend on worker interleaving. Shed items are tallied in
+    /// [`IngestReport::shed`] and never reach storage; items whose
+    /// project the credential may not write are rejected, spending no
+    /// token.
     ///
     /// Admitted items fan out across the facility's worker pool (see
     /// [`crate::facility::FacilityBuilder::workers`]); per-item
@@ -425,28 +481,26 @@ impl Facility {
             }
             None => TraceCtx::disabled(),
         };
-        // Serial admission pre-pass: deterministic at any worker count.
+        // Serial front door: deterministic at any worker count.
         let mut shed = 0u64;
-        let decisions = self.admit_ingest(&items);
-        let admitted: Vec<(IngestItem, u64)> = items
+        let (handles, doors) = self.front_door_batch(cred, &items);
+        let admitted: Vec<(IngestItem, Door)> = items
             .into_iter()
-            .zip(decisions)
-            .filter_map(|(item, decision)| match decision {
-                Ok(ticket) => Some((item, ticket.wait_ns)),
-                // Unknown projects fall through to the pool so the
-                // per-item pipeline reports them as rejected, exactly
-                // as before admission existed.
-                Err(FacilityError::UnknownProject(_)) => Some((item, 0)),
-                Err(_) => {
+            .zip(doors)
+            .filter_map(|(item, door)| match door {
+                Err(FacilityError::Admission(_)) => {
                     shed += 1;
                     None
                 }
+                // Refused items fall through to the pool, so the
+                // per-item pipeline reports them as rejected.
+                door => Some((item, door)),
             })
             .collect();
         // One hash pass, then workers stage items (validation, block
         // placement); the metadata commits that serialise on shared
         // state happen below, batched, after the fan-out.
-        let staged = self.ingest_stage_all(&trace, cred, admitted, policy);
+        let staged = self.ingest_stage_all(&trace, &handles, admitted, policy);
         let results = self.ingest_finalize(staged);
         trace.finish();
         // Telemetry scrape in the serial tail: at most one scrape per

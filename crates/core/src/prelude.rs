@@ -16,12 +16,12 @@ pub use lsdf_durability::{DurabilityConfig, DurableStore};
 
 pub use lsdf_adal::{
     Acl, Adal, AdalBuilder, AdalError, BackendError, BreakerConfig, BreakerState,
-    Credential, EntryMeta, HealthReport, OpKind, RequestClass, ResilienceConfig, RetryPolicy,
-    StorageBackend, TokenAuth,
+    Credential, EntryMeta, HealthReport, OpKind, ProjectHandle, RequestClass, ResilienceConfig,
+    RetryPolicy, StorageBackend, TokenAuth,
 };
 
 pub use lsdf_admission::{
-    AdmissionController, AdmissionError, Lane, ProjectUsage, QuotaSpec, Ticket,
+    Account, AdmissionController, AdmissionError, Lane, ProjectUsage, QuotaSpec, Ticket,
 };
 
 pub use lsdf_dfs::{ClusterTopology, Dfs, DfsConfig, DfsError, PlacementPolicy};

@@ -1,13 +1,18 @@
 //! Session-scoped tenant handle: every operation a project performs
-//! rides one [`ProjectSession`], which classifies the request into a
-//! QoS lane, passes the admission front door, and only then touches
-//! the ADAL. This is the API the multi-tenant redesign converges on —
-//! facility-level `adal()` access remains for operators and tests.
+//! rides one [`ProjectSession`]. A session is a resolved capability. It
+//! holds the project opened in the ADAL for its credential (a
+//! [`ProjectHandle`]), the project's admission [`Account`] and the lane
+//! its writes ride, so an op authorizes, passes the front door and
+//! reaches the backend without looking any of them up by name. This is
+//! the API the multi-tenant redesign converges on — facility-level
+//! `adal()` access remains for operators and tests.
+
+use std::cell::RefCell;
 
 use bytes::Bytes;
 
-use lsdf_adal::{Credential, HealthReport, OpKind, RequestClass};
-use lsdf_admission::{Lane, ProjectUsage, Ticket};
+use lsdf_adal::{Credential, HealthReport, OpKind, ProjectHandle, RequestClass};
+use lsdf_admission::{Account, Lane, ProjectUsage, Ticket};
 use lsdf_storage::Payload;
 
 use crate::error::FacilityError;
@@ -17,18 +22,37 @@ use crate::ingest::{IngestItem, IngestPolicy, IngestReport};
 /// A tenant's handle on the facility, scoped to one project and one
 /// credential. Obtained from [`Facility::session`] /
 /// [`Facility::session_as`].
+///
+/// An op first checks the session's handle: opened on the first op,
+/// re-opened when a grant, a token or a mount changed since (a revoke
+/// fails the very next op), and never kept when the ADAL refused it (the
+/// next op opens anew). Only then does it spend an admission token, so
+/// a refused request spends none. The handle lives in a `RefCell`: a
+/// session is one thread's, and every thread opens its own.
 pub struct ProjectSession<'a> {
     facility: &'a Facility,
     project: String,
     cred: Credential,
+    handle: RefCell<Option<ProjectHandle<'a>>>,
+    account: Account,
+    write_lane: Lane,
 }
 
 impl<'a> ProjectSession<'a> {
-    pub(crate) fn new(facility: &'a Facility, project: String, cred: Credential) -> Self {
+    pub(crate) fn new(
+        facility: &'a Facility,
+        project: String,
+        cred: Credential,
+        account: Account,
+        write_lane: Lane,
+    ) -> Self {
         ProjectSession {
             facility,
             project,
             cred,
+            handle: RefCell::new(None),
+            account,
+            write_lane,
         }
     }
 
@@ -37,19 +61,20 @@ impl<'a> ProjectSession<'a> {
         &self.project
     }
 
-    fn path(&self, key: &str) -> String {
-        format!("lsdf://{}/{}", self.project, key)
-    }
-
-    /// Maps the ADAL's request classification onto the admission lane:
-    /// reads ride the interactive (or tape-recall) lane per request,
-    /// writes ride the lane the tenant registered for bulk traffic.
-    fn lane(&self, class: RequestClass) -> Lane {
-        match class {
-            RequestClass::InteractiveRead => Lane::Interactive,
-            RequestClass::TapeRecall => Lane::TapeRecall,
-            RequestClass::BulkWrite => self.facility.default_lane(&self.project),
+    /// Runs `op` on the session's handle, opening it first when there is
+    /// none or it is no longer current. A refused open is returned (the
+    /// ADAL counted it denied) before `op` runs, and is not kept.
+    fn with_handle<T>(
+        &self,
+        op: impl FnOnce(&ProjectHandle<'a>) -> Result<T, FacilityError>,
+    ) -> Result<T, FacilityError> {
+        let mut slot = self.handle.borrow_mut();
+        if let Some(handle) = slot.as_ref().filter(|h| h.is_current()) {
+            return op(handle);
         }
+        *slot = None;
+        let handle = slot.insert(self.facility.adal().open(&self.cred, &self.project)?);
+        op(handle)
     }
 
     /// Stores an object under `key`, passing admission first. Returns
@@ -58,23 +83,26 @@ impl<'a> ProjectSession<'a> {
     /// `retry_after_ns`, before any byte reaches storage.
     pub fn put(&self, key: &str, data: impl Into<Payload>) -> Result<Ticket, FacilityError> {
         let data = data.into();
-        let class = self.facility.adal().classify(OpKind::Put, &self.project);
-        let ticket =
-            self.facility
-                .admission()
-                .admit(&self.project, self.lane(class), data.len() as u64)?;
-        self.facility.adal().put(&self.cred, &self.path(key), data)?;
-        Ok(ticket)
+        self.with_handle(|handle| {
+            handle.authorize(OpKind::Put)?;
+            let ticket = self.account.admit(self.write_lane, data.len() as u64)?;
+            handle.put(key, data)?;
+            Ok(ticket)
+        })
     }
 
     /// Fetches the object under `key`; reads spend an operation token
-    /// on the interactive (or tape-recall) lane but no byte tokens.
+    /// on the interactive (or, on an HSM mount, tape-recall) lane but
+    /// no byte tokens.
     pub fn get(&self, key: &str) -> Result<Bytes, FacilityError> {
-        let class = self.facility.adal().classify(OpKind::Get, &self.project);
-        self.facility
-            .admission()
-            .admit(&self.project, self.lane(class), 0)?;
-        Ok(self.facility.adal().get(&self.cred, &self.path(key))?)
+        self.with_handle(|handle| {
+            let lane = match handle.read_class() {
+                RequestClass::InteractiveRead => Lane::Interactive,
+                RequestClass::TapeRecall => Lane::TapeRecall,
+            };
+            self.account.admit(lane, 0)?;
+            Ok(handle.get(key)?)
+        })
     }
 
     /// Batch-ingests `items` into this session's project (each item's
@@ -102,9 +130,6 @@ impl<'a> ProjectSession<'a> {
     /// The project's front-door account: admitted/shed requests,
     /// admitted bytes, and the governor's current throttle level.
     pub fn usage(&self) -> ProjectUsage {
-        self.facility
-            .admission()
-            .usage(&self.project)
-            .unwrap_or_default()
+        self.account.usage()
     }
 }

@@ -39,15 +39,17 @@ pub const POOL_SLOT: LockRank = rank(50, "pool_slot");
 pub const ADMISSION_PROJECTS: LockRank = rank(100, "admission_projects");
 
 /// Per-project admission state (`ProjectEntry::state`); locked while
-/// the project table read guard is still held.
+/// the project table read guard is still held by a decision by name,
+/// and with no other lock through an `Account`.
 pub const ADMISSION_PROJECT_STATE: LockRank = rank(110, "admission_project_state");
 
-/// The static token registry (`TokenAuth::tokens`): read once at the
-/// head of every ADAL call, before the ACL. Leaf lock.
+/// The static token registry (`TokenAuth::tokens`): read once when a
+/// project is opened (`Adal::open`, or an op by path), before the ACL;
+/// an op on an open handle reads an epoch instead. Leaf lock.
 pub const ADAL_AUTH_TOKENS: LockRank = rank(170, "adal_auth_tokens");
 
 /// The per-project ACL (`Acl::grants`): read after authentication and
-/// before the mount lookup. Leaf lock.
+/// before the mount lookup, when a project is opened. Leaf lock.
 pub const ADAL_ACL_GRANTS: LockRank = rank(180, "adal_acl_grants");
 
 /// ADAL mount table (`Adal::mounts`): a lookup clones the mount out and
