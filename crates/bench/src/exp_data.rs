@@ -318,7 +318,7 @@ pub fn e11_workflow(quick: bool) -> ExpReport {
             remove_trigger_tag: true,
             build: Box::new(move |id, sink| {
                 let rec = store2.get(id).expect("dataset");
-                let data = adal.get(&cred, &rec.location).expect("payload");
+                let data = adal.get(&cred, &rec.location()).expect("payload");
                 let mut wf = Workflow::new();
                 let src = wf.add(VecSource::new("img", vec![Token::Data(data.to_vec())]));
                 let seg = wf.add(MapActor::new("segment", |t: Token| {

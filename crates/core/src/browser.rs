@@ -60,7 +60,7 @@ impl<'a> DataBrowser<'a> {
     /// Fetches a dataset's payload via its catalog location.
     pub fn fetch(&self, project: &str, id: DatasetId) -> Result<Bytes, FacilityError> {
         let rec = self.facility.store(project)?.get(id)?;
-        Ok(self.facility.adal().get(&self.cred, &rec.location)?)
+        Ok(self.facility.adal().get(&self.cred, &rec.location())?)
     }
 
     /// Tags a dataset (may trigger workflows via the project's

@@ -582,7 +582,7 @@ mod tests {
         let rec = store.get_by_name(&key0).unwrap();
         assert_eq!(rec.size_bytes, payload0.len() as u64);
         assert_eq!(rec.checksum_hex, lsdf_storage::sha256(&payload0).to_hex());
-        assert_eq!(rec.location, path);
+        assert_eq!(rec.location(), path);
         // Indexed query works on ingested metadata.
         assert_eq!(store.query(&eq("fish_id", 0i64)).len(), 24);
     }

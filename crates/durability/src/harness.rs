@@ -200,10 +200,11 @@ impl ComponentDurability {
             }
             Loaded::Absent => 0,
         };
-        let replay = self.log.replay_from(from_epoch);
-        stats.torn_tails = replay.torn_tails;
-        let read = replay.records.len() as u64;
-        stats.replayed = replay.records.iter().filter(|payload| apply(payload)).count() as u64;
+        let mut read = 0;
+        (stats.torn_tails, _) = self.log.replay_with(from_epoch, |payload| {
+            read += 1;
+            stats.replayed += u64::from(apply(payload));
+        });
         stats.skipped = read - stats.replayed;
         self.obs.runs.inc();
         self.obs.replayed.add(stats.replayed);

@@ -247,7 +247,18 @@ impl DurableLog {
     /// the *next* crash too — without the repair they would hide
     /// behind the garbage tail and vanish from every later replay.
     pub fn replay_from(&self, from_epoch: u64) -> Replay {
-        let mut out = Replay::default();
+        let mut records = Vec::new();
+        let (torn_tails, segments) = self.replay_with(from_epoch, |record| records.push(record.to_vec()));
+        Replay { records, torn_tails, segments }
+    }
+
+    /// [`DurableLog::replay_from`] without a copy of each record: every
+    /// committed payload is lent to `visit`, in log order, from one
+    /// snapshot of its segment (no device lock is held while `visit`
+    /// runs). Torn tails are repaired alike. Returns `(torn tails,
+    /// segments scanned)`.
+    pub fn replay_with(&self, from_epoch: u64, mut visit: impl FnMut(&[u8])) -> (u64, u64) {
+        let (mut torn_tails, mut segments) = (0, 0);
         let mut devices: Vec<(u64, String)> = self
             .store
             .names_with_prefix(&format!("{}-wal-", self.name))
@@ -257,20 +268,17 @@ impl DurableLog {
             .collect();
         devices.sort();
         for (_, device) in devices {
-            out.segments += 1;
+            segments += 1;
             let Some(dev) = self.store.get(&device) else { continue };
             let bytes = dev.read();
-            let (records, torn) = parse_frames(&bytes);
+            let (committed, torn) = visit_frames(&bytes, &mut visit);
             if torn {
-                out.torn_tails += 1;
+                torn_tails += 1;
                 self.obs.torn_tails.inc();
-                let committed: usize =
-                    records.iter().map(|r| FRAME_HEADER_LEN + r.len()).sum();
                 dev.truncate(committed);
             }
-            out.records.extend(records);
         }
-        out
+        (torn_tails, segments)
     }
 
     /// Simulates a crash mid-write of an *un-acked* record: stages the
@@ -291,28 +299,36 @@ impl DurableLog {
 /// panics on any input.
 pub fn parse_frames(bytes: &[u8]) -> (Vec<Vec<u8>>, bool) {
     let mut records = Vec::new();
+    let (_, torn) = visit_frames(bytes, |payload| records.push(payload.to_vec()));
+    (records, torn)
+}
+
+/// [`parse_frames`], each committed payload lent to `visit` where it
+/// lies in `bytes`. Returns the committed prefix's length in bytes and
+/// whether a torn/corrupt tail follows it.
+fn visit_frames<'a>(bytes: &'a [u8], mut visit: impl FnMut(&'a [u8])) -> (usize, bool) {
     let mut pos = 0usize;
     while pos < bytes.len() {
         let rest = &bytes[pos..];
         if rest.len() < FRAME_HEADER_LEN || rest[0] != FRAME_MAGIC {
-            return (records, true);
+            return (pos, true);
         }
         let len = u32::from_le_bytes([rest[1], rest[2], rest[3], rest[4]]);
         let crc = u32::from_le_bytes([rest[5], rest[6], rest[7], rest[8]]);
         if len > MAX_RECORD_LEN {
-            return (records, true);
+            return (pos, true);
         }
         let len = len as usize;
         let Some(payload) = rest.get(FRAME_HEADER_LEN..FRAME_HEADER_LEN + len) else {
-            return (records, true);
+            return (pos, true);
         };
         if crc32(payload) != crc {
-            return (records, true);
+            return (pos, true);
         }
-        records.push(payload.to_vec());
+        visit(payload);
         pos += FRAME_HEADER_LEN + len;
     }
-    (records, false)
+    (pos, false)
 }
 
 #[cfg(test)]

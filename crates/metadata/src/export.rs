@@ -98,9 +98,9 @@ pub fn record_to_json(rec: &DatasetRecord) -> String {
          \"basic\":{},\"tags\":[{}],\"processing\":[{}]}}",
         rec.id.0,
         json_string(&rec.name),
-        json_string(&rec.location),
+        json_string(&rec.location()),
         rec.size_bytes,
-        json_string(&rec.checksum_hex),
+        json_string(&rec.checksum_hex.to_string()),
         object_to_json(rec.basic.iter()),
         tags.join(","),
         processing.join(",")
@@ -116,7 +116,7 @@ pub fn records_to_json(recs: &[impl Borrow<DatasetRecord>]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{DatasetId, ProcessingResult};
+    use crate::record::{DatasetId, Location, ProcessingResult};
     use crate::schema::SchemaBuilder;
     use crate::value::FieldType;
 
@@ -174,9 +174,9 @@ mod tests {
         let rec = DatasetRecord {
             id: DatasetId(7),
             name: "img-1".into(),
-            location: "lsdf://p/img-1".into(),
+            location: Location::Given("lsdf://p/img-1".into()),
             size_bytes: 42,
-            checksum_hex: "abcd".into(),
+            checksum_hex: "abcd".to_string().into(),
             basic: schema.shape([("fish".to_string(), Value::Int(3))].into_iter().collect()).unwrap(),
             processing: vec![ProcessingResult {
                 step: "seg".into(),

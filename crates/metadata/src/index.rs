@@ -55,8 +55,10 @@ pub struct FieldIndex {
 /// sorted by value (for fields that grow with the id, a timestamp or a
 /// run number, they already are), grouped, and the map is built
 /// bottom-up from the sorted run, where inserting them one by one
-/// descends the tree once per posting. Equal to the index those
-/// inserts build, in any input order.
+/// descends the tree once per posting. Each key's run of ids is
+/// measured before its list is made, so a list is allocated once at
+/// its final size rather than grown by doubling. Equal to the index
+/// those inserts build, in any input order.
 impl<'a> FromIterator<(&'a Value, DatasetId)> for FieldIndex {
     fn from_iter<I: IntoIterator<Item = (&'a Value, DatasetId)>>(postings: I) -> Self {
         let mut run: Vec<(OrderKey, DatasetId)> =
@@ -64,11 +66,19 @@ impl<'a> FromIterator<(&'a Value, DatasetId)> for FieldIndex {
         run.sort_unstable();
         let entries = run.len() as u64;
         let mut grouped: Vec<(OrderKey, Posting)> = Vec::new();
-        for (key, id) in run {
-            match grouped.last_mut() {
-                Some((last, posting)) if *last == key => posting.push(id),
-                _ => grouped.push((key, Posting::One(id))),
-            }
+        let mut rest = run.into_iter();
+        while let Some((key, first)) = rest.next() {
+            let more = rest.as_slice().iter().take_while(|(k, _)| *k == key).count();
+            let posting = match more {
+                0 => Posting::One(first),
+                _ => {
+                    let mut ids = Vec::with_capacity(1 + more);
+                    ids.push(first);
+                    ids.extend(rest.by_ref().take(more).map(|(_, id)| id));
+                    Posting::Many(ids)
+                }
+            };
+            grouped.push((key, posting));
         }
         FieldIndex { postings: grouped.into_iter().collect(), entries }
     }
@@ -232,6 +242,14 @@ mod tests {
         assert_eq!(built.lookup_eq(&Value::Float(3.0)), [id(0), id(4), id(6)]);
         assert_eq!(built.count_range(Included(&Value::Float(-0.0)), Excluded(&Value::Float(3.0)), 64), 3);
         assert_ne!(built, FieldIndex::from_iter([(&floats[0], id(0))]));
+        // A 24-id list is allocated once at its size, not grown 2 → 32.
+        let group = vec![Value::Int(5); 24];
+        let built: FieldIndex = group.iter().enumerate().map(|(i, v)| (v, id(i as u64))).collect();
+        let lists: Vec<usize> = built.postings.values().map(|p| match p {
+            Posting::One(_) => 1,
+            Posting::Many(ids) => ids.capacity(),
+        }).collect();
+        assert_eq!(lists, [24]);
     }
 
     #[test]

@@ -187,7 +187,7 @@ impl Bound {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::DatasetId;
+    use crate::record::{DatasetId, Location};
     use crate::schema::{Document, SchemaBuilder};
 
     fn rec(pairs: &[(&str, Value)], tags: &[&str]) -> DatasetRecord {
@@ -197,9 +197,9 @@ mod tests {
         DatasetRecord {
             id: DatasetId(0),
             name: "r".into(),
-            location: String::new(),
+            location: Location::Given(String::new()),
             size_bytes: 0,
-            checksum_hex: String::new(),
+            checksum_hex: Default::default(),
             basic: schema.shape(doc).unwrap(),
             processing: vec![],
             tags: tags.iter().map(|t| t.to_string()).collect(),

@@ -4,8 +4,9 @@
 
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
-use std::collections::hash_map::Entry;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -15,7 +16,7 @@ use lsdf_sync::{ranks, OrderedRwLock};
 use crate::events::{MetadataEvent, Subscriber};
 use crate::index::{FieldIndex, TagIndex};
 use crate::query::Predicate;
-use crate::record::{DatasetId, DatasetRecord, ProcessingResult};
+use crate::record::{DatasetId, DatasetRecord, Location, ProcessingResult};
 use crate::schema::{Document, Schema, SchemaError};
 use crate::value::Value;
 use crate::wal::{MetaSnapshot, MetaWalRecord};
@@ -71,14 +72,108 @@ pub struct NewDataset {
     pub basic: Document,
 }
 
+/// A hash that is already a hash, used as its own.
+#[derive(Default)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `u64` keys are hashed here; fold anything else in anyway.
+        self.0 = bytes.iter().fold(self.0, |h, &b| h.rotate_left(8) ^ u64::from(b));
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// The catalog's names, each held once, by its record: the map is keyed
+/// by a name's 64-bit hash, under a seed of the store's own, and a hit
+/// is confirmed against the name of the record it points at. A name
+/// whose hash an earlier, other name already holds is kept by value in
+/// `collided`, which only a lookup that finds a hit on another name
+/// reads. Names are never removed (a crash clears the whole map), so
+/// every name of a hash in the map is the one it points at or in
+/// `collided`.
+#[derive(Default)]
+struct NameMap {
+    seed: RandomState,
+    by_hash: HashMap<u64, DatasetId, BuildHasherDefault<Prehashed>>,
+    collided: HashMap<String, DatasetId>,
+    /// Puts every name in one bucket, so tests can drive `collided`.
+    #[cfg(test)]
+    one_bucket: bool,
+}
+
+impl NameMap {
+    /// An empty map that hashes as this one does.
+    fn emptied(&self) -> NameMap {
+        NameMap {
+            seed: self.seed.clone(),
+            by_hash: HashMap::default(),
+            collided: HashMap::new(),
+            #[cfg(test)]
+            one_bucket: self.one_bucket,
+        }
+    }
+
+    fn hash(&self, name: &str) -> u64 {
+        #[cfg(test)]
+        if self.one_bucket {
+            return 0;
+        }
+        self.seed.hash_one(name)
+    }
+
+    /// The id of the record called `name`, `records` being the catalog
+    /// the map was built over.
+    fn get(&self, name: &str, records: &[Arc<DatasetRecord>]) -> Option<DatasetId> {
+        let &id = self.by_hash.get(&self.hash(name))?;
+        match records[id.0 as usize].name == name {
+            true => Some(id),
+            false => self.collided.get(name).copied(),
+        }
+    }
+
+    /// Names `id` `name`, which `records` must hold a record called
+    /// when the map is next read; `false`, with nothing changed, when
+    /// the name is taken.
+    fn claim(&mut self, name: &str, id: DatasetId, records: &[Arc<DatasetRecord>]) -> bool {
+        match self.by_hash.entry(self.hash(name)) {
+            Entry::Vacant(slot) => {
+                slot.insert(id);
+                true
+            }
+            Entry::Occupied(slot) if records[slot.get().0 as usize].name == name => false,
+            Entry::Occupied(_) if self.collided.contains_key(name) => false,
+            Entry::Occupied(_) => {
+                self.collided.insert(name.to_owned(), id);
+                true
+            }
+        }
+    }
+
+    fn clear(&mut self) {
+        self.by_hash.clear();
+        self.collided.clear();
+    }
+}
+
 struct StoreState {
     /// What shaped every record here, and reads stored ones back.
     schema: Schema,
+    /// `lsdf://{project}/`: where a derived location is, before the
+    /// record's name. One allocation, shared by every such record.
+    prefix: Arc<str>,
     /// Shared with every reader that was handed one: a mutation goes
     /// through [`Arc::make_mut`], which copies the record first when a
     /// reader still holds it, so a handle is a snapshot as of its read.
     records: Vec<Arc<DatasetRecord>>,
-    by_name: HashMap<String, DatasetId>,
+    by_name: NameMap,
     /// One index per indexed field, beside the field's slot. Empty
     /// while a recovery runs: [`StoreState::reindex`] ends it.
     field_indexes: Vec<(usize, FieldIndex)>,
@@ -111,10 +206,9 @@ impl StoreState {
     /// already taken is refused and handed back.
     fn register(&mut self, mut rec: DatasetRecord) -> Result<DatasetId, String> {
         let id = DatasetId(self.records.len() as u64);
-        match self.by_name.entry(rec.name.clone()) {
-            Entry::Occupied(_) => return Err(rec.name),
-            Entry::Vacant(slot) => slot.insert(id),
-        };
+        if !self.by_name.claim(&rec.name, id, &self.records) {
+            return Err(rec.name);
+        }
         rec.id = id;
         for (slot, idx) in self.field_indexes.iter_mut() {
             if let Some(v) = rec.basic.slot(*slot) {
@@ -167,18 +261,19 @@ impl StoreState {
     fn install(&mut self, chunks: &Chunks<'_>) -> bool {
         // A crash leaves both empty with the capacity they had: decoded
         // into them, the catalog comes back without either regrowing.
+        let emptied = self.by_name.emptied();
         let (mut records, mut by_name) = match self.records.is_empty() {
-            true => (std::mem::take(&mut self.records), std::mem::take(&mut self.by_name)),
-            false => Default::default(),
+            true => (std::mem::take(&mut self.records), std::mem::replace(&mut self.by_name, emptied)),
+            false => (Vec::new(), emptied),
         };
-        let schema = &self.schema;
-        if !chunks.try_for_each(|chunk| MetaSnapshot::decode_chunk(chunk, schema, &mut records).is_some()) {
+        let (schema, prefix) = (&self.schema, &self.prefix);
+        if !chunks.try_for_each(|chunk| MetaSnapshot::decode_chunk(chunk, schema, prefix, &mut records).is_some()) {
             return false;
         }
-        by_name.reserve(records.len());
+        by_name.by_hash.reserve(records.len());
         let mut tag_index = TagIndex::new();
         for rec in &records {
-            if by_name.insert(rec.name.clone(), rec.id).is_some() {
+            if !by_name.claim(&rec.name, rec.id, &records) {
                 return false;
             }
             for t in &rec.tags {
@@ -319,15 +414,16 @@ fn range_of(pred: &Predicate) -> Option<(&str, Bound<&Value>, Bound<&Value>)> {
 
 impl NewDataset {
     /// The catalog record this registration becomes, its document
-    /// validated against `schema` and moved into the schema's shape;
-    /// the store assigns the id when it registers it.
-    fn into_record(self, schema: &Schema) -> Result<DatasetRecord, SchemaError> {
+    /// validated against `schema` and moved into the schema's shape, a
+    /// location under `prefix` held as derived and a SHA-256 as its
+    /// bytes; the store assigns the id when it registers it.
+    fn into_record(self, schema: &Schema, prefix: &Arc<str>) -> Result<DatasetRecord, SchemaError> {
         Ok(DatasetRecord {
             id: DatasetId(0),
+            location: Location::of(prefix, &self.name, self.location),
             name: self.name,
-            location: self.location,
             size_bytes: self.size_bytes,
-            checksum_hex: self.checksum_hex,
+            checksum_hex: self.checksum_hex.into(),
             basic: schema.shape(self.basic)?,
             processing: Vec::new(),
             tags: Default::default(),
@@ -365,8 +461,9 @@ impl ProjectStore {
             .unwrap_or(usize::MAX);
         let mut state = StoreState {
             schema: schema.clone(),
+            prefix: Arc::from(format!("lsdf://{}/", schema.name)),
             records: Vec::new(),
-            by_name: HashMap::new(),
+            by_name: NameMap::default(),
             field_indexes: Vec::new(),
             tag_index: TagIndex::new(),
             subscribers: Vec::new(),
@@ -450,7 +547,7 @@ impl ProjectStore {
             let results: Vec<Result<DatasetId, MetadataError>> = batch
                 .into_iter()
                 .map(|new| {
-                    let rec = new.into_record(&self.schema)?;
+                    let rec = new.into_record(&self.schema, &st.prefix)?;
                     let payload = self
                         .durability
                         .as_ref()
@@ -493,7 +590,7 @@ impl ProjectStore {
     /// Fetches a record by unique name.
     pub fn get_by_name(&self, name: &str) -> Option<Arc<DatasetRecord>> {
         let st = self.state.read();
-        st.by_name.get(name).map(|&id| Arc::clone(&st.records[id.0 as usize]))
+        st.by_name.get(name, &st.records).map(|id| Arc::clone(&st.records[id.0 as usize]))
     }
 
     /// Basic metadata is write-once: this always fails, by design. The
@@ -726,8 +823,9 @@ impl ProjectStore {
         // touches.
         st.dirty.iter_mut().for_each(|flag| *flag.get_mut() = true);
         st.field_indexes.clear();
+        let prefix = Arc::clone(&st.prefix);
         let st = RefCell::new(st);
-        let decode = |payload: &[u8]| MetaWalRecord::decode(payload, &self.schema);
+        let decode = |payload: &[u8]| MetaWalRecord::decode(payload, &self.schema, &prefix);
         let stats = d.recover_with(
             |chunks| st.borrow_mut().install(chunks),
             |payload| decode(payload).is_some_and(|rec| st.borrow_mut().apply(rec)),
@@ -1305,19 +1403,21 @@ mod tests {
             .optional("detector", FieldType::Str)
             .build()
             .unwrap();
+        let prefix = Arc::from("lsdf://zebrafish-htm/");
         let record = |id: u64, name: &str| DatasetRecord {
             id: DatasetId(id),
             name: name.to_string(),
             ..new_ds(name, [("run", Value::Int(7)), ("energy", Value::Float(0.5))].map(|(k, v)| (k.to_string(), v)).into())
-                .into_record(&schema)
+                .into_record(&schema, &prefix)
                 .unwrap()
         };
         let chunk = |records: &[DatasetRecord]| MetaSnapshot::encode_chunk(&schema, records);
         let sound = [chunk(&[record(0, "a"), record(1, "b")]), chunk(&[record(2, "c"), record(3, "d")])];
-        // fingerprint, id, three length-prefixed strings and the size:
-        // then record 0's bitmap (three slots, the third absent) and its
-        // first value's type tag.
-        let bitmap = 8 + 8 + (4 + 1) + (4 + "lsdf://zebrafish-htm/raw/a".len()) + 8 + 4;
+        // fingerprint, id, the length-prefixed name, the given
+        // location's tag and text, the size and the absent checksum's
+        // tag: then record 0's bitmap (three slots, the third absent)
+        // and its first value's type tag.
+        let bitmap = 8 + 8 + (4 + 1) + (1 + 4 + "lsdf://zebrafish-htm/raw/a".len()) + 8 + 1;
         assert_eq!(sound[0][bitmap..bitmap + 2], [0b011, FieldType::Int.tag()]);
         let patched = |at: usize, byte: u8| {
             let mut bytes = sound[0].clone();
@@ -1532,6 +1632,52 @@ mod tests {
         assert!(!store.maybe_checkpoint());
         assert_eq!(store.recover(), RecoveryStats::default());
         assert_eq!(store.len(), 2, "recover leaves a non-durable store alone");
+    }
+
+    proptest::proptest! {
+        /// The name map answers the same when every name hashes alike:
+        /// inserts, duplicate refusals and lookups (of names held and
+        /// not), before and after restarts, agree with a store whose
+        /// names hash apart, and then every name but the first is in
+        /// the collided map.
+        #[test]
+        fn names_in_one_bucket_answer_as_names_hashed_apart(
+            names in proptest::collection::vec(0u32..40, 1..60),
+            restart_at in 0usize..60,
+        ) {
+            let answers = |one_bucket: bool| {
+                let disk = lsdf_durability::DurableStore::new();
+                let store = durable_store(&disk, 8);
+                store.state.write().by_name.one_bucket = one_bucket;
+                let name = |n: u32| format!("img-{n:05}");
+                let mut said = Vec::new();
+                for (i, &n) in names.iter().enumerate() {
+                    said.push(format!("{:?}", store.insert(new_ds(&name(n), zf_doc(i as i64, 0, 488.0)))));
+                    if i == restart_at {
+                        store.crash(i as u64);
+                        store.recover();
+                    }
+                }
+                let lookups = |said: &mut Vec<String>| {
+                    for n in 0..40 {
+                        said.push(format!("{:?}", store.get_by_name(&name(n)).map(|r| (r.id, r.name.clone()))));
+                    }
+                };
+                lookups(&mut said);
+                store.crash(99);
+                store.recover();
+                lookups(&mut said);
+                for &n in &names {
+                    said.push(format!("{:?}", store.insert(new_ds(&name(n), zf_doc(0, 0, 488.0)))));
+                }
+                let collided = store.state.read().by_name.collided.len();
+                (said, collided)
+            };
+            let (apart, bucket) = (answers(false), answers(true));
+            proptest::prop_assert_eq!(&apart.0, &bucket.0);
+            let distinct = names.iter().collect::<std::collections::BTreeSet<_>>().len();
+            proptest::prop_assert_eq!((apart.1, bucket.1), (0, distinct - 1));
+        }
     }
 
     #[test]

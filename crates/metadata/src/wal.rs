@@ -9,15 +9,19 @@
 //! Secondary structures (name map, field indexes, tag index) are
 //! derived state and are rebuilt from the records on recovery.
 //!
-//! A record has two encodings, which differ in its basic metadata only.
-//! What is *stored* — the WAL insert record and the checkpoint chunks —
-//! holds it in slot order: a presence bitmap over the schema's fields,
-//! then the present values, no names; it is headed by the schema's
-//! fingerprint and decodes under that schema alone. The *canonical*
-//! encoding, which only `catalog_digest` hashes and nothing reads
-//! back, spells each field's name before its value in name order, as a
-//! [`Document`] would: the digest of a catalog does not depend on the
-//! order its schema declares fields in.
+//! A record has two encodings, which differ in its location, checksum
+//! and basic metadata. What is *stored* — the WAL insert record and the
+//! checkpoint chunks — holds what the record holds: a location derived
+//! from the name as one tag byte, a SHA-256 as a tag byte and its 32
+//! bytes, and basic metadata in slot order: a presence bitmap over the
+//! schema's fields, then the present values, no names. It is headed by
+//! the schema's fingerprint and decodes under that schema alone, in the
+//! store whose prefix a derived location is read with. The *canonical*
+//! encoding, which only `catalog_digest` hashes and nothing reads back,
+//! spells everything out: the location's and the checksum's text, and
+//! each field's name before its value in name order, as a [`Document`]
+//! would. The digest of a catalog depends neither on the order its
+//! schema declares fields in nor on how a record holds what it holds.
 //!
 //! Replay is idempotent: an `Insert` whose name is already registered,
 //! a `Tag`/`Untag` whose effect is present, or an `AppendProcessing`
@@ -30,10 +34,11 @@ use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use crate::record::{DatasetId, DatasetRecord, ProcessingResult};
+use crate::record::{Checksum, ChecksumRepr, DatasetId, DatasetRecord, Location, ProcessingResult};
 use crate::schema::{Document, Fields, Schema};
 use crate::value::{FieldType, Value};
 use lsdf_durability::{Dec, Enc};
+use lsdf_storage::Digest;
 
 const VALUE_STR: u8 = FieldType::Str.tag();
 const VALUE_INT: u8 = FieldType::Int.tag();
@@ -172,41 +177,108 @@ pub(crate) enum MetaWalRecord {
     },
 }
 
+/// A stored location's tag: the store's prefix and the record's name,
+/// nothing following; or a length-prefixed text.
+const LOCATION_DERIVED: u8 = 0;
+const LOCATION_GIVEN: u8 = 1;
+
+/// A stored checksum's tag: none; a SHA-256, its 32 bytes following;
+/// or a length-prefixed text.
+const CHECKSUM_ABSENT: u8 = 0;
+const CHECKSUM_SHA256: u8 = 1;
+const CHECKSUM_TEXT: u8 = 2;
+
+/// Which of a record's two encodings to write (see the module docs).
+#[derive(Clone, Copy)]
+enum Form {
+    Stored,
+    Canonical,
+}
+
 /// An upper bound on an insert's encoded size, so its encoder is
-/// allocated once: every string's bytes, plus an allowance per string
-/// and per slot that covers whatever length prefix, tag, presence bit
-/// and fixed-width value the format puts around them.
+/// allocated once: every string's bytes and a digest's 32, plus an
+/// allowance per string and per slot that covers whatever length
+/// prefix, tag, presence bit and fixed-width value the format puts
+/// around them.
 fn insert_size_hint(new: &DatasetRecord) -> usize {
     const ALLOWANCE: usize = 16;
     let slots = new.basic.slots().iter().map(|slot| match slot {
         Some(Value::Str(s)) => ALLOWANCE + s.len(),
         _ => ALLOWANCE,
     });
-    4 * ALLOWANCE
-        + new.name.len()
-        + new.location.len()
-        + new.checksum_hex.len()
-        + slots.sum::<usize>()
+    let location = match &new.location {
+        Location::Derived(_) => 0,
+        Location::Given(text) => text.len(),
+    };
+    let checksum = match &new.checksum_hex.0 {
+        ChecksumRepr::Text(text) => text.len(),
+        _ => 32,
+    };
+    4 * ALLOWANCE + new.name.len() + location + checksum + slots.sum::<usize>()
 }
 
-/// What a registration fixes of a record, its basic metadata written
-/// by `enc_basic`.
-fn enc_registration(e: &mut Enc, r: &DatasetRecord, enc_basic: fn(&mut Enc, &Fields)) {
+/// What a registration fixes of a record, in `form`.
+fn enc_registration(e: &mut Enc, r: &DatasetRecord, form: Form) {
     e.str(&r.name);
-    e.str(&r.location);
+    match (form, &r.location) {
+        (Form::Stored, Location::Derived(_)) => e.u8(LOCATION_DERIVED),
+        (Form::Stored, Location::Given(text)) => {
+            e.u8(LOCATION_GIVEN);
+            e.str(text);
+        }
+        (Form::Canonical, location) => {
+            // The text from its two slices, as one string would be.
+            let (head, tail) = location.parts(&r.name);
+            e.u32((head.len() + tail.len()) as u32);
+            e.raw(head.as_bytes());
+            e.raw(tail.as_bytes());
+        }
+    }
     e.u64(r.size_bytes);
-    e.str(&r.checksum_hex);
-    enc_basic(e, &r.basic);
+    match (form, &r.checksum_hex.0) {
+        (Form::Stored, ChecksumRepr::Absent) => e.u8(CHECKSUM_ABSENT),
+        (Form::Stored, ChecksumRepr::Sha256(d)) => {
+            e.u8(CHECKSUM_SHA256);
+            e.raw(&d.0);
+        }
+        (Form::Stored, ChecksumRepr::Text(text)) => {
+            e.u8(CHECKSUM_TEXT);
+            e.str(text);
+        }
+        (Form::Canonical, ChecksumRepr::Absent) => e.str(""),
+        (Form::Canonical, ChecksumRepr::Sha256(d)) => e.bytes(&d.hex_digits()),
+        (Form::Canonical, ChecksumRepr::Text(text)) => e.str(text),
+    }
+    match form {
+        Form::Stored => enc_fields_slotted(e, &r.basic),
+        Form::Canonical => enc_fields_named(e, &r.basic),
+    }
 }
 
-/// A stored registration as the record it enters the catalog as, id 0.
-fn dec_registration(d: &mut Dec<'_>, schema: &Schema) -> Option<DatasetRecord> {
+/// A stored registration as the record it enters the catalog as, id 0,
+/// a derived location read under `prefix`. A location or checksum
+/// stored as text is read through the same conversion a registration
+/// takes, so a record decodes to the form registering it would give.
+fn dec_registration(d: &mut Dec<'_>, schema: &Schema, prefix: &Arc<str>) -> Option<DatasetRecord> {
+    let name = d.str()?;
+    let location = match d.u8()? {
+        LOCATION_DERIVED => Location::Derived(Arc::clone(prefix)),
+        LOCATION_GIVEN => Location::of(prefix, &name, d.str()?),
+        _ => return None,
+    };
+    let size_bytes = d.u64()?;
+    let checksum_hex = match d.u8()? {
+        CHECKSUM_ABSENT => Checksum::default(),
+        CHECKSUM_SHA256 => Checksum(ChecksumRepr::Sha256(Digest(d.take(32)?.try_into().ok()?))),
+        CHECKSUM_TEXT => Checksum::from(d.str()?),
+        _ => return None,
+    };
     Some(DatasetRecord {
         id: DatasetId(0),
-        name: d.str()?,
-        location: d.str()?,
-        size_bytes: d.u64()?,
-        checksum_hex: d.str()?,
+        name,
+        location,
+        size_bytes,
+        checksum_hex,
         basic: dec_fields_slotted(d, schema)?,
         processing: Vec::new(),
         tags: BTreeSet::new(),
@@ -221,7 +293,7 @@ impl MetaWalRecord {
         let mut e = Enc::with_capacity(insert_size_hint(new));
         e.u8(TAG_INSERT);
         e.u64(schema.fingerprint());
-        enc_registration(&mut e, new, enc_fields_slotted);
+        enc_registration(&mut e, new, Form::Stored);
         e.finish()
     }
 
@@ -252,14 +324,15 @@ impl MetaWalRecord {
         e.finish()
     }
 
-    /// Decodes a record; `None` on any malformed payload, and on an
-    /// insert logged under another schema than `schema` (recovery
-    /// treats that as a skipped record, never a panic).
-    pub(crate) fn decode(bytes: &[u8], schema: &Schema) -> Option<Self> {
+    /// Decodes a record, a derived location under `prefix`; `None` on
+    /// any malformed payload, and on an insert logged under another
+    /// schema than `schema` (recovery treats that as a skipped record,
+    /// never a panic).
+    pub(crate) fn decode(bytes: &[u8], schema: &Schema, prefix: &Arc<str>) -> Option<Self> {
         let mut d = Dec::new(bytes);
         let rec = match d.u8()? {
             TAG_INSERT if d.u64()? == schema.fingerprint() => {
-                MetaWalRecord::Insert(dec_registration(&mut d, schema)?)
+                MetaWalRecord::Insert(dec_registration(&mut d, schema, prefix)?)
             }
             TAG_TAG => MetaWalRecord::Tag { id: DatasetId(d.u64()?), tag: d.str()? },
             TAG_UNTAG => MetaWalRecord::Untag { id: DatasetId(d.u64()?), tag: d.str()? },
@@ -277,9 +350,9 @@ impl MetaWalRecord {
     }
 }
 
-fn enc_record(e: &mut Enc, r: &DatasetRecord, enc_basic: fn(&mut Enc, &Fields)) {
+fn enc_record(e: &mut Enc, r: &DatasetRecord, form: Form) {
     e.u64(r.id.0);
-    enc_registration(e, r, enc_basic);
+    enc_registration(e, r, form);
     e.u32(r.processing.len() as u32);
     for p in &r.processing {
         e.str(&p.step);
@@ -296,11 +369,11 @@ fn enc_record(e: &mut Enc, r: &DatasetRecord, enc_basic: fn(&mut Enc, &Fields)) 
 
 /// Reads a stored record, which must carry `id`: ids are dense
 /// insertion indexes, so a record's id is its position.
-fn dec_record(d: &mut Dec<'_>, schema: &Schema, id: DatasetId) -> Option<DatasetRecord> {
+fn dec_record(d: &mut Dec<'_>, schema: &Schema, prefix: &Arc<str>, id: DatasetId) -> Option<DatasetRecord> {
     if d.u64()? != id.0 {
         return None;
     }
-    let mut rec = DatasetRecord { id, ..dec_registration(d, schema)? };
+    let mut rec = DatasetRecord { id, ..dec_registration(d, schema, prefix)? };
     let n_proc = d.u32()? as usize;
     rec.processing.reserve(n_proc.min(1024));
     for _ in 0..n_proc {
@@ -334,7 +407,7 @@ impl MetaSnapshot {
         let mut e = Enc::new();
         e.u64(records.len() as u64);
         for r in records {
-            enc_record(&mut e, r.borrow(), enc_fields_named);
+            enc_record(&mut e, r.borrow(), Form::Canonical);
         }
         e.finish()
     }
@@ -345,17 +418,19 @@ impl MetaSnapshot {
         let mut e = Enc::new();
         e.u64(schema.fingerprint());
         for r in records {
-            enc_record(&mut e, r.borrow(), enc_fields_slotted);
+            enc_record(&mut e, r.borrow(), Form::Stored);
         }
         e.finish()
     }
 
-    /// Appends a chunk's records to `out`, the catalog so far: each
-    /// must carry the id of the position it lands at. `None` on
-    /// malformed bytes and on a chunk written under another schema.
+    /// Appends a chunk's records to `out`, the catalog so far, derived
+    /// locations under `prefix`: each must carry the id of the position
+    /// it lands at. `None` on malformed bytes and on a chunk written
+    /// under another schema.
     pub(crate) fn decode_chunk(
         bytes: &[u8],
         schema: &Schema,
+        prefix: &Arc<str>,
         out: &mut Vec<Arc<DatasetRecord>>,
     ) -> Option<()> {
         let mut d = Dec::new(bytes);
@@ -364,7 +439,7 @@ impl MetaSnapshot {
         }
         while !d.at_end() {
             let id = DatasetId(out.len() as u64);
-            out.push(Arc::new(dec_record(&mut d, schema, id)?));
+            out.push(Arc::new(dec_record(&mut d, schema, prefix, id)?));
         }
         Some(())
     }
@@ -388,6 +463,11 @@ mod tests {
             .unwrap()
     }
 
+    /// The prefix the tests' store keeps its records under.
+    fn prefix() -> Arc<str> {
+        Arc::from("lsdf://zebrafish/raw/")
+    }
+
     fn doc() -> Document {
         [
             ("fish_id".to_string(), Value::Int(7)),
@@ -401,13 +481,22 @@ mod tests {
     }
 
     /// A freshly registered record: no processing results, no tags.
+    /// Ids `3k` are registered as ingest registers, at a derived
+    /// location with a SHA-256; the others elsewhere, with other text
+    /// or none.
     fn registration(schema: &Schema, id: u64, basic: Document) -> DatasetRecord {
+        let name = format!("img-{id:03}");
+        let (location, checksum) = match id % 3 {
+            0 => (format!("lsdf://zebrafish/raw/{name}"), lsdf_storage::sha256(name.as_bytes()).to_hex()),
+            1 => (format!("lsdf://elsewhere/{name}"), "ab12".to_string()),
+            _ => ("lsdf://zebrafish/raw/".to_string(), String::new()),
+        };
         DatasetRecord {
             id: DatasetId(id),
-            name: format!("img-{id:03}"),
-            location: format!("lsdf://zebrafish/raw/img-{id:03}"),
+            location: Location::of(&prefix(), &name, location),
+            name,
             size_bytes: 4_000_000,
-            checksum_hex: "ab12".into(),
+            checksum_hex: checksum.into(),
             basic: schema.shape(basic).unwrap(),
             processing: Vec::new(),
             tags: BTreeSet::new(),
@@ -431,6 +520,9 @@ mod tests {
         let schema = schema();
         let records = vec![
             MetaWalRecord::Insert(registration(&schema, 0, doc())),
+            // Inserts log no id: log order assigns it.
+            MetaWalRecord::Insert(DatasetRecord { id: DatasetId(0), ..registration(&schema, 1, doc()) }),
+            MetaWalRecord::Insert(DatasetRecord { id: DatasetId(0), ..registration(&schema, 2, doc()) }),
             MetaWalRecord::Tag { id: DatasetId(3), tag: "needs-processing".into() },
             MetaWalRecord::Untag { id: DatasetId(3), tag: "needs-processing".into() },
             MetaWalRecord::AppendProcessing {
@@ -457,8 +549,8 @@ mod tests {
                 }
                 _ => Some(r.clone()),
             };
-            assert_eq!(MetaWalRecord::decode(&bytes, &reordered), logged_under_its_schema);
-            assert_eq!(MetaWalRecord::decode(&bytes, &schema), Some(r));
+            assert_eq!(MetaWalRecord::decode(&bytes, &reordered, &prefix()), logged_under_its_schema);
+            assert_eq!(MetaWalRecord::decode(&bytes, &schema, &prefix()), Some(r));
         }
     }
 
@@ -470,7 +562,7 @@ mod tests {
             records.chunks(2).map(|c| MetaSnapshot::encode_chunk(&schema, c)).collect();
         let mut decoded = Vec::new();
         for chunk in &chunks {
-            assert_eq!(MetaSnapshot::decode_chunk(chunk, &schema, &mut decoded), Some(()));
+            assert_eq!(MetaSnapshot::decode_chunk(chunk, &schema, &prefix(), &mut decoded), Some(()));
         }
         assert!(decoded.iter().map(|r| &**r).eq(&records));
         let snapshot = MetaSnapshot::encode(&records);
@@ -479,21 +571,22 @@ mod tests {
         let holds = |bytes: &[u8], name: &str| bytes.windows(name.len()).any(|w| w == name.as_bytes());
         assert!(holds(&snapshot, "wavelength_nm") && !chunks.iter().any(|c| holds(c, "wavelength_nm")));
         // A chunk lands where its records' ids say, and nowhere else.
-        assert_eq!(MetaSnapshot::decode_chunk(&chunks[1], &schema, &mut Vec::new()), None);
+        assert_eq!(MetaSnapshot::decode_chunk(&chunks[1], &schema, &prefix(), &mut Vec::new()), None);
         let cut = &chunks[0][..chunks[0].len() - 1];
-        assert_eq!(MetaSnapshot::decode_chunk(cut, &schema, &mut Vec::new()), None);
+        assert_eq!(MetaSnapshot::decode_chunk(cut, &schema, &prefix(), &mut Vec::new()), None);
     }
 
     #[test]
     fn malformed_records_are_rejected_not_panicked() {
         let schema = schema();
-        assert_eq!(MetaWalRecord::decode(&[], &schema), None);
-        assert_eq!(MetaWalRecord::decode(&[77, 0, 1], &schema), None);
+        let decode = |bytes: &[u8]| MetaWalRecord::decode(bytes, &schema, &prefix());
+        assert_eq!(decode(&[]), None);
+        assert_eq!(decode(&[77, 0, 1]), None);
         let mut good = MetaWalRecord::Tag { id: DatasetId(1), tag: "t".into() }.encode(&schema);
         good.push(9); // trailing garbage
-        assert_eq!(MetaWalRecord::decode(&good, &schema), None);
+        assert_eq!(decode(&good), None);
         for cut in 0..good.len() - 1 {
-            let _ = MetaWalRecord::decode(&good[..cut], &schema);
+            let _ = decode(&good[..cut]);
         }
         // Bad bool payload and bad value tag inside a document.
         assert_eq!(dec_value(&mut Dec::new(&[VALUE_BOOL, 7])), None);
@@ -505,11 +598,12 @@ mod tests {
         let schema = schema();
         let rec = registration(&schema, 0, doc());
         let insert = MetaWalRecord::encode_insert(&schema, &rec);
-        let decode = |bytes: &[u8]| MetaWalRecord::decode(bytes, &schema);
+        let decode = |bytes: &[u8]| MetaWalRecord::decode(bytes, &schema, &prefix());
         assert_eq!(decode(&insert), Some(MetaWalRecord::Insert(rec.clone())));
-        // tag, fingerprint, three length-prefixed strings and the size:
+        // tag, fingerprint, the length-prefixed name, the derived
+        // location's tag, the size and the SHA-256's tag and 32 bytes:
         // then the bitmap, one byte for six slots, slot 2 absent.
-        let bitmap = 1 + 8 + (4 + rec.name.len()) + (4 + rec.location.len()) + 8 + (4 + rec.checksum_hex.len());
+        let bitmap = 1 + 8 + (4 + rec.name.len()) + 1 + 8 + (1 + 32);
         assert_eq!(insert[bitmap], 0b11_1011);
         let patched = |at: usize, byte: u8| {
             let mut bytes = insert.clone();
@@ -562,9 +656,9 @@ mod tests {
         pub fn enc_record(e: &mut Enc, r: &DatasetRecord, basic: &Document) {
             e.u64(r.id.0);
             e.str(&r.name);
-            e.str(&r.location);
+            e.str(&r.location());
             e.u64(r.size_bytes);
-            e.str(&r.checksum_hex);
+            e.str(&r.checksum_hex.to_string());
             enc_doc(e, basic);
             e.u32(r.processing.len() as u32);
             for p in &r.processing {
@@ -684,7 +778,7 @@ mod tests {
                 let logged = MetaWalRecord::encode_insert(&schema, &new);
                 let replayed = MetaWalRecord::Insert(DatasetRecord { id: DatasetId(0), ..new.clone() });
                 prop_assert_eq!(replayed.encode(&schema), logged.clone(), "both zeros keep their sign");
-                prop_assert_eq!(MetaWalRecord::decode(&logged, &schema), Some(replayed));
+                prop_assert_eq!(MetaWalRecord::decode(&logged, &schema, &prefix()), Some(replayed));
                 let mut rec = new;
                 if id % 2 == 1 {
                     rec.tags.insert("raw".to_string());
@@ -697,7 +791,7 @@ mod tests {
             let mut decoded = Vec::new();
             for chunk in records.chunks(3) {
                 let bytes = MetaSnapshot::encode_chunk(&schema, chunk);
-                prop_assert_eq!(MetaSnapshot::decode_chunk(&bytes, &schema, &mut decoded), Some(()));
+                prop_assert_eq!(MetaSnapshot::decode_chunk(&bytes, &schema, &prefix(), &mut decoded), Some(()));
             }
             prop_assert!(decoded.iter().map(|r| &**r).eq(records.iter().copied()));
             let mut e = Enc::new();

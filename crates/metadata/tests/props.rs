@@ -4,6 +4,7 @@
 use std::sync::Arc;
 
 use lsdf_durability::{ComponentDurability, DurabilityConfig, DurableStore};
+use lsdf_metadata::export::{json_string, record_to_json};
 use lsdf_metadata::query::{contains, eq, ge, gt, has_tag, le, lt, ne};
 use lsdf_metadata::{
     dataset, CrossQuery, DatasetId, Document, Federation, FieldType, MetadataError, NewDataset,
@@ -81,7 +82,94 @@ fn any_value() -> impl Strategy<Value = Value> {
     ]
 }
 
+/// A checksum text of one of six forms, from `seed`: none, a SHA-256
+/// as ingest writes it, the same uppercased, one digit short, one
+/// over, and text that is not hex.
+fn checksum_text(form: usize, seed: u64) -> String {
+    let hex = lsdf_storage::sha256(&seed.to_le_bytes()).to_hex();
+    match form {
+        0 => String::new(),
+        1 => hex,
+        2 => hex.to_uppercase(),
+        3 => hex[..63].to_string(),
+        4 => format!("{hex}a"),
+        _ => format!("md5:{}", &hex[..32]),
+    }
+}
+
+/// A location of one of six forms for the dataset `name` of the store
+/// `t`: the derived one, under another project's prefix, the prefix
+/// alone, with the name a suffix under a longer prefix, the name as a
+/// suffix of a shorter one, and none.
+fn location_text(form: usize, name: &str) -> String {
+    match form {
+        0 => format!("lsdf://t/{name}"),
+        1 => format!("lsdf://u/{name}"),
+        2 => "lsdf://t/".to_string(),
+        3 => format!("lsdf://t/raw/{name}"),
+        4 => format!("lsdf://t{name}"),
+        _ => String::new(),
+    }
+}
+
 proptest! {
+    /// Whatever text a registration carries as its checksum and its
+    /// location, every read hands it back as registered: `get`,
+    /// `get_by_name`, an indexed `query` and the JSON export, before a
+    /// crash and after the recovery from checkpoint and log.
+    #[test]
+    fn checksums_and_locations_read_back_as_registered(
+        regs in prop::collection::vec((0usize..6, 0usize..6, any::<u64>(), any::<bool>()), 1..24),
+        checkpoint_after in 0usize..24,
+        crash_seed in any::<u64>(),
+    ) {
+        let (store, _disk) = durable_store();
+        let mut registered = Vec::new();
+        for (i, &(location_form, checksum_form, seed, nested)) in regs.iter().enumerate() {
+            let name = if nested { format!("run{i}/sub{}", seed % 24) } else { format!("r{i}") };
+            let (location, checksum) = (location_text(location_form, &name), checksum_text(checksum_form, seed));
+            let new = NewDataset {
+                name: name.clone(),
+                location: location.clone(),
+                size_bytes: seed % 4096,
+                checksum_hex: checksum.clone(),
+                basic: doc(i as i64, 1.0, "main"),
+            };
+            prop_assert_eq!(store.insert(new), Ok(DatasetId(i as u64)));
+            registered.push((name, location, checksum));
+            if i == checkpoint_after {
+                prop_assert!(store.checkpoint().is_some());
+            }
+        }
+        let reads_back = |when: &str| -> proptest::test_runner::TestCaseResult {
+            for (i, (name, location, checksum)) in registered.iter().enumerate() {
+                let hits = store.query(&eq("run", i as i64));
+                prop_assert_eq!(hits.len(), 1, "{}", when);
+                let by_id = store.get(DatasetId(i as u64)).unwrap();
+                let by_name = store.get_by_name(name).unwrap();
+                for rec in [&by_id, &by_name, &hits[0]] {
+                    prop_assert_eq!(&rec.name, name, "{}", when);
+                    prop_assert_eq!(rec.location(), location.as_str(), "{}", when);
+                    prop_assert_eq!(&rec.checksum_hex.to_string(), checksum, "{}", when);
+                    prop_assert!(rec.checksum_hex == *checksum, "{}", when);
+                    prop_assert!(*checksum == rec.checksum_hex, "{}", when);
+                    prop_assert!(rec.checksum_hex == *checksum.as_str(), "{}", when);
+                }
+                let json = record_to_json(&by_id);
+                prop_assert!(json.contains(&format!("\"location\":{},", json_string(location))), "{}: {}", when, json);
+                prop_assert!(json.contains(&format!("\"checksum\":{},", json_string(checksum))), "{}: {}", when, json);
+            }
+            Ok(())
+        };
+        reads_back("before the crash")?;
+        let digest = store.catalog_digest();
+        store.crash(crash_seed);
+        let stats = store.recover();
+        prop_assert_eq!(stats.snapshot_loaded, checkpoint_after < regs.len());
+        reads_back("after recovery")?;
+        prop_assert_eq!(store.catalog_digest(), digest);
+    }
+
     /// An order key orders and equals as its bytes do, whichever of its
     /// two forms (inline integers, heap bytes) each side is held in.
     #[test]

@@ -20,31 +20,55 @@ impl Digest {
         Digest(out)
     }
 
-    /// Hex rendering of the digest.
-    pub fn to_hex(&self) -> String {
+    /// The 64 lowercase hex digits of the digest, on the stack.
+    pub fn hex_digits(&self) -> [u8; 64] {
         const HEX: &[u8; 16] = b"0123456789abcdef";
-        let mut s = String::with_capacity(64);
-        for b in self.0 {
-            s.push(HEX[(b >> 4) as usize] as char);
-            s.push(HEX[(b & 0xf) as usize] as char);
+        let mut out = [0u8; 64];
+        for (pair, b) in out.chunks_exact_mut(2).zip(self.0) {
+            pair[0] = HEX[usize::from(b >> 4)];
+            pair[1] = HEX[usize::from(b & 0xf)];
         }
-        s
+        out
     }
 
-    /// Parses a 64-char hex string.
+    /// Hex rendering of the digest.
+    pub fn to_hex(&self) -> String {
+        self.hex_digits().iter().map(|&b| char::from(b)).collect()
+    }
+
+    /// Parses the 64 lowercase hex digits [`Digest::to_hex`] writes;
+    /// `None` for any other text, uppercase digits included. Every
+    /// digit is looked up in one table and the lookups' high bits are
+    /// OR-ed into one validity check, so the parse takes no branch on
+    /// the digits' values: it runs inside the catalog's commit section,
+    /// where random hex would mispredict a branch per digit.
     pub fn from_hex(s: &str) -> Option<Digest> {
-        if s.len() != 64 {
-            return None;
-        }
+        let digits: &[u8; 64] = s.as_bytes().try_into().ok()?;
         let mut out = [0u8; 32];
-        for (i, chunk) in s.as_bytes().chunks(2).enumerate() {
-            let hi = (chunk[0] as char).to_digit(16)?;
-            let lo = (chunk[1] as char).to_digit(16)?;
-            out[i] = ((hi << 4) | lo) as u8;
+        let mut invalid = 0;
+        for (o, pair) in out.iter_mut().zip(digits.chunks_exact(2)) {
+            let (hi, lo) = (UNHEX[usize::from(pair[0])], UNHEX[usize::from(pair[1])]);
+            invalid |= hi | lo;
+            *o = hi << 4 | lo & 0xf;
         }
-        Some(Digest(out))
+        (invalid & NOT_HEX == 0).then_some(Digest(out))
     }
 }
+
+/// What [`UNHEX`] holds for a byte that is not a lowercase hex digit:
+/// a bit no digit's value has.
+const NOT_HEX: u8 = 0x10;
+
+/// Each byte's value as a lowercase hex digit, or [`NOT_HEX`].
+const UNHEX: [u8; 256] = {
+    let mut table = [NOT_HEX; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[b"0123456789abcdef"[i] as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
 
 impl std::fmt::Debug for Digest {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -910,6 +934,22 @@ mod tests {
         assert_eq!(Digest::from_hex(&d.to_hex()), Some(d));
         assert_eq!(Digest::from_hex("zz"), None);
         assert_eq!(Digest::from_hex(&"0".repeat(63)), None);
+        assert_eq!(Digest::from_hex(&"0".repeat(65)), None);
+        // Lowercase only, the form `to_hex` writes.
+        assert_eq!(Digest::from_hex(&d.to_hex().to_uppercase()), None);
+        let hex = d.to_hex();
+        for (at, bad) in [(0, 'g'), (63, 'G'), (17, '/'), (40, ':'), (5, '`'), (9, '@')] {
+            let mut text = hex.clone();
+            text.replace_range(at..at + 1, &bad.to_string());
+            assert_eq!(Digest::from_hex(&text), None, "{text}");
+        }
+        // Every digit value, in both positions of a byte.
+        let all = "0123456789abcdef".repeat(4);
+        let parsed = Digest::from_hex(&all).unwrap();
+        assert_eq!(parsed.to_hex(), all);
+        assert_eq!(std::str::from_utf8(&parsed.hex_digits()), Ok(all.as_str()));
+        // A multi-byte character makes the length right and a digit wrong.
+        assert_eq!(Digest::from_hex(&format!("é{}", &hex[2..])), None);
     }
 
     #[test]

@@ -68,7 +68,7 @@ fn main() {
         build: Box::new(move |dataset_id, sink| {
             // Fetch the image payload and count cells inside the workflow.
             let rec = store_for_rule.get(dataset_id).expect("dataset exists");
-            let data = adal.get(&cred, &rec.location).expect("payload readable");
+            let data = adal.get(&cred, &rec.location()).expect("payload readable");
             let mut wf = Workflow::new();
             let src = wf.add(VecSource::new("image", vec![Token::Data(data.to_vec())]));
             let seg = wf.add(MapActor::new("count-cells", |t: Token| {

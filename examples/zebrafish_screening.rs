@@ -80,7 +80,7 @@ fn main() {
         remove_trigger_tag: true,
         build: Box::new(move |id, sink| {
             let rec = store_rule.get(id).expect("dataset exists");
-            let data = adal.get(&cred, &rec.location).expect("payload readable");
+            let data = adal.get(&cred, &rec.location()).expect("payload readable");
             let mut wf = Workflow::new();
             let src = wf.add(VecSource::new("image", vec![Token::Data(data.to_vec())]));
             let seg = wf.add(MapActor::new("segment", |t: Token| {

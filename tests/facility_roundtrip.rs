@@ -91,7 +91,7 @@ fn microscopy_ingest_trigger_process_query_fetch() {
             remove_trigger_tag: true,
             build: Box::new(move |id, sink| {
                 let rec = store2.get(id).expect("dataset");
-                let data = adal.get(&cred, &rec.location).expect("payload");
+                let data = adal.get(&cred, &rec.location()).expect("payload");
                 let mut wf = Workflow::new();
                 let src = wf.add(VecSource::new("img", vec![Token::Data(data.to_vec())]));
                 let m = wf.add(MapActor::new("count", |t: Token| {

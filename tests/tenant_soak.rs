@@ -147,13 +147,13 @@ fn run_soak(seed: u64, workers: usize, flood_multiplier: u64) -> SoakOutcome {
         for rec in f.store(&project).expect("project store").all() {
             let data = f
                 .adal()
-                .get(&admin, &rec.location)
-                .unwrap_or_else(|e| panic!("acked write {} lost: {e}", rec.location));
+                .get(&admin, &rec.location())
+                .unwrap_or_else(|e| panic!("acked write {} lost: {e}", rec.location()));
             assert_eq!(
                 sha256(&data).to_hex(),
                 rec.checksum_hex,
                 "acked write {} corrupted",
-                rec.location
+                rec.location()
             );
             records += 1;
         }
